@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .data import PAD, Graph, GraphDataset, load_tu_dataset, one_hot_encode, permute_node_ids
+from .data import PAD, Graph, GraphDataset, load_tu_dataset, one_hot, permute_node_ids
 from .labelling import (
     NodeRanking,
     Procedure,
@@ -12,22 +12,20 @@ from .labelling import (
     rank_nodes,
     wl_refine,
 )
-from .tensorize import GraphTensor, ReceptiveField, graph_to_tensor, tensorize_dataset
+from .tensorize import graph_to_tensor, tensorize_dataset
 
 __all__ = [
     "PAD",
     "Graph",
     "GraphDataset",
-    "GraphTensor",
     "NodeRanking",
     "Procedure",
-    "ReceptiveField",
     "WLColoring",
     "betweenness_centrality",
     "canonical_order",
     "graph_to_tensor",
     "load_tu_dataset",
-    "one_hot_encode",
+    "one_hot",
     "permute_node_ids",
     "rank_nodes",
     "tensorize_dataset",

@@ -9,27 +9,23 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import os
 import sys
-import time
 from datetime import datetime, timezone
 
 import numpy as np
 
 from . import __version__
-from .data import load_tu_dataset, permute_dataset
+from .data import dataset_checksums
 from .experiment import (
     PTC_SUBSETS,
     ExperimentConfig,
     dataset_tensors,
     grid_search,
     run_experiment,
+    tensorize_cached,
 )
-from .labelling import Procedure
-from .tensor_cache import cache_filename, save_tensors
-from .tensorize import default_width, padded_anchor_count, tensorize_dataset
 
 LABELLING_ALIASES = {"bc": "bc", "canonical": "canonical", "nauty": "canonical"}
 
@@ -53,26 +49,6 @@ def read_config_file(path: str) -> dict:
             key, value = (part.strip() for part in line.split("=", 1))
             out[key.replace("-", "_")] = value
     return out
-
-
-def _sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-def dataset_checksums(root: str, name: str) -> dict:
-    from .data import resolve_dataset_dir
-
-    base = resolve_dataset_dir(root, name)
-    sums = {}
-    for suffix in ("A", "graph_indicator", "graph_labels", "node_labels"):
-        path = os.path.join(base, f"{name}_{suffix}.txt")
-        if os.path.isfile(path):
-            sums[os.path.basename(path)] = _sha256(path)
-    return sums
 
 
 def write_manifest(out_dir: str, args, resolved: dict) -> str:
@@ -127,35 +103,21 @@ def _experiment_config(args) -> ExperimentConfig:
 
 
 def cmd_tensorize(args) -> int:
-    root = _data_root(args)
-    names = list(PTC_SUBSETS) if args.dataset.upper() == "PTC" else [args.dataset]
-    procedure = (
-        Procedure.BETWEENNESS if LABELLING_ALIASES[args.labelling] == "bc" else Procedure.CANONICAL
+    cfg = ExperimentConfig(
+        dataset=args.dataset,
+        labelling=LABELLING_ALIASES[args.labelling],
+        w=args.w,
+        k=args.k,
+        seed=args.seed,
+        naive_ties=args.naive_ties,
+        jobs=args.jobs if args.jobs is not None else max(1, os.cpu_count() or 1),
+        data_root=_data_root(args),
+        out_root=args.out_root,
+        cache_dir=args.cache_dir,
     )
-    jobs = args.jobs if args.jobs is not None else max(1, os.cpu_count() or 1)
-    cache_dir = args.cache_dir or os.path.join(args.out_root, "cache")
+    names = list(PTC_SUBSETS) if args.dataset.upper() == "PTC" else [args.dataset]
     for name in names:
-        ds = load_tu_dataset(root, name)
-        w = args.w if args.w is not None else default_width(ds)
-        path = os.path.join(
-            cache_dir, cache_filename(name, procedure, w, args.k, args.seed, args.naive_ties)
-        )
-        if os.path.isfile(path) and not args.force:
-            print(f"[tensorize] warm cache, nothing to do: {path}")
-            continue
-        t0 = time.perf_counter()
-        permuted = permute_dataset(ds, args.seed)
-        tensors = tensorize_dataset(
-            permuted, w=w, k=args.k, procedure=procedure,
-            naive_ties=args.naive_ties, jobs=jobs,
-        )
-        save_tensors(path, tensors, w, args.k, ds.num_node_labels, procedure,
-                     args.seed, args.naive_ties)
-        print(
-            f"[tensorize] {name}: {len(tensors)} tensors ({w}x{args.k}x"
-            f"{ds.num_node_labels + 1}), {padded_anchor_count(ds, w)} padded anchors, "
-            f"{time.perf_counter() - t0:.1f}s -> {path}"
-        )
+        tensorize_cached(cfg, name, force=args.force)
     return 0
 
 

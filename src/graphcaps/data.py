@@ -10,13 +10,15 @@ tables are kept for reporting.
 
 from __future__ import annotations
 
+import hashlib
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 # Sentinel for dummy nodes introduced when a graph or neighbourhood is smaller
-# than the requested geometry.  Encodes to the extra (d+1)-th one-hot channel.
+# than the requested geometry.  Stored as label d in label grids, which one_hot
+# maps to the extra (d+1)-th channel.
 PAD = -1
 
 
@@ -264,19 +266,42 @@ def permute_dataset(ds: GraphDataset, seed: int) -> GraphDataset:
     )
 
 
-def one_hot_encode(labels, d: int) -> np.ndarray:
-    """One-hot encode categorical labels into ``len x (d+1)`` rows.
+def one_hot(grids, d: int) -> np.ndarray:
+    """Expand label grids to float64 one-hot tensors with ``d + 1`` channels.
 
-    Channel ``d`` is reserved for :data:`PAD` entries so real labels are never
-    polluted by padding.
+    Label ``d`` marks padding and maps to the extra last channel, so real
+    labels are never polluted by padding.
     """
-    out = np.zeros((len(labels), d + 1), dtype=np.float64)
-    for i, lab in enumerate(labels):
-        lab = int(lab)
-        if lab == PAD:
-            out[i, d] = 1.0
-        elif 0 <= lab < d:
-            out[i, lab] = 1.0
-        else:
-            raise ValueError(f"label {lab} outside [0, {d}) and not PAD")
-    return out
+    grids = np.asarray(grids)
+    if grids.size and not 0 <= grids.min() <= grids.max() <= d:
+        raise ValueError(
+            f"labels span [{grids.min()}, {grids.max()}], outside [0, {d}] (label {d} is padding)"
+        )
+    return np.eye(d + 1)[grids]
+
+
+def _sha256(path: str) -> str:
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
+            h.update(chunk)
+    return h.hexdigest()
+
+
+def dataset_checksums(root: str, name: str) -> dict:
+    """sha256 hex digest of each TU file of one dataset, keyed by file name."""
+    base = resolve_dataset_dir(root, name)
+    sums = {}
+    for suffix in ("A", "graph_indicator", "graph_labels", "node_labels"):
+        path = os.path.join(base, f"{name}_{suffix}.txt")
+        if os.path.isfile(path):
+            sums[os.path.basename(path)] = _sha256(path)
+    return sums
+
+
+def dataset_digest(root: str, name: str) -> bytes:
+    """One 32-byte sha256 over :func:`dataset_checksums`; changes whenever any
+    source file of the dataset does."""
+    sums = dataset_checksums(root, name)
+    text = "".join(f"{fname} {sums[fname]}\n" for fname in sorted(sums))
+    return hashlib.sha256(text.encode("utf-8")).digest()

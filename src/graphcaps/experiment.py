@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .data import GraphDataset, load_tu_dataset, permute_dataset
+from .data import dataset_digest, load_tu_dataset, one_hot, permute_dataset
 from .labelling import Procedure
 from .models import (
     CapsNetConfig,
@@ -35,7 +35,7 @@ from .models import (
     evaluate_accuracy,
     train_model,
 )
-from .tensor_cache import cache_filename, load_tensors, save_tensors
+from .tensor_cache import StaleCacheError, cache_filename, load_tensors, save_tensors
 from .tensorize import default_width, padded_anchor_count, tensorize_dataset
 
 PTC_SUBSETS = ("PTC_MM", "PTC_FM", "PTC_MR", "PTC_FR")
@@ -85,7 +85,6 @@ class ExperimentConfig:
     data_root: str = "data"
     out_root: str = "results"
     cache_dir: str | None = None
-    tuned_on: str = "MUTAG"
 
     def __post_init__(self):
         if self.folds < 2:
@@ -234,41 +233,55 @@ def kfold_split(n_samples: int, folds: int, seed: int, strata) -> list:
     return [np.array(sorted(fi), dtype=np.int64) for fi in fold_indices]
 
 
-def dataset_tensors(cfg: ExperimentConfig, name: str | None = None, log=print):
-    """Load, permute, tensorize (through the binary cache) one dataset.
+def tensorize_cached(cfg: ExperimentConfig, name: str | None = None, force: bool = False,
+                     log=print):
+    """Load, permute and tensorize one dataset through the binary cache.
 
-    Returns (x, y, w, channels, dataset).  The node-id permutation always runs
+    Returns (grids, y, w, dataset) with ``(n, w, k)`` label grids.  A warm
+    cache is read unless ``force``; one written from other dataset contents or
+    by another format version is rebuilt.  The node-id permutation always runs
     before tensorization so no curated ordering leaks into the tensors.
     """
     name = name or cfg.dataset
     ds = load_tu_dataset(cfg.data_root, name)
+    d = ds.num_node_labels
     w = cfg.w if cfg.w is not None else default_width(ds)
+    digest = dataset_digest(cfg.data_root, name)
     cache_path = os.path.join(
         cfg.cache_dir, cache_filename(name, cfg.procedure, w, cfg.k, cfg.seed, cfg.naive_ties)
     )
-    if os.path.isfile(cache_path):
-        cached = load_tensors(cache_path)
-        tensors = cached["tensors"]
-        log(f"[tensorize] warm cache: {cache_path}")
-    else:
-        t0 = time.perf_counter()
-        permuted = permute_dataset(ds, cfg.seed)
-        tensors = tensorize_dataset(
-            permuted, w=w, k=cfg.k, procedure=cfg.procedure,
-            naive_ties=cfg.naive_ties, jobs=cfg.jobs,
-        )
-        save_tensors(
-            cache_path, tensors, w, cfg.k, ds.num_node_labels,
-            cfg.procedure, cfg.seed, cfg.naive_ties,
-        )
-        log(
-            f"[tensorize] cold cache: {len(tensors)} graphs in "
-            f"{time.perf_counter() - t0:.1f}s, {padded_anchor_count(ds, w)} padded anchors "
-            f"-> {cache_path}"
-        )
-    x = np.stack([t.data for t in tensors])
-    y = np.array([t.class_label for t in tensors], dtype=np.int64)
-    return x, y, w, ds.num_node_labels + 1, ds
+    if os.path.isfile(cache_path) and not force:
+        try:
+            cached = load_tensors(cache_path, digest)
+        except StaleCacheError as exc:
+            log(f"[tensorize] stale cache, rebuilding: {exc}")
+        else:
+            log(f"[tensorize] {name}: warm cache, {len(cached['grids'])} tensors, "
+                f"nothing to do: {cache_path}")
+            return cached["grids"], cached["labels"].astype(np.int64), w, ds
+    t0 = time.perf_counter()
+    grids = tensorize_dataset(
+        permute_dataset(ds, cfg.seed), w=w, k=cfg.k, procedure=cfg.procedure,
+        naive_ties=cfg.naive_ties, jobs=cfg.jobs,
+    )
+    y = ds.class_labels()
+    save_tensors(cache_path, grids, y, d, cfg.procedure, cfg.seed, cfg.naive_ties, digest)
+    log(
+        f"[tensorize] {name}: cold cache, {len(grids)} tensors ({w}x{cfg.k}x{d + 1}), "
+        f"{padded_anchor_count(ds, w)} padded anchors, "
+        f"{time.perf_counter() - t0:.1f}s -> {cache_path}"
+    )
+    return grids, y, w, ds
+
+
+def dataset_tensors(cfg: ExperimentConfig, name: str | None = None, log=print):
+    """One dataset's one-hot tensors, through the binary cache.
+
+    Returns (x, y, w, channels, dataset) with ``x`` a C-contiguous float64
+    ``(n, w, k, channels)`` array.
+    """
+    grids, y, w, ds = tensorize_cached(cfg, name, log=log)
+    return one_hot(grids, ds.num_node_labels), y, w, ds.num_node_labels + 1, ds
 
 
 def _build_model(cfg: ExperimentConfig, w: int, channels: int, num_classes: int, seed: int):

@@ -117,7 +117,7 @@ class CapsNet:
         h = conv2d(h, p["conv2_w"], p["conv2_b"], stride=cfg.primary_stride)
         B = h.data.shape[0]
         u = h.reshape(B, self.n_primary, cfg.primary_dim)
-        u = nn.squash(u, axis=-1)
+        u = nn.squash(u)
         u_hat = caps_predict(u, p["caps_w"])
         v = nn.dynamic_routing(u_hat, cfg.routing_iters)
         return u, v
@@ -275,15 +275,6 @@ def build_capsnet(w, k, channels, num_classes, cfg: CapsNetConfig | None = None,
 
 def build_cnn(w, k, channels, num_classes, cfg: CnnConfig | None = None, seed: int = 0):
     return PatchyCnn(w, k, channels, num_classes, cfg or CnnConfig(), seed=seed)
-
-
-def forward_capsnet(model: CapsNet, x, targets=None):
-    """Functional access to the capsule forward pass (vectors, norms, recon)."""
-    return model.forward(x, targets=targets)
-
-
-def predict(model, x) -> np.ndarray:
-    return model.predict(x)
 
 
 @dataclass

@@ -7,8 +7,6 @@ Plain numpy arrays are accepted and lifted to constants.
 
 from __future__ import annotations
 
-import os
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,18 +29,14 @@ def capsule_norms(v, axis: int = -1) -> Tensor:
     return ((v * v).sum(axis=axis) + NORM_EPS).sqrt()
 
 
-def squash(v, axis: int = -1) -> Tensor:
-    """Shrink vectors to norm |v|^2 / (1 + |v|^2) without changing direction.
+def squash(v) -> Tensor:
+    """Shrink vectors along the last axis to norm |v|^2 / (1 + |v|^2) without
+    changing direction.
 
     The norm in the denominator uses the epsilon-stabilized sqrt, so the map
     (and its gradient) is well defined at the zero vector, where it returns 0.
     """
-    v = Tensor._lift(v)
-    if axis in (-1, v.data.ndim - 1):
-        return autodiff.squash_op(v, eps=NORM_EPS)
-    sq = (v * v).sum(axis=axis, keepdims=True)
-    scale = sq / ((1.0 + sq) * (sq + NORM_EPS).sqrt())
-    return v * scale
+    return autodiff.squash_op(v, eps=NORM_EPS)
 
 
 def dynamic_routing(predictions, iterations: int, return_trace: bool = False):
@@ -74,7 +68,7 @@ def dynamic_routing(predictions, iterations: int, return_trace: bool = False):
         c = logits.softmax(axis=2)
         couplings.append(c.data.copy())
         s = autodiff.route_weighted_sum(c, u_hat)
-        v = squash(s, axis=-1)
+        v = squash(s)
         if it < iterations - 1:
             logits = logits + autodiff.route_agreement(u_hat, v)
     if squeeze:
@@ -206,57 +200,3 @@ def adam_step(params: dict, grads: dict, state: AdamState, epoch: int) -> AdamSt
         v += (1.0 - b2) * (g * g)
         p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
     return state
-
-
-# ---------------------------------------------------------------------------
-# parameter checkpoints
-# ---------------------------------------------------------------------------
-#
-# Layout: magic b"GCKPT\0", u32 version (1), u32 array count; then per array:
-# u16 name length, utf-8 name, u8 ndim, u32 dims..., float64 values row-major.
-
-_CKPT_MAGIC = b"GCKPT\x00"
-_CKPT_VERSION = 1
-
-
-class CheckpointError(RuntimeError):
-    pass
-
-
-def save_params(path: str, params: dict) -> None:
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<II", _CKPT_VERSION, len(params)))
-        for name in sorted(params):
-            arr = params[name].data if isinstance(params[name], Tensor) else params[name]
-            arr = np.asarray(arr, dtype="<f8")  # asarray keeps 0-dim shapes intact
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.tobytes())
-
-
-def load_params(path: str) -> dict:
-    if not os.path.isfile(path):
-        raise CheckpointError(f"checkpoint not found: {path}")
-    out = {}
-    with open(path, "rb") as fh:
-        if fh.read(len(_CKPT_MAGIC)) != _CKPT_MAGIC:
-            raise CheckpointError(f"{path}: bad magic")
-        version, count = struct.unpack("<II", fh.read(8))
-        if version != _CKPT_VERSION:
-            raise CheckpointError(f"{path}: unsupported version {version}")
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
-            nbytes = 8 * int(np.prod(shape)) if ndim else 8
-            blob = fh.read(nbytes)
-            if len(blob) != nbytes:
-                raise CheckpointError(f"{path}: truncated array {name!r}")
-            out[name] = np.frombuffer(blob, dtype="<f8").reshape(shape).copy()
-    return out

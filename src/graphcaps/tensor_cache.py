@@ -1,26 +1,28 @@
-"""Binary cache for extracted graph tensors.
+"""Binary cache for extracted label grids.
 
 Byte layout (all integers little-endian):
 
     offset  size  field
     0       8     magic b"GCTENSR\\0"
-    8       4     format version (currently 1)
+    8       4     format version (currently 2)
     12      4     w
     16      4     k
-    20      4     d          (label alphabet size; fibers have d+1 channels)
+    20      4     d          (label alphabet size; label d marks padding)
     24      4     graph count
     28      1     procedure  (0 = betweenness, 1 = canonical)
     29      1     flags      (bit 0: naive tie-breaking)
     30      2     reserved (zero)
     32      8     permutation seed as signed int64 (-1 = none)
+    40      32    sha256 of the source dataset files (data.dataset_digest)
 
-followed by, per graph in index order:
+followed by:
 
-    4     class label, int32
-    4*w*k*(d+1)   tensor values, float32, row-major (w, k, d+1)
+    4*count       class labels, int32, in graph index order
+    2*count*w*k   label grids, uint16, row-major (count, w, k)
 
-Values are one-hot so the float32 round-trip is exact; training converts back
-to float64.
+The version is bumped whenever extraction output changes, so a file written
+by other extraction code, like one written from other dataset contents, is
+stale rather than reused.
 """
 
 from __future__ import annotations
@@ -31,18 +33,22 @@ import struct
 import numpy as np
 
 from .labelling import Procedure
-from .tensorize import GraphTensor
 
 MAGIC = b"GCTENSR\x00"
-VERSION = 1
-_HEADER = struct.Struct("<8sIIIIIBBHq")
+VERSION = 2
+_HEADER = struct.Struct("<8sIIIIIBBHq32s")
 
 _PROC_CODE = {Procedure.BETWEENNESS: 0, Procedure.CANONICAL: 1}
 _CODE_PROC = {v: k for k, v in _PROC_CODE.items()}
 
 
 class CacheError(RuntimeError):
-    """Cache file missing, corrupt, or written by an incompatible version."""
+    """Cache file missing or corrupt."""
+
+
+class StaleCacheError(CacheError):
+    """Cache file intact but written by another format version or from other
+    dataset contents; rebuild it."""
 
 
 def cache_filename(dataset: str, procedure: Procedure, w: int, k: int, seed, naive_ties: bool) -> str:
@@ -53,62 +59,69 @@ def cache_filename(dataset: str, procedure: Procedure, w: int, k: int, seed, nai
 
 def save_tensors(
     path: str,
-    tensors: list,
-    w: int,
-    k: int,
+    grids: np.ndarray,
+    labels: np.ndarray,
     d: int,
     procedure: Procedure,
     seed,
-    naive_ties: bool = False,
+    naive_ties: bool,
+    digest: bytes,
 ) -> None:
+    """Write ``(n, w, k)`` label grids and their ``n`` class labels."""
+    count, w, k = grids.shape
     flags = 1 if naive_ties else 0
     seed_field = -1 if seed is None else int(seed)
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "wb") as fh:
         fh.write(
             _HEADER.pack(
-                MAGIC, VERSION, w, k, d, len(tensors), _PROC_CODE[procedure], flags, 0, seed_field
+                MAGIC, VERSION, w, k, d, count, _PROC_CODE[procedure], flags, 0, seed_field, digest
             )
         )
-        for t in tensors:
-            if t.data.shape != (w, k, d + 1):
-                raise CacheError(f"tensor shape {t.data.shape} != ({w}, {k}, {d + 1})")
-            fh.write(struct.pack("<i", t.class_label))
-            fh.write(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
+        fh.write(np.asarray(labels, dtype="<i4").tobytes())
+        fh.write(np.ascontiguousarray(grids, dtype="<u2").tobytes())
 
 
-def load_tensors(path: str) -> dict:
-    """Read a cache file; returns {tensors, w, k, d, procedure, seed, naive_ties}."""
+def load_tensors(path: str, digest: bytes) -> dict:
+    """Read a cache file written from the dataset whose digest is ``digest``.
+
+    Returns {grids, labels, w, k, d, procedure, seed, naive_ties}.  Raises
+    :class:`StaleCacheError` for another format version or dataset digest and
+    :class:`CacheError` for a missing or corrupt file.
+    """
     if not os.path.isfile(path):
         raise CacheError(f"cache file not found: {path}")
     with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        if len(header) != _HEADER.size:
-            raise CacheError(f"{path}: truncated header")
-        magic, version, w, k, d, count, proc_code, flags, _, seed_field = _HEADER.unpack(header)
-        if magic != MAGIC:
-            raise CacheError(f"{path}: bad magic {magic!r}")
-        if version != VERSION:
-            raise CacheError(f"{path}: unsupported version {version}")
-        if proc_code not in _CODE_PROC:
-            raise CacheError(f"{path}: unknown procedure code {proc_code}")
-        per_graph = 4 + 4 * w * k * (d + 1)
-        tensors = []
-        for i in range(count):
-            blob = fh.read(per_graph)
-            if len(blob) != per_graph:
-                raise CacheError(f"{path}: truncated at graph {i}")
-            (label,) = struct.unpack_from("<i", blob)
-            data = (
-                np.frombuffer(blob, dtype="<f4", offset=4)
-                .astype(np.float64)
-                .reshape(w, k, d + 1)
-            )
-            tensors.append(GraphTensor(data=data, graph_index=i, class_label=label))
-        if fh.read(1):
-            raise CacheError(f"{path}: trailing bytes after {count} graphs")
+        blob = fh.read()
+    if blob[:8] != MAGIC:
+        raise CacheError(f"{path}: bad magic {blob[:8]!r}")
+    if len(blob) < 12:
+        raise CacheError(f"{path}: truncated header")
+    (version,) = struct.unpack_from("<I", blob, 8)
+    if version != VERSION:
+        raise StaleCacheError(f"{path}: format version {version}, expected {VERSION}")
+    if len(blob) < _HEADER.size:
+        raise CacheError(f"{path}: truncated header")
+    _, _, w, k, d, count, proc_code, flags, _, seed_field, file_digest = _HEADER.unpack_from(blob)
+    if proc_code not in _CODE_PROC:
+        raise CacheError(f"{path}: unknown procedure code {proc_code}")
+    if file_digest != digest:
+        raise StaleCacheError(f"{path}: written from other dataset contents")
+    body = len(blob) - _HEADER.size
+    expected = 4 * count + 2 * count * w * k
+    if body < expected:
+        raise CacheError(f"{path}: truncated body, {body} of {expected} bytes")
+    if body > expected:
+        raise CacheError(f"{path}: trailing bytes after {count} graphs")
+    labels = np.frombuffer(blob, dtype="<i4", count=count, offset=_HEADER.size)
+    grids = np.frombuffer(
+        blob, dtype="<u2", count=count * w * k, offset=_HEADER.size + 4 * count
+    ).reshape(count, w, k)
+    if grids.size and grids.max() > d:
+        raise CacheError(f"{path}: label {grids.max()} above the padding label {d}")
     return {
-        "tensors": tensors,
+        "grids": grids,
+        "labels": labels,
         "w": w,
         "k": k,
         "d": d,

@@ -1,42 +1,26 @@
 """Fixed-size tensor extraction from graphs.
 
-Every graph becomes a ``w x k x (d+1)`` tensor: ``w`` anchor nodes are picked
-by a ranking procedure, each anchor gathers its ``k`` hop-closest neighbours
-into a receptive field with a deterministic internal order, and the member
-labels are one-hot encoded (the extra channel encodes padding).
+Every graph becomes a ``w x k`` grid of node labels: ``w`` anchor nodes are
+picked by a ranking procedure, each anchor gathers its ``k`` hop-closest
+neighbours into a receptive field with a deterministic internal order, and each
+member contributes its label (padding is stored as label ``d``).
+:func:`graphcaps.data.one_hot` expands grids to the ``w x k x (d+1)`` tensors
+the models take.
 """
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PAD, Graph, GraphDataset, one_hot_encode
+from .data import PAD, Graph, GraphDataset
 from .labelling import NodeRanking, Procedure, canonical_order, rank_nodes, wl_refine
 
-
-@dataclass
-class ReceptiveField:
-    """Ordered members of one anchor's neighbourhood, padded to exactly k."""
-
-    anchor: int
-    members: tuple
-
-    def __post_init__(self):
-        real = [m for m in self.members if m != PAD]
-        if len(set(real)) != len(real):
-            raise ValueError("receptive field members must be distinct")
-        if self.anchor != PAD and (not self.members or self.members[0] != self.anchor):
-            raise ValueError("a real anchor must occupy position 0")
-
-
-@dataclass
-class GraphTensor:
-    data: np.ndarray  # (w, k, d+1) float64
-    graph_index: int
-    class_label: int
+# Grids are uint16 and padding is stored as d, so d may not exceed this.
+MAX_LABELS = np.iinfo(np.uint16).max
 
 
 @dataclass
@@ -102,14 +86,12 @@ def assemble_neighbourhood(g: Graph, anchor: int, k: int) -> list:
     return out
 
 
-def normalize_receptive_field(candidates, keys: _NodeKeys, k: int) -> ReceptiveField:
+def normalize_receptive_field(candidates, keys: _NodeKeys, k: int) -> list:
     """Order candidates by (hop asc, WL colour asc, canonical position asc),
-    keep the first k, pad with PAD."""
+    keep the first k, pad with PAD.  The anchor (hop 0) comes first."""
     ordered = sorted(candidates, key=lambda c: keys.member_key(c[1], c[0]))
     members = [v for v, _ in ordered[:k]]
-    anchor = members[0] if members else PAD
-    members += [PAD] * (k - len(members))
-    return ReceptiveField(anchor=anchor, members=tuple(members))
+    return members + [PAD] * (k - len(members))
 
 
 def graph_to_tensor(
@@ -119,34 +101,32 @@ def graph_to_tensor(
     d: int,
     procedure: Procedure = Procedure.BETWEENNESS,
     naive_ties: bool = False,
-    graph_index: int = -1,
-) -> GraphTensor:
+) -> np.ndarray:
     """Full extraction for one graph: ranking, anchor sequence, receptive
-    fields, one-hot encoding.  Output shape is ``w x k x (d+1)``."""
+    fields, member labels.  Returns a ``(w, k)`` uint16 label grid in which
+    padding is stored as ``d``."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    if d > MAX_LABELS:
+        raise ValueError(f"{d} node labels exceed the grid limit of {MAX_LABELS}")
+    bad = [lab for lab in g.node_labels if not 0 <= lab < d]
+    if bad:
+        raise ValueError(f"node label {bad[0]} outside [0, {d})")
     keys = _node_keys(g, procedure, naive_ties)
-    anchors = node_sequence(g, w, keys.ranking)
-    data = np.zeros((w, k, d + 1), dtype=np.float64)
-    for i, anchor in enumerate(anchors):
-        if anchor == PAD:
-            labels = [PAD] * k
-        else:
-            field = normalize_receptive_field(assemble_neighbourhood(g, anchor, k), keys, k)
-            labels = [PAD if m == PAD else g.node_labels[m] for m in field.members]
-        data[i] = one_hot_encode(labels, d)
-    return GraphTensor(data=data, graph_index=graph_index, class_label=g.class_label)
+    rows = [
+        [PAD] * k if anchor == PAD
+        else normalize_receptive_field(assemble_neighbourhood(g, anchor, k), keys, k)
+        for anchor in node_sequence(g, w, keys.ranking)
+    ]
+    # PAD (-1) indexes the appended last entry, the padding label d
+    label_of = np.array(g.node_labels + (d,), dtype=np.uint16)
+    return label_of[np.array(rows, dtype=np.int64)]
 
 
 def default_width(ds: GraphDataset) -> int:
     """w defaults to the rounded average graph size of the dataset."""
     mean = float(np.mean([g.n for g in ds.graphs]))
     return max(1, int(np.floor(mean + 0.5)))
-
-
-def _extract_one(args):
-    g, i, w, k, d, procedure, naive_ties = args
-    return graph_to_tensor(g, w, k, d, procedure, naive_ties, graph_index=i)
 
 
 def tensorize_dataset(
@@ -156,21 +136,22 @@ def tensorize_dataset(
     procedure: Procedure = Procedure.BETWEENNESS,
     naive_ties: bool = False,
     jobs: int = 1,
-) -> list:
-    """Extract tensors for every graph.  Extraction is per-graph independent;
-    with ``jobs > 1`` it runs in worker processes and results are merged by
-    graph index, so output never depends on scheduling order."""
+) -> np.ndarray:
+    """Label grids for every graph, stacked to ``(n, w, k)`` in dataset order.
+    Extraction is per-graph independent; with ``jobs > 1`` it runs in worker
+    processes, and ``Pool.starmap`` returns results in input order, so output
+    never depends on scheduling order."""
     if w is None:
         w = default_width(ds)
     d = ds.num_node_labels
-    work = [(g, i, w, k, d, procedure, naive_ties) for i, g in enumerate(ds.graphs)]
+    work = [(g, w, k, d, procedure, naive_ties) for g in ds.graphs]
     if jobs > 1 and len(work) > 1 and "fork" in multiprocessing.get_all_start_methods():
         with multiprocessing.get_context("fork").Pool(jobs) as pool:
-            tensors = pool.map(_extract_one, work, chunksize=max(1, len(work) // (4 * jobs)))
+            grids = pool.starmap(graph_to_tensor, work,
+                                 chunksize=max(1, len(work) // (4 * jobs)))
     else:
-        tensors = [_extract_one(item) for item in work]
-    tensors.sort(key=lambda t: t.graph_index)
-    return tensors
+        grids = list(itertools.starmap(graph_to_tensor, work))
+    return np.stack(grids)
 
 
 def padded_anchor_count(ds: GraphDataset, w: int) -> int:

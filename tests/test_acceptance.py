@@ -133,10 +133,10 @@ def test_criterion_4_permutation_invariance():
         d = int(rng.integers(1, 6))
         g = random_graph(rng, n, float(rng.uniform(0.05, 0.9)), num_labels=d)
         for procedure in (Procedure.CANONICAL, Procedure.BETWEENNESS):
-            ref = graph_to_tensor(g, w=10, k=6, d=5, procedure=procedure).data
+            ref = graph_to_tensor(g, w=10, k=6, d=5, procedure=procedure)
             for rep in range(5):
                 h = permute_node_ids(g, [trial, rep])
-                got = graph_to_tensor(h, w=10, k=6, d=5, procedure=procedure).data
+                got = graph_to_tensor(h, w=10, k=6, d=5, procedure=procedure)
                 if not np.array_equal(ref, got):
                     failures += 1
     elapsed = time.perf_counter() - start

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from graphcaps.data import (
-    PAD,
     DatasetFormatError,
     Graph,
     load_tu_dataset,
-    one_hot_encode,
+    one_hot,
     permute_dataset,
     permute_node_ids,
 )
@@ -156,23 +155,25 @@ class TestPermutation:
 
 class TestOneHot:
     def test_basic_rows(self):
-        assert one_hot_encode([0], d=2).tolist() == [[1.0, 0.0, 0.0]]
-        assert one_hot_encode([PAD], d=2).tolist() == [[0.0, 0.0, 1.0]]
-        assert one_hot_encode([1, 0], d=2).tolist() == [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]
+        assert one_hot([0], d=2).tolist() == [[1.0, 0.0, 0.0]]
+        assert one_hot([2], d=2).tolist() == [[0.0, 0.0, 1.0]]  # label d is padding
+        assert one_hot([1, 0], d=2).tolist() == [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]
+        assert one_hot(np.array([[0, 2]], dtype=np.uint16), d=2).shape == (1, 2, 3)
 
     def test_out_of_alphabet_rejected(self):
         with pytest.raises(ValueError, match="outside"):
-            one_hot_encode([2], d=2)
+            one_hot([3], d=2)
         with pytest.raises(ValueError, match="outside"):
-            one_hot_encode([-2], d=2)
+            one_hot([-1], d=2)
 
     @given(
-        st.lists(st.one_of(st.integers(min_value=0, max_value=4), st.just(PAD)), max_size=30),
+        st.lists(st.integers(min_value=0, max_value=5), max_size=30),
         st.integers(min_value=5, max_value=8),
     )
     def test_rows_sum_to_one(self, labels, d):
-        out = one_hot_encode(labels, d)
+        out = one_hot(np.array(labels, dtype=np.uint16), d)
         assert out.shape == (len(labels), d + 1)
+        assert out.dtype == np.float64 and out.flags.c_contiguous
         assert np.array_equal(out.sum(axis=1), np.ones(len(labels)))
 
 

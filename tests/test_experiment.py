@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -146,6 +147,22 @@ class TestRunCV:
         lines.clear()
         dataset_tensors(cfg, log=lines.append)
         assert any("warm cache" in line for line in lines)
+
+    def test_edited_dataset_invalidates_cache(self, syn_data, tmp_path):
+        cfg = small_cfg(syn_data, tmp_path)
+        before, *_ = dataset_tensors(cfg, log=lambda *a: None)
+        path = os.path.join(syn_data, "SYN", "SYN_node_labels.txt")
+        lines = open(path).read().splitlines()
+        lines[0] = "2" if lines[0] != "2" else "1"
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        log = []
+        after, *_ = dataset_tensors(cfg, log=log.append)
+        assert any("stale cache" in line for line in log)
+        fresh_cfg = dataclasses.replace(cfg, cache_dir=str(tmp_path / "fresh"))
+        fresh, *_ = dataset_tensors(fresh_cfg, log=lambda *a: None)
+        assert not np.array_equal(after, before)
+        assert np.array_equal(after, fresh)
 
     def test_ptc_averages_subdatasets(self, tu_dir, tmp_path):
         for sub in ("PTC_MM", "PTC_FM", "PTC_MR", "PTC_FR"):

@@ -12,7 +12,6 @@ from graphcaps.models import (
     build_capsnet,
     build_cnn,
     evaluate_accuracy,
-    forward_capsnet,
     train_model,
 )
 
@@ -74,7 +73,7 @@ class TestBuildCapsnet:
     def test_decoder_output_matches_input_shape(self):
         model = build_capsnet(18, 10, 8, 2, seed=0)
         x = onehot_batch(np.random.default_rng(1), 2, 18, 10, 8)
-        _, _, recon = forward_capsnet(model, x)
+        _, _, recon = model.forward(x)
         assert recon.data.shape == (2, 18, 10, 8)
 
     def test_inconsistent_geometry_reports_reshape(self):
@@ -95,15 +94,15 @@ class TestBuildCapsnet:
 class TestForward:
     def test_zero_input_norms_finite_below_one(self):
         model = build_capsnet(8, 5, 4, 2, TOY_CFG, seed=0)
-        _, norms, _ = forward_capsnet(model, np.zeros((2, 8, 5, 4)))
+        _, norms, _ = model.forward(np.zeros((2, 8, 5, 4)))
         assert np.all(np.isfinite(norms.data))
         assert np.all(norms.data < 1.0)
 
     def test_batch_of_one_matches_batch_of_eight(self):
         model = build_capsnet(8, 5, 4, 2, TOY_CFG, seed=1)
         x = onehot_batch(np.random.default_rng(2), 8, 8, 5, 4)
-        _, norms_batch, recon_batch = forward_capsnet(model, x)
-        _, norms_one, recon_one = forward_capsnet(model, x[:1])
+        _, norms_batch, recon_batch = model.forward(x)
+        _, norms_one, recon_one = model.forward(x[:1])
         assert np.allclose(norms_batch.data[0], norms_one.data[0], atol=1e-12)
         assert np.allclose(recon_batch.data[0], recon_one.data[0], atol=1e-12)
 
@@ -111,13 +110,13 @@ class TestForward:
         model = build_capsnet(8, 5, 4, 2, TOY_CFG, seed=2)
         x = onehot_batch(np.random.default_rng(3), 1, 8, 5, 4)
         pair = np.concatenate([x, x])
-        _, norms, _ = forward_capsnet(model, pair)
+        _, norms, _ = model.forward(pair)
         assert np.array_equal(norms.data[0], norms.data[1])
 
     def test_norms_below_one_random_inputs(self):
         model = build_capsnet(8, 5, 4, 2, TOY_CFG, seed=3)
         x = onehot_batch(np.random.default_rng(4), 16, 8, 5, 4)
-        _, norms, _ = forward_capsnet(model, x)
+        _, norms, _ = model.forward(x)
         assert np.all(norms.data < 1.0)
 
     def test_untrained_reconstruction_loss_bounded(self):

@@ -8,17 +8,14 @@ from hypothesis.extra.numpy import arrays
 from graphcaps.autodiff import Tensor
 from graphcaps.nn import (
     AdamState,
-    CheckpointError,
     TrainingError,
     adam_step,
     binary_margin_loss,
     capsule_norms,
     cross_entropy,
     dynamic_routing,
-    load_params,
     margin_loss,
     reconstruction_loss,
-    save_params,
     squash,
     total_loss,
 )
@@ -221,34 +218,6 @@ class TestAdam:
             grads = {"a": 2 * (p["a"].data - 3.0), "b": 2 * (p["b"].data + 1.0)}
             adam_step(p, grads, state, epoch=0)
         assert loss < 1e-6
-
-
-class TestCheckpoints:
-    def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(5)
-        params = {
-            "conv_w": Tensor(rng.normal(size=(3, 3, 2, 4)), requires_grad=True),
-            "bias": Tensor(rng.normal(size=4), requires_grad=True),
-            "scalar": Tensor(np.array(2.5), requires_grad=True),
-        }
-        path = str(tmp_path / "model.gck")
-        save_params(path, params)
-        loaded = load_params(path)
-        assert set(loaded) == set(params)
-        for name, arr in loaded.items():
-            assert arr.dtype == np.float64
-            assert np.array_equal(arr, params[name].data)
-
-    def test_corrupt_file_rejected(self, tmp_path):
-        path = str(tmp_path / "junk.gck")
-        with open(path, "wb") as fh:
-            fh.write(b"not a checkpoint at all")
-        with pytest.raises(CheckpointError, match="magic"):
-            load_params(path)
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(CheckpointError, match="not found"):
-            load_params(str(tmp_path / "missing.gck"))
 
 
 class TestCapsuleNorms:

@@ -3,9 +3,15 @@ import os
 import numpy as np
 import pytest
 
-from graphcaps.data import PAD, Graph, permute_node_ids
+from graphcaps.data import PAD, Graph, one_hot, permute_node_ids
 from graphcaps.labelling import Procedure, rank_nodes
-from graphcaps.tensor_cache import CacheError, cache_filename, load_tensors, save_tensors
+from graphcaps.tensor_cache import (
+    CacheError,
+    StaleCacheError,
+    cache_filename,
+    load_tensors,
+    save_tensors,
+)
 from graphcaps.tensorize import (
     _node_keys,
     assemble_neighbourhood,
@@ -59,15 +65,14 @@ class TestNormalization:
         g = path_graph(2)
         keys = _node_keys(g, Procedure.CANONICAL, naive_ties=False)
         field = normalize_receptive_field([(0, 0), (1, 1)], keys, k=4)
-        assert field.members == (0, 1, PAD, PAD)
+        assert field == [0, 1, PAD, PAD]
 
     def test_anchor_always_first(self):
         g = star_graph(4)
         keys = _node_keys(g, Procedure.CANONICAL, naive_ties=False)
         candidates = assemble_neighbourhood(g, anchor=0, k=3)
         field = normalize_receptive_field(candidates, keys, k=3)
-        assert field.members[0] == 0
-        assert field.anchor == 0
+        assert field[0] == 0
 
     def test_star_selection_consistent_across_relabellings(self):
         # leaves are interchangeable: whichever two survive the k-cut, the
@@ -82,7 +87,7 @@ class TestNormalization:
             field = normalize_receptive_field(
                 assemble_neighbourhood(h, anchor, k=3), keys, k=3
             )
-            labels = tuple(h.node_labels[m] for m in field.members)
+            labels = tuple(h.node_labels[m] for m in field)
             if ref is None:
                 ref = labels
             assert labels == ref
@@ -93,15 +98,24 @@ class TestGraphToTensor:
         rng = np.random.default_rng(1)
         for _ in range(10):
             g = random_graph(rng, int(rng.integers(1, 25)), 0.3, num_labels=7)
-            t = graph_to_tensor(g, w=18, k=10, d=7, procedure=Procedure.BETWEENNESS)
-            assert t.data.shape == (18, 10, 8)
-            assert np.array_equal(t.data.sum(axis=2), np.ones((18, 10)))
+            grid = graph_to_tensor(g, w=18, k=10, d=7, procedure=Procedure.BETWEENNESS)
+            assert grid.shape == (18, 10) and grid.dtype == np.uint16
+            assert grid.max() <= 7
+            t = one_hot(grid, 7)
+            assert t.shape == (18, 10, 8)
+            assert np.array_equal(t.sum(axis=2), np.ones((18, 10)))
 
     def test_pad_anchor_rows_are_padding_channel(self):
-        t = graph_to_tensor(triangle(), w=5, k=4, d=2, procedure=Procedure.CANONICAL)
+        grid = graph_to_tensor(triangle(), w=5, k=4, d=2, procedure=Procedure.CANONICAL)
+        assert np.array_equal(grid[3:], np.full((2, 4), 2))
+        t = one_hot(grid, 2)
         for row in (3, 4):
-            assert np.array_equal(t.data[row, :, 2], np.ones(4))
-            assert np.array_equal(t.data[row, :, :2], np.zeros((4, 2)))
+            assert np.array_equal(t[row, :, 2], np.ones(4))
+            assert np.array_equal(t[row, :, :2], np.zeros((4, 2)))
+
+    def test_label_outside_alphabet_rejected(self):
+        with pytest.raises(ValueError, match="outside"):
+            graph_to_tensor(triangle(labels=(0, 2, 0)), w=3, k=3, d=2)
 
     @pytest.mark.parametrize("procedure", [Procedure.CANONICAL, Procedure.BETWEENNESS])
     def test_bitwise_permutation_invariance(self, procedure):
@@ -109,10 +123,10 @@ class TestGraphToTensor:
         for trial in range(30):
             g = random_graph(rng, int(rng.integers(2, 21)), float(rng.uniform(0.1, 0.8)),
                              num_labels=5)
-            ref = graph_to_tensor(g, w=10, k=6, d=5, procedure=procedure).data
+            ref = graph_to_tensor(g, w=10, k=6, d=5, procedure=procedure)
             for rep in range(3):
                 h = permute_node_ids(g, [trial, rep])
-                got = graph_to_tensor(h, w=10, k=6, d=5, procedure=procedure).data
+                got = graph_to_tensor(h, w=10, k=6, d=5, procedure=procedure)
                 assert np.array_equal(ref, got)
 
     def test_naive_ties_can_break_invariance(self):
@@ -121,14 +135,14 @@ class TestGraphToTensor:
         g = Graph(n=5, edges=frozenset({(0, 1), (0, 2), (0, 3), (0, 4)}),
                   node_labels=(0, 0, 1, 0, 1), class_label=0)
         ref = graph_to_tensor(g, w=3, k=3, d=2, procedure=Procedure.BETWEENNESS,
-                              naive_ties=True).data
+                              naive_ties=True)
         seen_different = any(
             not np.array_equal(
                 ref,
                 graph_to_tensor(
                     permute_node_ids(g, seed), w=3, k=3, d=2,
                     procedure=Procedure.BETWEENNESS, naive_ties=True,
-                ).data,
+                ),
             )
             for seed in range(20)
         )
@@ -150,71 +164,108 @@ class TestDatasetTensorization:
         ds = load_tu_dataset(tu_dir, "PAR")
         serial = tensorize_dataset(ds, w=6, k=4, jobs=1)
         parallel = tensorize_dataset(ds, w=6, k=4, jobs=2)
-        for a, b in zip(serial, parallel):
-            assert a.graph_index == b.graph_index
-            assert np.array_equal(a.data, b.data)
+        assert serial.shape == (12, 6, 4)
+        assert np.array_equal(serial, parallel)
+        for i, g in enumerate(ds.graphs):
+            assert np.array_equal(serial[i], graph_to_tensor(g, w=6, k=4, d=3))
 
 
 class TestCacheFormat:
-    def _tensors(self):
+    DIGEST = bytes(range(32))
+
+    def _grids(self):
         rng = np.random.default_rng(4)
         graphs = [random_graph(rng, 6, 0.5, num_labels=2) for _ in range(5)]
-        return [
-            graph_to_tensor(g, w=4, k=3, d=2, procedure=Procedure.CANONICAL, graph_index=i)
-            for i, g in enumerate(graphs)
-        ]
+        grids = np.stack([
+            graph_to_tensor(g, w=4, k=3, d=2, procedure=Procedure.CANONICAL) for g in graphs
+        ])
+        return grids, np.array([0, 1, 1, 0, 1])
+
+    def _save(self, path, seed=None):
+        grids, labels = self._grids()
+        save_tensors(path, grids, labels, d=2, procedure=Procedure.CANONICAL, seed=seed,
+                     naive_ties=False, digest=self.DIGEST)
+        return grids, labels
+
+    def _rewrite(self, path, edit):
+        blob = bytearray(open(path, "rb").read())
+        blob = edit(blob)
+        with open(path, "wb") as fh:
+            fh.write(blob)
 
     def test_roundtrip(self, tmp_path):
-        tensors = self._tensors()
         path = str(tmp_path / cache_filename("X", Procedure.CANONICAL, 4, 3, 7, False))
-        save_tensors(path, tensors, w=4, k=3, d=2, procedure=Procedure.CANONICAL, seed=7)
-        loaded = load_tensors(path)
+        grids, labels = self._save(path, seed=7)
+        loaded = load_tensors(path, self.DIGEST)
         assert loaded["w"] == 4 and loaded["k"] == 3 and loaded["d"] == 2
         assert loaded["procedure"] is Procedure.CANONICAL
         assert loaded["seed"] == 7
         assert not loaded["naive_ties"]
-        for a, b in zip(tensors, loaded["tensors"]):
-            # one-hot values survive the float32 cache exactly
-            assert np.array_equal(a.data, b.data)
-            assert a.class_label == b.class_label
+        assert np.array_equal(loaded["grids"], grids)
+        assert np.array_equal(loaded["labels"], labels)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = str(tmp_path / "bad.gct")
         with open(path, "wb") as fh:
             fh.write(b"NOTATENSORCACHE" * 4)
         with pytest.raises(CacheError, match="magic"):
-            load_tensors(path)
+            load_tensors(path, self.DIGEST)
 
     def test_truncation_rejected(self, tmp_path):
-        tensors = self._tensors()
         path = str(tmp_path / "trunc.gct")
-        save_tensors(path, tensors, w=4, k=3, d=2, procedure=Procedure.CANONICAL, seed=None)
-        blob = open(path, "rb").read()
-        with open(path, "wb") as fh:
-            fh.write(blob[:-10])
+        self._save(path)
+        self._rewrite(path, lambda blob: blob[:-10])
         with pytest.raises(CacheError, match="truncated"):
-            load_tensors(path)
+            load_tensors(path, self.DIGEST)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = str(tmp_path / "trail.gct")
+        self._save(path)
+        self._rewrite(path, lambda blob: blob + b"\0\0")
+        with pytest.raises(CacheError, match="trailing"):
+            load_tensors(path, self.DIGEST)
+
+    def test_label_above_padding_rejected(self, tmp_path):
+        path = str(tmp_path / "label.gct")
+        self._save(path)
+        self._rewrite(path, lambda blob: blob[:-2] + (3).to_bytes(2, "little"))
+        with pytest.raises(CacheError, match="above the padding label"):
+            load_tensors(path, self.DIGEST)
+
+    def test_other_version_is_stale(self, tmp_path):
+        path = str(tmp_path / "v1.gct")
+        self._save(path)
+        self._rewrite(path, lambda blob: blob[:8] + (1).to_bytes(4, "little") + blob[12:])
+        with pytest.raises(StaleCacheError, match="version 1"):
+            load_tensors(path, self.DIGEST)
+
+    def test_other_dataset_digest_is_stale(self, tmp_path):
+        path = str(tmp_path / "digest.gct")
+        self._save(path)
+        with pytest.raises(StaleCacheError, match="other dataset contents"):
+            load_tensors(path, bytes(32))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CacheError, match="not found"):
-            load_tensors(str(tmp_path / "absent.gct"))
+            load_tensors(str(tmp_path / "absent.gct"), self.DIGEST)
 
     def test_documented_byte_layout(self, tmp_path):
         # independent reader following the documented offsets
         import struct
 
-        tensors = self._tensors()
+        grids, labels = self._grids()
         path = str(tmp_path / "layout.gct")
-        save_tensors(path, tensors, w=4, k=3, d=2, procedure=Procedure.BETWEENNESS,
-                     seed=42, naive_ties=True)
+        save_tensors(path, grids, labels, d=2, procedure=Procedure.BETWEENNESS,
+                     seed=42, naive_ties=True, digest=self.DIGEST)
         blob = open(path, "rb").read()
         assert blob[:8] == b"GCTENSR\x00"
         version, w, k, d, count = struct.unpack_from("<IIIII", blob, 8)
         proc, flags = struct.unpack_from("<BB", blob, 28)
         (seed,) = struct.unpack_from("<q", blob, 32)
-        assert (version, w, k, d, count) == (1, 4, 3, 2, 5)
+        assert (version, w, k, d, count) == (2, 4, 3, 2, 5)
         assert proc == 0 and flags == 1 and seed == 42
-        (first_label,) = struct.unpack_from("<i", blob, 40)
-        assert first_label == tensors[0].class_label
-        values = np.frombuffer(blob, dtype="<f4", count=4 * 3 * 3, offset=44)
-        assert np.array_equal(values.reshape(4, 3, 3).astype(np.float64), tensors[0].data)
+        assert blob[40:72] == self.DIGEST
+        assert list(struct.unpack_from("<5i", blob, 72)) == labels.tolist()
+        values = struct.unpack_from(f"<{5 * 4 * 3}H", blob, 92)
+        assert list(values) == grids.ravel().tolist()
+        assert len(blob) == 92 + 2 * 5 * 4 * 3
