@@ -320,19 +320,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_argv(argv: list) -> tuple:
+    """(argv, config keys): each ``--config`` line becomes a flag right after
+    the subcommand, before the user's flags, which win as argparse keeps the
+    last value.  ``true`` gives a store-true flag and ``false`` none."""
+    split = argparse.ArgumentParser(add_help=False)
+    split.add_argument("--config")
+    split.add_argument("command", nargs="?")
+    split.add_argument("rest", nargs=argparse.REMAINDER)
+    pre, _ = split.parse_known_args(argv)
+    if not pre.config or not pre.command:
+        return argv, []
+    values = read_config_file(pre.config)
+    flags = []
+    for key, value in values.items():
+        flag = ("-" if len(key) == 1 else "--") + key.replace("_", "-")
+        if value.lower() == "true":
+            flags.append(flag)
+        elif value.lower() != "false":
+            flags += [flag, value]
+    return ["--config", pre.config, pre.command, *flags, *pre.rest], list(values)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
 
     try:
-        # apply config-file values as defaults before the real parse
-        probe, _ = parser.parse_known_args(argv)
-        if getattr(probe, "config", None):
-            values = read_config_file(probe.config)
-            for action in parser._subparsers._group_actions[0].choices.values():  # noqa: SLF001
-                known = {a.dest for a in action._actions}  # noqa: SLF001
-                action.set_defaults(**{k: _coerce(v) for k, v in values.items() if k in known})
+        argv, config_keys = _config_argv(argv)
         args = parser.parse_args(argv)
+        # argparse accepts unique prefixes, so a misspelt key can still parse
+        unknown = [key for key in config_keys if key not in vars(args)]
+        if unknown:
+            parser.error(f"config key {unknown[0]!r} is not an option of {args.command!r}")
         return args.func(args)
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
@@ -340,19 +360,6 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def _coerce(value: str):
-    text = value.strip()
-    lowered = text.lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    return text
 
 
 if __name__ == "__main__":

@@ -10,15 +10,14 @@ byte-identical.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import json
-import multiprocessing
 import os
 import subprocess
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +35,12 @@ from .models import (
     train_model,
 )
 from .tensor_cache import StaleCacheError, cache_filename, load_tensors, save_tensors
-from .tensorize import default_width, padded_anchor_count, tensorize_dataset
+from .tensorize import _fork_map, default_width, padded_anchor_count, tensorize_dataset
+
+try:
+    from threadpoolctl import threadpool_limits
+except ImportError:  # declared, but run_cv reports when it is missing
+    threadpool_limits = None
 
 PTC_SUBSETS = ("PTC_MM", "PTC_FM", "PTC_MR", "PTC_FR")
 
@@ -296,10 +300,6 @@ def fold_seed(base_seed: int, fold: int) -> int:
 
 def _run_fold(args):
     cfg, x, y, w, channels, num_classes, fold, test_idx = args
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:  # pragma: no cover
-        threadpool_limits = None
     seed = fold_seed(cfg.seed, fold)
     train_idx = np.setdiff1d(np.arange(len(x)), test_idx)
     model = _build_model(cfg, w, channels, num_classes, seed)
@@ -307,11 +307,9 @@ def _run_fold(args):
         epochs=cfg.epochs, batch_size=cfg.batch_size, base_lr=cfg.base_lr,
         lr_decay=cfg.lr_decay, seed=seed,
     )
-    if cfg.jobs > 1 and threadpool_limits is not None:
-        with threadpool_limits(limits=1):
-            tr = train_model(model, x[train_idx], y[train_idx], tc)
-            acc = evaluate_accuracy(model, x[test_idx], y[test_idx])
-    else:
+    # parallel folds each get one BLAS thread, so they do not oversubscribe
+    capped = cfg.jobs > 1 and threadpool_limits is not None
+    with threadpool_limits(limits=1) if capped else contextlib.nullcontext():
         tr = train_model(model, x[train_idx], y[train_idx], tc)
         acc = evaluate_accuracy(model, x[test_idx], y[test_idx])
     return {
@@ -360,14 +358,20 @@ def run_cv(cfg: ExperimentConfig, name: str | None = None, run_dir: str | None =
     run_dir = run_dir or os.path.join(cfg.out_root, cfg.run_id())
     os.makedirs(run_dir, exist_ok=True)
     os.makedirs(os.path.join(run_dir, "traces"), exist_ok=True)
-    with open(os.path.join(run_dir, "config.json"), "w") as fh:
+    partial = os.path.join(run_dir, "folds_partial.json")
+    config_path = os.path.join(run_dir, "config.json")
+    if os.path.isfile(partial) and (changed := _config_changes(config_path, cfg.to_dict())):
+        log(f"[run] discarding partial folds: config.json differs in {', '.join(changed)}")
+        os.remove(partial)
+    with open(config_path, "w") as fh:
         json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
+    if cfg.jobs > 1 and threadpool_limits is None:
+        log("[run] threadpoolctl missing: BLAS threads in fold workers are not capped")
 
     x, y, w, channels, ds = dataset_tensors(cfg, name, log=log)
     folds = kfold_split(len(x), cfg.folds, cfg.seed, strata=y)
 
     done = {}
-    partial = os.path.join(run_dir, "folds_partial.json")
     if os.path.isfile(partial):
         with open(partial) as fh:
             for row in json.load(fh):
@@ -380,20 +384,10 @@ def run_cv(cfg: ExperimentConfig, name: str | None = None, run_dir: str | None =
         for f in range(cfg.folds)
         if f not in done
     ]
-    can_fork = "fork" in multiprocessing.get_all_start_methods()
-    if cfg.jobs > 1 and len(pending) > 1 and can_fork:
-        ctx = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=cfg.jobs, mp_context=ctx) as pool:
-            for row in pool.map(_run_fold, pending):
-                done[row["fold"]] = row
-                _persist_partial(partial, done)
-                log(_fold_line(row))
-    else:
-        for args in pending:
-            row = _run_fold(args)
-            done[row["fold"]] = row
-            _persist_partial(partial, done)
-            log(_fold_line(row))
+    for row in _fork_map(_run_fold, pending, cfg.jobs):
+        done[row["fold"]] = row
+        _persist_partial(partial, done)
+        log(_fold_line(row))
 
     rows = [done[f] for f in range(cfg.folds)]
     _write_folds_csv(os.path.join(run_dir, "folds.csv"), rows)
@@ -412,6 +406,17 @@ def run_cv(cfg: ExperimentConfig, name: str | None = None, run_dir: str | None =
     emit_report([result], run_dir)
     os.remove(partial)
     return result
+
+
+def _config_changes(path: str, config: dict) -> list:
+    """Keys whose value in the config.json at ``path`` (none if it is missing)
+    differs from ``config``.  ``jobs`` is ignored: it does not change results."""
+    old = {}
+    if os.path.isfile(path):
+        with open(path) as fh:
+            old = json.load(fh)
+    keys = sorted((set(old) | set(config)) - {"jobs"})
+    return [key for key in keys if old.get(key) != config.get(key)]
 
 
 def _persist_partial(path: str, done: dict) -> None:

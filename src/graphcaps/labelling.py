@@ -9,7 +9,7 @@ graph and deterministic, so rankings are reproducible bit-for-bit.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -32,26 +32,20 @@ class Procedure(str, Enum):
 
 @dataclass
 class NodeRanking:
-    """A total node order, most-important first, with the scores behind it."""
+    """A total node order, most-important first, the scores behind it, and the
+    key that orders receptive-field members (see :func:`rank_nodes`; in
+    :func:`canonical_order`'s own result it is the canonical position)."""
 
     order: np.ndarray
     scores: np.ndarray
     procedure: Procedure
-
-    def positions(self) -> np.ndarray:
-        """Inverse of ``order``: positions[v] = rank of node v."""
-        pos = np.empty_like(self.order)
-        pos[self.order] = np.arange(len(self.order))
-        return pos
+    member_key: np.ndarray
 
 
 @dataclass
 class WLColoring:
     colors: np.ndarray
     rounds: int
-
-    def num_colors(self) -> int:
-        return int(self.colors.max()) + 1 if len(self.colors) else 0
 
 
 def betweenness_centrality(g: Graph) -> np.ndarray:
@@ -271,9 +265,14 @@ def canonical_order(g: Graph) -> NodeRanking:
 
     descend(initial)
     order = np.array(best["order"], dtype=np.int64)
-    scores = np.empty(g.n, dtype=np.float64)
-    scores[order] = np.arange(g.n, 0, -1, dtype=np.float64)  # earlier = higher
-    return NodeRanking(order=order, scores=scores, procedure=Procedure.CANONICAL)
+    pos = np.empty_like(order)
+    pos[order] = np.arange(g.n)
+    return NodeRanking(
+        order=order,
+        scores=(g.n - pos).astype(np.float64),  # earlier = higher
+        procedure=Procedure.CANONICAL,
+        member_key=pos,
+    )
 
 
 def canonical_certificate(g: Graph) -> bytes:
@@ -294,39 +293,36 @@ def _relabel(g: Graph, order) -> Graph:
 
 
 def rank_nodes(g: Graph, procedure: Procedure, naive_ties: bool = False) -> NodeRanking:
-    """Total node ordering under the chosen procedure.
+    """Total node ordering under the chosen procedure, and the member key that
+    orders each receptive field's hop rings (smaller first).
 
-    Betweenness ranks by (score desc, WL colour asc, canonical position asc);
-    the two tie-break keys make the ordering isomorphism-consistent.  To keep
-    the *floats* identical across relabellings of the same graph, Brandes runs
-    on the canonically relabelled graph and scores are mapped back (the
-    summation order, hence rounding, then no longer depends on input ids).
-    ``naive_ties`` switches to plain node-index tie-breaking on the scores as
+    The member key packs (WL colour, canonical position) into one integer,
+    ``wl[v] * n + canonical_pos[v]``; betweenness ranks by (score desc, member
+    key asc), so ties break isomorphism-consistently.  To keep the *floats*
+    identical across relabellings of the same graph, Brandes runs on the
+    canonically relabelled graph and scores are mapped back (the summation
+    order, hence rounding, then no longer depends on input ids).
+    ``naive_ties`` makes the member key the node index, and BC scores are then
     computed in input order; that variant is intentionally not
     permutation-invariant and exists for fidelity experiments.
     """
-    if procedure is Procedure.CANONICAL:
-        return canonical_order(g)
-    if procedure is not Procedure.BETWEENNESS:
+    if procedure is not Procedure.BETWEENNESS and procedure is not Procedure.CANONICAL:
         raise ValueError(f"unknown procedure: {procedure!r}")
-
     if naive_ties:
+        member_key = np.arange(g.n, dtype=np.int64)
+        if procedure is Procedure.CANONICAL:
+            return replace(canonical_order(g), member_key=member_key)
         scores = betweenness_centrality(g)
-        order = sorted(range(g.n), key=lambda v: (-scores[v], v))
-        return NodeRanking(
-            order=np.array(order, dtype=np.int64),
-            scores=scores,
-            procedure=Procedure.BETWEENNESS,
-        )
-
-    canon = canonical_order(g)
-    canon_pos = canon.positions()
-    scores_canon = betweenness_centrality(_relabel(g, canon.order.tolist()))
-    scores = scores_canon[canon_pos]
-    wl = wl_refine(g).colors
-    order = sorted(range(g.n), key=lambda v: (-scores[v], wl[v], canon_pos[v]))
+    else:
+        canon = canonical_order(g)
+        member_key = wl_refine(g).colors * g.n + canon.member_key
+        if procedure is Procedure.CANONICAL:
+            return replace(canon, member_key=member_key)
+        scores = betweenness_centrality(_relabel(g, canon.order.tolist()))[canon.member_key]
+    order = sorted(range(g.n), key=lambda v: (-scores[v], member_key[v]))
     return NodeRanking(
         order=np.array(order, dtype=np.int64),
         scores=scores,
         procedure=Procedure.BETWEENNESS,
+        member_key=member_key,
     )

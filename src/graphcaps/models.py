@@ -2,15 +2,14 @@
 baseline, plus a deterministic mini-batch training loop.
 
 Both models consume the ``(w, k, d+1)`` graph tensors, hold their parameters
-in a flat name -> Tensor dict (checkpointable via :mod:`graphcaps.nn`), and
-share the ``loss_batch`` / ``predict`` / ``inner_features`` interface the
-experiment harness drives.
+in a flat name -> Tensor dict, and share the ``loss_batch`` / ``predict`` /
+``inner_features`` interface the experiment harness drives.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 

@@ -2,54 +2,25 @@
 
 Every graph becomes a ``w x k`` grid of node labels: ``w`` anchor nodes are
 picked by a ranking procedure, each anchor gathers its ``k`` hop-closest
-neighbours into a receptive field with a deterministic internal order, and each
-member contributes its label (padding is stored as label ``d``).
+neighbours into a receptive field ordered by (hop, member key), and each member
+contributes its label (padding is stored as label ``d``).  The anchor order and
+the member key both come from :func:`graphcaps.labelling.rank_nodes`.
 :func:`graphcaps.data.one_hot` expands grids to the ``w x k x (d+1)`` tensors
 the models take.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import multiprocessing
-from dataclasses import dataclass
 
 import numpy as np
 
 from .data import PAD, Graph, GraphDataset
-from .labelling import NodeRanking, Procedure, canonical_order, rank_nodes, wl_refine
+from .labelling import NodeRanking, Procedure, rank_nodes
 
 # Grids are uint16 and padding is stored as d, so d may not exceed this.
 MAX_LABELS = np.iinfo(np.uint16).max
-
-
-@dataclass
-class _NodeKeys:
-    """Per-graph tie-breaking keys, computed once and shared by all anchors."""
-
-    ranking: NodeRanking
-    wl: np.ndarray
-    canon_pos: np.ndarray
-    naive: bool
-
-    def member_key(self, hop: int, v: int):
-        if self.naive:
-            return (hop, v)
-        return (hop, int(self.wl[v]), int(self.canon_pos[v]))
-
-
-def _node_keys(g: Graph, procedure: Procedure, naive_ties: bool) -> _NodeKeys:
-    ranking = rank_nodes(g, procedure, naive_ties=naive_ties)
-    if naive_ties:
-        n = g.n
-        zeros = np.zeros(n, dtype=np.int64)
-        return _NodeKeys(ranking=ranking, wl=zeros, canon_pos=zeros, naive=True)
-    if procedure is Procedure.CANONICAL:
-        canon_pos = ranking.positions()
-    else:
-        canon_pos = canonical_order(g).positions()
-    wl = wl_refine(g).colors
-    return _NodeKeys(ranking=ranking, wl=wl, canon_pos=canon_pos, naive=False)
 
 
 def node_sequence(g: Graph, w: int, ranking: NodeRanking) -> list:
@@ -86,10 +57,11 @@ def assemble_neighbourhood(g: Graph, anchor: int, k: int) -> list:
     return out
 
 
-def normalize_receptive_field(candidates, keys: _NodeKeys, k: int) -> list:
-    """Order candidates by (hop asc, WL colour asc, canonical position asc),
-    keep the first k, pad with PAD.  The anchor (hop 0) comes first."""
-    ordered = sorted(candidates, key=lambda c: keys.member_key(c[1], c[0]))
+def normalize_receptive_field(candidates, ranking: NodeRanking, k: int) -> list:
+    """Order candidates by (hop asc, ``ranking.member_key`` asc), keep the
+    first k, pad with PAD.  The anchor (hop 0) comes first."""
+    key = ranking.member_key.tolist()
+    ordered = sorted(candidates, key=lambda c: (c[1], key[c[0]]))
     members = [v for v, _ in ordered[:k]]
     return members + [PAD] * (k - len(members))
 
@@ -112,11 +84,11 @@ def graph_to_tensor(
     bad = [lab for lab in g.node_labels if not 0 <= lab < d]
     if bad:
         raise ValueError(f"node label {bad[0]} outside [0, {d})")
-    keys = _node_keys(g, procedure, naive_ties)
+    ranking = rank_nodes(g, procedure, naive_ties=naive_ties)
     rows = [
         [PAD] * k if anchor == PAD
-        else normalize_receptive_field(assemble_neighbourhood(g, anchor, k), keys, k)
-        for anchor in node_sequence(g, w, keys.ranking)
+        else normalize_receptive_field(assemble_neighbourhood(g, anchor, k), ranking, k)
+        for anchor in node_sequence(g, w, ranking)
     ]
     # PAD (-1) indexes the appended last entry, the padding label d
     label_of = np.array(g.node_labels + (d,), dtype=np.uint16)
@@ -139,19 +111,23 @@ def tensorize_dataset(
 ) -> np.ndarray:
     """Label grids for every graph, stacked to ``(n, w, k)`` in dataset order.
     Extraction is per-graph independent; with ``jobs > 1`` it runs in worker
-    processes, and ``Pool.starmap`` returns results in input order, so output
-    never depends on scheduling order."""
+    processes, and results come back in input order, so output never depends
+    on scheduling order."""
     if w is None:
         w = default_width(ds)
-    d = ds.num_node_labels
-    work = [(g, w, k, d, procedure, naive_ties) for g in ds.graphs]
-    if jobs > 1 and len(work) > 1 and "fork" in multiprocessing.get_all_start_methods():
+    extract = functools.partial(graph_to_tensor, w=w, k=k, d=ds.num_node_labels,
+                                procedure=procedure, naive_ties=naive_ties)
+    return np.stack(list(_fork_map(extract, ds.graphs, jobs)))
+
+
+def _fork_map(fn, items, jobs: int):
+    """Yield ``fn(item)`` for each item in input order, from ``jobs`` forked
+    workers when ``jobs > 1`` and fork exists, else serially."""
+    if jobs > 1 and len(items) > 1 and "fork" in multiprocessing.get_all_start_methods():
         with multiprocessing.get_context("fork").Pool(jobs) as pool:
-            grids = pool.starmap(graph_to_tensor, work,
-                                 chunksize=max(1, len(work) // (4 * jobs)))
+            yield from pool.imap(fn, items, chunksize=max(1, len(items) // (4 * jobs)))
     else:
-        grids = list(itertools.starmap(graph_to_tensor, work))
-    return np.stack(grids)
+        yield from map(fn, items)
 
 
 def padded_anchor_count(ds: GraphDataset, w: int) -> int:

@@ -118,6 +118,16 @@ class TestConfigFile:
         assert config["folds"] == 3   # from file
         assert config["epochs"] == 2  # CLI wins
 
+    def test_misspelled_key_rejected(self, syn_root, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"data_root = {syn_root}\nfolds = 3\nepoch = 1\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), "run", "--dataset", "SYN",
+                  "--out-root", str(tmp_path / "results")])
+        assert exc.value.code == 2
+        assert "'epoch'" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "results")
+
     def test_malformed_config_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("this is not a key value line\n")

@@ -139,6 +139,33 @@ class TestRunCV:
         assert resumed.fold_accuracies[2:] == full.fold_accuracies[2:]
         assert any("resuming" in str(line) for line in seen)
 
+    def test_partial_state_of_another_config_discarded(self, syn_data, tmp_path):
+        class Interrupt(Exception):
+            pass
+
+        def stop_after_first_fold(line):
+            if line.startswith("[fold"):
+                raise Interrupt
+
+        cfg_a = small_cfg(syn_data, tmp_path, base_lr=0.01)
+        cfg_b = small_cfg(syn_data, tmp_path, base_lr=0.002)
+        assert cfg_a.run_id() == cfg_b.run_id()
+        with pytest.raises(Interrupt):
+            run_cv(cfg_a, log=stop_after_first_fold)
+        run_dir = os.path.join(cfg_a.out_root, cfg_a.run_id())
+        assert os.path.isfile(os.path.join(run_dir, "folds_partial.json"))
+
+        seen = []
+        run_cv(cfg_b, log=seen.append)
+        assert not any("resuming" in str(line) for line in seen)
+        assert any("discarding partial folds" in str(line) and "base_lr" in str(line)
+                   for line in seen)
+        fresh = small_cfg(syn_data, tmp_path, base_lr=0.002, out_root=str(tmp_path / "fresh"))
+        run_cv(fresh, log=lambda *a: None)
+        got = open(os.path.join(run_dir, "folds.csv"), "rb").read()
+        want = open(os.path.join(fresh.out_root, fresh.run_id(), "folds.csv"), "rb").read()
+        assert got == want
+
     def test_warm_cache_reused(self, syn_data, tmp_path):
         cfg = small_cfg(syn_data, tmp_path)
         lines = []

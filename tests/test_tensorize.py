@@ -1,8 +1,10 @@
 import os
+import sys
 
 import numpy as np
 import pytest
 
+from graphcaps import labelling
 from graphcaps.data import PAD, Graph, one_hot, permute_node_ids
 from graphcaps.labelling import Procedure, rank_nodes
 from graphcaps.tensor_cache import (
@@ -13,7 +15,6 @@ from graphcaps.tensor_cache import (
     save_tensors,
 )
 from graphcaps.tensorize import (
-    _node_keys,
     assemble_neighbourhood,
     default_width,
     graph_to_tensor,
@@ -63,15 +64,15 @@ class TestNeighbourhoodAssembly:
 class TestNormalization:
     def test_pad_tail_when_few_candidates(self):
         g = path_graph(2)
-        keys = _node_keys(g, Procedure.CANONICAL, naive_ties=False)
-        field = normalize_receptive_field([(0, 0), (1, 1)], keys, k=4)
+        ranking = rank_nodes(g, Procedure.CANONICAL)
+        field = normalize_receptive_field([(0, 0), (1, 1)], ranking, k=4)
         assert field == [0, 1, PAD, PAD]
 
     def test_anchor_always_first(self):
         g = star_graph(4)
-        keys = _node_keys(g, Procedure.CANONICAL, naive_ties=False)
+        ranking = rank_nodes(g, Procedure.CANONICAL)
         candidates = assemble_neighbourhood(g, anchor=0, k=3)
-        field = normalize_receptive_field(candidates, keys, k=3)
+        field = normalize_receptive_field(candidates, ranking, k=3)
         assert field[0] == 0
 
     def test_star_selection_consistent_across_relabellings(self):
@@ -82,10 +83,10 @@ class TestNormalization:
         ref = None
         for seed in range(8):
             h = permute_node_ids(g, seed)
-            keys = _node_keys(h, Procedure.CANONICAL, naive_ties=False)
+            ranking = rank_nodes(h, Procedure.CANONICAL)
             anchor = [v for v in range(5) if len(h.adjacency()[v]) == 4][0]
             field = normalize_receptive_field(
-                assemble_neighbourhood(h, anchor, k=3), keys, k=3
+                assemble_neighbourhood(h, anchor, k=3), ranking, k=3
             )
             labels = tuple(h.node_labels[m] for m in field)
             if ref is None:
@@ -128,6 +129,29 @@ class TestGraphToTensor:
                 h = permute_node_ids(g, [trial, rep])
                 got = graph_to_tensor(h, w=10, k=6, d=5, procedure=procedure)
                 assert np.array_equal(ref, got)
+
+    @pytest.mark.parametrize("procedure, naive_ties, calls", [
+        (Procedure.BETWEENNESS, False, 1),
+        (Procedure.CANONICAL, False, 1),
+        (Procedure.BETWEENNESS, True, 0),
+    ])
+    def test_canonical_search_and_wl_run_once_per_graph(
+        self, monkeypatch, procedure, naive_ties, calls
+    ):
+        # count calls from every graphcaps module that holds these functions
+        counts = {}
+        for fn in (labelling.canonical_order, labelling.wl_refine):
+            def counted(*args, _fn=fn, **kwargs):
+                counts[_fn.__name__] += 1
+                return _fn(*args, **kwargs)
+
+            counts[fn.__name__] = 0
+            for name, module in list(sys.modules.items()):
+                if name.startswith("graphcaps") and getattr(module, fn.__name__, None) is fn:
+                    monkeypatch.setattr(module, fn.__name__, counted)
+        g = random_graph(np.random.default_rng(3), 12, 0.3, num_labels=3)
+        graph_to_tensor(g, w=8, k=4, d=3, procedure=procedure, naive_ties=naive_ties)
+        assert counts == {"canonical_order": calls, "wl_refine": calls}
 
     def test_naive_ties_can_break_invariance(self):
         # the fidelity flag intentionally depends on input numbering; on a
