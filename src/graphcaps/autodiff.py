@@ -248,16 +248,6 @@ class Tensor:
 
         return Tensor._make(a.data.reshape(shape), (a,), backward)
 
-    def transpose(self, axes):
-        a = self
-        inverse = np.argsort(axes)
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate_owned(g.transpose(inverse))
-
-        return Tensor._make(a.data.transpose(axes), (a,), backward)
-
     # -- reductions -------------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False):
@@ -488,23 +478,6 @@ def squash_op(v, eps: float = 1e-9):
         v._accumulate_owned(g * scale + v.data * (2.0 * inner * dscale))
 
     return Tensor._make(out_data, (v,), backward)
-
-
-def concat(tensors, axis: int = 0):
-    tensors = [Tensor._lift(t) for t in tensors]
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                t._accumulate(g[tuple(idx)])
-
-    return Tensor._make(
-        np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), backward
-    )
 
 
 def grad_check(f, point, h: float = 1e-5, rel_floor: float = 1e-6) -> float:

@@ -19,7 +19,6 @@ import numpy as np
 from . import __version__
 from .data import dataset_checksums
 from .experiment import (
-    PTC_SUBSETS,
     ExperimentConfig,
     dataset_tensors,
     grid_search,
@@ -110,13 +109,12 @@ def cmd_tensorize(args) -> int:
         k=args.k,
         seed=args.seed,
         naive_ties=args.naive_ties,
-        jobs=args.jobs if args.jobs is not None else max(1, os.cpu_count() or 1),
+        jobs=args.jobs,
         data_root=_data_root(args),
         out_root=args.out_root,
         cache_dir=args.cache_dir,
     )
-    names = list(PTC_SUBSETS) if args.dataset.upper() == "PTC" else [args.dataset]
-    for name in names:
+    for name in cfg.dataset_names():
         tensorize_cached(cfg, name, force=args.force)
     return 0
 
@@ -128,11 +126,8 @@ def cmd_run(args) -> int:
         cfg = _experiment_config(args)
         if repeats > 1:
             cfg = dataclasses.replace(cfg, seed=args.seed + rep)
-        run_dir = os.path.join(cfg.out_root, cfg.run_id())
-        resolved = dict(cfg.to_dict(), datasets=(
-            list(PTC_SUBSETS) if cfg.dataset.upper() == "PTC" else [cfg.dataset]
-        ))
-        write_manifest(run_dir, args, resolved)
+        run_dir = cfg.run_dir()
+        write_manifest(run_dir, args, dict(cfg.to_dict(), datasets=cfg.dataset_names()))
         result = run_experiment(cfg)
         means.append(result.mean_accuracy)
         print(
@@ -153,8 +148,7 @@ def cmd_grid(args) -> int:
         "base_lr": [float(v) for v in args.lr_grid.split(",")],
         "lr_decay": [float(v) for v in args.decay_grid.split(",")],
     }
-    parent = os.path.join(cfg.out_root, f"grid_{cfg.run_id()}")
-    write_manifest(parent, args, dict(cfg.to_dict(), grid=grid))
+    write_manifest(cfg.run_dir("grid_"), args, dict(cfg.to_dict(), grid=grid))
     best_cfg, best_res, cells = grid_search(cfg, grid)
     print(f"[grid] {len(cells)} cells evaluated")
     print(
@@ -174,25 +168,21 @@ def cmd_embed(args) -> int:
         write_distances_csv,
         write_embeddings_csv,
     )
-    from .models import TrainConfig, train_model
+    from .models import train_model
 
     source = EmbeddingSource(args.source)
     args.model = "cnn" if source is EmbeddingSource.CNN_INNER else "capsules"
     cfg = _experiment_config(args)
-    out_dir = os.path.join(cfg.out_root, f"embed_{cfg.dataset}_{source.value}_s{cfg.seed}")
+    out_dir = cfg.run_dir("embed_", f"_{source.value}")
     write_manifest(out_dir, args, dict(cfg.to_dict(), source=source.value,
                                        perplexity=args.perplexity, iters=args.iters))
 
     x, y, w, channels, ds = dataset_tensors(cfg)
     model = None
     if source is not EmbeddingSource.RAW_TENSOR:
-        from .experiment import _build_model
-
-        model = _build_model(cfg, w, channels, ds.num_classes, cfg.seed)
-        tc = TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size,
-                         base_lr=cfg.base_lr, lr_decay=cfg.lr_decay, seed=cfg.seed)
+        model = cfg.build_model(w, channels, ds.num_classes, cfg.seed)
         print(f"[embed] training {cfg.model} on the full dataset ({cfg.epochs} epochs)")
-        train_model(model, x, y, tc)
+        train_model(model, x, y, cfg.train_config(cfg.seed))
 
     emb = extract_embeddings(model, x, source, labels=y)
     print(f"[embed] {emb.points.shape[0]} x {emb.points.shape[1]} features from {source.value}")

@@ -1,8 +1,8 @@
 """Cross-validation harness: stratified folds, grid search, reports.
 
 A run is driven by one :class:`ExperimentConfig`; its outputs live under
-``<out_root>/<run_id>/`` as config.json (resolved config echo), folds.csv
-(deterministic per-fold payload), traces/fold_*.csv (loss traces),
+:meth:`ExperimentConfig.run_dir` as config.json (resolved config echo),
+folds.csv (deterministic per-fold payload), traces/fold_*.csv (loss traces),
 result.json (summary incl. timings) and report.csv / report.txt.  folds.csv
 intentionally contains no wall-clock values so a repeated run is
 byte-identical.
@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -43,6 +44,10 @@ except ImportError:  # declared, but run_cv reports when it is missing
     threadpool_limits = None
 
 PTC_SUBSETS = ("PTC_MM", "PTC_FM", "PTC_MR", "PTC_FR")
+
+# ExperimentConfig fields that only say where and how fast a run executes;
+# the run id leaves them out, so they never split a run's directory.
+UNHASHED = ("jobs", "out_root", "cache_dir", "data_root")
 
 # Architecture dims are fixed design decisions; the preset picks the training
 # schedule and the scaled-down capsule geometry for CI-speed runs.
@@ -85,7 +90,7 @@ class ExperimentConfig:
     routing_iters: int = 3
     loss_mode: str = "auto"
     naive_ties: bool = False
-    jobs: int | None = None  # None -> available cores, capped at folds
+    jobs: int | None = None  # None -> available cores
     data_root: str = "data"
     out_root: str = "results"
     cache_dir: str | None = None
@@ -111,7 +116,7 @@ class ExperimentConfig:
         if self.batch_size is None:
             self.batch_size = preset["batch_size"]
         if self.jobs is None:
-            self.jobs = max(1, min(os.cpu_count() or 1, self.folds))
+            self.jobs = max(1, os.cpu_count() or 1)
         if self.cache_dir is None:
             self.cache_dir = os.path.join(self.out_root, "cache")
 
@@ -128,8 +133,26 @@ class ExperimentConfig:
             **PRESETS[self.preset]["capsnet"],
         )
 
+    def train_config(self, seed: int) -> TrainConfig:
+        return TrainConfig(epochs=self.epochs, batch_size=self.batch_size,
+                           base_lr=self.base_lr, lr_decay=self.lr_decay, seed=seed)
+
+    def build_model(self, w: int, channels: int, num_classes: int, seed: int):
+        if self.model == "capsules":
+            return build_capsnet(w, self.k, channels, num_classes, self.capsnet_config(),
+                                 seed=seed)
+        return build_cnn(w, self.k, channels, num_classes, CnnConfig(), seed=seed)
+
+    def dataset_names(self) -> list:
+        """The TU datasets this config reads: ``PTC`` means its four animal
+        sub-datasets."""
+        return list(PTC_SUBSETS) if self.dataset.upper() == "PTC" else [self.dataset]
+
     def run_id(self) -> str:
-        parts = [
+        """A readable prefix, then 10 hex digits of a sha256 over every field
+        except :data:`UNHASHED` and over the contents of every dataset read,
+        so configs that differ in results or data never share an id."""
+        prefix = "_".join([
             self.dataset,
             self.labelling + ("-naive" if self.naive_ties else ""),
             self.model,
@@ -137,8 +160,17 @@ class ExperimentConfig:
             f"f{self.folds}",
             f"e{self.epochs}",
             f"s{self.seed}",
-        ]
-        return "_".join(parts)
+        ])
+        fields = {key: value for key, value in self.to_dict().items() if key not in UNHASHED}
+        digest = hashlib.sha256(json.dumps(fields, sort_keys=True).encode("utf-8"))
+        for name in self.dataset_names():
+            digest.update(dataset_digest(self.data_root, name))
+        return f"{prefix}_{digest.hexdigest()[:10]}"
+
+    def run_dir(self, prefix: str = "", suffix: str = "") -> str:
+        """``<out_root>/<prefix><run id><suffix>``: the one rule for where a
+        run, a grid search (``grid_``) or an embedding (``embed_``) writes."""
+        return os.path.join(self.out_root, f"{prefix}{self.run_id()}{suffix}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -288,12 +320,6 @@ def dataset_tensors(cfg: ExperimentConfig, name: str | None = None, log=print):
     return one_hot(grids, ds.num_node_labels), y, w, ds.num_node_labels + 1, ds
 
 
-def _build_model(cfg: ExperimentConfig, w: int, channels: int, num_classes: int, seed: int):
-    if cfg.model == "capsules":
-        return build_capsnet(w, cfg.k, channels, num_classes, cfg.capsnet_config(), seed=seed)
-    return build_cnn(w, cfg.k, channels, num_classes, CnnConfig(), seed=seed)
-
-
 def fold_seed(base_seed: int, fold: int) -> int:
     return (base_seed * 0x9E3779B1 + fold * 0x85EBCA77) % (1 << 32)
 
@@ -302,15 +328,11 @@ def _run_fold(args):
     cfg, x, y, w, channels, num_classes, fold, test_idx = args
     seed = fold_seed(cfg.seed, fold)
     train_idx = np.setdiff1d(np.arange(len(x)), test_idx)
-    model = _build_model(cfg, w, channels, num_classes, seed)
-    tc = TrainConfig(
-        epochs=cfg.epochs, batch_size=cfg.batch_size, base_lr=cfg.base_lr,
-        lr_decay=cfg.lr_decay, seed=seed,
-    )
+    model = cfg.build_model(w, channels, num_classes, seed)
     # parallel folds each get one BLAS thread, so they do not oversubscribe
     capped = cfg.jobs > 1 and threadpool_limits is not None
     with threadpool_limits(limits=1) if capped else contextlib.nullcontext():
-        tr = train_model(model, x[train_idx], y[train_idx], tc)
+        tr = train_model(model, x[train_idx], y[train_idx], cfg.train_config(seed))
         acc = evaluate_accuracy(model, x[test_idx], y[test_idx])
     return {
         "fold": fold,
@@ -352,18 +374,15 @@ def _write_trace_csv(path: str, trace: list) -> None:
 def run_cv(cfg: ExperimentConfig, name: str | None = None, run_dir: str | None = None,
            log=print) -> ExperimentResult:
     """Stratified k-fold cross-validation of one (dataset, labelling, model)
-    cell.  Folds already present in folds.csv are reused, so an interrupted
-    run resumes at the next fold."""
+    cell.  Folds already in the run directory's folds_partial.json are
+    reused, so an interrupted run resumes at the next fold; the run id keeps
+    other configs and other dataset contents out of that directory."""
     name = name or cfg.dataset
-    run_dir = run_dir or os.path.join(cfg.out_root, cfg.run_id())
+    run_dir = run_dir or cfg.run_dir()
     os.makedirs(run_dir, exist_ok=True)
     os.makedirs(os.path.join(run_dir, "traces"), exist_ok=True)
     partial = os.path.join(run_dir, "folds_partial.json")
-    config_path = os.path.join(run_dir, "config.json")
-    if os.path.isfile(partial) and (changed := _config_changes(config_path, cfg.to_dict())):
-        log(f"[run] discarding partial folds: config.json differs in {', '.join(changed)}")
-        os.remove(partial)
-    with open(config_path, "w") as fh:
+    with open(os.path.join(run_dir, "config.json"), "w") as fh:
         json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
     if cfg.jobs > 1 and threadpool_limits is None:
         log("[run] threadpoolctl missing: BLAS threads in fold workers are not capped")
@@ -408,17 +427,6 @@ def run_cv(cfg: ExperimentConfig, name: str | None = None, run_dir: str | None =
     return result
 
 
-def _config_changes(path: str, config: dict) -> list:
-    """Keys whose value in the config.json at ``path`` (none if it is missing)
-    differs from ``config``.  ``jobs`` is ignored: it does not change results."""
-    old = {}
-    if os.path.isfile(path):
-        with open(path) as fh:
-            old = json.load(fh)
-    keys = sorted((set(old) | set(config)) - {"jobs"})
-    return [key for key in keys if old.get(key) != config.get(key)]
-
-
 def _persist_partial(path: str, done: dict) -> None:
     rows = [dict(done[f], trace=done[f]["trace"]) for f in sorted(done)]
     with open(path, "w") as fh:
@@ -435,11 +443,12 @@ def _fold_line(row: dict) -> str:
 def run_experiment(cfg: ExperimentConfig, log=print) -> ExperimentResult:
     """run_cv plus the PTC convention: dataset id PTC expands to its four
     animal sub-datasets and the reported cell is their average."""
-    if cfg.dataset.upper() != "PTC":
+    names = cfg.dataset_names()
+    if names == [cfg.dataset]:
         return run_cv(cfg, log=log)
-    parent = os.path.join(cfg.out_root, cfg.run_id())
+    parent = cfg.run_dir()
     subresults = []
-    for sub in PTC_SUBSETS:
+    for sub in names:
         sub_dir = os.path.join(parent, sub)
         subresults.append(run_cv(cfg, name=sub, run_dir=sub_dir, log=log))
         log(f"[PTC] {sub}: {subresults[-1].mean_accuracy:.4f}")
@@ -473,7 +482,7 @@ def grid_search(cfg: ExperimentConfig, grid: dict, log=print):
     if not epochs_list or not lr_list or not decay_list:
         raise ValueError("grid axes must be non-empty")
 
-    parent = os.path.join(cfg.out_root, f"grid_{cfg.run_id()}")
+    parent = cfg.run_dir("grid_")
     os.makedirs(parent, exist_ok=True)
     cells = []
     for epochs in epochs_list:

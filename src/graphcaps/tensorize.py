@@ -121,9 +121,11 @@ def tensorize_dataset(
 
 
 def _fork_map(fn, items, jobs: int):
-    """Yield ``fn(item)`` for each item in input order, from ``jobs`` forked
-    workers when ``jobs > 1`` and fork exists, else serially."""
-    if jobs > 1 and len(items) > 1 and "fork" in multiprocessing.get_all_start_methods():
+    """Yield ``fn(item)`` for each item in input order, from
+    ``min(jobs, len(items))`` forked workers when that is above 1 and fork
+    exists, else serially."""
+    jobs = min(jobs, len(items))
+    if jobs > 1 and "fork" in multiprocessing.get_all_start_methods():
         with multiprocessing.get_context("fork").Pool(jobs) as pool:
             yield from pool.imap(fn, items, chunksize=max(1, len(items) // (4 * jobs)))
     else:

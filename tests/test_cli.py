@@ -142,7 +142,9 @@ class TestEmbedAndReport:
                    "--out-root", out_root, "--source", "raw",
                    "--perplexity", "4", "--iters", "60", "--seed", "2"])
         assert rc == 0
-        out_dir = os.path.join(out_root, "embed_SYN_raw_s2")
+        (name,) = [d for d in os.listdir(out_root) if d.startswith("embed_")]
+        assert name.startswith("embed_SYN_bc_capsules_small_") and name.endswith("_raw")
+        out_dir = os.path.join(out_root, name)
         assert os.path.isfile(os.path.join(out_dir, "embeddings.csv"))
         assert os.path.isfile(os.path.join(out_dir, "distances.csv"))
         assert "KL" in capsys.readouterr().out

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -139,7 +141,20 @@ class TestRunCV:
         assert resumed.fold_accuracies[2:] == full.fold_accuracies[2:]
         assert any("resuming" in str(line) for line in seen)
 
-    def test_partial_state_of_another_config_discarded(self, syn_data, tmp_path):
+    def test_configs_differing_in_lr_keep_their_own_directories(self, syn_data, tmp_path):
+        cfg_a = small_cfg(syn_data, tmp_path, base_lr=0.01)
+        cfg_b = small_cfg(syn_data, tmp_path, base_lr=0.002)
+        assert cfg_a.run_id() != cfg_b.run_id()
+        run_cv(cfg_a, log=lambda *a: None)
+        run_cv(cfg_b, log=lambda *a: None)
+        for cfg in (cfg_a, cfg_b):
+            fresh = dataclasses.replace(cfg, out_root=str(tmp_path / "fresh"))
+            run_cv(fresh, log=lambda *a: None)
+            got = open(os.path.join(cfg.run_dir(), "folds.csv"), "rb").read()
+            want = open(os.path.join(fresh.run_dir(), "folds.csv"), "rb").read()
+            assert got == want
+
+    def test_edited_dataset_changes_run_id(self, syn_data, tmp_path):
         class Interrupt(Exception):
             pass
 
@@ -147,24 +162,42 @@ class TestRunCV:
             if line.startswith("[fold"):
                 raise Interrupt
 
-        cfg_a = small_cfg(syn_data, tmp_path, base_lr=0.01)
-        cfg_b = small_cfg(syn_data, tmp_path, base_lr=0.002)
-        assert cfg_a.run_id() == cfg_b.run_id()
+        cfg = small_cfg(syn_data, tmp_path)
+        before = cfg.run_id()
         with pytest.raises(Interrupt):
-            run_cv(cfg_a, log=stop_after_first_fold)
-        run_dir = os.path.join(cfg_a.out_root, cfg_a.run_id())
-        assert os.path.isfile(os.path.join(run_dir, "folds_partial.json"))
-
+            run_cv(cfg, log=stop_after_first_fold)
+        assert os.path.isfile(os.path.join(cfg.run_dir(), "folds_partial.json"))
+        path = os.path.join(syn_data, "SYN", "SYN_node_labels.txt")
+        lines = open(path).read().splitlines()
+        lines[0] = "2" if lines[0] != "2" else "1"
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        assert cfg.run_id() != before
         seen = []
-        run_cv(cfg_b, log=seen.append)
+        run_cv(cfg, log=seen.append)
         assert not any("resuming" in str(line) for line in seen)
-        assert any("discarding partial folds" in str(line) and "base_lr" in str(line)
-                   for line in seen)
-        fresh = small_cfg(syn_data, tmp_path, base_lr=0.002, out_root=str(tmp_path / "fresh"))
-        run_cv(fresh, log=lambda *a: None)
-        got = open(os.path.join(run_dir, "folds.csv"), "rb").read()
-        want = open(os.path.join(fresh.out_root, fresh.run_id(), "folds.csv"), "rb").read()
-        assert got == want
+
+    def test_run_id_ignores_execution_settings(self, syn_data, tmp_path):
+        cfg = small_cfg(syn_data, tmp_path, jobs=1)
+        other = small_cfg(syn_data, tmp_path, jobs=2, out_root=str(tmp_path / "elsewhere"),
+                          cache_dir=str(tmp_path / "cache"))
+        assert cfg.run_id() == other.run_id()
+        assert cfg.run_id().startswith("SYN_bc_capsules_small_f4_e6_s1_")
+        # sha256, not hash(): a process with another hash seed gets the same id
+        code = ("from graphcaps.experiment import ExperimentConfig; "
+                f"print(ExperimentConfig(**{cfg.to_dict()!r}).run_id())")
+        env = dict(os.environ, PYTHONHASHSEED="12345")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120, check=True).stdout.strip()
+        assert out == cfg.run_id()
+
+    @pytest.mark.parametrize("field, value", [
+        ("base_lr", 0.002), ("lr_decay", 0.1), ("batch_size", 8), ("k", 5), ("w", 4),
+        ("lam", 0.25), ("alpha", 0.5), ("routing_iters", 2), ("loss_mode", "margin"),
+    ])
+    def test_run_id_covers_result_fields(self, syn_data, tmp_path, field, value):
+        cfg = small_cfg(syn_data, tmp_path)
+        assert dataclasses.replace(cfg, **{field: value}).run_id() != cfg.run_id()
 
     def test_warm_cache_reused(self, syn_data, tmp_path):
         cfg = small_cfg(syn_data, tmp_path)
