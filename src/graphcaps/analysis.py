@@ -26,20 +26,8 @@ class EmbeddingSource(str, Enum):
     PRIMARY_CAPS = "caps"
 
 
-@dataclass
-class EmbeddingSet:
-    points: np.ndarray  # (m, D)
-    labels: np.ndarray  # (m,)
-    source: EmbeddingSource
-
-    def __post_init__(self):
-        if len(self.points) != len(self.labels):
-            raise ValueError("points and labels must have equal length")
-
-
-def extract_embeddings(model, tensors: np.ndarray, source: EmbeddingSource,
-                       labels=None) -> EmbeddingSet:
-    """Per-graph feature vectors from the requested layer.
+def extract_embeddings(model, tensors: np.ndarray, source: EmbeddingSource) -> np.ndarray:
+    """Per-graph ``(m, D)`` feature vectors from the requested layer.
 
     ``raw`` flattens the input tensors (no model needed); ``cnn`` reads the
     dense inner layer of the CNN baseline; ``caps`` reads the flattened
@@ -48,17 +36,14 @@ def extract_embeddings(model, tensors: np.ndarray, source: EmbeddingSource,
     source = EmbeddingSource(source)
     tensors = np.asarray(tensors, dtype=np.float64)
     if source is EmbeddingSource.RAW_TENSOR:
-        points = tensors.reshape(len(tensors), -1).copy()
-    elif source is EmbeddingSource.CNN_INNER:
+        return tensors.reshape(len(tensors), -1).copy()
+    if source is EmbeddingSource.CNN_INNER:
         if not isinstance(model, PatchyCnn):
             raise ValueError(f"source 'cnn' needs the CNN baseline, got {type(model).__name__}")
-        points = model.inner_features(tensors)
-    elif source is EmbeddingSource.PRIMARY_CAPS:
-        if not isinstance(model, CapsNet):
-            raise ValueError(f"source 'caps' needs the capsule model, got {type(model).__name__}")
-        points = model.inner_features(tensors)
-    labels = np.zeros(len(points), dtype=np.int64) if labels is None else np.asarray(labels)
-    return EmbeddingSet(points=points, labels=labels, source=source)
+        return model.inner_features(tensors)
+    if not isinstance(model, CapsNet):
+        raise ValueError(f"source 'caps' needs the capsule model, got {type(model).__name__}")
+    return model.inner_features(tensors)
 
 
 def _pairwise_sq_dists(x: np.ndarray) -> np.ndarray:

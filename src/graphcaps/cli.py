@@ -21,6 +21,7 @@ from .data import dataset_checksums
 from .experiment import (
     ExperimentConfig,
     dataset_tensors,
+    grid_dir,
     grid_search,
     run_experiment,
     tensorize_cached,
@@ -148,7 +149,8 @@ def cmd_grid(args) -> int:
         "base_lr": [float(v) for v in args.lr_grid.split(",")],
         "lr_decay": [float(v) for v in args.decay_grid.split(",")],
     }
-    write_manifest(cfg.run_dir("grid_"), args, dict(cfg.to_dict(), grid=grid))
+    write_manifest(grid_dir(cfg, grid), args,
+                   dict(cfg.to_dict(), grid=grid, datasets=cfg.dataset_names()))
     best_cfg, best_res, cells = grid_search(cfg, grid)
     print(f"[grid] {len(cells)} cells evaluated")
     print(
@@ -184,9 +186,9 @@ def cmd_embed(args) -> int:
         print(f"[embed] training {cfg.model} on the full dataset ({cfg.epochs} epochs)")
         train_model(model, x, y, cfg.train_config(cfg.seed))
 
-    emb = extract_embeddings(model, x, source, labels=y)
-    print(f"[embed] {emb.points.shape[0]} x {emb.points.shape[1]} features from {source.value}")
-    res = tsne(emb.points, perplexity=args.perplexity, iters=args.iters, seed=cfg.seed)
+    points = extract_embeddings(model, x, source)
+    print(f"[embed] {points.shape[0]} x {points.shape[1]} features from {source.value}")
+    res = tsne(points, perplexity=args.perplexity, iters=args.iters, seed=cfg.seed)
     dist = cluster_distances(res.coords, y)
     write_embeddings_csv(os.path.join(out_dir, "embeddings.csv"), res.coords, y)
     write_distances_csv(os.path.join(out_dir, "distances.csv"), source, dist)

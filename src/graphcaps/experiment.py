@@ -35,7 +35,7 @@ from .models import (
     evaluate_accuracy,
     train_model,
 )
-from .tensor_cache import StaleCacheError, cache_filename, load_tensors, save_tensors
+from .tensor_cache import CacheError, load_tensors, save_tensors
 from .tensorize import _fork_map, default_width, padded_anchor_count, tensorize_dataset
 
 try:
@@ -271,37 +271,45 @@ def kfold_split(n_samples: int, folds: int, seed: int, strata) -> list:
 
 def tensorize_cached(cfg: ExperimentConfig, name: str | None = None, force: bool = False,
                      log=print):
-    """Load, permute and tensorize one dataset through the binary cache.
+    """Load, permute and tensorize one dataset through the tensor cache.
 
-    Returns (grids, y, w, dataset) with ``(n, w, k)`` label grids.  A warm
-    cache is read unless ``force``; one written from other dataset contents or
-    by another format version is rebuilt.  The node-id permutation always runs
-    before tensorization so no curated ordering leaks into the tensors.
+    Returns (grids, y, w, dataset) with ``(n, w, k)`` label grids and the
+    dataset's class labels.  A warm cache is read unless ``force``; a cache
+    file :func:`load_tensors` cannot use is rebuilt.  The node-id permutation
+    always runs before tensorization so no curated ordering leaks into the
+    tensors.  ``name`` defaults to ``cfg.dataset``, which must then name one
+    dataset.
     """
-    name = name or cfg.dataset
+    if name is None:
+        names = cfg.dataset_names()
+        if len(names) > 1:
+            raise ValueError(f"dataset {cfg.dataset} is {len(names)} datasets "
+                             f"({', '.join(names)}); name one of them")
+        name = names[0]
     ds = load_tu_dataset(cfg.data_root, name)
     d = ds.num_node_labels
     w = cfg.w if cfg.w is not None else default_width(ds)
+    y = ds.class_labels()
     digest = dataset_digest(cfg.data_root, name)
+    naive = "-naive" if cfg.naive_ties else ""
     cache_path = os.path.join(
-        cfg.cache_dir, cache_filename(name, cfg.procedure, w, cfg.k, cfg.seed, cfg.naive_ties)
+        cfg.cache_dir, f"{name}_{cfg.procedure.value}{naive}_w{w}_k{cfg.k}_seed{cfg.seed}.gct"
     )
     if os.path.isfile(cache_path) and not force:
         try:
-            cached = load_tensors(cache_path, digest)
-        except StaleCacheError as exc:
+            grids = load_tensors(cache_path, digest, (len(ds), w, cfg.k), d)
+        except CacheError as exc:
             log(f"[tensorize] stale cache, rebuilding: {exc}")
         else:
-            log(f"[tensorize] {name}: warm cache, {len(cached['grids'])} tensors, "
+            log(f"[tensorize] {name}: warm cache, {len(grids)} tensors, "
                 f"nothing to do: {cache_path}")
-            return cached["grids"], cached["labels"].astype(np.int64), w, ds
+            return grids, y, w, ds
     t0 = time.perf_counter()
     grids = tensorize_dataset(
         permute_dataset(ds, cfg.seed), w=w, k=cfg.k, procedure=cfg.procedure,
         naive_ties=cfg.naive_ties, jobs=cfg.jobs,
     )
-    y = ds.class_labels()
-    save_tensors(cache_path, grids, y, d, cfg.procedure, cfg.seed, cfg.naive_ties, digest)
+    save_tensors(cache_path, grids, digest)
     log(
         f"[tensorize] {name}: cold cache, {len(grids)} tensors ({w}x{cfg.k}x{d + 1}), "
         f"{padded_anchor_count(ds, w)} padded anchors, "
@@ -311,7 +319,7 @@ def tensorize_cached(cfg: ExperimentConfig, name: str | None = None, force: bool
 
 
 def dataset_tensors(cfg: ExperimentConfig, name: str | None = None, log=print):
-    """One dataset's one-hot tensors, through the binary cache.
+    """One dataset's one-hot tensors, through the tensor cache.
 
     Returns (x, y, w, channels, dataset) with ``x`` a C-contiguous float64
     ``(n, w, k, channels)`` array.
@@ -470,9 +478,17 @@ def run_experiment(cfg: ExperimentConfig, log=print) -> ExperimentResult:
     return result
 
 
+def grid_dir(cfg: ExperimentConfig, grid: dict) -> str:
+    """``<out_root>/grid_<run id>_<10 hex of a sha256 over the grid axes>``,
+    so grid searches that differ only in their axes never share a directory."""
+    axes = hashlib.sha256(json.dumps(grid, sort_keys=True).encode("utf-8")).hexdigest()
+    return cfg.run_dir("grid_", "_" + axes[:10])
+
+
 def grid_search(cfg: ExperimentConfig, grid: dict, log=print):
     """Exhaustive product over {epochs, base_lr, lr_decay} lists.
 
+    Each cell is an ordinary :func:`run_experiment` under :func:`grid_dir`.
     Ties on mean CV accuracy break toward fewer epochs, then lower lr.
     Returns (best ExperimentConfig, best ExperimentResult, all cell results).
     """
@@ -482,19 +498,17 @@ def grid_search(cfg: ExperimentConfig, grid: dict, log=print):
     if not epochs_list or not lr_list or not decay_list:
         raise ValueError("grid axes must be non-empty")
 
-    parent = cfg.run_dir("grid_")
-    os.makedirs(parent, exist_ok=True)
+    parent = grid_dir(cfg, grid)
     cells = []
     for epochs in epochs_list:
         for lr in lr_list:
             for decay in decay_list:
                 cell_cfg = dataclasses.replace(
-                    cfg, epochs=int(epochs), base_lr=float(lr), lr_decay=float(decay)
+                    cfg, epochs=int(epochs), base_lr=float(lr), lr_decay=float(decay),
+                    out_root=parent,
                 )
-                cell_dir = os.path.join(parent, f"e{epochs}_lr{lr}_d{decay}")
                 log(f"[grid] cell epochs={epochs} lr={lr} decay={decay}")
-                res = run_cv(cell_cfg, run_dir=cell_dir, log=log)
-                cells.append((cell_cfg, res))
+                cells.append((cell_cfg, run_experiment(cell_cfg, log=log)))
 
     with open(os.path.join(parent, "grid.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)

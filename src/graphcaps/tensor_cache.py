@@ -1,131 +1,64 @@
-"""Binary cache for extracted label grids.
+"""Cache of extracted label grids, one uncompressed numpy archive per file.
 
-Byte layout (all integers little-endian):
-
-    offset  size  field
-    0       8     magic b"GCTENSR\\0"
-    8       4     format version (currently 2)
-    12      4     w
-    16      4     k
-    20      4     d          (label alphabet size; label d marks padding)
-    24      4     graph count
-    28      1     procedure  (0 = betweenness, 1 = canonical)
-    29      1     flags      (bit 0: naive tie-breaking)
-    30      2     reserved (zero)
-    32      8     permutation seed as signed int64 (-1 = none)
-    40      32    sha256 of the source dataset files (data.dataset_digest)
-
-followed by:
-
-    4*count       class labels, int32, in graph index order
-    2*count*w*k   label grids, uint16, row-major (count, w, k)
-
-The version is bumped whenever extraction output changes, so a file written
-by other extraction code, like one written from other dataset contents, is
-stale rather than reused.
+A ``.gct`` file holds exactly three members: ``grids`` (uint16 ``(n, w, k)``
+label grids, padding stored as label ``d``), ``version`` (bumped whenever
+extraction output changes) and ``digest`` (32 uint8, the source files'
+:func:`graphcaps.data.dataset_digest`).  A file that cannot be used as it
+stands raises :class:`CacheError`, and the caller extracts again.
 """
 
 from __future__ import annotations
 
 import os
-import struct
+import zipfile
 
 import numpy as np
 
-from .labelling import Procedure
-
-MAGIC = b"GCTENSR\x00"
-VERSION = 2
-_HEADER = struct.Struct("<8sIIIIIBBHq32s")
-
-_PROC_CODE = {Procedure.BETWEENNESS: 0, Procedure.CANONICAL: 1}
-_CODE_PROC = {v: k for k, v in _PROC_CODE.items()}
+VERSION = 3
+MEMBERS = ["digest", "grids", "version"]
 
 
 class CacheError(RuntimeError):
-    """Cache file missing or corrupt."""
+    """A cache file that cannot be used as it stands; rebuild it."""
 
 
-class StaleCacheError(CacheError):
-    """Cache file intact but written by another format version or from other
-    dataset contents; rebuild it."""
-
-
-def cache_filename(dataset: str, procedure: Procedure, w: int, k: int, seed, naive_ties: bool) -> str:
-    seed_part = "noperm" if seed is None else f"seed{seed}"
-    naive_part = "-naive" if naive_ties else ""
-    return f"{dataset}_{procedure.value}{naive_part}_w{w}_k{k}_{seed_part}.gct"
-
-
-def save_tensors(
-    path: str,
-    grids: np.ndarray,
-    labels: np.ndarray,
-    d: int,
-    procedure: Procedure,
-    seed,
-    naive_ties: bool,
-    digest: bytes,
-) -> None:
-    """Write ``(n, w, k)`` label grids and their ``n`` class labels."""
-    count, w, k = grids.shape
-    flags = 1 if naive_ties else 0
-    seed_field = -1 if seed is None else int(seed)
+def save_tensors(path: str, grids: np.ndarray, digest: bytes) -> None:
+    """Write ``(n, w, k)`` label grids extracted from the dataset whose
+    :func:`~graphcaps.data.dataset_digest` is ``digest``."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    # through a file handle, np.savez keeps the name instead of adding ".npz"
     with open(path, "wb") as fh:
-        fh.write(
-            _HEADER.pack(
-                MAGIC, VERSION, w, k, d, count, _PROC_CODE[procedure], flags, 0, seed_field, digest
-            )
-        )
-        fh.write(np.asarray(labels, dtype="<i4").tobytes())
-        fh.write(np.ascontiguousarray(grids, dtype="<u2").tobytes())
+        np.savez(fh, grids=np.asarray(grids, dtype=np.uint16), version=VERSION,
+                 digest=np.frombuffer(digest, dtype=np.uint8))
 
 
-def load_tensors(path: str, digest: bytes) -> dict:
-    """Read a cache file written from the dataset whose digest is ``digest``.
+def load_tensors(path: str, digest: bytes, shape: tuple, d: int) -> np.ndarray:
+    """The ``shape`` uint16 label grids of a file written by :func:`save_tensors`
+    from the dataset whose digest is ``digest``, with labels in ``[0, d]``.
 
-    Returns {grids, labels, w, k, d, procedure, seed, naive_ties}.  Raises
-    :class:`StaleCacheError` for another format version or dataset digest and
-    :class:`CacheError` for a missing or corrupt file.
+    Raises :class:`CacheError` for a file that is not an archive, lacks a
+    member or fails its CRC-32, or has another version, digest, shape or
+    dtype, or a label above ``d``.
     """
-    if not os.path.isfile(path):
-        raise CacheError(f"cache file not found: {path}")
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:8] != MAGIC:
-        raise CacheError(f"{path}: bad magic {blob[:8]!r}")
-    if len(blob) < 12:
-        raise CacheError(f"{path}: truncated header")
-    (version,) = struct.unpack_from("<I", blob, 8)
-    if version != VERSION:
-        raise StaleCacheError(f"{path}: format version {version}, expected {VERSION}")
-    if len(blob) < _HEADER.size:
-        raise CacheError(f"{path}: truncated header")
-    _, _, w, k, d, count, proc_code, flags, _, seed_field, file_digest = _HEADER.unpack_from(blob)
-    if proc_code not in _CODE_PROC:
-        raise CacheError(f"{path}: unknown procedure code {proc_code}")
-    if file_digest != digest:
-        raise StaleCacheError(f"{path}: written from other dataset contents")
-    body = len(blob) - _HEADER.size
-    expected = 4 * count + 2 * count * w * k
-    if body < expected:
-        raise CacheError(f"{path}: truncated body, {body} of {expected} bytes")
-    if body > expected:
-        raise CacheError(f"{path}: trailing bytes after {count} graphs")
-    labels = np.frombuffer(blob, dtype="<i4", count=count, offset=_HEADER.size)
-    grids = np.frombuffer(
-        blob, dtype="<u2", count=count * w * k, offset=_HEADER.size + 4 * count
-    ).reshape(count, w, k)
+    try:
+        with open(path, "rb") as fh:
+            if not zipfile.is_zipfile(fh):
+                raise ValueError("not an npz archive")
+            fh.seek(0)
+            with np.load(fh, allow_pickle=False) as archive:
+                members = {name: archive[name] for name in archive.files}
+    except (OSError, EOFError, ValueError, RuntimeError, zipfile.BadZipFile) as exc:
+        raise CacheError(f"{path}: {exc}") from exc
+    if sorted(members) != MEMBERS:
+        raise CacheError(f"{path}: members {sorted(members)}, expected {MEMBERS}")
+    if not np.array_equal(members["version"], VERSION):
+        raise CacheError(f"{path}: format version {members['version']}, expected {VERSION}")
+    if members["digest"].tobytes() != digest:
+        raise CacheError(f"{path}: written from other dataset contents")
+    grids = members["grids"]
+    if grids.dtype != np.uint16 or grids.shape != tuple(shape):
+        raise CacheError(f"{path}: {grids.dtype} grids of shape {grids.shape}, "
+                         f"expected uint16 {tuple(shape)}")
     if grids.size and grids.max() > d:
         raise CacheError(f"{path}: label {grids.max()} above the padding label {d}")
-    return {
-        "grids": grids,
-        "labels": labels,
-        "w": w,
-        "k": k,
-        "d": d,
-        "procedure": _CODE_PROC[proc_code],
-        "seed": None if seed_field == -1 else seed_field,
-        "naive_ties": bool(flags & 1),
-    }
+    return grids

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import struct
 
 import numpy as np
 
@@ -21,6 +22,8 @@ __all__ = [
     "write_tu_files",
     "synthetic_dataset_graphs",
     "all_simple_graphs",
+    "write_v2_cache",
+    "flip_grid_byte",
 ]
 
 
@@ -108,3 +111,25 @@ def synthetic_dataset_graphs(num_graphs: int = 60, seed: int = 0, num_labels: in
                   node_labels=tuple(labels), class_label=cls)
         )
     return graphs
+
+
+def write_v2_cache(path: str, grids, labels, d: int, digest: bytes) -> None:
+    """A tensor cache file in the retired version-2 byte layout: a 72-byte
+    header (magic, version, w, k, d, count, procedure, flags, reserved, seed,
+    dataset sha256), then int32 class labels and uint16 grids."""
+    count, w, k = grids.shape
+    header = struct.pack("<8sIIIIIBBHq32s", b"GCTENSR\0", 2, w, k, d, count, 0, 0, 0, 1, digest)
+    with open(path, "wb") as fh:
+        fh.write(header + np.asarray(labels, "<i4").tobytes() + np.asarray(grids, "<u2").tobytes())
+
+
+def flip_grid_byte(path: str) -> None:
+    """Flip the low bit of the first label stored in the ``grids`` member of
+    a tensor cache archive, leaving the zip structure intact."""
+    with open(path, "rb") as fh:
+        blob = bytearray(fh.read())
+    npy = blob.index(b"\x93NUMPY", blob.index(b"grids.npy"))
+    header_len = int.from_bytes(blob[npy + 8:npy + 10], "little")  # npy format 1.0
+    blob[npy + 10 + header_len] ^= 1
+    with open(path, "wb") as fh:
+        fh.write(blob)

@@ -35,30 +35,29 @@ class TestExtractEmbeddings:
             for i in range(8):
                 for j in range(5):
                     self.x[b, i, j, idx[b, i, j]] = 1.0
-        self.labels = np.array([0, 1] * 3)
 
     def test_raw_flattens(self):
-        emb = extract_embeddings(None, self.x, "raw", labels=self.labels)
-        assert emb.points.shape == (6, 8 * 5 * 4)
-        assert emb.source is EmbeddingSource.RAW_TENSOR
+        points = extract_embeddings(None, self.x, "raw")
+        assert points.shape == (6, 8 * 5 * 4)
+        assert np.array_equal(points[1], self.x[1].ravel())
 
     def test_primary_caps_dimensionality(self):
         cfg = CapsNetConfig(conv_filters=8, primary_channels=2, primary_dim=4,
                             primary_kernel=2, primary_stride=1, caps_dim=6,
                             decoder_hidden=(8, 12))
         model = build_capsnet(8, 5, 4, 2, cfg, seed=0)
-        emb = extract_embeddings(model, self.x, "caps", labels=self.labels)
-        assert emb.points.shape == (6, model.n_primary * cfg.primary_dim)
+        points = extract_embeddings(model, self.x, "caps")
+        assert points.shape == (6, model.n_primary * cfg.primary_dim)
 
     def test_cnn_inner_dimensionality(self):
         model = build_cnn(8, 5, 4, 2, seed=0)
-        emb = extract_embeddings(model, self.x, "cnn", labels=self.labels)
-        assert emb.points.shape == (6, 128)
+        points = extract_embeddings(model, self.x, "cnn")
+        assert points.shape == (6, 128)
 
     def test_identical_inputs_identical_rows(self):
         pair = np.concatenate([self.x[:1], self.x[:1]])
-        emb = extract_embeddings(None, pair, "raw")
-        assert np.array_equal(emb.points[0], emb.points[1])
+        points = extract_embeddings(None, pair, "raw")
+        assert np.array_equal(points[0], points[1])
 
     def test_source_model_mismatch(self):
         model = build_cnn(8, 5, 4, 2, seed=0)

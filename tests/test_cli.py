@@ -15,6 +15,13 @@ def syn_root(tu_dir):
     return tu_dir
 
 
+@pytest.fixture()
+def ptc_root(tu_dir):
+    for i, sub in enumerate(("PTC_MM", "PTC_FM", "PTC_MR", "PTC_FR")):
+        write_tu_files(tu_dir, sub, synthetic_dataset_graphs(num_graphs=12, seed=i))
+    return tu_dir
+
+
 def run_cli(args, **popen):
     return subprocess.run(
         [sys.executable, "-m", "graphcaps.cli", *args],
@@ -98,6 +105,38 @@ class TestRunCommand:
         assert "mean over 2 repetitions" in capsys.readouterr().out
 
 
+class TestGridCommand:
+    def _grid(self, root, out_root, dataset, epochs_grid):
+        return main(["grid", "--dataset", dataset, "--data-root", root, "--out-root", out_root,
+                     "--folds", "3", "--epochs-grid", epochs_grid, "--lr-grid", "0.001",
+                     "--decay-grid", "0.0"])
+
+    def test_ptc_grid_runs_each_subdataset(self, ptc_root, tmp_path):
+        out_root = str(tmp_path / "results")
+        assert self._grid(ptc_root, out_root, "PTC", "1") == 0
+        (grid,) = [d for d in os.listdir(out_root) if d.startswith("grid_PTC_")]
+        rows = open(os.path.join(out_root, grid, "grid.csv")).read().splitlines()
+        assert len(rows) == 2
+        (cell,) = [d for d in os.listdir(os.path.join(out_root, grid)) if d.startswith("PTC_")]
+        for sub in ("PTC_MM", "PTC_FM", "PTC_MR", "PTC_FR"):
+            assert os.path.isfile(os.path.join(out_root, grid, cell, sub, "folds.csv"))
+        manifest = json.load(open(os.path.join(out_root, grid, "manifest.json")))
+        assert "PTC_MM_A.txt" in manifest["dataset_checksums"]["PTC_MM"]
+
+    def test_grids_differing_in_axes_keep_their_own_directories(self, syn_root, tmp_path):
+        out_root = str(tmp_path / "results")
+        assert self._grid(syn_root, out_root, "SYN", "1") == 0
+        assert self._grid(syn_root, out_root, "SYN", "2") == 0
+        grids = sorted(d for d in os.listdir(out_root) if d.startswith("grid_"))
+        assert len(grids) == 2
+        epochs = set()
+        for grid in grids:
+            rows = open(os.path.join(out_root, grid, "grid.csv")).read().splitlines()
+            assert len(rows) == 2
+            epochs.add(rows[1].split(",")[0])
+        assert epochs == {"1", "2"}
+
+
 class TestConfigFile:
     def test_parse_and_coerce(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -156,6 +195,12 @@ class TestEmbedAndReport:
                    "--perplexity", "4", "--iters", "50"])
         assert rc == 0
         assert "training capsules" in capsys.readouterr().out
+
+    def test_embed_ptc_names_the_subdatasets(self, ptc_root, tmp_path, capsys):
+        rc = main(["embed", "--dataset", "PTC", "--data-root", ptc_root,
+                   "--out-root", str(tmp_path / "results"), "--source", "raw"])
+        assert rc == 1
+        assert "PTC_MM, PTC_FM, PTC_MR, PTC_FR" in capsys.readouterr().err
 
     def test_report_combines_runs(self, syn_root, tmp_path, capsys):
         out_root = str(tmp_path / "results")

@@ -7,18 +7,22 @@ import sys
 import numpy as np
 import pytest
 
+from graphcaps.data import dataset_digest
 from graphcaps.experiment import (
     ExperimentConfig,
     ExperimentResult,
     dataset_tensors,
     emit_report,
+    grid_dir,
     grid_search,
     kfold_split,
     run_cv,
     run_experiment,
+    tensorize_cached,
     variant_name,
 )
-from helpers import synthetic_dataset_graphs, write_tu_files
+from graphcaps.tensor_cache import save_tensors
+from helpers import flip_grid_byte, synthetic_dataset_graphs, write_tu_files, write_v2_cache
 
 QUIET = staticmethod(lambda *a, **k: None)
 
@@ -224,9 +228,39 @@ class TestRunCV:
         assert not np.array_equal(after, before)
         assert np.array_equal(after, fresh)
 
+    @pytest.mark.parametrize(
+        "damage", ["truncated", "flipped_grid_byte", "v2_format", "other_version", "other_digest"]
+    )
+    def test_unusable_cache_file_rebuilt(self, syn_data, tmp_path, damage):
+        cfg = small_cfg(syn_data, tmp_path)
+        fresh, y, _, ds = tensorize_cached(cfg, log=lambda *a: None)
+        (name,) = os.listdir(cfg.cache_dir)
+        path = os.path.join(cfg.cache_dir, name)
+        digest = dataset_digest(syn_data, "SYN")
+        if damage == "truncated":
+            with open(path, "r+b") as fh:
+                fh.truncate(os.path.getsize(path) // 2)
+        elif damage == "flipped_grid_byte":
+            flip_grid_byte(path)
+        elif damage == "v2_format":
+            write_v2_cache(path, fresh, y, ds.num_node_labels, digest)
+        elif damage == "other_version":
+            with open(path, "wb") as fh:
+                np.savez(fh, grids=fresh, version=2, digest=np.frombuffer(digest, np.uint8))
+        else:
+            save_tensors(path, fresh, bytes(32))
+        log = []
+        grids, y_again, *_ = tensorize_cached(cfg, log=log.append)
+        assert any("stale cache, rebuilding" in line for line in log)
+        assert grids.dtype == fresh.dtype and np.array_equal(grids, fresh)
+        assert np.array_equal(y_again, y)
+        log.clear()
+        tensorize_cached(cfg, log=log.append)
+        assert any("warm cache" in line for line in log)
+
     def test_ptc_averages_subdatasets(self, tu_dir, tmp_path):
-        for sub in ("PTC_MM", "PTC_FM", "PTC_MR", "PTC_FR"):
-            write_tu_files(tu_dir, sub, synthetic_dataset_graphs(num_graphs=12, seed=hash(sub) % 100))
+        for i, sub in enumerate(("PTC_MM", "PTC_FM", "PTC_MR", "PTC_FR")):
+            write_tu_files(tu_dir, sub, synthetic_dataset_graphs(num_graphs=12, seed=i))
         cfg = small_cfg(tu_dir, tmp_path, dataset="PTC", folds=3, epochs=2)
         res = run_experiment(cfg, log=lambda *a: None)
         assert res.dataset == "PTC"
@@ -249,13 +283,11 @@ class TestGridSearch:
 
     def test_product_and_best_selection(self, syn_data, tmp_path):
         cfg = small_cfg(syn_data, tmp_path, folds=3, epochs=2)
-        best_cfg, best_res, cells = grid_search(
-            cfg, {"epochs": [1, 2], "base_lr": [1e-3, 5e-3], "lr_decay": [0.0]},
-            log=lambda *a: None,
-        )
+        grid = {"epochs": [1, 2], "base_lr": [1e-3, 5e-3], "lr_decay": [0.0]}
+        best_cfg, best_res, cells = grid_search(cfg, grid, log=lambda *a: None)
         assert len(cells) == 4
         assert all(best_res.mean_accuracy >= r.mean_accuracy for _, r in cells)
-        grid_csv = os.path.join(cfg.out_root, f"grid_{cfg.run_id()}", "grid.csv")
+        grid_csv = os.path.join(grid_dir(cfg, grid), "grid.csv")
         assert sum(1 for _ in open(grid_csv)) == 5  # header + 4 cells
 
 

@@ -7,13 +7,7 @@ import pytest
 from graphcaps import labelling
 from graphcaps.data import PAD, Graph, one_hot, permute_node_ids
 from graphcaps.labelling import Procedure, rank_nodes
-from graphcaps.tensor_cache import (
-    CacheError,
-    StaleCacheError,
-    cache_filename,
-    load_tensors,
-    save_tensors,
-)
+from graphcaps.tensor_cache import CacheError, load_tensors, save_tensors
 from graphcaps.tensorize import (
     assemble_neighbourhood,
     default_width,
@@ -23,7 +17,14 @@ from graphcaps.tensorize import (
     padded_anchor_count,
     tensorize_dataset,
 )
-from helpers import path_graph, random_graph, star_graph, triangle, write_tu_files
+from helpers import (
+    flip_grid_byte,
+    path_graph,
+    random_graph,
+    star_graph,
+    triangle,
+    write_tu_files,
+)
 
 from graphcaps.data import load_tu_dataset
 
@@ -196,20 +197,23 @@ class TestDatasetTensorization:
 
 class TestCacheFormat:
     DIGEST = bytes(range(32))
+    SHAPE = (5, 4, 3)
 
     def _grids(self):
         rng = np.random.default_rng(4)
         graphs = [random_graph(rng, 6, 0.5, num_labels=2) for _ in range(5)]
-        grids = np.stack([
+        return np.stack([
             graph_to_tensor(g, w=4, k=3, d=2, procedure=Procedure.CANONICAL) for g in graphs
         ])
-        return grids, np.array([0, 1, 1, 0, 1])
 
-    def _save(self, path, seed=None):
-        grids, labels = self._grids()
-        save_tensors(path, grids, labels, d=2, procedure=Procedure.CANONICAL, seed=seed,
-                     naive_ties=False, digest=self.DIGEST)
-        return grids, labels
+    def _save(self, path):
+        grids = self._grids()
+        save_tensors(path, grids, self.DIGEST)
+        return grids
+
+    def _write(self, path, **members):
+        with open(path, "wb") as fh:
+            np.savez(fh, **members)
 
     def _rewrite(self, path, edit):
         blob = bytearray(open(path, "rb").read())
@@ -218,78 +222,98 @@ class TestCacheFormat:
             fh.write(blob)
 
     def test_roundtrip(self, tmp_path):
-        path = str(tmp_path / cache_filename("X", Procedure.CANONICAL, 4, 3, 7, False))
-        grids, labels = self._save(path, seed=7)
-        loaded = load_tensors(path, self.DIGEST)
-        assert loaded["w"] == 4 and loaded["k"] == 3 and loaded["d"] == 2
-        assert loaded["procedure"] is Procedure.CANONICAL
-        assert loaded["seed"] == 7
-        assert not loaded["naive_ties"]
-        assert np.array_equal(loaded["grids"], grids)
-        assert np.array_equal(loaded["labels"], labels)
+        path = str(tmp_path / "X_canonical_w4_k3_seed7.gct")
+        grids = self._save(path)
+        loaded = load_tensors(path, self.DIGEST, self.SHAPE, d=2)
+        assert loaded.dtype == np.uint16
+        assert np.array_equal(loaded, grids)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = str(tmp_path / "bad.gct")
         with open(path, "wb") as fh:
             fh.write(b"NOTATENSORCACHE" * 4)
-        with pytest.raises(CacheError, match="magic"):
-            load_tensors(path, self.DIGEST)
+        with pytest.raises(CacheError, match="not an npz archive"):
+            load_tensors(path, self.DIGEST, self.SHAPE, d=2)
 
     def test_truncation_rejected(self, tmp_path):
         path = str(tmp_path / "trunc.gct")
         self._save(path)
         self._rewrite(path, lambda blob: blob[:-10])
-        with pytest.raises(CacheError, match="truncated"):
-            load_tensors(path, self.DIGEST)
+        with pytest.raises(CacheError):
+            load_tensors(path, self.DIGEST, self.SHAPE, d=2)
 
-    def test_trailing_bytes_rejected(self, tmp_path):
-        path = str(tmp_path / "trail.gct")
+    def test_flipped_grid_byte_rejected(self, tmp_path):
+        path = str(tmp_path / "flip.gct")
         self._save(path)
+        flip_grid_byte(path)
+        with pytest.raises(CacheError, match="CRC"):
+            load_tensors(path, self.DIGEST, self.SHAPE, d=2)
+
+    def test_trailing_bytes_do_not_change_the_grids(self, tmp_path):
+        # a zip archive is read from its end record; the members it names are
+        # CRC-checked, so bytes after the archive cannot reach the grids
+        path = str(tmp_path / "trail.gct")
+        grids = self._save(path)
         self._rewrite(path, lambda blob: blob + b"\0\0")
-        with pytest.raises(CacheError, match="trailing"):
-            load_tensors(path, self.DIGEST)
+        assert np.array_equal(load_tensors(path, self.DIGEST, self.SHAPE, d=2), grids)
+
+    def test_missing_member_rejected(self, tmp_path):
+        path = str(tmp_path / "member.gct")
+        self._write(path, grids=self._grids(), version=3)
+        with pytest.raises(CacheError, match="members"):
+            load_tensors(path, self.DIGEST, self.SHAPE, d=2)
 
     def test_label_above_padding_rejected(self, tmp_path):
         path = str(tmp_path / "label.gct")
-        self._save(path)
-        self._rewrite(path, lambda blob: blob[:-2] + (3).to_bytes(2, "little"))
+        grids = self._grids()
+        grids[-1, -1, -1] = 3
+        save_tensors(path, grids, self.DIGEST)
         with pytest.raises(CacheError, match="above the padding label"):
-            load_tensors(path, self.DIGEST)
+            load_tensors(path, self.DIGEST, self.SHAPE, d=2)
+
+    @pytest.mark.parametrize("shape, dtype", [((5, 4, 2), np.uint16), ((5, 4, 3), np.int32)])
+    def test_grids_of_another_shape_or_dtype_rejected(self, tmp_path, shape, dtype):
+        path = str(tmp_path / "shape.gct")
+        grids = np.zeros(shape, dtype=dtype)
+        self._write(path, grids=grids, version=3, digest=np.frombuffer(self.DIGEST, np.uint8))
+        with pytest.raises(CacheError, match="expected uint16"):
+            load_tensors(path, self.DIGEST, self.SHAPE, d=2)
 
     def test_other_version_is_stale(self, tmp_path):
         path = str(tmp_path / "v1.gct")
-        self._save(path)
-        self._rewrite(path, lambda blob: blob[:8] + (1).to_bytes(4, "little") + blob[12:])
-        with pytest.raises(StaleCacheError, match="version 1"):
-            load_tensors(path, self.DIGEST)
+        self._write(path, grids=self._grids(), version=1,
+                    digest=np.frombuffer(self.DIGEST, np.uint8))
+        with pytest.raises(CacheError, match="version 1"):
+            load_tensors(path, self.DIGEST, self.SHAPE, d=2)
 
     def test_other_dataset_digest_is_stale(self, tmp_path):
         path = str(tmp_path / "digest.gct")
         self._save(path)
-        with pytest.raises(StaleCacheError, match="other dataset contents"):
-            load_tensors(path, bytes(32))
+        with pytest.raises(CacheError, match="other dataset contents"):
+            load_tensors(path, bytes(32), self.SHAPE, d=2)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(CacheError, match="not found"):
-            load_tensors(str(tmp_path / "absent.gct"), self.DIGEST)
+        with pytest.raises(CacheError, match="No such file"):
+            load_tensors(str(tmp_path / "absent.gct"), self.DIGEST, self.SHAPE, d=2)
 
     def test_documented_byte_layout(self, tmp_path):
-        # independent reader following the documented offsets
-        import struct
+        # independent reader: a stored zip of exactly the three documented
+        # .npy members, none of which needs pickle
+        import zipfile
 
-        grids, labels = self._grids()
+        grids = self._grids()
         path = str(tmp_path / "layout.gct")
-        save_tensors(path, grids, labels, d=2, procedure=Procedure.BETWEENNESS,
-                     seed=42, naive_ties=True, digest=self.DIGEST)
-        blob = open(path, "rb").read()
-        assert blob[:8] == b"GCTENSR\x00"
-        version, w, k, d, count = struct.unpack_from("<IIIII", blob, 8)
-        proc, flags = struct.unpack_from("<BB", blob, 28)
-        (seed,) = struct.unpack_from("<q", blob, 32)
-        assert (version, w, k, d, count) == (2, 4, 3, 2, 5)
-        assert proc == 0 and flags == 1 and seed == 42
-        assert blob[40:72] == self.DIGEST
-        assert list(struct.unpack_from("<5i", blob, 72)) == labels.tolist()
-        values = struct.unpack_from(f"<{5 * 4 * 3}H", blob, 92)
-        assert list(values) == grids.ravel().tolist()
-        assert len(blob) == 92 + 2 * 5 * 4 * 3
+        save_tensors(path, grids, self.DIGEST)
+        with zipfile.ZipFile(path) as archive:
+            infos = archive.infolist()
+            assert sorted(i.filename for i in infos) == ["digest.npy", "grids.npy", "version.npy"]
+            assert all(i.compress_type == zipfile.ZIP_STORED for i in infos)
+            members = {
+                i.filename[:-4]: np.lib.format.read_array(archive.open(i), allow_pickle=False)
+                for i in infos
+            }
+        assert members["grids"].dtype == np.dtype("<u2")
+        assert np.array_equal(members["grids"], grids)
+        assert members["version"].shape == () and int(members["version"]) == 3
+        assert members["digest"].dtype == np.uint8
+        assert members["digest"].tobytes() == self.DIGEST
