@@ -1,8 +1,10 @@
 """graphcaps command line: tensorize, run, grid, embed, report, selftest.
 
-Configuration precedence is CLI flags > config file > built-in defaults; the
-resolved configuration is echoed into a manifest before any compute starts,
-and every output directory can be reproduced from its manifest alone.
+Configuration precedence is CLI flags > config file > the defaults of
+:class:`~graphcaps.experiment.ExperimentConfig`, the one place a run setting
+has a default.  Each run, PTC parent, grid and embedding directory gets a
+manifest of its resolved configuration once its data has loaded, and can be
+reproduced from that manifest alone.
 """
 
 from __future__ import annotations
@@ -12,28 +14,20 @@ import dataclasses
 import json
 import os
 import sys
-from datetime import datetime, timezone
 
 import numpy as np
 
 from . import __version__
-from .data import dataset_checksums
 from .experiment import (
     ExperimentConfig,
     dataset_tensors,
-    grid_dir,
     grid_search,
     run_experiment,
     tensorize_cached,
+    write_manifest,
 )
 
 LABELLING_ALIASES = {"bc": "bc", "canonical": "canonical", "nauty": "canonical"}
-
-
-def _data_root(args) -> str:
-    if getattr(args, "data_root", None):
-        return args.data_root
-    return os.environ.get("GRAPHCAPS_DATA", "data")
 
 
 def read_config_file(path: str) -> dict:
@@ -51,50 +45,19 @@ def read_config_file(path: str) -> dict:
     return out
 
 
-def write_manifest(out_dir: str, args, resolved: dict) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    manifest = {
-        "command_line": sys.argv,
-        "resolved_config": resolved,
-        "version": __version__,
-        "started_utc": datetime.now(timezone.utc).isoformat(),
-    }
-    datasets = resolved.get("datasets") or [resolved.get("dataset")]
-    root = resolved.get("data_root")
-    if root:
-        manifest["dataset_checksums"] = {
-            name: dataset_checksums(root, name) for name in datasets if name
-        }
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-    return path
-
-
-def _experiment_config(args) -> ExperimentConfig:
-    return ExperimentConfig(
-        dataset=args.dataset,
-        labelling=LABELLING_ALIASES[args.labelling],
-        model=args.model,
-        preset=args.preset,
-        w=args.w,
-        k=args.k,
-        folds=args.folds,
-        seed=args.seed,
-        epochs=args.epochs,
-        base_lr=args.lr,
-        lr_decay=args.lr_decay,
-        batch_size=args.batch_size,
-        lam=args.lam,
-        alpha=args.alpha,
-        routing_iters=args.routing_iters,
-        loss_mode=args.loss_mode,
-        naive_ties=args.naive_ties,
-        jobs=args.jobs,
-        data_root=_data_root(args),
-        out_root=args.out_root,
-        cache_dir=args.cache_dir,
-    )
+def config_from_args(args) -> ExperimentConfig:
+    """The run the parsed flags describe.  Each flag that was given sets the
+    ExperimentConfig field of its name (``--lr`` sets ``base_lr``, and
+    ``nauty`` is ``canonical``); every other field keeps its default, except
+    that ``$GRAPHCAPS_DATA`` stands in for a missing ``--data-root``."""
+    given = {("base_lr" if key == "lr" else key): value
+             for key, value in vars(args).items() if value is not None}
+    if os.environ.get("GRAPHCAPS_DATA"):
+        given.setdefault("data_root", os.environ["GRAPHCAPS_DATA"])
+    if "labelling" in given:
+        given["labelling"] = LABELLING_ALIASES[given["labelling"]]
+    return ExperimentConfig(**{f.name: given[f.name]
+                               for f in dataclasses.fields(ExperimentConfig) if f.name in given})
 
 
 # ---------------------------------------------------------------------------
@@ -103,18 +66,7 @@ def _experiment_config(args) -> ExperimentConfig:
 
 
 def cmd_tensorize(args) -> int:
-    cfg = ExperimentConfig(
-        dataset=args.dataset,
-        labelling=LABELLING_ALIASES[args.labelling],
-        w=args.w,
-        k=args.k,
-        seed=args.seed,
-        naive_ties=args.naive_ties,
-        jobs=args.jobs,
-        data_root=_data_root(args),
-        out_root=args.out_root,
-        cache_dir=args.cache_dir,
-    )
+    cfg = config_from_args(args)
     for name in cfg.dataset_names():
         tensorize_cached(cfg, name, force=args.force)
     return 0
@@ -122,13 +74,10 @@ def cmd_tensorize(args) -> int:
 
 def cmd_run(args) -> int:
     repeats = max(1, args.repeats)
+    base = config_from_args(args)
     means = []
     for rep in range(repeats):
-        cfg = _experiment_config(args)
-        if repeats > 1:
-            cfg = dataclasses.replace(cfg, seed=args.seed + rep)
-        run_dir = cfg.run_dir()
-        write_manifest(run_dir, args, dict(cfg.to_dict(), datasets=cfg.dataset_names()))
+        cfg = dataclasses.replace(base, seed=base.seed + rep)
         result = run_experiment(cfg)
         means.append(result.mean_accuracy)
         print(
@@ -136,22 +85,19 @@ def cmd_run(args) -> int:
             f"{100 * result.mean_accuracy:.1f} ± {100 * result.std_accuracy:.2f} "
             f"(train {result.train_seconds_mean:.1f} ± {result.train_seconds_std:.1f} s/fold)"
         )
-        print(f"[run] outputs in {run_dir}")
+        print(f"[run] outputs in {cfg.run_dir()}")
     if repeats > 1:
         print(f"[run] mean over {repeats} repetitions: {100 * float(np.mean(means)):.2f}")
     return 0
 
 
 def cmd_grid(args) -> int:
-    cfg = _experiment_config(args)
     grid = {
         "epochs": [int(v) for v in args.epochs_grid.split(",")],
         "base_lr": [float(v) for v in args.lr_grid.split(",")],
         "lr_decay": [float(v) for v in args.decay_grid.split(",")],
     }
-    write_manifest(grid_dir(cfg, grid), args,
-                   dict(cfg.to_dict(), grid=grid, datasets=cfg.dataset_names()))
-    best_cfg, best_res, cells = grid_search(cfg, grid)
+    best_cfg, best_res, cells = grid_search(config_from_args(args), grid)
     print(f"[grid] {len(cells)} cells evaluated")
     print(
         f"[grid] best: epochs={best_cfg.epochs} lr={best_cfg.base_lr} "
@@ -174,12 +120,12 @@ def cmd_embed(args) -> int:
 
     source = EmbeddingSource(args.source)
     args.model = "cnn" if source is EmbeddingSource.CNN_INNER else "capsules"
-    cfg = _experiment_config(args)
-    out_dir = cfg.run_dir("embed_", f"_{source.value}")
-    write_manifest(out_dir, args, dict(cfg.to_dict(), source=source.value,
-                                       perplexity=args.perplexity, iters=args.iters))
-
+    cfg = config_from_args(args)
     x, y, w, channels, ds = dataset_tensors(cfg)
+    out_dir = cfg.run_dir("embed_", f"_{source.value}")
+    write_manifest(out_dir, cfg, source=source.value, perplexity=args.perplexity,
+                   iters=args.iters)
+
     model = None
     if source is not EmbeddingSource.RAW_TENSOR:
         model = cfg.build_model(w, channels, ds.num_classes, cfg.seed)
@@ -226,38 +172,43 @@ def cmd_selftest(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Run-setting flags declare no default of their own: config_from_args leaves
+# a flag that was not given to the ExperimentConfig default.
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--data-root", default=None,
+    p.add_argument("--data-root",
                    help="directory with TU-format datasets (default: $GRAPHCAPS_DATA or ./data)")
-    p.add_argument("--out-root", default="results", help="output directory root")
-    p.add_argument("--cache-dir", default=None, help="tensor cache directory")
-    p.add_argument("--jobs", type=int, default=None,
+    p.add_argument("--out-root", help="output directory root")
+    p.add_argument("--cache-dir", help="tensor cache directory")
+    p.add_argument("--jobs", type=int,
                    help="parallel workers for folds/extraction (default: available cores)")
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=int)
 
 
 def _add_tensor_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dataset", required=True, help="dataset id, e.g. MUTAG or PTC")
-    p.add_argument("--labelling", choices=sorted(LABELLING_ALIASES), default="bc",
+    p.add_argument("--labelling", choices=sorted(LABELLING_ALIASES),
                    help="node ranking procedure (nauty is an alias for canonical)")
-    p.add_argument("-w", type=int, default=None, help="anchors per graph (default: avg size)")
-    p.add_argument("-k", type=int, default=10, help="receptive field size")
+    p.add_argument("-w", type=int, help="anchors per graph (default: avg size)")
+    p.add_argument("-k", type=int, help="receptive field size")
     p.add_argument("--naive-ties", action="store_true",
                    help="plain node-index tie-breaking (not permutation-invariant)")
 
 
+def _add_cv_opts(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--model", choices=["capsules", "cnn"])
+    p.add_argument("--folds", type=int)
+
+
 def _add_train_opts(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", choices=["capsules", "cnn"], default="capsules")
-    p.add_argument("--preset", choices=["paper", "small"], default="small")
-    p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--lr-decay", type=float, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--lam", type=float, default=0.5, help="absent-class margin down-weight")
-    p.add_argument("--alpha", type=float, default=1.0, help="reconstruction loss scale")
-    p.add_argument("--routing-iters", type=int, default=3)
-    p.add_argument("--loss-mode", choices=["auto", "margin", "binary_ce"], default="auto")
+    p.add_argument("--preset", choices=["paper", "small"])
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--lr", type=float)
+    p.add_argument("--lr-decay", type=float)
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--lam", type=float, help="absent-class margin down-weight")
+    p.add_argument("--alpha", type=float, help="reconstruction loss scale")
+    p.add_argument("--routing-iters", type=int)
+    p.add_argument("--loss-mode", choices=["auto", "margin", "binary_ce"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -278,6 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="k-fold cross-validation of one model")
     _add_common(p)
     _add_tensor_opts(p)
+    _add_cv_opts(p)
     _add_train_opts(p)
     p.add_argument("--repeats", type=int, default=1,
                    help="repeat the full CV with consecutive seeds")
@@ -286,6 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grid", help="exhaustive hyper-parameter grid search")
     _add_common(p)
     _add_tensor_opts(p)
+    _add_cv_opts(p)
     _add_train_opts(p)
     p.add_argument("--epochs-grid", default="100,150,200")
     p.add_argument("--lr-grid", default="0.0005,0.001,0.005")

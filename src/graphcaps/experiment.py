@@ -1,11 +1,12 @@
 """Cross-validation harness: stratified folds, grid search, reports.
 
 A run is driven by one :class:`ExperimentConfig`; its outputs live under
-:meth:`ExperimentConfig.run_dir` as config.json (resolved config echo),
-folds.csv (deterministic per-fold payload), traces/fold_*.csv (loss traces),
-result.json (summary incl. timings) and report.csv / report.txt.  folds.csv
-intentionally contains no wall-clock values so a repeated run is
-byte-identical.
+:meth:`ExperimentConfig.run_dir` as manifest.json (resolved config, version
+and dataset checksums, written by :func:`write_manifest` once the data has
+loaded and before training), folds.csv (deterministic per-fold payload),
+traces/fold_*.csv (loss traces), result.json (summary incl. timings) and
+report.csv / report.txt.  folds.csv intentionally contains no wall-clock
+values so a repeated run is byte-identical.
 """
 
 from __future__ import annotations
@@ -14,17 +15,20 @@ import contextlib
 import csv
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import subprocess
+import sys
 import time
 import warnings
 from dataclasses import dataclass, field
+from datetime import datetime, timezone
 
 import numpy as np
 
 from . import __version__
-from .data import dataset_digest, load_tu_dataset, one_hot, permute_dataset
+from .data import dataset_checksums, dataset_digest, load_tu_dataset, one_hot, permute_dataset
 from .labelling import Procedure
 from .models import (
     CapsNetConfig,
@@ -49,30 +53,26 @@ PTC_SUBSETS = ("PTC_MM", "PTC_FM", "PTC_MR", "PTC_FR")
 # the run id leaves them out, so they never split a run's directory.
 UNHASHED = ("jobs", "out_root", "cache_dir", "data_root")
 
-# Architecture dims are fixed design decisions; the preset picks the training
-# schedule and the scaled-down capsule geometry for CI-speed runs.
+# Architecture dims are fixed design decisions; the preset picks the epoch
+# count and the scaled-down capsule geometry for CI-speed runs.
 PRESETS = {
     "paper": {
         "capsnet": dict(conv_filters=256, primary_channels=32, decoder_hidden=(512, 1024)),
         "epochs": 150,
         "epochs_cnn": 200,
-        "base_lr": 1e-3,
-        "lr_decay": 0.01,
-        "batch_size": 50,
     },
     "small": {
         "capsnet": dict(conv_filters=64, primary_channels=8, decoder_hidden=(128, 256)),
         "epochs": 60,
         "epochs_cnn": 120,
-        "base_lr": 1e-3,
-        "lr_decay": 0.01,
-        "batch_size": 50,
     },
 }
 
 
 @dataclass
 class ExperimentConfig:
+    """One run's settings, and the one place each of them has a default."""
+
     dataset: str
     labelling: str = "bc"  # bc | canonical
     model: str = "capsules"  # capsules | cnn
@@ -81,10 +81,10 @@ class ExperimentConfig:
     k: int = 10
     folds: int = 10
     seed: int = 1
-    epochs: int | None = None
-    base_lr: float | None = None
-    lr_decay: float | None = None
-    batch_size: int | None = None
+    epochs: int | None = None  # None -> the preset's count for the model
+    base_lr: float = 1e-3
+    lr_decay: float = 0.01
+    batch_size: int = 50
     lam: float = 0.5
     alpha: float = 1.0
     routing_iters: int = 3
@@ -109,12 +109,6 @@ class ExperimentConfig:
             self.epochs = preset["epochs_cnn"] if self.model == "cnn" else preset["epochs"]
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.base_lr is None:
-            self.base_lr = preset["base_lr"]
-        if self.lr_decay is None:
-            self.lr_decay = preset["lr_decay"]
-        if self.batch_size is None:
-            self.batch_size = preset["batch_size"]
         if self.jobs is None:
             self.jobs = max(1, os.cpu_count() or 1)
         if self.cache_dir is None:
@@ -328,6 +322,32 @@ def dataset_tensors(cfg: ExperimentConfig, name: str | None = None, log=print):
     return one_hot(grids, ds.num_node_labels), y, w, ds.num_node_labels + 1, ds
 
 
+def load_datasets(cfg: ExperimentConfig, log=print) -> None:
+    """Load and tensorize every dataset the config reads, through the tensor
+    cache, so a missing or unusable one fails before any output directory of
+    a multi-dataset run exists; the runs then read the warm cache."""
+    for name in cfg.dataset_names():
+        tensorize_cached(cfg, name, log=log)
+
+
+def write_manifest(out_dir: str, cfg: ExperimentConfig, **extra) -> None:
+    """``<out_dir>/manifest.json``: the command line, the resolved config with
+    its dataset list and ``extra``, the version, and the sha256 of every file
+    of every dataset the config reads.  Callers write it once those datasets
+    have loaded, so no manifest stands for input that failed to load."""
+    os.makedirs(out_dir, exist_ok=True)
+    manifest = {
+        "command_line": sys.argv,
+        "resolved_config": dict(cfg.to_dict(), datasets=cfg.dataset_names(), **extra),
+        "version": __version__,
+        "started_utc": datetime.now(timezone.utc).isoformat(),
+        "dataset_checksums": {name: dataset_checksums(cfg.data_root, name)
+                              for name in cfg.dataset_names()},
+    }
+    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+
+
 def fold_seed(base_seed: int, fold: int) -> int:
     return (base_seed * 0x9E3779B1 + fold * 0x85EBCA77) % (1 << 32)
 
@@ -382,20 +402,19 @@ def _write_trace_csv(path: str, trace: list) -> None:
 def run_cv(cfg: ExperimentConfig, name: str | None = None, run_dir: str | None = None,
            log=print) -> ExperimentResult:
     """Stratified k-fold cross-validation of one (dataset, labelling, model)
-    cell.  Folds already in the run directory's folds_partial.json are
+    cell.  The run directory and its manifest appear only once the dataset
+    has loaded.  Folds already in the run directory's folds_partial.json are
     reused, so an interrupted run resumes at the next fold; the run id keeps
     other configs and other dataset contents out of that directory."""
     name = name or cfg.dataset
+    x, y, w, channels, ds = dataset_tensors(cfg, name, log=log)
     run_dir = run_dir or cfg.run_dir()
-    os.makedirs(run_dir, exist_ok=True)
     os.makedirs(os.path.join(run_dir, "traces"), exist_ok=True)
+    write_manifest(run_dir, cfg)
     partial = os.path.join(run_dir, "folds_partial.json")
-    with open(os.path.join(run_dir, "config.json"), "w") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
     if cfg.jobs > 1 and threadpool_limits is None:
         log("[run] threadpoolctl missing: BLAS threads in fold workers are not capped")
 
-    x, y, w, channels, ds = dataset_tensors(cfg, name, log=log)
     folds = kfold_split(len(x), cfg.folds, cfg.seed, strata=y)
 
     done = {}
@@ -454,7 +473,9 @@ def run_experiment(cfg: ExperimentConfig, log=print) -> ExperimentResult:
     names = cfg.dataset_names()
     if names == [cfg.dataset]:
         return run_cv(cfg, log=log)
+    load_datasets(cfg, log=log)
     parent = cfg.run_dir()
+    write_manifest(parent, cfg)
     subresults = []
     for sub in names:
         sub_dir = os.path.join(parent, sub)
@@ -471,44 +492,51 @@ def run_experiment(cfg: ExperimentConfig, log=print) -> ExperimentResult:
         config=cfg.to_dict(),
         version=version_stamp(),
     )
-    os.makedirs(parent, exist_ok=True)
     with open(os.path.join(parent, "result.json"), "w") as fh:
         json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
     emit_report([result], parent)
     return result
 
 
+def _grid_cells(cfg: ExperimentConfig, grid: dict) -> list:
+    """The config of every cell, in grid.csv order; an axis missing from
+    ``grid`` takes the base config's value."""
+    axes = [list(grid.get(key, [getattr(cfg, key)])) for key in ("epochs", "base_lr", "lr_decay")]
+    if not all(axes):
+        raise ValueError("grid axes must be non-empty")
+    return [
+        dataclasses.replace(cfg, epochs=int(epochs), base_lr=float(lr), lr_decay=float(decay))
+        for epochs, lr, decay in itertools.product(*axes)
+    ]
+
+
 def grid_dir(cfg: ExperimentConfig, grid: dict) -> str:
-    """``<out_root>/grid_<run id>_<10 hex of a sha256 over the grid axes>``,
-    so grid searches that differ only in their axes never share a directory."""
+    """``<out_root>/grid_<first cell's run id>_<10 hex of a sha256 over the
+    grid axes>``.  Every cell overrides the base config's epochs, base_lr and
+    lr_decay, so those name the directory only through the axes, and grid
+    searches that differ only in their axes never share a directory."""
     axes = hashlib.sha256(json.dumps(grid, sort_keys=True).encode("utf-8")).hexdigest()
-    return cfg.run_dir("grid_", "_" + axes[:10])
+    return _grid_cells(cfg, grid)[0].run_dir("grid_", "_" + axes[:10])
 
 
 def grid_search(cfg: ExperimentConfig, grid: dict, log=print):
     """Exhaustive product over {epochs, base_lr, lr_decay} lists.
 
-    Each cell is an ordinary :func:`run_experiment` under :func:`grid_dir`.
+    Each cell is an ordinary :func:`run_experiment` under :func:`grid_dir`,
+    whose manifest records the first cell's config and the axes.
     Ties on mean CV accuracy break toward fewer epochs, then lower lr.
     Returns (best ExperimentConfig, best ExperimentResult, all cell results).
     """
-    epochs_list = list(grid.get("epochs", [cfg.epochs]))
-    lr_list = list(grid.get("base_lr", [cfg.base_lr]))
-    decay_list = list(grid.get("lr_decay", [cfg.lr_decay]))
-    if not epochs_list or not lr_list or not decay_list:
-        raise ValueError("grid axes must be non-empty")
-
+    cell_cfgs = _grid_cells(cfg, grid)
+    load_datasets(cfg, log=log)
     parent = grid_dir(cfg, grid)
+    write_manifest(parent, cell_cfgs[0], grid=grid)
     cells = []
-    for epochs in epochs_list:
-        for lr in lr_list:
-            for decay in decay_list:
-                cell_cfg = dataclasses.replace(
-                    cfg, epochs=int(epochs), base_lr=float(lr), lr_decay=float(decay),
-                    out_root=parent,
-                )
-                log(f"[grid] cell epochs={epochs} lr={lr} decay={decay}")
-                cells.append((cell_cfg, run_experiment(cell_cfg, log=log)))
+    for cell_cfg in cell_cfgs:
+        log(f"[grid] cell epochs={cell_cfg.epochs} lr={cell_cfg.base_lr} "
+            f"decay={cell_cfg.lr_decay}")
+        cell_cfg = dataclasses.replace(cell_cfg, out_root=parent)
+        cells.append((cell_cfg, run_experiment(cell_cfg, log=log)))
 
     with open(os.path.join(parent, "grid.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)

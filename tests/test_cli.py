@@ -58,6 +58,12 @@ class TestTensorizeCommand:
         assert result.returncode == 1
         assert "NOPE" in result.stderr and "not found" in result.stderr
 
+    def test_data_root_falls_back_to_environment(self, syn_root, tmp_path, monkeypatch):
+        monkeypatch.setenv("GRAPHCAPS_DATA", syn_root)
+        out_root = str(tmp_path / "results")
+        assert main(["tensorize", "--dataset", "SYN", "--out-root", out_root, "-w", "5"]) == 0
+        assert os.listdir(os.path.join(out_root, "cache")) == ["SYN_bc_w5_k10_seed1.gct"]
+
     def test_nauty_alias_maps_to_canonical(self, syn_root, tmp_path):
         out_root = str(tmp_path / "results")
         assert main(["tensorize", "--dataset", "SYN", "--data-root", syn_root,
@@ -96,6 +102,23 @@ class TestRunCommand:
         result = run_cli(["run", "--dataset", "X", "--frobnicate"])
         assert result.returncode == 2
         assert "usage" in result.stderr.lower()
+
+    @pytest.mark.parametrize("command, dataset", [("run", "NOPE"), ("run", "PTC"),
+                                                  ("grid", "PTC")])
+    def test_input_that_fails_to_load_leaves_no_output(self, tu_dir, tmp_path, command,
+                                                        dataset):
+        # PTC_FR is missing, so the last PTC sub-dataset fails to load
+        for i, sub in enumerate(("PTC_MM", "PTC_FM", "PTC_MR")):
+            write_tu_files(tu_dir, sub, synthetic_dataset_graphs(num_graphs=12, seed=i))
+        out_root = tmp_path / "results"
+        out_root.mkdir()
+        argv = [command, "--dataset", dataset, "--data-root", tu_dir, "--out-root",
+                str(out_root), "--cache-dir", str(tmp_path / "cache"), "--folds", "3",
+                "--epochs", "1"]
+        if command == "grid":
+            argv += ["--epochs-grid", "1", "--lr-grid", "0.001", "--decay-grid", "0.0"]
+        assert main(argv) == 1
+        assert os.listdir(out_root) == []
 
     def test_repeats_prints_mean(self, syn_root, tmp_path, capsys):
         rc = main(["run", "--dataset", "SYN", "--data-root", syn_root,
@@ -136,6 +159,17 @@ class TestGridCommand:
             epochs.add(rows[1].split(",")[0])
         assert epochs == {"1", "2"}
 
+    def test_base_schedule_does_not_split_a_grid(self, syn_root, tmp_path):
+        out_root = str(tmp_path / "results")
+        for epochs in ("3", "4"):
+            assert main(["grid", "--dataset", "SYN", "--data-root", syn_root,
+                         "--out-root", out_root, "--folds", "3", "--epochs", epochs,
+                         "--epochs-grid", "1", "--lr-grid", "0.001",
+                         "--decay-grid", "0.0"]) == 0
+        (grid,) = [d for d in os.listdir(out_root) if d.startswith("grid_")]
+        cells = [d for d in os.listdir(os.path.join(out_root, grid)) if d.startswith("SYN_")]
+        assert len(cells) == 1 and "_e1_" in cells[0]
+
 
 class TestConfigFile:
     def test_parse_and_coerce(self, tmp_path):
@@ -146,16 +180,20 @@ class TestConfigFile:
 
     def test_config_provides_defaults_cli_overrides(self, syn_root, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"data_root = {syn_root}\nfolds = 3\nepochs = 1\n")
+        cfg.write_text(f"data_root = {syn_root}\nfolds = 3\nepochs = 1\n"
+                       "lr = 0.005\nnaive_ties = true\n")
         out_root = str(tmp_path / "results")
         rc = main(["--config", str(cfg), "run", "--dataset", "SYN",
                    "--out-root", out_root, "--epochs", "2"])
         assert rc == 0
         run_dirs = os.listdir(out_root)
         run_dir = next(d for d in run_dirs if d.startswith("SYN"))
-        config = json.load(open(os.path.join(out_root, run_dir, "config.json")))
+        manifest = json.load(open(os.path.join(out_root, run_dir, "manifest.json")))
+        config = manifest["resolved_config"]
         assert config["folds"] == 3   # from file
         assert config["epochs"] == 2  # CLI wins
+        assert config["base_lr"] == 0.005  # --lr is the one flag named unlike its field
+        assert config["naive_ties"] is True
 
     def test_misspelled_key_rejected(self, syn_root, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -184,6 +222,8 @@ class TestEmbedAndReport:
         (name,) = [d for d in os.listdir(out_root) if d.startswith("embed_")]
         assert name.startswith("embed_SYN_bc_capsules_small_") and name.endswith("_raw")
         out_dir = os.path.join(out_root, name)
+        manifest = json.load(open(os.path.join(out_dir, "manifest.json")))
+        assert manifest["resolved_config"]["source"] == "raw"
         assert os.path.isfile(os.path.join(out_dir, "embeddings.csv"))
         assert os.path.isfile(os.path.join(out_dir, "distances.csv"))
         assert "KL" in capsys.readouterr().out
@@ -197,10 +237,20 @@ class TestEmbedAndReport:
         assert "training capsules" in capsys.readouterr().out
 
     def test_embed_ptc_names_the_subdatasets(self, ptc_root, tmp_path, capsys):
+        out_root = tmp_path / "results"
         rc = main(["embed", "--dataset", "PTC", "--data-root", ptc_root,
-                   "--out-root", str(tmp_path / "results"), "--source", "raw"])
+                   "--out-root", str(out_root), "--source", "raw"])
         assert rc == 1
         assert "PTC_MM, PTC_FM, PTC_MR, PTC_FR" in capsys.readouterr().err
+        assert not out_root.exists()
+
+    @pytest.mark.parametrize("flag", [["--model", "cnn"], ["--folds", "3"]])
+    def test_embed_rejects_cv_flags(self, flag, capsys):
+        # the source picks the model, and embed trains on the full dataset
+        with pytest.raises(SystemExit) as exc:
+            main(["embed", "--dataset", "SYN", "--source", "caps", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_report_combines_runs(self, syn_root, tmp_path, capsys):
         out_root = str(tmp_path / "results")

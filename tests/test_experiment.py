@@ -95,7 +95,7 @@ class TestRunCV:
         assert res.mean_accuracy == pytest.approx(np.mean(res.fold_accuracies))
         assert res.std_accuracy == pytest.approx(np.std(res.fold_accuracies))
         run_dir = os.path.join(cfg.out_root, cfg.run_id())
-        for name in ("config.json", "folds.csv", "result.json", "report.csv", "report.txt"):
+        for name in ("manifest.json", "folds.csv", "result.json", "report.csv", "report.txt"):
             assert os.path.isfile(os.path.join(run_dir, name))
         assert os.path.isfile(os.path.join(run_dir, "traces", "fold_0.csv"))
 
@@ -266,8 +266,10 @@ class TestRunCV:
         assert res.dataset == "PTC"
         assert len(res.fold_accuracies) == 12  # 4 sub-datasets x 3 folds
         parent = os.path.join(cfg.out_root, cfg.run_id())
+        assert os.path.isfile(os.path.join(parent, "manifest.json"))
         for sub in ("PTC_MM", "PTC_FM", "PTC_MR", "PTC_FR"):
             assert os.path.isfile(os.path.join(parent, sub, "result.json"))
+            assert os.path.isfile(os.path.join(parent, sub, "manifest.json"))
 
 
 class TestGridSearch:
