@@ -2,34 +2,24 @@
 """Representation analysis: t-SNE embeddings + cluster distances for the raw
 tensors, the CNN inner layer, and the primary-capsule layer of one dataset.
 
-Usage: python scripts/embed_representations.py --dataset MUTAG --perplexity 10
-(the reference choices are perplexity 10 for MUTAG, 200 for PROTEINS)
+Usage: python scripts/embed_representations.py [graphcaps embed flags]
+Fixes MUTAG, the small preset, 1000 t-SNE iterations and results/embeddings;
+any `graphcaps embed` flag that follows wins, e.g. --dataset PROTEINS
+--perplexity 200 (the reference choices are perplexity 10 for MUTAG, 200 for
+PROTEINS).
 """
 
-import argparse
-import os
 import sys
 
 from graphcaps.cli import main as cli_main
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--dataset", default="MUTAG")
-    parser.add_argument("--data-root", default=os.environ.get("GRAPHCAPS_DATA", "data"))
-    parser.add_argument("--out-root", default="results/embeddings")
-    parser.add_argument("--perplexity", type=float, default=10.0)
-    parser.add_argument("--iters", type=int, default=1000)
-    parser.add_argument("--preset", choices=["paper", "small"], default="small")
-    parser.add_argument("--seed", type=int, default=1)
-    args = parser.parse_args()
-
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     for source in ("raw", "cnn", "caps"):
         rc = cli_main([
-            "embed", "--dataset", args.dataset, "--source", source,
-            "--perplexity", str(args.perplexity), "--iters", str(args.iters),
-            "--preset", args.preset, "--seed", str(args.seed),
-            "--data-root", args.data_root, "--out-root", args.out_root,
+            "embed", "--dataset", "MUTAG", "--source", source, "--preset", "small",
+            "--iters", "1000", "--out-root", "results/embeddings", *argv,
         ])
         if rc != 0:
             return rc

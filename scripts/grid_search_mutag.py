@@ -2,32 +2,21 @@
 """Hyper-parameter grid search on MUTAG: epochs x learning rate x decay
 (36 cells at the default grid), 10-fold CV per cell.
 
-Usage: python scripts/grid_search_mutag.py [--data-root DIR] [--preset small]
+Usage: python scripts/grid_search_mutag.py [graphcaps grid flags]
+Fixes MUTAG, BC + capsules, the small preset and results/grid; any
+`graphcaps grid` flag that follows wins, e.g. --preset paper --seed 7.
 """
 
-import argparse
-import os
 import sys
 
 from graphcaps.cli import main as cli_main
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--data-root", default=os.environ.get("GRAPHCAPS_DATA", "data"))
-    parser.add_argument("--out-root", default="results/grid")
-    parser.add_argument("--preset", choices=["paper", "small"], default="small")
-    parser.add_argument("--epochs-grid", default="100,150,200")
-    parser.add_argument("--lr-grid", default="0.0005,0.001,0.005")
-    parser.add_argument("--decay-grid", default="0.25,0.4,0.75,1.5")
-    parser.add_argument("--seed", type=int, default=1)
-    args = parser.parse_args()
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     return cli_main([
         "grid", "--dataset", "MUTAG", "--labelling", "bc", "--model", "capsules",
-        "--preset", args.preset, "--folds", "10", "--seed", str(args.seed),
-        "--epochs-grid", args.epochs_grid, "--lr-grid", args.lr_grid,
-        "--decay-grid", args.decay_grid,
-        "--data-root", args.data_root, "--out-root", args.out_root,
+        "--preset", "small", "--out-root", "results/grid", *argv,
     ])
 
 

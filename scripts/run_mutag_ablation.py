@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""Full MUTAG ablation at paper scale: both labelling procedures x both
-classifiers, 10-fold CV, one combined report.
+"""Full MUTAG ablation at paper scale: both labellings x both classifiers,
+10-fold CV, one combined report.
 
-Usage: python scripts/run_mutag_ablation.py [--data-root DIR] [--preset paper]
+Usage: python scripts/run_mutag_ablation.py [graphcaps run flags]
+Fixes MUTAG, the paper preset and results/mutag_ablation; any `graphcaps run`
+flag that follows wins, e.g. --data-root DIR --preset small.
 Expects MUTAG in TU flat-file format under the data root.
 """
 
@@ -11,33 +13,30 @@ import os
 import sys
 
 from graphcaps.cli import main as cli_main
+from graphcaps.labelling import LABELLINGS
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--data-root", default=os.environ.get("GRAPHCAPS_DATA", "data"))
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the report needs the out-root the runs wrote to
+    parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument("--out-root", default="results/mutag_ablation")
-    parser.add_argument("--preset", choices=["paper", "small"], default="paper")
-    parser.add_argument("--seed", type=int, default=1)
-    args = parser.parse_args()
+    out_root = parser.parse_known_args(argv)[0].out_root
 
-    run_dirs = []
-    for labelling in ("bc", "canonical"):
+    for labelling in LABELLINGS:
         for model in ("capsules", "cnn"):
             rc = cli_main([
-                "run", "--dataset", "MUTAG", "--labelling", labelling,
-                "--model", model, "--preset", args.preset, "--folds", "10",
-                "--seed", str(args.seed), "--data-root", args.data_root,
-                "--out-root", args.out_root,
+                "run", "--dataset", "MUTAG", "--labelling", labelling, "--model", model,
+                "--preset", "paper", "--out-root", out_root, *argv,
             ])
             if rc != 0:
                 return rc
-            run_dirs = [
-                os.path.join(args.out_root, d)
-                for d in os.listdir(args.out_root)
-                if os.path.isfile(os.path.join(args.out_root, d, "result.json"))
-            ]
-    return cli_main(["report", *sorted(run_dirs), "-o", os.path.join(args.out_root, "report")])
+    run_dirs = [
+        os.path.join(out_root, d)
+        for d in os.listdir(out_root)
+        if os.path.isfile(os.path.join(out_root, d, "result.json"))
+    ]
+    return cli_main(["report", *sorted(run_dirs), "-o", os.path.join(out_root, "report")])
 
 
 if __name__ == "__main__":

@@ -2,27 +2,22 @@
 """PTC reproduction at reduced scale: BC + capsules over the four animal
 sub-datasets (MM/FM/MR/FR), small preset, averaged per convention.
 
-Usage: python scripts/run_ptc_small.py [--data-root DIR]
+Usage: python scripts/run_ptc_small.py [graphcaps run flags]
+Fixes PTC, BC + capsules, the small preset and results/ptc_small; any
+`graphcaps run` flag that follows wins, e.g. --data-root DIR.
 Expects PTC_MM, PTC_FM, PTC_MR, PTC_FR under the data root.
 """
 
-import argparse
-import os
 import sys
 
 from graphcaps.cli import main as cli_main
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--data-root", default=os.environ.get("GRAPHCAPS_DATA", "data"))
-    parser.add_argument("--out-root", default="results/ptc_small")
-    parser.add_argument("--seed", type=int, default=1)
-    args = parser.parse_args()
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     return cli_main([
         "run", "--dataset", "PTC", "--labelling", "bc", "--model", "capsules",
-        "--preset", "small", "--folds", "10", "--seed", str(args.seed),
-        "--data-root", args.data_root, "--out-root", args.out_root,
+        "--preset", "small", "--out-root", "results/ptc_small", *argv,
     ])
 
 

@@ -26,8 +26,8 @@ from .experiment import (
     tensorize_cached,
     write_manifest,
 )
-
-LABELLING_ALIASES = {"bc": "bc", "canonical": "canonical", "nauty": "canonical"}
+from .labelling import LABELLINGS
+from .models import LOSS_MODES
 
 
 def read_config_file(path: str) -> dict:
@@ -54,8 +54,8 @@ def config_from_args(args) -> ExperimentConfig:
              for key, value in vars(args).items() if value is not None}
     if os.environ.get("GRAPHCAPS_DATA"):
         given.setdefault("data_root", os.environ["GRAPHCAPS_DATA"])
-    if "labelling" in given:
-        given["labelling"] = LABELLING_ALIASES[given["labelling"]]
+    if given.get("labelling") == "nauty":
+        given["labelling"] = "canonical"
     return ExperimentConfig(**{f.name: given[f.name]
                                for f in dataclasses.fields(ExperimentConfig) if f.name in given})
 
@@ -186,7 +186,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _add_tensor_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dataset", required=True, help="dataset id, e.g. MUTAG or PTC")
-    p.add_argument("--labelling", choices=sorted(LABELLING_ALIASES),
+    p.add_argument("--labelling", choices=[*LABELLINGS, "nauty"],
                    help="node ranking procedure (nauty is an alias for canonical)")
     p.add_argument("-w", type=int, help="anchors per graph (default: avg size)")
     p.add_argument("-k", type=int, help="receptive field size")
@@ -208,7 +208,7 @@ def _add_train_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lam", type=float, help="absent-class margin down-weight")
     p.add_argument("--alpha", type=float, help="reconstruction loss scale")
     p.add_argument("--routing-iters", type=int)
-    p.add_argument("--loss-mode", choices=["auto", "margin", "binary_ce"])
+    p.add_argument("--loss-mode", choices=LOSS_MODES)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -29,8 +29,9 @@ import numpy as np
 
 from . import __version__
 from .data import dataset_checksums, dataset_digest, load_tu_dataset, one_hot, permute_dataset
-from .labelling import Procedure
+from .labelling import LABELLINGS
 from .models import (
+    LOSS_MODES,
     CapsNetConfig,
     CnnConfig,
     TrainConfig,
@@ -74,7 +75,7 @@ class ExperimentConfig:
     """One run's settings, and the one place each of them has a default."""
 
     dataset: str
-    labelling: str = "bc"  # bc | canonical
+    labelling: str = "bc"  # one of labelling.LABELLINGS
     model: str = "capsules"  # capsules | cnn
     preset: str = "small"
     w: int | None = None
@@ -100,7 +101,7 @@ class ExperimentConfig:
             raise ValueError("folds must be >= 2")
         if self.preset not in PRESETS:
             raise ValueError(f"unknown preset {self.preset!r}")
-        if self.labelling not in ("bc", "canonical"):
+        if self.labelling not in LABELLINGS:
             raise ValueError(f"unknown labelling {self.labelling!r}")
         if self.model not in ("capsules", "cnn"):
             raise ValueError(f"unknown model {self.model!r}")
@@ -109,14 +110,16 @@ class ExperimentConfig:
             self.epochs = preset["epochs_cnn"] if self.model == "cnn" else preset["epochs"]
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.routing_iters < 1:
+            raise ValueError("routing_iters must be >= 1")
+        if self.loss_mode not in LOSS_MODES:
+            raise ValueError(f"unknown loss_mode {self.loss_mode!r}")
         if self.jobs is None:
             self.jobs = max(1, os.cpu_count() or 1)
         if self.cache_dir is None:
             self.cache_dir = os.path.join(self.out_root, "cache")
-
-    @property
-    def procedure(self) -> Procedure:
-        return Procedure.BETWEENNESS if self.labelling == "bc" else Procedure.CANONICAL
 
     def capsnet_config(self) -> CapsNetConfig:
         return CapsNetConfig(
@@ -287,7 +290,7 @@ def tensorize_cached(cfg: ExperimentConfig, name: str | None = None, force: bool
     digest = dataset_digest(cfg.data_root, name)
     naive = "-naive" if cfg.naive_ties else ""
     cache_path = os.path.join(
-        cfg.cache_dir, f"{name}_{cfg.procedure.value}{naive}_w{w}_k{cfg.k}_seed{cfg.seed}.gct"
+        cfg.cache_dir, f"{name}_{cfg.labelling}{naive}_w{w}_k{cfg.k}_seed{cfg.seed}.gct"
     )
     if os.path.isfile(cache_path) and not force:
         try:
@@ -300,7 +303,7 @@ def tensorize_cached(cfg: ExperimentConfig, name: str | None = None, force: bool
             return grids, y, w, ds
     t0 = time.perf_counter()
     grids = tensorize_dataset(
-        permute_dataset(ds, cfg.seed), w=w, k=cfg.k, procedure=cfg.procedure,
+        permute_dataset(ds, cfg.seed), w=w, k=cfg.k, labelling=cfg.labelling,
         naive_ties=cfg.naive_ties, jobs=cfg.jobs,
     )
     save_tensors(cache_path, grids, digest)
@@ -332,14 +335,15 @@ def load_datasets(cfg: ExperimentConfig, log=print) -> None:
 
 def write_manifest(out_dir: str, cfg: ExperimentConfig, **extra) -> None:
     """``<out_dir>/manifest.json``: the command line, the resolved config with
-    its dataset list and ``extra``, the version, and the sha256 of every file
-    of every dataset the config reads.  Callers write it once those datasets
-    have loaded, so no manifest stands for input that failed to load."""
+    its dataset list and ``extra``, the :func:`version_stamp`, and the sha256
+    of every file of every dataset the config reads.  Callers write it once
+    those datasets have loaded, so no manifest stands for input that failed to
+    load."""
     os.makedirs(out_dir, exist_ok=True)
     manifest = {
         "command_line": sys.argv,
         "resolved_config": dict(cfg.to_dict(), datasets=cfg.dataset_names(), **extra),
-        "version": __version__,
+        "version": version_stamp(),
         "started_utc": datetime.now(timezone.utc).isoformat(),
         "dataset_checksums": {name: dataset_checksums(cfg.data_root, name)
                               for name in cfg.dataset_names()},

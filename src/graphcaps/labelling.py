@@ -1,16 +1,16 @@
-"""Node-ranking procedures that drive node selection and ordering.
+"""Node rankings that drive node selection and ordering.
 
-Three building blocks: Brandes betweenness centrality, Weisfeiler-Lehman
-colour refinement, and a canonical node ordering computed by backtracking
-individualization-refinement.  All of them are pure functions of the input
-graph and deterministic, so rankings are reproducible bit-for-bit.
+:data:`LABELLINGS` names the rankings a run can choose.  Three building
+blocks serve them: Brandes betweenness centrality, Weisfeiler-Lehman colour
+refinement, and a canonical node ordering computed by backtracking
+individualization-refinement.  Each returns plain numpy arrays.  All of them
+are pure functions of the input graph and deterministic, so rankings are
+reproducible bit-for-bit.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass, replace
-from enum import Enum
 
 import numpy as np
 
@@ -20,32 +20,13 @@ from .data import Graph
 # beyond benchmark scale.
 MAX_CANONICAL_NODES = 10_000
 
+# The node rankings a run may choose: betweenness centrality or the canonical
+# order.  Every other module reads the names from here.
+LABELLINGS = ("bc", "canonical")
+
 
 class CapacityError(RuntimeError):
     """Input exceeds the configured size bound of an exact procedure."""
-
-
-class Procedure(str, Enum):
-    BETWEENNESS = "bc"
-    CANONICAL = "canonical"
-
-
-@dataclass
-class NodeRanking:
-    """A total node order, most-important first, the scores behind it, and the
-    key that orders receptive-field members (see :func:`rank_nodes`; in
-    :func:`canonical_order`'s own result it is the canonical position)."""
-
-    order: np.ndarray
-    scores: np.ndarray
-    procedure: Procedure
-    member_key: np.ndarray
-
-
-@dataclass
-class WLColoring:
-    colors: np.ndarray
-    rounds: int
 
 
 def betweenness_centrality(g: Graph) -> np.ndarray:
@@ -87,8 +68,9 @@ def betweenness_centrality(g: Graph) -> np.ndarray:
     return bc / 2.0
 
 
-def wl_refine(g: Graph, init=None, rounds: int | None = None) -> WLColoring:
+def wl_refine(g: Graph, init=None, rounds: int | None = None) -> np.ndarray:
     """Colour refinement: colour := hash(colour, sorted neighbour colours).
+    Returns the int64 colour of every node.
 
     Colour ids are canonicalized each round by the lexicographic rank of the
     (previous colour, neighbour multiset) signature, so the colouring does not
@@ -106,20 +88,17 @@ def wl_refine(g: Graph, init=None, rounds: int | None = None) -> WLColoring:
     colors = [rank[c] for c in init]
     num = len(rank)
 
-    limit = g.n if rounds is None else rounds
-    done = 0
-    while done < limit:
+    for _ in range(g.n if rounds is None else rounds):
         sigs = [(colors[v], tuple(sorted(colors[u] for u in adj[v]))) for v in range(g.n)]
         sig_rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
         new_colors = [sig_rank[s] for s in sigs]
-        done += 1
         if len(sig_rank) == num:
             # no cell split => partition stable; ids also coincide because the
             # signature sort is dominated by the previous colour
             colors = new_colors
             break
         colors, num = new_colors, len(sig_rank)
-    return WLColoring(colors=np.array(colors, dtype=np.int64), rounds=done)
+    return np.array(colors, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +191,9 @@ def _certificate(g: Graph, order):
     return np.packbits(bits).tobytes() + labels
 
 
-def canonical_order(g: Graph) -> NodeRanking:
-    """A node ordering that depends only on the isomorphism class of ``g``.
+def canonical_order(g: Graph) -> np.ndarray:
+    """A node ordering that depends only on the isomorphism class of ``g``:
+    the int64 array of nodes, canonically first to last.
 
     Search: refine the label partition to an equitable one, collapse twin
     cells, then branch on every vertex of the first non-singleton cell
@@ -264,20 +244,12 @@ def canonical_order(g: Graph) -> NodeRanking:
             descend(branched)
 
     descend(initial)
-    order = np.array(best["order"], dtype=np.int64)
-    pos = np.empty_like(order)
-    pos[order] = np.arange(g.n)
-    return NodeRanking(
-        order=order,
-        scores=(g.n - pos).astype(np.float64),  # earlier = higher
-        procedure=Procedure.CANONICAL,
-        member_key=pos,
-    )
+    return np.array(best["order"], dtype=np.int64)
 
 
 def canonical_certificate(g: Graph) -> bytes:
     """Certificate bytes of ``g``; equal iff two graphs are isomorphic."""
-    return _certificate(g, canonical_order(g).order.tolist())
+    return _certificate(g, canonical_order(g).tolist())
 
 
 def _relabel(g: Graph, order) -> Graph:
@@ -292,37 +264,38 @@ def _relabel(g: Graph, order) -> Graph:
     return Graph(n=g.n, edges=edges, node_labels=labels, class_label=g.class_label)
 
 
-def rank_nodes(g: Graph, procedure: Procedure, naive_ties: bool = False) -> NodeRanking:
-    """Total node ordering under the chosen procedure, and the member key that
-    orders each receptive field's hop rings (smaller first).
+def rank_nodes(
+    g: Graph, labelling: str, naive_ties: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, member_key)`` under the labelling named ``labelling``, one of
+    :data:`LABELLINGS`: the int64 node order, most important first, and the
+    int64 key that orders each receptive field's hop rings (smaller first).
 
-    The member key packs (WL colour, canonical position) into one integer,
-    ``wl[v] * n + canonical_pos[v]``; betweenness ranks by (score desc, member
-    key asc), so ties break isomorphism-consistently.  To keep the *floats*
-    identical across relabellings of the same graph, Brandes runs on the
-    canonically relabelled graph and scores are mapped back (the summation
-    order, hence rounding, then no longer depends on input ids).
-    ``naive_ties`` makes the member key the node index, and BC scores are then
-    computed in input order; that variant is intentionally not
-    permutation-invariant and exists for fidelity experiments.
+    ``canonical`` ranks by canonical position.  The member key packs (WL
+    colour, canonical position) into one integer, ``wl[v] * n + pos[v]``;
+    ``bc`` ranks by (betweenness desc, member key asc), so ties break
+    isomorphism-consistently.  To keep the *floats* identical across
+    relabellings of the same graph, Brandes runs on the canonically relabelled
+    graph and scores are mapped back (the summation order, hence rounding,
+    then no longer depends on input ids).  ``naive_ties`` makes the member key
+    the node index, and BC scores are then computed in input order; that
+    variant is intentionally not permutation-invariant and exists for fidelity
+    experiments.
     """
-    if procedure is not Procedure.BETWEENNESS and procedure is not Procedure.CANONICAL:
-        raise ValueError(f"unknown procedure: {procedure!r}")
+    if labelling not in LABELLINGS:
+        raise ValueError(f"unknown labelling {labelling!r}; expected one of {LABELLINGS}")
     if naive_ties:
         member_key = np.arange(g.n, dtype=np.int64)
-        if procedure is Procedure.CANONICAL:
-            return replace(canonical_order(g), member_key=member_key)
+        if labelling == "canonical":
+            return canonical_order(g), member_key
         scores = betweenness_centrality(g)
     else:
-        canon = canonical_order(g)
-        member_key = wl_refine(g).colors * g.n + canon.member_key
-        if procedure is Procedure.CANONICAL:
-            return replace(canon, member_key=member_key)
-        scores = betweenness_centrality(_relabel(g, canon.order.tolist()))[canon.member_key]
+        order = canonical_order(g)
+        pos = np.empty_like(order)
+        pos[order] = np.arange(g.n)
+        member_key = wl_refine(g) * g.n + pos
+        if labelling == "canonical":
+            return order, member_key
+        scores = betweenness_centrality(_relabel(g, order.tolist()))[pos]
     order = sorted(range(g.n), key=lambda v: (-scores[v], member_key[v]))
-    return NodeRanking(
-        order=np.array(order, dtype=np.int64),
-        scores=scores,
-        procedure=Procedure.BETWEENNESS,
-        member_key=member_key,
-    )
+    return np.array(order, dtype=np.int64), member_key

@@ -21,6 +21,10 @@ class ConfigError(ValueError):
     """Model geometry that cannot be assembled as configured."""
 
 
+# The capsule losses: auto picks binary_ce for two classes, else margin.
+LOSS_MODES = ("auto", "margin", "binary_ce")
+
+
 @dataclass
 class CapsNetConfig:
     conv_filters: int = 256
@@ -35,13 +39,13 @@ class CapsNetConfig:
     routing_iters: int = 3
     lam: float = 0.5
     alpha: float = 1.0
-    loss_mode: str = "auto"  # auto | margin | binary_ce
+    loss_mode: str = "auto"  # one of LOSS_MODES
 
     def resolve_loss_mode(self, num_classes: int) -> str:
+        if self.loss_mode not in LOSS_MODES:
+            raise ConfigError(f"unknown loss mode {self.loss_mode!r}")
         if self.loss_mode == "auto":
             return "binary_ce" if num_classes == 2 else "margin"
-        if self.loss_mode not in ("margin", "binary_ce"):
-            raise ConfigError(f"unknown loss mode {self.loss_mode!r}")
         return self.loss_mode
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff, nn
 from .data import Graph, permute_node_ids
-from .labelling import Procedure, betweenness_centrality, canonical_certificate
+from .labelling import LABELLINGS, betweenness_centrality, canonical_certificate
 from .tensorize import graph_to_tensor
 
 
@@ -116,10 +116,10 @@ def _suite_tensor_invariance(rng, break_kernel: bool) -> tuple:
     for _ in range(25):
         n = int(rng.integers(2, 13))
         g = random_graph(rng, n, float(rng.uniform(0.1, 0.8)), num_labels=3)
-        for procedure in (Procedure.CANONICAL, Procedure.BETWEENNESS):
-            ref = graph_to_tensor(g, w=8, k=5, d=3, procedure=procedure)
+        for labelling in LABELLINGS:
+            ref = graph_to_tensor(g, w=8, k=5, d=3, labelling=labelling)
             h = permute_node_ids(g, [17, n])
-            got = graph_to_tensor(h, w=8, k=5, d=3, procedure=procedure)
+            got = graph_to_tensor(h, w=8, k=5, d=3, labelling=labelling)
             if break_kernel:
                 got = got + 1
             if not np.array_equal(ref, got):

@@ -4,7 +4,8 @@ Every graph becomes a ``w x k`` grid of node labels: ``w`` anchor nodes are
 picked by a ranking procedure, each anchor gathers its ``k`` hop-closest
 neighbours into a receptive field ordered by (hop, member key), and each member
 contributes its label (padding is stored as label ``d``).  The anchor order and
-the member key both come from :func:`graphcaps.labelling.rank_nodes`.
+the member key are the two arrays :func:`graphcaps.labelling.rank_nodes`
+returns for the run's labelling name.
 :func:`graphcaps.data.one_hot` expands grids to the ``w x k x (d+1)`` tensors
 the models take.
 """
@@ -17,17 +18,18 @@ import multiprocessing
 import numpy as np
 
 from .data import PAD, Graph, GraphDataset
-from .labelling import NodeRanking, Procedure, rank_nodes
+from .labelling import rank_nodes
 
 # Grids are uint16 and padding is stored as d, so d may not exceed this.
 MAX_LABELS = np.iinfo(np.uint16).max
 
 
-def node_sequence(g: Graph, w: int, ranking: NodeRanking) -> list:
-    """The top-w ranked nodes, padded with PAD when the graph is smaller than w."""
+def node_sequence(order, w: int) -> list:
+    """The first w nodes of the ranked ``order``, padded with PAD when the
+    graph has fewer than w nodes."""
     if w < 1:
         raise ValueError("w must be >= 1")
-    top = [int(v) for v in ranking.order[: min(g.n, w)]]
+    top = [int(v) for v in order[:w]]
     return top + [PAD] * (w - len(top))
 
 
@@ -57,10 +59,10 @@ def assemble_neighbourhood(g: Graph, anchor: int, k: int) -> list:
     return out
 
 
-def normalize_receptive_field(candidates, ranking: NodeRanking, k: int) -> list:
-    """Order candidates by (hop asc, ``ranking.member_key`` asc), keep the
+def normalize_receptive_field(candidates, member_key, k: int) -> list:
+    """Order candidates by (hop asc, ``member_key[node]`` asc), keep the
     first k, pad with PAD.  The anchor (hop 0) comes first."""
-    key = ranking.member_key.tolist()
+    key = member_key.tolist()
     ordered = sorted(candidates, key=lambda c: (c[1], key[c[0]]))
     members = [v for v, _ in ordered[:k]]
     return members + [PAD] * (k - len(members))
@@ -71,10 +73,11 @@ def graph_to_tensor(
     w: int,
     k: int,
     d: int,
-    procedure: Procedure = Procedure.BETWEENNESS,
+    labelling: str = "bc",
     naive_ties: bool = False,
 ) -> np.ndarray:
-    """Full extraction for one graph: ranking, anchor sequence, receptive
+    """Full extraction for one graph: ranking under ``labelling`` (one of
+    :data:`graphcaps.labelling.LABELLINGS`), anchor sequence, receptive
     fields, member labels.  Returns a ``(w, k)`` uint16 label grid in which
     padding is stored as ``d``."""
     if k < 1:
@@ -84,11 +87,11 @@ def graph_to_tensor(
     bad = [lab for lab in g.node_labels if not 0 <= lab < d]
     if bad:
         raise ValueError(f"node label {bad[0]} outside [0, {d})")
-    ranking = rank_nodes(g, procedure, naive_ties=naive_ties)
+    order, member_key = rank_nodes(g, labelling, naive_ties=naive_ties)
     rows = [
         [PAD] * k if anchor == PAD
-        else normalize_receptive_field(assemble_neighbourhood(g, anchor, k), ranking, k)
-        for anchor in node_sequence(g, w, ranking)
+        else normalize_receptive_field(assemble_neighbourhood(g, anchor, k), member_key, k)
+        for anchor in node_sequence(order, w)
     ]
     # PAD (-1) indexes the appended last entry, the padding label d
     label_of = np.array(g.node_labels + (d,), dtype=np.uint16)
@@ -105,7 +108,7 @@ def tensorize_dataset(
     ds: GraphDataset,
     w: int | None = None,
     k: int = 10,
-    procedure: Procedure = Procedure.BETWEENNESS,
+    labelling: str = "bc",
     naive_ties: bool = False,
     jobs: int = 1,
 ) -> np.ndarray:
@@ -116,7 +119,7 @@ def tensorize_dataset(
     if w is None:
         w = default_width(ds)
     extract = functools.partial(graph_to_tensor, w=w, k=k, d=ds.num_node_labels,
-                                procedure=procedure, naive_ties=naive_ties)
+                                labelling=labelling, naive_ties=naive_ties)
     return np.stack(list(_fork_map(extract, ds.graphs, jobs)))
 
 

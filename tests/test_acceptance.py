@@ -21,7 +21,7 @@ from graphcaps.autodiff import Tensor, grad_check
 from graphcaps.cli import main
 from graphcaps.data import Graph, permute_node_ids
 from graphcaps.experiment import ExperimentConfig, run_cv, run_experiment
-from graphcaps.labelling import Procedure, betweenness_centrality, canonical_certificate
+from graphcaps.labelling import LABELLINGS, betweenness_centrality, canonical_certificate
 from graphcaps.models import CapsNet, CapsNetConfig
 from graphcaps.nn import dynamic_routing, margin_loss, total_loss
 from graphcaps.tensorize import graph_to_tensor
@@ -132,11 +132,11 @@ def test_criterion_4_permutation_invariance():
         n = int(rng.integers(2, 21))
         d = int(rng.integers(1, 6))
         g = random_graph(rng, n, float(rng.uniform(0.05, 0.9)), num_labels=d)
-        for procedure in (Procedure.CANONICAL, Procedure.BETWEENNESS):
-            ref = graph_to_tensor(g, w=10, k=6, d=5, procedure=procedure)
+        for labelling in LABELLINGS:
+            ref = graph_to_tensor(g, w=10, k=6, d=5, labelling=labelling)
             for rep in range(5):
                 h = permute_node_ids(g, [trial, rep])
-                got = graph_to_tensor(h, w=10, k=6, d=5, procedure=procedure)
+                got = graph_to_tensor(h, w=10, k=6, d=5, labelling=labelling)
                 if not np.array_equal(ref, got):
                     failures += 1
     elapsed = time.perf_counter() - start

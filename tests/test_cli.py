@@ -1,10 +1,13 @@
+import glob
 import json
 import os
+import runpy
 import subprocess
 import sys
 
 import pytest
 
+from graphcaps import cli
 from graphcaps.cli import main, read_config_file
 from helpers import synthetic_dataset_graphs, write_tu_files
 
@@ -71,6 +74,13 @@ class TestTensorizeCommand:
         files = os.listdir(os.path.join(out_root, "cache"))
         assert files == ["SYN_canonical_w5_k10_seed1.gct"]
 
+    def test_naive_ties_names_its_cache(self, syn_root, tmp_path):
+        out_root = str(tmp_path / "results")
+        assert main(["tensorize", "--dataset", "SYN", "--data-root", syn_root,
+                     "--out-root", out_root, "--naive-ties", "-w", "5"]) == 0
+        files = os.listdir(os.path.join(out_root, "cache"))
+        assert files == ["SYN_bc-naive_w5_k10_seed1.gct"]
+
 
 class TestRunCommand:
     def test_run_produces_report_and_manifest(self, syn_root, tmp_path, capsys):
@@ -89,7 +99,9 @@ class TestRunCommand:
         manifest = json.load(open(os.path.join(run_dir, "manifest.json")))
         assert manifest["resolved_config"]["dataset"] == "SYN"
         assert "SYN_A.txt" in manifest["dataset_checksums"]["SYN"]
-        assert manifest["version"]
+        result = json.load(open(os.path.join(run_dir, "result.json")))
+        assert manifest["version"] == result["version"]
+        assert manifest["version"].startswith("graphcaps ")
 
     def test_cnn_model(self, syn_root, tmp_path, capsys):
         rc = main(["run", "--dataset", "SYN", "--data-root", syn_root,
@@ -119,6 +131,16 @@ class TestRunCommand:
             argv += ["--epochs-grid", "1", "--lr-grid", "0.001", "--decay-grid", "0.0"]
         assert main(argv) == 1
         assert os.listdir(out_root) == []
+
+    @pytest.mark.parametrize("flag, field", [("--batch-size", "batch_size"),
+                                             ("--routing-iters", "routing_iters")])
+    def test_bad_training_setting_fails_before_output(self, syn_root, tmp_path, capsys,
+                                                      flag, field):
+        out_root = tmp_path / "results"
+        assert main(["run", "--dataset", "SYN", "--data-root", syn_root, "--out-root",
+                     str(out_root), "--folds", "3", "--epochs", "1", flag, "0"]) == 1
+        assert field in capsys.readouterr().err
+        assert not out_root.exists()
 
     def test_repeats_prints_mean(self, syn_root, tmp_path, capsys):
         rc = main(["run", "--dataset", "SYN", "--data-root", syn_root,
@@ -282,3 +304,29 @@ class TestSelftestCommand:
         result = run_cli(["selftest"], env=env)
         assert result.returncode == 1
         assert "FAIL" in result.stdout
+
+
+SCRIPTS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "scripts", "*.py")))
+
+
+class TestDriverScripts:
+    def _calls(self, monkeypatch, tmp_path, script, argv):
+        # the scripts hand their argv to graphcaps.cli.main; record it instead
+        calls = []
+        monkeypatch.setattr(cli, "main", lambda args: calls.append(args) or 0)
+        monkeypatch.chdir(tmp_path)
+        os.makedirs("results/mutag_ablation")  # the ablation lists its run dirs
+        assert runpy.run_path(script)["main"](argv) == 0
+        return [args for args in calls if args[0] != "report"]
+
+    @pytest.mark.parametrize("script", SCRIPTS, ids=os.path.basename)
+    def test_unset_flags_fall_to_the_config_defaults(self, monkeypatch, tmp_path, script):
+        calls = self._calls(monkeypatch, tmp_path, script, [])
+        assert calls
+        for args in calls:
+            assert "--seed" not in args and "--data-root" not in args
+
+    @pytest.mark.parametrize("script", SCRIPTS, ids=os.path.basename)
+    def test_caller_flags_reach_the_cli(self, monkeypatch, tmp_path, script):
+        for args in self._calls(monkeypatch, tmp_path, script, ["--seed", "7"]):
+            assert cli.build_parser().parse_args(args).seed == 7

@@ -86,6 +86,14 @@ class TestKFold:
             assert np.array_equal(fa, fb)
 
 
+class TestExperimentConfig:
+    @pytest.mark.parametrize("field, value", [("batch_size", 0), ("routing_iters", 0),
+                                              ("loss_mode", "hinge")])
+    def test_bad_training_setting_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(dataset="SYN", **{field: value})
+
+
 class TestRunCV:
     def test_outputs_and_summary(self, syn_data, tmp_path):
         cfg = small_cfg(syn_data, tmp_path)

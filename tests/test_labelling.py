@@ -7,7 +7,6 @@ from graphcaps.data import Graph, permute_node_ids
 from graphcaps.labelling import (
     MAX_CANONICAL_NODES,
     CapacityError,
-    Procedure,
     betweenness_centrality,
     canonical_certificate,
     canonical_order,
@@ -59,28 +58,24 @@ class TestBetweenness:
 
 class TestWLRefinement:
     def test_regular_graph_single_color(self):
-        coloring = wl_refine(cycle_graph(6))
-        assert coloring.colors.tolist() == [0] * 6
+        assert wl_refine(cycle_graph(6)).tolist() == [0] * 6
 
     def test_path_splits_by_degree(self):
-        coloring = wl_refine(path_graph(3), rounds=1)
-        a, b, c = coloring.colors.tolist()
+        a, b, c = wl_refine(path_graph(3), rounds=1).tolist()
         assert a == c != b
 
     def test_rounds_zero_returns_initial_partition(self):
         g = path_graph(3, labels=(1, 0, 1))
-        coloring = wl_refine(g, rounds=0)
-        assert coloring.colors.tolist() == [1, 0, 1]
-        assert coloring.rounds == 0
+        assert wl_refine(g, rounds=0).tolist() == [1, 0, 1]
 
     def test_color_classes_non_decreasing(self):
         rng = np.random.default_rng(5)
         for _ in range(40):
             g = random_graph(rng, int(rng.integers(2, 16)), float(rng.uniform(0, 1)),
                              num_labels=2)
-            previous = len(set(wl_refine(g, rounds=0).colors.tolist()))
+            previous = len(set(wl_refine(g, rounds=0).tolist()))
             for rounds in range(1, 5):
-                current = len(set(wl_refine(g, rounds=rounds).colors.tolist()))
+                current = len(set(wl_refine(g, rounds=rounds).tolist()))
                 assert current >= previous
                 previous = current
 
@@ -101,8 +96,8 @@ class TestWLRefinement:
                 ),
                 class_label=g.class_label,
             )
-            cg = wl_refine(g).colors
-            ch = wl_refine(h).colors
+            cg = wl_refine(g)
+            ch = wl_refine(h)
             assert all(ch[perm[v]] == cg[v] for v in range(g.n))
 
 
@@ -113,7 +108,7 @@ FOUR_NODE_CLASS_SIZES = sorted([1, 3, 6, 4, 3, 12, 12, 6, 12, 4, 1])
 class TestCanonicalOrder:
     def test_single_node_identity(self):
         g = Graph(n=1, edges=frozenset(), node_labels=(0,), class_label=0)
-        assert canonical_order(g).order.tolist() == [0]
+        assert canonical_order(g).tolist() == [0]
 
     def test_relabelled_graphs_share_certificate(self):
         rng = np.random.default_rng(3)
@@ -143,14 +138,14 @@ class TestCanonicalOrder:
         # edgeless and complete graphs have factorial automorphism groups;
         # the twin-cell collapse must keep them linear (i.e. finish at all)
         empty = Graph(n=30, edges=frozenset(), node_labels=(0,) * 30, class_label=0)
-        assert len(canonical_order(empty).order) == 30
+        assert len(canonical_order(empty)) == 30
         complete = Graph(
             n=12,
             edges=frozenset((u, v) for u in range(12) for v in range(u + 1, 12)),
             node_labels=(0,) * 12,
             class_label=0,
         )
-        assert len(canonical_order(complete).order) == 12
+        assert len(canonical_order(complete)) == 12
 
     def test_capacity_bound(self):
         n = MAX_CANONICAL_NODES + 1
@@ -161,18 +156,17 @@ class TestCanonicalOrder:
 
 class TestRankNodes:
     def test_star_center_first_under_bc(self):
-        ranking = rank_nodes(star_graph(4), Procedure.BETWEENNESS)
-        assert ranking.order[0] == 0
-        assert ranking.scores[0] == 6.0
+        order, _ = rank_nodes(star_graph(4), "bc")
+        assert order[0] == 0
 
     def test_vertex_transitive_graph_gives_permutation(self):
-        ranking = rank_nodes(cycle_graph(4), Procedure.BETWEENNESS)
-        assert sorted(ranking.order.tolist()) == [0, 1, 2, 3]
+        order, _ = rank_nodes(cycle_graph(4), "bc")
+        assert sorted(order.tolist()) == [0, 1, 2, 3]
 
     def test_triangle_canonical_consistent_across_relabellings(self):
         g = triangle(labels=(0, 1, 2))
-        base = rank_nodes(g, Procedure.CANONICAL)
-        base_labels = [g.node_labels[v] for v in base.order]
+        base, _ = rank_nodes(g, "canonical")
+        base_labels = [g.node_labels[v] for v in base]
         for perm in itertools.permutations(range(3)):
             h = Graph(
                 n=3,
@@ -182,22 +176,27 @@ class TestRankNodes:
                 node_labels=tuple(g.node_labels[perm.index(i)] for i in range(3)),
                 class_label=0,
             )
-            ranking = rank_nodes(h, Procedure.CANONICAL)
-            assert [h.node_labels[v] for v in ranking.order] == base_labels
+            order, _ = rank_nodes(h, "canonical")
+            assert [h.node_labels[v] for v in order] == base_labels
 
     def test_bc_scores_match_plain_brandes(self):
         rng = np.random.default_rng(9)
         for _ in range(25):
             g = random_graph(rng, int(rng.integers(2, 12)), float(rng.uniform(0.1, 0.9)),
                              num_labels=2)
-            ranking = rank_nodes(g, Procedure.BETWEENNESS)
-            assert np.allclose(
-                np.sort(ranking.scores), np.sort(betweenness_centrality(g)), atol=1e-9
-            )
-            # scores non-increasing along the order
-            ordered = ranking.scores[ranking.order]
-            assert all(ordered[i] >= ordered[i + 1] - 1e-12 for i in range(g.n - 1))
+            order, _ = rank_nodes(g, "bc")
+            assert sorted(order.tolist()) == list(range(g.n))
+            # plain Brandes scores do not increase along the order
+            ordered = betweenness_centrality(g)[order]
+            assert all(ordered[i] >= ordered[i + 1] - 1e-9 for i in range(g.n - 1))
 
     def test_naive_ties_breaks_by_index(self):
-        ranking = rank_nodes(cycle_graph(5), Procedure.BETWEENNESS, naive_ties=True)
-        assert ranking.order.tolist() == [0, 1, 2, 3, 4]
+        order, member_key = rank_nodes(cycle_graph(5), "bc", naive_ties=True)
+        assert order.tolist() == [0, 1, 2, 3, 4]
+        assert member_key.tolist() == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize("naive_ties", [False, True])
+    def test_unknown_labelling_rejected(self, naive_ties):
+        # nauty is only a command-line alias of canonical
+        with pytest.raises(ValueError, match="'nauty'"):
+            rank_nodes(triangle(), "nauty", naive_ties=naive_ties)

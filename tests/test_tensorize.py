@@ -6,7 +6,7 @@ import pytest
 
 from graphcaps import labelling
 from graphcaps.data import PAD, Graph, one_hot, permute_node_ids
-from graphcaps.labelling import Procedure, rank_nodes
+from graphcaps.labelling import rank_nodes
 from graphcaps.tensor_cache import CacheError, load_tensors, save_tensors
 from graphcaps.tensorize import (
     assemble_neighbourhood,
@@ -32,8 +32,8 @@ from graphcaps.data import load_tu_dataset
 class TestNodeSequence:
     def test_small_graph_pads(self):
         g = triangle()
-        ranking = rank_nodes(g, Procedure.CANONICAL)
-        seq = node_sequence(g, w=5, ranking=ranking)
+        order, _ = rank_nodes(g, "canonical")
+        seq = node_sequence(order, w=5)
         assert len(seq) == 5
         assert sorted(seq[:3]) == [0, 1, 2]
         assert seq[3:] == [PAD, PAD]
@@ -41,9 +41,9 @@ class TestNodeSequence:
     def test_large_graph_truncates_to_top_ranked(self):
         rng = np.random.default_rng(0)
         g = random_graph(rng, 28, 0.2, connected=True)
-        ranking = rank_nodes(g, Procedure.BETWEENNESS)
-        seq = node_sequence(g, w=18, ranking=ranking)
-        assert seq == [int(v) for v in ranking.order[:18]]
+        order, _ = rank_nodes(g, "bc")
+        seq = node_sequence(order, w=18)
+        assert seq == [int(v) for v in order[:18]]
 
 
 class TestNeighbourhoodAssembly:
@@ -65,15 +65,15 @@ class TestNeighbourhoodAssembly:
 class TestNormalization:
     def test_pad_tail_when_few_candidates(self):
         g = path_graph(2)
-        ranking = rank_nodes(g, Procedure.CANONICAL)
-        field = normalize_receptive_field([(0, 0), (1, 1)], ranking, k=4)
+        _, member_key = rank_nodes(g, "canonical")
+        field = normalize_receptive_field([(0, 0), (1, 1)], member_key, k=4)
         assert field == [0, 1, PAD, PAD]
 
     def test_anchor_always_first(self):
         g = star_graph(4)
-        ranking = rank_nodes(g, Procedure.CANONICAL)
+        _, member_key = rank_nodes(g, "canonical")
         candidates = assemble_neighbourhood(g, anchor=0, k=3)
-        field = normalize_receptive_field(candidates, ranking, k=3)
+        field = normalize_receptive_field(candidates, member_key, k=3)
         assert field[0] == 0
 
     def test_star_selection_consistent_across_relabellings(self):
@@ -84,10 +84,10 @@ class TestNormalization:
         ref = None
         for seed in range(8):
             h = permute_node_ids(g, seed)
-            ranking = rank_nodes(h, Procedure.CANONICAL)
+            _, member_key = rank_nodes(h, "canonical")
             anchor = [v for v in range(5) if len(h.adjacency()[v]) == 4][0]
             field = normalize_receptive_field(
-                assemble_neighbourhood(h, anchor, k=3), ranking, k=3
+                assemble_neighbourhood(h, anchor, k=3), member_key, k=3
             )
             labels = tuple(h.node_labels[m] for m in field)
             if ref is None:
@@ -100,7 +100,7 @@ class TestGraphToTensor:
         rng = np.random.default_rng(1)
         for _ in range(10):
             g = random_graph(rng, int(rng.integers(1, 25)), 0.3, num_labels=7)
-            grid = graph_to_tensor(g, w=18, k=10, d=7, procedure=Procedure.BETWEENNESS)
+            grid = graph_to_tensor(g, w=18, k=10, d=7, labelling="bc")
             assert grid.shape == (18, 10) and grid.dtype == np.uint16
             assert grid.max() <= 7
             t = one_hot(grid, 7)
@@ -108,7 +108,7 @@ class TestGraphToTensor:
             assert np.array_equal(t.sum(axis=2), np.ones((18, 10)))
 
     def test_pad_anchor_rows_are_padding_channel(self):
-        grid = graph_to_tensor(triangle(), w=5, k=4, d=2, procedure=Procedure.CANONICAL)
+        grid = graph_to_tensor(triangle(), w=5, k=4, d=2, labelling="canonical")
         assert np.array_equal(grid[3:], np.full((2, 4), 2))
         t = one_hot(grid, 2)
         for row in (3, 4):
@@ -119,25 +119,25 @@ class TestGraphToTensor:
         with pytest.raises(ValueError, match="outside"):
             graph_to_tensor(triangle(labels=(0, 2, 0)), w=3, k=3, d=2)
 
-    @pytest.mark.parametrize("procedure", [Procedure.CANONICAL, Procedure.BETWEENNESS])
-    def test_bitwise_permutation_invariance(self, procedure):
+    @pytest.mark.parametrize("labelling", ["canonical", "bc"])
+    def test_bitwise_permutation_invariance(self, labelling):
         rng = np.random.default_rng(2)
         for trial in range(30):
             g = random_graph(rng, int(rng.integers(2, 21)), float(rng.uniform(0.1, 0.8)),
                              num_labels=5)
-            ref = graph_to_tensor(g, w=10, k=6, d=5, procedure=procedure)
+            ref = graph_to_tensor(g, w=10, k=6, d=5, labelling=labelling)
             for rep in range(3):
                 h = permute_node_ids(g, [trial, rep])
-                got = graph_to_tensor(h, w=10, k=6, d=5, procedure=procedure)
+                got = graph_to_tensor(h, w=10, k=6, d=5, labelling=labelling)
                 assert np.array_equal(ref, got)
 
-    @pytest.mark.parametrize("procedure, naive_ties, calls", [
-        (Procedure.BETWEENNESS, False, 1),
-        (Procedure.CANONICAL, False, 1),
-        (Procedure.BETWEENNESS, True, 0),
+    @pytest.mark.parametrize("ranking, naive_ties, calls", [
+        ("bc", False, 1),
+        ("canonical", False, 1),
+        ("bc", True, 0),
     ])
     def test_canonical_search_and_wl_run_once_per_graph(
-        self, monkeypatch, procedure, naive_ties, calls
+        self, monkeypatch, ranking, naive_ties, calls
     ):
         # count calls from every graphcaps module that holds these functions
         counts = {}
@@ -151,7 +151,7 @@ class TestGraphToTensor:
                 if name.startswith("graphcaps") and getattr(module, fn.__name__, None) is fn:
                     monkeypatch.setattr(module, fn.__name__, counted)
         g = random_graph(np.random.default_rng(3), 12, 0.3, num_labels=3)
-        graph_to_tensor(g, w=8, k=4, d=3, procedure=procedure, naive_ties=naive_ties)
+        graph_to_tensor(g, w=8, k=4, d=3, labelling=ranking, naive_ties=naive_ties)
         assert counts == {"canonical_order": calls, "wl_refine": calls}
 
     def test_naive_ties_can_break_invariance(self):
@@ -159,14 +159,14 @@ class TestGraphToTensor:
         # symmetric labelled star some relabelling changes the tensor
         g = Graph(n=5, edges=frozenset({(0, 1), (0, 2), (0, 3), (0, 4)}),
                   node_labels=(0, 0, 1, 0, 1), class_label=0)
-        ref = graph_to_tensor(g, w=3, k=3, d=2, procedure=Procedure.BETWEENNESS,
+        ref = graph_to_tensor(g, w=3, k=3, d=2, labelling="bc",
                               naive_ties=True)
         seen_different = any(
             not np.array_equal(
                 ref,
                 graph_to_tensor(
                     permute_node_ids(g, seed), w=3, k=3, d=2,
-                    procedure=Procedure.BETWEENNESS, naive_ties=True,
+                    labelling="bc", naive_ties=True,
                 ),
             )
             for seed in range(20)
@@ -203,7 +203,7 @@ class TestCacheFormat:
         rng = np.random.default_rng(4)
         graphs = [random_graph(rng, 6, 0.5, num_labels=2) for _ in range(5)]
         return np.stack([
-            graph_to_tensor(g, w=4, k=3, d=2, procedure=Procedure.CANONICAL) for g in graphs
+            graph_to_tensor(g, w=4, k=3, d=2, labelling="canonical") for g in graphs
         ])
 
     def _save(self, path):
