@@ -8,35 +8,31 @@ flag that follows wins, e.g. --data-root DIR --preset small.
 Expects MUTAG in TU flat-file format under the data root.
 """
 
-import argparse
 import os
 import sys
 
+from graphcaps.cli import build_parser, run_configs
 from graphcaps.cli import main as cli_main
 from graphcaps.labelling import LABELLINGS
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # the report needs the out-root the runs wrote to
-    parser = argparse.ArgumentParser(add_help=False)
-    parser.add_argument("--out-root", default="results/mutag_ablation")
-    out_root = parser.parse_known_args(argv)[0].out_root
-
+    # the report covers the runs made here (four, times --repeats), not every
+    # run under the out-root
+    configs = []
     for labelling in LABELLINGS:
         for model in ("capsules", "cnn"):
-            rc = cli_main([
+            run_argv = [
                 "run", "--dataset", "MUTAG", "--labelling", labelling, "--model", model,
-                "--preset", "paper", "--out-root", out_root, *argv,
-            ])
+                "--preset", "paper", "--out-root", "results/mutag_ablation", *argv,
+            ]
+            rc = cli_main(run_argv)
             if rc != 0:
                 return rc
-    run_dirs = [
-        os.path.join(out_root, d)
-        for d in os.listdir(out_root)
-        if os.path.isfile(os.path.join(out_root, d, "result.json"))
-    ]
-    return cli_main(["report", *sorted(run_dirs), "-o", os.path.join(out_root, "report")])
+            configs += run_configs(build_parser().parse_args(run_argv))
+    return cli_main(["report", *(cfg.run_dir() for cfg in configs),
+                     "-o", os.path.join(configs[0].out_root, "report")])
 
 
 if __name__ == "__main__":

@@ -29,21 +29,19 @@ class EmbeddingSource(str, Enum):
 def extract_embeddings(model, tensors: np.ndarray, source: EmbeddingSource) -> np.ndarray:
     """Per-graph ``(m, D)`` feature vectors from the requested layer.
 
-    ``raw`` flattens the input tensors (no model needed); ``cnn`` reads the
-    dense inner layer of the CNN baseline; ``caps`` reads the flattened
-    primary-capsule vectors before any routing.
+    ``raw`` flattens the input tensors (no model needed) to float64; ``cnn``
+    reads the dense inner layer of the CNN baseline; ``caps`` reads the
+    flattened primary-capsule vectors before any routing.  A model reads the
+    tensors at its parameters' dtype, so a float32 model runs in float32.
     """
     source = EmbeddingSource(source)
-    tensors = np.asarray(tensors, dtype=np.float64)
     if source is EmbeddingSource.RAW_TENSOR:
-        return tensors.reshape(len(tensors), -1).copy()
-    if source is EmbeddingSource.CNN_INNER:
-        if not isinstance(model, PatchyCnn):
-            raise ValueError(f"source 'cnn' needs the CNN baseline, got {type(model).__name__}")
-        return model.inner_features(tensors)
-    if not isinstance(model, CapsNet):
+        return np.asarray(tensors, dtype=np.float64).reshape(len(tensors), -1).copy()
+    if source is EmbeddingSource.CNN_INNER and not isinstance(model, PatchyCnn):
+        raise ValueError(f"source 'cnn' needs the CNN baseline, got {type(model).__name__}")
+    if source is EmbeddingSource.PRIMARY_CAPS and not isinstance(model, CapsNet):
         raise ValueError(f"source 'caps' needs the capsule model, got {type(model).__name__}")
-    return model.inner_features(tensors)
+    return model.inner_features(np.asarray(tensors, dtype=model.params["conv1_w"].data.dtype))
 
 
 def _pairwise_sq_dists(x: np.ndarray) -> np.ndarray:

@@ -2,8 +2,14 @@
 
 Just enough ops for the models in this project: elementwise arithmetic,
 matmul, valid-padding 2-D convolution, reductions, softmax, and the capsule
-prediction contraction.  Arrays are float64 row-major numpy; convolution is
-implemented as one GEMM per kernel tap so the heavy lifting stays in BLAS.
+prediction contraction.  Arrays are row-major numpy; convolution gathers its
+patches once so the heavy lifting stays in BLAS.
+
+The dtype follows the data: a :class:`Tensor` keeps the floating dtype of
+the array it wraps, so float32 inputs and parameters train in float32, and
+mixed inputs follow numpy promotion.  Python numbers an op combines with a
+tensor take that tensor's dtype, so a constant never upcasts a float32
+graph.  :func:`grad_check` runs in float64.
 
 Gradients are accumulated over a taped graph; ``Tensor.backward()`` walks the
 tape in reverse topological order.  Ops performed inside :func:`no_grad` (or
@@ -44,12 +50,17 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Tensor:
-    """A float64 ndarray plus an optional gradient tape entry."""
+    """A floating ndarray plus an optional gradient tape entry.
+
+    A floating array keeps its dtype; anything else (Python numbers, lists,
+    integer or boolean arrays) becomes float64.
+    """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype.kind == "f" else data.astype(np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents = ()
@@ -58,8 +69,14 @@ class Tensor:
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
-    def _lift(x) -> "Tensor":
-        return x if isinstance(x, Tensor) else Tensor(x)
+    def _lift(x, like: "Tensor | None" = None) -> "Tensor":
+        """``x`` as a Tensor; a Python number combined with ``like`` takes its
+        dtype (numpy >= 2 would let a float64 0-d constant upcast it)."""
+        if isinstance(x, Tensor):
+            return x
+        if like is not None and isinstance(x, (int, float)):
+            return Tensor(np.asarray(x, dtype=like.data.dtype))
+        return Tensor(x)
 
     @staticmethod
     def _make(data, parents, backward) -> "Tensor":
@@ -103,7 +120,7 @@ class Tensor:
     # -- arithmetic ------------------------------------------------------------
 
     def __add__(self, other):
-        other = Tensor._lift(other)
+        other = Tensor._lift(other, like=self)
         a, b = self, other
 
         def backward(g):
@@ -126,13 +143,13 @@ class Tensor:
         return Tensor._make(-a.data, (a,), backward)
 
     def __sub__(self, other):
-        return self + (-Tensor._lift(other))
+        return self + (-Tensor._lift(other, like=self))
 
     def __rsub__(self, other):
-        return Tensor._lift(other) + (-self)
+        return Tensor._lift(other, like=self) + (-self)
 
     def __mul__(self, other):
-        other = Tensor._lift(other)
+        other = Tensor._lift(other, like=self)
         a, b = self, other
 
         def backward(g):
@@ -146,7 +163,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = Tensor._lift(other)
+        other = Tensor._lift(other, like=self)
         a, b = self, other
 
         def backward(g):
@@ -158,7 +175,7 @@ class Tensor:
         return Tensor._make(a.data / b.data, (a, b), backward)
 
     def __rtruediv__(self, other):
-        return Tensor._lift(other) / self
+        return Tensor._lift(other, like=self) / self
 
     def __pow__(self, exponent):
         if not isinstance(exponent, (int, float)):
@@ -172,7 +189,7 @@ class Tensor:
         return Tensor._make(a.data**exponent, (a,), backward)
 
     def __matmul__(self, other):
-        other = Tensor._lift(other)
+        other = Tensor._lift(other, like=self)
         a, b = self, other
 
         def backward(g):
@@ -343,29 +360,30 @@ def conv2d(x, kernels, bias=None, stride=(1, 1)):
         raise ValueError(f"kernel {fh}x{fw} larger than input {H}x{W}")
     Ho = (H - fh) // sh + 1
     Wo = (W - fw) // sw + 1
-
-    cols = np.empty((B, Ho, Wo, fh, fw, Cin), dtype=np.float64)
-    for p in range(fh):
-        for q in range(fw):
-            cols[:, :, :, p, q, :] = x.data[:, p : p + sh * Ho : sh, q : q + sw * Wo : sw, :]
-    cols = cols.reshape(B * Ho * Wo, fh * fw * Cin)
-    k2d = kernels.data.reshape(fh * fw * Cin, Cout)
-    out_data = (cols @ k2d).reshape(B, Ho, Wo, Cout)
-
     parents = [x, kernels]
     b = None
     if bias is not None:
         b = Tensor._lift(bias)
         if b.data.shape != (Cout,):
             raise ValueError(f"bias shape {b.data.shape} != ({Cout},)")
-        out_data += b.data
         parents.append(b)
+
+    # the patches take the promoted dtype, so the GEMM and the bias add run in it
+    cols = np.empty((B, Ho, Wo, fh, fw, Cin), dtype=np.result_type(*(t.data for t in parents)))
+    for p in range(fh):
+        for q in range(fw):
+            cols[:, :, :, p, q, :] = x.data[:, p : p + sh * Ho : sh, q : q + sw * Wo : sw, :]
+    cols = cols.reshape(B * Ho * Wo, fh * fw * Cin)
+    k2d = kernels.data.reshape(fh * fw * Cin, Cout)
+    out_data = (cols @ k2d).reshape(B, Ho, Wo, Cout)
+    if b is not None:
+        out_data += b.data
 
     def backward(g):
         g2d = g.reshape(-1, Cout)
         if x.requires_grad:
             dcols = (g2d @ k2d.T).reshape(B, Ho, Wo, fh, fw, Cin)
-            dx = np.zeros_like(x.data)
+            dx = np.zeros_like(x.data, dtype=dcols.dtype)
             for p in range(fh):
                 for q in range(fw):
                     dx[:, p : p + sh * Ho : sh, q : q + sw * Wo : sw, :] += dcols[:, :, :, p, q, :]
@@ -487,7 +505,8 @@ def grad_check(f, point, h: float = 1e-5, rel_floor: float = 1e-6) -> float:
     ``point`` is a sequence of arrays; ``f`` receives one Tensor per array and
     returns a scalar Tensor.  The error denominator is floored at
     ``rel_floor`` so elements whose true gradient is ~0 are compared
-    absolutely at that scale.
+    absolutely at that scale.  The point is converted to float64 whatever its
+    dtype: central differences at ``h = 1e-5`` are meaningless in float32.
     """
     if h <= 0:
         raise ValueError("h must be > 0")

@@ -72,12 +72,17 @@ def cmd_tensorize(args) -> int:
     return 0
 
 
-def cmd_run(args) -> int:
-    repeats = max(1, args.repeats)
+def run_configs(args) -> list:
+    """The runs ``graphcaps run`` makes: one per repeat, with consecutive seeds
+    from the configured one."""
     base = config_from_args(args)
+    return [dataclasses.replace(base, seed=base.seed + rep) for rep in range(max(1, args.repeats))]
+
+
+def cmd_run(args) -> int:
+    configs = run_configs(args)
     means = []
-    for rep in range(repeats):
-        cfg = dataclasses.replace(base, seed=base.seed + rep)
+    for cfg in configs:
         result = run_experiment(cfg)
         means.append(result.mean_accuracy)
         print(
@@ -86,8 +91,8 @@ def cmd_run(args) -> int:
             f"(train {result.train_seconds_mean:.1f} ± {result.train_seconds_std:.1f} s/fold)"
         )
         print(f"[run] outputs in {cfg.run_dir()}")
-    if repeats > 1:
-        print(f"[run] mean over {repeats} repetitions: {100 * float(np.mean(means)):.2f}")
+    if len(configs) > 1:
+        print(f"[run] mean over {len(configs)} repetitions: {100 * float(np.mean(means)):.2f}")
     return 0
 
 

@@ -318,8 +318,8 @@ def tensorize_cached(cfg: ExperimentConfig, name: str | None = None, force: bool
 def dataset_tensors(cfg: ExperimentConfig, name: str | None = None, log=print):
     """One dataset's one-hot tensors, through the tensor cache.
 
-    Returns (x, y, w, channels, dataset) with ``x`` a C-contiguous float64
-    ``(n, w, k, channels)`` array.
+    Returns (x, y, w, channels, dataset) with ``x`` a C-contiguous float32
+    ``(n, w, k, channels)`` array (see :func:`graphcaps.data.one_hot`).
     """
     grids, y, w, ds = tensorize_cached(cfg, name, log=log)
     return one_hot(grids, ds.num_node_labels), y, w, ds.num_node_labels + 1, ds

@@ -3,7 +3,10 @@ baseline, plus a deterministic mini-batch training loop.
 
 Both models consume the ``(w, k, d+1)`` graph tensors, hold their parameters
 in a flat name -> Tensor dict, and share the ``loss_batch`` / ``predict`` /
-``inner_features`` interface the experiment harness drives.
+``inner_features`` interface the experiment harness drives.  Parameters are
+created as :data:`graphcaps.data.FLOAT` (float32), the dtype of the one-hot
+tensors, so training and inference run in float32; everything created inside
+a step takes the dtype of the arrays it combines with.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import numpy as np
 
 from . import autodiff, nn
 from .autodiff import Tensor, conv2d, caps_predict, no_grad
+from .data import FLOAT
 
 
 class ConfigError(ValueError):
@@ -109,7 +113,8 @@ class CapsNet:
             scale = np.sqrt(2.0 / fan_in) if i < len(widths) - 1 else np.sqrt(1.0 / fan_in)
             p[f"dec{i}_w"] = rng.normal(0.0, scale, (fan_in, fan_out))
             p[f"dec{i}_b"] = np.zeros(fan_out)
-        self.params = {name: Tensor(arr, requires_grad=True) for name, arr in p.items()}
+        self.params = {name: Tensor(arr.astype(FLOAT), requires_grad=True)
+                       for name, arr in p.items()}
 
     def parameter_count(self) -> int:
         return sum(t.data.size for t in self.params.values())
@@ -151,7 +156,7 @@ class CapsNet:
         _, v = self._capsule_forward(x)
         norms = nn.capsule_norms(v, axis=-1)
         B = v.data.shape[0]
-        mask = np.zeros((B, self.num_classes))
+        mask = np.zeros((B, self.num_classes), dtype=v.data.dtype)
         chosen = (
             np.asarray(targets, dtype=int)
             if targets is not None
@@ -224,7 +229,8 @@ class PatchyCnn:
         p["dense_b"] = np.zeros(cfg.dense_width)
         p["out_w"] = rng.normal(0.0, np.sqrt(1.0 / cfg.dense_width), (cfg.dense_width, num_classes))
         p["out_b"] = np.zeros(num_classes)
-        self.params = {name: Tensor(arr, requires_grad=True) for name, arr in p.items()}
+        self.params = {name: Tensor(arr.astype(FLOAT), requires_grad=True)
+                       for name, arr in p.items()}
 
     def parameter_count(self) -> int:
         return sum(t.data.size for t in self.params.values())
@@ -239,7 +245,7 @@ class PatchyCnn:
         h = (h @ p["dense_w"] + p["dense_b"]).relu()
         if train and self.cfg.dropout > 0.0:
             keep = 1.0 - self.cfg.dropout
-            mask = (rng.random(h.data.shape) < keep) / keep
+            mask = (rng.random(h.data.shape) < keep).astype(h.data.dtype) / keep
             h = h * Tensor(mask)
         return h
 

@@ -2,7 +2,9 @@
 
 Everything operates on :class:`graphcaps.autodiff.Tensor`, so gradients flow
 through routing iterations, squashing and the losses without special cases.
-Plain numpy arrays are accepted and lifted to constants.
+Plain numpy arrays are accepted and lifted to constants.  The arrays these
+functions create (routing logits, loss targets) take the dtype of their
+input, so a float32 model trains in float32 throughout.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ def dynamic_routing(predictions, iterations: int, return_trace: bool = False):
         raise ValueError(f"predictions must be 3- or 4-D, got shape {u_hat.data.shape}")
     B, n_in, n_out, d_out = u_hat.data.shape
 
-    logits = Tensor(np.zeros((B, n_in, n_out)))
+    logits = Tensor(np.zeros((B, n_in, n_out), dtype=u_hat.data.dtype))
     couplings = []
     v = None
     for it in range(iterations):
@@ -89,7 +91,7 @@ def margin_loss(norms, target, lam: float = 0.5, m_plus: float = 0.9, m_minus: f
     norms = Tensor._lift(norms)
     batched = norms.data.ndim == 2
     C = norms.data.shape[-1]
-    t = np.zeros(norms.data.shape)
+    t = np.zeros_like(norms.data)
     if batched:
         t[np.arange(norms.data.shape[0]), np.asarray(target, dtype=int)] = 1.0
     else:
@@ -118,7 +120,7 @@ def cross_entropy(logits, target) -> Tensor:
     """Mean negative log softmax-probability of the target class."""
     logits = Tensor._lift(logits)
     batched = logits.data.ndim == 2
-    t = np.zeros(logits.data.shape)
+    t = np.zeros_like(logits.data)
     if batched:
         t[np.arange(logits.data.shape[0]), np.asarray(target, dtype=int)] = 1.0
     else:
@@ -171,6 +173,9 @@ class AdamState:
 
 def adam_step(params: dict, grads: dict, state: AdamState, epoch: int) -> AdamState:
     """One bias-corrected Adam update, in place on ``params``.
+
+    The moments are kept in each parameter's dtype; a gradient of a wider
+    dtype is accepted and rounded into them.
 
     The step size decays exponentially with the epoch index and is floored at
     ``state.lr_floor``.  Raises :class:`TrainingError` naming the parameter if

@@ -59,6 +59,19 @@ class TestExtractEmbeddings:
         points = extract_embeddings(None, pair, "raw")
         assert np.array_equal(points[0], points[1])
 
+    @pytest.mark.parametrize("source", ["caps", "cnn"])
+    def test_model_reads_inputs_at_its_parameter_dtype(self, source):
+        cfg = CapsNetConfig(conv_filters=8, primary_channels=2, primary_dim=4,
+                            primary_kernel=2, primary_stride=1, caps_dim=6,
+                            decoder_hidden=(8, 12))
+        model = build_capsnet(8, 5, 4, 2, cfg, seed=0) if source == "caps" else build_cnn(
+            8, 5, 4, 2, seed=0)
+        seen = []
+        inner_features = model.inner_features
+        model.inner_features = lambda x: seen.append(x.dtype) or inner_features(x)
+        points = extract_embeddings(model, self.x, source)  # self.x is float64
+        assert seen == [np.float32] and points.dtype == np.float32
+
     def test_source_model_mismatch(self):
         model = build_cnn(8, 5, 4, 2, seed=0)
         with pytest.raises(ValueError, match="capsule model"):

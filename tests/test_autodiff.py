@@ -167,3 +167,55 @@ class TestGradCheck:
     def test_h_must_be_positive(self):
         with pytest.raises(ValueError, match="h must be"):
             grad_check(lambda x: x.sum(), [np.ones(2)], h=0.0)
+
+
+class TestDtype:
+    def test_floating_arrays_keep_their_dtype(self):
+        for dtype in (np.float16, np.float32, np.float64):
+            assert Tensor(np.ones(2, dtype=dtype)).data.dtype == dtype
+        for data in (1, 2.5, [1, 2], np.arange(3), np.ones(2, dtype=bool)):
+            assert Tensor(data).data.dtype == np.float64
+
+    @pytest.mark.parametrize("name", ["add", "radd", "sub", "rsub", "mul", "rmul", "div",
+                                      "rdiv", "pow", "mean", "relu", "sigmoid", "sqrt"])
+    def test_python_numbers_take_the_tensor_dtype(self, name):
+        ops = {
+            "add": lambda t: t + 1.5, "radd": lambda t: 1.5 + t,
+            "sub": lambda t: t - 1.5, "rsub": lambda t: 1.5 - t,
+            "mul": lambda t: t * 1.5, "rmul": lambda t: 1.5 * t,
+            "div": lambda t: t / 3, "rdiv": lambda t: 3 / t,
+            "pow": lambda t: t ** 2, "mean": lambda t: t.mean(axis=0),
+            "relu": lambda t: t.relu(), "sigmoid": lambda t: t.sigmoid(),
+            "sqrt": lambda t: t.sqrt(),
+        }
+        t = Tensor(np.linspace(0.5, 2.0, 6, dtype=np.float32).reshape(2, 3), requires_grad=True)
+        out = ops[name](t)
+        out.sum().backward()
+        assert out.data.dtype == np.float32 and t.grad.dtype == np.float32
+
+    def test_mixed_inputs_follow_numpy_promotion(self):
+        a = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
+        b = Tensor(np.ones((3, 2)), requires_grad=True)
+        out = a @ b
+        out.sum().backward()
+        assert out.data.dtype == np.float64 and b.grad.dtype == np.float64
+
+    @pytest.mark.parametrize("dtypes", [("float32",) * 3, ("float32", "float32", "float64"),
+                                        ("float64", "float32", "float32")])
+    def test_conv2d_runs_in_the_promoted_dtype(self, dtypes):
+        rng = np.random.default_rng(8)
+        shapes = [(2, 5, 4, 2), (3, 2, 2, 3), (3,)]
+        x, k, b = (Tensor(rng.normal(size=s).astype(d), requires_grad=True)
+                   for s, d in zip(shapes, dtypes))
+        out = conv2d(x, k, b, stride=(2, 1))
+        out.sum().backward()
+        expected = np.result_type(*dtypes)
+        assert out.data.dtype == expected
+        assert x.grad.dtype == k.grad.dtype == b.grad.dtype == expected
+        oracle = naive_conv2d(x.data, k.data, b.data, (2, 1))
+        assert np.allclose(out.data, oracle, atol=1e-5 if expected == np.float32 else 1e-12)
+
+    def test_grad_check_runs_float32_points_in_float64(self):
+        rng = np.random.default_rng(9)
+        point = [rng.normal(size=(3, 5)).astype(np.float32)]
+        assert grad_check(lambda v: (squash_op(v) ** 2).sum(), point) < 1e-6

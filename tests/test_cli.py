@@ -315,7 +315,6 @@ class TestDriverScripts:
         calls = []
         monkeypatch.setattr(cli, "main", lambda args: calls.append(args) or 0)
         monkeypatch.chdir(tmp_path)
-        os.makedirs("results/mutag_ablation")  # the ablation lists its run dirs
         assert runpy.run_path(script)["main"](argv) == 0
         return [args for args in calls if args[0] != "report"]
 
@@ -330,3 +329,30 @@ class TestDriverScripts:
     def test_caller_flags_reach_the_cli(self, monkeypatch, tmp_path, script):
         for args in self._calls(monkeypatch, tmp_path, script, ["--seed", "7"]):
             assert cli.build_parser().parse_args(args).seed == 7
+
+    def test_ablation_reports_only_its_own_runs(self, tu_dir, tmp_path, capsys):
+        write_tu_files(tu_dir, "MUTAG", synthetic_dataset_graphs(num_graphs=16, seed=3))
+        ablation = runpy.run_path(os.path.join(os.path.dirname(SCRIPTS[0]),
+                                               "run_mutag_ablation.py"))["main"]
+        out_root = str(tmp_path / "ablation")
+        flags = ["--data-root", tu_dir, "--out-root", out_root, "--preset", "small",
+                 "--folds", "2", "--epochs", "1", "--jobs", "1"]
+        assert ablation([*flags, "--seed", "1"]) == 0
+        assert ablation([*flags, "--seed", "2"]) == 0
+        assert len(glob.glob(os.path.join(out_root, "MUTAG_*", "result.json"))) == 8
+        # report.txt has one timing line per reported run, report.csv one
+        # row per variant, each holding that variant's seed-2 result
+        timing = [line for line in open(os.path.join(out_root, "report", "report.txt"))
+                  if "s/fold" in line]
+        assert len(timing) == 4
+        rows = open(os.path.join(out_root, "report", "report.csv")).read().splitlines()[1:]
+        assert len(rows) == 4
+        for path in glob.glob(os.path.join(out_root, "MUTAG_*_s2_*", "result.json")):
+            result = json.load(open(path))
+            cell = f"{100 * result['mean_accuracy']:.1f} ± {100 * result['std_accuracy']:.2f}"
+            assert f"{result['variant']},{cell}" in rows
+        # with --repeats, every repeat of each variant is reported
+        assert ablation([*flags, "--seed", "5", "--repeats", "2"]) == 0
+        timing = [line for line in open(os.path.join(out_root, "report", "report.txt"))
+                  if "s/fold" in line]
+        assert len(timing) == 8

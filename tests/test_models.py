@@ -1,7 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from graphcaps.autodiff import grad_check
+from graphcaps import nn
+from graphcaps.autodiff import Tensor, grad_check
+from graphcaps.data import one_hot
 from graphcaps.models import (
     CapsNet,
     CapsNetConfig,
@@ -231,3 +235,77 @@ class TestCnnBaseline:
 
         point = [model.params[n].data.copy() for n in names]
         assert grad_check(loss_fn, point, h=1e-5) < 1e-4
+
+
+DTYPE_MODELS = {
+    "capsnet-margin": lambda: CapsNet(4, 3, 4, 2, TINY, seed=14),
+    "capsnet-binary_ce": lambda: CapsNet(4, 3, 4, 2, replace(TINY, loss_mode="binary_ce"),
+                                         seed=14),
+    "cnn-dropout": lambda: PatchyCnn(4, 3, 4, 2, CnnConfig(
+        conv1_filters=4, conv2_filters=3, conv2_kernel=3, dense_width=8, dropout=0.5), seed=14),
+}
+
+
+class TestDtype:
+    """The dtype follows the data: one-hot input and the models' parameters
+    are float32, so a whole training step is; float64 data stays float64."""
+
+    def _step(self, model, x, monkeypatch):
+        """One training step; returns (loss, dtypes of every op output, Adam state)."""
+        made = set()
+        make = Tensor._make
+
+        def recording_make(data, parents, backward):
+            made.add(np.asarray(data).dtype)
+            return make(data, parents, backward)
+
+        monkeypatch.setattr(Tensor, "_make", staticmethod(recording_make))
+        loss, _ = model.loss_batch(x, np.array([0, 1, 1, 0]), train=True,
+                                   rng=np.random.default_rng(15))
+        loss.backward()
+        state = nn.AdamState(base_lr=1e-3)
+        nn.adam_step(model.params, {n: p.grad for n, p in model.params.items()}, state, 0)
+        return loss, made, state
+
+    @pytest.mark.parametrize("name", sorted(DTYPE_MODELS))
+    def test_float32_step(self, name, monkeypatch):
+        model = DTYPE_MODELS[name]()
+        x = one_hot(np.random.default_rng(16).integers(0, 4, (4, 4, 3)), 3)
+        loss, made, state = self._step(model, x, monkeypatch)
+        assert loss.data.dtype == np.float32
+        assert made == {np.dtype(np.float32)}
+        for pname, p in model.params.items():
+            assert p.data.dtype == p.grad.dtype == np.float32, pname
+            assert state.m[pname].dtype == state.v[pname].dtype == np.float32, pname
+
+    @pytest.mark.parametrize("name", sorted(DTYPE_MODELS))
+    def test_float64_step(self, name, monkeypatch):
+        model = DTYPE_MODELS[name]()
+        model.params = {n: Tensor(p.data.astype(np.float64), requires_grad=True)
+                        for n, p in model.params.items()}
+        x = one_hot(np.random.default_rng(16).integers(0, 4, (4, 4, 3)), 3).astype(np.float64)
+        loss, made, state = self._step(model, x, monkeypatch)
+        assert loss.data.dtype == np.float64
+        assert made == {np.dtype(np.float64)}
+        for pname, p in model.params.items():
+            assert p.data.dtype == p.grad.dtype == np.float64, pname
+            assert state.m[pname].dtype == state.v[pname].dtype == np.float64, pname
+
+    def test_adam_takes_float64_gradients_for_float32_parameters(self):
+        param = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        state = nn.AdamState(base_lr=0.1)
+        nn.adam_step({"p": param}, {"p": np.full(3, 0.5)}, state, 0)
+        assert param.data.dtype == state.m["p"].dtype == state.v["p"].dtype == np.float32
+        assert np.allclose(param.data, 0.9)
+
+    def test_training_twice_gives_identical_float32_parameters(self):
+        x, y = toy_fixture()
+        x = x.astype(np.float32)
+        finals = []
+        for _ in range(2):
+            model = build_capsnet(6, 4, 4, 2, TOY_CFG, seed=17)
+            train_model(model, x, y, TrainConfig(epochs=3, batch_size=10, seed=17))
+            finals.append({n: p.data.copy() for n, p in model.params.items()})
+        for name in finals[0]:
+            assert finals[0][name].dtype == np.float32
+            assert np.array_equal(finals[0][name], finals[1][name])
