@@ -100,11 +100,15 @@ def perplexity_search(d2: np.ndarray, perplexity: float, tol: float = 1e-4,
     return P, betas
 
 
+def _check_perplexity(perplexity: float, m: int) -> None:
+    if not 1.0 < perplexity < m:
+        raise ValueError(f"perplexity must lie in (1, {m}), got {perplexity}")
+
+
 def joint_probabilities(points: np.ndarray, perplexity: float, tol: float = 1e-4) -> np.ndarray:
     """Symmetrized, normalized t-SNE joint distribution P (zero diagonal)."""
     m = len(points)
-    if not 1.0 < perplexity < m:
-        raise ValueError(f"perplexity must lie in (1, {m}), got {perplexity}")
+    _check_perplexity(perplexity, m)
     d2 = _pairwise_sq_dists(points)
     cond, _ = perplexity_search(d2, perplexity, tol=tol)
     P = (cond + cond.T) / (2.0 * m)

@@ -27,7 +27,7 @@ from .experiment import (
     write_manifest,
 )
 from .labelling import LABELLINGS
-from .models import LOSS_MODES
+from .models import LOSS_MODES, MODELS
 
 
 def read_config_file(path: str) -> dict:
@@ -115,6 +115,7 @@ def cmd_grid(args) -> int:
 def cmd_embed(args) -> int:
     from .analysis import (
         EmbeddingSource,
+        _check_perplexity,
         cluster_distances,
         extract_embeddings,
         tsne,
@@ -127,13 +128,15 @@ def cmd_embed(args) -> int:
     args.model = "cnn" if source is EmbeddingSource.CNN_INNER else "capsules"
     cfg = config_from_args(args)
     x, y, w, channels, ds = dataset_tensors(cfg)
+    model = None
+    if source is not EmbeddingSource.RAW_TENSOR:
+        model = cfg.build_model(w, channels, ds.num_classes, cfg.seed)
+    _check_perplexity(args.perplexity, len(x))
     out_dir = cfg.run_dir("embed_", f"_{source.value}")
     write_manifest(out_dir, cfg, source=source.value, perplexity=args.perplexity,
                    iters=args.iters)
 
-    model = None
-    if source is not EmbeddingSource.RAW_TENSOR:
-        model = cfg.build_model(w, channels, ds.num_classes, cfg.seed)
+    if model is not None:
         print(f"[embed] training {cfg.model} on the full dataset ({cfg.epochs} epochs)")
         train_model(model, x, y, cfg.train_config(cfg.seed))
 
@@ -200,7 +203,7 @@ def _add_tensor_opts(p: argparse.ArgumentParser) -> None:
 
 
 def _add_cv_opts(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", choices=["capsules", "cnn"])
+    p.add_argument("--model", choices=list(MODELS))
     p.add_argument("--folds", type=int)
 
 

@@ -32,6 +32,7 @@ from .data import dataset_checksums, dataset_digest, load_tu_dataset, one_hot, p
 from .labelling import LABELLINGS
 from .models import (
     LOSS_MODES,
+    MODELS,
     CapsNetConfig,
     CnnConfig,
     TrainConfig,
@@ -59,13 +60,11 @@ UNHASHED = ("jobs", "out_root", "cache_dir", "data_root")
 PRESETS = {
     "paper": {
         "capsnet": dict(conv_filters=256, primary_channels=32, decoder_hidden=(512, 1024)),
-        "epochs": 150,
-        "epochs_cnn": 200,
+        "epochs": {"capsules": 150, "cnn": 200},
     },
     "small": {
         "capsnet": dict(conv_filters=64, primary_channels=8, decoder_hidden=(128, 256)),
-        "epochs": 60,
-        "epochs_cnn": 120,
+        "epochs": {"capsules": 60, "cnn": 120},
     },
 }
 
@@ -76,7 +75,7 @@ class ExperimentConfig:
 
     dataset: str
     labelling: str = "bc"  # one of labelling.LABELLINGS
-    model: str = "capsules"  # capsules | cnn
+    model: str = "capsules"  # one of models.MODELS
     preset: str = "small"
     w: int | None = None
     k: int = 10
@@ -103,11 +102,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown preset {self.preset!r}")
         if self.labelling not in LABELLINGS:
             raise ValueError(f"unknown labelling {self.labelling!r}")
-        if self.model not in ("capsules", "cnn"):
+        if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}")
-        preset = PRESETS[self.preset]
         if self.epochs is None:
-            self.epochs = preset["epochs_cnn"] if self.model == "cnn" else preset["epochs"]
+            self.epochs = PRESETS[self.preset]["epochs"][self.model]
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
@@ -224,8 +222,7 @@ def version_stamp() -> str:
 
 def variant_name(labelling: str, model: str) -> str:
     lab = "BC" if labelling == "bc" else "Canonical"
-    mod = "Capsules" if model == "capsules" else "CNN"
-    return f"{lab} + {mod}"
+    return f"{lab} + {MODELS[model]}"
 
 
 def kfold_split(n_samples: int, folds: int, seed: int, strata) -> list:
@@ -325,12 +322,21 @@ def dataset_tensors(cfg: ExperimentConfig, name: str | None = None, log=print):
     return one_hot(grids, ds.num_node_labels), y, w, ds.num_node_labels + 1, ds
 
 
+def _checked_folds(cfg: ExperimentConfig, y, w: int, ds) -> list:
+    """One dataset's CV folds, once its model is known to build: a fold count
+    or a model geometry the dataset cannot take raises here, before output."""
+    folds = kfold_split(len(y), cfg.folds, cfg.seed, strata=y)
+    cfg.build_model(w, ds.num_node_labels + 1, ds.num_classes, cfg.seed)
+    return folds
+
+
 def load_datasets(cfg: ExperimentConfig, log=print) -> None:
     """Load and tensorize every dataset the config reads, through the tensor
-    cache, so a missing or unusable one fails before any output directory of
-    a multi-dataset run exists; the runs then read the warm cache."""
+    cache, and check its folds and model, so a dataset that fails to load or to
+    fit fails before any output of a multi-dataset run exists."""
     for name in cfg.dataset_names():
-        tensorize_cached(cfg, name, log=log)
+        _, y, w, ds = tensorize_cached(cfg, name, log=log)
+        _checked_folds(cfg, y, w, ds)
 
 
 def write_manifest(out_dir: str, cfg: ExperimentConfig, **extra) -> None:
@@ -407,19 +413,18 @@ def run_cv(cfg: ExperimentConfig, name: str | None = None, run_dir: str | None =
            log=print) -> ExperimentResult:
     """Stratified k-fold cross-validation of one (dataset, labelling, model)
     cell.  The run directory and its manifest appear only once the dataset
-    has loaded.  Folds already in the run directory's folds_partial.json are
+    has loaded and fits its folds and model.  Folds in folds_partial.json are
     reused, so an interrupted run resumes at the next fold; the run id keeps
     other configs and other dataset contents out of that directory."""
     name = name or cfg.dataset
     x, y, w, channels, ds = dataset_tensors(cfg, name, log=log)
+    folds = _checked_folds(cfg, y, w, ds)
     run_dir = run_dir or cfg.run_dir()
     os.makedirs(os.path.join(run_dir, "traces"), exist_ok=True)
     write_manifest(run_dir, cfg)
     partial = os.path.join(run_dir, "folds_partial.json")
     if cfg.jobs > 1 and threadpool_limits is None:
         log("[run] threadpoolctl missing: BLAS threads in fold workers are not capped")
-
-    folds = kfold_split(len(x), cfg.folds, cfg.seed, strata=y)
 
     done = {}
     if os.path.isfile(partial):

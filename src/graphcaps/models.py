@@ -1,12 +1,13 @@
 """Model assembly: the graph capsule network and the Patchy-San style CNN
-baseline, plus a deterministic mini-batch training loop.
+baseline (:data:`MODELS`), plus a deterministic mini-batch training loop.
 
-Both models consume the ``(w, k, d+1)`` graph tensors, hold their parameters
-in a flat name -> Tensor dict, and share the ``loss_batch`` / ``predict`` /
-``inner_features`` interface the experiment harness drives.  Parameters are
-created as :data:`graphcaps.data.FLOAT` (float32), the dtype of the one-hot
-tensors, so training and inference run in float32; everything created inside
-a step takes the dtype of the arrays it combines with.
+Both keep one contract (:class:`_Classifier`): input is a batch of
+``(w, k, d+1)`` tensors, a single tensor being a batch of one, checked in one
+place at every entry point; any other shape raises ``ValueError``.
+Inference runs in chunks without a tape and skips the capsule decoder.
+Parameters are :data:`graphcaps.data.FLOAT` (float32), the one-hot tensors'
+dtype, so training and inference run in float32; everything created inside a
+step takes the dtype of the arrays it combines with.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff, nn
+from . import nn
 from .autodiff import Tensor, conv2d, caps_predict, no_grad
 from .data import FLOAT
 
@@ -24,6 +25,9 @@ from .data import FLOAT
 class ConfigError(ValueError):
     """Model geometry that cannot be assembled as configured."""
 
+
+# The classifiers a run can choose, and the names reports give them.
+MODELS = {"capsules": "Capsules", "cnn": "CNN"}
 
 # The capsule losses: auto picks binary_ce for two classes, else margin.
 LOSS_MODES = ("auto", "margin", "binary_ce")
@@ -66,13 +70,46 @@ def _conv_out(size: int, kernel: int, stride: int) -> int:
     return (size - kernel) // stride + 1
 
 
-class CapsNet:
+class _Classifier:
+    """The contract :class:`CapsNet` and :class:`PatchyCnn` share: the input
+    boundary, the parameter dict and chunked inference."""
+
+    _chunk = 256  # graphs per inference chunk: bounds what a predict call holds
+
+    def __init__(self, w: int, k: int, channels: int, num_classes: int, cfg, draws: dict):
+        """``draws``, the seeded float64 initial weights, become :data:`FLOAT` leaves."""
+        self.w, self.k, self.channels, self.num_classes = w, k, channels, num_classes
+        self.cfg = cfg
+        self.params = {name: Tensor(arr.astype(FLOAT), requires_grad=True)
+                       for name, arr in draws.items()}
+
+    def parameter_count(self) -> int:
+        return sum(t.data.size for t in self.params.values())
+
+    def _batch(self, x) -> Tensor:
+        """``x`` as a ``(B, w, k, channels)`` Tensor in its own dtype."""
+        x = Tensor._lift(x)
+        if x.data.ndim == 3:
+            x = x.reshape((1,) + x.data.shape)
+        if x.data.shape[1:] != (self.w, self.k, self.channels):
+            raise ValueError(
+                f"input shape {x.data.shape[1:]} != ({self.w}, {self.k}, {self.channels})"
+            )
+        return x
+
+    def _infer(self, x, fn) -> np.ndarray:
+        """``fn`` of each chunk of the batch ``x``, without a tape, concatenated."""
+        x = self._batch(x).data
+        with no_grad():
+            return np.concatenate([fn(Tensor(x[lo : lo + self._chunk]))
+                                   for lo in range(0, len(x), self._chunk)])
+
+
+class CapsNet(_Classifier):
     """conv -> primary capsules -> class capsules (routing) -> decoder."""
 
     def __init__(self, w: int, k: int, channels: int, num_classes: int,
                  cfg: CapsNetConfig, seed: int = 0):
-        self.w, self.k, self.channels, self.num_classes = w, k, channels, num_classes
-        self.cfg = cfg
         self.loss_mode = cfg.resolve_loss_mode(num_classes)
 
         h1 = _conv_out(w, cfg.conv_kernel, cfg.conv_stride)
@@ -113,22 +150,18 @@ class CapsNet:
             scale = np.sqrt(2.0 / fan_in) if i < len(widths) - 1 else np.sqrt(1.0 / fan_in)
             p[f"dec{i}_w"] = rng.normal(0.0, scale, (fan_in, fan_out))
             p[f"dec{i}_b"] = np.zeros(fan_out)
-        self.params = {name: Tensor(arr.astype(FLOAT), requires_grad=True)
-                       for name, arr in p.items()}
+        super().__init__(w, k, channels, num_classes, cfg, p)
 
-    def parameter_count(self) -> int:
-        return sum(t.data.size for t in self.params.values())
-
-    def _capsule_forward(self, x: Tensor):
+    def _primary_capsules(self, x: Tensor) -> Tensor:
         cfg, p = self.cfg, self.params
         h = conv2d(x, p["conv1_w"], p["conv1_b"], stride=cfg.conv_stride).relu()
         h = conv2d(h, p["conv2_w"], p["conv2_b"], stride=cfg.primary_stride)
-        B = h.data.shape[0]
-        u = h.reshape(B, self.n_primary, cfg.primary_dim)
-        u = nn.squash(u)
-        u_hat = caps_predict(u, p["caps_w"])
-        v = nn.dynamic_routing(u_hat, cfg.routing_iters)
-        return u, v
+        return nn.squash(h.reshape(h.data.shape[0], self.n_primary, cfg.primary_dim))
+
+    def _capsule_forward(self, x: Tensor) -> Tensor:
+        """The class capsules of the batch ``x``."""
+        u_hat = caps_predict(self._primary_capsules(x), self.params["caps_w"])
+        return nn.dynamic_routing(u_hat, self.cfg.routing_iters)
 
     def _decode(self, v: Tensor, mask: np.ndarray) -> Tensor:
         p = self.params
@@ -146,57 +179,39 @@ class CapsNet:
         The decoder sees only the target capsule during training (``targets``
         given); otherwise the capsule with the largest norm.
         """
-        x = Tensor._lift(x)
-        if x.data.ndim == 3:
-            x = x.reshape((1,) + x.data.shape)
-        if x.data.shape[1:] != (self.w, self.k, self.channels):
-            raise ValueError(
-                f"input shape {x.data.shape[1:]} != ({self.w}, {self.k}, {self.channels})"
-            )
-        _, v = self._capsule_forward(x)
+        v = self._capsule_forward(self._batch(x))
         norms = nn.capsule_norms(v, axis=-1)
         B = v.data.shape[0]
         mask = np.zeros((B, self.num_classes), dtype=v.data.dtype)
-        chosen = (
-            np.asarray(targets, dtype=int)
-            if targets is not None
-            else norms.data.argmax(axis=1)
-        )
+        chosen = norms.data.argmax(axis=1) if targets is None else np.asarray(targets, dtype=int)
         mask[np.arange(B), chosen] = 1.0
         recon = self._decode(v, mask)
         return v, norms, recon
 
     def loss_batch(self, x, y, train: bool = True, rng=None):
+        x = self._batch(x)
         y = np.asarray(y, dtype=int)
         _, norms, recon = self.forward(x, targets=y if train else None)
         if self.loss_mode == "binary_ce":
             ml = nn.binary_margin_loss(norms, y)
         else:
             ml = nn.margin_loss(norms, y, lam=self.cfg.lam)
-        mse = nn.reconstruction_loss(recon, Tensor._lift(x))
+        mse = nn.reconstruction_loss(recon, x)
         loss = nn.total_loss(ml, mse, alpha=self.cfg.alpha)
         return loss, {"margin": ml.item(), "mse": mse.item()}
 
     def predict(self, x) -> np.ndarray:
-        with no_grad():
-            out = []
-            for lo in range(0, len(x), 256):
-                _, norms, _ = self.forward(x[lo : lo + 256])
-                out.append(norms.data.argmax(axis=1))
-        return np.concatenate(out)
+        """The class whose capsule has the largest norm; the decoder does not run."""
+        return self._infer(x, lambda xb: nn.capsule_norms(self._capsule_forward(xb))
+                           .data.argmax(axis=1))
 
     def inner_features(self, x) -> np.ndarray:
         """Flattened primary-capsule vectors (before any routing)."""
-        with no_grad():
-            out = []
-            for lo in range(0, len(x), 256):
-                u, _ = self._capsule_forward(Tensor(x[lo : lo + 256]))
-                B = u.data.shape[0]
-                out.append(u.data.reshape(B, -1).copy())
-        return np.concatenate(out)
+        return self._infer(x, lambda xb: self._primary_capsules(xb).data
+                           .reshape(xb.data.shape[0], -1))
 
 
-class PatchyCnn:
+class PatchyCnn(_Classifier):
     """Patchy-San style baseline: field-aligned convolutions + dense softmax.
 
     The (w, k, channels) tensor is flattened to a (w*k, 1) strip; the first
@@ -206,8 +221,6 @@ class PatchyCnn:
 
     def __init__(self, w: int, k: int, channels: int, num_classes: int,
                  cfg: CnnConfig, seed: int = 0):
-        self.w, self.k, self.channels, self.num_classes = w, k, channels, num_classes
-        self.cfg = cfg
         conv2_kernel = min(cfg.conv2_kernel, w)
         self.conv2_kernel = conv2_kernel
         conv2_out = w - conv2_kernel + 1
@@ -229,11 +242,7 @@ class PatchyCnn:
         p["dense_b"] = np.zeros(cfg.dense_width)
         p["out_w"] = rng.normal(0.0, np.sqrt(1.0 / cfg.dense_width), (cfg.dense_width, num_classes))
         p["out_b"] = np.zeros(num_classes)
-        self.params = {name: Tensor(arr.astype(FLOAT), requires_grad=True)
-                       for name, arr in p.items()}
-
-    def parameter_count(self) -> int:
-        return sum(t.data.size for t in self.params.values())
+        super().__init__(w, k, channels, num_classes, cfg, p)
 
     def _features(self, x: Tensor, train: bool = False, rng=None):
         p = self.params
@@ -250,10 +259,7 @@ class PatchyCnn:
         return h
 
     def logits(self, x, train: bool = False, rng=None) -> Tensor:
-        x = Tensor._lift(x)
-        if x.data.ndim == 3:
-            x = x.reshape((1,) + x.data.shape)
-        h = self._features(x, train=train, rng=rng)
+        h = self._features(self._batch(x), train=train, rng=rng)
         return h @ self.params["out_w"] + self.params["out_b"]
 
     def loss_batch(self, x, y, train: bool = True, rng=None):
@@ -262,20 +268,11 @@ class PatchyCnn:
         return loss, {"margin": loss.item(), "mse": 0.0}
 
     def predict(self, x) -> np.ndarray:
-        with no_grad():
-            out = []
-            for lo in range(0, len(x), 512):
-                out.append(self.logits(x[lo : lo + 512]).data.argmax(axis=1))
-        return np.concatenate(out)
+        return self._infer(x, lambda xb: self.logits(xb).data.argmax(axis=1))
 
     def inner_features(self, x) -> np.ndarray:
         """Activations of the dense inner layer (no dropout)."""
-        with no_grad():
-            out = []
-            for lo in range(0, len(x), 512):
-                h = self._features(Tensor(x[lo : lo + 512]))
-                out.append(h.data.copy())
-        return np.concatenate(out)
+        return self._infer(x, lambda xb: self._features(xb).data)
 
 
 def build_capsnet(w, k, channels, num_classes, cfg: CapsNetConfig | None = None, seed: int = 0):

@@ -172,7 +172,8 @@ class AdamState:
 
 
 def adam_step(params: dict, grads: dict, state: AdamState, epoch: int) -> AdamState:
-    """One bias-corrected Adam update, in place on ``params``.
+    """One bias-corrected Adam update, in place on ``params`` and the moments,
+    through two scratch arrays per parameter.
 
     The moments are kept in each parameter's dtype; a gradient of a wider
     dtype is accepted and rounded into them.
@@ -197,11 +198,15 @@ def adam_step(params: dict, grads: dict, state: AdamState, epoch: int) -> AdamSt
         if name not in state.m:
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
-        m = state.m[name]
-        v = state.v[name]
+        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), in this order, in place
+        m, v = state.m[name], state.v[name]
+        step, denom = np.empty_like(p.data), np.empty_like(p.data)
         m *= b1
-        m += (1.0 - b1) * g
+        m += np.multiply(g, 1.0 - b1, out=step)
         v *= b2
-        v += (1.0 - b2) * (g * g)
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        v += np.multiply(np.multiply(g, g, out=step), 1.0 - b2, out=step)
+        np.sqrt(np.divide(v, bc2, out=denom), out=denom)
+        denom += state.eps
+        np.multiply(np.divide(m, bc1, out=step), lr, out=step)
+        p.data -= np.divide(step, denom, out=step)
     return state

@@ -132,14 +132,32 @@ class TestRunCommand:
         assert main(argv) == 1
         assert os.listdir(out_root) == []
 
-    @pytest.mark.parametrize("flag, field", [("--batch-size", "batch_size"),
-                                             ("--routing-iters", "routing_iters")])
-    def test_bad_training_setting_fails_before_output(self, syn_root, tmp_path, capsys,
-                                                      flag, field):
+    # SYN has 16 graphs of default width 10 and each PTC sub-dataset 12 graphs; a later
+    # --dataset or --folds overrides the one the test passes first
+    @pytest.mark.parametrize("argv, error", [
+        pytest.param(["run", "--batch-size", "0"], "batch_size", id="--batch-size-batch_size"),
+        pytest.param(["run", "--routing-iters", "0"], "routing_iters",
+                     id="--routing-iters-routing_iters"),
+        pytest.param(["run", "--folds", "50"], "cannot make 50 folds from 16 samples",
+                     id="run-folds"),
+        pytest.param(["run", "-k", "2"], "conv layer needs input >= 3x3, got 10x2", id="run-k"),
+        pytest.param(["run", "-w", "2"], "conv layer needs input >= 3x3, got 2x10", id="run-w"),
+        pytest.param(["run", "--dataset", "PTC", "--folds", "13"],
+                     "cannot make 13 folds from 12 samples", id="run-PTC-folds"),
+        pytest.param(["grid", "--dataset", "PTC", "-k", "2", "--epochs-grid", "1", "--lr-grid",
+                      "0.001", "--decay-grid", "0.0"], "conv layer needs input", id="grid-PTC-k"),
+        pytest.param(["embed", "--source", "caps", "--perplexity", "100"],
+                     "perplexity must lie in (1, 16)", id="embed-perplexity"),
+    ])
+    def test_bad_training_setting_fails_before_output(self, syn_root, ptc_root, tmp_path, capsys,
+                                                      argv, error):
         out_root = tmp_path / "results"
-        assert main(["run", "--dataset", "SYN", "--data-root", syn_root, "--out-root",
-                     str(out_root), "--folds", "3", "--epochs", "1", flag, "0"]) == 1
-        assert field in capsys.readouterr().err
+        command, *flags = argv
+        cv = ["--folds", "3"] if command != "embed" else []
+        assert main([command, "--dataset", "SYN", "--data-root", syn_root, "--out-root",
+                     str(out_root), "--cache-dir", str(tmp_path / "cache"), "--epochs", "1",
+                     *cv, *flags]) == 1
+        assert error in capsys.readouterr().err
         assert not out_root.exists()
 
     def test_repeats_prints_mean(self, syn_root, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import json
 import os
@@ -7,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from graphcaps import experiment
 from graphcaps.data import dataset_digest
 from graphcaps.experiment import (
     ExperimentConfig,
@@ -124,6 +126,39 @@ class TestRunCV:
         a = open(os.path.join(serial.out_root, serial.run_id(), "folds.csv"), "rb").read()
         b = open(os.path.join(parallel.out_root, parallel.run_id(), "folds.csv"), "rb").read()
         assert a == b
+
+    @pytest.mark.parametrize("jobs, installed", [(2, True), (2, False), (1, True)])
+    def test_parallel_folds_cap_blas_threads(self, syn_data, tmp_path, monkeypatch, jobs,
+                                             installed):
+        """Parallel folds train under threadpool_limits(limits=1); without
+        threadpoolctl run_cv says so once; serial folds do neither."""
+        record = str(tmp_path / "limits.txt")
+        limit = [None]
+
+        @contextlib.contextmanager
+        def fake_limits(limits):
+            limit[0] = limits
+            try:
+                yield
+            finally:
+                limit[0] = None
+
+        train_model = experiment.train_model
+
+        def recording_train(*args, **kwargs):
+            with open(record, "a") as fh:  # written by the fold worker processes
+                fh.write(f"{limit[0]}\n")
+            return train_model(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "threadpool_limits", fake_limits if installed else None)
+        monkeypatch.setattr(experiment, "train_model", recording_train)
+        lines = []
+        cfg = small_cfg(syn_data, tmp_path, jobs=jobs, epochs=1)
+        run_cv(cfg, log=lines.append)
+        capped = jobs > 1 and installed
+        assert open(record).read().split() == [str(1 if capped else None)] * cfg.folds
+        missing = [line for line in lines if "threadpoolctl missing" in line]
+        assert len(missing) == (1 if jobs > 1 and not installed else 0)
 
     def test_resume_from_partial(self, syn_data, tmp_path):
         cfg = small_cfg(syn_data, tmp_path)

@@ -131,6 +131,64 @@ class TestForward:
         assert parts["mse"] <= 1.0
 
 
+# Every entry point of both models, called on a batch x with labels y.
+ENTRY_POINTS = {
+    "capsnet-forward": (lambda: build_capsnet(8, 5, 4, 2, TOY_CFG, seed=9),
+                        lambda m, x, y: m.forward(x)),
+    "capsnet-loss_batch": (lambda: build_capsnet(8, 5, 4, 2, TOY_CFG, seed=9),
+                           lambda m, x, y: m.loss_batch(x, y)),
+    "capsnet-predict": (lambda: build_capsnet(8, 5, 4, 2, TOY_CFG, seed=9),
+                        lambda m, x, y: m.predict(x)),
+    "capsnet-inner_features": (lambda: build_capsnet(8, 5, 4, 2, TOY_CFG, seed=9),
+                               lambda m, x, y: m.inner_features(x)),
+    "cnn-logits": (lambda: build_cnn(8, 5, 4, 2, seed=9), lambda m, x, y: m.logits(x)),
+    "cnn-loss_batch": (lambda: build_cnn(8, 5, 4, 2, seed=9),
+                       lambda m, x, y: m.loss_batch(x, y, rng=np.random.default_rng(1))),
+    "cnn-predict": (lambda: build_cnn(8, 5, 4, 2, seed=9), lambda m, x, y: m.predict(x)),
+    "cnn-inner_features": (lambda: build_cnn(8, 5, 4, 2, seed=9),
+                           lambda m, x, y: m.inner_features(x)),
+}
+
+
+def _values(out) -> list:
+    """An entry point's output (one value or a tuple) as plain values."""
+    return [t.data if isinstance(t, Tensor) else t
+            for t in (out if isinstance(out, tuple) else (out,))]
+
+
+class TestInputContract:
+    """Both models take a (B, w, k, channels) batch, or one (w, k, channels)
+    sample as a batch of one, at every entry point, and reject other shapes."""
+
+    @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+    def test_transposed_batch_rejected(self, name):
+        build, call = ENTRY_POINTS[name]
+        x = one_hot(np.random.default_rng(10).integers(0, 4, (3, 8, 5)), 3)
+        with pytest.raises(ValueError, match=r"input shape \(5, 8, 4\) != \(8, 5, 4\)"):
+            call(build(), x.transpose(0, 2, 1, 3), np.array([0, 1, 0]))
+
+    @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+    def test_single_sample_is_a_batch_of_one(self, name):
+        build, call = ENTRY_POINTS[name]
+        x = one_hot(np.random.default_rng(11).integers(0, 4, (1, 8, 5)), 3)
+        one, batch = call(build(), x[0], np.array([1])), call(build(), x, np.array([1]))
+        for a, b in zip(_values(one), _values(batch)):
+            assert a == b if isinstance(a, dict) else np.array_equal(a, b)
+
+    def test_capsnet_predict_skips_the_decoder(self, monkeypatch):
+        model = build_capsnet(8, 5, 4, 2, TOY_CFG, seed=12)
+        x = one_hot(np.random.default_rng(13).integers(0, 4, (300, 8, 5)), 3)
+        _, norms, _ = model.forward(x)
+
+        def no_decoder(v, mask):
+            raise AssertionError("predict ran the decoder")
+
+        monkeypatch.setattr(model, "_decode", no_decoder)
+        pred = model.predict(x)
+        assert np.array_equal(pred, norms.data.argmax(axis=1))
+        assert len(set(pred.tolist())) == 2
+
+
 class TestTraining:
     def test_toy_fixture_reaches_full_accuracy(self):
         x, y = toy_fixture()

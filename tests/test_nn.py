@@ -193,6 +193,25 @@ class TestAdam:
             adam_step(p, {"x": g}, state, epoch=0)
             assert float(p["x"].data) == pytest.approx(want, abs=1e-15)
 
+    def test_float32_steps_match_the_textbook_expression_bitwise(self):
+        rng = np.random.default_rng(3)
+        start = rng.standard_normal((40, 30)).astype(np.float32)
+        grads = [rng.standard_normal((40, 30)).astype(np.float32) for _ in range(4)]
+        p = {"w": Tensor(start.copy(), requires_grad=True)}
+        state = AdamState(base_lr=0.01, decay=0.3)
+        want, m, v = start.copy(), np.zeros_like(start), np.zeros_like(start)
+        for t, g in enumerate(grads, start=1):
+            adam_step(p, {"w": g}, state, epoch=t)
+            if t == 1:
+                moments = state.m["w"], state.v["w"]
+            lr = state.effective_lr(t)
+            m = 0.9 * m + (1 - 0.9) * g
+            v = 0.999 * v + (1 - 0.999) * (g * g)
+            want = want - lr * (m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8)
+            assert p["w"].data.dtype == want.dtype == np.float32
+            assert np.array_equal(p["w"].data, want)
+        assert moments[0] is state.m["w"] and moments[1] is state.v["w"]
+
     def test_nonfinite_gradient_names_parameter(self):
         p = {"bad_param": Tensor(np.ones(2), requires_grad=True)}
         with pytest.raises(TrainingError, match="bad_param"):
