@@ -44,11 +44,14 @@ def extract_embeddings(model, tensors: np.ndarray, source: EmbeddingSource) -> n
     return model.inner_features(np.asarray(tensors, dtype=model.params["conv1_w"].data.dtype))
 
 
-def _pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
+def _pairwise_sq_dists(x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Squared distances between the rows of ``x``, zero diagonal, clipped at
+    0, computed in the m x m buffer ``out`` with the buffer ``scratch``."""
     sq = (x * x).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-    np.fill_diagonal(d2, 0.0)
-    return np.maximum(d2, 0.0)
+    np.multiply(np.matmul(x, x.T, out=out), 2.0, out=out)
+    np.subtract(np.add(sq[:, None], sq[None, :], out=scratch), out, out=out)
+    np.fill_diagonal(out, 0.0)
+    return np.maximum(out, 0.0, out=out)
 
 
 def _entropy_and_probs(d2_row: np.ndarray, beta: float):
@@ -109,22 +112,26 @@ def joint_probabilities(points: np.ndarray, perplexity: float, tol: float = 1e-4
     """Symmetrized, normalized t-SNE joint distribution P (zero diagonal)."""
     m = len(points)
     _check_perplexity(perplexity, m)
-    d2 = _pairwise_sq_dists(points)
+    d2 = _pairwise_sq_dists(points, np.empty((m, m)), np.empty((m, m)))
     cond, _ = perplexity_search(d2, perplexity, tol=tol)
     P = (cond + cond.T) / (2.0 * m)
     return np.maximum(P, 1e-300)
 
 
-def _low_dim_q(y: np.ndarray):
-    num = 1.0 / (1.0 + _pairwise_sq_dists(y))
+def _low_dim_q(y: np.ndarray, q: np.ndarray, num: np.ndarray):
+    """The affinities ``q`` and Student-t kernel ``num`` = 1 / (1 + |y_i - y_j|^2)
+    (zero diagonal) of the layout ``y``, computed in the two m x m buffers."""
+    _pairwise_sq_dists(y, num, q)
+    np.divide(1.0, np.add(num, 1.0, out=num), out=num)
     np.fill_diagonal(num, 0.0)
-    q = num / num.sum()
-    return np.maximum(q, 1e-300), num
+    np.maximum(np.divide(num, num.sum(), out=q), 1e-300, out=q)
+    return q, num
 
 
 def kl_divergence(P: np.ndarray, y: np.ndarray) -> float:
-    q, _ = _low_dim_q(y)
-    mask = ~np.eye(len(y), dtype=bool)
+    m = len(y)
+    q, _ = _low_dim_q(y, np.empty((m, m)), np.empty((m, m)))
+    mask = ~np.eye(m, dtype=bool)
     return float((P[mask] * np.log(P[mask] / q[mask])).sum())
 
 
@@ -159,10 +166,12 @@ def tsne(points: np.ndarray, perplexity: float, out_dims: int = 2, iters: int = 
 
     velocity = np.zeros_like(y)
     gains = np.ones_like(y)
+    p_exaggerated = P * early_exaggeration
+    q, num = np.empty((m, m)), np.empty((m, m))
     for it in range(iters):
-        p_eff = P * early_exaggeration if it < exaggeration_iters else P
-        q, num = _low_dim_q(y)
-        pq = (p_eff - q) * num
+        p_eff = p_exaggerated if it < exaggeration_iters else P
+        _low_dim_q(y, q, num)
+        pq = np.multiply(np.subtract(p_eff, q, out=q), num, out=q)
         grad = 4.0 * (pq.sum(axis=1, keepdims=True) * y - pq @ y)
         momentum = 0.5 if it < momentum_switch else 0.8
         same_sign = np.sign(grad) == np.sign(velocity)

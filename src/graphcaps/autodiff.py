@@ -1,9 +1,11 @@
 """Minimal dense-tensor kernel with reverse-mode gradients.
 
 Just enough ops for the models in this project: elementwise arithmetic,
-matmul, valid-padding 2-D convolution, reductions, softmax, and the capsule
-prediction contraction.  Arrays are row-major numpy; convolution gathers its
-patches once so the heavy lifting stays in BLAS.
+matmul, valid-padding 2-D convolution, reductions, softmax, the capsule
+prediction contraction, the capsule squash, and routing-by-agreement as one
+op (:func:`routing`, whose backward replays the stored rounds).  Arrays are
+row-major numpy; convolution gathers its patches once so the heavy lifting
+stays in BLAS.
 
 The dtype follows the data: a :class:`Tensor` keeps the floating dtype of
 the array it wraps, so float32 inputs and parameters train in float32, and
@@ -239,7 +241,8 @@ class Tensor:
             if a.requires_grad:
                 a._accumulate_owned(g * mask)
 
-        return Tensor._make(np.where(mask, a.data, 0.0), (a,), backward)
+        # one pass; NaN stays NaN, and -0.0 maps to a zero of either sign
+        return Tensor._make(np.maximum(a.data, 0), (a,), backward)
 
     def sigmoid(self):
         a = self
@@ -432,70 +435,98 @@ def caps_predict(u, weights):
     return Tensor._make(np.ascontiguousarray(out_data), (u, weights), backward)
 
 
-def route_weighted_sum(couplings, predictions):
-    """s[b, o, d] = sum_n c[b, n, o] * u_hat[b, n, o, d] without materializing
-    the full product.  couplings: (B, n_in, n_out); predictions: (B, n_in,
-    n_out, d_out)."""
-    c = Tensor._lift(couplings)
-    u_hat = Tensor._lift(predictions)
-    u_t = u_hat.data.transpose(0, 2, 1, 3)  # (B, n_out, n_in, d_out)
-    out_data = (c.data.transpose(0, 2, 1)[:, :, None, :] @ u_t)[:, :, 0, :]
-
-    def backward(g):
-        if c.requires_grad:
-            dc = (u_t @ g[:, :, :, None])[:, :, :, 0].transpose(0, 2, 1)
-            c._accumulate_owned(np.ascontiguousarray(dc))
-        if u_hat.requires_grad:
-            u_hat._accumulate_owned(c.data[:, :, :, None] * g[:, None, :, :])
-
-    return Tensor._make(np.ascontiguousarray(out_data), (c, u_hat), backward)
+def _squash(v: np.ndarray, eps: float):
+    """Capsule squash along the last axis, ``v * nsq / ((1+nsq) sqrt(nsq+eps))``
+    with nsq = |v|^2 (the epsilon keeps it differentiable at the zero vector),
+    and the factors its gradient reuses."""
+    nsq = (v * v).sum(axis=-1, keepdims=True)
+    root = np.sqrt(nsq + eps)
+    scale = nsq / ((1.0 + nsq) * root)
+    return v * scale, (nsq, root, scale)
 
 
-def route_agreement(predictions, outputs):
-    """a[b, n, o] = sum_d u_hat[b, n, o, d] * v[b, o, d]; the logit update of
-    routing-by-agreement."""
-    u_hat = Tensor._lift(predictions)
-    v = Tensor._lift(outputs)
-    u_t = u_hat.data.transpose(0, 2, 1, 3)  # (B, n_out, n_in, d_out)
-    out_data = (u_t @ v.data[:, :, :, None])[:, :, :, 0].transpose(0, 2, 1)
-
-    def backward(g):
-        g_t = g.transpose(0, 2, 1)  # (B, n_out, n_in)
-        if u_hat.requires_grad:
-            u_hat._accumulate_owned(g[:, :, :, None] * v.data[:, None, :, :])
-        if v.requires_grad:
-            dv = (g_t[:, :, None, :] @ u_t)[:, :, 0, :]
-            v._accumulate_owned(np.ascontiguousarray(dv))
-
-    return Tensor._make(np.ascontiguousarray(out_data), (u_hat, v), backward)
+def _squash_grad(g: np.ndarray, v: np.ndarray, factors, eps: float) -> np.ndarray:
+    """Gradient of :func:`_squash` at ``v`` for the output gradient ``g``."""
+    nsq, root, scale = factors
+    # d scale / d nsq, written to stay finite at nsq = 0
+    denom = (1.0 + nsq) * root
+    dscale = (
+        1.0 / denom
+        - nsq / ((1.0 + nsq) * denom)
+        - 0.5 * nsq / (denom * (nsq + eps))
+    )
+    inner = (g * v).sum(axis=-1, keepdims=True)
+    return g * scale + v * (2.0 * inner * dscale)
 
 
 def squash_op(v, eps: float = 1e-9):
-    """Fused capsule squash along the last axis.
-
-    out = v * s(nsq) with nsq = |v|^2 and s(nsq) = nsq / ((1+nsq) sqrt(nsq+eps));
-    the epsilon keeps the map differentiable at the zero vector.
-    """
+    """Fused capsule squash along the last axis (see :func:`_squash`)."""
     v = Tensor._lift(v)
-    nsq = (v.data * v.data).sum(axis=-1, keepdims=True)
-    root = np.sqrt(nsq + eps)
-    scale = nsq / ((1.0 + nsq) * root)
-    out_data = v.data * scale
+    out_data, factors = _squash(v.data, eps)
 
     def backward(g):
-        if not v.requires_grad:
-            return
-        # d scale / d nsq, written to stay finite at nsq = 0
-        denom = (1.0 + nsq) * root
-        dscale = (
-            1.0 / denom
-            - nsq / ((1.0 + nsq) * denom)
-            - 0.5 * nsq / (denom * (nsq + eps))
-        )
-        inner = (g * v.data).sum(axis=-1, keepdims=True)
-        v._accumulate_owned(g * scale + v.data * (2.0 * inner * dscale))
+        if v.requires_grad:
+            v._accumulate_owned(_squash_grad(g, v.data, factors, eps))
 
     return Tensor._make(out_data, (v,), backward)
+
+
+def routing(predictions, iterations: int, eps: float = 1e-9):
+    """Routing-by-agreement (Sabour et al. 2017) over (B, n_in, n_out, d)
+    predictions, as one op; see :func:`graphcaps.nn.dynamic_routing`.
+    Returns the (B, n_out, d) output capsules and each round's (B, n_out, n_in)
+    couplings.  The logits are (B, n_out, n_in), so the softmax reduces over
+    an outer axis.  The backward replays the stored rounds in reverse and
+    forms the predictions' gradient as one GEMM per (batch, output capsule):
+    the stacked couplings and logit gradients, n_in x (2T-1), times the
+    stacked sum gradients and outputs, (2T-1) x d.
+    """
+    u = Tensor._lift(predictions)
+    if iterations < 1:
+        raise ValueError("routing needs at least one iteration")
+    if u.data.ndim != 4:
+        raise ValueError(f"predictions must be (B, n_in, n_out, d), got shape {u.data.shape}")
+    B, n_in, n_out, d = u.data.shape
+    T, dtype = iterations, u.data.dtype
+    u_t = u.data.transpose(0, 2, 1, 3)  # (B, n_out, n_in, d), a view
+    keep = _GRAD_ENABLED and u.requires_grad
+    # rows < T: the couplings; the backward writes the logit gradients into rows >= T
+    lhs = np.empty((B, n_out, 2 * T - 1, n_in), dtype=dtype) if keep else None
+    saved, couplings = [], []
+    logits = np.zeros((B, n_out, n_in), dtype=dtype)
+    for t in range(T):
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        c = e / e.sum(axis=1, keepdims=True)
+        s = (c[:, :, None, :] @ u_t)[:, :, 0, :]
+        v, factors = _squash(s, eps)
+        if t < T - 1:
+            logits += (u_t @ v[:, :, :, None])[:, :, :, 0]
+        couplings.append(c)
+        if keep:
+            lhs[:, :, t] = c
+            saved.append((s, v, factors))
+
+    def backward(g):
+        rhs = np.empty((B, n_out, 2 * T - 1, d), dtype=dtype)  # sum grads, then outputs
+        g_logits = np.zeros((B, n_out, n_in), dtype=dtype)  # of the next round's logits
+        g_v = g
+        for t in reversed(range(T)):
+            s, v, factors = saved[t]
+            if t < T - 1:  # next logits = these logits + u_t @ v
+                lhs[:, :, T + t] = g_logits
+                rhs[:, :, T + t] = v
+                g_v = (g_logits[:, :, None, :] @ u_t)[:, :, 0, :]
+            g_s = _squash_grad(g_v, s, factors, eps)
+            rhs[:, :, t] = g_s
+            if t > 0:  # the first round's logits are the constant zero
+                c = lhs[:, :, t]
+                g_c = (u_t @ g_s[:, :, :, None])[:, :, :, 0]
+                g_logits += c * (g_c - (g_c * c).sum(axis=1, keepdims=True))
+        g_u = np.empty_like(u.data)
+        np.matmul(lhs.swapaxes(2, 3), rhs, out=g_u.transpose(0, 2, 1, 3))
+        u._accumulate_owned(g_u)
+
+    return Tensor._make(v, (u,), backward), couplings
 
 
 def grad_check(f, point, h: float = 1e-5, rel_floor: float = 1e-6) -> float:

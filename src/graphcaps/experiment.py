@@ -39,6 +39,7 @@ from .models import (
     build_capsnet,
     build_cnn,
     evaluate_accuracy,
+    primary_grid,
     train_model,
 )
 from .tensor_cache import CacheError, load_tensors, save_tensors
@@ -322,11 +323,12 @@ def dataset_tensors(cfg: ExperimentConfig, name: str | None = None, log=print):
     return one_hot(grids, ds.num_node_labels), y, w, ds.num_node_labels + 1, ds
 
 
-def _checked_folds(cfg: ExperimentConfig, y, w: int, ds) -> list:
-    """One dataset's CV folds, once its model is known to build: a fold count
-    or a model geometry the dataset cannot take raises here, before output."""
+def _checked_folds(cfg: ExperimentConfig, y, w: int) -> list:
+    """One dataset's CV folds, once its model is known to fit: a fold count
+    or a capsule geometry (the CNN takes any) raises here, before output."""
     folds = kfold_split(len(y), cfg.folds, cfg.seed, strata=y)
-    cfg.build_model(w, ds.num_node_labels + 1, ds.num_classes, cfg.seed)
+    if cfg.model == "capsules":
+        primary_grid(w, cfg.k, cfg.capsnet_config())
     return folds
 
 
@@ -335,8 +337,8 @@ def load_datasets(cfg: ExperimentConfig, log=print) -> None:
     cache, and check its folds and model, so a dataset that fails to load or to
     fit fails before any output of a multi-dataset run exists."""
     for name in cfg.dataset_names():
-        _, y, w, ds = tensorize_cached(cfg, name, log=log)
-        _checked_folds(cfg, y, w, ds)
+        _, y, w, _ = tensorize_cached(cfg, name, log=log)
+        _checked_folds(cfg, y, w)
 
 
 def write_manifest(out_dir: str, cfg: ExperimentConfig, **extra) -> None:
@@ -418,7 +420,7 @@ def run_cv(cfg: ExperimentConfig, name: str | None = None, run_dir: str | None =
     other configs and other dataset contents out of that directory."""
     name = name or cfg.dataset
     x, y, w, channels, ds = dataset_tensors(cfg, name, log=log)
-    folds = _checked_folds(cfg, y, w, ds)
+    folds = _checked_folds(cfg, y, w)
     run_dir = run_dir or cfg.run_dir()
     os.makedirs(os.path.join(run_dir, "traces"), exist_ok=True)
     write_manifest(run_dir, cfg)

@@ -66,8 +66,21 @@ class CnnConfig:
     dropout: float = 0.5
 
 
-def _conv_out(size: int, kernel: int, stride: int) -> int:
-    return (size - kernel) // stride + 1
+def primary_grid(w: int, k: int, cfg: CapsNetConfig) -> tuple[int, int]:
+    """The primary-capsule map's (rows, columns) for a ``w x k`` input, or
+    :class:`ConfigError` if the two convolutions cannot take it; builds nothing."""
+    h1, w1 = ((n - cfg.conv_kernel) // cfg.conv_stride + 1 for n in (w, k))
+    if h1 < 1 or w1 < 1:
+        raise ConfigError(
+            f"conv layer needs input >= {cfg.conv_kernel}x{cfg.conv_kernel}, got {w}x{k}"
+        )
+    h2, w2 = ((n - cfg.primary_kernel) // cfg.primary_stride + 1 for n in (h1, w1))
+    if h2 < 1 or w2 < 1:
+        raise ConfigError(
+            f"primary capsule conv cannot reshape {h1}x{w1}x{cfg.conv_filters} "
+            f"with kernel {cfg.primary_kernel} stride {cfg.primary_stride}"
+        )
+    return h2, w2
 
 
 class _Classifier:
@@ -111,22 +124,7 @@ class CapsNet(_Classifier):
     def __init__(self, w: int, k: int, channels: int, num_classes: int,
                  cfg: CapsNetConfig, seed: int = 0):
         self.loss_mode = cfg.resolve_loss_mode(num_classes)
-
-        h1 = _conv_out(w, cfg.conv_kernel, cfg.conv_stride)
-        w1 = _conv_out(k, cfg.conv_kernel, cfg.conv_stride)
-        if h1 < 1 or w1 < 1:
-            raise ConfigError(
-                f"conv layer needs input >= {cfg.conv_kernel}x{cfg.conv_kernel}, "
-                f"got {w}x{k}"
-            )
-        h2 = _conv_out(h1, cfg.primary_kernel, cfg.primary_stride)
-        w2 = _conv_out(w1, cfg.primary_kernel, cfg.primary_stride)
-        if h2 < 1 or w2 < 1:
-            raise ConfigError(
-                f"primary capsule conv cannot reshape {h1}x{w1}x{cfg.conv_filters} "
-                f"with kernel {cfg.primary_kernel} stride {cfg.primary_stride}"
-            )
-        self.primary_spatial = (h2, w2)
+        h2, w2 = self.primary_spatial = primary_grid(w, k, cfg)
         self.n_primary = h2 * w2 * cfg.primary_channels
         self.recon_dim = w * k * channels
 

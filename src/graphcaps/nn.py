@@ -48,35 +48,20 @@ def dynamic_routing(predictions, iterations: int, return_trace: bool = False):
     Logits start at zero; each round couples by softmax over the output
     capsules, forms weighted prediction sums, squashes, and (on all but the
     last round) adds the prediction/output agreement back onto the logits.
-    Gradients flow through the entire unrolled loop.
+    The rounds run as one op, :func:`graphcaps.autodiff.routing`.
 
     Returns the output capsules, shaped like the input minus the n_in axis;
-    with ``return_trace`` also the per-iteration coupling coefficients.
+    with ``return_trace`` also the per-iteration (B, n_in, n_out) couplings.
     """
-    if iterations < 1:
-        raise ValueError("routing needs at least one iteration")
     u_hat = Tensor._lift(predictions)
     squeeze = u_hat.data.ndim == 3
     if squeeze:
         u_hat = u_hat.reshape((1,) + u_hat.data.shape)
-    if u_hat.data.ndim != 4:
-        raise ValueError(f"predictions must be 3- or 4-D, got shape {u_hat.data.shape}")
-    B, n_in, n_out, d_out = u_hat.data.shape
-
-    logits = Tensor(np.zeros((B, n_in, n_out), dtype=u_hat.data.dtype))
-    couplings = []
-    v = None
-    for it in range(iterations):
-        c = logits.softmax(axis=2)
-        couplings.append(c.data.copy())
-        s = autodiff.route_weighted_sum(c, u_hat)
-        v = squash(s)
-        if it < iterations - 1:
-            logits = logits + autodiff.route_agreement(u_hat, v)
+    v, couplings = autodiff.routing(u_hat, iterations, eps=NORM_EPS)
     if squeeze:
-        v = v.reshape(n_out, d_out)
+        v = v.reshape(v.data.shape[1:])
     if return_trace:
-        return v, couplings
+        return v, [c.transpose(0, 2, 1) for c in couplings]
     return v
 
 

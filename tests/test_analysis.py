@@ -143,7 +143,46 @@ class TestPerplexitySearch:
             joint_probabilities(points, perplexity=3.0)
 
 
+def reference_tsne(points, perplexity, iters, seed, early_exaggeration=12.0,
+                   exaggeration_iters=250, momentum_switch=250):
+    """The allocating t-SNE loop: every m x m array is built anew each step."""
+
+    def sq_dists(x):
+        sq = (x * x).sum(axis=1)
+        d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+        np.fill_diagonal(d2, 0.0)
+        return np.maximum(d2, 0.0)
+
+    m = len(points)
+    cond, _ = perplexity_search(sq_dists(points), perplexity)
+    P = np.maximum((cond + cond.T) / (2.0 * m), 1e-300)
+    learning_rate = max(m / early_exaggeration / 4.0, 50.0)
+    y = np.random.default_rng([seed, 0x74736E65]).normal(0.0, 1e-4, (m, 2))
+    velocity, gains = np.zeros_like(y), np.ones_like(y)
+    for it in range(iters):
+        p_eff = P * early_exaggeration if it < exaggeration_iters else P
+        num = 1.0 / (1.0 + sq_dists(y))
+        np.fill_diagonal(num, 0.0)
+        q = np.maximum(num / num.sum(), 1e-300)
+        pq = (p_eff - q) * num
+        grad = 4.0 * (pq.sum(axis=1, keepdims=True) * y - pq @ y)
+        momentum = 0.5 if it < momentum_switch else 0.8
+        gains = np.where(np.sign(grad) == np.sign(velocity), gains * 0.8, gains + 0.2)
+        np.clip(gains, 0.01, None, out=gains)
+        velocity = momentum * velocity - learning_rate * gains * grad
+        y = y + velocity
+        y = y - y.mean(axis=0)
+    return y
+
+
 class TestTsne:
+    def test_coords_bitwise_equal_to_allocating_loop(self):
+        points, _ = two_blobs(n_per=20, dims=6, gap=1.0, seed=5)
+        switches = dict(exaggeration_iters=20, momentum_switch=40)
+        got = tsne(points, perplexity=8.0, iters=60, seed=4, **switches).coords
+        want = reference_tsne(points, perplexity=8.0, iters=60, seed=4, **switches)
+        assert got.tobytes() == want.tobytes()
+
     def test_two_blob_fixture(self):
         points, labels = two_blobs()
         res = tsne(points, perplexity=5.0, iters=400, seed=3)

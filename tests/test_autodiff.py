@@ -7,8 +7,7 @@ from graphcaps.autodiff import (
     conv2d,
     grad_check,
     no_grad,
-    route_agreement,
-    route_weighted_sum,
+    routing,
     squash_op,
 )
 
@@ -86,6 +85,27 @@ class TestElementwiseAndShapes:
         assert np.allclose(ta.sum(axis=0).data, a.sum(0))
         assert np.allclose(ta.mean(axis=1, keepdims=True).data, a.mean(1, keepdims=True))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_matches_the_where_form(self, dtype):
+        a = np.random.default_rng(6).normal(size=(4, 37)).astype(dtype)
+        a[0, :3] = 0.0
+        t = Tensor(a, requires_grad=True)
+        out = t.relu()
+        out.sum().backward()
+        assert out.data.tobytes() == np.where(a > 0, a, 0.0).astype(dtype).tobytes()
+        assert np.array_equal(t.grad, (a > 0).astype(dtype))
+
+    def test_relu_of_negative_zero_and_nan(self):
+        # -0.0 gives a zero whose sign numpy's maximum leaves to the SIMD
+        # path; NaN propagates, so a non-finite activation reaches the loss
+        # check. Neither passes a gradient.
+        t = Tensor(np.array([-0.0, np.nan, -np.inf, np.inf]), requires_grad=True)
+        out = t.relu()
+        out.sum().backward()
+        assert out.data[0] == 0.0 and np.isnan(out.data[1])
+        assert np.array_equal(out.data[2:], [0.0, np.inf])
+        assert np.array_equal(t.grad, [0.0, 0.0, 0.0, 1.0])
+
     def test_broadcast_gradients(self):
         # (3,4) + (4,) bias: bias grad sums over the broadcast axis
         x = Tensor(np.ones((3, 4)), requires_grad=True)
@@ -135,7 +155,7 @@ class TestGradCheck:
 
     @pytest.mark.parametrize(
         "name",
-        ["matmul", "softmax", "conv", "caps_predict", "route_ws", "route_ag", "div", "sigmoid"],
+        ["matmul", "softmax", "conv", "caps_predict", "routing", "div", "sigmoid"],
     )
     def test_every_op_differentiates(self, name):
         rng = np.random.default_rng(5)
@@ -150,13 +170,9 @@ class TestGradCheck:
                 lambda u, w: (caps_predict(u, w) ** 2).sum(),
                 [rng.normal(size=(2, 4, 3)), rng.normal(size=(4, 2, 3, 5))],
             ),
-            "route_ws": (
-                lambda c, u: (route_weighted_sum(c.softmax(axis=2), u) ** 2).sum(),
-                [rng.normal(size=(2, 4, 3)), rng.normal(size=(2, 4, 3, 5))],
-            ),
-            "route_ag": (
-                lambda u, v: (route_agreement(u, v) ** 2).sum(),
-                [rng.normal(size=(2, 4, 3, 5)), rng.normal(size=(2, 3, 5))],
+            "routing": (
+                lambda u: (routing(u, 3)[0] ** 2).sum(),
+                [rng.normal(size=(2, 4, 3, 5))],
             ),
             "div": (lambda a, b: (a / (b * b + 1.0)).sum(), [rng.normal(size=(3,)), rng.normal(size=(3,))]),
             "sigmoid": (lambda a: (a.sigmoid() ** 3).sum(), [rng.normal(size=(4,))]),

@@ -23,6 +23,7 @@ from graphcaps.experiment import (
     tensorize_cached,
     variant_name,
 )
+from graphcaps.models import ConfigError
 from graphcaps.tensor_cache import save_tensors
 from helpers import flip_grid_byte, synthetic_dataset_graphs, write_tu_files, write_v2_cache
 
@@ -159,6 +160,15 @@ class TestRunCV:
         assert open(record).read().split() == [str(1 if capped else None)] * cfg.folds
         missing = [line for line in lines if "threadpoolctl missing" in line]
         assert len(missing) == (1 if jobs > 1 and not installed else 0)
+
+    def test_geometry_checked_without_building_a_model(self, syn_data, tmp_path, monkeypatch):
+        def build_model(*args):
+            raise AssertionError("the pre-output check built a model")
+
+        monkeypatch.setattr(ExperimentConfig, "build_model", build_model)
+        experiment.load_datasets(small_cfg(syn_data, tmp_path), log=QUIET)
+        with pytest.raises(ConfigError, match="conv layer needs input >= 3x3"):
+            experiment.load_datasets(small_cfg(syn_data, tmp_path, k=2), log=QUIET)
 
     def test_resume_from_partial(self, syn_data, tmp_path):
         cfg = small_cfg(syn_data, tmp_path)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from graphcaps import nn
-from graphcaps.autodiff import Tensor, grad_check
+from graphcaps.autodiff import Tensor, grad_check, routing
 from graphcaps.data import one_hot
 from graphcaps.models import (
     CapsNet,
@@ -348,6 +348,14 @@ class TestDtype:
         for pname, p in model.params.items():
             assert p.data.dtype == p.grad.dtype == np.float64, pname
             assert state.m[pname].dtype == state.v[pname].dtype == np.float64, pname
+
+    def test_routing_op_runs_in_float32(self):
+        u = Tensor(np.random.default_rng(18).normal(size=(3, 6, 2, 4)).astype(np.float32),
+                   requires_grad=True)
+        v, couplings = routing(u, 3)
+        (v * v).sum().backward()
+        assert v.data.dtype == u.grad.dtype == np.float32
+        assert {c.dtype for c in couplings} == {np.dtype(np.float32)}
 
     def test_adam_takes_float64_gradients_for_float32_parameters(self):
         param = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from graphcaps.autodiff import Tensor
+from graphcaps.autodiff import Tensor, squash_op
 from graphcaps.nn import (
+    NORM_EPS,
     AdamState,
     TrainingError,
     adam_step,
@@ -43,7 +44,43 @@ class TestSquash:
             assert cos == pytest.approx(1.0, abs=1e-12)
 
 
+def oracle_routing(u_hat: Tensor, iterations: int):
+    """Routing-by-agreement taped round by round from elementary Tensor ops:
+    (output capsules, per-round (B, n_in, n_out) couplings)."""
+    B, n_in, n_out, d = u_hat.data.shape
+    logits = Tensor(np.zeros((B, n_in, n_out)))
+    couplings = []
+    for it in range(iterations):
+        c = logits.softmax(axis=2)
+        couplings.append(c.data)
+        v = squash_op((c.reshape(B, n_in, n_out, 1) * u_hat).sum(axis=1), eps=NORM_EPS)
+        if it < iterations - 1:
+            logits = logits + (u_hat * v.reshape(B, 1, n_out, d)).sum(axis=3)
+    return v, couplings
+
+
 class TestRouting:
+    @pytest.mark.parametrize("iterations", [1, 2, 3])
+    @pytest.mark.parametrize("n_out", [2, 3])
+    @pytest.mark.parametrize("batch", [1, 3, None])  # None: one unbatched (n_in, n_out, d)
+    def test_fused_op_matches_taped_oracle(self, batch, n_out, iterations):
+        rng = np.random.default_rng([batch or 0, n_out, iterations])
+        shape = (5, n_out, 4) if batch is None else (batch, 5, n_out, 4)
+        u = rng.normal(size=shape)
+        weights = rng.normal(size=shape[:-3] + (n_out, 4))
+        fused = Tensor(u.copy(), requires_grad=True)
+        v, trace = dynamic_routing(fused, iterations, return_trace=True)
+        (v * Tensor(weights)).sum().backward()
+        taped = Tensor(u.reshape((-1,) + shape[-3:]), requires_grad=True)
+        v_ref, trace_ref = oracle_routing(taped, iterations)
+        (v_ref * Tensor(weights.reshape(v_ref.data.shape))).sum().backward()
+        assert v.data.shape == shape[:-3] + (n_out, 4)
+        assert np.allclose(v.data, v_ref.data.reshape(v.data.shape), rtol=0.0, atol=1e-12)
+        assert np.allclose(fused.grad, taped.grad.reshape(shape), rtol=0.0, atol=1e-10)
+        assert len(trace) == iterations
+        for c, c_ref in zip(trace, trace_ref):
+            assert np.allclose(c, c_ref, rtol=0.0, atol=1e-12)
+
     def test_single_pair_reduces_to_squash(self):
         rng = np.random.default_rng(0)
         u_hat = rng.normal(size=(1, 1, 4))
