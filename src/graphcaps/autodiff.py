@@ -1,7 +1,7 @@
 """Minimal dense-tensor kernel with reverse-mode gradients.
 
 Just enough ops for the models in this project: elementwise arithmetic,
-matmul, valid-padding 2-D convolution, reductions, softmax, the capsule
+matmul, valid-padding 2-D convolution, reductions, the capsule
 prediction contraction, the capsule squash, and routing-by-agreement as one
 op (:func:`routing`, whose backward replays the stored rounds).  Arrays are
 row-major numpy; convolution gathers its patches once so the heavy lifting
@@ -291,21 +291,6 @@ class Tensor:
             [self.data.shape[ax] for ax in np.atleast_1d(axis)]
         )
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / float(count))
-
-    # -- composite nonlinearity --------------------------------------------------
-
-    def softmax(self, axis: int = -1):
-        a = self
-        shifted = a.data - a.data.max(axis=axis, keepdims=True)
-        e = np.exp(shifted)
-        out_data = e / e.sum(axis=axis, keepdims=True)
-
-        def backward(g):
-            if a.requires_grad:
-                inner = (g * out_data).sum(axis=axis, keepdims=True)
-                a._accumulate_owned(out_data * (g - inner))
-
-        return Tensor._make(out_data, (a,), backward)
 
     # -- tape -----------------------------------------------------------------
 

@@ -28,6 +28,7 @@ from .experiment import (
 )
 from .labelling import LABELLINGS
 from .models import LOSS_MODES, MODELS
+from .selftest import run_selftest
 
 
 def read_config_file(path: str) -> dict:
@@ -169,12 +170,6 @@ def cmd_report(args) -> int:
     return 0
 
 
-def cmd_selftest(args) -> int:
-    from .selftest import run_selftest
-
-    return run_selftest(break_kernel=os.environ.get("GRAPHCAPS_SELFTEST_BREAK") == "1")
-
-
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
@@ -268,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("selftest", help="run the built-in verification suites")
-    p.set_defaults(func=cmd_selftest)
+    p.set_defaults(func=lambda args: run_selftest())
 
     return parser
 

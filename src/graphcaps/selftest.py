@@ -1,9 +1,10 @@
-"""Built-in verification suites for ``graphcaps selftest``.
+"""Verification suites for ``graphcaps selftest`` and acceptance criteria 4-8.
 
 Each suite re-derives expected values through an independent route (path
 enumeration, finite differences, exhaustive relabelling) and checks the
 production code against it.  The brute-force betweenness oracle here is
-deliberately a different algorithm from the Brandes implementation.
+deliberately a different algorithm from the Brandes implementation.  A suite
+that runs past its time limit fails.
 """
 
 from __future__ import annotations
@@ -16,7 +17,16 @@ import numpy as np
 from . import autodiff, nn
 from .data import Graph, permute_node_ids
 from .labelling import LABELLINGS, betweenness_centrality, canonical_certificate
+from .models import CapsNet, CapsNetConfig
 from .tensorize import graph_to_tensor
+
+# The capsule network whose loss gradient the gradient suite checks end to end.
+TINY = CapsNetConfig(conv_filters=6, primary_channels=2, primary_dim=4, primary_kernel=1,
+                     primary_stride=1, caps_dim=6, decoder_hidden=(8, 12), loss_mode="margin")
+
+# the 11 isomorphism classes of 4-node simple graphs have these class sizes;
+# the 5-node graphs fall into 34 classes
+FOUR_NODE_CLASS_SIZES = sorted([1, 3, 6, 4, 3, 12, 12, 6, 12, 4, 1])
 
 
 def bruteforce_betweenness(g: Graph) -> np.ndarray:
@@ -81,109 +91,118 @@ def random_graph(rng, n: int, p: float, num_labels: int = 1, connected: bool = F
     return Graph(n=n, edges=frozenset(edges), node_labels=labels, class_label=0)
 
 
-def _suite_betweenness(rng, break_kernel: bool) -> tuple:
+def all_simple_graphs(n: int):
+    """Every labelled simple graph on n nodes (uniform node labels)."""
+    pairs = list(itertools.combinations(range(n), 2))
+    for bits in itertools.product((0, 1), repeat=len(pairs)):
+        edges = frozenset(p for p, b in zip(pairs, bits) if b)
+        yield Graph(n=n, edges=edges, node_labels=(0,) * n, class_label=0)
+
+
+def _suite_betweenness(rng) -> tuple:
     failures = 0
     for _ in range(200):
-        n = int(rng.integers(2, 9))
-        g = random_graph(rng, n, float(rng.uniform(0.2, 0.9)), connected=True)
-        got = betweenness_centrality(g)
-        want = bruteforce_betweenness(g)
-        if break_kernel:
-            got = got + 1e-6
-        if not np.allclose(got, want, atol=1e-9, rtol=0.0):
-            failures += 1
-    return failures, "200 random connected graphs (n<=8) vs path-enumeration oracle"
+        g = random_graph(rng, int(rng.integers(2, 9)), float(rng.uniform(0.2, 0.9)),
+                         connected=True)
+        got, want = betweenness_centrality(g), bruteforce_betweenness(g)
+        failures += not np.allclose(got, want, rtol=0.0, atol=1e-9)
+    return failures, "200 random connected graphs (n <= 8) vs path enumeration, atol 1e-9"
 
 
-def _suite_canonical(rng, break_kernel: bool) -> tuple:
+def _suite_canonical(rng) -> tuple:
     failures = 0
-    for _ in range(40):
-        n = int(rng.integers(2, 13))
-        g = random_graph(rng, n, float(rng.uniform(0.1, 0.9)), num_labels=3)
+    for trial in range(100):
+        g = random_graph(rng, int(rng.integers(2, 21)), float(rng.uniform(0.05, 0.95)),
+                         num_labels=3)
         ref = canonical_certificate(g)
-        for rep in range(5):
-            h = permute_node_ids(g, [11, rep])
-            cert = canonical_certificate(h)
-            if break_kernel:
-                cert = cert + b"x"
-            if cert != ref:
-                failures += 1
-    return failures, "40 random graphs x 5 relabellings, certificate identity"
+        failures += sum(canonical_certificate(permute_node_ids(g, [trial, rep])) != ref
+                        for rep in range(20))
+    class_sizes = {}
+    for g in all_simple_graphs(4):
+        ref = canonical_certificate(g)
+        class_sizes[ref] = class_sizes.get(ref, 0) + 1
+        for perm in itertools.permutations(range(4)):
+            edges = frozenset(tuple(sorted((perm[u], perm[v]))) for u, v in g.edges)
+            h = Graph(n=4, edges=edges, node_labels=g.node_labels, class_label=0)
+            failures += canonical_certificate(h) != ref
+    failures += sorted(class_sizes.values()) != FOUR_NODE_CLASS_SIZES
+    failures += len({canonical_certificate(g) for g in all_simple_graphs(5)}) != 34
+    return failures, ("100 random graphs (n <= 20) x 20 relabellings; "
+                      "all 4-node graphs x 4! relabellings: 11 classes; all 5-node graphs: 34")
 
 
-def _suite_tensor_invariance(rng, break_kernel: bool) -> tuple:
+def _suite_tensor_invariance(rng) -> tuple:
     failures = 0
-    for _ in range(25):
-        n = int(rng.integers(2, 13))
-        g = random_graph(rng, n, float(rng.uniform(0.1, 0.8)), num_labels=3)
+    for trial in range(100):
+        n, d = int(rng.integers(2, 21)), int(rng.integers(1, 6))
+        g = random_graph(rng, n, float(rng.uniform(0.05, 0.9)), num_labels=d)
         for labelling in LABELLINGS:
-            ref = graph_to_tensor(g, w=8, k=5, d=3, labelling=labelling)
-            h = permute_node_ids(g, [17, n])
-            got = graph_to_tensor(h, w=8, k=5, d=3, labelling=labelling)
-            if break_kernel:
-                got = got + 1
-            if not np.array_equal(ref, got):
-                failures += 1
-    return failures, "25 random graphs, bitwise tensor equality under relabelling"
+            ref = graph_to_tensor(g, w=10, k=6, d=5, labelling=labelling)
+            for rep in range(5):
+                h = permute_node_ids(g, [trial, rep])
+                failures += not np.array_equal(
+                    ref, graph_to_tensor(h, w=10, k=6, d=5, labelling=labelling))
+    return failures, "100 graphs (n <= 20) x 5 relabellings x 2 labellings at w=10, k=6, bitwise"
 
 
-def _suite_gradients(rng, break_kernel: bool) -> tuple:
-    def f_squash(v):
-        return (nn.squash(v) * nn.squash(v)).sum()
+def _suite_gradients(rng) -> tuple:
+    model = CapsNet(4, 3, 4, 2, TINY, seed=11)
+    x = np.eye(4)[rng.integers(0, 4, size=(4, 4, 3))]
+    y = np.array([0, 1, 1, 0])
+    names = sorted(model.params)
 
-    def f_conv(x, w, b):
-        return (autodiff.conv2d(x, w, b, stride=(1, 1)).relu() ** 2).sum()
+    def f_capsnet(*tensors):
+        model.params.update(zip(names, tensors))
+        return model.loss_batch(x, y, train=True)[0]
 
     checks = [
-        ("squash", f_squash, [rng.normal(size=(3, 4))]),
-        (
-            "conv2d",
-            f_conv,
-            [rng.normal(size=(2, 5, 5, 2)), rng.normal(size=(3, 3, 2, 2)), rng.normal(size=2)],
-        ),
+        (lambda v: (nn.squash(v) ** 2).sum(), [rng.normal(size=(3, 5))], 1e-6),
+        (lambda x, w, b: (autodiff.conv2d(x, w, b, stride=(1, 1)).relu() ** 2).sum(),
+         [rng.normal(size=(2, 5, 5, 2)), rng.normal(size=(3, 3, 2, 2)), rng.normal(size=2)], 1e-6),
+        (f_capsnet, [model.params[n].data.copy() for n in names], 1e-4),
     ]
-    failures = 0
-    for name, f, point in checks:
-        err = autodiff.grad_check(f, point, h=1e-5)
-        if break_kernel:
-            err += 1.0
-        if err >= 1e-6:
-            failures += 1
-    return failures, "finite-difference gradient checks (squash, conv2d)"
+    failures = sum(autodiff.grad_check(f, point, h=1e-5) >= bound for f, point, bound in checks)
+    return failures, "squash and conv2d rel err < 1e-6, TINY CapsNet loss rel err < 1e-4"
 
 
-def _suite_routing(rng, break_kernel: bool) -> tuple:
+def _suite_routing(rng) -> tuple:
     failures = 0
     for iters in range(1, 6):
-        u_hat = rng.normal(size=(4, 6, 3, 5))
-        _, couplings = nn.dynamic_routing(autodiff.Tensor(u_hat), iters, return_trace=True)
-        for c in couplings:
-            sums = c.sum(axis=-1)
-            if break_kernel:
-                sums = sums + 1e-6
-            if not np.allclose(sums, 1.0, atol=1e-9):
-                failures += 1
-    return failures, "coupling rows sum to 1 across 1..5 routing iterations"
+        _, couplings = nn.dynamic_routing(rng.normal(size=(4, 7, 4, 5)), iters,
+                                          return_trace=True)
+        failures += len(couplings) != iters
+        failures += sum(not np.allclose(c.sum(axis=-1), 1.0, rtol=0.0, atol=1e-9)
+                        for c in couplings)
+    return failures, "1..5 routing rounds on (4, 7, 4, 5): coupling rows sum to 1, atol 1e-9"
 
 
-SUITES = (
-    ("betweenness-oracle", _suite_betweenness),
-    ("canonical-invariance", _suite_canonical),
-    ("tensor-invariance", _suite_tensor_invariance),
-    ("gradient-checks", _suite_gradients),
-    ("routing-sums", _suite_routing),
-)
+# name: (suite, time limit in seconds)
+SUITES = {
+    "betweenness-oracle": (_suite_betweenness, 10.0),
+    "canonical-invariance": (_suite_canonical, 5.0),
+    "tensor-invariance": (_suite_tensor_invariance, 60.0),
+    "gradient-checks": (_suite_gradients, 30.0),
+    "routing-sums": (_suite_routing, 5.0),
+}
 
 
-def run_selftest(break_kernel: bool = False) -> int:
+def run_suite(name: str) -> tuple:
+    """``(failures, detail)`` of the suite called ``name``: its failed checks,
+    plus one if it ran past its time limit, and a line describing the run."""
+    suite, limit = SUITES[name]
+    rng = np.random.default_rng([0x73657374, list(SUITES).index(name)])
+    start = time.perf_counter()
+    failures, desc = suite(rng)
+    elapsed = time.perf_counter() - start
+    failures += elapsed > limit
+    return failures, f"{desc} ({failures} failures, {elapsed:.2f}s, limit {limit:g}s)"
+
+
+def run_selftest() -> int:
     total_failures = 0
-    for index, (name, suite) in enumerate(SUITES):
-        rng = np.random.default_rng([0x73657374, index])
-        t0 = time.perf_counter()
-        failures, desc = suite(rng, break_kernel)
-        elapsed = time.perf_counter() - t0
-        status = "PASS" if failures == 0 else f"FAIL ({failures} failures)"
-        print(f"[selftest] {name:22s} {status:6s} {elapsed:6.2f}s  {desc}")
+    for name in SUITES:
+        failures, detail = run_suite(name)
+        print(f"[selftest] {name:20s} {'PASS' if failures == 0 else 'FAIL'}  {detail}")
         total_failures += failures
     if total_failures:
         print(f"[selftest] FAILED with {total_failures} total failures")

@@ -1,29 +1,32 @@
-"""Shared test fixtures: tiny graphs, random graph generators, TU-format file
-writers, a synthetic two-class benchmark, and independent oracles."""
+"""Shared test fixtures: tiny graphs, TU-format file writers, a synthetic
+two-class benchmark, cache-file forgeries and kernel mutations.  The random
+graph generator and the oracles live in :mod:`graphcaps.selftest`."""
 
 from __future__ import annotations
 
-import itertools
+import functools
+import inspect
 import os
 import struct
+import sys
+import textwrap
 
 import numpy as np
 
 from graphcaps.data import Graph
-from graphcaps.selftest import bruteforce_betweenness, random_graph
+from graphcaps.selftest import run_suite
 
 __all__ = [
-    "bruteforce_betweenness",
-    "random_graph",
     "triangle",
     "path_graph",
     "star_graph",
     "cycle_graph",
     "write_tu_files",
     "synthetic_dataset_graphs",
-    "all_simple_graphs",
     "write_v2_cache",
     "flip_grid_byte",
+    "mutate",
+    "healthy_suite",
 ]
 
 
@@ -47,14 +50,6 @@ def cycle_graph(n: int, cls=0) -> Graph:
     edges = {(i, (i + 1) % n) for i in range(n)}
     return Graph(n=n, edges=frozenset(tuple(sorted(e)) for e in edges),
                  node_labels=tuple([0] * n), class_label=cls)
-
-
-def all_simple_graphs(n: int):
-    """Every labelled simple graph on n nodes (uniform node labels)."""
-    pairs = list(itertools.combinations(range(n), 2))
-    for bits in itertools.product((0, 1), repeat=len(pairs)):
-        edges = frozenset(p for p, b in zip(pairs, bits) if b)
-        yield Graph(n=n, edges=edges, node_labels=tuple([0] * n), class_label=0)
 
 
 def write_tu_files(root: str, name: str, graphs) -> str:
@@ -133,3 +128,24 @@ def flip_grid_byte(path: str) -> None:
     blob[npy + 10 + header_len] ^= 1
     with open(path, "wb") as fh:
         fh.write(blob)
+
+
+def mutate(monkeypatch, module, name: str, expression: str, mutant: str) -> None:
+    """Break the function ``module.name`` by rewriting the one occurrence of
+    ``expression`` in its source to ``mutant``.  The rewrite is compiled
+    against the module's own globals and patched into every graphcaps module
+    that holds the function, since some callers import it by name."""
+    original = getattr(module, name)
+    source = textwrap.dedent(inspect.getsource(original))
+    assert source.count(expression) == 1, f"{expression!r} is not one expression of {name}"
+    scope = {}
+    exec(compile(source.replace(expression, mutant), module.__file__, "exec"), vars(module), scope)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("graphcaps") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, scope[name])
+
+
+# Each selftest suite's (failures, detail) on the unmutated build, run once
+# per test session: the acceptance criteria report it, and each mutation test
+# checks it before breaking a kernel.
+healthy_suite = functools.lru_cache(maxsize=None)(run_suite)

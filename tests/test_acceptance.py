@@ -4,10 +4,10 @@ Criteria that need the real TU benchmark files (MUTAG, PTC_*) locate them via
 GRAPHCAPS_DATA / ./data and skip with an explicit message when absent; this
 build sandbox has no network route to the dataset hosts, so absence is an
 environment limitation, not a product defect.  Everything else runs
-unconditionally.  Run with ``pytest tests/test_acceptance.py -v -s``.
+unconditionally; criteria 4-8 run the suites of :mod:`graphcaps.selftest`.
+Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
-import itertools
 import json
 import math
 import os
@@ -17,21 +17,11 @@ import numpy as np
 import pytest
 
 from graphcaps.analysis import joint_probabilities, perplexity_search, tsne
-from graphcaps.autodiff import Tensor, grad_check
+from graphcaps.autodiff import Tensor
 from graphcaps.cli import main
-from graphcaps.data import Graph, permute_node_ids
 from graphcaps.experiment import ExperimentConfig, run_cv, run_experiment
-from graphcaps.labelling import LABELLINGS, betweenness_centrality, canonical_certificate
-from graphcaps.models import CapsNet, CapsNetConfig
-from graphcaps.nn import dynamic_routing, margin_loss, total_loss
-from graphcaps.tensorize import graph_to_tensor
-from helpers import (
-    all_simple_graphs,
-    bruteforce_betweenness,
-    random_graph,
-    synthetic_dataset_graphs,
-    write_tu_files,
-)
+from graphcaps.nn import margin_loss, total_loss
+from helpers import healthy_suite, synthetic_dataset_graphs, write_tu_files
 
 from conftest import benchmark_data_root
 
@@ -124,106 +114,25 @@ def test_criterion_3_ptc_small(tmp_path):
     ))
 
 
+def check_suite(criterion: int, suite: str):
+    failures, detail = healthy_suite(suite)
+    report(criterion, failures == 0, f"{suite}: {detail}")
+
+
 def test_criterion_4_permutation_invariance():
-    start = time.perf_counter()
-    rng = np.random.default_rng(0xACCE04)
-    failures = 0
-    for trial in range(100):
-        n = int(rng.integers(2, 21))
-        d = int(rng.integers(1, 6))
-        g = random_graph(rng, n, float(rng.uniform(0.05, 0.9)), num_labels=d)
-        for labelling in LABELLINGS:
-            ref = graph_to_tensor(g, w=10, k=6, d=5, labelling=labelling)
-            for rep in range(5):
-                h = permute_node_ids(g, [trial, rep])
-                got = graph_to_tensor(h, w=10, k=6, d=5, labelling=labelling)
-                if not np.array_equal(ref, got):
-                    failures += 1
-    elapsed = time.perf_counter() - start
-    ok = failures == 0 and elapsed < 60.0
-    report(4, ok, (
-        f"100 graphs x 5 permutations x both labellings bitwise identical "
-        f"({failures} failures, {elapsed:.1f}s < 60s)"
-    ))
+    check_suite(4, "tensor-invariance")
 
 
 def test_criterion_5_betweenness_oracle():
-    start = time.perf_counter()
-    rng = np.random.default_rng(0xACCE05)
-    worst = 0.0
-    for _ in range(200):
-        g = random_graph(rng, int(rng.integers(2, 9)), float(rng.uniform(0.2, 0.9)),
-                         connected=True)
-        got = betweenness_centrality(g)
-        want = bruteforce_betweenness(g)
-        worst = max(worst, float(np.max(np.abs(got - want))))
-    elapsed = time.perf_counter() - start
-    ok = worst <= 1e-9 and elapsed < 10.0
-    report(5, ok, (
-        f"200 connected graphs n<=8 vs path-enumeration oracle, "
-        f"max |err| {worst:.2e} <= 1e-9 ({elapsed:.1f}s < 10s)"
-    ))
+    check_suite(5, "betweenness-oracle")
 
 
 def test_criterion_6_canonical_form_oracle():
-    start = time.perf_counter()
-    by_cert = {}
-    ok = True
-    for g in all_simple_graphs(4):
-        ref = canonical_certificate(g)
-        by_cert.setdefault(ref, 0)
-        by_cert[ref] += 1
-        for perm in itertools.permutations(range(4)):
-            h = Graph(
-                n=4,
-                edges=frozenset(
-                    tuple(sorted((perm[u], perm[v]))) for u, v in g.edges
-                ),
-                node_labels=(0, 0, 0, 0),
-                class_label=0,
-            )
-            if canonical_certificate(h) != ref:
-                ok = False
-    elapsed = time.perf_counter() - start
-    # 64 labelled graphs fall into exactly 11 isomorphism classes
-    ok = ok and len(by_cert) == 11 and sum(by_cert.values()) == 64 and elapsed < 5.0
-    report(6, ok, (
-        f"all 4-node graphs x 4! relabellings: {len(by_cert)} certificate classes "
-        f"(expected 11), every relabelling identical ({elapsed:.1f}s < 5s)"
-    ))
+    check_suite(6, "canonical-invariance")
 
 
 def test_criterion_7_gradient_suite():
-    start = time.perf_counter()
-    cfg = CapsNetConfig(
-        conv_filters=6, conv_kernel=3, primary_kernel=1, primary_stride=1,
-        primary_channels=2, primary_dim=4, caps_dim=6, decoder_hidden=(8, 12),
-        loss_mode="margin",
-    )
-    model = CapsNet(4, 3, 4, 2, cfg, seed=11)
-    rng = np.random.default_rng(12)
-    x = np.zeros((4, 4, 3, 4))
-    idx = rng.integers(0, 4, size=(4, 4, 3))
-    for b in range(4):
-        for i in range(4):
-            for j in range(3):
-                x[b, i, j, idx[b, i, j]] = 1.0
-    y = np.array([0, 1, 1, 0])
-    names = sorted(model.params)
-
-    def loss_fn(*tensors):
-        for name, t in zip(names, tensors):
-            model.params[name] = t
-        loss, _ = model.loss_batch(x, y, train=True)
-        return loss
-
-    err = grad_check(loss_fn, [model.params[n].data.copy() for n in names], h=1e-5)
-    elapsed = time.perf_counter() - start
-    ok = err < 1e-4 and elapsed < 30.0
-    report(7, ok, (
-        f"end-to-end capsnet gradient (w=4,k=3,d=3,C=2) vs central differences: "
-        f"max rel err {err:.2e} < 1e-4 ({elapsed:.1f}s < 30s)"
-    ))
+    check_suite(7, "gradient-checks")
 
 
 def test_criterion_8_loss_identities():
@@ -241,18 +150,10 @@ def test_criterion_8_loss_identities():
     checks.append(
         abs(total_loss(Tensor(a), Tensor(b), alpha=alpha).item() - (a + alpha * b)) < 1e-12
     )
-    # routing coupling rows over 1..5 iterations
-    rows_ok = True
-    for iters in range(1, 6):
-        u_hat = rng.normal(size=(3, 7, 4, 5))
-        _, trace = dynamic_routing(u_hat, iters, return_trace=True)
-        for c in trace:
-            if not np.allclose(c.sum(axis=-1), 1.0, atol=1e-9):
-                rows_ok = False
-    checks.append(rows_ok)
-    report(8, all(checks), (
-        "margin-loss closed forms exact, combined objective additive, "
-        "coupling rows sum to 1 ± 1e-9 for 1..5 iterations"
+    failures, detail = healthy_suite("routing-sums")
+    report(8, all(checks) and failures == 0, (
+        "margin-loss closed forms exact, combined objective additive; "
+        f"routing-sums: {detail}"
     ))
 
 

@@ -80,7 +80,6 @@ class TestElementwiseAndShapes:
         assert np.allclose((ta ** 2 + 1.0).log().data, np.log(a ** 2 + 1.0))
         assert np.allclose(ta.relu().data, np.maximum(a, 0.0))
         assert np.allclose(ta.sigmoid().data, 1.0 / (1.0 + np.exp(-a)))
-        assert np.allclose(ta.softmax(axis=1).data, np.exp(a) / np.exp(a).sum(1, keepdims=True))
         assert np.allclose(ta.reshape(4, 3).data, a.reshape(4, 3))
         assert np.allclose(ta.sum(axis=0).data, a.sum(0))
         assert np.allclose(ta.mean(axis=1, keepdims=True).data, a.mean(1, keepdims=True))
@@ -144,24 +143,18 @@ class TestGradCheck:
         err = grad_check(f, [rng.normal(size=(2, 4))])
         assert err < 1e-9
 
-    def test_squash_gradient(self):
-        rng = np.random.default_rng(4)
-        err = grad_check(lambda v: (squash_op(v) ** 2).sum(), [rng.normal(size=(3, 5))])
-        assert err < 1e-6
-
     def test_squash_gradient_at_zero(self):
         err = grad_check(lambda v: (squash_op(v) ** 2).sum(), [np.zeros((2, 3))])
         assert err < 1e-6
 
     @pytest.mark.parametrize(
         "name",
-        ["matmul", "softmax", "conv", "caps_predict", "routing", "div", "sigmoid"],
+        ["matmul", "conv", "caps_predict", "routing", "div", "sigmoid"],
     )
     def test_every_op_differentiates(self, name):
         rng = np.random.default_rng(5)
         cases = {
             "matmul": (lambda a, b: (a @ b).sum(), [rng.normal(size=(3, 4)), rng.normal(size=(4, 2))]),
-            "softmax": (lambda a: (a.softmax(axis=1) ** 2).sum(), [rng.normal(size=(3, 4))]),
             "conv": (
                 lambda x, k, b: (conv2d(x, k, b, stride=(2, 1)).relu() ** 2).sum(),
                 [rng.normal(size=(2, 5, 4, 2)), rng.normal(size=(3, 2, 2, 3)), rng.normal(size=3)],

@@ -12,7 +12,8 @@ from graphcaps.data import (
     permute_dataset,
     permute_node_ids,
 )
-from helpers import random_graph, synthetic_dataset_graphs, triangle, write_tu_files
+from graphcaps.selftest import random_graph
+from helpers import synthetic_dataset_graphs, triangle, write_tu_files
 
 from conftest import benchmark_data_root
 

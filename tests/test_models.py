@@ -18,12 +18,7 @@ from graphcaps.models import (
     evaluate_accuracy,
     train_model,
 )
-
-TINY = CapsNetConfig(
-    conv_filters=6, conv_kernel=3, primary_kernel=1, primary_stride=1,
-    primary_channels=2, primary_dim=4, caps_dim=6, decoder_hidden=(8, 12),
-    loss_mode="margin",
-)
+from graphcaps.selftest import TINY
 
 
 def onehot_batch(rng, n, w, k, channels):
@@ -219,26 +214,6 @@ class TestTraining:
         with pytest.raises(ValueError, match="no sample of class"):
             train_model(model, x, np.zeros(len(x), dtype=int),
                         TrainConfig(epochs=1, batch_size=10))
-
-
-class TestEndToEndGradient:
-    def test_capsnet_loss_gradient_tiny_geometry(self):
-        # w=4, k=3, d=3 (4 channels), C=2; all parameters checked at once
-        model = CapsNet(4, 3, 4, 2, TINY, seed=11)
-        rng = np.random.default_rng(12)
-        x = onehot_batch(rng, 4, 4, 3, 4)
-        y = np.array([0, 1, 1, 0])
-        names = sorted(model.params)
-
-        def loss_fn(*tensors):
-            for name, t in zip(names, tensors):
-                model.params[name] = t
-            loss, _ = model.loss_batch(x, y, train=True)
-            return loss
-
-        point = [model.params[n].data.copy() for n in names]
-        err = grad_check(loss_fn, point, h=1e-5)
-        assert err < 1e-4
 
 
 class TestCnnBaseline:
