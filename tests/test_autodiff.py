@@ -143,6 +143,11 @@ class TestGradCheck:
         err = grad_check(f, [rng.normal(size=(2, 4))])
         assert err < 1e-9
 
+    def test_squash_gradient(self):
+        rng = np.random.default_rng(4)
+        err = grad_check(lambda v: (squash_op(v) ** 2).sum(), [rng.normal(size=(3, 5))])
+        assert err < 1e-6
+
     def test_squash_gradient_at_zero(self):
         err = grad_check(lambda v: (squash_op(v) ** 2).sum(), [np.zeros((2, 3))])
         assert err < 1e-6

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from graphcaps.data import Graph
+from graphcaps.data import Graph, permute_node_ids
 from graphcaps.labelling import (
     MAX_CANONICAL_NODES,
     CapacityError,
@@ -13,7 +13,12 @@ from graphcaps.labelling import (
     rank_nodes,
     wl_refine,
 )
-from graphcaps.selftest import bruteforce_betweenness, random_graph
+from graphcaps.selftest import (
+    FOUR_NODE_CLASS_SIZES,
+    all_simple_graphs,
+    bruteforce_betweenness,
+    random_graph,
+)
 from helpers import cycle_graph, path_graph, star_graph, triangle
 
 
@@ -34,6 +39,15 @@ class TestBetweenness:
         expected = bruteforce_betweenness(g)
         assert expected.tolist() == [6.0, 0.0, 0.0, 0.0, 0.0]
         assert betweenness_centrality(g).tolist() == expected.tolist()
+
+    def test_matches_oracle_on_random_graphs(self):
+        rng = np.random.default_rng(42)
+        for _ in range(60):
+            g = random_graph(rng, int(rng.integers(2, 9)), float(rng.uniform(0.2, 0.9)),
+                             connected=True)
+            got = betweenness_centrality(g)
+            want = bruteforce_betweenness(g)
+            assert np.allclose(got, want, atol=1e-9, rtol=0.0)
 
     def test_disconnected_graphs_allowed(self):
         g = Graph(n=4, edges=frozenset({(0, 1)}), node_labels=(0,) * 4, class_label=0)
@@ -89,6 +103,23 @@ class TestCanonicalOrder:
     def test_single_node_identity(self):
         g = Graph(n=1, edges=frozenset(), node_labels=(0,), class_label=0)
         assert canonical_order(g).tolist() == [0]
+
+    def test_relabelled_graphs_share_certificate(self):
+        rng = np.random.default_rng(3)
+        for trial in range(100):
+            g = random_graph(rng, int(rng.integers(2, 21)), float(rng.uniform(0.05, 0.95)),
+                             num_labels=3)
+            ref = canonical_certificate(g)
+            for rep in range(20):
+                h = permute_node_ids(g, [trial, rep])
+                assert canonical_certificate(h) == ref
+
+    def test_four_node_graphs_partition_into_iso_classes(self):
+        by_cert = {}
+        for g in all_simple_graphs(4):
+            by_cert.setdefault(canonical_certificate(g), []).append(g)
+        assert len(by_cert) == 11
+        assert sorted(len(v) for v in by_cert.values()) == FOUR_NODE_CLASS_SIZES
 
     def test_labels_distinguish_graphs(self):
         g1 = path_graph(3, labels=(0, 1, 0))

@@ -216,6 +216,26 @@ class TestTraining:
                         TrainConfig(epochs=1, batch_size=10))
 
 
+class TestEndToEndGradient:
+    def test_capsnet_loss_gradient_tiny_geometry(self):
+        # w=4, k=3, d=3 (4 channels), C=2; all parameters checked at once
+        model = CapsNet(4, 3, 4, 2, TINY, seed=11)
+        rng = np.random.default_rng(12)
+        x = onehot_batch(rng, 4, 4, 3, 4)
+        y = np.array([0, 1, 1, 0])
+        names = sorted(model.params)
+
+        def loss_fn(*tensors):
+            for name, t in zip(names, tensors):
+                model.params[name] = t
+            loss, _ = model.loss_batch(x, y, train=True)
+            return loss
+
+        point = [model.params[n].data.copy() for n in names]
+        err = grad_check(loss_fn, point, h=1e-5)
+        assert err < 1e-4
+
+
 class TestCnnBaseline:
     def test_builds_and_predicts(self):
         model = build_cnn(18, 10, 8, 2, seed=0)

@@ -96,6 +96,15 @@ class TestRouting:
         expected = squash(Tensor(u_hat.mean(axis=0) * 5 / 3)).data  # sum_i (1/3) u_i
         assert np.allclose(out.data, expected, atol=1e-12)
 
+    @pytest.mark.parametrize("iterations", [1, 2, 3, 4, 5])
+    def test_coupling_rows_sum_to_one(self, iterations):
+        rng = np.random.default_rng(iterations)
+        u_hat = rng.normal(size=(2, 6, 3, 4))
+        _, trace = dynamic_routing(u_hat, iterations, return_trace=True)
+        assert len(trace) == iterations
+        for c in trace:
+            assert np.allclose(c.sum(axis=-1), 1.0, atol=1e-9)
+
     def test_rejects_zero_iterations(self):
         with pytest.raises(ValueError, match="at least one"):
             dynamic_routing(np.zeros((1, 1, 2)), iterations=0)

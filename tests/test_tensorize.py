@@ -113,6 +113,18 @@ class TestGraphToTensor:
         with pytest.raises(ValueError, match="outside"):
             graph_to_tensor(triangle(labels=(0, 2, 0)), w=3, k=3, d=2)
 
+    @pytest.mark.parametrize("labelling", ["canonical", "bc"])
+    def test_bitwise_permutation_invariance(self, labelling):
+        rng = np.random.default_rng(2)
+        for trial in range(30):
+            g = random_graph(rng, int(rng.integers(2, 21)), float(rng.uniform(0.1, 0.8)),
+                             num_labels=5)
+            ref = graph_to_tensor(g, w=10, k=6, d=5, labelling=labelling)
+            for rep in range(3):
+                h = permute_node_ids(g, [trial, rep])
+                got = graph_to_tensor(h, w=10, k=6, d=5, labelling=labelling)
+                assert np.array_equal(ref, got)
+
     @pytest.mark.parametrize("ranking, naive_ties, calls", [
         ("bc", False, 1),
         ("canonical", False, 1),
