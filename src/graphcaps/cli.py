@@ -193,8 +193,6 @@ def _add_tensor_opts(p: argparse.ArgumentParser) -> None:
                    help="node ranking procedure (nauty is an alias for canonical)")
     p.add_argument("-w", type=int, help="anchors per graph (default: avg size)")
     p.add_argument("-k", type=int, help="receptive field size")
-    p.add_argument("--naive-ties", action="store_true",
-                   help="plain node-index tie-breaking (not permutation-invariant)")
 
 
 def _add_cv_opts(p: argparse.ArgumentParser) -> None:
@@ -296,11 +294,14 @@ def main(argv=None) -> int:
 
     try:
         argv, config_keys = _config_argv(argv)
-        args = parser.parse_args(argv)
-        # argparse accepts unique prefixes, so a misspelt key can still parse
+        args, extra = parser.parse_known_args(argv)
+        # a key that is no flag lands in extra, and as argparse accepts unique
+        # prefixes, a misspelt key can also parse: both are named as keys
         unknown = [key for key in config_keys if key not in vars(args)]
         if unknown:
             parser.error(f"config key {unknown[0]!r} is not an option of {args.command!r}")
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
         return args.func(args)
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)

@@ -4,8 +4,7 @@ Datasets use the TU-Dortmund flat-file layout: ``<name>_A.txt`` holds "u, v"
 edge lines with 1-based global node ids, ``<name>_graph_indicator.txt`` maps
 each node line to its graph id, and ``<name>_graph_labels.txt`` /
 ``<name>_node_labels.txt`` hold one integer per graph / node.  All indices are
-re-mapped to contiguous 0-based ranges at load time; the original-id mapping
-tables are kept for reporting.
+re-mapped to contiguous 0-based ranges at load time.
 """
 
 from __future__ import annotations
@@ -73,9 +72,6 @@ class Graph:
             self._adj = adj
         return self._adj
 
-    def degrees(self) -> list:
-        return [len(nbrs) for nbrs in self.adjacency()]
-
 
 @dataclass
 class GraphDataset:
@@ -83,9 +79,6 @@ class GraphDataset:
     num_classes: int
     num_node_labels: int
     name: str
-    # original value -> contiguous index, retained for reporting
-    class_map: dict = field(default_factory=dict)
-    label_map: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for g in self.graphs:
@@ -101,20 +94,6 @@ class GraphDataset:
 
     def class_labels(self) -> np.ndarray:
         return np.array([g.class_label for g in self.graphs], dtype=np.int64)
-
-    def stats(self) -> dict:
-        """Headline dataset statistics (graph counts, sizes, class balance)."""
-        sizes = [g.n for g in self.graphs]
-        counts = np.bincount(self.class_labels(), minlength=self.num_classes)
-        return {
-            "name": self.name,
-            "num_graphs": len(self.graphs),
-            "num_classes": self.num_classes,
-            "num_node_labels": self.num_node_labels,
-            "max_graph_size": max(sizes),
-            "avg_graph_size": float(np.mean(sizes)),
-            "class_fractions": (counts / max(1, len(self.graphs))).tolist(),
-        }
 
 
 def _read_lines(path: str) -> list:
@@ -233,8 +212,6 @@ def load_tu_dataset(root: str, name: str) -> GraphDataset:
         num_classes=len(class_map),
         num_node_labels=len(label_map),
         name=name,
-        class_map=class_map,
-        label_map=label_map,
     )
 
 
@@ -265,8 +242,6 @@ def permute_dataset(ds: GraphDataset, seed: int) -> GraphDataset:
         num_classes=ds.num_classes,
         num_node_labels=ds.num_node_labels,
         name=ds.name,
-        class_map=dict(ds.class_map),
-        label_map=dict(ds.label_map),
     )
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -90,7 +91,6 @@ class ExperimentConfig:
     alpha: float = 1.0
     routing_iters: int = 3
     loss_mode: str = "auto"
-    naive_ties: bool = False
     jobs: int | None = None  # None -> available cores
     data_root: str = "data"
     out_root: str = "results"
@@ -150,7 +150,7 @@ class ExperimentConfig:
         so configs that differ in results or data never share an id."""
         prefix = "_".join([
             self.dataset,
-            self.labelling + ("-naive" if self.naive_ties else ""),
+            self.labelling,
             self.model,
             self.preset,
             f"f{self.folds}",
@@ -204,11 +204,14 @@ class ExperimentResult:
         return dataclasses.asdict(self)
 
 
+@functools.lru_cache(maxsize=None)
 def version_stamp() -> str:
+    """The package version and ``git describe --dirty`` of the imported code,
+    so a modified tree reads ``<sha>-dirty``.  Asked once per process."""
     try:
         sha = (
             subprocess.run(
-                ["git", "rev-parse", "--short", "HEAD"],
+                ["git", "describe", "--always", "--dirty", "--abbrev=7"],
                 capture_output=True,
                 text=True,
                 cwd=os.path.dirname(os.path.abspath(__file__)),
@@ -286,9 +289,8 @@ def tensorize_cached(cfg: ExperimentConfig, name: str | None = None, force: bool
     w = cfg.w if cfg.w is not None else default_width(ds)
     y = ds.class_labels()
     digest = dataset_digest(cfg.data_root, name)
-    naive = "-naive" if cfg.naive_ties else ""
     cache_path = os.path.join(
-        cfg.cache_dir, f"{name}_{cfg.labelling}{naive}_w{w}_k{cfg.k}_seed{cfg.seed}.gct"
+        cfg.cache_dir, f"{name}_{cfg.labelling}_w{w}_k{cfg.k}_seed{cfg.seed}.gct"
     )
     if os.path.isfile(cache_path) and not force:
         try:
@@ -301,8 +303,7 @@ def tensorize_cached(cfg: ExperimentConfig, name: str | None = None, force: bool
             return grids, y, w, ds
     t0 = time.perf_counter()
     grids = tensorize_dataset(
-        permute_dataset(ds, cfg.seed), w=w, k=cfg.k, labelling=cfg.labelling,
-        naive_ties=cfg.naive_ties, jobs=cfg.jobs,
+        permute_dataset(ds, cfg.seed), w=w, k=cfg.k, labelling=cfg.labelling, jobs=cfg.jobs
     )
     save_tensors(cache_path, grids, digest)
     log(
@@ -466,9 +467,11 @@ def run_cv(cfg: ExperimentConfig, name: str | None = None, run_dir: str | None =
 
 
 def _persist_partial(path: str, done: dict) -> None:
-    rows = [dict(done[f], trace=done[f]["trace"]) for f in sorted(done)]
-    with open(path, "w") as fh:
-        json.dump(rows, fh)
+    """Write the finished folds through a temporary file, so an interrupt
+    leaves the previous file whole."""
+    with open(path + ".tmp", "w") as fh:
+        json.dump([done[f] for f in sorted(done)], fh)
+    os.replace(path + ".tmp", path)
 
 
 def _fold_line(row: dict) -> str:

@@ -264,9 +264,7 @@ def _relabel(g: Graph, order) -> Graph:
     return Graph(n=g.n, edges=edges, node_labels=labels, class_label=g.class_label)
 
 
-def rank_nodes(
-    g: Graph, labelling: str, naive_ties: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
+def rank_nodes(g: Graph, labelling: str) -> tuple[np.ndarray, np.ndarray]:
     """``(order, member_key)`` under the labelling named ``labelling``, one of
     :data:`LABELLINGS`: the int64 node order, most important first, and the
     int64 key that orders each receptive field's hop rings (smaller first).
@@ -277,25 +275,16 @@ def rank_nodes(
     isomorphism-consistently.  To keep the *floats* identical across
     relabellings of the same graph, Brandes runs on the canonically relabelled
     graph and scores are mapped back (the summation order, hence rounding,
-    then no longer depends on input ids).  ``naive_ties`` makes the member key
-    the node index, and BC scores are then computed in input order; that
-    variant is intentionally not permutation-invariant and exists for fidelity
-    experiments.
+    then no longer depends on input ids).
     """
     if labelling not in LABELLINGS:
         raise ValueError(f"unknown labelling {labelling!r}; expected one of {LABELLINGS}")
-    if naive_ties:
-        member_key = np.arange(g.n, dtype=np.int64)
-        if labelling == "canonical":
-            return canonical_order(g), member_key
-        scores = betweenness_centrality(g)
-    else:
-        order = canonical_order(g)
-        pos = np.empty_like(order)
-        pos[order] = np.arange(g.n)
-        member_key = wl_refine(g) * g.n + pos
-        if labelling == "canonical":
-            return order, member_key
-        scores = betweenness_centrality(_relabel(g, order.tolist()))[pos]
+    order = canonical_order(g)
+    pos = np.empty_like(order)
+    pos[order] = np.arange(g.n)
+    member_key = wl_refine(g) * g.n + pos
+    if labelling == "canonical":
+        return order, member_key
+    scores = betweenness_centrality(_relabel(g, order.tolist()))[pos]
     order = sorted(range(g.n), key=lambda v: (-scores[v], member_key[v]))
     return np.array(order, dtype=np.int64), member_key

@@ -2,8 +2,8 @@
 baseline (:data:`MODELS`), plus a deterministic mini-batch training loop.
 
 Both keep one contract (:class:`_Classifier`): input is a batch of
-``(w, k, d+1)`` tensors, a single tensor being a batch of one, checked in one
-place at every entry point; any other shape raises ``ValueError``.
+``(w, k, d+1)`` tensors, and only a batch, checked in one place at every entry
+point; any other shape, one unbatched tensor included, raises ``ValueError``.
 Inference runs in chunks without a tape and skips the capsule decoder.
 Parameters are :data:`graphcaps.data.FLOAT` (float32), the one-hot tensors'
 dtype, so training and inference run in float32; everything created inside a
@@ -96,14 +96,9 @@ class _Classifier:
         self.params = {name: Tensor(arr.astype(FLOAT), requires_grad=True)
                        for name, arr in draws.items()}
 
-    def parameter_count(self) -> int:
-        return sum(t.data.size for t in self.params.values())
-
     def _batch(self, x) -> Tensor:
         """``x`` as a ``(B, w, k, channels)`` Tensor in its own dtype."""
         x = Tensor._lift(x)
-        if x.data.ndim == 3:
-            x = x.reshape((1,) + x.data.shape)
         if x.data.shape[1:] != (self.w, self.k, self.channels):
             raise ValueError(
                 f"input shape {x.data.shape[1:]} != ({self.w}, {self.k}, {self.channels})"
@@ -178,7 +173,7 @@ class CapsNet(_Classifier):
         given); otherwise the capsule with the largest norm.
         """
         v = self._capsule_forward(self._batch(x))
-        norms = nn.capsule_norms(v, axis=-1)
+        norms = nn.capsule_norms(v)
         B = v.data.shape[0]
         mask = np.zeros((B, self.num_classes), dtype=v.data.dtype)
         chosen = norms.data.argmax(axis=1) if targets is None else np.asarray(targets, dtype=int)

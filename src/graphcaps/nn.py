@@ -2,9 +2,11 @@
 
 Everything operates on :class:`graphcaps.autodiff.Tensor`, so gradients flow
 through routing iterations, squashing and the losses without special cases.
-Plain numpy arrays are accepted and lifted to constants.  The arrays these
-functions create (routing logits, loss targets) take the dtype of their
-input, so a float32 model trains in float32 throughout.
+Plain numpy arrays are accepted and lifted to constants.  Routing and the
+classification losses take a batch only: (B, n_in, n_out, d) predictions and
+(B, C) scores.  The arrays these functions create (routing logits, loss
+targets) take the dtype of their input, so a float32 model trains in float32
+throughout.
 """
 
 from __future__ import annotations
@@ -25,10 +27,10 @@ class TrainingError(RuntimeError):
     """Raised when training hits a non-finite loss or gradient."""
 
 
-def capsule_norms(v, axis: int = -1) -> Tensor:
-    """Vector norms along ``axis`` with an epsilon-stabilized sqrt."""
+def capsule_norms(v) -> Tensor:
+    """Vector norms along the last axis with an epsilon-stabilized sqrt."""
     v = Tensor._lift(v)
-    return ((v * v).sum(axis=axis) + NORM_EPS).sqrt()
+    return ((v * v).sum(axis=-1) + NORM_EPS).sqrt()
 
 
 def squash(v) -> Tensor:
@@ -41,59 +43,47 @@ def squash(v) -> Tensor:
     return autodiff.squash_op(v, eps=NORM_EPS)
 
 
-def dynamic_routing(predictions, iterations: int, return_trace: bool = False):
+def dynamic_routing(predictions, iterations: int) -> Tensor:
     """Routing-by-agreement between two capsule layers.
 
-    ``predictions`` is (n_in, n_out, d_out) or batched (B, n_in, n_out, d_out).
-    Logits start at zero; each round couples by softmax over the output
-    capsules, forms weighted prediction sums, squashes, and (on all but the
-    last round) adds the prediction/output agreement back onto the logits.
-    The rounds run as one op, :func:`graphcaps.autodiff.routing`.
+    ``predictions`` is (B, n_in, n_out, d_out).  Logits start at zero; each
+    round couples by softmax over the output capsules, forms weighted
+    prediction sums, squashes, and (on all but the last round) adds the
+    prediction/output agreement back onto the logits.  The rounds run as one
+    op, :func:`graphcaps.autodiff.routing`, which also returns the couplings.
 
-    Returns the output capsules, shaped like the input minus the n_in axis;
-    with ``return_trace`` also the per-iteration (B, n_in, n_out) couplings.
+    Returns the (B, n_out, d_out) output capsules.
     """
-    u_hat = Tensor._lift(predictions)
-    squeeze = u_hat.data.ndim == 3
-    if squeeze:
-        u_hat = u_hat.reshape((1,) + u_hat.data.shape)
-    v, couplings = autodiff.routing(u_hat, iterations, eps=NORM_EPS)
-    if squeeze:
-        v = v.reshape(v.data.shape[1:])
-    if return_trace:
-        return v, [c.transpose(0, 2, 1) for c in couplings]
-    return v
+    return autodiff.routing(predictions, iterations, eps=NORM_EPS)[0]
+
+
+def _one_hot_targets(scores: Tensor, target) -> np.ndarray:
+    """(B, C) indicator of each sample's ``target`` class, in the dtype of
+    the (B, C) ``scores``."""
+    if scores.data.ndim != 2:
+        raise ValueError(f"expected a (B, C) batch, got shape {scores.data.shape}")
+    t = np.zeros_like(scores.data)
+    t[np.arange(len(t)), np.asarray(target, dtype=int)] = 1.0
+    return t
 
 
 def margin_loss(norms, target, lam: float = 0.5, m_plus: float = 0.9, m_minus: float = 0.1) -> Tensor:
-    """Per-class hinge-squared loss on capsule norms.
+    """Per-class hinge-squared loss on (B, C) capsule norms, averaged over the
+    batch:
 
     sum_k [ T_k * max(0, m+ - |v_k|)^2 + lam * (1 - T_k) * max(0, |v_k| - m-)^2 ]
-
-    ``norms`` is (C,) for one sample or (B, C) batched with ``target`` per
-    sample; the batched form averages over the batch.
     """
     norms = Tensor._lift(norms)
-    batched = norms.data.ndim == 2
-    C = norms.data.shape[-1]
-    t = np.zeros_like(norms.data)
-    if batched:
-        t[np.arange(norms.data.shape[0]), np.asarray(target, dtype=int)] = 1.0
-    else:
-        t[int(target)] = 1.0
+    t = _one_hot_targets(norms, target)
     present = (m_plus - norms).relu() ** 2
     absent = (norms - m_minus).relu() ** 2
     per_class = Tensor(t) * present + Tensor(lam * (1.0 - t)) * absent
-    per_sample = per_class.sum(axis=-1)
-    return per_sample.mean() if batched else per_sample
+    return per_class.sum(axis=-1).mean()
 
 
 def binary_margin_loss(norms, target) -> Tensor:
-    """Cross-entropy over a softmax of the two capsule norms.
-
-    Only defined for exactly two classes; batched input averages over the
-    batch.
-    """
+    """Cross-entropy over a softmax of the two capsule norms of each sample of
+    a (B, 2) batch.  Only defined for exactly two classes."""
     norms = Tensor._lift(norms)
     C = norms.data.shape[-1]
     if C != 2:
@@ -102,19 +92,14 @@ def binary_margin_loss(norms, target) -> Tensor:
 
 
 def cross_entropy(logits, target) -> Tensor:
-    """Mean negative log softmax-probability of the target class."""
+    """Mean negative log softmax-probability of the target class over a
+    (B, C) batch of logits."""
     logits = Tensor._lift(logits)
-    batched = logits.data.ndim == 2
-    t = np.zeros_like(logits.data)
-    if batched:
-        t[np.arange(logits.data.shape[0]), np.asarray(target, dtype=int)] = 1.0
-    else:
-        t[int(target)] = 1.0
+    t = _one_hot_targets(logits, target)
     # log-sum-exp with a detached shift: a constant offset does not change the result
     shift = logits.data.max(axis=-1, keepdims=True)
     lse = ((logits - shift).exp().sum(axis=-1, keepdims=True)).log() + Tensor(shift)
-    nll = ((lse - logits) * Tensor(t)).sum(axis=-1)
-    return nll.mean() if batched else nll
+    return ((lse - logits) * Tensor(t)).sum(axis=-1).mean()
 
 
 def reconstruction_loss(reconstructed, original) -> Tensor:

@@ -168,10 +168,9 @@ def _suite_gradients(rng) -> tuple:
 def _suite_routing(rng) -> tuple:
     failures = 0
     for iters in range(1, 6):
-        _, couplings = nn.dynamic_routing(rng.normal(size=(4, 7, 4, 5)), iters,
-                                          return_trace=True)
+        _, couplings = autodiff.routing(rng.normal(size=(4, 7, 4, 5)), iters)
         failures += len(couplings) != iters
-        failures += sum(not np.allclose(c.sum(axis=-1), 1.0, rtol=0.0, atol=1e-9)
+        failures += sum(not np.allclose(c.sum(axis=1), 1.0, rtol=0.0, atol=1e-9)
                         for c in couplings)
     return failures, "1..5 routing rounds on (4, 7, 4, 5): coupling rows sum to 1, atol 1e-9"
 

@@ -74,7 +74,6 @@ def graph_to_tensor(
     k: int,
     d: int,
     labelling: str = "bc",
-    naive_ties: bool = False,
 ) -> np.ndarray:
     """Full extraction for one graph: ranking under ``labelling`` (one of
     :data:`graphcaps.labelling.LABELLINGS`), anchor sequence, receptive
@@ -87,7 +86,7 @@ def graph_to_tensor(
     bad = [lab for lab in g.node_labels if not 0 <= lab < d]
     if bad:
         raise ValueError(f"node label {bad[0]} outside [0, {d})")
-    order, member_key = rank_nodes(g, labelling, naive_ties=naive_ties)
+    order, member_key = rank_nodes(g, labelling)
     rows = [
         [PAD] * k if anchor == PAD
         else normalize_receptive_field(assemble_neighbourhood(g, anchor, k), member_key, k)
@@ -109,7 +108,6 @@ def tensorize_dataset(
     w: int | None = None,
     k: int = 10,
     labelling: str = "bc",
-    naive_ties: bool = False,
     jobs: int = 1,
 ) -> np.ndarray:
     """Label grids for every graph, stacked to ``(n, w, k)`` in dataset order.
@@ -119,7 +117,7 @@ def tensorize_dataset(
     if w is None:
         w = default_width(ds)
     extract = functools.partial(graph_to_tensor, w=w, k=k, d=ds.num_node_labels,
-                                labelling=labelling, naive_ties=naive_ties)
+                                labelling=labelling)
     return np.stack(list(_fork_map(extract, ds.graphs, jobs)))
 
 

@@ -138,9 +138,9 @@ def test_criterion_7_gradient_suite():
 def test_criterion_8_loss_identities():
     checks = []
     # margin loss closed forms
-    checks.append(margin_loss(np.array([0.9, 0.1, 0.1]), 0).item() == 0.0)
-    checks.append(margin_loss(np.zeros(3), 0).item() == 0.9**2)
-    checks.append(margin_loss(np.array([0.9, 1.0]), 0, lam=0.5).item() == 0.5 * 0.9**2)
+    checks.append(margin_loss(np.array([[0.9, 0.1, 0.1]]), [0]).item() == 0.0)
+    checks.append(margin_loss(np.zeros((1, 3)), [0]).item() == 0.9**2)
+    checks.append(margin_loss(np.array([[0.9, 1.0]]), [0], lam=0.5).item() == 0.5 * 0.9**2)
     # combined-objective additivity
     checks.append(total_loss(Tensor(0.0), Tensor(0.0)).item() == 0.0)
     checks.append(total_loss(Tensor(0.81), Tensor(0.0), alpha=1.0).item() == 0.81)

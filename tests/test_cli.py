@@ -1,3 +1,4 @@
+import dataclasses
 import glob
 import json
 import os
@@ -9,6 +10,7 @@ import pytest
 
 from graphcaps import cli, labelling, selftest
 from graphcaps.cli import main, read_config_file
+from graphcaps.experiment import ExperimentConfig
 from helpers import healthy_suite, mutate, synthetic_dataset_graphs, write_tu_files
 
 
@@ -74,13 +76,6 @@ class TestTensorizeCommand:
         files = os.listdir(os.path.join(out_root, "cache"))
         assert files == ["SYN_canonical_w5_k10_seed1.gct"]
 
-    def test_naive_ties_names_its_cache(self, syn_root, tmp_path):
-        out_root = str(tmp_path / "results")
-        assert main(["tensorize", "--dataset", "SYN", "--data-root", syn_root,
-                     "--out-root", out_root, "--naive-ties", "-w", "5"]) == 0
-        files = os.listdir(os.path.join(out_root, "cache"))
-        assert files == ["SYN_bc-naive_w5_k10_seed1.gct"]
-
 
 class TestRunCommand:
     def test_run_produces_report_and_manifest(self, syn_root, tmp_path, capsys):
@@ -109,6 +104,13 @@ class TestRunCommand:
                    "--folds", "3", "--epochs", "2"])
         assert rc == 0
         assert "BC + CNN" in capsys.readouterr().out
+
+    def test_every_flag_sets_a_config_field(self):
+        # no flag that sets no field, and no field that no flag reaches
+        dests = vars(cli.build_parser().parse_args(["run", "--dataset", "X"]))
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert {"base_lr" if d == "lr" else d for d in dests} == (
+            fields | {"repeats", "config", "command", "func"})
 
     def test_unknown_flag_exits_2(self):
         result = run_cli(["run", "--dataset", "X", "--frobnicate"])
@@ -214,14 +216,13 @@ class TestGridCommand:
 class TestConfigFile:
     def test_parse_and_coerce(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("epochs = 7\nlr = 0.005  # comment\nnaive-ties = true\n")
+        cfg.write_text("epochs = 7\nlr-decay = 0.005  # comment\nforce = true\n")
         values = read_config_file(str(cfg))
-        assert values == {"epochs": "7", "lr": "0.005", "naive_ties": "true"}
+        assert values == {"epochs": "7", "lr_decay": "0.005", "force": "true"}
 
     def test_config_provides_defaults_cli_overrides(self, syn_root, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"data_root = {syn_root}\nfolds = 3\nepochs = 1\n"
-                       "lr = 0.005\nnaive_ties = true\n")
+        cfg.write_text(f"data_root = {syn_root}\nfolds = 3\nepochs = 1\nlr = 0.005\n")
         out_root = str(tmp_path / "results")
         rc = main(["--config", str(cfg), "run", "--dataset", "SYN",
                    "--out-root", out_root, "--epochs", "2"])
@@ -233,7 +234,28 @@ class TestConfigFile:
         assert config["folds"] == 3   # from file
         assert config["epochs"] == 2  # CLI wins
         assert config["base_lr"] == 0.005  # --lr is the one flag named unlike its field
-        assert config["naive_ties"] is True
+
+    @pytest.mark.parametrize("value, rebuilt", [("true", True), ("false", False)])
+    def test_true_gives_a_switch(self, syn_root, tmp_path, capsys, value, rebuilt):
+        cfg = tmp_path / "tensorize.cfg"
+        cfg.write_text(f"data_root = {syn_root}\nforce = {value}\n")
+        args = ["--config", str(cfg), "tensorize", "--dataset", "SYN",
+                "--out-root", str(tmp_path / "results"), "-w", "5"]
+        assert main(args) == 0
+        capsys.readouterr()
+        assert main(args) == 0
+        assert ("cold cache" in capsys.readouterr().out) is rebuilt
+
+    def test_key_of_no_option_rejected(self, syn_root, tmp_path, capsys):
+        # a key that names no flag is reported as a config key, not as a stray flag
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"data_root = {syn_root}\nnaive_ties = true\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), "run", "--dataset", "SYN",
+                  "--out-root", str(tmp_path / "results")])
+        assert exc.value.code == 2
+        assert "config key 'naive_ties' is not an option of 'run'" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "results")
 
     def test_misspelled_key_rejected(self, syn_root, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -19,7 +19,7 @@ from conftest import benchmark_data_root
 
 
 def degree_multiset(g: Graph):
-    return sorted(g.degrees())
+    return sorted(len(nbrs) for nbrs in g.adjacency())
 
 
 class TestGraphType:
@@ -75,10 +75,8 @@ class TestLoader:
         ds = load_tu_dataset(tu_dir, "REMAP")
         assert ds.num_classes == 2
         assert ds.num_node_labels == 2
-        assert ds.class_map == {-1: 0, 1: 1}
-        assert ds.label_map == {3: 0, 7: 1}
-        assert ds.graphs[0].class_label == 0
-        assert ds.graphs[1].node_labels == (1, 1)
+        assert [g.class_label for g in ds.graphs] == [0, 1]
+        assert [g.node_labels for g in ds.graphs] == [(0, 1), (1, 1)]
 
     def test_missing_file_names_it(self, tu_dir):
         write_tu_files(tu_dir, "BROKEN", [triangle()])
@@ -184,17 +182,16 @@ class TestOneHot:
 class TestRealBenchmarks:
     def test_mutag_statistics(self):
         ds = load_tu_dataset(benchmark_data_root(), "MUTAG")
-        stats = ds.stats()
-        assert stats["num_graphs"] == 188
-        assert stats["num_classes"] == 2
-        assert stats["num_node_labels"] == 7
-        assert stats["max_graph_size"] == 28
-        assert round(stats["avg_graph_size"]) == 18
-        assert abs(max(stats["class_fractions"]) - 0.6649) < 0.001
+        sizes = [g.n for g in ds.graphs]
+        assert len(ds) == 188
+        assert ds.num_classes == 2
+        assert ds.num_node_labels == 7
+        assert max(sizes) == 28
+        assert round(np.mean(sizes)) == 18
+        assert abs(np.bincount(ds.class_labels()).max() / len(ds) - 0.6649) < 0.001
 
     def test_proteins_statistics(self):
         ds = load_tu_dataset(benchmark_data_root(), "PROTEINS")
-        stats = ds.stats()
-        assert stats["num_graphs"] == 1113
-        assert stats["num_classes"] == 2
-        assert stats["num_node_labels"] == 3
+        assert len(ds) == 1113
+        assert ds.num_classes == 2
+        assert ds.num_node_labels == 3

@@ -198,6 +198,47 @@ class TestRunCV:
         assert resumed.fold_accuracies[2:] == full.fold_accuracies[2:]
         assert any("resuming" in str(line) for line in seen)
 
+    def test_interrupted_partial_write_resumes(self, syn_data, tmp_path, monkeypatch):
+        class Interrupt(Exception):
+            pass
+
+        dump, rows_written = json.dump, []
+
+        def dump_then_stop(obj, fh, *args, **kwargs):
+            if isinstance(obj, list):  # the fold rows of folds_partial.json
+                rows_written.append(obj)
+                if len(rows_written) == 2:
+                    text = json.dumps(obj)
+                    fh.write(text[: len(text) // 2])
+                    raise Interrupt
+            dump(obj, fh, *args, **kwargs)
+
+        cfg = small_cfg(syn_data, tmp_path, epochs=1)
+        monkeypatch.setattr(json, "dump", dump_then_stop)
+        with pytest.raises(Interrupt):
+            run_cv(cfg, log=QUIET)
+        monkeypatch.setattr(json, "dump", dump)
+        seen = []
+        resumed = run_cv(cfg, log=seen.append)
+        assert "[run] resuming: folds [0] already complete" in seen
+        assert len(resumed.fold_accuracies) == cfg.folds
+
+    def test_manifest_and_result_ask_git_once(self, syn_data, tmp_path, monkeypatch):
+        run, git_calls = subprocess.run, []
+
+        def counting_run(cmd, *args, **kwargs):
+            git_calls.append(cmd)
+            return run(cmd, *args, **kwargs)
+
+        monkeypatch.setattr(experiment.subprocess, "run", counting_run)
+        experiment.version_stamp.cache_clear()
+        cfg = small_cfg(syn_data, tmp_path, epochs=1)
+        run_cv(cfg, log=QUIET)
+        manifest = json.load(open(os.path.join(cfg.run_dir(), "manifest.json")))
+        result = json.load(open(os.path.join(cfg.run_dir(), "result.json")))
+        assert manifest["version"] == result["version"]
+        assert [cmd[0] for cmd in git_calls] == ["git"]
+
     def test_configs_differing_in_lr_keep_their_own_directories(self, syn_data, tmp_path):
         cfg_a = small_cfg(syn_data, tmp_path, base_lr=0.01)
         cfg_b = small_cfg(syn_data, tmp_path, base_lr=0.002)

@@ -184,13 +184,7 @@ class TestRankNodes:
             ordered = betweenness_centrality(g)[order]
             assert all(ordered[i] >= ordered[i + 1] - 1e-9 for i in range(g.n - 1))
 
-    def test_naive_ties_breaks_by_index(self):
-        order, member_key = rank_nodes(cycle_graph(5), "bc", naive_ties=True)
-        assert order.tolist() == [0, 1, 2, 3, 4]
-        assert member_key.tolist() == [0, 1, 2, 3, 4]
-
-    @pytest.mark.parametrize("naive_ties", [False, True])
-    def test_unknown_labelling_rejected(self, naive_ties):
+    def test_unknown_labelling_rejected(self):
         # nauty is only a command-line alias of canonical
         with pytest.raises(ValueError, match="'nauty'"):
-            rank_nodes(triangle(), "nauty", naive_ties=naive_ties)
+            rank_nodes(triangle(), "nauty")

@@ -67,7 +67,7 @@ class TestBuildCapsnet:
         caps = n_primary * 2 * 8 * 16
         dec = (2 * 16) * 512 + 512 + 512 * 1024 + 1024 + 1024 * (18 * 10 * 8) + 18 * 10 * 8
         model = build_capsnet(18, 10, 8, 2, seed=0)
-        assert model.parameter_count() == conv1 + conv2 + caps + dec
+        assert sum(p.data.size for p in model.params.values()) == conv1 + conv2 + caps + dec
 
     def test_decoder_output_matches_input_shape(self):
         model = build_capsnet(18, 10, 8, 2, seed=0)
@@ -145,15 +145,9 @@ ENTRY_POINTS = {
 }
 
 
-def _values(out) -> list:
-    """An entry point's output (one value or a tuple) as plain values."""
-    return [t.data if isinstance(t, Tensor) else t
-            for t in (out if isinstance(out, tuple) else (out,))]
-
-
 class TestInputContract:
-    """Both models take a (B, w, k, channels) batch, or one (w, k, channels)
-    sample as a batch of one, at every entry point, and reject other shapes."""
+    """Both models take a (B, w, k, channels) batch, and only a batch, at
+    every entry point, and reject other shapes."""
 
     @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
     def test_transposed_batch_rejected(self, name):
@@ -161,14 +155,9 @@ class TestInputContract:
         x = one_hot(np.random.default_rng(10).integers(0, 4, (3, 8, 5)), 3)
         with pytest.raises(ValueError, match=r"input shape \(5, 8, 4\) != \(8, 5, 4\)"):
             call(build(), x.transpose(0, 2, 1, 3), np.array([0, 1, 0]))
-
-    @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
-    def test_single_sample_is_a_batch_of_one(self, name):
-        build, call = ENTRY_POINTS[name]
-        x = one_hot(np.random.default_rng(11).integers(0, 4, (1, 8, 5)), 3)
-        one, batch = call(build(), x[0], np.array([1])), call(build(), x, np.array([1]))
-        for a, b in zip(_values(one), _values(batch)):
-            assert a == b if isinstance(a, dict) else np.array_equal(a, b)
+        # one unbatched sample is a wrong shape too, not a batch of one
+        with pytest.raises(ValueError, match=r"input shape \(5, 4\) != \(8, 5, 4\)"):
+            call(build(), x[0], np.array([0]))
 
     def test_capsnet_predict_skips_the_decoder(self, monkeypatch):
         model = build_capsnet(8, 5, 4, 2, TOY_CFG, seed=12)
@@ -250,7 +239,7 @@ class TestCnnBaseline:
         dense = flat * 128 + 128
         out = 128 * 2 + 2
         model = build_cnn(18, 10, 8, 2, cfg, seed=0)
-        assert model.parameter_count() == conv1 + conv2 + dense + out
+        assert sum(p.data.size for p in model.params.values()) == conv1 + conv2 + dense + out
 
     def test_conv2_kernel_clipped_for_narrow_inputs(self):
         model = build_cnn(6, 4, 3, 2, seed=1)

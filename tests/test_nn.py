@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from graphcaps.autodiff import Tensor, squash_op
+from graphcaps.autodiff import Tensor, routing, squash_op
 from graphcaps.nn import (
     NORM_EPS,
     AdamState,
@@ -63,71 +63,74 @@ def oracle_routing(u_hat: Tensor, iterations: int):
 class TestRouting:
     @pytest.mark.parametrize("iterations", [1, 2, 3])
     @pytest.mark.parametrize("n_out", [2, 3])
-    @pytest.mark.parametrize("batch", [1, 3, None])  # None: one unbatched (n_in, n_out, d)
+    @pytest.mark.parametrize("batch", [1, 3])
     def test_fused_op_matches_taped_oracle(self, batch, n_out, iterations):
-        rng = np.random.default_rng([batch or 0, n_out, iterations])
-        shape = (5, n_out, 4) if batch is None else (batch, 5, n_out, 4)
-        u = rng.normal(size=shape)
-        weights = rng.normal(size=shape[:-3] + (n_out, 4))
+        rng = np.random.default_rng([batch, n_out, iterations])
+        u = rng.normal(size=(batch, 5, n_out, 4))
+        weights = rng.normal(size=(batch, n_out, 4))
         fused = Tensor(u.copy(), requires_grad=True)
-        v, trace = dynamic_routing(fused, iterations, return_trace=True)
+        v, trace = routing(fused, iterations, eps=NORM_EPS)
         (v * Tensor(weights)).sum().backward()
-        taped = Tensor(u.reshape((-1,) + shape[-3:]), requires_grad=True)
+        taped = Tensor(u, requires_grad=True)
         v_ref, trace_ref = oracle_routing(taped, iterations)
-        (v_ref * Tensor(weights.reshape(v_ref.data.shape))).sum().backward()
-        assert v.data.shape == shape[:-3] + (n_out, 4)
-        assert np.allclose(v.data, v_ref.data.reshape(v.data.shape), rtol=0.0, atol=1e-12)
-        assert np.allclose(fused.grad, taped.grad.reshape(shape), rtol=0.0, atol=1e-10)
+        (v_ref * Tensor(weights)).sum().backward()
+        assert v.data.shape == (batch, n_out, 4)
+        assert np.allclose(v.data, v_ref.data, rtol=0.0, atol=1e-12)
+        assert np.allclose(fused.grad, taped.grad, rtol=0.0, atol=1e-10)
         assert len(trace) == iterations
         for c, c_ref in zip(trace, trace_ref):
-            assert np.allclose(c, c_ref, rtol=0.0, atol=1e-12)
+            assert np.allclose(c, c_ref.transpose(0, 2, 1), rtol=0.0, atol=1e-12)
 
     def test_single_pair_reduces_to_squash(self):
         rng = np.random.default_rng(0)
-        u_hat = rng.normal(size=(1, 1, 4))
+        u_hat = rng.normal(size=(1, 1, 1, 4))
         out = dynamic_routing(u_hat, iterations=3)
-        assert np.allclose(out.data, squash(u_hat[0, 0]).data, atol=1e-12)
+        assert np.allclose(out.data[0], squash(u_hat[0, 0]).data, atol=1e-12)
 
     def test_one_iteration_uses_uniform_coupling(self):
         rng = np.random.default_rng(1)
-        u_hat = rng.normal(size=(5, 3, 4))
-        out, trace = dynamic_routing(u_hat, iterations=1, return_trace=True)
+        u_hat = rng.normal(size=(1, 5, 3, 4))
+        out, trace = routing(u_hat, iterations=1, eps=NORM_EPS)
         assert np.allclose(trace[0], 1.0 / 3.0)
-        expected = squash(Tensor(u_hat.mean(axis=0) * 5 / 3)).data  # sum_i (1/3) u_i
-        assert np.allclose(out.data, expected, atol=1e-12)
+        expected = squash(Tensor(u_hat[0].mean(axis=0) * 5 / 3)).data  # sum_i (1/3) u_i
+        assert np.allclose(out.data[0], expected, atol=1e-12)
 
     @pytest.mark.parametrize("iterations", [1, 2, 3, 4, 5])
     def test_coupling_rows_sum_to_one(self, iterations):
         rng = np.random.default_rng(iterations)
         u_hat = rng.normal(size=(2, 6, 3, 4))
-        _, trace = dynamic_routing(u_hat, iterations, return_trace=True)
+        _, trace = routing(u_hat, iterations)
         assert len(trace) == iterations
-        for c in trace:
-            assert np.allclose(c.sum(axis=-1), 1.0, atol=1e-9)
+        for c in trace:  # (B, n_out, n_in): each input's couplings over the outputs
+            assert np.allclose(c.sum(axis=1), 1.0, atol=1e-9)
 
     def test_rejects_zero_iterations(self):
         with pytest.raises(ValueError, match="at least one"):
-            dynamic_routing(np.zeros((1, 1, 2)), iterations=0)
+            dynamic_routing(np.zeros((1, 1, 1, 2)), iterations=0)
+
+    def test_rejects_unbatched_predictions(self):
+        with pytest.raises(ValueError, match=r"\(B, n_in, n_out, d\)"):
+            dynamic_routing(np.zeros((1, 1, 2)), iterations=1)
 
 
 class TestMarginLoss:
     def test_ideal_configuration_is_zero(self):
-        norms = np.array([0.9, 0.1, 0.1])
-        assert margin_loss(norms, target=0).item() == 0.0
+        norms = np.array([[0.9, 0.1, 0.1]])
+        assert margin_loss(norms, target=[0]).item() == 0.0
 
     def test_dead_capsules_cost_081(self):
-        norms = np.zeros(3)
-        assert margin_loss(norms, target=0).item() == pytest.approx(0.9**2)
+        norms = np.zeros((1, 3))
+        assert margin_loss(norms, target=[0]).item() == pytest.approx(0.9**2)
 
     def test_wrong_class_down_weighted(self):
-        norms = np.array([0.9, 1.0])
-        assert margin_loss(norms, target=0, lam=0.5).item() == pytest.approx(0.5 * 0.9**2)
+        norms = np.array([[0.9, 1.0]])
+        assert margin_loss(norms, target=[0], lam=0.5).item() == pytest.approx(0.5 * 0.9**2)
 
     def test_non_negative_random(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
-            norms = rng.uniform(0, 1, size=4)
-            assert margin_loss(norms, target=int(rng.integers(0, 4))).item() >= 0.0
+            norms = rng.uniform(0, 1, size=(1, 4))
+            assert margin_loss(norms, target=rng.integers(0, 4, size=1)).item() >= 0.0
 
     def test_batched_mean(self):
         norms = np.array([[0.9, 0.1], [0.0, 0.0]])
@@ -137,12 +140,12 @@ class TestMarginLoss:
 
 class TestBinaryLoss:
     def test_equal_norms_give_ln2(self):
-        assert binary_margin_loss(np.array([0.4, 0.4]), 0).item() == pytest.approx(math.log(2))
+        assert binary_margin_loss(np.array([[0.4, 0.4]]), [0]).item() == pytest.approx(math.log(2))
 
     def test_confident_correct_goes_to_zero(self):
         # widen the gap artificially; loss must shrink toward 0
         losses = [
-            binary_margin_loss(np.array([gap, 0.0]), 0).item() for gap in (1.0, 5.0, 20.0)
+            binary_margin_loss(np.array([[gap, 0.0]]), [0]).item() for gap in (1.0, 5.0, 20.0)
         ]
         assert losses == sorted(losses, reverse=True)
         assert losses[-1] < 1e-8
@@ -151,11 +154,17 @@ class TestBinaryLoss:
         # independent scalar evaluation of -log softmax([0.9, 0.1])[0]
         z0, z1 = 0.9, 0.1
         expected = -math.log(math.exp(z0) / (math.exp(z0) + math.exp(z1)))
-        assert binary_margin_loss(np.array([z0, z1]), 0).item() == pytest.approx(expected, abs=1e-12)
+        assert binary_margin_loss(np.array([[z0, z1]]), [0]).item() == pytest.approx(expected,
+                                                                                     abs=1e-12)
 
     def test_requires_two_classes(self):
         with pytest.raises(ValueError, match="exactly 2"):
-            binary_margin_loss(np.array([0.5, 0.2, 0.3]), 0)
+            binary_margin_loss(np.array([[0.5, 0.2, 0.3]]), [0])
+
+    @pytest.mark.parametrize("loss", [margin_loss, binary_margin_loss, cross_entropy])
+    def test_unbatched_scores_rejected(self, loss):
+        with pytest.raises(ValueError, match=r"\(B, C\) batch"):
+            loss(np.array([0.4, 0.6]), 0)
 
     def test_cross_entropy_batched_matches_loop(self):
         rng = np.random.default_rng(3)
