@@ -10,6 +10,7 @@ re-mapped to contiguous 0-based ranges at load time.
 from __future__ import annotations
 
 import hashlib
+import operator
 import os
 from dataclasses import dataclass, field
 
@@ -46,15 +47,21 @@ class Graph:
     def __post_init__(self):
         if self.n <= 0:
             raise ValueError(f"graph must have at least one node, got n={self.n}")
-        norm = set()
-        for u, v in self.edges:
-            if u == v:
-                raise ValueError(f"self-loop on node {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u}, {v}) references a node outside [0, {self.n})")
-            norm.add((u, v) if u < v else (v, u))
-        self.edges = frozenset(norm)
-        self.node_labels = tuple(int(x) for x in self.node_labels)
+        given = self.edges if isinstance(self.edges, (set, frozenset)) else tuple(self.edges)
+        edges = frozenset(given)
+        lows, highs = zip(*edges) if edges else ((), ())
+        if not all(map(operator.lt, lows, highs)):
+            edges = frozenset((u, v) if u < v else (v, u) for u, v in edges)
+            lows, highs = zip(*edges)
+        if edges and (min(lows) < 0 or max(highs) >= self.n
+                      or not all(map(operator.lt, lows, highs))):
+            for u, v in given:  # name the first bad edge
+                if u == v:
+                    raise ValueError(f"self-loop on node {u}")
+                if not (0 <= u < self.n and 0 <= v < self.n):
+                    raise ValueError(f"edge ({u}, {v}) references a node outside [0, {self.n})")
+        self.edges = edges
+        self.node_labels = tuple(map(int, self.node_labels))
         if len(self.node_labels) != self.n:
             raise ValueError(
                 f"expected {self.n} node labels, got {len(self.node_labels)}"
@@ -96,18 +103,120 @@ class GraphDataset:
         return np.array([g.class_label for g in self.graphs], dtype=np.int64)
 
 
-def _read_lines(path: str) -> list:
+def _read_text(path: str) -> str:
     if not os.path.isfile(path):
         raise FileNotFoundError(f"dataset file not found: {path}")
     with open(path, encoding="utf-8") as fh:
-        return fh.read().splitlines()
+        return fh.read()
 
 
-def _parse_int(text: str, path: str, lineno: int) -> int:
+def _int64(text: str):
+    """``int(text)`` when that is an integer that fits in int64, else None."""
     try:
-        return int(text.strip())
-    except ValueError as exc:
-        raise DatasetFormatError(f"{path}:{lineno}: expected an integer, got {text!r}") from exc
+        value = int(text)
+    except ValueError:
+        return None
+    return value if -(2**63) <= value < 2**63 else None
+
+
+# What each byte is in the plain layout of :func:`_plain_rows`: 0 no part of
+# it, then a digit, a minus sign, a blank, a newline, a comma.
+_BYTE_KIND = np.zeros(256, dtype=np.int8)
+_BYTE_KIND[ord("0"):ord("9") + 1] = 1
+_BYTE_KIND[[ord("-"), ord(" "), ord("\t"), ord("\n"), ord(",")]] = [2, 3, 3, 4, 5]
+
+
+def _plain_rows(text: str, width: int, chunk: int = 1 << 16):
+    """:func:`_read_rows` for the plain layout that TU files use: ASCII
+    decimal integers of at most 18 digits, each with an optional leading
+    ``-``, ``width`` of them on each non-blank line, separated by spaces, tabs
+    and (when ``width`` is 2) commas, lines ended by ``\n``.  Returns the
+    values and line numbers, or None for any other text.
+
+    The text is read in pieces of whole lines of about ``chunk`` characters,
+    so that the per-character temporaries stay small.  Whole-file ones, each
+    a few MB for an NCI1-sized file, grew the heap in a way that outlived
+    them and raised the peak resident memory of a later t-SNE by 8-22 MB."""
+    if not text.isascii():
+        return None
+    values, linenos, start, line0 = [np.zeros((0, width), np.int64)], [np.zeros(0, np.int64)], 0, 0
+    while start < len(text):
+        end = text.find("\n", start + chunk) + 1 or len(text)
+        piece = _plain_piece(text[start:end], width)
+        if piece is None:
+            return None
+        values.append(piece[0])
+        linenos.append(piece[1] + line0)
+        line0 += text.count("\n", start, end)
+        start = end
+    return np.concatenate(values), np.concatenate(linenos)
+
+
+def _plain_piece(text: str, width: int):
+    """:func:`_plain_rows` of an ASCII text, in whole-array operations."""
+    chars = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    kind = _BYTE_KIND[chars]
+    if not kind.all() or (width == 1 and (kind == 5).any()):
+        return None
+    # +1 where a token (a run of digits and minus signs) starts, -1 past its end
+    step = np.diff((kind < 3).view(np.int8), prepend=np.int8(0), append=np.int8(0))
+    starts, ends = np.flatnonzero(step == 1), np.flatnonzero(step == -1)
+    negative = kind[starts] == 2
+    first = starts + negative  # of each token's digits
+    if (kind == 2).sum() != negative.sum() or not (1 <= (ends - first)).all() \
+            or not (ends - first <= 18).all():
+        return None
+    newlines = np.flatnonzero(kind == 4)
+    line = np.searchsorted(newlines, starts)
+    per_line = np.bincount(line, minlength=len(newlines) + 1)
+    commas_only = per_line[np.searchsorted(newlines, np.flatnonzero(kind == 5))] == 0
+    if ((per_line != 0) & (per_line != width)).any() or commas_only.any():
+        return None
+    # Horner's rule over the digit columns, one whole-array step per column
+    values = np.zeros(len(starts), dtype=np.int64)
+    for col in range(int((ends - first).max(initial=0))):
+        at = first + col
+        digit = chars[np.minimum(at, len(chars) - 1)] - ord("0")
+        values = np.where(at < ends, values * 10 + digit, values)
+    values[negative] *= -1
+    return values.reshape(-1, width), line[::width] + 1
+
+
+def _read_rows(path: str, width: int) -> tuple:
+    """Parse a file that holds ``width`` integers on each non-blank line.
+    With ``width`` 1 a line is one integer; with 2 its values may also be
+    separated by commas.  Returns the ``(rows, width)`` int64 values, each
+    row's 1-based line number, and the format checks that rows fail (see
+    :func:`_raise_first`), for the caller to raise in turn; 0 stands in for
+    a value that does not parse."""
+    text = _read_text(path)
+    plain = _plain_rows(text, width)
+    if plain is not None:
+        return (*plain, [])
+    lines = text.splitlines()
+    kept = [i for i, line in enumerate(lines) if line.strip()]
+    fields = [lines[i].replace(",", " ").split() if width == 2 else [lines[i]] for i in kept]
+    wrong = np.array([len(row) != width for row in fields], dtype=bool)
+    parsed = [list(map(_int64, row)) if len(row) == width else [0] * width for row in fields]
+    bad = np.array([[v is None for v in row] for row in parsed], dtype=bool).reshape(-1, width)
+    values = np.array([[v or 0 for v in row] for row in parsed], dtype=np.int64).reshape(-1, width)
+    checks = [(wrong, lambda row: f"expected 'u, v', got {lines[kept[row]]!r}")]
+    checks += [(bad[:, j], lambda row, j=j: f"expected an integer, got {fields[row][j]!r}")
+               for j in range(width)]
+    return values, np.array(kept, dtype=np.int64) + 1, checks
+
+
+def _raise_first(path: str, linenos, checks) -> None:
+    """Raise for the earliest row that fails one of ``checks``; do nothing
+    when none does.  ``checks`` are ``(bad, describe)`` pairs in the order a
+    row's checks run: ``bad`` masks the failing rows, and ``describe(row)``
+    says what is wrong with a row, which is line ``linenos[row]`` of
+    ``path``."""
+    failing = [int(np.argmax(bad)) for bad, _ in checks if bad.any()]
+    if failing:
+        row = min(failing)
+        describe = next(describe for bad, describe in checks if bad[row])
+        raise DatasetFormatError(f"{path}:{linenos[row]}: {describe(row)}")
 
 
 def resolve_dataset_dir(root: str, name: str) -> str:
@@ -122,7 +231,9 @@ def load_tu_dataset(root: str, name: str) -> GraphDataset:
     """Load one benchmark dataset from TU-Dortmund flat files under ``root``.
 
     Returns a :class:`GraphDataset` with 0-based contiguous node, label and
-    class indices; the edge list is deduplicated and symmetrized.
+    class indices; the edge list is deduplicated and symmetrized.  Each file
+    is parsed and checked in whole-array operations; a malformed line is
+    named as ``path:lineno``.
     """
     base = resolve_dataset_dir(root, name)
     a_path = os.path.join(base, f"{name}_A.txt")
@@ -130,87 +241,75 @@ def load_tu_dataset(root: str, name: str) -> GraphDataset:
     gl_path = os.path.join(base, f"{name}_graph_labels.txt")
     nl_path = os.path.join(base, f"{name}_node_labels.txt")
 
-    ind_lines = _read_lines(ind_path)
-    graph_of_node = [_parse_int(t, ind_path, i + 1) for i, t in enumerate(ind_lines) if t.strip()]
-    if not graph_of_node:
+    graph_of_node, linenos, checks = _read_rows(ind_path, 1)
+    _raise_first(ind_path, linenos, checks)
+    if not len(graph_of_node):
         raise DatasetFormatError(f"{ind_path}: no nodes")
-    graph_ids = sorted(set(graph_of_node))
-    gid_index = {gid: i for i, gid in enumerate(graph_ids)}
-    num_graphs = len(graph_ids)
+    # graph index of each node; every graph id in the file has a node
+    n_nodes = len(graph_of_node)
+    _, node_graph = np.unique(graph_of_node[:, 0], return_inverse=True)
+    num_graphs = int(node_graph.max()) + 1
 
-    gl_lines = [t for t in _read_lines(gl_path) if t.strip()]
-    if len(gl_lines) > num_graphs:
+    raw_classes, linenos, checks = _read_rows(gl_path, 1)
+    if len(raw_classes) > num_graphs:
         raise DatasetFormatError(
-            f"{gl_path}: {len(gl_lines)} class labels but only {num_graphs} graphs "
+            f"{gl_path}: {len(raw_classes)} class labels but only {num_graphs} graphs "
             "have nodes (graph with zero nodes)"
         )
-    if len(gl_lines) < num_graphs:
+    if len(raw_classes) < num_graphs:
         raise DatasetFormatError(
-            f"{gl_path}: {len(gl_lines)} class labels for {num_graphs} graphs"
+            f"{gl_path}: {len(raw_classes)} class labels for {num_graphs} graphs"
         )
-    raw_classes = [_parse_int(t, gl_path, i + 1) for i, t in enumerate(gl_lines)]
-    class_map = {c: i for i, c in enumerate(sorted(set(raw_classes)))}
+    _raise_first(gl_path, linenos, checks)
+    class_values, class_of = np.unique(raw_classes[:, 0], return_inverse=True)
 
-    nl_lines = [t for t in _read_lines(nl_path) if t.strip()]
-    if len(nl_lines) != len(graph_of_node):
-        raise DatasetFormatError(
-            f"{nl_path}: {len(nl_lines)} node labels for {len(graph_of_node)} nodes"
-        )
-    raw_node_labels = [_parse_int(t, nl_path, i + 1) for i, t in enumerate(nl_lines)]
-    label_map = {l: i for i, l in enumerate(sorted(set(raw_node_labels)))}
+    raw_labels, linenos, checks = _read_rows(nl_path, 1)
+    if len(raw_labels) != n_nodes:
+        raise DatasetFormatError(f"{nl_path}: {len(raw_labels)} node labels for {n_nodes} nodes")
+    _raise_first(nl_path, linenos, checks)
+    label_values, label_of = np.unique(raw_labels[:, 0], return_inverse=True)
 
-    # global 1-based node id -> (graph index, local 0-based id)
-    local_id = []
-    sizes = [0] * num_graphs
-    for gid in graph_of_node:
-        gi = gid_index[gid]
-        local_id.append(sizes[gi])
-        sizes[gi] += 1
-    if min(sizes) == 0:
-        empty = graph_ids[sizes.index(0)]
-        raise DatasetFormatError(f"{ind_path}: graph {empty} has zero nodes")
+    # nodes grouped by graph, in file order within each graph; a node's
+    # local id is its place in its graph's group
+    sizes = np.bincount(node_graph, minlength=num_graphs)
+    by_graph = np.argsort(node_graph, kind="stable")
+    local_id = np.empty(n_nodes, dtype=np.int64)
+    local_id[by_graph] = np.arange(n_nodes) - np.repeat(np.cumsum(sizes) - sizes, sizes)
 
-    edge_sets = [set() for _ in range(num_graphs)]
-    n_nodes = len(graph_of_node)
-    for lineno, line in enumerate(_read_lines(a_path), start=1):
-        if not line.strip():
-            continue
-        parts = line.replace(",", " ").split()
-        if len(parts) != 2:
-            raise DatasetFormatError(f"{a_path}:{lineno}: expected 'u, v', got {line!r}")
-        u = _parse_int(parts[0], a_path, lineno)
-        v = _parse_int(parts[1], a_path, lineno)
-        if not (1 <= u <= n_nodes and 1 <= v <= n_nodes):
-            raise DatasetFormatError(
-                f"{a_path}:{lineno}: edge ({u}, {v}) references an unknown node"
-            )
-        gu, gv = gid_index[graph_of_node[u - 1]], gid_index[graph_of_node[v - 1]]
-        if gu != gv:
-            raise DatasetFormatError(
-                f"{a_path}:{lineno}: edge ({u}, {v}) crosses graphs {gu} and {gv}"
-            )
-        if u == v:
-            raise DatasetFormatError(f"{a_path}:{lineno}: self-loop on node {u}")
-        lu, lv = local_id[u - 1], local_id[v - 1]
-        edge_sets[gu].add((lu, lv) if lu < lv else (lv, lu))
+    uv, linenos, checks = _read_rows(a_path, 2)
+    u, v = uv[:, 0], uv[:, 1]
+    known = (1 <= u) & (u <= n_nodes) & (1 <= v) & (v <= n_nodes)
+    gu = node_graph[np.where(known, u - 1, 0)]
+    gv = node_graph[np.where(known, v - 1, 0)]
+    _raise_first(a_path, linenos, checks + [
+        (~known, lambda row: f"edge ({u[row]}, {v[row]}) references an unknown node"),
+        (gu != gv, lambda row: f"edge ({u[row]}, {v[row]}) crosses graphs {gu[row]} and {gv[row]}"),
+        (u == v, lambda row: f"self-loop on node {u[row]}"),
+    ])
 
-    node_labels_per_graph = [[] for _ in range(num_graphs)]
-    for nid, gid in enumerate(graph_of_node):
-        node_labels_per_graph[gid_index[gid]].append(label_map[raw_node_labels[nid]])
+    # edges as (lower, higher) local ids, grouped by graph with one sort
+    lu, lv = local_id[u - 1], local_id[v - 1]
+    by_edge_graph = np.argsort(gu, kind="stable")
+    lo = np.minimum(lu, lv)[by_edge_graph].tolist()
+    hi = np.maximum(lu, lv)[by_edge_graph].tolist()
+    edge_end = np.cumsum(np.bincount(gu, minlength=num_graphs)).tolist()
+    node_end = np.cumsum(sizes).tolist()
+    labels = label_of[by_graph].tolist()
+    classes = class_of.tolist()
 
-    graphs = [
-        Graph(
-            n=sizes[i],
-            edges=frozenset(edge_sets[i]),
-            node_labels=tuple(node_labels_per_graph[i]),
-            class_label=class_map[raw_classes[i]],
-        )
-        for i in range(num_graphs)
-    ]
+    graphs = []
+    for i in range(num_graphs):
+        e0, n0 = (edge_end[i - 1], node_end[i - 1]) if i else (0, 0)
+        graphs.append(Graph(
+            n=node_end[i] - n0,
+            edges=frozenset(zip(lo[e0:edge_end[i]], hi[e0:edge_end[i]])),
+            node_labels=labels[n0:node_end[i]],
+            class_label=classes[i],
+        ))
     return GraphDataset(
         graphs=graphs,
-        num_classes=len(class_map),
-        num_node_labels=len(label_map),
+        num_classes=len(class_values),
+        num_node_labels=len(label_values),
         name=name,
     )
 

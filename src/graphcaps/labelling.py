@@ -3,14 +3,12 @@
 :data:`LABELLINGS` names the rankings a run can choose.  Three building
 blocks serve them: Brandes betweenness centrality, Weisfeiler-Lehman colour
 refinement, and a canonical node ordering computed by backtracking
-individualization-refinement.  Each returns plain numpy arrays.  All of them
-are pure functions of the input graph and deterministic, so rankings are
-reproducible bit-for-bit.
+individualization-refinement with automorphism pruning.  Each returns plain
+numpy arrays.  All of them are pure functions of the input graph and
+deterministic, so rankings are reproducible bit-for-bit.
 """
 
 from __future__ import annotations
-
-from collections import Counter, deque
 
 import numpy as np
 
@@ -19,6 +17,9 @@ from .data import Graph
 # Canonical labelling is exact but not NAUTY-fast; guard against inputs far
 # beyond benchmark scale.
 MAX_CANONICAL_NODES = 10_000
+# The canonical search raises CapacityError after visiting this many nodes of
+# its search tree, so that no input can keep it running.
+MAX_SEARCH_NODES = 10_000
 
 # The node rankings a run may choose: betweenness centrality or the canonical
 # order.  Every other module reads the names from here.
@@ -38,34 +39,35 @@ def betweenness_centrality(g: Graph) -> np.ndarray:
     """
     adj = g.adjacency()
     n = g.n
-    bc = np.zeros(n, dtype=np.float64)
+    bc = [0.0] * n
     for s in range(n):
         dist = [-1] * n
         sigma = [0] * n
-        preds = [[] for _ in range(n)]
         dist[s] = 0
         sigma[s] = 1
-        order = []
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            order.append(v)
+        order = [s]  # the BFS queue, walked by index, is the visit order
+        for v in order:
+            dw = dist[v] + 1
+            sv = sigma[v]
             for w in adj[v]:
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-                if dist[w] == dist[v] + 1:
-                    sigma[w] += sigma[v]
-                    preds[w].append(v)
+                d = dist[w]
+                if d < 0:
+                    dist[w] = dw
+                    order.append(w)
+                    sigma[w] = sv
+                elif d == dw:
+                    sigma[w] += sv
         delta = [0.0] * n
         for w in reversed(order):
             coeff = (1.0 + delta[w]) / sigma[w]
-            for v in preds[w]:
-                delta[v] += sigma[v] * coeff
+            dv = dist[w] - 1
+            for v in adj[w]:
+                if dist[v] == dv:
+                    delta[v] += sigma[v] * coeff
             if w != s:
                 bc[w] += delta[w]
     # each unordered pair was counted from both endpoints
-    return bc / 2.0
+    return np.array(bc) / 2.0
 
 
 def wl_refine(g: Graph, init=None, rounds: int | None = None) -> np.ndarray:
@@ -106,38 +108,61 @@ def wl_refine(g: Graph, init=None, rounds: int | None = None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _equitable(adj, partition):
+def _equitable(adj, partition, moved=None):
     """Refine an ordered partition until equitable.
 
-    Each cell is split by the multiset of neighbour cell-indices of its
+    Each round splits every cell by the multiset of neighbour cells of its
     vertices; fragments replace their parent in signature order.  The result
     depends only on the abstract graph and the incoming cell order.
+
+    A cell is named by the position just past its last vertex, which orders
+    cells as their indices do and stays with the last fragment of a split.  A
+    cell cannot split unless a neighbour of one of its vertices changed name in
+    the last round, so a round only revisits the cells next to the vertices
+    that moved.  ``moved`` may name the vertices split off into earlier
+    fragments when ``partition`` was made from an equitable one; the first
+    round then starts from them too.
     """
-    n = sum(len(c) for c in partition)
+    cells = {}
+    cell_of = [0] * sum(len(c) for c in partition)
+    end = 0
+    for cell in partition:
+        end += len(cell)
+        cells[end] = cell
+        for v in cell:
+            cell_of[v] = end
+    dirty = cells if moved is None else {cell_of[u] for v in moved for u in adj[v]}
     while True:
-        cell_of = [0] * n
-        for ci, cell in enumerate(partition):
-            for v in cell:
-                cell_of[v] = ci
-        new_partition = []
-        split = False
-        for cell in partition:
-            if len(cell) == 1:
-                new_partition.append(cell)
+        splits = []
+        for e in dirty:
+            if len(cells[e]) == 1:
                 continue
             groups = {}
-            for v in cell:
-                sig = tuple(sorted(Counter(cell_of[u] for u in adj[v]).items()))
-                groups.setdefault(sig, []).append(v)
-            if len(groups) == 1:
-                new_partition.append(cell)
-            else:
-                split = True
-                for sig in sorted(groups):
-                    new_partition.append(groups[sig])
-        partition = new_partition
-        if not split:
-            return partition
+            for v in cells[e]:
+                # the (cell, count) pairs of v's neighbours, in cell order
+                sig = []
+                last = -1
+                for c in sorted([cell_of[u] for u in adj[v]]):
+                    if c == last:
+                        sig[-1] = (c, sig[-1][1] + 1)
+                    else:
+                        sig.append((c, 1))
+                        last = c
+                groups.setdefault(tuple(sig), []).append(v)
+            if len(groups) > 1:
+                splits.append((e, [groups[sig] for sig in sorted(groups)]))
+        if not splits:
+            return [cells[e] for e in sorted(cells)]
+        moved = []
+        for e, fragments in splits:
+            e -= len(cells[e])
+            for fragment in fragments:
+                e += len(fragment)
+                cells[e] = fragment
+                for v in fragment:
+                    cell_of[v] = e
+            moved.extend(v for fragment in fragments[:-1] for v in fragment)
+        dirty = {cell_of[u] for v in moved for u in adj[v]}
 
 
 def _is_twin_cell(adj_sets, cell):
@@ -162,15 +187,17 @@ def _is_twin_cell(adj_sets, cell):
 
 
 def _collapse_twins(adj_sets, partition):
+    """Discretize the twin cells; returns the partition and the vertices that
+    left their cell's last position (empty when no cell was a twin cell)."""
     out = []
-    changed = False
+    moved = []
     for cell in partition:
         if len(cell) > 1 and _is_twin_cell(adj_sets, cell):
             out.extend([v] for v in cell)
-            changed = True
+            moved.extend(cell[:-1])
         else:
             out.append(cell)
-    return out, changed
+    return out, moved
 
 
 def _certificate(g: Graph, order):
@@ -201,6 +228,16 @@ def canonical_order(g: Graph) -> np.ndarray:
     smallest (adjacency bitstring, label sequence) certificate wins.  Two
     isomorphic graphs therefore produce identical reordered adjacency
     matrices and label sequences.
+
+    Automorphisms prune the search (McKay & Piperno 2014).  A leaf whose
+    certificate equals the first or the best leaf's yields an automorphism;
+    the search then returns to the node where the two leaves' paths part,
+    since the rest of the subtree it left mirrors one already searched.  A
+    node skips a child that the automorphisms fixing each of its cells map
+    onto a child it has explored.  Every skipped leaf mirrors an explored leaf
+    with the same certificate, so the result is the order of the first
+    smallest leaf of the full search.  The search raises
+    :class:`CapacityError` after :data:`MAX_SEARCH_NODES` nodes.
     """
     if g.n > MAX_CANONICAL_NODES:
         raise CapacityError(
@@ -214,37 +251,110 @@ def canonical_order(g: Graph) -> np.ndarray:
         by_label.setdefault(g.node_labels[v], []).append(v)
     initial = [by_label[lab] for lab in sorted(by_label)]
 
-    best = {"cert": None, "order": None}
-
-    def stabilize(partition):
-        partition = _equitable(adj, partition)
+    def stabilize(partition, moved=None):
+        partition = _equitable(adj, partition, moved)
         while True:
-            partition, changed = _collapse_twins(adj_sets, partition)
-            if not changed:
+            partition, moved = _collapse_twins(adj_sets, partition)
+            if not moved:
                 return partition
-            partition = _equitable(adj, partition)
+            partition = _equitable(adj, partition, moved)
 
-    def descend(partition):
-        partition = stabilize(partition)
+    frames = []  # the inner nodes on the path to the current node
+    leaves = []  # (certificate, order, path) of the first and the best leaf
+    automorphisms = []  # each a list mapping every node to its image
+    partition, moved = initial, None
+    nodes = 0
+    while True:
+        nodes += 1
+        if nodes > MAX_SEARCH_NODES:
+            raise CapacityError(
+                f"canonical search of a {g.n}-node graph exceeded {MAX_SEARCH_NODES} nodes"
+            )
+        partition = stabilize(partition, moved)
         target = next((i for i, c in enumerate(partition) if len(c) > 1), None)
-        if target is None:
+        if target is not None:
+            frames.append(_Frame(partition, target))
+        else:
             order = [cell[0] for cell in partition]
             cert = _certificate(g, order)
-            if best["cert"] is None or cert < best["cert"]:
-                best["cert"] = cert
-                best["order"] = order
-            return
-        cell = partition[target]
-        for v in cell:
-            branched = (
-                partition[:target]
-                + [[v], [u for u in cell if u != v]]
-                + partition[target + 1 :]
-            )
-            descend(branched)
+            path = [frame.chosen for frame in frames]
+            for seen_cert, seen_order, seen_path in leaves:
+                if cert == seen_cert:
+                    gamma = [0] * g.n
+                    for u, v in zip(seen_order, order):
+                        gamma[u] = v
+                    automorphisms.append(gamma)
+                    # return to the node where the two leaves' paths part
+                    depth = next(i for i, (a, b) in enumerate(zip(seen_path, path)) if a != b)
+                    del frames[depth + 1 :]
+                    break
+            else:
+                if not leaves:
+                    leaves = [(cert, order, path)] * 2
+                elif cert < leaves[1][0]:
+                    leaves[1] = (cert, order, path)
+        while frames and not frames[-1].advance(automorphisms):
+            frames.pop()
+        if not frames:
+            return np.array(leaves[1][1], dtype=np.int64)
+        partition, moved = frames[-1].child()
 
-    descend(initial)
-    return np.array(best["order"], dtype=np.int64)
+
+class _Frame:
+    """An inner node of the canonical search: its partition, the target cell
+    it branches on, and the orbits of that cell under the automorphisms found
+    so far that map every cell of the partition to itself."""
+
+    def __init__(self, partition, target):
+        self.partition, self.target, self.cell = partition, target, partition[target]
+        self.next = 0
+        self.explored = []
+        self.chosen = None
+        self.absorbed = 0
+        self.orbit = {}  # union-find parent links over the target cell
+        self.cell_of = None
+
+    def find(self, v):
+        while v in self.orbit:
+            v = self.orbit[v]
+        return v
+
+    def fixes(self, gamma) -> bool:
+        """Whether the automorphism ``gamma`` maps every cell of this node to
+        itself; only those may merge orbits of its target cell."""
+        if self.cell_of is None:
+            self.cell_of = [0] * len(gamma)
+            for i, cell in enumerate(self.partition):
+                for v in cell:
+                    self.cell_of[v] = i
+        return all(self.cell_of[w] == i for w, i in zip(gamma, self.cell_of))
+
+    def advance(self, automorphisms) -> bool:
+        """Choose the next child outside the orbits of the explored ones;
+        False when none is left."""
+        if self.explored:
+            for gamma in automorphisms[self.absorbed :]:
+                if self.fixes(gamma):
+                    for v in self.cell:
+                        a, b = self.find(v), self.find(gamma[v])
+                        if a != b:
+                            self.orbit[a] = b
+            self.absorbed = len(automorphisms)
+        while self.next < len(self.cell):
+            v = self.cell[self.next]
+            self.next += 1
+            if all(self.find(v) != self.find(u) for u in self.explored):
+                self.explored.append(v)
+                self.chosen = v
+                return True
+        return False
+
+    def child(self) -> tuple:
+        """The partition with the chosen vertex individualized, and the
+        vertex, which is the one that moved (see :func:`_equitable`)."""
+        v, cell, target = self.chosen, self.cell, self.target
+        return (self.partition[:target] + [[v], [u for u in cell if u != v]]
+                + self.partition[target + 1 :]), [v]
 
 
 def canonical_certificate(g: Graph) -> bytes:

@@ -91,6 +91,18 @@ def random_graph(rng, n: int, p: float, num_labels: int = 1, connected: bool = F
     return Graph(n=n, edges=frozenset(edges), node_labels=labels, class_label=0)
 
 
+def cycle_union(lengths) -> Graph:
+    """Disjoint cycles of the given lengths on consecutive node ids.  Every
+    node has degree 2, so refinement cannot tell the cycles apart and only the
+    search can."""
+    edges, start = set(), 0
+    for length in lengths:
+        ring = range(start, start + length)
+        edges.update(zip(ring, [*ring[1:], ring[0]]))
+        start += length
+    return Graph(n=start, edges=frozenset(edges), node_labels=(0,) * start, class_label=0)
+
+
 def all_simple_graphs(n: int):
     """Every labelled simple graph on n nodes (uniform node labels)."""
     pairs = list(itertools.combinations(range(n), 2))
@@ -127,8 +139,14 @@ def _suite_canonical(rng) -> tuple:
             failures += canonical_certificate(h) != ref
     failures += sorted(class_sizes.values()) != FOUR_NODE_CLASS_SIZES
     failures += len({canonical_certificate(g) for g in all_simple_graphs(5)}) != 34
+    for trial in range(30):
+        g = cycle_union(rng.integers(3, 7, size=int(rng.integers(2, 5))).tolist())
+        ref = canonical_certificate(g)
+        failures += sum(canonical_certificate(permute_node_ids(g, [trial, rep])) != ref
+                        for rep in range(5))
     return failures, ("100 random graphs (n <= 20) x 20 relabellings; "
-                      "all 4-node graphs x 4! relabellings: 11 classes; all 5-node graphs: 34")
+                      "all 4-node graphs x 4! relabellings: 11 classes; all 5-node graphs: 34; "
+                      "30 unions of 2-4 cycles x 5 relabellings")
 
 
 def _suite_tensor_invariance(rng) -> tuple:
@@ -187,11 +205,15 @@ SUITES = {
 
 def run_suite(name: str) -> tuple:
     """``(failures, detail)`` of the suite called ``name``: its failed checks,
-    plus one if it ran past its time limit, and a line describing the run."""
+    or one if it raised, plus one if it ran past its time limit, and a line
+    describing the run."""
     suite, limit = SUITES[name]
     rng = np.random.default_rng([0x73657374, list(SUITES).index(name)])
     start = time.perf_counter()
-    failures, desc = suite(rng)
+    try:
+        failures, desc = suite(rng)
+    except Exception as exc:  # noqa: BLE001 - a kernel that raises fails its suite
+        failures, desc = 1, f"raised {type(exc).__name__}: {exc}"
     elapsed = time.perf_counter() - start
     failures += elapsed > limit
     return failures, f"{desc} ({failures} failures, {elapsed:.2f}s, limit {limit:g}s)"

@@ -18,7 +18,7 @@ import multiprocessing
 import numpy as np
 
 from .data import PAD, Graph, GraphDataset
-from .labelling import rank_nodes
+from .labelling import CapacityError, rank_nodes
 
 # Grids are uint16 and padding is stored as d, so d may not exceed this.
 MAX_LABELS = np.iinfo(np.uint16).max
@@ -116,9 +116,19 @@ def tensorize_dataset(
     on scheduling order."""
     if w is None:
         w = default_width(ds)
-    extract = functools.partial(graph_to_tensor, w=w, k=k, d=ds.num_node_labels,
+    extract = functools.partial(_indexed_graph_to_tensor, w=w, k=k, d=ds.num_node_labels,
                                 labelling=labelling)
-    return np.stack(list(_fork_map(extract, ds.graphs, jobs)))
+    return np.stack(list(_fork_map(extract, list(enumerate(ds.graphs)), jobs)))
+
+
+def _indexed_graph_to_tensor(item, **kwargs) -> np.ndarray:
+    """:func:`graph_to_tensor` of the graph in ``item = (index, graph)``; a
+    labelling :class:`CapacityError` names the graph's dataset index."""
+    i, g = item
+    try:
+        return graph_to_tensor(g, **kwargs)
+    except CapacityError as exc:
+        raise CapacityError(f"graph {i}: {exc}") from exc
 
 
 def _fork_map(fn, items, jobs: int):

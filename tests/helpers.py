@@ -21,6 +21,7 @@ __all__ = [
     "path_graph",
     "star_graph",
     "cycle_graph",
+    "disjoint_union",
     "write_tu_files",
     "synthetic_dataset_graphs",
     "write_v2_cache",
@@ -50,6 +51,16 @@ def cycle_graph(n: int, cls=0) -> Graph:
     edges = {(i, (i + 1) % n) for i in range(n)}
     return Graph(n=n, edges=frozenset(tuple(sorted(e)) for e in edges),
                  node_labels=tuple([0] * n), class_label=cls)
+
+
+def disjoint_union(*graphs, cls=0) -> Graph:
+    """The graphs side by side, node ids offset in the order given."""
+    edges, labels, offset = set(), [], 0
+    for g in graphs:
+        edges.update((u + offset, v + offset) for u, v in g.edges)
+        labels.extend(g.node_labels)
+        offset += g.n
+    return Graph(n=offset, edges=frozenset(edges), node_labels=tuple(labels), class_label=cls)
 
 
 def write_tu_files(root: str, name: str, graphs) -> str:

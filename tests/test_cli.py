@@ -11,7 +11,8 @@ import pytest
 from graphcaps import cli, labelling, selftest
 from graphcaps.cli import main, read_config_file
 from graphcaps.experiment import ExperimentConfig
-from helpers import healthy_suite, mutate, synthetic_dataset_graphs, write_tu_files
+from helpers import (cycle_graph, healthy_suite, mutate, path_graph, synthetic_dataset_graphs,
+                     triangle, write_tu_files)
 
 
 @pytest.fixture()
@@ -75,6 +76,14 @@ class TestTensorizeCommand:
                      "--out-root", out_root, "--labelling", "nauty", "-w", "5"]) == 0
         files = os.listdir(os.path.join(out_root, "cache"))
         assert files == ["SYN_canonical_w5_k10_seed1.gct"]
+
+    def test_search_over_budget_names_the_graph(self, tu_dir, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(labelling, "MAX_SEARCH_NODES", 1)
+        graphs = [path_graph(3, labels=(0, 1, 2)), triangle(), cycle_graph(4), triangle()]
+        write_tu_files(tu_dir, "CAP", graphs)
+        assert main(["tensorize", "--dataset", "CAP", "--data-root", tu_dir,
+                     "--out-root", str(tmp_path / "results"), "-w", "3", "--jobs", "2"]) == 1
+        assert "error: graph 2: canonical search" in capsys.readouterr().err
 
 
 class TestRunCommand:

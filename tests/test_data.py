@@ -1,11 +1,13 @@
+import os
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from graphcaps.data import (
     DatasetFormatError,
+    _plain_rows,
     Graph,
     load_tu_dataset,
     one_hot,
@@ -115,6 +117,95 @@ class TestLoader:
             fh.write("1, 4\n")
         with pytest.raises(DatasetFormatError, match="crosses graphs"):
             load_tu_dataset(tu_dir, "XGRAPH")
+
+    @staticmethod
+    def _error(tu_dir, suffix, text, append=False, graphs=2):
+        """The loader's message after writing ``text`` to (or appending it
+        to) one file of a dataset of triangles, and that file's path."""
+        base = write_tu_files(tu_dir, "BAD", [triangle()] * graphs)
+        path = os.path.join(base, f"BAD_{suffix}.txt")
+        with open(path, "a" if append else "w") as fh:
+            fh.write(text)
+        with pytest.raises(DatasetFormatError) as exc:
+            load_tu_dataset(tu_dir, "BAD")
+        return str(exc.value), path
+
+    @pytest.mark.parametrize("suffix, text, where", [
+        ("graph_indicator", "1\n1\n\n1\n2\n2 2\n2\n", "6: expected an integer, got '2 2'"),
+        ("graph_labels", "0\n1.0\n", "2: expected an integer, got '1.0'"),
+        ("node_labels", "0\n\n x \n0\n0\n0\n0\n", "3: expected an integer, got ' x '"),
+        ("A", "1, 2\n\n2, v\n", "3: expected an integer, got 'v'"),
+        ("A", "1, 2\n2, 3, 1\n", "2: expected 'u, v', got '2, 3, 1'"),
+        ("A", "1, 2\n2\n", "2: expected 'u, v', got '2'"),
+        ("A", "1, 2\n, ,\n", "2: expected 'u, v', got ', ,'"),
+        ("A", "1, 2\n5, 5\n", "2: self-loop on node 5"),
+        ("A", "1, 2\n3, 7\n", "2: edge (3, 7) references an unknown node"),
+        ("A", "1, 2\n4, 3\n", "2: edge (4, 3) crosses graphs 1 and 0"),
+    ])
+    def test_bad_line_named_by_path_and_lineno(self, tu_dir, suffix, text, where):
+        message, path = self._error(tu_dir, suffix, text)
+        assert message == f"{path}:{where}"
+
+    def test_first_bad_line_wins(self, tu_dir):
+        # a line's checks run in order, and the earliest bad line is named
+        message, path = self._error(tu_dir, "A", "1, 2\n9, 9\n2, 2\n1, x\n")
+        assert message == f"{path}:2: edge (9, 9) references an unknown node"
+        message, path = self._error(tu_dir, "A", "1, 2\n2, 2\n1, x\n9, 9\n")
+        assert message == f"{path}:2: self-loop on node 2"
+
+    def test_line_endings_and_signs_load_the_same(self, tu_dir):
+        # CRLF endings and '+' signs take the loader off its plain-layout path
+        graphs = synthetic_dataset_graphs(num_graphs=12, seed=4)
+        plain = load_tu_dataset(tu_dir, os.path.basename(write_tu_files(tu_dir, "LF", graphs)))
+        base = write_tu_files(tu_dir, "CRLF", graphs)
+        for fname in os.listdir(base):
+            path = os.path.join(base, fname)
+            text = open(path).read().replace("\n", "\r\n").replace(" ", " +")
+            open(path, "w", newline="").write("\r\n" + text)
+        other = load_tu_dataset(tu_dir, "CRLF")
+        assert [(g.n, g.edges, g.node_labels, g.class_label) for g in other.graphs] == [
+            (g.n, g.edges, g.node_labels, g.class_label) for g in plain.graphs]
+
+    @settings(max_examples=200)
+    @given(st.integers(1, 2), st.lists(st.tuples(
+        st.lists(st.integers(-10**19, 10**19), min_size=1, max_size=3),
+        st.sampled_from([" ", ", ", "\t", ",", " + "]),
+        st.sampled_from(["\n", "\n\n", " \n", "\r\n"])), max_size=8))
+    def test_plain_layout_parse_matches_int(self, width, lines):
+        # the whole-array parse takes a text only when it reads it as int()
+        # and str.split() do, line by line
+        text = "".join(sep.join(map(str, values)) + end for values, sep, end in lines)
+        plain = _plain_rows(text, width)
+        # read in pieces of a few lines, the text parses the same
+        pieces = _plain_rows(text, width, chunk=5)
+        assert (plain is None) == (pieces is None)
+        if plain is None:
+            return
+        assert all(np.array_equal(a, b) for a, b in zip(plain, pieces))
+        rows = [(i, line.replace(",", " ").split()) for i, line in enumerate(text.splitlines(), 1)]
+        rows = [(i, fields) for i, fields in rows if fields]
+        assert all(len(fields) == width for _, fields in rows)
+        assert plain[0].tolist() == [[int(t) for t in fields] for _, fields in rows]
+        assert plain[1].tolist() == [i for i, _ in rows]
+
+    def test_plain_layout_bounds(self):
+        values, linenos = _plain_rows("1, 2\n\n-3\t4\n", 2)
+        assert values.tolist() == [[1, 2], [-3, 4]] and linenos.tolist() == [1, 3]
+        assert _plain_rows(f"{10**18 - 1}\n-{10**18 - 1}\n", 1)[0].tolist() == [
+            [10**18 - 1], [1 - 10**18]]
+        for text in (f"{10**18}\n", "1\r\n", "+1\n", "1,\n", "1 2\n", "-\n", "1-2\n"):
+            assert _plain_rows(text, 1) is None
+        for text in ("1\n", "1, 2, 3\n", ",\n1, 2\n", "1 2\x0b\n"):
+            assert _plain_rows(text, 2) is None
+
+    @pytest.mark.parametrize("suffix, text, what", [
+        ("node_labels", "0\n0\n0\n0\n0\n", "5 node labels for 6 nodes"),
+        ("node_labels", "0\n" * 7, "7 node labels for 6 nodes"),
+        ("graph_labels", "0\n", "1 class labels for 2 graphs"),
+    ])
+    def test_label_count_mismatch(self, tu_dir, suffix, text, what):
+        message, path = self._error(tu_dir, suffix, text)
+        assert message == f"{path}: {what}"
 
 
 class TestPermutation:

@@ -1,8 +1,12 @@
+import importlib
 import itertools
+import os
+import time
 
 import numpy as np
 import pytest
 
+from graphcaps import labelling
 from graphcaps.data import Graph, permute_node_ids
 from graphcaps.labelling import (
     MAX_CANONICAL_NODES,
@@ -19,7 +23,32 @@ from graphcaps.selftest import (
     bruteforce_betweenness,
     random_graph,
 )
-from helpers import cycle_graph, path_graph, star_graph, triangle
+from helpers import cycle_graph, disjoint_union, path_graph, star_graph, triangle
+
+
+def labelled_molecule_with_fragments(copies: int) -> Graph:
+    """A nitrobenzene (C 0, N 1, O 2) beside ``copies`` identical acetate
+    fragments."""
+    ring = [(i, (i + 1) % 6) for i in range(6)]
+    nitro = [(0, 6), (6, 7), (6, 8)]
+    benzene = Graph(n=9, edges=frozenset(ring + nitro), node_labels=(0,) * 6 + (1, 2, 2),
+                    class_label=0)
+    acetate = Graph(n=4, edges=frozenset({(0, 1), (1, 2), (1, 3)}), node_labels=(0, 0, 2, 2),
+                    class_label=0)
+    return disjoint_union(benzene, *[acetate] * copies)
+
+
+# Graphs whose unpruned canonical search is factorial in the number of
+# identical components, or for the cycle visits two leaves per node.
+SYMMETRIC_FAMILIES = {
+    "4-triangles": lambda: disjoint_union(*[triangle()] * 4),
+    "5-triangles": lambda: disjoint_union(*[triangle()] * 5),
+    "8-triangles": lambda: disjoint_union(*[triangle()] * 8),
+    "4-C4": lambda: disjoint_union(*[cycle_graph(4)] * 4),
+    "6-C4": lambda: disjoint_union(*[cycle_graph(4)] * 6),
+    "C80": lambda: cycle_graph(80),
+    "molecule-3-fragments": lambda: labelled_molecule_with_fragments(3),
+}
 
 
 class TestBetweenness:
@@ -146,6 +175,68 @@ class TestCanonicalOrder:
         g = Graph(n=n, edges=frozenset(), node_labels=(0,) * n, class_label=0)
         with pytest.raises(CapacityError, match="bound"):
             canonical_order(g)
+
+    def test_certificates_agree_with_networkx(self):
+        # an oracle independent of this code: pairs get equal certificates
+        # exactly when networkx finds a label-preserving isomorphism
+        nx = pytest.importorskip("networkx")
+
+        def to_nx(g):
+            h = nx.Graph()
+            h.add_nodes_from((v, {"label": lab}) for v, lab in enumerate(g.node_labels))
+            h.add_edges_from(g.edges)
+            return h
+
+        rng = np.random.default_rng(17)
+        outcomes = []
+        for trial in range(300):
+            part = random_graph(rng, int(rng.integers(2, 6)), float(rng.uniform(0.2, 0.8)),
+                                num_labels=2)
+            # repeated parts make the automorphism pruning do real work
+            g = disjoint_union(*[part] * int(rng.integers(1, 4)),
+                               random_graph(rng, int(rng.integers(1, 5)), 0.5, num_labels=2))
+            h = permute_node_ids(g, [17, trial])
+            if trial % 3:
+                # toggle one node pair
+                u, v = sorted(int(x) for x in rng.choice(h.n, size=2, replace=False))
+                h = Graph(n=h.n, edges=h.edges ^ {(u, v)}, node_labels=h.node_labels,
+                          class_label=0)
+            same = nx.is_isomorphic(to_nx(g), to_nx(h),
+                                    node_match=lambda a, b: a["label"] == b["label"])
+            assert (canonical_certificate(g) == canonical_certificate(h)) == same, trial
+            outcomes.append(same)
+        assert 0 < sum(outcomes) < len(outcomes)  # both answers occur
+
+
+class TestBoundedSearch:
+    # The pruned search visits at most this many nodes on each family, so
+    # these tests cannot flake with the host's speed.
+    BUDGET = 150
+
+    @pytest.mark.parametrize("family", SYMMETRIC_FAMILIES)
+    def test_symmetric_family_fits_a_small_budget(self, monkeypatch, family):
+        monkeypatch.setattr(labelling, "MAX_SEARCH_NODES", self.BUDGET)
+        g = SYMMETRIC_FAMILIES[family]()
+        start = time.perf_counter()
+        ref = canonical_certificate(g)
+        assert time.perf_counter() - start < 5.0
+        for rep in range(3):
+            assert canonical_certificate(permute_node_ids(g, [rep])) == ref
+
+    def test_over_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(labelling, "MAX_SEARCH_NODES", 10)
+        with pytest.raises(CapacityError, match="exceeded 10 nodes"):
+            canonical_order(SYMMETRIC_FAMILIES["5-triangles"]())
+
+    def test_benchmark_shapes_stay_far_below_the_budget(self, monkeypatch):
+        monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+        synth = importlib.import_module("synth")
+        monkeypatch.setattr(labelling, "MAX_SEARCH_NODES", labelling.MAX_SEARCH_NODES // 10)
+        for shape in ("MUTAG", "NCI1"):
+            for seed in (1, 2, 3):
+                for labels, edges, _ in synth.generate(shape, seed)[0]:
+                    canonical_order(Graph(n=len(labels), edges=frozenset(edges),
+                                          node_labels=tuple(labels), class_label=0))
 
 
 class TestRankNodes:

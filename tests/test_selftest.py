@@ -16,6 +16,10 @@ MUTATIONS = {
     "equitable-keeps-insertion-order-canonical": (
         "canonical-invariance", labelling, "_equitable", "sorted(groups)", "groups",
     ),
+    "pruning-merges-the-target-cell": (
+        "canonical-invariance", labelling, "_Frame",
+        "self.find(v) != self.find(u)", "False",
+    ),
     "equitable-keeps-insertion-order-tensor": (
         "tensor-invariance", labelling, "_equitable", "sorted(groups)", "groups",
     ),

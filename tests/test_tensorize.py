@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from graphcaps import labelling
-from graphcaps.data import PAD, Graph, one_hot, permute_node_ids
+from graphcaps.data import PAD, Graph, GraphDataset, one_hot, permute_node_ids
 from graphcaps.labelling import rank_nodes
 from graphcaps.tensor_cache import CacheError, load_tensors, save_tensors
 from graphcaps.tensorize import (
@@ -18,7 +18,8 @@ from graphcaps.tensorize import (
     tensorize_dataset,
 )
 from graphcaps.selftest import random_graph
-from helpers import flip_grid_byte, path_graph, star_graph, triangle, write_tu_files
+from helpers import (cycle_graph, flip_grid_byte, path_graph, star_graph, triangle,
+                     write_tu_files)
 
 from graphcaps.data import load_tu_dataset
 
@@ -162,6 +163,16 @@ class TestDatasetTensorization:
         assert np.array_equal(serial, parallel)
         for i, g in enumerate(ds.graphs):
             assert np.array_equal(serial[i], graph_to_tensor(g, w=6, k=4, d=3))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_capacity_error_names_the_graph(self, monkeypatch, jobs):
+        # a one-node search fits the labelled path and the triangle (a twin
+        # cell), not the 4-cycle
+        monkeypatch.setattr(labelling, "MAX_SEARCH_NODES", 1)
+        graphs = [path_graph(3, labels=(0, 1, 2)), triangle(), cycle_graph(4), triangle()]
+        ds = GraphDataset(graphs=graphs, num_classes=1, num_node_labels=3, name="CAP")
+        with pytest.raises(labelling.CapacityError, match=r"^graph 2: canonical search"):
+            tensorize_dataset(ds, w=3, k=2, jobs=jobs)
 
 
 class TestCacheFormat:
