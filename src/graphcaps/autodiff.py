@@ -14,8 +14,11 @@ tensor take that tensor's dtype, so a constant never upcasts a float32
 graph.  :func:`grad_check` runs in float64.
 
 Gradients are accumulated over a taped graph; ``Tensor.backward()`` walks the
-tape in reverse topological order.  Ops performed inside :func:`no_grad` (or
-on tensors that do not require gradients) record nothing.
+tape in reverse topological order and releases each intermediate node's rule,
+parents and gradient once its rule has run, so a step's tape is freed as it is
+consumed and a graph can be walked only once.  Leaves keep their gradients.
+Ops performed inside :func:`no_grad` (or on tensors that do not require
+gradients) record nothing.
 """
 
 from __future__ import annotations
@@ -49,6 +52,13 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad
+
+
+def _released(g):
+    raise RuntimeError(
+        "backward() reached a node whose graph an earlier backward() released; "
+        "run the forward pass again to rebuild it"
+    )
 
 
 class Tensor:
@@ -316,6 +326,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward(node.grad)
+                node.grad, node._backward, node._parents = None, _released, ()
 
 
 # ---------------------------------------------------------------------------

@@ -143,7 +143,8 @@ def cmd_embed(args) -> int:
 
     points = extract_embeddings(model, x, source)
     print(f"[embed] {points.shape[0]} x {points.shape[1]} features from {source.value}")
-    res = tsne(points, perplexity=args.perplexity, iters=args.iters, seed=cfg.seed)
+    res = tsne(points, perplexity=args.perplexity, iters=args.iters, seed=cfg.seed,
+               jobs=cfg.jobs)
     dist = cluster_distances(res.coords, y)
     write_embeddings_csv(os.path.join(out_dir, "embeddings.csv"), res.coords, y)
     write_distances_csv(os.path.join(out_dir, "distances.csv"), source, dist)
@@ -183,7 +184,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out-root", help="output directory root")
     p.add_argument("--cache-dir", help="tensor cache directory")
     p.add_argument("--jobs", type=int,
-                   help="parallel workers for folds/extraction (default: available cores)")
+                   help="parallel workers for folds/extraction and t-SNE threads "
+                        "(default: available cores)")
     p.add_argument("--seed", type=int)
 
 

@@ -141,16 +141,38 @@ class AdamState:
         return max(self.base_lr * float(np.exp(-self.decay * epoch)), self.lr_floor)
 
 
+# Elements per Adam slice: a slice of a parameter, its moments, its gradient and
+# the two scratch arrays stay in cache across the dozen passes of an update.
+_ADAM_SLICE = 1 << 15
+
+
+def _adam_slices(p: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray):
+    """Matching views of at most ``_ADAM_SLICE`` elements of a parameter, its
+    moments and its gradient, each with two scratch arrays of ``p``'s dtype.
+    The slices are flat views when the parameter and moments are C-contiguous
+    (every model parameter is); other layouts are updated whole."""
+    if not (p.flags.c_contiguous and m.flags.c_contiguous and v.flags.c_contiguous):
+        yield p, m, v, g, np.empty_like(p), np.empty_like(p)
+        return
+    p, m, v, g = (a.reshape(-1) for a in (p, m, v, g))
+    scratch = np.empty((2, min(p.size, _ADAM_SLICE)), p.dtype)
+    for lo in range(0, p.size, _ADAM_SLICE):
+        hi = min(lo + _ADAM_SLICE, p.size)
+        yield p[lo:hi], m[lo:hi], v[lo:hi], g[lo:hi], scratch[0, : hi - lo], scratch[1, : hi - lo]
+
+
 def adam_step(params: dict, grads: dict, state: AdamState, epoch: int) -> AdamState:
     """One bias-corrected Adam update, in place on ``params`` and the moments,
-    through two scratch arrays per parameter.
+    a cache-sized slice at a time through two slice-sized scratch arrays.
+    Every element goes through the same operations in the same order as in
+    a whole-parameter update, so the result does not depend on the slicing.
 
     The moments are kept in each parameter's dtype; a gradient of a wider
     dtype is accepted and rounded into them.
 
     The step size decays exponentially with the epoch index and is floored at
     ``state.lr_floor``.  Raises :class:`TrainingError` naming the parameter if
-    any gradient is non-finite.
+    any gradient is non-finite, before any slice of that parameter changes.
     """
     lr = state.effective_lr(epoch)
     state.t += 1
@@ -169,14 +191,13 @@ def adam_step(params: dict, grads: dict, state: AdamState, epoch: int) -> AdamSt
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
         # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), in this order, in place
-        m, v = state.m[name], state.v[name]
-        step, denom = np.empty_like(p.data), np.empty_like(p.data)
-        m *= b1
-        m += np.multiply(g, 1.0 - b1, out=step)
-        v *= b2
-        v += np.multiply(np.multiply(g, g, out=step), 1.0 - b2, out=step)
-        np.sqrt(np.divide(v, bc2, out=denom), out=denom)
-        denom += state.eps
-        np.multiply(np.divide(m, bc1, out=step), lr, out=step)
-        p.data -= np.divide(step, denom, out=step)
+        for ps, m, v, gs, step, denom in _adam_slices(p.data, state.m[name], state.v[name], g):
+            m *= b1
+            m += np.multiply(gs, 1.0 - b1, out=step)
+            v *= b2
+            v += np.multiply(np.multiply(gs, gs, out=step), 1.0 - b2, out=step)
+            np.sqrt(np.divide(v, bc2, out=denom), out=denom)
+            denom += state.eps
+            np.multiply(np.divide(m, bc1, out=step), lr, out=step)
+            ps -= np.divide(step, denom, out=step)
     return state

@@ -1,8 +1,11 @@
+import inspect
 import math
+import threading
 
 import numpy as np
 import pytest
 
+from graphcaps import analysis
 from graphcaps.analysis import (
     EmbeddingSource,
     cluster_distances,
@@ -80,6 +83,63 @@ class TestExtractEmbeddings:
             extract_embeddings(None, self.x, "cnn")
 
 
+def oracle_entropy_and_probs(row, beta):
+    """Entropy and probabilities of one conditional distribution p_{j|i}."""
+    p = np.exp(-row * beta)
+    s = p.sum()
+    if s <= 0.0:
+        return 0.0, np.zeros_like(p)
+    p /= s
+    nz = p > 0
+    return float(-(p[nz] * np.log(p[nz])).sum()), p
+
+
+def oracle_perplexity_search(d2, perplexity, tol=1e-4, max_steps=100):
+    """The per-point bisection, one row at a time: the loop the vectorised,
+    threaded search must reproduce bit for bit."""
+    entropy_and_probs = oracle_entropy_and_probs
+    m = d2.shape[0]
+    target = float(np.log(perplexity))
+    P = np.zeros((m, m))
+    betas = np.ones(m)
+    for i in range(m):
+        row = np.delete(d2[i], i)
+        if row.max() <= 0.0:
+            raise ValueError(f"point {i} has zero distance to all others")
+        beta, lo, hi = 1.0, 0.0, np.inf
+        h, p = entropy_and_probs(row, beta)
+        for _ in range(max_steps):
+            if abs(h - target) <= tol:
+                break
+            if h > target:
+                lo = beta
+                beta = beta * 2.0 if hi == np.inf else (beta + hi) / 2.0
+            else:
+                hi = beta
+                beta = beta / 2.0 if lo == 0.0 else (beta + lo) / 2.0
+            h, p = entropy_and_probs(row, beta)
+        betas[i] = beta
+        P[i, :i] = p[:i]
+        P[i, i + 1 :] = p[i:]
+    return P, betas
+
+
+def sq_dists(x):
+    sq = (x * x).sum(axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    np.fill_diagonal(d2, 0.0)
+    return np.maximum(d2, 0.0)
+
+
+def underflow_points():
+    """Two tight 1-D clusters and three far, lone points: at the first
+    precision (beta = 1) every term of a lone point's row underflows (the
+    all-zero branch), and a clustered point's far terms underflow while its
+    near ones do not."""
+    x = np.concatenate([np.arange(6) * 0.7, 30.0 + np.arange(5) * 0.9, [90.0, 140.0, 200.0]])
+    return x[:, None]
+
+
 class TestPerplexitySearch:
     def test_three_point_scalar_oracle(self):
         # point 0 sees squared distances (1, 4); its conditional distribution
@@ -142,19 +202,61 @@ class TestPerplexitySearch:
         with pytest.raises(ValueError, match="zero-variance"):
             joint_probabilities(points, perplexity=3.0)
 
+    def test_lowest_zero_variance_point_is_named(self):
+        d2 = sq_dists(np.random.default_rng(2).normal(size=(9, 3)))
+        d2[[6, 3]] = 0.0  # rows 3 and 6 see every other point at distance 0
+        for jobs in (1, 2):
+            with pytest.raises(ValueError, match="point 3 has zero distance"):
+                perplexity_search(d2, 3.0, jobs=jobs)
+
+    def test_underflow_fixture_reaches_both_branches(self):
+        first = np.exp(-sq_dists(underflow_points()) * 1.0)
+        np.fill_diagonal(first, np.nan)
+        zeros = [np.sum(row[~np.isnan(row)] == 0.0) for row in first]
+        assert max(zeros) == len(first) - 1  # a row whose every term underflows
+        assert any(0 < z < len(first) - 1 for z in zeros)  # and a row with some
+
+    def test_entropies_bitwise_equal_to_one_row_at_a_time(self):
+        # P alone would not show an entropy off in its last bit (it only
+        # steers the bisection), so compare the entropies themselves, on rows
+        # where underflowed terms sit between the others
+        x = np.random.default_rng(6).uniform(0.0, 60.0, (40, 1))
+        m = len(x)
+        d2 = sq_dists(x)
+        neg = -d2[~np.eye(m, dtype=bool)].reshape(m, m - 1)
+        buffers = (np.empty((m, m - 1)), np.zeros((m, m - 1)), np.empty((m, m - 1), bool))
+        for beta in (0.25, 1.0, 3.0):
+            p, h = analysis._entropy_rows(neg, np.arange(m), np.full(m, beta), *buffers)
+            for i in range(m):
+                want_h, want_p = oracle_entropy_and_probs(-neg[i], beta)
+                assert h[i] == want_h and p[i].tobytes() == want_p.tobytes()
+        assert 0 < (p == 0.0).sum() < p.size
+
+    @pytest.mark.parametrize("fixture", ["two_blobs", "underflow", "duplicates"])
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_bitwise_equal_to_per_row_oracle(self, fixture, jobs):
+        if fixture == "two_blobs":
+            points, perplexity = two_blobs()[0], 5.0
+        elif fixture == "underflow":
+            points, perplexity = underflow_points(), 3.0
+        else:
+            points, _ = two_blobs(n_per=40, dims=4, seed=3)
+            points[10:25] = points[3]  # 16 copies of one point
+            points[50:52] = points[70]
+            perplexity = 12.0
+        d2 = sq_dists(points)
+        got_P, got_betas = perplexity_search(d2, perplexity, jobs=jobs)
+        want_P, want_betas = oracle_perplexity_search(d2, perplexity)
+        assert got_P.tobytes() == want_P.tobytes()
+        assert got_betas.tobytes() == want_betas.tobytes()
+
 
 def reference_tsne(points, perplexity, iters, seed, early_exaggeration=12.0,
                    exaggeration_iters=250, momentum_switch=250):
-    """The allocating t-SNE loop: every m x m array is built anew each step."""
-
-    def sq_dists(x):
-        sq = (x * x).sum(axis=1)
-        d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-        np.fill_diagonal(d2, 0.0)
-        return np.maximum(d2, 0.0)
-
+    """The allocating, single-threaded t-SNE loop: every m x m array is built
+    anew each step."""
     m = len(points)
-    cond, _ = perplexity_search(sq_dists(points), perplexity)
+    cond, _ = oracle_perplexity_search(sq_dists(points), perplexity)
     P = np.maximum((cond + cond.T) / (2.0 * m), 1e-300)
     learning_rate = max(m / early_exaggeration / 4.0, 50.0)
     y = np.random.default_rng([seed, 0x74736E65]).normal(0.0, 1e-4, (m, 2))
@@ -182,6 +284,45 @@ class TestTsne:
         got = tsne(points, perplexity=8.0, iters=60, seed=4, **switches).coords
         want = reference_tsne(points, perplexity=8.0, iters=60, seed=4, **switches)
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("m", [40, 64, 150])  # below, at, not a multiple of a block
+    def test_same_bits_for_every_jobs(self, m):
+        assert analysis._ROW_BLOCK == 64
+        points, _ = two_blobs(n_per=m // 2, dims=5, gap=1.0, seed=m)
+        switches = dict(exaggeration_iters=10, momentum_switch=20)
+        want = reference_tsne(points, perplexity=8.0, iters=30, seed=1, **switches)
+        runs = [tsne(points, perplexity=8.0, iters=30, seed=1, jobs=jobs, **switches)
+                for jobs in (1, 2, 3, 4)]
+        for res in runs:
+            assert res.coords.tobytes() == want.tobytes()
+            assert (res.kl_initial, res.kl_final) == (runs[0].kl_initial, runs[0].kl_final)
+
+    def test_public_functions_run_in_the_calling_thread(self, monkeypatch):
+        # a tracer that wraps the public functions keeps one span stack, so
+        # pool threads may run private helpers only
+        caller = threading.current_thread()
+        calls, workers = [], set()
+
+        def recorded(name, fn, log):
+            def wrapper(*args, **kwargs):
+                log(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name, fn in list(vars(analysis).items()):
+            if inspect.isfunction(fn) and fn.__module__ == analysis.__name__ \
+                    and not name.startswith("_"):
+                monkeypatch.setattr(analysis, name, recorded(
+                    name, fn, lambda n: calls.append((n, threading.current_thread()))))
+        monkeypatch.setattr(analysis, "_gradient_rows", recorded(
+            "_gradient_rows", analysis._gradient_rows,
+            lambda n: workers.add(threading.current_thread())))
+        points, _ = two_blobs(n_per=80, dims=5)
+        analysis.tsne(points, perplexity=8.0, iters=3, jobs=2)
+        assert {"tsne", "joint_probabilities", "perplexity_search", "kl_divergence"} <= {
+            name for name, _ in calls}
+        assert all(thread is caller for _, thread in calls)
+        assert len(workers) == 2  # the pool did run rows in a second thread
 
     def test_two_blob_fixture(self):
         points, labels = two_blobs()

@@ -131,6 +131,20 @@ class TestElementwiseAndShapes:
         with pytest.raises(ValueError, match="scalar"):
             (x * 2.0).backward()
 
+    def test_backward_releases_the_tape(self):
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        h = x * 3.0
+        y = (h * h).sum()
+        y.backward()
+        assert np.array_equal(x.grad, 18.0 * x.data)  # leaves keep their gradient
+        for node in (h, y):
+            assert node.grad is None and node._parents == ()
+        with pytest.raises(RuntimeError, match="released"):
+            y.backward()
+        with pytest.raises(RuntimeError, match="released"):
+            (h * 2.0).sum().backward()  # a new graph over a released node
+        assert np.array_equal(x.grad, 18.0 * x.data)
+
 
 class TestGradCheck:
     def test_linear_map_machine_precision(self):

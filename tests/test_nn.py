@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from graphcaps import nn
 from graphcaps.autodiff import Tensor, routing, squash_op
 from graphcaps.nn import (
     NORM_EPS,
@@ -258,6 +259,47 @@ class TestAdam:
             assert p["w"].data.dtype == want.dtype == np.float32
             assert np.array_equal(p["w"].data, want)
         assert moments[0] is state.m["w"] and moments[1] is state.v["w"]
+
+    def test_sliced_update_is_bitwise_the_whole_parameter_update(self):
+        # the update as one pass per operation over each whole parameter
+        def whole_adam(p, m, v, g, t, lr):
+            step, denom = np.empty_like(p), np.empty_like(p)
+            m *= 0.9
+            m += np.multiply(g, 1.0 - 0.9, out=step)
+            v *= 0.999
+            v += np.multiply(np.multiply(g, g, out=step), 1.0 - 0.999, out=step)
+            np.sqrt(np.divide(v, 1.0 - 0.999**t, out=denom), out=denom)
+            denom += 1e-8
+            np.multiply(np.divide(m, 1.0 - 0.9**t, out=step), lr, out=step)
+            p -= np.divide(step, denom, out=step)
+
+        rng = np.random.default_rng(8)
+        shapes = {"big": (3 * nn._ADAM_SLICE + 123,), "conv": (3, 3, 5, 8), "scalar": (),
+                  "wide": (2, nn._ADAM_SLICE + 7)}
+        start = {k: rng.standard_normal(s).astype(np.float32) for k, s in shapes.items()}
+        start["transposed"] = rng.standard_normal((40, 30)).astype(np.float32).T
+        params = {k: Tensor(a.copy(), requires_grad=True) for k, a in start.items()}
+        want = {k: a.copy() for k, a in start.items()}
+        moments = {k: (np.zeros_like(a), np.zeros_like(a)) for k, a in start.items()}
+        state = AdamState(base_lr=0.01, decay=0.2)
+        for t in range(1, 31):
+            # "conv" takes float64 gradients, as the layer probe passes them
+            grads = {k: rng.standard_normal(a.shape).astype(
+                np.float64 if k == "conv" else np.float32) for k, a in start.items()}
+            adam_step(params, grads, state, epoch=t // 4)
+            for k, g in grads.items():
+                whole_adam(want[k], *moments[k], g, t, state.effective_lr(t // 4))
+        for k in start:
+            assert params[k].data.tobytes() == want[k].tobytes(), k
+
+    def test_nonfinite_gradient_leaves_the_parameter_unchanged(self):
+        start = np.arange(2 * nn._ADAM_SLICE + 5, dtype=np.float32)
+        p = {"w": Tensor(start.copy(), requires_grad=True)}
+        g = np.ones_like(start)
+        g[-1] = np.inf  # in the last slice
+        with pytest.raises(TrainingError, match="'w'"):
+            adam_step(p, {"w": g}, AdamState(0.1), 0)
+        assert np.array_equal(p["w"].data, start)
 
     def test_nonfinite_gradient_names_parameter(self):
         p = {"bad_param": Tensor(np.ones(2), requires_grad=True)}
