@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .data import PAD, Graph, GraphDataset, load_tu_dataset, one_hot, permute_node_ids
-from .labelling import betweenness_centrality, canonical_order, rank_nodes, wl_refine
+from .labelling import betweenness_centrality, canonical_order, rank_nodes
 from .tensorize import graph_to_tensor, tensorize_dataset
 
 __all__ = [
@@ -18,5 +18,4 @@ __all__ = [
     "permute_node_ids",
     "rank_nodes",
     "tensorize_dataset",
-    "wl_refine",
 ]

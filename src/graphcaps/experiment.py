@@ -28,7 +28,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__
+from . import __version__, tensor_cache
 from .data import dataset_checksums, dataset_digest, load_tu_dataset, one_hot, permute_dataset
 from .labelling import LABELLINGS
 from .models import (
@@ -146,8 +146,9 @@ class ExperimentConfig:
 
     def run_id(self) -> str:
         """A readable prefix, then 10 hex digits of a sha256 over every field
-        except :data:`UNHASHED` and over the contents of every dataset read,
-        so configs that differ in results or data never share an id."""
+        except :data:`UNHASHED`, the tensor cache version and the contents of
+        every dataset read, so configs that differ in results, extraction or
+        data never share an id."""
         prefix = "_".join([
             self.dataset,
             self.labelling,
@@ -158,6 +159,7 @@ class ExperimentConfig:
             f"s{self.seed}",
         ])
         fields = {key: value for key, value in self.to_dict().items() if key not in UNHASHED}
+        fields["tensor_cache_version"] = tensor_cache.VERSION
         digest = hashlib.sha256(json.dumps(fields, sort_keys=True).encode("utf-8"))
         for name in self.dataset_names():
             digest.update(dataset_digest(self.data_root, name))
@@ -569,45 +571,77 @@ def grid_search(cfg: ExperimentConfig, grid: dict, log=print):
     return best_cfg, best_res, cells
 
 
+def _repeat_groups(results: list) -> dict:
+    """The results of each (variant, dataset) cell, in input order.  The runs
+    of one cell must be repeats: configs equal but for the seed and the
+    :data:`UNHASHED` fields.  Raises ValueError naming the first field in
+    which two configs of one cell differ."""
+    groups = {}
+    for r in results:
+        groups.setdefault((r.variant, r.dataset), []).append(r)
+    for (variant, dataset), runs in groups.items():
+        first = runs[0].config
+        for other in runs[1:]:
+            for key in dict.fromkeys([*first, *other.config]):
+                if key not in ("seed", *UNHASHED) and first.get(key) != other.config.get(key):
+                    raise ValueError(
+                        f"{variant} / {dataset}: runs differ in {key} "
+                        f"({first.get(key)!r} vs {other.config.get(key)!r}); "
+                        "report them separately"
+                    )
+    return groups
+
+
+def _cell_text(runs: list) -> str:
+    """One run: its mean ± fold-level std.  Repeats: the mean of their means
+    ± the population std of those means, marked with the repeat count."""
+    if len(runs) == 1:
+        return f"{100 * runs[0].mean_accuracy:.1f} ± {100 * runs[0].std_accuracy:.2f}"
+    means = np.array([r.mean_accuracy for r in runs])
+    return f"{100 * means.mean():.1f} ± {100 * means.std():.2f} (n={len(runs)})"
+
+
 def emit_report(results: list, out_dir: str) -> str:
     """Cross table (variant rows x dataset columns, cells "mean ± std" in %)
-    written as report.csv and aligned report.txt."""
+    written as report.csv and aligned report.txt.  Every result is kept: the
+    repeats of one cell (see :func:`_repeat_groups`) are combined, and a
+    warning names the code versions when the results come from several."""
+    groups = _repeat_groups(results)
+    versions = sorted({r.version for r in results})
+    provenance = []
+    if len(versions) > 1:
+        provenance = [f"results come from {len(versions)} code versions: {'; '.join(versions)}"]
+        warnings.warn(provenance[0], stacklevel=2)
     os.makedirs(out_dir, exist_ok=True)
     variants = sorted({r.variant for r in results})
     datasets = sorted({r.dataset for r in results})
-    cell = {(r.variant, r.dataset): r for r in results}
-
-    def fmt(r: ExperimentResult | None) -> str:
-        if r is None:
-            return ""
-        return f"{100 * r.mean_accuracy:.1f} ± {100 * r.std_accuracy:.2f}"
+    table = [[v, *[_cell_text(groups[v, d]) if (v, d) in groups else "" for d in datasets]]
+             for v in variants]
+    header = ["variant", *datasets]
 
     csv_path = os.path.join(out_dir, "report.csv")
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["variant", *datasets])
-        for v in variants:
-            writer.writerow([v, *[fmt(cell.get((v, d))) for d in datasets]])
+        writer.writerow(header)
+        writer.writerows(table)
 
-    widths = [max(len("variant"), *(len(v) for v in variants))]
-    for d in datasets:
-        widths.append(max(len(d), *(len(fmt(cell.get((v, d)))) for v in variants)))
-    lines = []
-    header = ["variant", *datasets]
-    lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-    lines.append("  ".join("-" * w for w in widths))
-    for v in variants:
-        row = [v, *[fmt(cell.get((v, d))) for d in datasets]]
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
+    widths = [max(len(row[i]) for row in [header, *table]) for i in range(len(header))]
+    lines = [
+        "  ".join(c.ljust(w) for c, w in zip(row, widths))
+        for row in [header, ["-" * w for w in widths], *table]
+    ]
     timing = [
         f"{r.variant} / {r.dataset}: train {r.train_seconds_mean:.1f} ± "
         f"{r.train_seconds_std:.1f} s/fold" for r in results
     ]
-    footer = (
-        "accuracies are percentages, mean ± population std over folds; "
-        "PTC cells average the MM/FM/MR/FR sub-datasets"
-    )
-    text = "\n".join(lines + [""] + timing + ["", footer, ""])
+    footer = [
+        "accuracies are percentages; a cell of one run is its mean ± population std "
+        "over folds (fold-level);",
+        "a cell marked (n=R) is the mean of R repeats' fold means ± the population std "
+        "of those R means (repeat-level);",
+        "PTC cells average the MM/FM/MR/FR sub-datasets",
+    ]
+    text = "\n".join(lines + [""] + timing + [""] + footer + provenance + [""])
     with open(os.path.join(out_dir, "report.txt"), "w") as fh:
         fh.write(text)
     return csv_path

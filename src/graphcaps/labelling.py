@@ -1,10 +1,11 @@
 """Node rankings that drive node selection and ordering.
 
-:data:`LABELLINGS` names the rankings a run can choose.  Three building
-blocks serve them: Brandes betweenness centrality, Weisfeiler-Lehman colour
-refinement, and a canonical node ordering computed by backtracking
-individualization-refinement with automorphism pruning.  Each returns plain
-numpy arrays.  All of them are pure functions of the input graph and
+:data:`LABELLINGS` names the rankings a run can choose, and
+:func:`rank_nodes` returns one node order under each: it picks a graph's
+anchors and orders every receptive field.  Two building blocks serve them:
+Brandes betweenness centrality and a canonical node ordering computed by
+backtracking individualization-refinement with automorphism pruning.  Both
+return plain numpy arrays, are pure functions of the input graph and are
 deterministic, so rankings are reproducible bit-for-bit.
 """
 
@@ -68,39 +69,6 @@ def betweenness_centrality(g: Graph) -> np.ndarray:
                 bc[w] += delta[w]
     # each unordered pair was counted from both endpoints
     return np.array(bc) / 2.0
-
-
-def wl_refine(g: Graph, init=None, rounds: int | None = None) -> np.ndarray:
-    """Colour refinement: colour := hash(colour, sorted neighbour colours).
-    Returns the int64 colour of every node.
-
-    Colour ids are canonicalized each round by the lexicographic rank of the
-    (previous colour, neighbour multiset) signature, so the colouring does not
-    depend on node numbering.  Stops when the partition is stable or after
-    ``rounds`` iterations; ``rounds=None`` runs to stability (at most n rounds).
-    """
-    if rounds is not None and rounds < 0:
-        raise ValueError("rounds must be >= 0")
-    init = g.node_labels if init is None else tuple(int(x) for x in init)
-    if len(init) != g.n:
-        raise ValueError(f"expected {g.n} initial labels, got {len(init)}")
-    adj = g.adjacency()
-
-    rank = {c: i for i, c in enumerate(sorted(set(init)))}
-    colors = [rank[c] for c in init]
-    num = len(rank)
-
-    for _ in range(g.n if rounds is None else rounds):
-        sigs = [(colors[v], tuple(sorted(colors[u] for u in adj[v]))) for v in range(g.n)]
-        sig_rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new_colors = [sig_rank[s] for s in sigs]
-        if len(sig_rank) == num:
-            # no cell split => partition stable; ids also coincide because the
-            # signature sort is dominated by the previous colour
-            colors = new_colors
-            break
-        colors, num = new_colors, len(sig_rank)
-    return np.array(colors, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -374,27 +342,21 @@ def _relabel(g: Graph, order) -> Graph:
     return Graph(n=g.n, edges=edges, node_labels=labels, class_label=g.class_label)
 
 
-def rank_nodes(g: Graph, labelling: str) -> tuple[np.ndarray, np.ndarray]:
-    """``(order, member_key)`` under the labelling named ``labelling``, one of
-    :data:`LABELLINGS`: the int64 node order, most important first, and the
-    int64 key that orders each receptive field's hop rings (smaller first).
+def rank_nodes(g: Graph, labelling: str) -> np.ndarray:
+    """The int64 node order under the labelling named ``labelling``, one of
+    :data:`LABELLINGS`, most important first.
 
-    ``canonical`` ranks by canonical position.  The member key packs (WL
-    colour, canonical position) into one integer, ``wl[v] * n + pos[v]``;
-    ``bc`` ranks by (betweenness desc, member key asc), so ties break
+    ``canonical`` is the canonical order.  ``bc`` ranks by betweenness
+    descending, then canonical position, so ties break
     isomorphism-consistently.  To keep the *floats* identical across
     relabellings of the same graph, Brandes runs on the canonically relabelled
-    graph and scores are mapped back (the summation order, hence rounding,
-    then no longer depends on input ids).
+    graph (the summation order, hence rounding, then no longer depends on input
+    ids), whose node i is the canonical order's node i.
     """
     if labelling not in LABELLINGS:
         raise ValueError(f"unknown labelling {labelling!r}; expected one of {LABELLINGS}")
     order = canonical_order(g)
-    pos = np.empty_like(order)
-    pos[order] = np.arange(g.n)
-    member_key = wl_refine(g) * g.n + pos
     if labelling == "canonical":
-        return order, member_key
-    scores = betweenness_centrality(_relabel(g, order.tolist()))[pos]
-    order = sorted(range(g.n), key=lambda v: (-scores[v], member_key[v]))
-    return np.array(order, dtype=np.int64), member_key
+        return order
+    scores = betweenness_centrality(_relabel(g, order.tolist()))
+    return order[np.argsort(-scores, kind="stable")]

@@ -14,7 +14,7 @@ import zipfile
 
 import numpy as np
 
-VERSION = 3
+VERSION = 4
 MEMBERS = ["digest", "grids", "version"]
 
 

@@ -1,11 +1,10 @@
 """Fixed-size tensor extraction from graphs.
 
-Every graph becomes a ``w x k`` grid of node labels: ``w`` anchor nodes are
-picked by a ranking procedure, each anchor gathers its ``k`` hop-closest
-neighbours into a receptive field ordered by (hop, member key), and each member
-contributes its label (padding is stored as label ``d``).  The anchor order and
-the member key are the two arrays :func:`graphcaps.labelling.rank_nodes`
-returns for the run's labelling name.
+Every graph becomes a ``w x k`` grid of node labels: the first ``w`` nodes
+of the order :func:`graphcaps.labelling.rank_nodes` returns for the run's
+labelling are the anchors, each anchor gathers its ``k`` hop-closest
+neighbours into a receptive field ordered by (hop, place in that same order),
+and each member contributes its label (padding is stored as label ``d``).
 :func:`graphcaps.data.one_hot` expands grids to the ``w x k x (d+1)`` tensors
 the models take.
 """
@@ -59,11 +58,11 @@ def assemble_neighbourhood(g: Graph, anchor: int, k: int) -> list:
     return out
 
 
-def normalize_receptive_field(candidates, member_key, k: int) -> list:
-    """Order candidates by (hop asc, ``member_key[node]`` asc), keep the
-    first k, pad with PAD.  The anchor (hop 0) comes first."""
-    key = member_key.tolist()
-    ordered = sorted(candidates, key=lambda c: (c[1], key[c[0]]))
+def normalize_receptive_field(candidates, place, k: int) -> list:
+    """Order candidates by (hop asc, ``place[node]`` asc), where ``place``
+    maps each node to its position in the ranked order; keep the first k, pad
+    with PAD.  The anchor (hop 0) comes first."""
+    ordered = sorted(candidates, key=lambda c: (c[1], place[c[0]]))
     members = [v for v, _ in ordered[:k]]
     return members + [PAD] * (k - len(members))
 
@@ -75,10 +74,10 @@ def graph_to_tensor(
     d: int,
     labelling: str = "bc",
 ) -> np.ndarray:
-    """Full extraction for one graph: ranking under ``labelling`` (one of
+    """Full extraction for one graph: node order under ``labelling`` (one of
     :data:`graphcaps.labelling.LABELLINGS`), anchor sequence, receptive
-    fields, member labels.  Returns a ``(w, k)`` uint16 label grid in which
-    padding is stored as ``d``."""
+    fields ordered by that same order, member labels.  Returns a ``(w, k)``
+    uint16 label grid in which padding is stored as ``d``."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if d > MAX_LABELS:
@@ -86,10 +85,11 @@ def graph_to_tensor(
     bad = [lab for lab in g.node_labels if not 0 <= lab < d]
     if bad:
         raise ValueError(f"node label {bad[0]} outside [0, {d})")
-    order, member_key = rank_nodes(g, labelling)
+    order = rank_nodes(g, labelling)
+    place = np.argsort(order).tolist()  # each node's position in the order
     rows = [
         [PAD] * k if anchor == PAD
-        else normalize_receptive_field(assemble_neighbourhood(g, anchor, k), member_key, k)
+        else normalize_receptive_field(assemble_neighbourhood(g, anchor, k), place, k)
         for anchor in node_sequence(order, w)
     ]
     # PAD (-1) indexes the appended last entry, the padding label d

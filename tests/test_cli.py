@@ -6,6 +6,7 @@ import runpy
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from graphcaps import cli, labelling, selftest
@@ -402,8 +403,20 @@ class TestDriverScripts:
             result = json.load(open(path))
             cell = f"{100 * result['mean_accuracy']:.1f} ± {100 * result['std_accuracy']:.2f}"
             assert f"{result['variant']},{cell}" in rows
-        # with --repeats, every repeat of each variant is reported
+        # with --repeats, every repeat of each variant is reported, and each
+        # cell is the mean of that variant's per-repeat result.json files
         assert ablation([*flags, "--seed", "5", "--repeats", "2"]) == 0
         timing = [line for line in open(os.path.join(out_root, "report", "report.txt"))
                   if "s/fold" in line]
         assert len(timing) == 8
+        rows = open(os.path.join(out_root, "report", "report.csv")).read().splitlines()[1:]
+        assert len(rows) == 4
+        repeats = {}
+        for seed in (5, 6):
+            for path in glob.glob(os.path.join(out_root, f"MUTAG_*_s{seed}_*", "result.json")):
+                result = json.load(open(path))
+                repeats.setdefault(result["variant"], []).append(result["mean_accuracy"])
+        assert sorted(len(means) for means in repeats.values()) == [2, 2, 2, 2]
+        for variant, means in repeats.items():
+            cell = f"{100 * np.mean(means):.1f} ± {100 * np.std(means):.2f} (n=2)"
+            assert f"{variant},{cell}" in rows

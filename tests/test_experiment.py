@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from graphcaps import experiment
+from graphcaps import experiment, tensor_cache
 from graphcaps.data import dataset_digest
 from graphcaps.experiment import (
     ExperimentConfig,
@@ -275,6 +275,14 @@ class TestRunCV:
         run_cv(cfg, log=seen.append)
         assert not any("resuming" in str(line) for line in seen)
 
+    def test_tensor_cache_version_changes_run_id(self, syn_data, tmp_path, monkeypatch):
+        # a run interrupted before an extraction change must not resume
+        # folds trained on the old tensors
+        cfg = small_cfg(syn_data, tmp_path)
+        before = cfg.run_id()
+        monkeypatch.setattr(tensor_cache, "VERSION", tensor_cache.VERSION + 1)
+        assert cfg.run_id() != before
+
     def test_run_id_ignores_execution_settings(self, syn_data, tmp_path):
         cfg = small_cfg(syn_data, tmp_path, jobs=1)
         other = small_cfg(syn_data, tmp_path, jobs=2, out_root=str(tmp_path / "elsewhere"),
@@ -403,3 +411,30 @@ class TestReport:
         txt = open(os.path.join(out, "report.txt")).read()
         assert "MUTAG" in txt and "Canonical + CNN" in txt
         assert "population std" in txt
+
+    @staticmethod
+    def _run(mean, seed=1, version="graphcaps 0.1.0 (abc1234)", epochs=60):
+        # jobs is an execution setting, so repeats may differ in it too
+        config = dict(dataset="MUTAG", epochs=epochs, seed=seed, jobs=seed)
+        return ExperimentResult("MUTAG", variant_name("bc", "capsules"), [mean], mean, 0.05,
+                                1.0, 0.1, config=config, version=version)
+
+    def test_repeats_are_averaged(self, tmp_path):
+        out = str(tmp_path / "rep")
+        emit_report([self._run(0.85, seed=1), self._run(0.55, seed=2)], out)
+        rows = open(os.path.join(out, "report.csv")).read().splitlines()
+        assert rows[1] == "BC + Capsules,70.0 ± 15.00 (n=2)"
+        txt = open(os.path.join(out, "report.txt")).read()
+        assert "70.0 ± 15.00 (n=2)" in txt and "(repeat-level)" in txt
+        assert txt.count("s/fold") == 2
+
+    def test_runs_differing_beyond_the_seed_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match=r"runs differ in epochs \(60 vs 61\)"):
+            emit_report([self._run(0.85), self._run(0.55, seed=2, epochs=61)],
+                        str(tmp_path / "rep"))
+
+    def test_mixed_code_versions_warn(self, tmp_path):
+        out = str(tmp_path / "rep")
+        with pytest.warns(UserWarning, match="2 code versions"):
+            emit_report([self._run(0.85), self._run(0.55, seed=2, version="other")], out)
+        assert "2 code versions" in open(os.path.join(out, "report.txt")).read()

@@ -15,7 +15,6 @@ from graphcaps.labelling import (
     canonical_certificate,
     canonical_order,
     rank_nodes,
-    wl_refine,
 )
 from graphcaps.selftest import (
     FOUR_NODE_CLASS_SIZES,
@@ -81,51 +80,6 @@ class TestBetweenness:
     def test_disconnected_graphs_allowed(self):
         g = Graph(n=4, edges=frozenset({(0, 1)}), node_labels=(0,) * 4, class_label=0)
         assert betweenness_centrality(g).tolist() == [0.0, 0.0, 0.0, 0.0]
-
-
-class TestWLRefinement:
-    def test_regular_graph_single_color(self):
-        assert wl_refine(cycle_graph(6)).tolist() == [0] * 6
-
-    def test_path_splits_by_degree(self):
-        a, b, c = wl_refine(path_graph(3), rounds=1).tolist()
-        assert a == c != b
-
-    def test_rounds_zero_returns_initial_partition(self):
-        g = path_graph(3, labels=(1, 0, 1))
-        assert wl_refine(g, rounds=0).tolist() == [1, 0, 1]
-
-    def test_color_classes_non_decreasing(self):
-        rng = np.random.default_rng(5)
-        for _ in range(40):
-            g = random_graph(rng, int(rng.integers(2, 16)), float(rng.uniform(0, 1)),
-                             num_labels=2)
-            previous = len(set(wl_refine(g, rounds=0).tolist()))
-            for rounds in range(1, 5):
-                current = len(set(wl_refine(g, rounds=rounds).tolist()))
-                assert current >= previous
-                previous = current
-
-    def test_equivariant_under_permutation(self):
-        rng = np.random.default_rng(6)
-        for trial in range(30):
-            g = random_graph(rng, int(rng.integers(2, 14)), float(rng.uniform(0, 1)),
-                             num_labels=3)
-            rng_p = np.random.default_rng([6, trial])
-            perm = rng_p.permutation(g.n)
-            h = Graph(
-                n=g.n,
-                edges=frozenset(
-                    tuple(sorted((int(perm[u]), int(perm[v])))) for u, v in g.edges
-                ),
-                node_labels=tuple(
-                    g.node_labels[v] for v in np.argsort(perm)
-                ),
-                class_label=g.class_label,
-            )
-            cg = wl_refine(g)
-            ch = wl_refine(h)
-            assert all(ch[perm[v]] == cg[v] for v in range(g.n))
 
 
 class TestCanonicalOrder:
@@ -241,16 +195,22 @@ class TestBoundedSearch:
 
 class TestRankNodes:
     def test_star_center_first_under_bc(self):
-        order, _ = rank_nodes(star_graph(4), "bc")
+        order = rank_nodes(star_graph(4), "bc")
         assert order[0] == 0
 
     def test_vertex_transitive_graph_gives_permutation(self):
-        order, _ = rank_nodes(cycle_graph(4), "bc")
+        order = rank_nodes(cycle_graph(4), "bc")
         assert sorted(order.tolist()) == [0, 1, 2, 3]
+
+    def test_bc_ties_keep_the_canonical_order(self):
+        # every node of a cycle has the same betweenness
+        g = cycle_graph(7)
+        assert rank_nodes(g, "bc").tolist() == canonical_order(g).tolist()
+        assert rank_nodes(g, "canonical").tolist() == canonical_order(g).tolist()
 
     def test_triangle_canonical_consistent_across_relabellings(self):
         g = triangle(labels=(0, 1, 2))
-        base, _ = rank_nodes(g, "canonical")
+        base = rank_nodes(g, "canonical")
         base_labels = [g.node_labels[v] for v in base]
         for perm in itertools.permutations(range(3)):
             h = Graph(
@@ -261,7 +221,7 @@ class TestRankNodes:
                 node_labels=tuple(g.node_labels[perm.index(i)] for i in range(3)),
                 class_label=0,
             )
-            order, _ = rank_nodes(h, "canonical")
+            order = rank_nodes(h, "canonical")
             assert [h.node_labels[v] for v in order] == base_labels
 
     def test_bc_scores_match_plain_brandes(self):
@@ -269,7 +229,7 @@ class TestRankNodes:
         for _ in range(25):
             g = random_graph(rng, int(rng.integers(2, 12)), float(rng.uniform(0.1, 0.9)),
                              num_labels=2)
-            order, _ = rank_nodes(g, "bc")
+            order = rank_nodes(g, "bc")
             assert sorted(order.tolist()) == list(range(g.n))
             # plain Brandes scores do not increase along the order
             ordered = betweenness_centrality(g)[order]

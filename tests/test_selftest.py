@@ -24,7 +24,7 @@ MUTATIONS = {
         "tensor-invariance", labelling, "_equitable", "sorted(groups)", "groups",
     ),
     "fields-ordered-by-node-id": (
-        "tensor-invariance", tensorize, "normalize_receptive_field", "key[c[0]]", "c[0]",
+        "tensor-invariance", tensorize, "normalize_receptive_field", "place[c[0]]", "c[0]",
     ),
     "routing-backward-drops-the-softmax-term": (
         "gradient-checks", autodiff, "routing",

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import sys
 
@@ -6,8 +7,8 @@ import pytest
 
 from graphcaps import labelling
 from graphcaps.data import PAD, Graph, GraphDataset, one_hot, permute_node_ids
-from graphcaps.labelling import rank_nodes
-from graphcaps.tensor_cache import CacheError, load_tensors, save_tensors
+from graphcaps.labelling import betweenness_centrality, rank_nodes
+from graphcaps.tensor_cache import VERSION, CacheError, load_tensors, save_tensors
 from graphcaps.tensorize import (
     assemble_neighbourhood,
     default_width,
@@ -18,8 +19,8 @@ from graphcaps.tensorize import (
     tensorize_dataset,
 )
 from graphcaps.selftest import random_graph
-from helpers import (cycle_graph, flip_grid_byte, path_graph, star_graph, triangle,
-                     write_tu_files)
+from helpers import (cycle_graph, flip_grid_byte, path_graph, star_graph,
+                     synthetic_dataset_graphs, triangle, write_tu_files)
 
 from graphcaps.data import load_tu_dataset
 
@@ -27,7 +28,7 @@ from graphcaps.data import load_tu_dataset
 class TestNodeSequence:
     def test_small_graph_pads(self):
         g = triangle()
-        order, _ = rank_nodes(g, "canonical")
+        order = rank_nodes(g, "canonical")
         seq = node_sequence(order, w=5)
         assert len(seq) == 5
         assert sorted(seq[:3]) == [0, 1, 2]
@@ -36,7 +37,7 @@ class TestNodeSequence:
     def test_large_graph_truncates_to_top_ranked(self):
         rng = np.random.default_rng(0)
         g = random_graph(rng, 28, 0.2, connected=True)
-        order, _ = rank_nodes(g, "bc")
+        order = rank_nodes(g, "bc")
         seq = node_sequence(order, w=18)
         assert seq == [int(v) for v in order[:18]]
 
@@ -57,19 +58,28 @@ class TestNeighbourhoodAssembly:
         assert got == [(0, 0), (1, 1), (2, 2), (3, 3)]
 
 
+def place_of(g: Graph, labelling: str) -> np.ndarray:
+    """Each node's position in the ranked order."""
+    return np.argsort(rank_nodes(g, labelling))
+
+
 class TestNormalization:
     def test_pad_tail_when_few_candidates(self):
         g = path_graph(2)
-        _, member_key = rank_nodes(g, "canonical")
-        field = normalize_receptive_field([(0, 0), (1, 1)], member_key, k=4)
+        field = normalize_receptive_field([(0, 0), (1, 1)], place_of(g, "canonical"), k=4)
         assert field == [0, 1, PAD, PAD]
 
     def test_anchor_always_first(self):
         g = star_graph(4)
-        _, member_key = rank_nodes(g, "canonical")
         candidates = assemble_neighbourhood(g, anchor=0, k=3)
-        field = normalize_receptive_field(candidates, member_key, k=3)
+        field = normalize_receptive_field(candidates, place_of(g, "canonical"), k=3)
         assert field[0] == 0
+
+    def test_rings_ordered_by_place(self):
+        # hop first, then place: node 3 outranks node 1 but is a hop further
+        candidates = [(2, 0), (3, 2), (1, 1), (0, 1)]
+        place = np.array([2, 1, 3, 0])
+        assert normalize_receptive_field(candidates, place, k=3) == [2, 1, 0]
 
     def test_star_selection_consistent_across_relabellings(self):
         # leaves are interchangeable: whichever two survive the k-cut, the
@@ -79,10 +89,9 @@ class TestNormalization:
         ref = None
         for seed in range(8):
             h = permute_node_ids(g, seed)
-            _, member_key = rank_nodes(h, "canonical")
             anchor = [v for v in range(5) if len(h.adjacency()[v]) == 4][0]
             field = normalize_receptive_field(
-                assemble_neighbourhood(h, anchor, k=3), member_key, k=3
+                assemble_neighbourhood(h, anchor, k=3), place_of(h, "canonical"), k=3
             )
             labels = tuple(h.node_labels[m] for m in field)
             if ref is None:
@@ -127,10 +136,10 @@ class TestGraphToTensor:
                 assert np.array_equal(ref, got)
 
     @pytest.mark.parametrize("ranking", ["bc", "canonical"])
-    def test_canonical_search_and_wl_run_once_per_graph(self, monkeypatch, ranking):
+    def test_canonical_search_runs_once_and_brandes_only_under_bc(self, monkeypatch, ranking):
         # count calls from every graphcaps module that holds these functions
         counts = {}
-        for fn in (labelling.canonical_order, labelling.wl_refine):
+        for fn in (labelling.canonical_order, labelling.betweenness_centrality):
             def counted(*args, _fn=fn, **kwargs):
                 counts[_fn.__name__] += 1
                 return _fn(*args, **kwargs)
@@ -141,7 +150,34 @@ class TestGraphToTensor:
                     monkeypatch.setattr(module, fn.__name__, counted)
         g = random_graph(np.random.default_rng(3), 12, 0.3, num_labels=3)
         graph_to_tensor(g, w=8, k=4, d=3, labelling=ranking)
-        assert counts == {"canonical_order": 1, "wl_refine": 1}
+        assert counts == {"canonical_order": 1,
+                          "betweenness_centrality": int(ranking == "bc")}
+
+    def test_bc_field_ordered_by_betweenness(self):
+        # hub 0 (label 0) with neighbours 1, 2, 3 (labels 1, 2, 3); node 2
+        # carries one pendant leaf and node 3 two.  Betweenness: hub 11,
+        # node 3 9, node 2 5, node 1 0, so the hub's hop-1 ring comes out
+        # 3, 2, 1, where the canonical order, label-major, gives 1, 2, 3.
+        g = Graph(n=7, edges=frozenset({(0, 1), (0, 2), (0, 3), (2, 4), (3, 5), (3, 6)}),
+                  node_labels=(0, 1, 2, 3, 0, 0, 0), class_label=0)
+        assert betweenness_centrality(g).tolist() == [11.0, 0.0, 5.0, 9.0, 0.0, 0.0, 0.0]
+        for seed in range(4):
+            h = permute_node_ids(g, seed)
+            assert graph_to_tensor(h, w=1, k=4, d=4, labelling="bc").tolist() == [[0, 3, 2, 1]]
+
+    # sha256 of the stacked (60, 10, 6) grids of synthetic_dataset_graphs(60,
+    # seed 7) at d=3: any change to anchor choice or field order shows here
+    GOLDEN = {
+        "canonical": "2f48741069627b5de3658507828fe5ab52dcfa8e96df0a678d20cd6dce624c8a",
+        "bc": "e6183d8edab3a28c981e9e1799399c5c00fc0fb2acb41e4af3e3f2ccf1c777c8",
+    }
+
+    @pytest.mark.parametrize("labelling", ["canonical", "bc"])
+    def test_golden_grids(self, labelling):
+        graphs = synthetic_dataset_graphs(num_graphs=60, seed=7)
+        grids = np.stack([graph_to_tensor(g, w=10, k=6, d=3, labelling=labelling)
+                          for g in graphs])
+        assert hashlib.sha256(grids.astype("<u2").tobytes()).hexdigest() == self.GOLDEN[labelling]
 
 
 class TestDatasetTensorization:
@@ -239,7 +275,7 @@ class TestCacheFormat:
 
     def test_missing_member_rejected(self, tmp_path):
         path = str(tmp_path / "member.gct")
-        self._write(path, grids=self._grids(), version=3)
+        self._write(path, grids=self._grids(), version=VERSION)
         with pytest.raises(CacheError, match="members"):
             load_tensors(path, self.DIGEST, self.SHAPE, d=2)
 
@@ -255,7 +291,7 @@ class TestCacheFormat:
     def test_grids_of_another_shape_or_dtype_rejected(self, tmp_path, shape, dtype):
         path = str(tmp_path / "shape.gct")
         grids = np.zeros(shape, dtype=dtype)
-        self._write(path, grids=grids, version=3, digest=np.frombuffer(self.DIGEST, np.uint8))
+        self._write(path, grids=grids, version=VERSION, digest=np.frombuffer(self.DIGEST, np.uint8))
         with pytest.raises(CacheError, match="expected uint16"):
             load_tensors(path, self.DIGEST, self.SHAPE, d=2)
 
@@ -294,6 +330,6 @@ class TestCacheFormat:
             }
         assert members["grids"].dtype == np.dtype("<u2")
         assert np.array_equal(members["grids"], grids)
-        assert members["version"].shape == () and int(members["version"]) == 3
+        assert members["version"].shape == () and int(members["version"]) == 4
         assert members["digest"].dtype == np.uint8
         assert members["digest"].tobytes() == self.DIGEST
