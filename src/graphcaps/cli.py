@@ -15,11 +15,10 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .experiment import (
     ExperimentConfig,
+    _cell_text,
     dataset_tensors,
     grid_search,
     run_experiment,
@@ -82,18 +81,17 @@ def run_configs(args) -> list:
 
 def cmd_run(args) -> int:
     configs = run_configs(args)
-    means = []
+    results = []
     for cfg in configs:
         result = run_experiment(cfg)
-        means.append(result.mean_accuracy)
+        results.append(result)
         print(
-            f"[run] {result.variant} on {result.dataset}: "
-            f"{100 * result.mean_accuracy:.1f} ± {100 * result.std_accuracy:.2f} "
+            f"[run] {result.variant} on {result.dataset}: {_cell_text([result])} "
             f"(train {result.train_seconds_mean:.1f} ± {result.train_seconds_std:.1f} s/fold)"
         )
         print(f"[run] outputs in {cfg.run_dir()}")
     if len(configs) > 1:
-        print(f"[run] mean over {len(configs)} repetitions: {100 * float(np.mean(means)):.2f}")
+        print(f"[run] mean over {len(configs)} repetitions: {_cell_text(results)}")
     return 0
 
 
@@ -186,7 +184,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--jobs", type=int,
                    help="parallel workers for folds/extraction and t-SNE threads "
                         "(default: available cores)")
-    p.add_argument("--seed", type=int)
 
 
 def _add_tensor_opts(p: argparse.ArgumentParser) -> None:
@@ -203,6 +200,7 @@ def _add_cv_opts(p: argparse.ArgumentParser) -> None:
 
 
 def _add_train_opts(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=int)
     p.add_argument("--preset", choices=["paper", "small"])
     p.add_argument("--epochs", type=int)
     p.add_argument("--lr", type=float)

@@ -317,12 +317,12 @@ def load_tu_dataset(root: str, name: str) -> GraphDataset:
 def permute_node_ids(g: Graph, seed) -> Graph:
     """Return an isomorphic copy of ``g`` under a uniformly random node permutation.
 
-    ``seed`` may be an int, a sequence of ints, or a ``numpy`` Generator.  The
-    permutation maps old id ``v`` to new id ``perm[v]``; node labels move with
-    their nodes and the class label is unchanged.
+    ``seed`` is anything ``numpy.random.default_rng`` takes: an int, a
+    sequence of ints, or a Generator, which is used as it is.  The permutation
+    maps old id ``v`` to new id ``perm[v]``; node labels move with their nodes
+    and the class label is unchanged.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    perm = rng.permutation(g.n)
+    perm = np.random.default_rng(seed).permutation(g.n)
     new_labels = [0] * g.n
     for v in range(g.n):
         new_labels[perm[v]] = g.node_labels[v]
@@ -331,17 +331,6 @@ def permute_node_ids(g: Graph, seed) -> Graph:
         for u, v in g.edges
     )
     return Graph(n=g.n, edges=new_edges, node_labels=tuple(new_labels), class_label=g.class_label)
-
-
-def permute_dataset(ds: GraphDataset, seed: int) -> GraphDataset:
-    """Permute every graph's node ids once, with per-graph seeds derived from ``seed``."""
-    graphs = [permute_node_ids(g, np.random.default_rng([seed, i])) for i, g in enumerate(ds.graphs)]
-    return GraphDataset(
-        graphs=graphs,
-        num_classes=ds.num_classes,
-        num_node_labels=ds.num_node_labels,
-        name=ds.name,
-    )
 
 
 def one_hot(grids, d: int) -> np.ndarray:

@@ -20,7 +20,6 @@ import itertools
 import json
 import os
 import subprocess
-import sys
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -29,7 +28,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__, tensor_cache
-from .data import dataset_checksums, dataset_digest, load_tu_dataset, one_hot, permute_dataset
+from .data import dataset_checksums, dataset_digest, load_tu_dataset, one_hot
 from .labelling import LABELLINGS
 from .models import (
     LOSS_MODES,
@@ -271,14 +270,15 @@ def kfold_split(n_samples: int, folds: int, seed: int, strata) -> list:
 
 def tensorize_cached(cfg: ExperimentConfig, name: str | None = None, force: bool = False,
                      log=print):
-    """Load, permute and tensorize one dataset through the tensor cache.
+    """Load and tensorize one dataset through the tensor cache.
 
     Returns (grids, y, w, dataset) with ``(n, w, k)`` label grids and the
     dataset's class labels.  A warm cache is read unless ``force``; a cache
-    file :func:`load_tensors` cannot use is rebuilt.  The node-id permutation
-    always runs before tensorization so no curated ordering leaks into the
-    tensors.  ``name`` defaults to ``cfg.dataset``, which must then name one
-    dataset.
+    file :func:`load_tensors` cannot use is rebuilt.  The graphs are
+    tensorized as loaded: a graph's tensor depends only on its isomorphism
+    class (the ``tensor-invariance`` selftest checks this), so no seed enters
+    the tensors or the cache file name.  ``name`` defaults to ``cfg.dataset``,
+    which must then name one dataset.
     """
     if name is None:
         names = cfg.dataset_names()
@@ -291,9 +291,7 @@ def tensorize_cached(cfg: ExperimentConfig, name: str | None = None, force: bool
     w = cfg.w if cfg.w is not None else default_width(ds)
     y = ds.class_labels()
     digest = dataset_digest(cfg.data_root, name)
-    cache_path = os.path.join(
-        cfg.cache_dir, f"{name}_{cfg.labelling}_w{w}_k{cfg.k}_seed{cfg.seed}.gct"
-    )
+    cache_path = os.path.join(cfg.cache_dir, f"{name}_{cfg.labelling}_w{w}_k{cfg.k}.gct")
     if os.path.isfile(cache_path) and not force:
         try:
             grids = load_tensors(cache_path, digest, (len(ds), w, cfg.k), d)
@@ -304,9 +302,7 @@ def tensorize_cached(cfg: ExperimentConfig, name: str | None = None, force: bool
                 f"nothing to do: {cache_path}")
             return grids, y, w, ds
     t0 = time.perf_counter()
-    grids = tensorize_dataset(
-        permute_dataset(ds, cfg.seed), w=w, k=cfg.k, labelling=cfg.labelling, jobs=cfg.jobs
-    )
+    grids = tensorize_dataset(ds, w=w, k=cfg.k, labelling=cfg.labelling, jobs=cfg.jobs)
     save_tensors(cache_path, grids, digest)
     log(
         f"[tensorize] {name}: cold cache, {len(grids)} tensors ({w}x{cfg.k}x{d + 1}), "
@@ -345,14 +341,12 @@ def load_datasets(cfg: ExperimentConfig, log=print) -> None:
 
 
 def write_manifest(out_dir: str, cfg: ExperimentConfig, **extra) -> None:
-    """``<out_dir>/manifest.json``: the command line, the resolved config with
-    its dataset list and ``extra``, the :func:`version_stamp`, and the sha256
-    of every file of every dataset the config reads.  Callers write it once
-    those datasets have loaded, so no manifest stands for input that failed to
-    load."""
+    """``<out_dir>/manifest.json``: the resolved config with its dataset list
+    and ``extra``, the :func:`version_stamp`, and the sha256 of every file of
+    every dataset the config reads.  Callers write it once those datasets have
+    loaded, so no manifest stands for input that failed to load."""
     os.makedirs(out_dir, exist_ok=True)
     manifest = {
-        "command_line": sys.argv,
         "resolved_config": dict(cfg.to_dict(), datasets=cfg.dataset_names(), **extra),
         "version": version_stamp(),
         "started_utc": datetime.now(timezone.utc).isoformat(),

@@ -105,7 +105,7 @@ def default_width(ds: GraphDataset) -> int:
 
 def tensorize_dataset(
     ds: GraphDataset,
-    w: int | None = None,
+    w: int,
     k: int = 10,
     labelling: str = "bc",
     jobs: int = 1,
@@ -114,8 +114,6 @@ def tensorize_dataset(
     Extraction is per-graph independent; with ``jobs > 1`` it runs in worker
     processes, and results come back in input order, so output never depends
     on scheduling order."""
-    if w is None:
-        w = default_width(ds)
     extract = functools.partial(_indexed_graph_to_tensor, w=w, k=k, d=ds.num_node_labels,
                                 labelling=labelling)
     return np.stack(list(_fork_map(extract, list(enumerate(ds.graphs)), jobs)))

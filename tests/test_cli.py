@@ -40,11 +40,11 @@ class TestTensorizeCommand:
     def test_creates_cache_then_noops(self, syn_root, tmp_path, capsys):
         out_root = str(tmp_path / "results")
         args = ["tensorize", "--dataset", "SYN", "--data-root", syn_root,
-                "--out-root", out_root, "-w", "6", "-k", "4", "--seed", "3"]
+                "--out-root", out_root, "-w", "6", "-k", "4"]
         assert main(args) == 0
         cache_dir = os.path.join(out_root, "cache")
         files = os.listdir(cache_dir)
-        assert files == ["SYN_bc_w6_k4_seed3.gct"]
+        assert files == ["SYN_bc_w6_k4.gct"]
         first = capsys.readouterr().out
         assert "16 tensors" in first
         assert main(args) == 0
@@ -69,14 +69,35 @@ class TestTensorizeCommand:
         monkeypatch.setenv("GRAPHCAPS_DATA", syn_root)
         out_root = str(tmp_path / "results")
         assert main(["tensorize", "--dataset", "SYN", "--out-root", out_root, "-w", "5"]) == 0
-        assert os.listdir(os.path.join(out_root, "cache")) == ["SYN_bc_w5_k10_seed1.gct"]
+        assert os.listdir(os.path.join(out_root, "cache")) == ["SYN_bc_w5_k10.gct"]
 
     def test_nauty_alias_maps_to_canonical(self, syn_root, tmp_path):
         out_root = str(tmp_path / "results")
         assert main(["tensorize", "--dataset", "SYN", "--data-root", syn_root,
                      "--out-root", out_root, "--labelling", "nauty", "-w", "5"]) == 0
         files = os.listdir(os.path.join(out_root, "cache"))
-        assert files == ["SYN_canonical_w5_k10_seed1.gct"]
+        assert files == ["SYN_canonical_w5_k10.gct"]
+
+    def test_flags_are_the_extraction_settings(self):
+        # the tensors depend on no training setting, the seed included
+        dests = vars(cli.build_parser().parse_args(["tensorize", "--dataset", "X"]))
+        assert set(dests) == {"dataset", "labelling", "w", "k", "data_root", "out_root",
+                              "cache_dir", "jobs", "force", "config", "command", "func"}
+
+    def test_seed_rejected(self, syn_root, tmp_path, capsys):
+        args = ["tensorize", "--dataset", "SYN", "--data-root", syn_root,
+                "--out-root", str(tmp_path / "results")]
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        cfg = tmp_path / "tensorize.cfg"
+        cfg.write_text("seed = 1\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), *args])
+        assert exc.value.code == 2
+        assert "config key 'seed' is not an option of 'tensorize'" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "results")
 
     def test_search_over_budget_names_the_graph(self, tu_dir, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(labelling, "MAX_SEARCH_NODES", 1)
@@ -177,7 +198,24 @@ class TestRunCommand:
                    "--out-root", str(tmp_path / "results"), "--folds", "3",
                    "--epochs", "1", "--repeats", "2"])
         assert rc == 0
-        assert "mean over 2 repetitions" in capsys.readouterr().out
+        (line,) = [line for line in capsys.readouterr().out.splitlines()
+                   if "mean over 2 repetitions" in line]
+        assert " ± " in line and line.endswith(" (n=2)")
+
+    def test_manifest_holds_no_outer_argv(self, syn_root, tmp_path, monkeypatch):
+        # main(argv) also runs inside other programs: the driver scripts,
+        # benchmarks and tests; their own argv says nothing about the run
+        monkeypatch.setattr(sys, "argv", ["outer_script.py", "--some-outer-flag"])
+        out_root = tmp_path / "results"
+        assert main(["run", "--dataset", "SYN", "--data-root", syn_root,
+                     "--out-root", str(out_root), "--folds", "3", "--epochs", "1",
+                     "--repeats", "2"]) == 0
+        manifests = glob.glob(str(out_root / "SYN_*" / "manifest.json"))
+        assert len(manifests) == 2
+        for path in manifests:
+            text = open(path).read()
+            assert "outer_script" not in text and "--some-outer-flag" not in text
+            assert json.loads(text)["resolved_config"]["data_root"] == syn_root
 
 
 class TestGridCommand:
@@ -420,3 +458,6 @@ class TestDriverScripts:
         for variant, means in repeats.items():
             cell = f"{100 * np.mean(means):.1f} ± {100 * np.std(means):.2f} (n=2)"
             assert f"{variant},{cell}" in rows
+        # the seeds and the repeats share one extraction per labelling
+        cached = sorted(os.listdir(os.path.join(out_root, "cache")))
+        assert [name.split("_")[1] for name in cached] == ["bc", "canonical"]

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from graphcaps import experiment, tensor_cache
-from graphcaps.data import dataset_digest
+from graphcaps.data import dataset_digest, load_tu_dataset
 from graphcaps.experiment import (
     ExperimentConfig,
     ExperimentResult,
@@ -25,6 +25,7 @@ from graphcaps.experiment import (
 )
 from graphcaps.models import ConfigError
 from graphcaps.tensor_cache import save_tensors
+from graphcaps.tensorize import tensorize_dataset
 from helpers import flip_grid_byte, synthetic_dataset_graphs, write_tu_files, write_v2_cache
 
 QUIET = staticmethod(lambda *a, **k: None)
@@ -313,6 +314,16 @@ class TestRunCV:
         lines.clear()
         dataset_tensors(cfg, log=lines.append)
         assert any("warm cache" in line for line in lines)
+
+    def test_seeds_share_one_cache_file_of_the_loaded_graphs(self, syn_data, tmp_path):
+        cfg = small_cfg(syn_data, tmp_path, seed=1)
+        first, _, w, _ = tensorize_cached(cfg, log=lambda *a: None)
+        log = []
+        grids, *_ = tensorize_cached(dataclasses.replace(cfg, seed=2), log=log.append)
+        assert any("warm cache" in line for line in log)
+        assert os.listdir(cfg.cache_dir) == [f"SYN_bc_w{w}_k10.gct"]
+        direct = tensorize_dataset(load_tu_dataset(syn_data, "SYN"), w=w, k=10, labelling="bc")
+        assert np.array_equal(first, direct) and np.array_equal(grids, direct)
 
     def test_edited_dataset_invalidates_cache(self, syn_data, tmp_path):
         cfg = small_cfg(syn_data, tmp_path)

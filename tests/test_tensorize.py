@@ -238,7 +238,7 @@ class TestCacheFormat:
             fh.write(blob)
 
     def test_roundtrip(self, tmp_path):
-        path = str(tmp_path / "X_canonical_w4_k3_seed7.gct")
+        path = str(tmp_path / "X_canonical_w4_k3.gct")
         grids = self._save(path)
         loaded = load_tensors(path, self.DIGEST, self.SHAPE, d=2)
         assert loaded.dtype == np.uint16
