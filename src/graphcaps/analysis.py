@@ -59,6 +59,8 @@ def extract_embeddings(model, tensors: np.ndarray, source: EmbeddingSource) -> n
 _ROW_BLOCK = 64
 # Elements of the input whose squares are summed at a time (1 MiB of float64).
 _NORM_CHUNK = 1 << 17
+# The factor on P during the first ``exaggeration_iters`` steps of :func:`tsne`.
+_EARLY_EXAGGERATION = 12.0
 
 
 class _RowPool:
@@ -222,14 +224,14 @@ def _check_perplexity(perplexity: float, m: int) -> None:
         raise ValueError(f"perplexity must lie in (1, {m}), got {perplexity}")
 
 
-def joint_probabilities(points: np.ndarray, perplexity: float, tol: float = 1e-4,
+def joint_probabilities(points: np.ndarray, perplexity: float,
                         jobs: int | None = None) -> np.ndarray:
     """Symmetrized, normalized t-SNE joint distribution P (zero diagonal);
     ``jobs`` threads search the precisions (see :func:`perplexity_search`)."""
     m = len(points)
     _check_perplexity(perplexity, m)
     d2 = _pairwise_sq_dists(points, np.empty((m, m)), np.empty((m, m)))
-    cond, _ = perplexity_search(d2, perplexity, tol=tol, jobs=jobs)
+    cond, _ = perplexity_search(d2, perplexity, jobs=jobs)
     del d2
     P = (cond + cond.T) / (2.0 * m)
     return np.maximum(P, 1e-300)
@@ -280,14 +282,13 @@ class TsneResult:
     seed: int
 
 
-def tsne(points: np.ndarray, perplexity: float, out_dims: int = 2, iters: int = 1000,
-         seed: int = 0, learning_rate: float | None = None, early_exaggeration: float = 12.0,
+def tsne(points: np.ndarray, perplexity: float, iters: int = 1000, seed: int = 0,
          exaggeration_iters: int = 250, momentum_switch: int = 250,
          jobs: int | None = None) -> TsneResult:
-    """Exact t-SNE to ``out_dims`` dimensions.
+    """Exact t-SNE to two dimensions.
 
-    ``learning_rate=None`` uses the size-scaled rate max(m / exaggeration / 4,
-    50), which stays stable from tens to thousands of points.  KL divergences
+    The learning rate is the size-scaled max(m / exaggeration / 4, 50), which
+    stays stable from tens to thousands of points.  KL divergences
     are reported against the true (non-exaggerated) P, at the seeded initial
     layout and at the final one.  ``jobs`` threads (None: all cores) share
     the row work; the result is bitwise the same for every ``jobs``.
@@ -296,15 +297,14 @@ def tsne(points: np.ndarray, perplexity: float, out_dims: int = 2, iters: int = 
     P = joint_probabilities(points, perplexity, jobs=jobs)
     m = len(points)
     del points  # the float64 input is not needed once P exists
-    if learning_rate is None:
-        learning_rate = max(m / early_exaggeration / 4.0, 50.0)
+    learning_rate = max(m / _EARLY_EXAGGERATION / 4.0, 50.0)
     rng = np.random.default_rng([seed, 0x74736E65])
-    y = rng.normal(0.0, 1e-4, (m, out_dims))
+    y = rng.normal(0.0, 1e-4, (m, 2))
     kl_initial = kl_divergence(P, y)
 
     velocity = np.zeros_like(y)
     gains = np.ones_like(y)
-    p_exaggerated = P * early_exaggeration
+    p_exaggerated = P * _EARLY_EXAGGERATION
     q, num, row_sums = np.empty((m, m)), np.empty((m, m)), np.empty(m)
     with _RowPool(jobs) as rows:
         for it in range(iters):

@@ -99,14 +99,6 @@ class Tensor:
             out._backward = backward
         return out
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data)
 
@@ -173,21 +165,6 @@ class Tensor:
         return Tensor._make(a.data * b.data, (a, b), backward)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = Tensor._lift(other, like=self)
-        a, b = self, other
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate_owned(_unbroadcast(g / b.data, a.data.shape))
-            if b.requires_grad:
-                b._accumulate_owned(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-        return Tensor._make(a.data / b.data, (a, b), backward)
-
-    def __rtruediv__(self, other):
-        return Tensor._lift(other, like=self) / self
 
     def __pow__(self, exponent):
         if not isinstance(exponent, (int, float)):
@@ -267,8 +244,6 @@ class Tensor:
     # -- shape ops ------------------------------------------------------------
 
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         a = self
         old_shape = a.data.shape
 

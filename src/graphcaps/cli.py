@@ -21,6 +21,7 @@ from .experiment import (
     _cell_text,
     dataset_tensors,
     grid_search,
+    load_datasets,
     run_experiment,
     tensorize_cached,
     write_manifest,
@@ -81,9 +82,10 @@ def run_configs(args) -> list:
 
 def cmd_run(args) -> int:
     configs = run_configs(args)
+    data = load_datasets(configs[0])  # the repeats differ only in the seed
     results = []
     for cfg in configs:
-        result = run_experiment(cfg)
+        result = run_experiment(cfg, data)
         results.append(result)
         print(
             f"[run] {result.variant} on {result.dataset}: {_cell_text([result])} "

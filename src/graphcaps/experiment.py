@@ -322,22 +322,20 @@ def dataset_tensors(cfg: ExperimentConfig, name: str | None = None, log=print):
     return one_hot(grids, ds.num_node_labels), y, w, ds.num_node_labels + 1, ds
 
 
-def _checked_folds(cfg: ExperimentConfig, y, w: int) -> list:
-    """One dataset's CV folds, once its model is known to fit: a fold count
-    or a capsule geometry (the CNN takes any) raises here, before output."""
-    folds = kfold_split(len(y), cfg.folds, cfg.seed, strata=y)
-    if cfg.model == "capsules":
-        primary_grid(w, cfg.k, cfg.capsnet_config())
-    return folds
-
-
-def load_datasets(cfg: ExperimentConfig, log=print) -> None:
-    """Load and tensorize every dataset the config reads, through the tensor
-    cache, and check its folds and model, so a dataset that fails to load or to
-    fit fails before any output of a multi-dataset run exists."""
+def load_datasets(cfg: ExperimentConfig, log=print) -> dict:
+    """Every dataset the config reads, as ``{name: (x, y, w, channels,
+    num_classes)}``: the one load of a command.  Each dataset goes through
+    :func:`dataset_tensors` once, and its fold count and capsule geometry (the
+    CNN takes any) are checked, so a dataset that fails to load or to fit
+    fails before any output exists."""
+    data = {}
     for name in cfg.dataset_names():
-        _, y, w, _ = tensorize_cached(cfg, name, log=log)
-        _checked_folds(cfg, y, w)
+        x, y, w, channels, ds = dataset_tensors(cfg, name, log=log)
+        kfold_split(len(y), cfg.folds, cfg.seed, strata=y)
+        if cfg.model == "capsules":
+            primary_grid(w, cfg.k, cfg.capsnet_config())
+        data[name] = x, y, w, channels, ds.num_classes
+    return data
 
 
 def write_manifest(out_dir: str, cfg: ExperimentConfig, **extra) -> None:
@@ -408,17 +406,15 @@ def _write_trace_csv(path: str, trace: list) -> None:
             )
 
 
-def run_cv(cfg: ExperimentConfig, name: str | None = None, run_dir: str | None = None,
+def run_cv(cfg: ExperimentConfig, name: str, data: tuple, run_dir: str,
            log=print) -> ExperimentResult:
     """Stratified k-fold cross-validation of one (dataset, labelling, model)
-    cell.  The run directory and its manifest appear only once the dataset
-    has loaded and fits its folds and model.  Folds in folds_partial.json are
-    reused, so an interrupted run resumes at the next fold; the run id keeps
-    other configs and other dataset contents out of that directory."""
-    name = name or cfg.dataset
-    x, y, w, channels, ds = dataset_tensors(cfg, name, log=log)
-    folds = _checked_folds(cfg, y, w)
-    run_dir = run_dir or cfg.run_dir()
+    cell on ``data``, dataset ``name``'s entry of :func:`load_datasets`, into
+    ``run_dir``.  Folds in folds_partial.json are reused, so an interrupted run
+    resumes at the next fold; the run id keeps other configs and other dataset
+    contents out of that directory."""
+    x, y, w, channels, num_classes = data
+    folds = kfold_split(len(y), cfg.folds, cfg.seed, strata=y)
     os.makedirs(os.path.join(run_dir, "traces"), exist_ok=True)
     write_manifest(run_dir, cfg)
     partial = os.path.join(run_dir, "folds_partial.json")
@@ -434,7 +430,7 @@ def run_cv(cfg: ExperimentConfig, name: str | None = None, run_dir: str | None =
             log(f"[run] resuming: folds {sorted(done)} already complete")
 
     pending = [
-        (cfg, x, y, w, channels, ds.num_classes, f, folds[f])
+        (cfg, x, y, w, channels, num_classes, f, folds[f])
         for f in range(cfg.folds)
         if f not in done
     ]
@@ -477,19 +473,19 @@ def _fold_line(row: dict) -> str:
     )
 
 
-def run_experiment(cfg: ExperimentConfig, log=print) -> ExperimentResult:
-    """run_cv plus the PTC convention: dataset id PTC expands to its four
-    animal sub-datasets and the reported cell is their average."""
+def run_experiment(cfg: ExperimentConfig, data: dict, log=print) -> ExperimentResult:
+    """run_cv on ``data`` from :func:`load_datasets` into the config's run
+    directory, plus the PTC convention: dataset id PTC expands to its four
+    animal sub-datasets, each run into ``<run dir>/<sub-dataset>``, and the
+    reported cell is their average."""
     names = cfg.dataset_names()
-    if names == [cfg.dataset]:
-        return run_cv(cfg, log=log)
-    load_datasets(cfg, log=log)
     parent = cfg.run_dir()
+    if names == [cfg.dataset]:
+        return run_cv(cfg, cfg.dataset, data[cfg.dataset], parent, log=log)
     write_manifest(parent, cfg)
     subresults = []
     for sub in names:
-        sub_dir = os.path.join(parent, sub)
-        subresults.append(run_cv(cfg, name=sub, run_dir=sub_dir, log=log))
+        subresults.append(run_cv(cfg, sub, data[sub], os.path.join(parent, sub), log=log))
         log(f"[PTC] {sub}: {subresults[-1].mean_accuracy:.4f}")
     result = ExperimentResult(
         dataset="PTC",
@@ -532,13 +528,14 @@ def grid_dir(cfg: ExperimentConfig, grid: dict) -> str:
 def grid_search(cfg: ExperimentConfig, grid: dict, log=print):
     """Exhaustive product over {epochs, base_lr, lr_decay} lists.
 
-    Each cell is an ordinary :func:`run_experiment` under :func:`grid_dir`,
-    whose manifest records the first cell's config and the axes.
+    Each cell is an ordinary :func:`run_experiment`, on datasets loaded once,
+    under :func:`grid_dir`, whose manifest records the first cell's config and
+    the axes.
     Ties on mean CV accuracy break toward fewer epochs, then lower lr.
     Returns (best ExperimentConfig, best ExperimentResult, all cell results).
     """
     cell_cfgs = _grid_cells(cfg, grid)
-    load_datasets(cfg, log=log)
+    data = load_datasets(cfg, log=log)
     parent = grid_dir(cfg, grid)
     write_manifest(parent, cell_cfgs[0], grid=grid)
     cells = []
@@ -546,7 +543,7 @@ def grid_search(cfg: ExperimentConfig, grid: dict, log=print):
         log(f"[grid] cell epochs={cell_cfg.epochs} lr={cell_cfg.base_lr} "
             f"decay={cell_cfg.lr_decay}")
         cell_cfg = dataclasses.replace(cell_cfg, out_root=parent)
-        cells.append((cell_cfg, run_experiment(cell_cfg, log=log)))
+        cells.append((cell_cfg, run_experiment(cell_cfg, data, log=log)))
 
     with open(os.path.join(parent, "grid.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -16,7 +16,15 @@ import numpy as np
 
 from . import autodiff, nn
 from .data import Graph, permute_node_ids
-from .labelling import LABELLINGS, betweenness_centrality, canonical_certificate
+from .labelling import (
+    LABELLINGS,
+    _certificate,
+    _collapse_twins,
+    _equitable,
+    betweenness_centrality,
+    canonical_certificate,
+    canonical_order,
+)
 from .models import CapsNet, CapsNetConfig
 from .tensorize import graph_to_tensor
 
@@ -74,6 +82,39 @@ def bruteforce_betweenness(g: Graph) -> np.ndarray:
     return score
 
 
+def reference_canonical_order(g: Graph) -> list:
+    """The order of the first leaf with the smallest certificate in the full
+    search tree of :func:`~graphcaps.labelling.canonical_order`, which that
+    function claims to return.  No automorphism pruning and no node budget, so
+    the search is exponential: small graphs only.  It shares the refinement
+    (``_equitable``), the twin collapse (``_collapse_twins``) and the
+    certificate (``_certificate``) with the production search, so it checks
+    the pruning and nothing else."""
+    adj = g.adjacency()
+    adj_sets = [set(nbrs) for nbrs in adj]
+    best = []
+
+    def search(partition):
+        moved = True
+        while moved:
+            partition, moved = _collapse_twins(adj_sets, _equitable(adj, partition))
+        target = next((i for i, c in enumerate(partition) if len(c) > 1), None)
+        if target is None:
+            order = [cell[0] for cell in partition]
+            cert = _certificate(g, order)
+            if not best or cert < best[0]:
+                best[:] = cert, order
+            return
+        cell = partition[target]
+        for v in cell:
+            search(partition[:target] + [[v], [u for u in cell if u != v]]
+                   + partition[target + 1 :])
+
+    search([[v for v in range(g.n) if g.node_labels[v] == lab]
+            for lab in sorted(set(g.node_labels))])
+    return best[1]
+
+
 def random_graph(rng, n: int, p: float, num_labels: int = 1, connected: bool = False) -> Graph:
     """Erdos-Renyi graph; with ``connected`` a random spanning tree is added."""
     edges = set()
@@ -89,6 +130,16 @@ def random_graph(rng, n: int, p: float, num_labels: int = 1, connected: bool = F
                 edges.add((u, v))
     labels = tuple(int(x) for x in rng.integers(0, num_labels, n))
     return Graph(n=n, edges=frozenset(edges), node_labels=labels, class_label=0)
+
+
+def disjoint_union(*graphs) -> Graph:
+    """The graphs side by side, node ids offset in the order given."""
+    edges, labels, offset = set(), [], 0
+    for g in graphs:
+        edges.update((u + offset, v + offset) for u, v in g.edges)
+        labels.extend(g.node_labels)
+        offset += g.n
+    return Graph(n=offset, edges=frozenset(edges), node_labels=tuple(labels), class_label=0)
 
 
 def cycle_union(lengths) -> Graph:
@@ -144,9 +195,24 @@ def _suite_canonical(rng) -> tuple:
         ref = canonical_certificate(g)
         failures += sum(canonical_certificate(permute_node_ids(g, [trial, rep])) != ref
                         for rep in range(5))
+    # the pruned search returns the unpruned search's order, on graphs whose
+    # automorphisms make the pruning fire
+    for trial in range(60):
+        part = random_graph(rng, int(rng.integers(1, 5)), float(rng.uniform(0.2, 0.9)),
+                            num_labels=2)
+        graphs = [
+            disjoint_union(*[part] * int(rng.integers(2, 8 // part.n + 1))),
+            cycle_union(rng.integers(3, 6, size=2).tolist()),
+            random_graph(rng, int(rng.integers(2, 11)), float(rng.uniform(0.1, 0.9)),
+                         num_labels=int(rng.integers(1, 3))),
+        ]
+        for g in graphs:
+            h = permute_node_ids(g, [trial, 0])
+            failures += canonical_order(h).tolist() != reference_canonical_order(h)
     return failures, ("100 random graphs (n <= 20) x 20 relabellings; "
                       "all 4-node graphs x 4! relabellings: 11 classes; all 5-node graphs: 34; "
-                      "30 unions of 2-4 cycles x 5 relabellings")
+                      "30 unions of 2-4 cycles x 5 relabellings; order = unpruned search's "
+                      "on 60 x (copies of a part, 2 cycles, a random graph) with n <= 10")
 
 
 def _suite_tensor_invariance(rng) -> tuple:

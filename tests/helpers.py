@@ -14,7 +14,7 @@ import textwrap
 import numpy as np
 
 from graphcaps.data import Graph
-from graphcaps.selftest import run_suite
+from graphcaps.selftest import disjoint_union, run_suite
 
 __all__ = [
     "triangle",
@@ -51,16 +51,6 @@ def cycle_graph(n: int, cls=0) -> Graph:
     edges = {(i, (i + 1) % n) for i in range(n)}
     return Graph(n=n, edges=frozenset(tuple(sorted(e)) for e in edges),
                  node_labels=tuple([0] * n), class_label=cls)
-
-
-def disjoint_union(*graphs, cls=0) -> Graph:
-    """The graphs side by side, node ids offset in the order given."""
-    edges, labels, offset = set(), [], 0
-    for g in graphs:
-        edges.update((u + offset, v + offset) for u, v in g.edges)
-        labels.extend(g.node_labels)
-        offset += g.n
-    return Graph(n=offset, edges=frozenset(edges), node_labels=tuple(labels), class_label=cls)
 
 
 def write_tu_files(root: str, name: str, graphs) -> str:

@@ -19,7 +19,7 @@ import pytest
 from graphcaps.analysis import joint_probabilities, perplexity_search, tsne
 from graphcaps.autodiff import Tensor
 from graphcaps.cli import main
-from graphcaps.experiment import ExperimentConfig, run_cv, run_experiment
+from graphcaps.experiment import ExperimentConfig, load_datasets, run_experiment
 from graphcaps.nn import margin_loss, total_loss
 from helpers import healthy_suite, synthetic_dataset_graphs, write_tu_files
 
@@ -90,7 +90,8 @@ def test_criterion_2_ablation_ordering(tmp_path):
                 folds=10, seed=1 + rep, data_root=root,
                 out_root=str(tmp_path / f"{model}_{rep}"),
             )
-            means[model].append(run_cv(cfg, log=lambda *a: None).mean_accuracy)
+            data = load_datasets(cfg, log=lambda *a: None)
+            means[model].append(run_experiment(cfg, data, log=lambda *a: None).mean_accuracy)
     caps_mean = float(np.mean(means["capsules"]))
     cnn_mean = float(np.mean(means["cnn"]))
     report(2, caps_mean >= cnn_mean,
@@ -105,7 +106,7 @@ def test_criterion_3_ptc_small(tmp_path):
         dataset="PTC", labelling="bc", model="capsules", preset="small",
         folds=10, seed=1, data_root=root, out_root=str(tmp_path / "results"),
     )
-    result = run_experiment(cfg, log=lambda *a: None)
+    result = run_experiment(cfg, load_datasets(cfg, log=lambda *a: None), log=lambda *a: None)
     elapsed = time.perf_counter() - start
     ok = result.mean_accuracy >= 0.60 and elapsed <= 30 * 60
     report(3, ok, (

@@ -74,7 +74,6 @@ class TestElementwiseAndShapes:
         assert np.allclose((ta + tb).data, a + b)
         assert np.allclose((ta * tb).data, a * b)
         assert np.allclose((ta - tb).data, a - b)
-        assert np.allclose((ta / (tb + 10.0)).data, a / (b + 10.0))
         assert np.allclose((ta ** 3).data, a ** 3)
         assert np.allclose(ta.exp().data, np.exp(a))
         assert np.allclose((ta ** 2 + 1.0).log().data, np.log(a ** 2 + 1.0))
@@ -168,7 +167,7 @@ class TestGradCheck:
 
     @pytest.mark.parametrize(
         "name",
-        ["matmul", "conv", "caps_predict", "routing", "div", "sigmoid"],
+        ["matmul", "conv", "caps_predict", "routing", "sigmoid"],
     )
     def test_every_op_differentiates(self, name):
         rng = np.random.default_rng(5)
@@ -186,7 +185,6 @@ class TestGradCheck:
                 lambda u: (routing(u, 3)[0] ** 2).sum(),
                 [rng.normal(size=(2, 4, 3, 5))],
             ),
-            "div": (lambda a, b: (a / (b * b + 1.0)).sum(), [rng.normal(size=(3,)), rng.normal(size=(3,))]),
             "sigmoid": (lambda a: (a.sigmoid() ** 3).sum(), [rng.normal(size=(4,))]),
         }
         f, point = cases[name]
@@ -204,14 +202,13 @@ class TestDtype:
         for data in (1, 2.5, [1, 2], np.arange(3), np.ones(2, dtype=bool)):
             assert Tensor(data).data.dtype == np.float64
 
-    @pytest.mark.parametrize("name", ["add", "radd", "sub", "rsub", "mul", "rmul", "div",
-                                      "rdiv", "pow", "mean", "relu", "sigmoid", "sqrt"])
+    @pytest.mark.parametrize("name", ["add", "radd", "sub", "rsub", "mul", "rmul", "pow",
+                                      "mean", "relu", "sigmoid", "sqrt"])
     def test_python_numbers_take_the_tensor_dtype(self, name):
         ops = {
             "add": lambda t: t + 1.5, "radd": lambda t: 1.5 + t,
             "sub": lambda t: t - 1.5, "rsub": lambda t: 1.5 - t,
             "mul": lambda t: t * 1.5, "rmul": lambda t: 1.5 * t,
-            "div": lambda t: t / 3, "rdiv": lambda t: 3 / t,
             "pow": lambda t: t ** 2, "mean": lambda t: t.mean(axis=0),
             "relu": lambda t: t.relu(), "sigmoid": lambda t: t.sigmoid(),
             "sqrt": lambda t: t.sqrt(),

@@ -9,9 +9,9 @@ import sys
 import numpy as np
 import pytest
 
-from graphcaps import cli, labelling, selftest
+from graphcaps import cli, experiment, labelling, selftest
 from graphcaps.cli import main, read_config_file
-from graphcaps.experiment import ExperimentConfig
+from graphcaps.experiment import PTC_SUBSETS, ExperimentConfig
 from helpers import (cycle_graph, healthy_suite, mutate, path_graph, synthetic_dataset_graphs,
                      triangle, write_tu_files)
 
@@ -218,6 +218,28 @@ class TestRunCommand:
             assert json.loads(text)["resolved_config"]["data_root"] == syn_root
 
 
+class TestOneLoadPerCommand:
+    # SYN and PTC's sub-datasets are each read from their TU files once per
+    # command, however many repeats, sub-datasets or grid cells use them
+    @pytest.mark.parametrize("argv", [
+        ["run"],
+        ["run", "--repeats", "3"],
+        ["run", "--dataset", "PTC"],
+        ["grid", "--epochs-grid", "1,2", "--lr-grid", "0.001,0.002", "--decay-grid", "0.0"],
+        ["grid", "--dataset", "PTC", "--epochs-grid", "1,2", "--lr-grid", "0.001",
+         "--decay-grid", "0.0"],
+    ], ids=["run", "run-repeats", "run-PTC", "grid", "grid-PTC"])
+    def test_each_dataset_loads_once(self, syn_root, ptc_root, tmp_path, monkeypatch, argv):
+        loaded, load = [], experiment.load_tu_dataset
+        monkeypatch.setattr(experiment, "load_tu_dataset",
+                            lambda root, name: loaded.append(name) or load(root, name))
+        command, *flags = argv
+        assert main([command, "--dataset", "SYN", "--data-root", syn_root, "--out-root",
+                     str(tmp_path / "results"), "--folds", "2", "--epochs", "1", "--jobs", "1",
+                     *flags]) == 0
+        assert sorted(loaded) == sorted(PTC_SUBSETS if "PTC" in flags else ["SYN"])
+
+
 class TestGridCommand:
     def _grid(self, root, out_root, dataset, epochs_grid):
         return main(["grid", "--dataset", dataset, "--data-root", root, "--out-root", out_root,
@@ -399,6 +421,10 @@ class TestSelftestCommand:
 SCRIPTS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "scripts", "*.py")))
 
 
+def script_main(name: str):
+    return runpy.run_path(os.path.join(os.path.dirname(SCRIPTS[0]), name))["main"]
+
+
 class TestDriverScripts:
     def _calls(self, monkeypatch, tmp_path, script, argv):
         # the scripts hand their argv to graphcaps.cli.main; record it instead
@@ -422,8 +448,7 @@ class TestDriverScripts:
 
     def test_ablation_reports_only_its_own_runs(self, tu_dir, tmp_path, capsys):
         write_tu_files(tu_dir, "MUTAG", synthetic_dataset_graphs(num_graphs=16, seed=3))
-        ablation = runpy.run_path(os.path.join(os.path.dirname(SCRIPTS[0]),
-                                               "run_mutag_ablation.py"))["main"]
+        ablation = script_main("run_mutag_ablation.py")
         out_root = str(tmp_path / "ablation")
         flags = ["--data-root", tu_dir, "--out-root", out_root, "--preset", "small",
                  "--folds", "2", "--epochs", "1", "--jobs", "1"]
@@ -461,3 +486,26 @@ class TestDriverScripts:
         # the seeds and the repeats share one extraction per labelling
         cached = sorted(os.listdir(os.path.join(out_root, "cache")))
         assert [name.split("_")[1] for name in cached] == ["bc", "canonical"]
+
+    def test_ptc_script_runs_end_to_end(self, ptc_root, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert script_main("run_ptc_small.py")(["--data-root", ptc_root, "--folds", "2",
+                                                "--epochs", "1", "--jobs", "1"]) == 0
+        (run_dir,) = glob.glob(str(tmp_path / "results" / "ptc_small" / "PTC_*"))
+        result = json.load(open(os.path.join(run_dir, "result.json")))
+        assert result["dataset"] == "PTC" and len(result["fold_accuracies"]) == 8
+        assert "PTC" in open(os.path.join(run_dir, "report.csv")).readline()
+        for sub in PTC_SUBSETS:
+            assert os.path.isfile(os.path.join(run_dir, sub, "folds.csv"))
+
+    def test_grid_script_runs_end_to_end(self, tu_dir, tmp_path, monkeypatch):
+        write_tu_files(tu_dir, "MUTAG", synthetic_dataset_graphs(num_graphs=16, seed=3))
+        monkeypatch.chdir(tmp_path)
+        assert script_main("grid_search_mutag.py")([
+            "--data-root", tu_dir, "--folds", "2", "--jobs", "1", "--epochs-grid", "1",
+            "--lr-grid", "0.001,0.002", "--decay-grid", "0.0"]) == 0
+        (grid,) = glob.glob(str(tmp_path / "results" / "grid" / "grid_MUTAG_bc_capsules_*"))
+        rows = open(os.path.join(grid, "grid.csv")).read().splitlines()
+        assert [row.split(",")[:2] for row in rows[1:]] == [["1", "0.001"], ["1", "0.002"]]
+        best = json.load(open(os.path.join(grid, "best.json")))
+        assert best["config"]["epochs"] == 1 and best["config"]["dataset"] == "MUTAG"

@@ -18,6 +18,7 @@ from graphcaps.experiment import (
     grid_dir,
     grid_search,
     kfold_split,
+    load_datasets,
     run_cv,
     run_experiment,
     tensorize_cached,
@@ -39,6 +40,13 @@ def small_cfg(tu_dir, tmp_path, **overrides):
     )
     defaults.update(overrides)
     return ExperimentConfig(**defaults)
+
+
+def run_one(cfg, log=QUIET):
+    """What ``graphcaps run`` does with a config of one dataset: load it,
+    then cross-validate it into the config's run directory."""
+    return run_cv(cfg, cfg.dataset, load_datasets(cfg, log=log)[cfg.dataset], cfg.run_dir(),
+                  log=log)
 
 
 @pytest.fixture()
@@ -101,7 +109,7 @@ class TestExperimentConfig:
 class TestRunCV:
     def test_outputs_and_summary(self, syn_data, tmp_path):
         cfg = small_cfg(syn_data, tmp_path)
-        res = run_cv(cfg, log=lambda *a: None)
+        res = run_one(cfg)
         assert len(res.fold_accuracies) == 4
         assert all(0.0 <= a <= 1.0 for a in res.fold_accuracies)
         assert res.mean_accuracy == pytest.approx(np.mean(res.fold_accuracies))
@@ -114,8 +122,8 @@ class TestRunCV:
     def test_folds_csv_deterministic(self, syn_data, tmp_path):
         cfg_a = small_cfg(syn_data, tmp_path, out_root=str(tmp_path / "a"))
         cfg_b = small_cfg(syn_data, tmp_path, out_root=str(tmp_path / "b"))
-        run_cv(cfg_a, log=lambda *a: None)
-        run_cv(cfg_b, log=lambda *a: None)
+        run_one(cfg_a)
+        run_one(cfg_b)
         a = open(os.path.join(cfg_a.out_root, cfg_a.run_id(), "folds.csv"), "rb").read()
         b = open(os.path.join(cfg_b.out_root, cfg_b.run_id(), "folds.csv"), "rb").read()
         assert a == b
@@ -123,8 +131,8 @@ class TestRunCV:
     def test_parallel_folds_match_serial(self, syn_data, tmp_path):
         serial = small_cfg(syn_data, tmp_path, out_root=str(tmp_path / "ser"), jobs=1)
         parallel = small_cfg(syn_data, tmp_path, out_root=str(tmp_path / "par"), jobs=2)
-        run_cv(serial, log=lambda *a: None)
-        run_cv(parallel, log=lambda *a: None)
+        run_one(serial)
+        run_one(parallel)
         a = open(os.path.join(serial.out_root, serial.run_id(), "folds.csv"), "rb").read()
         b = open(os.path.join(parallel.out_root, parallel.run_id(), "folds.csv"), "rb").read()
         assert a == b
@@ -156,7 +164,7 @@ class TestRunCV:
         monkeypatch.setattr(experiment, "train_model", recording_train)
         lines = []
         cfg = small_cfg(syn_data, tmp_path, jobs=jobs, epochs=1)
-        run_cv(cfg, log=lines.append)
+        run_one(cfg, log=lines.append)
         capped = jobs > 1 and installed
         assert open(record).read().split() == [str(1 if capped else None)] * cfg.folds
         missing = [line for line in lines if "threadpoolctl missing" in line]
@@ -167,13 +175,13 @@ class TestRunCV:
             raise AssertionError("the pre-output check built a model")
 
         monkeypatch.setattr(ExperimentConfig, "build_model", build_model)
-        experiment.load_datasets(small_cfg(syn_data, tmp_path), log=QUIET)
+        load_datasets(small_cfg(syn_data, tmp_path), log=QUIET)
         with pytest.raises(ConfigError, match="conv layer needs input >= 3x3"):
-            experiment.load_datasets(small_cfg(syn_data, tmp_path, k=2), log=QUIET)
+            load_datasets(small_cfg(syn_data, tmp_path, k=2), log=QUIET)
 
     def test_resume_from_partial(self, syn_data, tmp_path):
         cfg = small_cfg(syn_data, tmp_path)
-        full = run_cv(cfg, log=lambda *a: None)
+        full = run_one(cfg)
         run_dir = os.path.join(cfg.out_root, cfg.run_id())
 
         # simulate an interrupted run: keep only folds 0-1 in the partial file
@@ -183,7 +191,7 @@ class TestRunCV:
         real_dir = os.path.join(fresh_out, cfg2.run_id())
         os.makedirs(real_dir, exist_ok=True)
         # run once to get genuine fold rows, then truncate
-        run_cv(cfg2, log=lambda *a: None)
+        run_one(cfg2)
         rows = json.load(open(os.path.join(real_dir, "result.json")))
         partial_src = [
             {"fold": i, "seed": 0, "n_train": 1, "n_test": 1,
@@ -192,7 +200,7 @@ class TestRunCV:
         ]
         with open(os.path.join(real_dir, "folds_partial.json"), "w") as fh:
             json.dump(partial_src, fh)
-        resumed = run_cv(cfg2, log=seen.append)
+        resumed = run_one(cfg2, log=seen.append)
         # folds 0-1 were taken from the partial file (sentinel accuracy),
         # folds 2-3 recomputed and identical to the full run
         assert resumed.fold_accuracies[:2] == [-1.0, -1.0]
@@ -217,10 +225,10 @@ class TestRunCV:
         cfg = small_cfg(syn_data, tmp_path, epochs=1)
         monkeypatch.setattr(json, "dump", dump_then_stop)
         with pytest.raises(Interrupt):
-            run_cv(cfg, log=QUIET)
+            run_one(cfg)
         monkeypatch.setattr(json, "dump", dump)
         seen = []
-        resumed = run_cv(cfg, log=seen.append)
+        resumed = run_one(cfg, log=seen.append)
         assert "[run] resuming: folds [0] already complete" in seen
         assert len(resumed.fold_accuracies) == cfg.folds
 
@@ -234,7 +242,7 @@ class TestRunCV:
         monkeypatch.setattr(experiment.subprocess, "run", counting_run)
         experiment.version_stamp.cache_clear()
         cfg = small_cfg(syn_data, tmp_path, epochs=1)
-        run_cv(cfg, log=QUIET)
+        run_one(cfg)
         manifest = json.load(open(os.path.join(cfg.run_dir(), "manifest.json")))
         result = json.load(open(os.path.join(cfg.run_dir(), "result.json")))
         assert manifest["version"] == result["version"]
@@ -244,11 +252,11 @@ class TestRunCV:
         cfg_a = small_cfg(syn_data, tmp_path, base_lr=0.01)
         cfg_b = small_cfg(syn_data, tmp_path, base_lr=0.002)
         assert cfg_a.run_id() != cfg_b.run_id()
-        run_cv(cfg_a, log=lambda *a: None)
-        run_cv(cfg_b, log=lambda *a: None)
+        run_one(cfg_a)
+        run_one(cfg_b)
         for cfg in (cfg_a, cfg_b):
             fresh = dataclasses.replace(cfg, out_root=str(tmp_path / "fresh"))
-            run_cv(fresh, log=lambda *a: None)
+            run_one(fresh)
             got = open(os.path.join(cfg.run_dir(), "folds.csv"), "rb").read()
             want = open(os.path.join(fresh.run_dir(), "folds.csv"), "rb").read()
             assert got == want
@@ -264,7 +272,7 @@ class TestRunCV:
         cfg = small_cfg(syn_data, tmp_path)
         before = cfg.run_id()
         with pytest.raises(Interrupt):
-            run_cv(cfg, log=stop_after_first_fold)
+            run_one(cfg, log=stop_after_first_fold)
         assert os.path.isfile(os.path.join(cfg.run_dir(), "folds_partial.json"))
         path = os.path.join(syn_data, "SYN", "SYN_node_labels.txt")
         lines = open(path).read().splitlines()
@@ -273,7 +281,7 @@ class TestRunCV:
             fh.write("\n".join(lines) + "\n")
         assert cfg.run_id() != before
         seen = []
-        run_cv(cfg, log=seen.append)
+        run_one(cfg, log=seen.append)
         assert not any("resuming" in str(line) for line in seen)
 
     def test_tensor_cache_version_changes_run_id(self, syn_data, tmp_path, monkeypatch):
@@ -375,7 +383,7 @@ class TestRunCV:
         for i, sub in enumerate(("PTC_MM", "PTC_FM", "PTC_MR", "PTC_FR")):
             write_tu_files(tu_dir, sub, synthetic_dataset_graphs(num_graphs=12, seed=i))
         cfg = small_cfg(tu_dir, tmp_path, dataset="PTC", folds=3, epochs=2)
-        res = run_experiment(cfg, log=lambda *a: None)
+        res = run_experiment(cfg, load_datasets(cfg, log=QUIET), log=QUIET)
         assert res.dataset == "PTC"
         assert len(res.fold_accuracies) == 12  # 4 sub-datasets x 3 folds
         parent = os.path.join(cfg.out_root, cfg.run_id())

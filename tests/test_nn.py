@@ -53,7 +53,7 @@ def oracle_routing(u_hat: Tensor, iterations: int):
     couplings = []
     for it in range(iterations):
         e = logits.exp()
-        c = e / e.sum(axis=2, keepdims=True)
+        c = e * e.sum(axis=2, keepdims=True) ** -1
         couplings.append(c.data)
         v = squash_op((c.reshape(B, n_in, n_out, 1) * u_hat).sum(axis=1), eps=NORM_EPS)
         if it < iterations - 1:
