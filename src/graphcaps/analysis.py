@@ -7,15 +7,18 @@ joint probabilities, Student-t low-dimensional kernel, gradient descent with
 momentum, adaptive gains and early exaggeration.  Benchmark-sized inputs
 (about a thousand points) are well within exact range.
 
-Its two O(m^2) parts, the per-point bandwidth search and the per-row work of
-each descent step, run over blocks of rows on ``jobs`` threads; numpy releases
+Its O(m^2) parts, the per-point bandwidth search, each descent step and the
+KL divergence, run over blocks of rows on ``jobs`` threads; numpy releases
 the interpreter lock inside its ufuncs and BLAS calls, so the threads share
 the m x m buffers.  Every row goes through the same float operations in the
-same order whatever block or thread it falls in, and the calls that combine
-whole buffers (each Gram product ``x @ x.T``, the kernel's normaliser and the
-gradient's ``pq @ y``) stay single calls in the calling thread, so the output
-is bitwise the same for every ``jobs``.  Pool threads call only private
-helpers and write only into arrays that the caller allocated.
+same order whatever block or thread it falls in: the Student-t kernel is
+summed from coordinate differences, and the normaliser and the gradient's
+``pq @ y`` are sums of per-row sums, the last step summing length-m vectors
+in the calling thread.  The one whole-buffer call left is the input's Gram
+product ``x @ x.T`` in :func:`joint_probabilities` (a row-blocked product
+can round differently).  So the output is bitwise the same for every
+``jobs`` and every ``_ROW_BLOCK``.  Pool threads call only private helpers
+and write only into arrays that the caller allocated.
 """
 
 from __future__ import annotations
@@ -67,8 +70,10 @@ class _RowPool:
     """Runs row-block work on ``jobs`` threads: ``run`` splits ``range(m)`` into
     at most ``jobs`` runs of whole ``_ROW_BLOCK``-row blocks and calls
     ``fn(*args, slot, lo, hi)`` once per run, run ``slot`` 0 in the calling
-    thread.  ``jobs=None`` means ``os.cpu_count()``; one job (or fewer) starts
-    no thread."""
+    thread.  ``fn`` does each row's arithmetic alone, so what it writes
+    depends on neither ``jobs`` nor ``_ROW_BLOCK``; the caller combines rows
+    after ``run`` returns.  ``jobs=None`` means ``os.cpu_count()``; one job
+    (or fewer) starts no thread."""
 
     def __init__(self, jobs: int | None):
         self.jobs = max(1, (os.cpu_count() or 1) if jobs is None else jobs)
@@ -114,29 +119,24 @@ def _sq_norms(x: np.ndarray) -> np.ndarray:
     return sq
 
 
-def _sq_dists_rows(sq, d2, scratch, a, b) -> None:
-    """Rows ``a:b`` of ``d2``, which hold the Gram product, become squared
-    distances ``sq_i + sq_j - 2 G_ij`` with a zero diagonal, clipped at 0."""
-    d, s = d2[a:b], scratch[a:b]
-    np.multiply(d, 2.0, out=d)
-    # sq_i + sq_j as a row fill plus a column add: one add that broadcasts
-    # both operands takes about twice as long
-    s[...] = sq
-    np.add(s, sq[a:b, None], out=s)
-    np.subtract(s, d, out=d)
-    d.reshape(-1)[a :: len(sq) + 1] = 0.0
-    np.maximum(d, 0.0, out=d)
-
-
 def _pairwise_sq_dists(x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Squared distances between the rows of ``x``, zero diagonal, clipped at
-    0, computed in the m x m buffer ``out`` with the buffer ``scratch``."""
+    """Squared distances ``sq_i + sq_j - 2 G_ij`` between the rows of ``x``,
+    zero diagonal, clipped at 0, computed in the m x m buffer ``out`` with the
+    buffer ``scratch``."""
     # One Gram call: a row-blocked product can round differently (OpenBLAS
     # picks its kernels by shape), and these bits decide the layout.
     np.matmul(x, x.T, out=out)
     sq = _sq_norms(x)
     for a, b in _blocks(0, len(x)):
-        _sq_dists_rows(sq, out, scratch, a, b)
+        d, s = out[a:b], scratch[a:b]
+        np.multiply(d, 2.0, out=d)
+        # sq_i + sq_j as a row fill plus a column add: one add that broadcasts
+        # both operands takes about twice as long
+        s[...] = sq
+        np.add(s, sq[a:b, None], out=s)
+        np.subtract(s, d, out=d)
+        d.reshape(-1)[a :: len(sq) + 1] = 0.0
+        np.maximum(d, 0.0, out=d)
     return out
 
 
@@ -237,39 +237,73 @@ def joint_probabilities(points: np.ndarray, perplexity: float,
     return np.maximum(P, 1e-300)
 
 
-def _student_t_rows(sq, num, scratch, _slot, lo, hi) -> None:
+def _slot_blocks(rows: _RowPool, m: int) -> list:
+    """One block-sized m-column buffer per slot of ``rows``: row-local
+    intermediates stay in cache there instead of streaming through an m x m
+    buffer."""
+    return [np.empty((min(_ROW_BLOCK, m), m)) for _ in range(rows.jobs)]
+
+
+def _kernel_rows(yt, num, totals, work, slot, lo, hi) -> None:
+    """Rows of the Student-t kernel 1 / (1 + |y_i - y_j|^2) of the layout
+    ``yt`` (2 x m) in ``num``, zero diagonal, and their sums in ``totals``.
+    The squared distance is summed from coordinate differences, which do not
+    cancel as the Gram form |y_i|^2 + |y_j|^2 - 2 y_i.y_j does."""
     for a, b in _blocks(lo, hi):
-        _sq_dists_rows(sq, num, scratch, a, b)
-        n = num[a:b]
+        n, s = num[a:b], work[slot][: b - a]
+        # (y_jc - y_ic)^2 as a row fill and a column subtract, which equals
+        # (y_ic - y_jc)^2 bit for bit: one subtract that broadcasts both
+        # operands takes about half as long again
+        for d, c in ((n, 0), (s, 1)):
+            d[...] = yt[c]
+            np.square(np.subtract(d, yt[c, a:b, None], out=d), out=d)
+        np.add(n, s, out=n)
         np.divide(1.0, np.add(n, 1.0, out=n), out=n)
-        n.reshape(-1)[a :: len(sq) + 1] = 0.0
+        n.reshape(-1)[a :: num.shape[1] + 1] = 0.0
+        n.sum(axis=1, out=totals[a:b])
 
 
-def _student_t(y: np.ndarray, num: np.ndarray, scratch: np.ndarray, rows: _RowPool) -> float:
-    """The Student-t kernel 1 / (1 + |y_i - y_j|^2) of the layout ``y`` (zero
-    diagonal) in the m x m buffer ``num``; returns its sum."""
-    np.matmul(y, y.T, out=num)  # one call, as in _pairwise_sq_dists
-    rows.run(_student_t_rows, len(y), _sq_norms(y), num, scratch)
-    return num.sum()
+def _student_t(yt: np.ndarray, num: np.ndarray, totals: np.ndarray, work: list,
+               rows: _RowPool) -> float:
+    """The Student-t kernel of the layout ``yt`` (2 x m) in the m x m buffer
+    ``num``; returns its sum."""
+    rows.run(_kernel_rows, yt.shape[1], yt, num, totals, work)
+    return totals.sum()
 
 
-def _gradient_rows(p_eff, num, q, z, row_sums, _slot, lo, hi) -> None:
-    """Rows of the affinities q = max(num / z, 1e-300), then of
-    pq = (p_eff - q) * num in ``q``, and their sums."""
+def _gradient_rows(p_eff, num, z, yt, row_sums, pq_y, work, slot, lo, hi) -> None:
+    """Rows of pq = (p_eff - q) * num, q = max(num / z, 1e-300), their sums in
+    ``row_sums`` and the sums of pq times each coordinate in ``pq_y``
+    (2 x m); the rows of ``num`` are used up."""
     for a, b in _blocks(lo, hi):
-        qa, na = q[a:b], num[a:b]
-        np.maximum(np.divide(na, z, out=qa), 1e-300, out=qa)
-        np.multiply(np.subtract(p_eff[a:b], qa, out=qa), na, out=qa)
-        qa.sum(axis=1, out=row_sums[a:b])
+        pq, n = work[slot][: b - a], num[a:b]
+        np.maximum(np.divide(n, z, out=pq), 1e-300, out=pq)
+        np.multiply(np.subtract(p_eff[a:b], pq, out=pq), n, out=pq)
+        pq.sum(axis=1, out=row_sums[a:b])
+        for c in (0, 1):
+            np.multiply(pq, yt[c], out=n).sum(axis=1, out=pq_y[c, a:b])
 
 
-def kl_divergence(P: np.ndarray, y: np.ndarray) -> float:
+def _kl_rows(P, num, z, row_kl, work, slot, lo, hi) -> None:
+    """Sums of the rows of P log(P / q), q = max(num / z, 1e-300), without
+    the diagonal, in ``row_kl``."""
+    for a, b in _blocks(lo, hi):
+        t, pa = work[slot][: b - a], P[a:b]
+        np.maximum(np.divide(num[a:b], z, out=t), 1e-300, out=t)
+        np.multiply(pa, np.log(np.divide(pa, t, out=t), out=t), out=t)
+        t.reshape(-1)[a :: len(P) + 1] = 0.0
+        t.sum(axis=1, out=row_kl[a:b])
+
+
+def kl_divergence(P: np.ndarray, y: np.ndarray, rows: _RowPool | None = None) -> float:
+    """KL(P || Q) of the layout ``y`` over the off-diagonal pairs, its rows
+    run on the caller's row pool ``rows`` (default: the calling thread)."""
     m = len(y)
-    num, q = np.empty((m, m)), np.empty((m, m))
-    z = _student_t(y, num, q, _RowPool(1))
-    np.maximum(np.divide(num, z, out=q), 1e-300, out=q)
-    mask = ~np.eye(m, dtype=bool)
-    return float((P[mask] * np.log(P[mask] / q[mask])).sum())
+    rows = _RowPool(1) if rows is None else rows
+    num, sums, work = np.empty((m, m)), np.empty(m), _slot_blocks(rows, m)
+    z = _student_t(np.ascontiguousarray(y.T), num, sums, work, rows)
+    rows.run(_kl_rows, m, P, num, z, sums, work)  # z is read before sums is reused
+    return float(sums.sum())
 
 
 @dataclass
@@ -300,18 +334,20 @@ def tsne(points: np.ndarray, perplexity: float, iters: int = 1000, seed: int = 0
     learning_rate = max(m / _EARLY_EXAGGERATION / 4.0, 50.0)
     rng = np.random.default_rng([seed, 0x74736E65])
     y = rng.normal(0.0, 1e-4, (m, 2))
-    kl_initial = kl_divergence(P, y)
 
     velocity = np.zeros_like(y)
     gains = np.ones_like(y)
     p_exaggerated = P * _EARLY_EXAGGERATION
-    q, num, row_sums = np.empty((m, m)), np.empty((m, m)), np.empty(m)
+    num, totals, row_sums, pq_y = np.empty((m, m)), np.empty(m), np.empty(m), np.empty((2, m))
     with _RowPool(jobs) as rows:
+        kl_initial = kl_divergence(P, y, rows)
+        work = _slot_blocks(rows, m)
         for it in range(iters):
             p_eff = p_exaggerated if it < exaggeration_iters else P
-            z = _student_t(y, num, q, rows)
-            rows.run(_gradient_rows, m, p_eff, num, q, z, row_sums)
-            grad = 4.0 * (row_sums[:, None] * y - q @ y)
+            yt = np.ascontiguousarray(y.T)
+            z = _student_t(yt, num, totals, work, rows)
+            rows.run(_gradient_rows, m, p_eff, num, z, yt, row_sums, pq_y, work)
+            grad = 4.0 * (row_sums[:, None] * y - pq_y.T)
             momentum = 0.5 if it < momentum_switch else 0.8
             same_sign = np.sign(grad) == np.sign(velocity)
             gains = np.where(same_sign, gains * 0.8, gains + 0.2)
@@ -319,11 +355,12 @@ def tsne(points: np.ndarray, perplexity: float, iters: int = 1000, seed: int = 0
             velocity = momentum * velocity - learning_rate * gains * grad
             y = y + velocity
             y = y - y.mean(axis=0)
+        kl_final = kl_divergence(P, y, rows)
 
     return TsneResult(
         coords=y,
         kl_initial=kl_initial,
-        kl_final=kl_divergence(P, y),
+        kl_final=kl_final,
         perplexity=perplexity,
         iterations=iters,
         seed=seed,
@@ -349,8 +386,6 @@ def cluster_distances(points: np.ndarray, labels) -> ClusterDistances:
     sq_to_own = np.zeros(len(points))
     for c in classes:
         members = labels == c
-        if not members.any():
-            raise ValueError(f"class {c} is empty")
         mu = points[members].mean(axis=0)
         centroids[c] = mu
         sq = ((points[members] - mu) ** 2).sum(axis=1)

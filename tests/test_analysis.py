@@ -251,51 +251,90 @@ class TestPerplexitySearch:
         assert got_betas.tobytes() == want_betas.tobytes()
 
 
+def reference_kernel(y):
+    """The Student-t kernel of the layout ``y`` (zero diagonal) and its sum."""
+    num = 1.0 / (1.0 + ((y[:, None, :] - y[None, :, :]) ** 2).sum(-1))
+    np.fill_diagonal(num, 0.0)
+    return num, num.sum(axis=1).sum()
+
+
+def reference_kl(P, y):
+    num, z = reference_kernel(y)
+    terms = P * np.log(P / np.maximum(num / z, 1e-300))
+    np.fill_diagonal(terms, 0.0)
+    return float(terms.sum(axis=1).sum())
+
+
 def reference_tsne(points, perplexity, iters, seed, early_exaggeration=12.0,
                    exaggeration_iters=250, momentum_switch=250):
     """The allocating, single-threaded t-SNE loop: every m x m array is built
-    anew each step."""
+    anew each step, and nothing in it knows a block size.  Returns the
+    coordinates and the initial and final KL divergences."""
     m = len(points)
     cond, _ = oracle_perplexity_search(sq_dists(points), perplexity)
     P = np.maximum((cond + cond.T) / (2.0 * m), 1e-300)
     learning_rate = max(m / early_exaggeration / 4.0, 50.0)
     y = np.random.default_rng([seed, 0x74736E65]).normal(0.0, 1e-4, (m, 2))
+    kl_initial = reference_kl(P, y)
     velocity, gains = np.zeros_like(y), np.ones_like(y)
     for it in range(iters):
         p_eff = P * early_exaggeration if it < exaggeration_iters else P
-        num = 1.0 / (1.0 + sq_dists(y))
-        np.fill_diagonal(num, 0.0)
-        q = np.maximum(num / num.sum(), 1e-300)
+        num, z = reference_kernel(y)
+        q = np.maximum(num / z, 1e-300)
         pq = (p_eff - q) * num
-        grad = 4.0 * (pq.sum(axis=1, keepdims=True) * y - pq @ y)
+        pq_y = np.stack([(pq * y[:, c]).sum(axis=1) for c in (0, 1)], 1)
+        grad = 4.0 * (pq.sum(axis=1, keepdims=True) * y - pq_y)
         momentum = 0.5 if it < momentum_switch else 0.8
         gains = np.where(np.sign(grad) == np.sign(velocity), gains * 0.8, gains + 0.2)
         np.clip(gains, 0.01, None, out=gains)
         velocity = momentum * velocity - learning_rate * gains * grad
         y = y + velocity
         y = y - y.mean(axis=0)
-    return y
+    return y, kl_initial, reference_kl(P, y)
+
+
+def assert_same_bits(res, want):
+    coords, kl_initial, kl_final = want
+    assert res.coords.tobytes() == coords.tobytes()
+    assert (res.kl_initial, res.kl_final) == (kl_initial, kl_final)
 
 
 class TestTsne:
     def test_coords_bitwise_equal_to_allocating_loop(self):
         points, _ = two_blobs(n_per=20, dims=6, gap=1.0, seed=5)
         switches = dict(exaggeration_iters=20, momentum_switch=40)
-        got = tsne(points, perplexity=8.0, iters=60, seed=4, **switches).coords
-        want = reference_tsne(points, perplexity=8.0, iters=60, seed=4, **switches)
-        assert got.tobytes() == want.tobytes()
+        got = tsne(points, perplexity=8.0, iters=60, seed=4, **switches)
+        assert_same_bits(got, reference_tsne(points, perplexity=8.0, iters=60, seed=4,
+                                             **switches))
 
     @pytest.mark.parametrize("m", [40, 64, 150])  # below, at, not a multiple of a block
     def test_same_bits_for_every_jobs(self, m):
-        assert analysis._ROW_BLOCK == 64
         points, _ = two_blobs(n_per=m // 2, dims=5, gap=1.0, seed=m)
         switches = dict(exaggeration_iters=10, momentum_switch=20)
         want = reference_tsne(points, perplexity=8.0, iters=30, seed=1, **switches)
-        runs = [tsne(points, perplexity=8.0, iters=30, seed=1, jobs=jobs, **switches)
-                for jobs in (1, 2, 3, 4)]
-        for res in runs:
-            assert res.coords.tobytes() == want.tobytes()
-            assert (res.kl_initial, res.kl_final) == (runs[0].kl_initial, runs[0].kl_final)
+        for jobs in (1, 2, 3, 4):
+            assert_same_bits(tsne(points, perplexity=8.0, iters=30, seed=1, jobs=jobs,
+                                  **switches), want)
+
+    @pytest.mark.parametrize("block", [7, 64, 1000])  # ragged, the default, one block
+    def test_same_bits_for_every_block_size(self, block, monkeypatch):
+        points, _ = two_blobs(n_per=75, dims=5, gap=1.0, seed=150)
+        switches = dict(exaggeration_iters=10, momentum_switch=20)
+        want = reference_tsne(points, perplexity=8.0, iters=30, seed=1, **switches)
+        monkeypatch.setattr(analysis, "_ROW_BLOCK", block)
+        for jobs in (1, 2, 3):
+            assert_same_bits(tsne(points, perplexity=8.0, iters=30, seed=1, jobs=jobs,
+                                  **switches), want)
+
+    @pytest.mark.parametrize("offset", [1e6, 1e8])
+    def test_kl_is_translation_invariant(self, offset):
+        # squared distances from coordinate differences, not from the Gram
+        # form, which cancels catastrophically far from the origin
+        points, _ = two_blobs(n_per=10, dims=5)
+        P = joint_probabilities(points, perplexity=5.0)
+        y = np.random.default_rng(0).normal(size=(20, 2))
+        base = kl_divergence(P, y)
+        assert kl_divergence(P, y + offset) == pytest.approx(base, rel=1e-9, abs=0.0)
 
     def test_public_functions_run_in_the_calling_thread(self, monkeypatch):
         # a tracer that wraps the public functions keeps one span stack, so

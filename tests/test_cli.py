@@ -509,3 +509,14 @@ class TestDriverScripts:
         assert [row.split(",")[:2] for row in rows[1:]] == [["1", "0.001"], ["1", "0.002"]]
         best = json.load(open(os.path.join(grid, "best.json")))
         assert best["config"]["epochs"] == 1 and best["config"]["dataset"] == "MUTAG"
+
+    def test_embed_script_runs_end_to_end(self, tu_dir, tmp_path, monkeypatch):
+        write_tu_files(tu_dir, "MUTAG", synthetic_dataset_graphs(num_graphs=16, seed=3))
+        monkeypatch.chdir(tmp_path)
+        assert script_main("embed_representations.py")([
+            "--data-root", tu_dir, "--iters", "1", "--epochs", "1", "--jobs", "1"]) == 0
+        for source in ("raw", "cnn", "caps"):
+            (out_dir,) = glob.glob(
+                str(tmp_path / "results" / "embeddings" / f"embed_MUTAG_*_{source}"))
+            for name in ("embeddings.csv", "distances.csv"):
+                assert os.path.isfile(os.path.join(out_dir, name))
