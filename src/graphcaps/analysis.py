@@ -317,9 +317,13 @@ class TsneResult:
 
 
 def tsne(points: np.ndarray, perplexity: float, iters: int = 1000, seed: int = 0,
-         exaggeration_iters: int = 250, momentum_switch: int = 250,
+         exaggeration_iters: int | None = None, momentum_switch: int | None = None,
          jobs: int | None = None) -> TsneResult:
     """Exact t-SNE to two dimensions.
+
+    The early exaggeration and the lower momentum last ``exaggeration_iters``
+    and ``momentum_switch`` steps; either defaults to ``min(250, iters // 2)``,
+    so that every run spends its second half fitting the true P.
 
     The learning rate is the size-scaled max(m / exaggeration / 4, 50), which
     stays stable from tens to thousands of points.  KL divergences
@@ -327,6 +331,10 @@ def tsne(points: np.ndarray, perplexity: float, iters: int = 1000, seed: int = 0
     layout and at the final one.  ``jobs`` threads (None: all cores) share
     the row work; the result is bitwise the same for every ``jobs``.
     """
+    if exaggeration_iters is None:
+        exaggeration_iters = min(250, iters // 2)
+    if momentum_switch is None:
+        momentum_switch = min(250, iters // 2)
     points = np.asarray(points, dtype=np.float64)
     P = joint_probabilities(points, perplexity, jobs=jobs)
     m = len(points)

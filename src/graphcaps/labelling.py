@@ -7,13 +7,23 @@ Brandes betweenness centrality and a canonical node ordering computed by
 backtracking individualization-refinement with automorphism pruning.  Both
 return plain numpy arrays, are pure functions of the input graph and are
 deterministic, so rankings are reproducible bit-for-bit.
+
+The canonical search runs per graph.  Betweenness and receptive fields run
+for a chunk of graphs at once: :class:`_Union` joins them into one graph and
+:class:`_Bfs` runs a level-synchronous BFS from many of their sources
+together.  :func:`_brandes` accumulates every source's dependencies in the
+float order of the serial single-source loop, so a score has the same bits
+whichever chunk computed it, and :func:`_fields` reads each anchor's
+hop-closest nodes from a BFS of the anchors.  :func:`receptive_fields` is the
+chunk-level entry point of :mod:`graphcaps.tensorize`; :func:`rank_nodes` and
+:func:`betweenness_centrality` are chunks of one graph.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .data import Graph
+from .data import PAD, Graph
 
 # Canonical labelling is exact but not NAUTY-fast; guard against inputs far
 # beyond benchmark scale.
@@ -21,6 +31,9 @@ MAX_CANONICAL_NODES = 10_000
 # The canonical search raises CapacityError after visiting this many nodes of
 # its search tree, so that no input can keep it running.
 MAX_SEARCH_NODES = 10_000
+# The chunk-level passes hold at most this many (lane, node) cells at once
+# (see _Bfs); a graph with more n*n cells than that runs its sources in groups.
+CELLS = 1 << 16
 
 # The node rankings a run may choose: betweenness centrality or the canonical
 # order.  Every other module reads the names from here.
@@ -31,44 +44,153 @@ class CapacityError(RuntimeError):
     """Input exceeds the configured size bound of an exact procedure."""
 
 
+class _Union:
+    """The graphs of one chunk as a single disjoint union.
+
+    Graph ``i`` holds the union nodes ``off[i]`` to ``off[i] + size[i] - 1``.
+    With ``orders``, its node ``order[j]`` becomes union node ``off[i] + j``,
+    so that the chunk-level passes below scan each graph in that order;
+    ``ids`` maps each union node back to ``off[i]`` plus its node in the
+    input graph.  The adjacency is CSR, each neighbour list ascending, as
+    :meth:`graphcaps.data.Graph.adjacency` lists them.
+    """
+
+    def __init__(self, graphs, orders=None):
+        self.size = np.array([g.n for g in graphs], dtype=np.int64)
+        self.off = np.cumsum(self.size) - self.size
+        self.graph = np.repeat(np.arange(len(graphs)), self.size)
+        total = int(self.size.sum())
+        self.ids = np.arange(total) if orders is None else (
+            np.concatenate(orders) + self.off[self.graph])
+        renamed = np.empty(total, dtype=np.int64)
+        renamed[self.ids] = np.arange(total)
+        edges = np.array([e for g in graphs for e in g.edges], dtype=np.int64).reshape(-1, 2)
+        edges = renamed[edges + np.repeat(self.off, [len(g.edges) for g in graphs])[:, None]]
+        src = np.concatenate([edges[:, 0], edges[:, 1]])
+        dst = np.concatenate([edges[:, 1], edges[:, 0]])
+        self.indices = dst[np.argsort(src * total + dst)]
+        self.indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=total))])
+
+    def neighbours(self, nodes):
+        """(i, u) for every neighbour u of every ``nodes[i]``, in that order."""
+        start = self.indptr[nodes]
+        deg = self.indptr[nodes + 1] - start
+        rep = np.repeat(np.arange(nodes.size), deg)
+        at = np.arange(rep.size) + np.repeat(start - (np.cumsum(deg) - deg), deg)
+        return rep, self.indices[at]
+
+
+def lane_groups(cells, parts: int = 1):
+    """Slices of consecutive lanes, each holding at most :data:`CELLS` cells
+    and at most a ``1/parts`` share of them all; a lane that is larger on its
+    own is a slice of its own.  ``cells`` gives each lane's cell count."""
+    ends = np.cumsum(cells)
+    if not ends.size:
+        return
+    budget = min(CELLS, -(-int(ends[-1]) // parts))
+    start = 0
+    while start < len(ends):
+        done = int(ends[start - 1]) if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, done + budget, side="right")))
+        yield slice(start, stop)
+        start = stop
+
+
+class _Bfs:
+    """A level-synchronous BFS from many sources of a :class:`_Union` at once.
+
+    Each source is a lane, and each (lane, node of the source's graph) pair
+    a cell: lane ``i`` owns cells ``base[i]`` to ``base[i] + n - 1``, and
+    node ``v`` is its cell ``shift[i] + v``.  ``sigma`` holds each cell's
+    number of shortest paths from the source, exact: the int64 counts become
+    Python ints before any could pass 2**63.  ``levels[h]`` holds the (lane,
+    node) pairs at hop h, lane by lane, and within a lane in the order in
+    which a serial BFS over ascending neighbour lists discovers them;
+    ``found`` orders the cells of a hop that way.  ``edges[h]`` holds the
+    (from, to) cells of every shortest-path edge into hop h.  With ``reach``,
+    a lane stops after the first ring that brings it to ``reach`` nodes.
+    """
+
+    def __init__(self, union: _Union, sources, reach=None):
+        self.sources = sources
+        self.size = union.size[union.graph[sources]]
+        self.base = np.cumsum(self.size) - self.size
+        self.shift = self.base - union.off[union.graph[sources]]
+        cells = int(self.size.sum())
+        seen = np.zeros(cells, dtype=bool)
+        self.sigma = np.zeros(cells, dtype=np.int64)
+        self.found = np.full(cells, np.iinfo(np.int64).max)
+        # the counts at one hop are sums of at most max-degree counts of the last
+        limit = (2**63 - 1) // max(1, int(np.diff(union.indptr).max(initial=0)))
+        lane, node = np.arange(sources.size), sources
+        cell = self.shift + sources
+        seen[cell], self.sigma[cell] = True, 1
+        self.levels, self.edges = [(lane, node)], [None]
+        reached = np.ones(sources.size, dtype=np.int64)
+        while True:
+            if reach is not None:
+                on = reached[lane] < reach
+                lane, node, cell = lane[on], node[on], cell[on]
+            rep, nbr = union.neighbours(node)
+            to = self.shift[lane][rep] + nbr
+            keep = np.flatnonzero(~seen[to])
+            if not keep.size:
+                return
+            frm, to = cell[rep[keep]], to[keep]
+            if self.sigma.dtype != object and self.sigma[cell].max() > limit:
+                self.sigma = self.sigma.astype(object)
+            np.add.at(self.sigma, to, self.sigma[frm])
+            # a cell is discovered where it is first found
+            at = np.arange(to.size)
+            np.minimum.at(self.found, to, at)
+            new = np.flatnonzero(self.found[to] == at)
+            lane, cell = lane[rep[keep[new]]], to[new]
+            node = cell - self.shift[lane]
+            seen[cell] = True
+            self.levels.append((lane, node))
+            self.edges.append((frm, to))
+            reached += np.bincount(lane, minlength=sources.size)
+
+
+def _brandes(bfs: _Bfs, bc) -> None:
+    """Add each lane's Brandes dependencies (Brandes 2001) to ``bc``.
+
+    The hops are taken from the deepest, and each hop's edges in reverse
+    discovery order of the cell they lead to, which is the order in which
+    ``np.add.at`` applies their terms; so every dependency receives the
+    serial single-source accumulation's terms in its order, and rounds as it
+    does.  The lanes' rows then add up node by node in lane order, each
+    lane's own source left out.
+    """
+    sigma = bfs.sigma.astype(np.float64)
+    delta = np.zeros(sigma.size)
+    for hop in range(len(bfs.levels) - 1, 0, -1):
+        v, w = bfs.edges[hop]
+        back = np.argsort(bfs.found[w])[::-1]
+        v, w = v[back], w[back]
+        np.add.at(delta, v, sigma[v] * ((1.0 + delta[w]) / sigma[w]))
+    delta[bfs.shift + bfs.sources] = 0.0
+    np.add.at(bc, np.arange(delta.size) - np.repeat(bfs.shift, bfs.size), delta)
+
+
+def _betweenness(union: _Union) -> np.ndarray:
+    """Unnormalized betweenness of every union node."""
+    bc = np.zeros(union.graph.size)
+    for group in lane_groups(union.size[union.graph]):
+        _brandes(_Bfs(union, np.arange(group.start, group.stop)), bc)
+    # each unordered pair was counted from both endpoints
+    return bc / 2.0
+
+
 def betweenness_centrality(g: Graph) -> np.ndarray:
     """Unnormalized betweenness on an unweighted undirected graph.
 
     score[v] = number of unordered pairs {s, t} (s != v != t) whose shortest
     paths pass through v, weighted by the fraction of s-t shortest paths using
-    v.  Brandes' single-source accumulation, O(n*m) overall.
+    v.  Brandes' single-source accumulation, O(n*m) overall, run for every
+    source at once (see :func:`_brandes`).
     """
-    adj = g.adjacency()
-    n = g.n
-    bc = [0.0] * n
-    for s in range(n):
-        dist = [-1] * n
-        sigma = [0] * n
-        dist[s] = 0
-        sigma[s] = 1
-        order = [s]  # the BFS queue, walked by index, is the visit order
-        for v in order:
-            dw = dist[v] + 1
-            sv = sigma[v]
-            for w in adj[v]:
-                d = dist[w]
-                if d < 0:
-                    dist[w] = dw
-                    order.append(w)
-                    sigma[w] = sv
-                elif d == dw:
-                    sigma[w] += sv
-        delta = [0.0] * n
-        for w in reversed(order):
-            coeff = (1.0 + delta[w]) / sigma[w]
-            dv = dist[w] - 1
-            for v in adj[w]:
-                if dist[v] == dv:
-                    delta[v] += sigma[v] * coeff
-            if w != s:
-                bc[w] += delta[w]
-    # each unordered pair was counted from both endpoints
-    return np.array(bc) / 2.0
+    return _betweenness(_Union([g]))
 
 
 # ---------------------------------------------------------------------------
@@ -330,16 +452,20 @@ def canonical_certificate(g: Graph) -> bytes:
     return _certificate(g, canonical_order(g).tolist())
 
 
-def _relabel(g: Graph, order) -> Graph:
-    """Rebuild ``g`` with node at rank i renamed to i."""
-    pos = [0] * g.n
-    for i, v in enumerate(order):
-        pos[v] = i
-    edges = frozenset(
-        (pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u]) for u, v in g.edges
-    )
-    labels = tuple(g.node_labels[v] for v in order)
-    return Graph(n=g.n, edges=edges, node_labels=labels, class_label=g.class_label)
+def check_labelling(labelling: str) -> None:
+    """Raise ValueError unless ``labelling`` is one of :data:`LABELLINGS`."""
+    if labelling not in LABELLINGS:
+        raise ValueError(f"unknown labelling {labelling!r}; expected one of {LABELLINGS}")
+
+
+def _rank_chunk(union: _Union, labelling: str) -> np.ndarray:
+    """The nodes of every graph of ``union``, which is renamed to each
+    graph's canonical order, ranked under ``labelling`` most important first,
+    graph after graph."""
+    check_labelling(labelling)
+    if labelling == "canonical":
+        return np.arange(union.graph.size)
+    return np.lexsort((-_betweenness(union), union.graph))
 
 
 def rank_nodes(g: Graph, labelling: str) -> np.ndarray:
@@ -353,10 +479,55 @@ def rank_nodes(g: Graph, labelling: str) -> np.ndarray:
     graph (the summation order, hence rounding, then no longer depends on input
     ids), whose node i is the canonical order's node i.
     """
-    if labelling not in LABELLINGS:
-        raise ValueError(f"unknown labelling {labelling!r}; expected one of {LABELLINGS}")
-    order = canonical_order(g)
-    if labelling == "canonical":
-        return order
-    scores = betweenness_centrality(_relabel(g, order.tolist()))
-    return order[np.argsort(-scores, kind="stable")]
+    check_labelling(labelling)
+    union = _Union([g], [canonical_order(g)])
+    return union.ids[_rank_chunk(union, labelling)]
+
+
+def _fields(union: _Union, bfs: _Bfs, place, out) -> None:
+    """Write the receptive field of each lane ``i`` of ``bfs`` to ``out[i]``:
+    its first ``k`` reachable nodes by (hop, ``place``), as input ids of the
+    union, with ``k = out.shape[1]``.
+
+    ``place`` maps each input id to its position in the ranked order.  A BFS
+    run with ``reach=k`` holds whole rings until a lane has ``k`` nodes, so
+    the last ring may overshoot ``k`` before the sort trims it.  Rows of lanes
+    that reach fewer than ``k`` nodes keep their tail.
+    """
+    k = out.shape[1]
+    lane, node = (np.concatenate(a) for a in zip(*bfs.levels))
+    hop = np.repeat(np.arange(len(bfs.levels)), [a.size for a, _ in bfs.levels])
+    node = union.ids[node]
+    node = node[np.argsort((lane * len(bfs.levels) + hop) * place.size + place[node])]
+    count = np.bincount(lane, minlength=len(out))
+    lane = np.sort(lane)
+    slot = np.arange(lane.size) - np.repeat(np.cumsum(count) - count, count)
+    keep = slot < k
+    out[lane[keep], slot[keep]] = node[keep]
+
+
+def receptive_fields(graphs, orders, labelling: str, w: int, k: int):
+    """The anchors and receptive fields of a chunk of graphs, ``orders``
+    giving each graph's canonical order.
+
+    The first ``min(w, n)`` nodes of a graph under ``labelling`` are its
+    anchors, and an anchor's field is its first ``k`` hop-closest nodes by
+    (hop, place in that same order), from one BFS of every anchor of the
+    chunk (run in groups of at most :data:`CELLS` cells).  Returns ``(graph,
+    slot, fields)``: anchor ``j`` is the ``slot[j]``-th ranked node of graph
+    ``graph[j]``, and ``fields[j]`` its members as positions in the chunk's
+    concatenated node lists, :data:`graphcaps.data.PAD` past the last.
+    """
+    union = _Union(graphs, orders)
+    rank = _rank_chunk(union, labelling)
+    place = np.empty_like(rank)
+    place[union.ids[rank]] = np.arange(rank.size)
+    # the first min(w, n) ranked nodes of each graph, and their grid rows
+    top = np.minimum(union.size, w)
+    slot = np.arange(top.sum()) - np.repeat(np.cumsum(top) - top, top)
+    graph = np.repeat(np.arange(len(graphs)), top)
+    anchors = rank[union.off[graph] + slot]
+    fields = np.full((anchors.size, k), PAD, dtype=np.int64)
+    for group in lane_groups(union.size[graph]):
+        _fields(union, _Bfs(union, anchors[group], reach=k), place, fields[group])
+    return graph, slot, fields

@@ -1,6 +1,8 @@
 """Shared test fixtures: tiny graphs, TU-format file writers, a synthetic
-two-class benchmark, cache-file forgeries and kernel mutations.  The random
-graph generator and the oracles live in :mod:`graphcaps.selftest`."""
+two-class benchmark, cache-file forgeries, kernel mutations, and the serial
+per-graph references that the batched extraction must match bit for bit.
+The random graph generator and the selftest oracles live in
+:mod:`graphcaps.selftest`."""
 
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ import textwrap
 import numpy as np
 
 from graphcaps.data import Graph
+from graphcaps.labelling import canonical_order
 from graphcaps.selftest import disjoint_union, run_suite
 
 __all__ = [
@@ -28,6 +31,9 @@ __all__ = [
     "flip_grid_byte",
     "mutate",
     "healthy_suite",
+    "diamond_chain",
+    "scalar_betweenness",
+    "reference_grid",
 ]
 
 
@@ -150,3 +156,84 @@ def mutate(monkeypatch, module, name: str, expression: str, mutant: str) -> None
 # per test session: the acceptance criteria report it, and each mutation test
 # checks it before breaking a kernel.
 healthy_suite = functools.lru_cache(maxsize=None)(run_suite)
+
+
+def diamond_chain(diamonds: int) -> Graph:
+    """``diamonds`` 4-cycles joined end to end at opposite corners: 2**diamonds
+    shortest paths join the two ends."""
+    edges = set()
+    for i in range(diamonds):
+        a = 3 * i
+        edges.update({(a, a + 1), (a, a + 2), (a + 1, a + 3), (a + 2, a + 3)})
+    n = 3 * diamonds + 1
+    return Graph(n=n, edges=frozenset(edges), node_labels=(0,) * n, class_label=0)
+
+
+def scalar_betweenness(g: Graph) -> np.ndarray:
+    """Unnormalized betweenness by Brandes' single-source accumulation
+    (Brandes 2001), one source at a time in Python ints and floats: the serial
+    reference whose float order the batched passes keep."""
+    adj = g.adjacency()
+    n = g.n
+    bc = [0.0] * n
+    for s in range(n):
+        dist = [-1] * n
+        sigma = [0] * n
+        dist[s] = 0
+        sigma[s] = 1
+        order = [s]  # the BFS queue, walked by index, is the visit order
+        for v in order:
+            dw = dist[v] + 1
+            sv = sigma[v]
+            for w in adj[v]:
+                d = dist[w]
+                if d < 0:
+                    dist[w] = dw
+                    order.append(w)
+                    sigma[w] = sv
+                elif d == dw:
+                    sigma[w] += sv
+        delta = [0.0] * n
+        for w in reversed(order):
+            coeff = (1.0 + delta[w]) / sigma[w]
+            dv = dist[w] - 1
+            for v in adj[w]:
+                if dist[v] == dv:
+                    delta[v] += sigma[v] * coeff
+            if w != s:
+                bc[w] += delta[w]
+    # each unordered pair was counted from both endpoints
+    return np.array(bc) / 2.0
+
+
+def reference_grid(g: Graph, w: int, k: int, d: int, labelling: str) -> np.ndarray:
+    """The ``(w, k)`` label grid of ``g`` by serial per-graph steps: the
+    canonical order; under ``bc`` a stable sort by :func:`scalar_betweenness`
+    of the canonically relabelled graph, descending; then for each of the
+    first ``w`` nodes a BFS that takes whole hop rings until it holds ``k``
+    nodes, sorted by (hop, place in the order) and cut to ``k``."""
+    order = canonical_order(g).tolist()
+    if labelling == "bc":
+        pos = {v: i for i, v in enumerate(order)}
+        h = Graph(n=g.n, edges=frozenset(tuple(sorted((pos[u], pos[v]))) for u, v in g.edges),
+                  node_labels=(0,) * g.n, class_label=0)
+        order = [order[i] for i in np.argsort(-scalar_betweenness(h), kind="stable")]
+    place = {v: i for i, v in enumerate(order)}
+    adj = g.adjacency()
+    grid = np.full((w, k), d, dtype=np.uint16)
+    for row, anchor in enumerate(order[:w]):
+        seen, ring, found = {anchor}, [anchor], [(0, place[anchor], anchor)]
+        hop = 0
+        while len(found) < k and ring:
+            hop += 1
+            nxt = []
+            for v in ring:
+                for u in adj[v]:
+                    if u not in seen:
+                        seen.add(u)
+                        nxt.append(u)
+            found += [(hop, place[u], u) for u in nxt]
+            ring = nxt
+        members = [u for *_, u in sorted(found)[:k]]
+        grid[row, :len(members)] = [g.node_labels[u] for u in members]
+    return grid

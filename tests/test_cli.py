@@ -360,6 +360,18 @@ class TestEmbedAndReport:
         assert os.path.isfile(os.path.join(out_dir, "distances.csv"))
         assert "KL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("iters", [100, 150, 200, 250])
+    def test_embed_kl_falls_at_small_iters(self, syn_root, tmp_path, capsys, iters):
+        # the early exaggeration ends halfway, so the layout fits the true P
+        # before the final KL is taken
+        rc = main(["embed", "--dataset", "SYN", "--data-root", syn_root,
+                   "--out-root", str(tmp_path / "results"), "--source", "raw",
+                   "--perplexity", "4", "--iters", str(iters), "--seed", "2"])
+        assert rc == 0
+        line = [ln for ln in capsys.readouterr().out.splitlines() if " KL " in ln][-1]
+        kl_initial, kl_final = map(float, line.split("KL ")[1].split(";")[0].split(" -> "))
+        assert kl_final < kl_initial
+
     def test_embed_caps_trains_model(self, syn_root, tmp_path, capsys):
         out_root = str(tmp_path / "results")
         rc = main(["embed", "--dataset", "SYN", "--data-root", syn_root,
@@ -413,7 +425,7 @@ class TestSelftestCommand:
 
     def test_detects_broken_kernel(self, monkeypatch, capsys):
         assert healthy_suite("betweenness-oracle")[0] == 0
-        mutate(monkeypatch, labelling, "betweenness_centrality", "(1.0 + delta[w])", "delta[w]")
+        mutate(monkeypatch, labelling, "_brandes", "(1.0 + delta[w])", "delta[w]")
         assert main(["selftest"]) == 1
         assert "[selftest] betweenness-oracle   FAIL" in capsys.readouterr().out
 

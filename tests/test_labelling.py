@@ -2,6 +2,7 @@ import importlib
 import itertools
 import os
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from graphcaps.selftest import (
     bruteforce_betweenness,
     random_graph,
 )
-from helpers import cycle_graph, disjoint_union, path_graph, star_graph, triangle
+from helpers import (cycle_graph, diamond_chain, disjoint_union, path_graph, scalar_betweenness,
+                     star_graph, triangle)
 
 
 def labelled_molecule_with_fragments(copies: int) -> Graph:
@@ -80,6 +82,57 @@ class TestBetweenness:
     def test_disconnected_graphs_allowed(self):
         g = Graph(n=4, edges=frozenset({(0, 1)}), node_labels=(0,) * 4, class_label=0)
         assert betweenness_centrality(g).tolist() == [0.0, 0.0, 0.0, 0.0]
+
+
+class TestBatchedBrandes:
+    """The chunk-level Brandes equals the serial reference bit for bit."""
+
+    @staticmethod
+    def graphs():
+        rng = np.random.default_rng(8)
+        out = [Graph(n=1, edges=frozenset(), node_labels=(0,), class_label=0),
+               Graph(n=5, edges=frozenset(), node_labels=(0,) * 5, class_label=0),
+               disjoint_union(cycle_graph(5), path_graph(4), star_graph(3))]
+        for _ in range(120):
+            out.append(random_graph(rng, int(rng.integers(1, 25)), float(rng.uniform(0.0, 0.8)),
+                                    connected=bool(rng.integers(0, 2))))
+        return out
+
+    def test_bitwise_equal_to_the_serial_reference(self):
+        for g in self.graphs():
+            assert betweenness_centrality(g).tobytes() == scalar_betweenness(g).tobytes()
+
+    def test_path_counts_past_2_63(self):
+        # 2**64 shortest paths join the ends of 64 diamonds in a row
+        g = diamond_chain(64)
+        union = labelling._Union([g])
+        assert labelling._Bfs(union, np.array([0])).sigma[g.n - 1] == 2**64
+        assert betweenness_centrality(g).tobytes() == scalar_betweenness(g).tobytes()
+
+    @pytest.mark.parametrize("budget", ["1-cell", "7-graphs", "everything"])
+    def test_same_bits_for_every_budget(self, monkeypatch, budget):
+        graphs = self.graphs()
+        cells = {"1-cell": 1, "7-graphs": 7 * max(g.n for g in graphs) ** 2,
+                 "everything": sum(g.n for g in graphs) ** 2}[budget]
+        monkeypatch.setattr(labelling, "CELLS", cells)
+        scores = labelling._betweenness(labelling._Union(graphs))
+        want = np.concatenate([scalar_betweenness(g) for g in graphs])
+        assert scores.tobytes() == want.tobytes()
+
+    def test_memory_stays_within_the_cell_budget(self):
+        # a 2000-node tree with chords; its n x n float64 block alone is 32 MB
+        rng = np.random.default_rng(9)
+        n = 2000
+        edges = {(int(rng.integers(0, v)), v) for v in range(1, n)}
+        edges |= {(u, v) for u, v in rng.integers(0, n, (n // 10, 2)).tolist() if u < v}
+        g = Graph(n=n, edges=frozenset(edges), node_labels=(0,) * n, class_label=0)
+        tracemalloc.start()
+        try:
+            betweenness_centrality(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200 * labelling.CELLS < n * n * 8 / 2
 
 
 class TestCanonicalOrder:

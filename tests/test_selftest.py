@@ -3,15 +3,14 @@ real kernel makes the suite report failures that the healthy build does not."""
 
 import pytest
 
-from graphcaps import autodiff, labelling, tensorize
+from graphcaps import autodiff, labelling
 from graphcaps.selftest import SUITES, run_suite
 from helpers import healthy_suite, mutate
 
 # name: (suite, module, function, expression, mutant)
 MUTATIONS = {
     "brandes-drops-the-pair-term": (
-        "betweenness-oracle", labelling, "betweenness_centrality",
-        "(1.0 + delta[w])", "delta[w]",
+        "betweenness-oracle", labelling, "_brandes", "(1.0 + delta[w])", "delta[w]",
     ),
     "equitable-keeps-insertion-order-canonical": (
         "canonical-invariance", labelling, "_equitable", "sorted(groups)", "groups",
@@ -24,7 +23,7 @@ MUTATIONS = {
         "tensor-invariance", labelling, "_equitable", "sorted(groups)", "groups",
     ),
     "fields-ordered-by-node-id": (
-        "tensor-invariance", tensorize, "normalize_receptive_field", "place[c[0]]", "c[0]",
+        "tensor-invariance", labelling, "_fields", "place[node]", "node",
     ),
     "routing-backward-drops-the-softmax-term": (
         "gradient-checks", autodiff, "routing",

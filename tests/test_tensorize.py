@@ -9,53 +9,27 @@ from graphcaps import labelling
 from graphcaps.data import PAD, Graph, GraphDataset, one_hot, permute_node_ids
 from graphcaps.labelling import betweenness_centrality, rank_nodes
 from graphcaps.tensor_cache import VERSION, CacheError, load_tensors, save_tensors
+from graphcaps.labelling import _Bfs, _fields, _Union
 from graphcaps.tensorize import (
-    assemble_neighbourhood,
     default_width,
     graph_to_tensor,
-    node_sequence,
-    normalize_receptive_field,
     padded_anchor_count,
     tensorize_dataset,
 )
 from graphcaps.selftest import random_graph
-from helpers import (cycle_graph, flip_grid_byte, path_graph, star_graph,
+from helpers import (cycle_graph, disjoint_union, flip_grid_byte, path_graph, reference_grid, star_graph,
                      synthetic_dataset_graphs, triangle, write_tu_files)
 
 from graphcaps.data import load_tu_dataset
 
 
-class TestNodeSequence:
-    def test_small_graph_pads(self):
-        g = triangle()
-        order = rank_nodes(g, "canonical")
-        seq = node_sequence(order, w=5)
-        assert len(seq) == 5
-        assert sorted(seq[:3]) == [0, 1, 2]
-        assert seq[3:] == [PAD, PAD]
-
-    def test_large_graph_truncates_to_top_ranked(self):
-        rng = np.random.default_rng(0)
-        g = random_graph(rng, 28, 0.2, connected=True)
-        order = rank_nodes(g, "bc")
-        seq = node_sequence(order, w=18)
-        assert seq == [int(v) for v in order[:18]]
-
-
-class TestNeighbourhoodAssembly:
-    def test_isolated_node(self):
-        g = Graph(n=3, edges=frozenset({(1, 2)}), node_labels=(0, 0, 0), class_label=0)
-        assert assemble_neighbourhood(g, anchor=0, k=4) == [(0, 0)]
-
-    def test_star_ring_overshoot(self):
-        got = assemble_neighbourhood(star_graph(4), anchor=0, k=3)
-        assert got[0] == (0, 0)
-        assert sorted(got[1:]) == [(1, 1), (2, 1), (3, 1), (4, 1)]
-
-    def test_path_end_anchor_hand_trace(self):
-        # BFS from node 0 of a 10-path reaches 0,1,2,3 within 3 hops
-        got = assemble_neighbourhood(path_graph(10), anchor=0, k=4)
-        assert got == [(0, 0), (1, 1), (2, 2), (3, 3)]
+def fields(g: Graph, anchors, place, k: int) -> list:
+    """The receptive fields of ``anchors`` in ``g`` from the batched field
+    pass, where ``place[v]`` is node v's position in the ranked order."""
+    union = _Union([g])
+    out = np.full((len(anchors), k), PAD)
+    _fields(union, _Bfs(union, np.array(anchors), reach=k), np.asarray(place), out)
+    return out.tolist()
 
 
 def place_of(g: Graph, labelling: str) -> np.ndarray:
@@ -63,23 +37,56 @@ def place_of(g: Graph, labelling: str) -> np.ndarray:
     return np.argsort(rank_nodes(g, labelling))
 
 
+class TestNodeSequence:
+    # the anchors, PATCHY-SAN's node sequence: with node v labelled v, a
+    # grid's first column names them
+    def test_small_graph_pads(self):
+        grid = graph_to_tensor(triangle(labels=(0, 1, 2)), w=5, k=1, d=3, labelling="canonical")
+        assert sorted(grid[:3, 0].tolist()) == [0, 1, 2]
+        assert grid[3:, 0].tolist() == [3, 3]
+
+    def test_large_graph_truncates_to_top_ranked(self):
+        rng = np.random.default_rng(0)
+        g = random_graph(rng, 28, 0.2, connected=True)
+        g = Graph(n=g.n, edges=g.edges, node_labels=tuple(range(g.n)), class_label=0)
+        grid = graph_to_tensor(g, w=18, k=1, d=28, labelling="bc")
+        assert grid[:, 0].tolist() == rank_nodes(g, "bc")[:18].tolist()
+
+
+class TestNeighbourhoodAssembly:
+    def test_isolated_node(self):
+        g = Graph(n=3, edges=frozenset({(1, 2)}), node_labels=(0, 0, 0), class_label=0)
+        assert fields(g, [0], np.arange(3), k=4) == [[0, PAD, PAD, PAD]]
+
+    def test_star_ring_overshoot(self):
+        # the hop-1 ring of four leaves is taken whole, then cut by place
+        place = [0, 4, 3, 2, 1]
+        assert fields(star_graph(4), [0], place, k=3) == [[0, 4, 3]]
+        assert fields(star_graph(4), [0], np.arange(5), k=3) == [[0, 1, 2]]
+
+    def test_path_end_anchor_hand_trace(self):
+        # BFS from node 0 of a 10-path reaches 0,1,2,3 within 3 hops
+        assert fields(path_graph(10), [0], np.arange(10), k=4) == [[0, 1, 2, 3]]
+
+    def test_lanes_of_one_pass_are_independent(self):
+        g = path_graph(5)
+        assert fields(g, [4, 0, 2], np.arange(5), k=3) == [[4, 3, 2], [0, 1, 2], [2, 1, 3]]
+
+
 class TestNormalization:
     def test_pad_tail_when_few_candidates(self):
-        g = path_graph(2)
-        field = normalize_receptive_field([(0, 0), (1, 1)], place_of(g, "canonical"), k=4)
-        assert field == [0, 1, PAD, PAD]
+        assert fields(path_graph(2), [0], place_of(path_graph(2), "canonical"), k=4) == [
+            [0, 1, PAD, PAD]]
 
     def test_anchor_always_first(self):
-        g = star_graph(4)
-        candidates = assemble_neighbourhood(g, anchor=0, k=3)
-        field = normalize_receptive_field(candidates, place_of(g, "canonical"), k=3)
-        assert field[0] == 0
+        # the anchor is last in the order, yet hop 0 comes first
+        assert fields(star_graph(4), [0], [4, 0, 1, 2, 3], k=3) == [[0, 1, 2]]
 
     def test_rings_ordered_by_place(self):
         # hop first, then place: node 3 outranks node 1 but is a hop further
-        candidates = [(2, 0), (3, 2), (1, 1), (0, 1)]
-        place = np.array([2, 1, 3, 0])
-        assert normalize_receptive_field(candidates, place, k=3) == [2, 1, 0]
+        g = Graph(n=4, edges=frozenset({(0, 2), (1, 2), (0, 3)}), node_labels=(0,) * 4,
+                  class_label=0)
+        assert fields(g, [2], [2, 1, 3, 0], k=3) == [[2, 1, 0]]
 
     def test_star_selection_consistent_across_relabellings(self):
         # leaves are interchangeable: whichever two survive the k-cut, the
@@ -90,9 +97,7 @@ class TestNormalization:
         for seed in range(8):
             h = permute_node_ids(g, seed)
             anchor = [v for v in range(5) if len(h.adjacency()[v]) == 4][0]
-            field = normalize_receptive_field(
-                assemble_neighbourhood(h, anchor, k=3), place_of(h, "canonical"), k=3
-            )
+            [field] = fields(h, [anchor], place_of(h, "canonical"), k=3)
             labels = tuple(h.node_labels[m] for m in field)
             if ref is None:
                 ref = labels
@@ -123,6 +128,15 @@ class TestGraphToTensor:
         with pytest.raises(ValueError, match="outside"):
             graph_to_tensor(triangle(labels=(0, 2, 0)), w=3, k=3, d=2)
 
+    def test_unknown_labelling_rejected_before_the_search(self, monkeypatch):
+        # the search would raise CapacityError on the 4-cycle
+        monkeypatch.setattr(labelling, "MAX_SEARCH_NODES", 1)
+        ds = GraphDataset(graphs=[cycle_graph(4)], num_classes=1, num_node_labels=1, name="BAD")
+        for extract in (lambda: rank_nodes(cycle_graph(4), "nauty"),
+                        lambda: tensorize_dataset(ds, w=3, k=2, labelling="nauty")):
+            with pytest.raises(ValueError, match="'nauty'"):
+                extract()
+
     @pytest.mark.parametrize("labelling", ["canonical", "bc"])
     def test_bitwise_permutation_invariance(self, labelling):
         rng = np.random.default_rng(2)
@@ -139,7 +153,7 @@ class TestGraphToTensor:
     def test_canonical_search_runs_once_and_brandes_only_under_bc(self, monkeypatch, ranking):
         # count calls from every graphcaps module that holds these functions
         counts = {}
-        for fn in (labelling.canonical_order, labelling.betweenness_centrality):
+        for fn in (labelling.canonical_order, labelling._brandes):
             def counted(*args, _fn=fn, **kwargs):
                 counts[_fn.__name__] += 1
                 return _fn(*args, **kwargs)
@@ -148,10 +162,12 @@ class TestGraphToTensor:
             for name, module in list(sys.modules.items()):
                 if name.startswith("graphcaps") and getattr(module, fn.__name__, None) is fn:
                     monkeypatch.setattr(module, fn.__name__, counted)
-        g = random_graph(np.random.default_rng(3), 12, 0.3, num_labels=3)
-        graph_to_tensor(g, w=8, k=4, d=3, labelling=ranking)
-        assert counts == {"canonical_order": 1,
-                          "betweenness_centrality": int(ranking == "bc")}
+        rng = np.random.default_rng(3)
+        graphs = [random_graph(rng, 12, 0.3, num_labels=3) for _ in range(5)]
+        ds = GraphDataset(graphs=graphs, num_classes=1, num_node_labels=3, name="ONCE")
+        tensorize_dataset(ds, w=8, k=4, labelling=ranking)
+        # one chunk: one search per graph, and one Brandes pass for all of them
+        assert counts == {"canonical_order": 5, "_brandes": int(ranking == "bc")}
 
     def test_bc_field_ordered_by_betweenness(self):
         # hub 0 (label 0) with neighbours 1, 2, 3 (labels 1, 2, 3); node 2
@@ -209,6 +225,32 @@ class TestDatasetTensorization:
         ds = GraphDataset(graphs=graphs, num_classes=1, num_node_labels=3, name="CAP")
         with pytest.raises(labelling.CapacityError, match=r"^graph 2: canonical search"):
             tensorize_dataset(ds, w=3, k=2, jobs=jobs)
+
+
+class TestBatchedExtraction:
+    """Grids from the chunk-level passes equal the serial per-graph reference
+    bit for bit, whatever the chunk budget and the number of workers."""
+
+    def dataset(self) -> GraphDataset:
+        rng = np.random.default_rng(11)
+        graphs = [random_graph(rng, int(rng.integers(1, 25)), float(rng.uniform(0.0, 0.7)),
+                               num_labels=4) for _ in range(40)]
+        graphs += [disjoint_union(triangle(labels=(0, 1, 2)), path_graph(3)),
+                   Graph(n=4, edges=frozenset(), node_labels=(3, 2, 1, 0), class_label=0)]
+        return GraphDataset(graphs=graphs, num_classes=1, num_node_labels=4, name="REF")
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("budget", ["1-cell", "7-graphs", "everything"])
+    @pytest.mark.parametrize("ranking", ["bc", "canonical"])
+    def test_grids_match_the_serial_reference(self, monkeypatch, ranking, budget, jobs):
+        ds = self.dataset()
+        cells = {"1-cell": 1, "7-graphs": 7 * max(g.n for g in ds.graphs) ** 2,
+                 "everything": sum(g.n for g in ds.graphs) ** 2}[budget]
+        monkeypatch.setattr(labelling, "CELLS", cells)
+        want = np.stack([reference_grid(g, w=7, k=5, d=4, labelling=ranking) for g in ds.graphs])
+        got = tensorize_dataset(ds, w=7, k=5, labelling=ranking, jobs=jobs)
+        assert got.dtype == np.uint16
+        assert np.array_equal(got, want)
 
 
 class TestCacheFormat:
