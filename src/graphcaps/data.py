@@ -9,9 +9,11 @@ re-mapped to contiguous 0-based ranges at load time.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import operator
 import os
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,80 +121,61 @@ def _int64(text: str):
     return value if -(2**63) <= value < 2**63 else None
 
 
-# What each byte is in the plain layout of :func:`_plain_rows`: 0 no part of
-# it, then a digit, a minus sign, a blank, a newline, a comma.
-_BYTE_KIND = np.zeros(256, dtype=np.int8)
-_BYTE_KIND[ord("0"):ord("9") + 1] = 1
-_BYTE_KIND[[ord("-"), ord(" "), ord("\t"), ord("\n"), ord(",")]] = [2, 3, 3, 4, 5]
+# The characters of the plain layout that :func:`_loadtxt_rows` reads, for
+# ``str.translate`` to delete.
+_PLAIN = str.maketrans("", "", "0123456789+-, \t\n")
 
 
-def _plain_rows(text: str, width: int, chunk: int = 1 << 16):
-    """:func:`_read_rows` for the plain layout that TU files use: ASCII
-    decimal integers of at most 18 digits, each with an optional leading
-    ``-``, ``width`` of them on each non-blank line, separated by spaces, tabs
-    and (when ``width`` is 2) commas, lines ended by ``\n``.  Returns the
-    values and line numbers, or None for any other text.
+def _loadtxt_rows(path: str, text: str, width: int):
+    """The ``(rows, width)`` int64 values of ``path``, whose text is
+    ``text``, read by numpy's C reader; None when the text is not in the
+    plain layout that TU files use, or when ``np.loadtxt`` refuses it, warns
+    about it or reads another number of columns.
 
-    The text is read in pieces of whole lines of about ``chunk`` characters,
-    so that the per-character temporaries stay small.  Whole-file ones, each
-    a few MB for an NCI1-sized file, grew the heap in a way that outlived
-    them and raised the peak resident memory of a later t-SNE by 8-22 MB."""
-    if not text.isascii():
+    The plain layout has only digits, signs, spaces, tabs, commas and
+    newlines.  Within it, the rows that ``np.loadtxt`` reads are the
+    non-blank lines that :func:`_read_lines` reads, to the same values.  Both
+    read the file with universal newlines, so ``\\r\\n`` and a lone ``\\r``
+    end a line for both."""
+    if text.translate(_PLAIN):
         return None
-    values, linenos, start, line0 = [np.zeros((0, width), np.int64)], [np.zeros(0, np.int64)], 0, 0
-    while start < len(text):
-        end = text.find("\n", start + chunk) + 1 or len(text)
-        piece = _plain_piece(text[start:end], width)
-        if piece is None:
-            return None
-        values.append(piece[0])
-        linenos.append(piece[1] + line0)
-        line0 += text.count("\n", start, end)
-        start = end
-    return np.concatenate(values), np.concatenate(linenos)
+    try:
+        # numpy 1.x parses a value outside int64 as a float, warning only
+        # with a DeprecationWarning; an empty file draws a UserWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = np.loadtxt(path, dtype=np.int64, ndmin=2, comments=None, encoding="utf-8",
+                                delimiter="," if width == 2 else None)
+    except (ValueError, Warning):
+        return None
+    return values if values.shape[1] == width else None
 
 
-def _plain_piece(text: str, width: int):
-    """:func:`_plain_rows` of an ASCII text, in whole-array operations."""
-    chars = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    kind = _BYTE_KIND[chars]
-    if not kind.all() or (width == 1 and (kind == 5).any()):
-        return None
-    # +1 where a token (a run of digits and minus signs) starts, -1 past its end
-    step = np.diff((kind < 3).view(np.int8), prepend=np.int8(0), append=np.int8(0))
-    starts, ends = np.flatnonzero(step == 1), np.flatnonzero(step == -1)
-    negative = kind[starts] == 2
-    first = starts + negative  # of each token's digits
-    if (kind == 2).sum() != negative.sum() or not (1 <= (ends - first)).all() \
-            or not (ends - first <= 18).all():
-        return None
-    newlines = np.flatnonzero(kind == 4)
-    line = np.searchsorted(newlines, starts)
-    per_line = np.bincount(line, minlength=len(newlines) + 1)
-    commas_only = per_line[np.searchsorted(newlines, np.flatnonzero(kind == 5))] == 0
-    if ((per_line != 0) & (per_line != width)).any() or commas_only.any():
-        return None
-    # Horner's rule over the digit columns, one whole-array step per column
-    values = np.zeros(len(starts), dtype=np.int64)
-    for col in range(int((ends - first).max(initial=0))):
-        at = first + col
-        digit = chars[np.minimum(at, len(chars) - 1)] - ord("0")
-        values = np.where(at < ends, values * 10 + digit, values)
-    values[negative] *= -1
-    return values.reshape(-1, width), line[::width] + 1
+def _line_number(text: str, row: int) -> int:
+    """The 1-based line number of the ``row``-th non-blank line of ``text``."""
+    return [i for i, line in enumerate(text.splitlines(), 1) if line.strip()][row]
 
 
 def _read_rows(path: str, width: int) -> tuple:
     """Parse a file that holds ``width`` integers on each non-blank line.
     With ``width`` 1 a line is one integer; with 2 its values may also be
-    separated by commas.  Returns the ``(rows, width)`` int64 values, each
-    row's 1-based line number, and the format checks that rows fail (see
-    :func:`_raise_first`), for the caller to raise in turn; 0 stands in for
-    a value that does not parse."""
+    separated by commas.  Returns the ``(rows, width)`` int64 values, a
+    function from a row to its 1-based line number, and the format checks
+    that rows fail (see :func:`_raise_first`), for the caller to raise in
+    turn.  A text in the plain layout goes through :func:`_loadtxt_rows`;
+    any other, and any that ``np.loadtxt`` refuses, through
+    :func:`_read_lines`."""
     text = _read_text(path)
-    plain = _plain_rows(text, width)
-    if plain is not None:
-        return (*plain, [])
+    values = _loadtxt_rows(path, text, width)
+    if values is None:
+        return _read_lines(text, width)
+    return values, functools.partial(_line_number, text), []
+
+
+def _read_lines(text: str, width: int) -> tuple:
+    """:func:`_read_rows` of ``text`` line by line, with Python's ``int``: the
+    reference reader, and the only one that names a bad line.  0 stands in
+    for a value that does not parse."""
     lines = text.splitlines()
     kept = [i for i, line in enumerate(lines) if line.strip()]
     fields = [lines[i].replace(",", " ").split() if width == 2 else [lines[i]] for i in kept]
@@ -203,20 +186,20 @@ def _read_rows(path: str, width: int) -> tuple:
     checks = [(wrong, lambda row: f"expected 'u, v', got {lines[kept[row]]!r}")]
     checks += [(bad[:, j], lambda row, j=j: f"expected an integer, got {fields[row][j]!r}")
                for j in range(width)]
-    return values, np.array(kept, dtype=np.int64) + 1, checks
+    return values, lambda row: kept[row] + 1, checks
 
 
-def _raise_first(path: str, linenos, checks) -> None:
+def _raise_first(path: str, lineno, checks) -> None:
     """Raise for the earliest row that fails one of ``checks``; do nothing
     when none does.  ``checks`` are ``(bad, describe)`` pairs in the order a
     row's checks run: ``bad`` masks the failing rows, and ``describe(row)``
-    says what is wrong with a row, which is line ``linenos[row]`` of
+    says what is wrong with a row, which is line ``lineno(row)`` of
     ``path``."""
     failing = [int(np.argmax(bad)) for bad, _ in checks if bad.any()]
     if failing:
         row = min(failing)
         describe = next(describe for bad, describe in checks if bad[row])
-        raise DatasetFormatError(f"{path}:{linenos[row]}: {describe(row)}")
+        raise DatasetFormatError(f"{path}:{lineno(row)}: {describe(row)}")
 
 
 def resolve_dataset_dir(root: str, name: str) -> str:
@@ -232,8 +215,8 @@ def load_tu_dataset(root: str, name: str) -> GraphDataset:
 
     Returns a :class:`GraphDataset` with 0-based contiguous node, label and
     class indices; the edge list is deduplicated and symmetrized.  Each file
-    is parsed and checked in whole-array operations; a malformed line is
-    named as ``path:lineno``.
+    is parsed by :func:`_read_rows` and checked in whole-array operations; a
+    malformed line is named as ``path:lineno``.
     """
     base = resolve_dataset_dir(root, name)
     a_path = os.path.join(base, f"{name}_A.txt")
@@ -241,8 +224,8 @@ def load_tu_dataset(root: str, name: str) -> GraphDataset:
     gl_path = os.path.join(base, f"{name}_graph_labels.txt")
     nl_path = os.path.join(base, f"{name}_node_labels.txt")
 
-    graph_of_node, linenos, checks = _read_rows(ind_path, 1)
-    _raise_first(ind_path, linenos, checks)
+    graph_of_node, lineno, checks = _read_rows(ind_path, 1)
+    _raise_first(ind_path, lineno, checks)
     if not len(graph_of_node):
         raise DatasetFormatError(f"{ind_path}: no nodes")
     # graph index of each node; every graph id in the file has a node
@@ -250,7 +233,7 @@ def load_tu_dataset(root: str, name: str) -> GraphDataset:
     _, node_graph = np.unique(graph_of_node[:, 0], return_inverse=True)
     num_graphs = int(node_graph.max()) + 1
 
-    raw_classes, linenos, checks = _read_rows(gl_path, 1)
+    raw_classes, lineno, checks = _read_rows(gl_path, 1)
     if len(raw_classes) > num_graphs:
         raise DatasetFormatError(
             f"{gl_path}: {len(raw_classes)} class labels but only {num_graphs} graphs "
@@ -260,13 +243,13 @@ def load_tu_dataset(root: str, name: str) -> GraphDataset:
         raise DatasetFormatError(
             f"{gl_path}: {len(raw_classes)} class labels for {num_graphs} graphs"
         )
-    _raise_first(gl_path, linenos, checks)
+    _raise_first(gl_path, lineno, checks)
     class_values, class_of = np.unique(raw_classes[:, 0], return_inverse=True)
 
-    raw_labels, linenos, checks = _read_rows(nl_path, 1)
+    raw_labels, lineno, checks = _read_rows(nl_path, 1)
     if len(raw_labels) != n_nodes:
         raise DatasetFormatError(f"{nl_path}: {len(raw_labels)} node labels for {n_nodes} nodes")
-    _raise_first(nl_path, linenos, checks)
+    _raise_first(nl_path, lineno, checks)
     label_values, label_of = np.unique(raw_labels[:, 0], return_inverse=True)
 
     # nodes grouped by graph, in file order within each graph; a node's
@@ -276,12 +259,12 @@ def load_tu_dataset(root: str, name: str) -> GraphDataset:
     local_id = np.empty(n_nodes, dtype=np.int64)
     local_id[by_graph] = np.arange(n_nodes) - np.repeat(np.cumsum(sizes) - sizes, sizes)
 
-    uv, linenos, checks = _read_rows(a_path, 2)
+    uv, lineno, checks = _read_rows(a_path, 2)
     u, v = uv[:, 0], uv[:, 1]
     known = (1 <= u) & (u <= n_nodes) & (1 <= v) & (v <= n_nodes)
     gu = node_graph[np.where(known, u - 1, 0)]
     gv = node_graph[np.where(known, v - 1, 0)]
-    _raise_first(a_path, linenos, checks + [
+    _raise_first(a_path, lineno, checks + [
         (~known, lambda row: f"edge ({u[row]}, {v[row]}) references an unknown node"),
         (gu != gv, lambda row: f"edge ({u[row]}, {v[row]}) crosses graphs {gu[row]} and {gv[row]}"),
         (u == v, lambda row: f"self-loop on node {u[row]}"),

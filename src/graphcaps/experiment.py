@@ -116,6 +116,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown loss_mode {self.loss_mode!r}")
         if self.jobs is None:
             self.jobs = max(1, os.cpu_count() or 1)
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         if self.cache_dir is None:
             self.cache_dir = os.path.join(self.out_root, "cache")
 

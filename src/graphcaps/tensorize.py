@@ -101,6 +101,8 @@ def tensorize_dataset(
     one worker's share; with ``jobs > 1`` the chunks run in worker processes,
     and results come back in input order.  A grid depends
     on neither the chunks nor the workers."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     chunks = [(group.start, ds.graphs[group])
               for group in lane_groups([g.n * g.n for g in ds.graphs], jobs)]
     extract = functools.partial(_grids, w=w, k=k, d=ds.num_node_labels, labelling=labelling)

@@ -99,6 +99,14 @@ class TestTensorizeCommand:
         assert "config key 'seed' is not an option of 'tensorize'" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "results")
 
+    @pytest.mark.parametrize("command, jobs", [("tensorize", "0"), ("run", "0"),
+                                               ("tensorize", "-3")])
+    def test_jobs_below_one_rejected(self, syn_root, tmp_path, capsys, command, jobs):
+        assert main([command, "--dataset", "SYN", "--data-root", syn_root,
+                     "--out-root", str(tmp_path / "results"), "--jobs", jobs]) == 1
+        assert capsys.readouterr().err == f"error: jobs must be >= 1, got {jobs}\n"
+        assert not os.path.exists(tmp_path / "results")
+
     def test_search_over_budget_names_the_graph(self, tu_dir, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(labelling, "MAX_SEARCH_NODES", 1)
         graphs = [path_graph(3, labels=(0, 1, 2)), triangle(), cycle_graph(4), triangle()]

@@ -1,3 +1,4 @@
+import importlib
 import os
 from collections import Counter
 
@@ -5,9 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from graphcaps import data
 from graphcaps.data import (
     DatasetFormatError,
-    _plain_rows,
+    _loadtxt_rows,
+    _read_lines,
+    _read_rows,
+    _read_text,
     Graph,
     load_tu_dataset,
     one_hot,
@@ -21,6 +26,20 @@ from conftest import benchmark_data_root
 
 def degree_multiset(g: Graph):
     return sorted(len(nbrs) for nbrs in g.adjacency())
+
+
+def reading(rows) -> tuple:
+    """What a ``_read_rows`` result says: the values, each row's line number,
+    and the (check, row) pairs that fail."""
+    values, lineno, checks = rows
+    failing = [(c, int(row)) for c, (bad, _) in enumerate(checks) for row in np.flatnonzero(bad)]
+    return values.tolist(), [lineno(row) for row in range(len(values))], failing
+
+
+def write_raw(path: str, text: str) -> str:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    return path
 
 
 class TestGraphType:
@@ -152,50 +171,96 @@ class TestLoader:
         message, path = self._error(tu_dir, "A", "1, 2\n2, 2\n1, x\n9, 9\n")
         assert message == f"{path}:2: self-loop on node 2"
 
-    def test_line_endings_and_signs_load_the_same(self, tu_dir):
-        # CRLF endings and '+' signs take the loader off its plain-layout path
+    def test_line_endings_and_signs_load_the_same(self, tu_dir, monkeypatch):
+        # CRLF endings and '+' signs still take numpy's reader; a Unicode
+        # digit, which int() reads, sends one file through the line-by-line
+        # reader
         graphs = synthetic_dataset_graphs(num_graphs=12, seed=4)
         plain = load_tu_dataset(tu_dir, os.path.basename(write_tu_files(tu_dir, "LF", graphs)))
         base = write_tu_files(tu_dir, "CRLF", graphs)
         for fname in os.listdir(base):
             path = os.path.join(base, fname)
             text = open(path).read().replace("\n", "\r\n").replace(" ", " +")
+            if fname.endswith("graph_indicator.txt"):
+                text = text.replace("1", "\u0661", 1)
             open(path, "w", newline="").write("\r\n" + text)
+        read_lines = []
+
+        def spy(text, width):
+            read_lines.append(text)
+            return _read_lines(text, width)
+        monkeypatch.setattr(data, "_read_lines", spy)
         other = load_tu_dataset(tu_dir, "CRLF")
+        assert len(read_lines) == 1 and read_lines[0].startswith("\n\u0661")
         assert [(g.n, g.edges, g.node_labels, g.class_label) for g in other.graphs] == [
             (g.n, g.edges, g.node_labels, g.class_label) for g in plain.graphs]
 
-    @settings(max_examples=200)
+    def test_tu_layout_takes_numpy_reader(self, tu_dir, monkeypatch):
+        # the layout of the test and benchmark writers never needs the
+        # line-by-line reader
+        monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+        synth = importlib.import_module("synth")
+        graphs = synthetic_dataset_graphs(num_graphs=12, seed=6)
+        write_tu_files(tu_dir, "HELPER", graphs)
+        synth.write_tu(tu_dir, "MUTAG", synth.generate("MUTAG", 1)[0])
+
+        def refuse(*_args):
+            raise AssertionError("line-by-line reader called")
+        monkeypatch.setattr(data, "_read_lines", refuse)
+        assert len(load_tu_dataset(tu_dir, "HELPER")) == 12
+        assert len(load_tu_dataset(tu_dir, "MUTAG")) == 188
+
+    @settings(max_examples=300)
     @given(st.integers(1, 2), st.lists(st.tuples(
         st.lists(st.integers(-10**19, 10**19), min_size=1, max_size=3),
-        st.sampled_from([" ", ", ", "\t", ",", " + "]),
-        st.sampled_from(["\n", "\n\n", " \n", "\r\n"])), max_size=8))
-    def test_plain_layout_parse_matches_int(self, width, lines):
-        # the whole-array parse takes a text only when it reads it as int()
-        # and str.split() do, line by line
+        st.sampled_from([" ", ", ", "\t", ",", " + ", " +", ",,", " ,", "\x0c"]),
+        st.sampled_from(["\n", "\n\n", " \n", "\r\n", "\r", "\n \n", "\x0c\n"])),
+        max_size=8))
+    def test_plain_layout_parse_matches_int(self, tmp_path_factory, width, lines):
+        # whenever numpy's reader takes a text, it reads the values and line
+        # numbers that int() and str.split() read, line by line; form feeds,
+        # empty fields and whitespace-only lines send texts the other way
         text = "".join(sep.join(map(str, values)) + end for values, sep, end in lines)
-        plain = _plain_rows(text, width)
-        # read in pieces of a few lines, the text parses the same
-        pieces = _plain_rows(text, width, chunk=5)
-        assert (plain is None) == (pieces is None)
-        if plain is None:
-            return
-        assert all(np.array_equal(a, b) for a, b in zip(plain, pieces))
-        rows = [(i, line.replace(",", " ").split()) for i, line in enumerate(text.splitlines(), 1)]
-        rows = [(i, fields) for i, fields in rows if fields]
-        assert all(len(fields) == width for _, fields in rows)
-        assert plain[0].tolist() == [[int(t) for t in fields] for _, fields in rows]
-        assert plain[1].tolist() == [i for i, _ in rows]
+        path = write_raw(str(tmp_path_factory.getbasetemp() / "rows.txt"), text)
+        assert reading(_read_rows(path, width)) == reading(_read_lines(_read_text(path), width))
 
-    def test_plain_layout_bounds(self):
-        values, linenos = _plain_rows("1, 2\n\n-3\t4\n", 2)
-        assert values.tolist() == [[1, 2], [-3, 4]] and linenos.tolist() == [1, 3]
-        assert _plain_rows(f"{10**18 - 1}\n-{10**18 - 1}\n", 1)[0].tolist() == [
-            [10**18 - 1], [1 - 10**18]]
-        for text in (f"{10**18}\n", "1\r\n", "+1\n", "1,\n", "1 2\n", "-\n", "1-2\n"):
-            assert _plain_rows(text, 1) is None
-        for text in ("1\n", "1, 2, 3\n", ",\n1, 2\n", "1 2\x0b\n"):
-            assert _plain_rows(text, 2) is None
+    @settings(max_examples=200)
+    @given(st.integers(1, 2).flatmap(lambda width: st.tuples(st.just(width), st.lists(st.tuples(
+        st.lists(st.integers(-2**63, 2**63 - 1), min_size=width, max_size=width),
+        st.sampled_from(["{}", "{:+d}"]),
+        st.sampled_from([", ", ",", " , ", "\t,"]),
+        st.sampled_from(["", " ", "\t"]),
+        st.sampled_from(["\n", "\n\n", "\r\n", "\r"])), min_size=1, max_size=8))))
+    def test_numpy_reader_takes_the_plain_layout(self, tmp_path_factory, width_lines):
+        # int64 values with optional signs and blanks, comma-separated when
+        # two to a line: numpy's reader takes every such text
+        width, lines = width_lines
+        text = "".join(pad + sep.join(map(form.format, values)) + pad + end
+                       for values, form, sep, pad, end in lines)
+        path = write_raw(str(tmp_path_factory.getbasetemp() / "plain.txt"), text)
+        assert _loadtxt_rows(path, _read_text(path), width) is not None
+        assert reading(_read_rows(path, width)) == reading(_read_lines(_read_text(path), width))
+
+    def test_plain_layout_bounds(self, tmp_path):
+        def rows(text, width):
+            path = write_raw(str(tmp_path / "rows.txt"), text)
+            got = reading(_read_rows(path, width))
+            assert got == reading(_read_lines(_read_text(path), width))
+            return got, _loadtxt_rows(path, _read_text(path), width) is not None
+
+        assert rows("1, 2\n\n-3, 4\n", 2) == (([[1, 2], [-3, 4]], [1, 3], []), True)
+        assert rows("1, 2\n\n-3\t4\n", 2) == (([[1, 2], [-3, 4]], [1, 3], []), False)
+        assert rows(f"{2**63 - 1}\n \n-{2**63}\r\n", 1) == (
+            ([[2**63 - 1], [-2**63]], [1, 3], []), True)
+        for text in ("+1\n", "1\r\n", "1\r2\n", "\t-1 \n"):
+            assert rows(text, 1)[1]
+        for text in ("+1, -2\n", "1 ,\t2\r\n", "\n\n1, 2"):
+            assert rows(text, 2)[1]
+        for text in (f"{2**63}\n", "1,\n", "1 2\n", "-\n", "1-2\n", "1\x0c\n", "", " \n"):
+            assert not rows(text, 1)[1]
+        for text in ("1\n", "1, 2, 3\n", ",\n1, 2\n", "1 2\x0b\n", "1,,2\n", "1, 2\n \n3, 4\n",
+                     "1, 2,\n"):
+            assert not rows(text, 2)[1]
 
     @pytest.mark.parametrize("suffix, text, what", [
         ("node_labels", "0\n0\n0\n0\n0\n", "5 node labels for 6 nodes"),

@@ -100,7 +100,7 @@ class TestKFold:
 
 class TestExperimentConfig:
     @pytest.mark.parametrize("field, value", [("batch_size", 0), ("routing_iters", 0),
-                                              ("loss_mode", "hinge")])
+                                              ("loss_mode", "hinge"), ("jobs", 0), ("jobs", -3)])
     def test_bad_training_setting_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             ExperimentConfig(dataset="SYN", **{field: value})

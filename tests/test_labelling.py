@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from graphcaps import labelling
 from graphcaps.data import Graph, permute_node_ids
@@ -15,6 +16,7 @@ from graphcaps.labelling import (
     betweenness_centrality,
     canonical_certificate,
     canonical_order,
+    lane_groups,
     rank_nodes,
 )
 from graphcaps.selftest import (
@@ -133,6 +135,26 @@ class TestBatchedBrandes:
         finally:
             tracemalloc.stop()
         assert peak < 200 * labelling.CELLS < n * n * 8 / 2
+
+
+class TestLaneGroups:
+    @given(st.lists(st.integers(0, 64) | st.integers(0, 3 * labelling.CELLS // 2), max_size=40),
+           st.integers(1, 8))
+    def test_consecutive_slices_within_the_budget(self, cells, parts):
+        groups = list(lane_groups(cells, parts))
+        bounds = [0] + [g.stop for g in groups]
+        assert [g.start for g in groups] == bounds[:-1] and bounds[-1] == len(cells)
+        budget = min(labelling.CELLS, -(-sum(cells) // parts))
+        for g in groups:
+            assert g.step is None and g.stop > g.start
+            # over the budget only as a lane of its own; the next lane would
+            # not have fitted
+            assert sum(cells[g]) <= budget or g.stop - g.start == 1
+            assert g.stop == len(cells) or sum(cells[g.start:g.stop + 1]) > budget
+
+    def test_no_lanes_no_slices(self):
+        assert list(lane_groups([], 3)) == []
+        assert list(lane_groups(np.zeros(0, dtype=np.int64))) == []
 
 
 class TestCanonicalOrder:

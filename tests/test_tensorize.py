@@ -216,6 +216,12 @@ class TestDatasetTensorization:
         for i, g in enumerate(ds.graphs):
             assert np.array_equal(serial[i], graph_to_tensor(g, w=6, k=4, d=3))
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, jobs):
+        ds = GraphDataset(graphs=[triangle()], num_classes=1, num_node_labels=1, name="TRI")
+        with pytest.raises(ValueError, match=f"^jobs must be >= 1, got {jobs}$"):
+            tensorize_dataset(ds, w=3, k=2, jobs=jobs)
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_capacity_error_names_the_graph(self, monkeypatch, jobs):
         # a one-node search fits the labelled path and the triangle (a twin
