@@ -64,6 +64,8 @@ _ROW_BLOCK = 64
 _NORM_CHUNK = 1 << 17
 # The factor on P during the first ``exaggeration_iters`` steps of :func:`tsne`.
 _EARLY_EXAGGERATION = 12.0
+# The bisection steps :func:`perplexity_search` takes at most per row.
+_SEARCH_STEPS = 100
 
 
 class _RowPool:
@@ -73,10 +75,12 @@ class _RowPool:
     thread.  ``fn`` does each row's arithmetic alone, so what it writes
     depends on neither ``jobs`` nor ``_ROW_BLOCK``; the caller combines rows
     after ``run`` returns.  ``jobs=None`` means ``os.cpu_count()``; one job
-    (or fewer) starts no thread."""
+    starts no thread, and fewer is a ``ValueError``."""
 
     def __init__(self, jobs: int | None):
-        self.jobs = max(1, (os.cpu_count() or 1) if jobs is None else jobs)
+        if jobs is not None and jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {jobs}")
+        self.jobs = (os.cpu_count() or 1) if jobs is None else jobs
         self._pool = None
         if self.jobs > 1:
             # imported here: it would add to every import of this module
@@ -160,7 +164,7 @@ def _entropy_rows(neg, idx, beta, p, terms, pos):
     return p, np.negative(h, out=h)
 
 
-def _search_rows(neg, target, tol, max_steps, P, betas, work, slot, lo, hi) -> None:
+def _search_rows(neg, target, tol, P, betas, work, slot, lo, hi) -> None:
     """Bisect the precisions of rows ``lo:hi``, a block of rows at a time; a
     row leaves its block once its entropy is within ``tol`` of ``target``."""
     m = len(neg)
@@ -169,8 +173,8 @@ def _search_rows(neg, target, tol, max_steps, P, betas, work, slot, lo, hi) -> N
         idx = np.arange(a, b)
         beta, lo_b, hi_b = np.ones(b - a), np.zeros(b - a), np.full(b - a, np.inf)
         p, h = _entropy_rows(neg, idx, beta, p_buf, terms, pos)
-        for step in range(max_steps + 1):
-            done = np.abs(h - target) <= tol if step < max_steps else np.ones(len(idx), bool)
+        for step in range(_SEARCH_STEPS + 1):
+            done = np.abs(h - target) <= tol if step < _SEARCH_STEPS else np.ones(len(idx), bool)
             for j in np.flatnonzero(done):
                 i = idx[j]
                 betas[i] = beta[j]
@@ -190,7 +194,7 @@ def _search_rows(neg, target, tol, max_steps, P, betas, work, slot, lo, hi) -> N
 
 
 def perplexity_search(d2: np.ndarray, perplexity: float, tol: float = 1e-4,
-                      max_steps: int = 100, jobs: int | None = None):
+                      jobs: int | None = None):
     """Per-point binary search for the Gaussian precisions matching the
     target perplexity within ``tol`` on the entropy scale.
 
@@ -214,8 +218,7 @@ def perplexity_search(d2: np.ndarray, perplexity: float, tol: float = 1e-4,
         block = min(_ROW_BLOCK, m)
         work = [(np.empty((block, m - 1)), np.zeros((block, m - 1)),
                  np.empty((block, m - 1), bool)) for _ in range(rows.jobs)]
-        rows.run(_search_rows, m, neg, float(np.log(perplexity)), tol, max_steps, P, betas,
-                 work)
+        rows.run(_search_rows, m, neg, float(np.log(perplexity)), tol, P, betas, work)
     return P, betas
 
 
@@ -311,9 +314,6 @@ class TsneResult:
     coords: np.ndarray
     kl_initial: float
     kl_final: float
-    perplexity: float
-    iterations: int
-    seed: int
 
 
 def tsne(points: np.ndarray, perplexity: float, iters: int = 1000, seed: int = 0,
@@ -365,14 +365,7 @@ def tsne(points: np.ndarray, perplexity: float, iters: int = 1000, seed: int = 0
             y = y - y.mean(axis=0)
         kl_final = kl_divergence(P, y, rows)
 
-    return TsneResult(
-        coords=y,
-        kl_initial=kl_initial,
-        kl_final=kl_final,
-        perplexity=perplexity,
-        iterations=iters,
-        seed=seed,
-    )
+    return TsneResult(coords=y, kl_initial=kl_initial, kl_final=kl_final)
 
 
 @dataclass

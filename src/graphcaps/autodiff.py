@@ -29,6 +29,13 @@ import numpy as np
 
 _GRAD_ENABLED = True
 
+# Stabilizer added inside the norm square root; keeps squash and capsule norms
+# differentiable at the zero vector.  Included in all gradient checks.
+NORM_EPS = 1e-9
+
+# grad_check's central-difference step and the floor of its error denominator
+_FD_STEP, _FD_REL_FLOOR = 1e-5, 1e-6
+
 
 @contextmanager
 def no_grad():
@@ -309,10 +316,10 @@ class Tensor:
 # ---------------------------------------------------------------------------
 
 
-def conv2d(x, kernels, bias=None, stride=(1, 1)):
+def conv2d(x, kernels, bias, stride=(1, 1)):
     """Valid-padding cross-correlation.
 
-    x: (B, H, W, Cin); kernels: (fh, fw, Cin, Cout); bias: (Cout,) or None.
+    x: (B, H, W, Cin); kernels: (fh, fw, Cin, Cout); bias: (Cout,).
     Output: (B, Ho, Wo, Cout) with Ho = (H - fh)//sh + 1, Wo = (W - fw)//sw + 1.
     Patches are gathered once (im2col) so both directions are single GEMMs.
     """
@@ -334,24 +341,19 @@ def conv2d(x, kernels, bias=None, stride=(1, 1)):
         raise ValueError(f"kernel {fh}x{fw} larger than input {H}x{W}")
     Ho = (H - fh) // sh + 1
     Wo = (W - fw) // sw + 1
-    parents = [x, kernels]
-    b = None
-    if bias is not None:
-        b = Tensor._lift(bias)
-        if b.data.shape != (Cout,):
-            raise ValueError(f"bias shape {b.data.shape} != ({Cout},)")
-        parents.append(b)
+    b = Tensor._lift(bias)
+    if b.data.shape != (Cout,):
+        raise ValueError(f"bias shape {b.data.shape} != ({Cout},)")
 
     # the patches take the promoted dtype, so the GEMM and the bias add run in it
-    cols = np.empty((B, Ho, Wo, fh, fw, Cin), dtype=np.result_type(*(t.data for t in parents)))
+    cols = np.empty((B, Ho, Wo, fh, fw, Cin), dtype=np.result_type(x.data, kernels.data, b.data))
     for p in range(fh):
         for q in range(fw):
             cols[:, :, :, p, q, :] = x.data[:, p : p + sh * Ho : sh, q : q + sw * Wo : sw, :]
     cols = cols.reshape(B * Ho * Wo, fh * fw * Cin)
     k2d = kernels.data.reshape(fh * fw * Cin, Cout)
     out_data = (cols @ k2d).reshape(B, Ho, Wo, Cout)
-    if b is not None:
-        out_data += b.data
+    out_data += b.data
 
     def backward(g):
         g2d = g.reshape(-1, Cout)
@@ -364,10 +366,10 @@ def conv2d(x, kernels, bias=None, stride=(1, 1)):
             x._accumulate_owned(dx)
         if kernels.requires_grad:
             kernels._accumulate_owned((cols.T @ g2d).reshape(fh, fw, Cin, Cout))
-        if b is not None and b.requires_grad:
+        if b.requires_grad:
             b._accumulate_owned(g2d.sum(axis=0))
 
-    return Tensor._make(out_data, tuple(parents), backward)
+    return Tensor._make(out_data, (x, kernels, b), backward)
 
 
 def caps_predict(u, weights):
@@ -406,17 +408,17 @@ def caps_predict(u, weights):
     return Tensor._make(np.ascontiguousarray(out_data), (u, weights), backward)
 
 
-def _squash(v: np.ndarray, eps: float):
+def _squash(v: np.ndarray):
     """Capsule squash along the last axis, ``v * nsq / ((1+nsq) sqrt(nsq+eps))``
-    with nsq = |v|^2 (the epsilon keeps it differentiable at the zero vector),
-    and the factors its gradient reuses."""
+    with nsq = |v|^2 and eps = :data:`NORM_EPS`, and the factors its gradient
+    reuses."""
     nsq = (v * v).sum(axis=-1, keepdims=True)
-    root = np.sqrt(nsq + eps)
+    root = np.sqrt(nsq + NORM_EPS)
     scale = nsq / ((1.0 + nsq) * root)
     return v * scale, (nsq, root, scale)
 
 
-def _squash_grad(g: np.ndarray, v: np.ndarray, factors, eps: float) -> np.ndarray:
+def _squash_grad(g: np.ndarray, v: np.ndarray, factors) -> np.ndarray:
     """Gradient of :func:`_squash` at ``v`` for the output gradient ``g``."""
     nsq, root, scale = factors
     # d scale / d nsq, written to stay finite at nsq = 0
@@ -424,25 +426,25 @@ def _squash_grad(g: np.ndarray, v: np.ndarray, factors, eps: float) -> np.ndarra
     dscale = (
         1.0 / denom
         - nsq / ((1.0 + nsq) * denom)
-        - 0.5 * nsq / (denom * (nsq + eps))
+        - 0.5 * nsq / (denom * (nsq + NORM_EPS))
     )
     inner = (g * v).sum(axis=-1, keepdims=True)
     return g * scale + v * (2.0 * inner * dscale)
 
 
-def squash_op(v, eps: float = 1e-9):
+def squash_op(v):
     """Fused capsule squash along the last axis (see :func:`_squash`)."""
     v = Tensor._lift(v)
-    out_data, factors = _squash(v.data, eps)
+    out_data, factors = _squash(v.data)
 
     def backward(g):
         if v.requires_grad:
-            v._accumulate_owned(_squash_grad(g, v.data, factors, eps))
+            v._accumulate_owned(_squash_grad(g, v.data, factors))
 
     return Tensor._make(out_data, (v,), backward)
 
 
-def routing(predictions, iterations: int, eps: float = 1e-9):
+def routing(predictions, iterations: int):
     """Routing-by-agreement (Sabour et al. 2017) over (B, n_in, n_out, d)
     predictions, as one op; see :func:`graphcaps.nn.dynamic_routing`.
     Returns the (B, n_out, d) output capsules and each round's (B, n_out, n_in)
@@ -469,7 +471,7 @@ def routing(predictions, iterations: int, eps: float = 1e-9):
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         c = e / e.sum(axis=1, keepdims=True)
         s = (c[:, :, None, :] @ u_t)[:, :, 0, :]
-        v, factors = _squash(s, eps)
+        v, factors = _squash(s)
         if t < T - 1:
             logits += (u_t @ v[:, :, :, None])[:, :, :, 0]
         couplings.append(c)
@@ -487,7 +489,7 @@ def routing(predictions, iterations: int, eps: float = 1e-9):
                 lhs[:, :, T + t] = g_logits
                 rhs[:, :, T + t] = v
                 g_v = (g_logits[:, :, None, :] @ u_t)[:, :, 0, :]
-            g_s = _squash_grad(g_v, s, factors, eps)
+            g_s = _squash_grad(g_v, s, factors)
             rhs[:, :, t] = g_s
             if t > 0:  # the first round's logits are the constant zero
                 c = lhs[:, :, t]
@@ -500,18 +502,17 @@ def routing(predictions, iterations: int, eps: float = 1e-9):
     return Tensor._make(v, (u,), backward), couplings
 
 
-def grad_check(f, point, h: float = 1e-5, rel_floor: float = 1e-6) -> float:
+def grad_check(f, point) -> float:
     """Max elementwise relative error between reverse-mode and central
     finite-difference gradients of the scalar map ``f``.
 
     ``point`` is a sequence of arrays; ``f`` receives one Tensor per array and
-    returns a scalar Tensor.  The error denominator is floored at
-    ``rel_floor`` so elements whose true gradient is ~0 are compared
-    absolutely at that scale.  The point is converted to float64 whatever its
-    dtype: central differences at ``h = 1e-5`` are meaningless in float32.
+    returns a scalar Tensor.  The differences step by ``h = 1e-5``; the error
+    denominator is floored at 1e-6, so elements whose true gradient is ~0 are
+    compared absolutely at that scale.  The point is converted to float64
+    whatever its dtype: central differences at that ``h`` are meaningless in
+    float32.
     """
-    if h <= 0:
-        raise ValueError("h must be > 0")
     tensors = [Tensor(np.array(p, dtype=np.float64), requires_grad=True) for p in point]
     out = f(*tensors)
     out.backward()
@@ -523,15 +524,15 @@ def grad_check(f, point, h: float = 1e-5, rel_floor: float = 1e-6) -> float:
         fd = np.zeros_like(flat)
         for j in range(flat.size):
             orig = flat[j]
-            flat[j] = orig + h
+            flat[j] = orig + _FD_STEP
             with no_grad():
                 hi = f(*tensors).item()
-            flat[j] = orig - h
+            flat[j] = orig - _FD_STEP
             with no_grad():
                 lo = f(*tensors).item()
             flat[j] = orig
-            fd[j] = (hi - lo) / (2.0 * h)
+            fd[j] = (hi - lo) / (2.0 * _FD_STEP)
         ref = analytic[ti].reshape(-1)
-        denom = np.maximum(np.abs(ref) + np.abs(fd), rel_floor)
+        denom = np.maximum(np.abs(ref) + np.abs(fd), _FD_REL_FLOOR)
         worst = max(worst, float(np.max(np.abs(ref - fd) / denom)))
     return worst

@@ -76,8 +76,10 @@ def cmd_tensorize(args) -> int:
 def run_configs(args) -> list:
     """The runs ``graphcaps run`` makes: one per repeat, with consecutive seeds
     from the configured one."""
+    if args.repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {args.repeats}")
     base = config_from_args(args)
-    return [dataclasses.replace(base, seed=base.seed + rep) for rep in range(max(1, args.repeats))]
+    return [dataclasses.replace(base, seed=base.seed + rep) for rep in range(args.repeats)]
 
 
 def cmd_run(args) -> int:
@@ -235,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cv_opts(p)
     _add_train_opts(p)
     p.add_argument("--repeats", type=int, default=1,
-                   help="repeat the full CV with consecutive seeds")
+                   help="repeat the full CV with consecutive seeds, at least 1")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("grid", help="exhaustive hyper-parameter grid search")

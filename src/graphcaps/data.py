@@ -44,7 +44,7 @@ class Graph:
     edges: frozenset
     node_labels: tuple
     class_label: int
-    _adj: list | None = field(default=None, repr=False, compare=False)
+    _adj: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n <= 0:
@@ -158,11 +158,11 @@ def _line_number(text: str, row: int) -> int:
 
 def _read_rows(path: str, width: int) -> tuple:
     """Parse a file that holds ``width`` integers on each non-blank line.
-    With ``width`` 1 a line is one integer; with 2 its values may also be
-    separated by commas.  Returns the ``(rows, width)`` int64 values, a
-    function from a row to its 1-based line number, and the format checks
-    that rows fail (see :func:`_raise_first`), for the caller to raise in
-    turn.  A text in the plain layout goes through :func:`_loadtxt_rows`;
+    With ``width`` 1 a line is one integer; with 2 its values are separated
+    by one comma or by whitespace.  Returns the ``(rows, width)`` int64
+    values, a function from a row to its 1-based line number, and the format
+    checks that rows fail (see :func:`_raise_first`), for the caller to raise
+    in turn.  A text in the plain layout goes through :func:`_loadtxt_rows`;
     any other, and any that ``np.loadtxt`` refuses, through
     :func:`_read_lines`."""
     text = _read_text(path)
@@ -175,12 +175,14 @@ def _read_rows(path: str, width: int) -> tuple:
 def _read_lines(text: str, width: int) -> tuple:
     """:func:`_read_rows` of ``text`` line by line, with Python's ``int``: the
     reference reader, and the only one that names a bad line.  0 stands in
-    for a value that does not parse."""
+    for a value that does not parse, and an empty field makes a wrong line."""
     lines = text.splitlines()
     kept = [i for i, line in enumerate(lines) if line.strip()]
-    fields = [lines[i].replace(",", " ").split() if width == 2 else [lines[i]] for i in kept]
-    wrong = np.array([len(row) != width for row in fields], dtype=bool)
-    parsed = [list(map(_int64, row)) if len(row) == width else [0] * width for row in fields]
+    fields = [[lines[i]] if width == 1
+              else [f.strip() for f in lines[i].split(",")] if "," in lines[i]
+              else lines[i].split() for i in kept]
+    wrong = np.array([len(row) != width or not all(row) for row in fields], dtype=bool)
+    parsed = [[0] * width if w else list(map(_int64, row)) for row, w in zip(fields, wrong)]
     bad = np.array([[v is None for v in row] for row in parsed], dtype=bool).reshape(-1, width)
     values = np.array([[v or 0 for v in row] for row in parsed], dtype=np.int64).reshape(-1, width)
     checks = [(wrong, lambda row: f"expected 'u, v', got {lines[kept[row]]!r}")]

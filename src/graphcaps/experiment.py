@@ -325,18 +325,18 @@ def dataset_tensors(cfg: ExperimentConfig, name: str | None = None, log=print):
 
 
 def load_datasets(cfg: ExperimentConfig, log=print) -> dict:
-    """Every dataset the config reads, as ``{name: (x, y, w, channels,
-    num_classes)}``: the one load of a command.  Each dataset goes through
+    """Every dataset the config reads, as ``{name: (x, y, num_classes)}``:
+    the one load of a command.  Each dataset goes through
     :func:`dataset_tensors` once, and its fold count and capsule geometry (the
     CNN takes any) are checked, so a dataset that fails to load or to fit
     fails before any output exists."""
     data = {}
     for name in cfg.dataset_names():
-        x, y, w, channels, ds = dataset_tensors(cfg, name, log=log)
+        x, y, w, _, ds = dataset_tensors(cfg, name, log=log)
         kfold_split(len(y), cfg.folds, cfg.seed, strata=y)
         if cfg.model == "capsules":
             primary_grid(w, cfg.k, cfg.capsnet_config())
-        data[name] = x, y, w, channels, ds.num_classes
+        data[name] = x, y, ds.num_classes
     return data
 
 
@@ -362,9 +362,10 @@ def fold_seed(base_seed: int, fold: int) -> int:
 
 
 def _run_fold(args):
-    cfg, x, y, w, channels, num_classes, fold, test_idx = args
+    cfg, x, y, num_classes, fold, test_idx = args
     seed = fold_seed(cfg.seed, fold)
     train_idx = np.setdiff1d(np.arange(len(x)), test_idx)
+    _, w, _, channels = x.shape
     model = cfg.build_model(w, channels, num_classes, seed)
     # parallel folds each get one BLAS thread, so they do not oversubscribe
     capped = cfg.jobs > 1 and threadpool_limits is not None
@@ -415,7 +416,7 @@ def run_cv(cfg: ExperimentConfig, name: str, data: tuple, run_dir: str,
     ``run_dir``.  Folds in folds_partial.json are reused, so an interrupted run
     resumes at the next fold; the run id keeps other configs and other dataset
     contents out of that directory."""
-    x, y, w, channels, num_classes = data
+    x, y, num_classes = data
     folds = kfold_split(len(y), cfg.folds, cfg.seed, strata=y)
     os.makedirs(os.path.join(run_dir, "traces"), exist_ok=True)
     write_manifest(run_dir, cfg)
@@ -432,7 +433,7 @@ def run_cv(cfg: ExperimentConfig, name: str, data: tuple, run_dir: str,
             log(f"[run] resuming: folds {sorted(done)} already complete")
 
     pending = [
-        (cfg, x, y, w, channels, num_classes, f, folds[f])
+        (cfg, x, y, num_classes, f, folds[f])
         for f in range(cfg.folds)
         if f not in done
     ]

@@ -166,25 +166,24 @@ class CapsNet(_Classifier):
         h = (h @ p[f"dec{n_hidden + 1}_w"] + p[f"dec{n_hidden + 1}_b"]).sigmoid()
         return h.reshape(B, self.w, self.k, self.channels)
 
-    def forward(self, x, targets=None):
-        """Returns (class capsule vectors, their norms, reconstruction).
-
-        The decoder sees only the target capsule during training (``targets``
-        given); otherwise the capsule with the largest norm.
+    def forward(self, x, targets):
+        """Returns (class capsule vectors, their norms, reconstruction) of the
+        batch ``x``.  The decoder sees only the capsule of each sample's
+        target class (Sabour et al. 2017); inference runs through
+        :meth:`predict`, which skips the decoder.
         """
         v = self._capsule_forward(self._batch(x))
         norms = nn.capsule_norms(v)
         B = v.data.shape[0]
         mask = np.zeros((B, self.num_classes), dtype=v.data.dtype)
-        chosen = norms.data.argmax(axis=1) if targets is None else np.asarray(targets, dtype=int)
-        mask[np.arange(B), chosen] = 1.0
+        mask[np.arange(B), np.asarray(targets, dtype=int)] = 1.0
         recon = self._decode(v, mask)
         return v, norms, recon
 
-    def loss_batch(self, x, y, train: bool = True, rng=None):
+    def loss_batch(self, x, y, rng=None):
         x = self._batch(x)
         y = np.asarray(y, dtype=int)
-        _, norms, recon = self.forward(x, targets=y if train else None)
+        _, norms, recon = self.forward(x, y)
         if self.loss_mode == "binary_ce":
             ml = nn.binary_margin_loss(norms, y)
         else:
@@ -255,9 +254,9 @@ class PatchyCnn(_Classifier):
         h = self._features(self._batch(x), train=train, rng=rng)
         return h @ self.params["out_w"] + self.params["out_b"]
 
-    def loss_batch(self, x, y, train: bool = True, rng=None):
+    def loss_batch(self, x, y, rng=None):
         y = np.asarray(y, dtype=int)
-        loss = nn.cross_entropy(self.logits(x, train=train, rng=rng), y)
+        loss = nn.cross_entropy(self.logits(x, train=True, rng=rng), y)
         return loss, {"margin": loss.item(), "mse": 0.0}
 
     def predict(self, x) -> np.ndarray:
@@ -282,7 +281,6 @@ class TrainConfig:
     batch_size: int = 50
     base_lr: float = 1e-3
     lr_decay: float = 0.0
-    lr_floor: float = 1e-6
     seed: int = 0
 
 
@@ -307,7 +305,7 @@ def train_model(model, x: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> TrainR
         raise ValueError(f"training split has no sample of class {missing}")
 
     rng = np.random.default_rng([cfg.seed, 0x7261])
-    state = nn.AdamState(base_lr=cfg.base_lr, decay=cfg.lr_decay, lr_floor=cfg.lr_floor)
+    state = nn.AdamState(base_lr=cfg.base_lr, decay=cfg.lr_decay)
     result = TrainResult()
     start = time.perf_counter()
     n = len(x)
@@ -316,7 +314,7 @@ def train_model(model, x: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> TrainR
         epoch_tot, epoch_margin, epoch_mse, batches = 0.0, 0.0, 0.0, 0
         for lo in range(0, n, cfg.batch_size):
             idx = perm[lo : lo + cfg.batch_size]
-            loss, parts = model.loss_batch(x[idx], y[idx], train=True, rng=rng)
+            loss, parts = model.loss_batch(x[idx], y[idx], rng=rng)
             total = loss.item()
             if not np.isfinite(total):
                 raise nn.TrainingError(

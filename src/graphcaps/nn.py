@@ -16,11 +16,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff
-from .autodiff import Tensor
+from .autodiff import NORM_EPS, Tensor
 
-# Stabilizer added inside the norm square root; keeps squash and capsule norms
-# differentiable at the zero vector.  Included in all gradient checks.
-NORM_EPS = 1e-9
+# The margins of the margin loss (Sabour et al. 2017): a present class's
+# capsule should be at least M_PLUS long, an absent class's at most M_MINUS.
+M_PLUS, M_MINUS = 0.9, 0.1
+
+# Adam's constants (Kingma & Ba 2015), and the floor of the decayed step size.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS, LR_FLOOR = 0.9, 0.999, 1e-8, 1e-6
 
 
 class TrainingError(RuntimeError):
@@ -40,7 +43,7 @@ def squash(v) -> Tensor:
     The norm in the denominator uses the epsilon-stabilized sqrt, so the map
     (and its gradient) is well defined at the zero vector, where it returns 0.
     """
-    return autodiff.squash_op(v, eps=NORM_EPS)
+    return autodiff.squash_op(v)
 
 
 def dynamic_routing(predictions, iterations: int) -> Tensor:
@@ -54,7 +57,7 @@ def dynamic_routing(predictions, iterations: int) -> Tensor:
 
     Returns the (B, n_out, d_out) output capsules.
     """
-    return autodiff.routing(predictions, iterations, eps=NORM_EPS)[0]
+    return autodiff.routing(predictions, iterations)[0]
 
 
 def _one_hot_targets(scores: Tensor, target) -> np.ndarray:
@@ -67,16 +70,16 @@ def _one_hot_targets(scores: Tensor, target) -> np.ndarray:
     return t
 
 
-def margin_loss(norms, target, lam: float = 0.5, m_plus: float = 0.9, m_minus: float = 0.1) -> Tensor:
+def margin_loss(norms, target, lam: float = 0.5) -> Tensor:
     """Per-class hinge-squared loss on (B, C) capsule norms, averaged over the
     batch:
 
-    sum_k [ T_k * max(0, m+ - |v_k|)^2 + lam * (1 - T_k) * max(0, |v_k| - m-)^2 ]
+    sum_k [ T_k * max(0, M_PLUS - |v_k|)^2 + lam * (1 - T_k) * max(0, |v_k| - M_MINUS)^2 ]
     """
     norms = Tensor._lift(norms)
     t = _one_hot_targets(norms, target)
-    present = (m_plus - norms).relu() ** 2
-    absent = (norms - m_minus).relu() ** 2
+    present = (M_PLUS - norms).relu() ** 2
+    absent = (norms - M_MINUS).relu() ** 2
     per_class = Tensor(t) * present + Tensor(lam * (1.0 - t)) * absent
     return per_class.sum(axis=-1).mean()
 
@@ -129,16 +132,12 @@ def total_loss(ml, mse, alpha: float = 1.0) -> Tensor:
 class AdamState:
     base_lr: float
     decay: float = 0.0
-    lr_floor: float = 1e-6
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    t: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    t: int = field(default=0, init=False)
+    m: dict = field(default_factory=dict, init=False)
+    v: dict = field(default_factory=dict, init=False)
 
     def effective_lr(self, epoch: int) -> float:
-        return max(self.base_lr * float(np.exp(-self.decay * epoch)), self.lr_floor)
+        return max(self.base_lr * float(np.exp(-self.decay * epoch)), LR_FLOOR)
 
 
 # Elements per Adam slice: a slice of a parameter, its moments, its gradient and
@@ -147,13 +146,9 @@ _ADAM_SLICE = 1 << 15
 
 
 def _adam_slices(p: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray):
-    """Matching views of at most ``_ADAM_SLICE`` elements of a parameter, its
-    moments and its gradient, each with two scratch arrays of ``p``'s dtype.
-    The slices are flat views when the parameter and moments are C-contiguous
-    (every model parameter is); other layouts are updated whole."""
-    if not (p.flags.c_contiguous and m.flags.c_contiguous and v.flags.c_contiguous):
-        yield p, m, v, g, np.empty_like(p), np.empty_like(p)
-        return
+    """Matching flat views of at most ``_ADAM_SLICE`` elements of a
+    C-contiguous parameter, its moments and its gradient, each with two
+    scratch arrays of ``p``'s dtype."""
     p, m, v, g = (a.reshape(-1) for a in (p, m, v, g))
     scratch = np.empty((2, min(p.size, _ADAM_SLICE)), p.dtype)
     for lo in range(0, p.size, _ADAM_SLICE):
@@ -162,21 +157,25 @@ def _adam_slices(p: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray):
 
 
 def adam_step(params: dict, grads: dict, state: AdamState, epoch: int) -> AdamState:
-    """One bias-corrected Adam update, in place on ``params`` and the moments,
-    a cache-sized slice at a time through two slice-sized scratch arrays.
-    Every element goes through the same operations in the same order as in
-    a whole-parameter update, so the result does not depend on the slicing.
+    """One bias-corrected Adam update with :data:`ADAM_BETA1`,
+    :data:`ADAM_BETA2` and :data:`ADAM_EPS`, in place on ``params`` and the
+    moments, a cache-sized slice at a time through two slice-sized scratch
+    arrays.  Every element goes through the same operations in the same order
+    as in a whole-parameter update, so the result does not depend on the
+    slicing.
 
     The moments are kept in each parameter's dtype; a gradient of a wider
     dtype is accepted and rounded into them.
 
     The step size decays exponentially with the epoch index and is floored at
-    ``state.lr_floor``.  Raises :class:`TrainingError` naming the parameter if
-    any gradient is non-finite, before any slice of that parameter changes.
+    :data:`LR_FLOOR`.  Raises :class:`TrainingError` naming the parameter if
+    any gradient is non-finite, and ``ValueError`` naming it if its gradient
+    has another shape or the parameter is not C-contiguous (every model
+    parameter is), before any slice of that parameter changes.
     """
     lr = state.effective_lr(epoch)
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t
     for name, p in params.items():
@@ -187,6 +186,8 @@ def adam_step(params: dict, grads: dict, state: AdamState, epoch: int) -> AdamSt
             raise TrainingError(f"non-finite gradient for parameter {name!r}")
         if g.shape != p.data.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter {name!r} {p.data.shape}")
+        if not p.data.flags.c_contiguous:
+            raise ValueError(f"parameter {name!r} is not C-contiguous")
         if name not in state.m:
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
@@ -197,7 +198,7 @@ def adam_step(params: dict, grads: dict, state: AdamState, epoch: int) -> AdamSt
             v *= b2
             v += np.multiply(np.multiply(gs, gs, out=step), 1.0 - b2, out=step)
             np.sqrt(np.divide(v, bc2, out=denom), out=denom)
-            denom += state.eps
+            denom += ADAM_EPS
             np.multiply(np.divide(m, bc1, out=step), lr, out=step)
             ps -= np.divide(step, denom, out=step)
     return state

@@ -381,6 +381,12 @@ class TestTsne:
         b = tsne(points, perplexity=5.0, iters=50, seed=9)
         assert np.array_equal(a.coords, b.coords)
 
+    @pytest.mark.parametrize("jobs", [0, -4])
+    def test_jobs_below_one_rejected(self, jobs):
+        points, _ = two_blobs()
+        with pytest.raises(ValueError, match=f"^jobs must be >= 1, got {jobs}$"):
+            tsne(points, perplexity=5.0, iters=5, jobs=jobs)
+
     def test_kl_requires_positive_inputs(self):
         points, _ = two_blobs(n_per=5)
         P = joint_probabilities(points, perplexity=3.0)

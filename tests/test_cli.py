@@ -210,6 +210,13 @@ class TestRunCommand:
                    if "mean over 2 repetitions" in line]
         assert " ± " in line and line.endswith(" (n=2)")
 
+    @pytest.mark.parametrize("repeats", ["0", "-2"])
+    def test_repeats_below_one_rejected(self, syn_root, tmp_path, capsys, repeats):
+        assert main(["run", "--dataset", "SYN", "--data-root", syn_root,
+                     "--out-root", str(tmp_path / "results"), "--repeats", repeats]) == 1
+        assert capsys.readouterr().err == f"error: repeats must be >= 1, got {repeats}\n"
+        assert not os.path.exists(tmp_path / "results")
+
     def test_manifest_holds_no_outer_argv(self, syn_root, tmp_path, monkeypatch):
         # main(argv) also runs inside other programs: the driver scripts,
         # benchmarks and tests; their own argv says nothing about the run

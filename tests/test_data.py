@@ -156,6 +156,10 @@ class TestLoader:
         ("A", "1, 2\n2, 3, 1\n", "2: expected 'u, v', got '2, 3, 1'"),
         ("A", "1, 2\n2\n", "2: expected 'u, v', got '2'"),
         ("A", "1, 2\n, ,\n", "2: expected 'u, v', got ', ,'"),
+        ("A", "1, 2\n1,,2\n", "2: expected 'u, v', got '1,,2'"),
+        ("A", "1, 2\n2, 3,\n", "2: expected 'u, v', got '2, 3,'"),
+        ("A", "1, 2\n, 1\n", "2: expected 'u, v', got ', 1'"),
+        ("A", "1, 2\n2 ,\t\n", "2: expected 'u, v', got '2 ,\\t'"),
         ("A", "1, 2\n5, 5\n", "2: self-loop on node 5"),
         ("A", "1, 2\n3, 7\n", "2: edge (3, 7) references an unknown node"),
         ("A", "1, 2\n4, 3\n", "2: edge (4, 3) crosses graphs 1 and 0"),
@@ -250,6 +254,10 @@ class TestLoader:
 
         assert rows("1, 2\n\n-3, 4\n", 2) == (([[1, 2], [-3, 4]], [1, 3], []), True)
         assert rows("1, 2\n\n-3\t4\n", 2) == (([[1, 2], [-3, 4]], [1, 3], []), False)
+        assert rows("1 2\n", 2) == (([[1, 2]], [1], []), False)
+        # an empty field makes a wrong line (check 0), whatever else the line holds
+        for text in ("1,,2\n", ", 1, 2\n", "1, 2,\n", ", 1\n", "1 2,\n", " ,2\n"):
+            assert rows(text, 2) == (([[0, 0]], [1], [(0, 0)]), False)
         assert rows(f"{2**63 - 1}\n \n-{2**63}\r\n", 1) == (
             ([[2**63 - 1], [-2**63]], [1, 3], []), True)
         for text in ("+1\n", "1\r\n", "1\r2\n", "\t-1 \n"):

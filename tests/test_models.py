@@ -72,7 +72,7 @@ class TestBuildCapsnet:
     def test_decoder_output_matches_input_shape(self):
         model = build_capsnet(18, 10, 8, 2, seed=0)
         x = onehot_batch(np.random.default_rng(1), 2, 18, 10, 8)
-        _, _, recon = model.forward(x)
+        _, _, recon = model.forward(x, [0, 1])
         assert recon.data.shape == (2, 18, 10, 8)
 
     def test_inconsistent_geometry_reports_reshape(self):
@@ -93,15 +93,16 @@ class TestBuildCapsnet:
 class TestForward:
     def test_zero_input_norms_finite_below_one(self):
         model = build_capsnet(8, 5, 4, 2, TOY_CFG, seed=0)
-        _, norms, _ = model.forward(np.zeros((2, 8, 5, 4)))
+        _, norms, _ = model.forward(np.zeros((2, 8, 5, 4)), [0, 1])
         assert np.all(np.isfinite(norms.data))
         assert np.all(norms.data < 1.0)
 
     def test_batch_of_one_matches_batch_of_eight(self):
         model = build_capsnet(8, 5, 4, 2, TOY_CFG, seed=1)
         x = onehot_batch(np.random.default_rng(2), 8, 8, 5, 4)
-        _, norms_batch, recon_batch = model.forward(x)
-        _, norms_one, recon_one = model.forward(x[:1])
+        y = np.arange(8) % 2
+        _, norms_batch, recon_batch = model.forward(x, y)
+        _, norms_one, recon_one = model.forward(x[:1], y[:1])
         assert np.allclose(norms_batch.data[0], norms_one.data[0], atol=1e-12)
         assert np.allclose(recon_batch.data[0], recon_one.data[0], atol=1e-12)
 
@@ -109,19 +110,19 @@ class TestForward:
         model = build_capsnet(8, 5, 4, 2, TOY_CFG, seed=2)
         x = onehot_batch(np.random.default_rng(3), 1, 8, 5, 4)
         pair = np.concatenate([x, x])
-        _, norms, _ = model.forward(pair)
+        _, norms, _ = model.forward(pair, [0, 0])
         assert np.array_equal(norms.data[0], norms.data[1])
 
     def test_norms_below_one_random_inputs(self):
         model = build_capsnet(8, 5, 4, 2, TOY_CFG, seed=3)
         x = onehot_batch(np.random.default_rng(4), 16, 8, 5, 4)
-        _, norms, _ = model.forward(x)
+        _, norms, _ = model.forward(x, np.arange(16) % 2)
         assert np.all(norms.data < 1.0)
 
     def test_untrained_reconstruction_loss_bounded(self):
         model = build_capsnet(8, 5, 4, 2, TOY_CFG, seed=4)
         x = onehot_batch(np.random.default_rng(5), 4, 8, 5, 4)
-        _, parts = model.loss_batch(x, np.array([0, 1, 0, 1]), train=True)
+        _, parts = model.loss_batch(x, np.array([0, 1, 0, 1]))
         assert np.isfinite(parts["mse"])
         assert parts["mse"] <= 1.0
 
@@ -129,7 +130,7 @@ class TestForward:
 # Every entry point of both models, called on a batch x with labels y.
 ENTRY_POINTS = {
     "capsnet-forward": (lambda: build_capsnet(8, 5, 4, 2, TOY_CFG, seed=9),
-                        lambda m, x, y: m.forward(x)),
+                        lambda m, x, y: m.forward(x, y)),
     "capsnet-loss_batch": (lambda: build_capsnet(8, 5, 4, 2, TOY_CFG, seed=9),
                            lambda m, x, y: m.loss_batch(x, y)),
     "capsnet-predict": (lambda: build_capsnet(8, 5, 4, 2, TOY_CFG, seed=9),
@@ -162,7 +163,7 @@ class TestInputContract:
     def test_capsnet_predict_skips_the_decoder(self, monkeypatch):
         model = build_capsnet(8, 5, 4, 2, TOY_CFG, seed=12)
         x = one_hot(np.random.default_rng(13).integers(0, 4, (300, 8, 5)), 3)
-        _, norms, _ = model.forward(x)
+        _, norms, _ = model.forward(x, np.zeros(len(x), dtype=int))
 
         def no_decoder(v, mask):
             raise AssertionError("predict ran the decoder")
@@ -217,11 +218,11 @@ class TestEndToEndGradient:
         def loss_fn(*tensors):
             for name, t in zip(names, tensors):
                 model.params[name] = t
-            loss, _ = model.loss_batch(x, y, train=True)
+            loss, _ = model.loss_batch(x, y)
             return loss
 
         point = [model.params[n].data.copy() for n in names]
-        err = grad_check(loss_fn, point, h=1e-5)
+        err = grad_check(loss_fn, point)
         assert err < 1e-4
 
 
@@ -272,11 +273,11 @@ class TestCnnBaseline:
         def loss_fn(*tensors):
             for name, t in zip(names, tensors):
                 model.params[name] = t
-            loss, _ = model.loss_batch(x, y, train=False)
+            loss, _ = model.loss_batch(x, y)
             return loss
 
         point = [model.params[n].data.copy() for n in names]
-        assert grad_check(loss_fn, point, h=1e-5) < 1e-4
+        assert grad_check(loss_fn, point) < 1e-4
 
 
 DTYPE_MODELS = {
@@ -302,8 +303,7 @@ class TestDtype:
             return make(data, parents, backward)
 
         monkeypatch.setattr(Tensor, "_make", staticmethod(recording_make))
-        loss, _ = model.loss_batch(x, np.array([0, 1, 1, 0]), train=True,
-                                   rng=np.random.default_rng(15))
+        loss, _ = model.loss_batch(x, np.array([0, 1, 1, 0]), rng=np.random.default_rng(15))
         loss.backward()
         state = nn.AdamState(base_lr=1e-3)
         nn.adam_step(model.params, {n: p.grad for n, p in model.params.items()}, state, 0)

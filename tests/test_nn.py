@@ -8,7 +8,6 @@ from hypothesis.extra.numpy import arrays
 from graphcaps import nn
 from graphcaps.autodiff import Tensor, routing, squash_op
 from graphcaps.nn import (
-    NORM_EPS,
     AdamState,
     TrainingError,
     adam_step,
@@ -55,7 +54,7 @@ def oracle_routing(u_hat: Tensor, iterations: int):
         e = logits.exp()
         c = e * e.sum(axis=2, keepdims=True) ** -1
         couplings.append(c.data)
-        v = squash_op((c.reshape(B, n_in, n_out, 1) * u_hat).sum(axis=1), eps=NORM_EPS)
+        v = squash_op((c.reshape(B, n_in, n_out, 1) * u_hat).sum(axis=1))
         if it < iterations - 1:
             logits = logits + (u_hat * v.reshape(B, 1, n_out, d)).sum(axis=3)
     return v, couplings
@@ -70,7 +69,7 @@ class TestRouting:
         u = rng.normal(size=(batch, 5, n_out, 4))
         weights = rng.normal(size=(batch, n_out, 4))
         fused = Tensor(u.copy(), requires_grad=True)
-        v, trace = routing(fused, iterations, eps=NORM_EPS)
+        v, trace = routing(fused, iterations)
         (v * Tensor(weights)).sum().backward()
         taped = Tensor(u, requires_grad=True)
         v_ref, trace_ref = oracle_routing(taped, iterations)
@@ -91,7 +90,7 @@ class TestRouting:
     def test_one_iteration_uses_uniform_coupling(self):
         rng = np.random.default_rng(1)
         u_hat = rng.normal(size=(1, 5, 3, 4))
-        out, trace = routing(u_hat, iterations=1, eps=NORM_EPS)
+        out, trace = routing(u_hat, iterations=1)
         assert np.allclose(trace[0], 1.0 / 3.0)
         expected = squash(Tensor(u_hat[0].mean(axis=0) * 5 / 3)).data  # sum_i (1/3) u_i
         assert np.allclose(out.data[0], expected, atol=1e-12)
@@ -300,6 +299,13 @@ class TestAdam:
         with pytest.raises(TrainingError, match="'w'"):
             adam_step(p, {"w": g}, AdamState(0.1), 0)
         assert np.array_equal(p["w"].data, start)
+
+    def test_non_contiguous_parameter_rejected(self):
+        start = np.arange(12.0).reshape(3, 4)
+        p = {"w": Tensor(start.T, requires_grad=True)}
+        with pytest.raises(ValueError, match="'w' is not C-contiguous"):
+            adam_step(p, {"w": np.ones((4, 3))}, AdamState(0.1), 0)
+        assert np.array_equal(p["w"].data, start.T)
 
     def test_nonfinite_gradient_names_parameter(self):
         p = {"bad_param": Tensor(np.ones(2), requires_grad=True)}
