@@ -12,9 +12,12 @@ KL divergence, run over blocks of rows on ``jobs`` threads; numpy releases
 the interpreter lock inside its ufuncs and BLAS calls, so the threads share
 the m x m buffers.  Every row goes through the same float operations in the
 same order whatever block or thread it falls in: the Student-t kernel is
-summed from coordinate differences, and the normaliser and the gradient's
-``pq @ y`` are sums of per-row sums, the last step summing length-m vectors
-in the calling thread.  The one whole-buffer call left is the input's Gram
+summed from coordinate differences, its normaliser is a sum of per-row sums,
+and a descent step reduces each row of ``P * n`` and ``n * n`` against
+``[1, y0, y1]`` by its own stacked (1 x m) @ (m x 3) product, the calling
+thread combining the per-row results.  A step is one pass over the rows, and
+no m x m buffer holds the kernel: each block of kernel rows lives in a
+block-sized buffer.  The one whole-buffer call left is the input's Gram
 product ``x @ x.T`` in :func:`joint_probabilities` (a row-blocked product
 can round differently).  So the output is bitwise the same for every
 ``jobs`` and every ``_ROW_BLOCK``.  Pool threads call only private helpers
@@ -57,8 +60,8 @@ def extract_embeddings(model, tensors: np.ndarray, source: EmbeddingSource) -> n
     return model.inner_features(np.asarray(tensors, dtype=model.params["conv1_w"].data.dtype))
 
 
-# Rows per block of the row-parallel work: a block of each m x m buffer stays
-# in cache across the passes a step makes over it.
+# Rows per block of the row-parallel work: a block of rows stays in cache
+# across the passes a step makes over it.
 _ROW_BLOCK = 64
 # Elements of the input whose squares are summed at a time (1 MiB of float64).
 _NORM_CHUNK = 1 << 17
@@ -241,58 +244,61 @@ def joint_probabilities(points: np.ndarray, perplexity: float,
 
 
 def _slot_blocks(rows: _RowPool, m: int) -> list:
-    """One block-sized m-column buffer per slot of ``rows``: row-local
+    """Two block-sized m-column buffers per slot of ``rows``: row-local
     intermediates stay in cache there instead of streaming through an m x m
     buffer."""
-    return [np.empty((min(_ROW_BLOCK, m), m)) for _ in range(rows.jobs)]
+    return [(np.empty((min(_ROW_BLOCK, m), m)), np.empty((min(_ROW_BLOCK, m), m)))
+            for _ in range(rows.jobs)]
 
 
-def _kernel_rows(yt, num, totals, work, slot, lo, hi) -> None:
-    """Rows of the Student-t kernel 1 / (1 + |y_i - y_j|^2) of the layout
-    ``yt`` (2 x m) in ``num``, zero diagonal, and their sums in ``totals``.
-    The squared distance is summed from coordinate differences, which do not
-    cancel as the Gram form |y_i|^2 + |y_j|^2 - 2 y_i.y_j does."""
+def _student_t_block(yt, a: int, b: int, n: np.ndarray, s: np.ndarray) -> None:
+    """Rows ``a:b`` of the Student-t kernel 1 / (1 + |y_i - y_j|^2) of the
+    layout ``yt`` (2 x m) in ``n`` ((b - a) x m), zero diagonal, using ``s``
+    of the same shape.  The squared distance is summed from coordinate
+    differences, which do not cancel as the Gram form |y_i|^2 + |y_j|^2 -
+    2 y_i.y_j does."""
+    # (y_jc - y_ic)^2 as a row fill and a column subtract, which equals
+    # (y_ic - y_jc)^2 bit for bit: one subtract that broadcasts both operands
+    # takes about half as long again
+    for d, c in ((n, 0), (s, 1)):
+        d[...] = yt[c]
+        np.square(np.subtract(d, yt[c, a:b, None], out=d), out=d)
+    np.add(n, s, out=n)
+    np.divide(1.0, np.add(n, 1.0, out=n), out=n)
+    n.reshape(-1)[a :: n.shape[1] + 1] = 0.0
+
+
+def _step_rows(P, yt, yext, totals, pn, nn, work, slot, lo, hi) -> None:
+    """For rows ``lo:hi`` of the kernel n of the layout ``yt`` (2 x m): the
+    row sums in ``totals``, and the rows of P * n and of n * n, each reduced
+    against the columns of ``yext`` = [1, y0, y1] (m x 3), in ``pn`` and
+    ``nn`` (m x 3).  Each row is its own (1 x m) @ (m x 3) product, which
+    rounds alike in every block; a 2-D block product need not."""
     for a, b in _blocks(lo, hi):
-        n, s = num[a:b], work[slot][: b - a]
-        # (y_jc - y_ic)^2 as a row fill and a column subtract, which equals
-        # (y_ic - y_jc)^2 bit for bit: one subtract that broadcasts both
-        # operands takes about half as long again
-        for d, c in ((n, 0), (s, 1)):
-            d[...] = yt[c]
-            np.square(np.subtract(d, yt[c, a:b, None], out=d), out=d)
-        np.add(n, s, out=n)
-        np.divide(1.0, np.add(n, 1.0, out=n), out=n)
-        n.reshape(-1)[a :: num.shape[1] + 1] = 0.0
+        n, t = (buf[: b - a] for buf in work[slot])
+        _student_t_block(yt, a, b, n, t)
+        n.sum(axis=1, out=totals[a:b])
+        np.matmul(np.multiply(P[a:b], n, out=t)[:, None, :], yext, out=pn[a:b, None])
+        np.matmul(np.square(n, out=n)[:, None, :], yext, out=nn[a:b, None])
+
+
+def _kernel_sum_rows(yt, totals, work, slot, lo, hi) -> None:
+    """The sums of rows ``lo:hi`` of the Student-t kernel of ``yt`` in ``totals``."""
+    for a, b in _blocks(lo, hi):
+        n, t = (buf[: b - a] for buf in work[slot])
+        _student_t_block(yt, a, b, n, t)
         n.sum(axis=1, out=totals[a:b])
 
 
-def _student_t(yt: np.ndarray, num: np.ndarray, totals: np.ndarray, work: list,
-               rows: _RowPool) -> float:
-    """The Student-t kernel of the layout ``yt`` (2 x m) in the m x m buffer
-    ``num``; returns its sum."""
-    rows.run(_kernel_rows, yt.shape[1], yt, num, totals, work)
-    return totals.sum()
-
-
-def _gradient_rows(p_eff, num, z, yt, row_sums, pq_y, work, slot, lo, hi) -> None:
-    """Rows of pq = (p_eff - q) * num, q = max(num / z, 1e-300), their sums in
-    ``row_sums`` and the sums of pq times each coordinate in ``pq_y``
-    (2 x m); the rows of ``num`` are used up."""
+def _kl_rows(P, yt, z, row_kl, work, slot, lo, hi) -> None:
+    """Sums of the rows of P log(P / q), q = max(n / z, 1e-300) for the
+    Student-t kernel n of ``yt``, without the diagonal, in ``row_kl``; the
+    floor meets only the zero diagonal, whose term is then 0 log 1."""
     for a, b in _blocks(lo, hi):
-        pq, n = work[slot][: b - a], num[a:b]
-        np.maximum(np.divide(n, z, out=pq), 1e-300, out=pq)
-        np.multiply(np.subtract(p_eff[a:b], pq, out=pq), n, out=pq)
-        pq.sum(axis=1, out=row_sums[a:b])
-        for c in (0, 1):
-            np.multiply(pq, yt[c], out=n).sum(axis=1, out=pq_y[c, a:b])
-
-
-def _kl_rows(P, num, z, row_kl, work, slot, lo, hi) -> None:
-    """Sums of the rows of P log(P / q), q = max(num / z, 1e-300), without
-    the diagonal, in ``row_kl``."""
-    for a, b in _blocks(lo, hi):
-        t, pa = work[slot][: b - a], P[a:b]
-        np.maximum(np.divide(num[a:b], z, out=t), 1e-300, out=t)
+        n, t = (buf[: b - a] for buf in work[slot])
+        _student_t_block(yt, a, b, n, t)
+        pa = P[a:b]
+        np.maximum(np.divide(n, z, out=t), 1e-300, out=t)
         np.multiply(pa, np.log(np.divide(pa, t, out=t), out=t), out=t)
         t.reshape(-1)[a :: len(P) + 1] = 0.0
         t.sum(axis=1, out=row_kl[a:b])
@@ -300,12 +306,15 @@ def _kl_rows(P, num, z, row_kl, work, slot, lo, hi) -> None:
 
 def kl_divergence(P: np.ndarray, y: np.ndarray, rows: _RowPool | None = None) -> float:
     """KL(P || Q) of the layout ``y`` over the off-diagonal pairs, its rows
-    run on the caller's row pool ``rows`` (default: the calling thread)."""
+    run on the caller's row pool ``rows`` (default: the calling thread).  The
+    kernel is computed twice, a block at a time: once for its sum z, once
+    for the terms."""
     m = len(y)
     rows = _RowPool(1) if rows is None else rows
-    num, sums, work = np.empty((m, m)), np.empty(m), _slot_blocks(rows, m)
-    z = _student_t(np.ascontiguousarray(y.T), num, sums, work, rows)
-    rows.run(_kl_rows, m, P, num, z, sums, work)  # z is read before sums is reused
+    yt, sums, work = np.ascontiguousarray(y.T), np.empty(m), _slot_blocks(rows, m)
+    rows.run(_kernel_sum_rows, m, yt, sums, work)
+    z = sums.sum()
+    rows.run(_kl_rows, m, P, yt, z, sums, work)  # z is read before sums is reused
     return float(sums.sum())
 
 
@@ -324,6 +333,11 @@ def tsne(points: np.ndarray, perplexity: float, iters: int = 1000, seed: int = 0
     The early exaggeration and the lower momentum last ``exaggeration_iters``
     and ``momentum_switch`` steps; either defaults to ``min(250, iters // 2)``,
     so that every run spends its second half fitting the true P.
+
+    The gradient 4 sum_j (e p_ij - q_ij) n_ij (y_i - y_j), with n the
+    Student-t kernel, z its sum, q = n / z and e the exaggeration, is taken
+    as 4 (S_0 y_i - S_1:) with S = e A - B / z, where A and B are the rows of
+    P n and n n reduced against [1, y0, y1] (see :func:`_step_rows`).
 
     The learning rate is the size-scaled max(m / exaggeration / 4, 50), which
     stays stable from tens to thousands of points.  KL divergences
@@ -345,17 +359,17 @@ def tsne(points: np.ndarray, perplexity: float, iters: int = 1000, seed: int = 0
 
     velocity = np.zeros_like(y)
     gains = np.ones_like(y)
-    p_exaggerated = P * _EARLY_EXAGGERATION
-    num, totals, row_sums, pq_y = np.empty((m, m)), np.empty(m), np.empty(m), np.empty((2, m))
+    totals, pn, nn, yext = np.empty(m), np.empty((m, 3)), np.empty((m, 3)), np.ones((m, 3))
     with _RowPool(jobs) as rows:
         kl_initial = kl_divergence(P, y, rows)
         work = _slot_blocks(rows, m)
         for it in range(iters):
-            p_eff = p_exaggerated if it < exaggeration_iters else P
-            yt = np.ascontiguousarray(y.T)
-            z = _student_t(yt, num, totals, work, rows)
-            rows.run(_gradient_rows, m, p_eff, num, z, yt, row_sums, pq_y, work)
-            grad = 4.0 * (row_sums[:, None] * y - pq_y.T)
+            exaggeration = _EARLY_EXAGGERATION if it < exaggeration_iters else 1.0
+            yext[:, 1:] = y
+            rows.run(_step_rows, m, P, np.ascontiguousarray(y.T), yext, totals, pn, nn, work)
+            # sum_j (e p_ij - q_ij) n_ij [1, y_j] with q = n / z, z the kernel's sum
+            pq = exaggeration * pn - nn / totals.sum()
+            grad = 4.0 * (pq[:, :1] * y - pq[:, 1:])
             momentum = 0.5 if it < momentum_switch else 0.8
             same_sign = np.sign(grad) == np.sign(velocity)
             gains = np.where(same_sign, gains * 0.8, gains + 0.2)

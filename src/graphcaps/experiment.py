@@ -42,7 +42,7 @@ from .models import (
     primary_grid,
     train_model,
 )
-from .tensor_cache import CacheError, load_tensors, save_tensors
+from .tensor_cache import CacheError, load_orders, load_tensors, save_orders, save_tensors
 from .tensorize import _fork_map, default_width, padded_anchor_count, tensorize_dataset
 
 try:
@@ -276,7 +276,11 @@ def tensorize_cached(cfg: ExperimentConfig, name: str | None = None, force: bool
 
     Returns (grids, y, w, dataset) with ``(n, w, k)`` label grids and the
     dataset's class labels.  A warm cache is read unless ``force``; a cache
-    file :func:`load_tensors` cannot use is rebuilt.  The graphs are
+    file :func:`load_tensors` cannot use is rebuilt.  A cold extraction takes
+    the graphs' canonical orders from the dataset's orders file
+    (``<cache_dir>/<name>_orders.gct``, shared by every labelling, ``w`` and
+    ``k``) when :func:`load_orders` accepts it and not ``force``; otherwise it
+    searches every graph and writes that file.  The graphs are
     tensorized as loaded: a graph's tensor depends only on its isomorphism
     class (the ``tensor-invariance`` selftest checks this), so no seed enters
     the tensors or the cache file name.  ``name`` defaults to ``cfg.dataset``,
@@ -304,11 +308,25 @@ def tensorize_cached(cfg: ExperimentConfig, name: str | None = None, force: bool
                 f"nothing to do: {cache_path}")
             return grids, y, w, ds
     t0 = time.perf_counter()
-    grids = tensorize_dataset(ds, w=w, k=cfg.k, labelling=cfg.labelling, jobs=cfg.jobs)
+    orders_path = os.path.join(cfg.cache_dir, f"{name}_orders.gct")
+    orders = None
+    if os.path.isfile(orders_path) and not force:
+        sizes = [g.n for g in ds.graphs]
+        try:
+            flat = load_orders(orders_path, digest, sizes)
+        except CacheError as exc:
+            log(f"[tensorize] stale cache, rebuilding: {exc}")
+        else:
+            orders = np.split(flat, np.cumsum(sizes)[:-1])
+    grids, searched = tensorize_dataset(ds, w, cfg.k, cfg.labelling, cfg.jobs, orders)
+    if orders is None:
+        save_orders(orders_path, np.concatenate(searched), digest)
     save_tensors(cache_path, grids, digest)
+    source = (f"orders from {orders_path}" if orders is not None
+              else f"searched {len(ds)} graphs -> {orders_path}")
     log(
         f"[tensorize] {name}: cold cache, {len(grids)} tensors ({w}x{cfg.k}x{d + 1}), "
-        f"{padded_anchor_count(ds, w)} padded anchors, "
+        f"{padded_anchor_count(ds, w)} padded anchors, {source}, "
         f"{time.perf_counter() - t0:.1f}s -> {cache_path}"
     )
     return grids, y, w, ds

@@ -12,7 +12,9 @@ Extraction works on chunks of graphs (:func:`_grids`): after each graph's
 canonical search, :func:`graphcaps.labelling.receptive_fields` ranks the
 whole chunk and builds every anchor's field in numpy passes over it, and
 :func:`graph_to_tensor` is a chunk of one.  A grid does not depend on the
-chunk it was computed in.
+chunk it was computed in.  The canonical order depends only on the graph, so
+:func:`tensorize_dataset` takes the orders of an earlier extraction in place
+of the search, and returns the orders it used.
 """
 
 from __future__ import annotations
@@ -30,16 +32,17 @@ from .labelling import (CapacityError, canonical_order, check_labelling, lane_gr
 MAX_LABELS = np.iinfo(np.uint16).max
 
 
-def _grids(item, w: int, k: int, d: int, labelling: str) -> np.ndarray:
+def _grids(item, w: int, k: int, d: int, labelling: str) -> tuple:
     """The ``(len(graphs), w, k)`` uint16 label grids of the graphs in ``item =
-    (first, graphs)``, computed for the whole chunk at once; when ``first`` is
-    not None a labelling :class:`CapacityError` names the graph's dataset
-    index ``first + i``.
+    (first, graphs, orders)``, computed for the whole chunk at once, and the
+    graphs' canonical orders.  ``orders`` gives them, or is None to search
+    them; when ``first`` is not None a labelling :class:`CapacityError` names
+    the graph's dataset index ``first + i``.
 
-    Each graph gets its canonical order, and the chunk its anchors and
-    fields (see :func:`graphcaps.labelling.receptive_fields`).
+    The chunk gets its anchors and fields from the orders (see
+    :func:`graphcaps.labelling.receptive_fields`).
     """
-    first, graphs = item
+    first, graphs, orders = item
     check_labelling(labelling)
     if w < 1:
         raise ValueError("w must be >= 1")
@@ -51,20 +54,21 @@ def _grids(item, w: int, k: int, d: int, labelling: str) -> np.ndarray:
         bad = [lab for lab in g.node_labels if not 0 <= lab < d]
         if bad:
             raise ValueError(f"node label {bad[0]} outside [0, {d})")
-    orders = []
-    for i, g in enumerate(graphs):
-        try:
-            orders.append(canonical_order(g))
-        except CapacityError as exc:
-            if first is None:
-                raise
-            raise CapacityError(f"graph {first + i}: {exc}") from exc
+    if orders is None:
+        orders = []
+        for i, g in enumerate(graphs):
+            try:
+                orders.append(canonical_order(g))
+            except CapacityError as exc:
+                if first is None:
+                    raise
+                raise CapacityError(f"graph {first + i}: {exc}") from exc
     graph, slot, fields = receptive_fields(graphs, orders, labelling, w, k)
     # PAD (-1) indexes the appended last entry, the padding label d
     label_of = np.array([lab for g in graphs for lab in g.node_labels] + [d], dtype=np.uint16)
     out = np.full((len(graphs), w, k), d, dtype=np.uint16)
     out[graph, slot] = label_of[fields]
-    return out
+    return out, orders
 
 
 def graph_to_tensor(
@@ -79,7 +83,7 @@ def graph_to_tensor(
     fields ordered by that same order, member labels.  Returns a ``(w, k)``
     uint16 label grid in which padding is stored as ``d``.  A chunk of one
     graph (see :func:`_grids`)."""
-    return _grids((None, [g]), w, k, d, labelling)[0]
+    return _grids((None, [g], None), w, k, d, labelling)[0][0]
 
 
 def default_width(ds: GraphDataset) -> int:
@@ -94,19 +98,25 @@ def tensorize_dataset(
     k: int = 10,
     labelling: str = "bc",
     jobs: int = 1,
-) -> np.ndarray:
-    """Label grids for every graph, stacked to ``(n, w, k)`` in dataset order.
+    orders: list | None = None,
+) -> tuple:
+    """``(grids, orders)``: the ``(n, w, k)`` label grids of every graph in
+    dataset order, and the list of every graph's canonical order.  Given
+    ``orders`` (such a list, from any earlier extraction of these graphs),
+    no graph is searched.
+
     Graphs go in chunks of consecutive graphs of at most
     :data:`graphcaps.labelling.CELLS` cells (``n*n`` per graph) and at most
     one worker's share; with ``jobs > 1`` the chunks run in worker processes,
-    and results come back in input order.  A grid depends
-    on neither the chunks nor the workers."""
+    and results come back in input order.  A grid depends on neither the
+    chunks, nor the workers, nor whether its order was searched or given."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    chunks = [(group.start, ds.graphs[group])
+    chunks = [(group.start, ds.graphs[group], None if orders is None else orders[group])
               for group in lane_groups([g.n * g.n for g in ds.graphs], jobs)]
     extract = functools.partial(_grids, w=w, k=k, d=ds.num_node_labels, labelling=labelling)
-    return np.concatenate(list(_fork_map(extract, chunks, jobs)))
+    grids, found = zip(*_fork_map(extract, chunks, jobs))
+    return np.concatenate(grids), [order for chunk in found for order in chunk]
 
 
 def _fork_map(fn, items, jobs: int):

@@ -125,16 +125,53 @@ def write_v2_cache(path: str, grids, labels, d: int, digest: bytes) -> None:
         fh.write(header + np.asarray(labels, "<i4").tobytes() + np.asarray(grids, "<u2").tobytes())
 
 
-def flip_grid_byte(path: str) -> None:
-    """Flip the low bit of the first label stored in the ``grids`` member of
-    a tensor cache archive, leaving the zip structure intact."""
+def _edit_member(path: str, member: str, edit) -> None:
+    """Call ``edit(blob, at)`` on the bytes of a tensor cache archive, ``at``
+    the offset of the first value stored in ``member``, and write the blob
+    back, leaving the zip structure intact."""
     with open(path, "rb") as fh:
         blob = bytearray(fh.read())
-    npy = blob.index(b"\x93NUMPY", blob.index(b"grids.npy"))
+    npy = blob.index(b"\x93NUMPY", blob.index(f"{member}.npy".encode()))
     header_len = int.from_bytes(blob[npy + 8:npy + 10], "little")  # npy format 1.0
-    blob[npy + 10 + header_len] ^= 1
+    edit(blob, npy + 10 + header_len)
     with open(path, "wb") as fh:
         fh.write(blob)
+
+
+def flip_grid_byte(path: str) -> None:
+    """Flip the low bit of the first label stored in the ``grids`` member of
+    a tensor cache archive."""
+    def flip(blob, at):
+        blob[at] ^= 1
+
+    _edit_member(path, "grids", flip)
+
+
+def swap_first_orders(path: str) -> None:
+    """Swap the first two uint16 values stored in the ``orders`` member of an
+    orders file: the first graph's order stays a permutation, and only the
+    member's CRC-32 tells."""
+    def swap(blob, at):
+        blob[at:at + 2], blob[at + 2:at + 4] = blob[at + 2:at + 4], blob[at:at + 2]
+
+    _edit_member(path, "orders", swap)
+
+
+def count_calls(monkeypatch, *fns) -> dict:
+    """Calls of each of ``fns`` by name, counted from every graphcaps module
+    that holds the function, since some callers import it by name.  Only
+    calls in this process count."""
+    counts = {}
+    for fn in fns:
+        def counted(*args, _fn=fn, **kwargs):
+            counts[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+
+        counts[fn.__name__] = 0
+        for name, module in list(sys.modules.items()):
+            if name.startswith("graphcaps") and getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, counted)
+    return counts
 
 
 def mutate(monkeypatch, module, name: str, expression: str, mutant: str) -> None:

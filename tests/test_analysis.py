@@ -265,6 +265,25 @@ def reference_kl(P, y):
     return float(terms.sum(axis=1).sum())
 
 
+def reference_sums(P, y):
+    """Whole-matrix ``A = (P * n) @ [1, y0, y1]`` and ``B = (n * n) @ [1, y0,
+    y1]`` row by row, each row its own stacked (1 x m) @ (m x 3) product,
+    and the kernel sum z."""
+    num, z = reference_kernel(y)
+    yext = np.column_stack([np.ones(len(y)), y])
+    A = np.matmul((P * num)[:, None, :], yext)[:, 0]
+    B = np.matmul((num * num)[:, None, :], yext)[:, 0]
+    return A, B, z
+
+
+def reference_gradient(P, y, e):
+    """4 sum_j (e p_ij - q_ij) n_ij (y_i - y_j) as ``4 (S_0 y - S_1:)`` with
+    ``S = e A - B / z`` (q = n / z)."""
+    A, B, z = reference_sums(P, y)
+    S = e * A - B / z
+    return 4.0 * (S[:, :1] * y - S[:, 1:])
+
+
 def reference_tsne(points, perplexity, iters, seed, early_exaggeration=12.0,
                    exaggeration_iters=250, momentum_switch=250):
     """The allocating, single-threaded t-SNE loop: every m x m array is built
@@ -278,12 +297,8 @@ def reference_tsne(points, perplexity, iters, seed, early_exaggeration=12.0,
     kl_initial = reference_kl(P, y)
     velocity, gains = np.zeros_like(y), np.ones_like(y)
     for it in range(iters):
-        p_eff = P * early_exaggeration if it < exaggeration_iters else P
-        num, z = reference_kernel(y)
-        q = np.maximum(num / z, 1e-300)
-        pq = (p_eff - q) * num
-        pq_y = np.stack([(pq * y[:, c]).sum(axis=1) for c in (0, 1)], 1)
-        grad = 4.0 * (pq.sum(axis=1, keepdims=True) * y - pq_y)
+        e = early_exaggeration if it < exaggeration_iters else 1.0
+        grad = reference_gradient(P, y, e)
         momentum = 0.5 if it < momentum_switch else 0.8
         gains = np.where(np.sign(grad) == np.sign(velocity), gains * 0.8, gains + 0.2)
         np.clip(gains, 0.01, None, out=gains)
@@ -326,6 +341,26 @@ class TestTsne:
             assert_same_bits(tsne(points, perplexity=8.0, iters=30, seed=1, jobs=jobs,
                                   **switches), want)
 
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_step_sums_equal_whole_matrix_sums(self, block, monkeypatch):
+        # one step's row sums against the whole-matrix stacked products, at
+        # blocks where a 2-D block @ yext rounds differently
+        m = 150
+        points, _ = two_blobs(n_per=m // 2, dims=5, gap=1.0, seed=m)
+        P = joint_probabilities(points, perplexity=8.0)
+        y = np.random.default_rng(2).normal(size=(m, 2))
+        A, B, z = reference_sums(P, y)
+        monkeypatch.setattr(analysis, "_ROW_BLOCK", block)
+        yext = np.column_stack([np.ones(m), y])
+        for jobs in (1, 2, 3):
+            totals, pn, nn = np.empty(m), np.empty((m, 3)), np.empty((m, 3))
+            with analysis._RowPool(jobs) as rows:
+                rows.run(analysis._step_rows, m, P, np.ascontiguousarray(y.T), yext, totals,
+                         pn, nn, analysis._slot_blocks(rows, m))
+            assert pn.tobytes() == A.tobytes()
+            assert nn.tobytes() == B.tobytes()
+            assert totals.sum() == z
+
     @pytest.mark.parametrize("offset", [1e6, 1e8])
     def test_kl_is_translation_invariant(self, offset):
         # squared distances from coordinate differences, not from the Gram
@@ -353,8 +388,8 @@ class TestTsne:
                     and not name.startswith("_"):
                 monkeypatch.setattr(analysis, name, recorded(
                     name, fn, lambda n: calls.append((n, threading.current_thread()))))
-        monkeypatch.setattr(analysis, "_gradient_rows", recorded(
-            "_gradient_rows", analysis._gradient_rows,
+        monkeypatch.setattr(analysis, "_step_rows", recorded(
+            "_step_rows", analysis._step_rows,
             lambda n: workers.add(threading.current_thread())))
         points, _ = two_blobs(n_per=80, dims=5)
         analysis.tsne(points, perplexity=8.0, iters=3, jobs=2)

@@ -12,8 +12,8 @@ import pytest
 from graphcaps import cli, experiment, labelling, selftest
 from graphcaps.cli import main, read_config_file
 from graphcaps.experiment import PTC_SUBSETS, ExperimentConfig
-from helpers import (cycle_graph, healthy_suite, mutate, path_graph, synthetic_dataset_graphs,
-                     triangle, write_tu_files)
+from helpers import (count_calls, cycle_graph, healthy_suite, mutate, path_graph,
+                     synthetic_dataset_graphs, triangle, write_tu_files)
 
 
 @pytest.fixture()
@@ -43,8 +43,8 @@ class TestTensorizeCommand:
                 "--out-root", out_root, "-w", "6", "-k", "4"]
         assert main(args) == 0
         cache_dir = os.path.join(out_root, "cache")
-        files = os.listdir(cache_dir)
-        assert files == ["SYN_bc_w6_k4.gct"]
+        files = sorted(os.listdir(cache_dir))
+        assert files == ["SYN_bc_w6_k4.gct", "SYN_orders.gct"]
         first = capsys.readouterr().out
         assert "16 tensors" in first
         assert main(args) == 0
@@ -56,8 +56,13 @@ class TestTensorizeCommand:
                 "--out-root", out_root, "-w", "6", "-k", "4"]
         assert main(base) == 0
         capsys.readouterr()
+        with open(os.path.join(out_root, "cache", "SYN_orders.gct"), "wb") as fh:
+            fh.write(b"junk")
         assert main(base + ["--force"]) == 0
-        assert "tensors" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "tensors" in out and "searched 16 graphs" in out and "stale" not in out
+        assert main(base + ["--labelling", "canonical"]) == 0
+        assert "orders from" in capsys.readouterr().out  # --force rewrote the orders file
 
     def test_unknown_dataset_fails_cleanly(self, tmp_path):
         result = run_cli(["tensorize", "--dataset", "NOPE",
@@ -69,14 +74,15 @@ class TestTensorizeCommand:
         monkeypatch.setenv("GRAPHCAPS_DATA", syn_root)
         out_root = str(tmp_path / "results")
         assert main(["tensorize", "--dataset", "SYN", "--out-root", out_root, "-w", "5"]) == 0
-        assert os.listdir(os.path.join(out_root, "cache")) == ["SYN_bc_w5_k10.gct"]
+        assert sorted(os.listdir(os.path.join(out_root, "cache"))) == [
+            "SYN_bc_w5_k10.gct", "SYN_orders.gct"]
 
     def test_nauty_alias_maps_to_canonical(self, syn_root, tmp_path):
         out_root = str(tmp_path / "results")
         assert main(["tensorize", "--dataset", "SYN", "--data-root", syn_root,
                      "--out-root", out_root, "--labelling", "nauty", "-w", "5"]) == 0
-        files = os.listdir(os.path.join(out_root, "cache"))
-        assert files == ["SYN_canonical_w5_k10.gct"]
+        files = sorted(os.listdir(os.path.join(out_root, "cache")))
+        assert files == ["SYN_canonical_w5_k10.gct", "SYN_orders.gct"]
 
     def test_flags_are_the_extraction_settings(self):
         # the tensors depend on no training setting, the seed included
@@ -231,6 +237,29 @@ class TestRunCommand:
             text = open(path).read()
             assert "outer_script" not in text and "--some-outer-flag" not in text
             assert json.loads(text)["resolved_config"]["data_root"] == syn_root
+
+
+class TestSharedOrders:
+    def test_ablation_runs_search_each_graph_once(self, tu_dir, tmp_path, monkeypatch):
+        # the flow of scripts/run_mutag_ablation.py: both labellings into one
+        # cache dir search each graph once and train on the same tensors
+        write_tu_files(tu_dir, "MUTAG", synthetic_dataset_graphs(num_graphs=16, seed=3))
+
+        def run(labelling, out_root, cache_dir):
+            assert main(["run", "--dataset", "MUTAG", "--labelling", labelling, "--data-root",
+                         tu_dir, "--out-root", out_root, "--cache-dir", cache_dir,
+                         "--preset", "small", "--folds", "2", "--epochs", "1",
+                         "--jobs", "1"]) == 0
+            (folds,) = glob.glob(os.path.join(out_root, f"MUTAG_{labelling}_*", "folds.csv"))
+            return open(folds, "rb").read()
+
+        counts = count_calls(monkeypatch, labelling.canonical_order)
+        shared = [run(lab, str(tmp_path / "shared"), str(tmp_path / "cache"))
+                  for lab in ("bc", "canonical")]
+        assert counts["canonical_order"] == 16
+        alone = [run(lab, str(tmp_path / lab), str(tmp_path / f"cache_{lab}"))
+                 for lab in ("bc", "canonical")]
+        assert shared == alone
 
 
 class TestOneLoadPerCommand:
@@ -510,9 +539,10 @@ class TestDriverScripts:
         for variant, means in repeats.items():
             cell = f"{100 * np.mean(means):.1f} ± {100 * np.std(means):.2f} (n=2)"
             assert f"{variant},{cell}" in rows
-        # the seeds and the repeats share one extraction per labelling
+        # the seeds and the repeats share one extraction per labelling, and
+        # both labellings one orders file
         cached = sorted(os.listdir(os.path.join(out_root, "cache")))
-        assert [name.split("_")[1] for name in cached] == ["bc", "canonical"]
+        assert [name.split("_")[1] for name in cached] == ["bc", "canonical", "orders.gct"]
 
     def test_ptc_script_runs_end_to_end(self, ptc_root, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from graphcaps import experiment, tensor_cache
+from graphcaps import experiment, labelling, tensor_cache
 from graphcaps.data import dataset_digest, load_tu_dataset
 from graphcaps.experiment import (
     ExperimentConfig,
@@ -25,9 +25,10 @@ from graphcaps.experiment import (
     variant_name,
 )
 from graphcaps.models import ConfigError
-from graphcaps.tensor_cache import save_tensors
+from graphcaps.tensor_cache import load_orders, save_orders, save_tensors
 from graphcaps.tensorize import tensorize_dataset
-from helpers import flip_grid_byte, synthetic_dataset_graphs, write_tu_files, write_v2_cache
+from helpers import (count_calls, flip_grid_byte, swap_first_orders, synthetic_dataset_graphs,
+                     write_tu_files, write_v2_cache)
 
 QUIET = staticmethod(lambda *a, **k: None)
 
@@ -329,8 +330,8 @@ class TestRunCV:
         log = []
         grids, *_ = tensorize_cached(dataclasses.replace(cfg, seed=2), log=log.append)
         assert any("warm cache" in line for line in log)
-        assert os.listdir(cfg.cache_dir) == [f"SYN_bc_w{w}_k10.gct"]
-        direct = tensorize_dataset(load_tu_dataset(syn_data, "SYN"), w=w, k=10, labelling="bc")
+        assert sorted(os.listdir(cfg.cache_dir)) == [f"SYN_bc_w{w}_k10.gct", "SYN_orders.gct"]
+        direct, _ = tensorize_dataset(load_tu_dataset(syn_data, "SYN"), w=w, k=10, labelling="bc")
         assert np.array_equal(first, direct) and np.array_equal(grids, direct)
 
     def test_edited_dataset_invalidates_cache(self, syn_data, tmp_path):
@@ -354,9 +355,8 @@ class TestRunCV:
     )
     def test_unusable_cache_file_rebuilt(self, syn_data, tmp_path, damage):
         cfg = small_cfg(syn_data, tmp_path)
-        fresh, y, _, ds = tensorize_cached(cfg, log=lambda *a: None)
-        (name,) = os.listdir(cfg.cache_dir)
-        path = os.path.join(cfg.cache_dir, name)
+        fresh, y, w, ds = tensorize_cached(cfg, log=lambda *a: None)
+        path = os.path.join(cfg.cache_dir, f"SYN_bc_w{w}_k10.gct")
         digest = dataset_digest(syn_data, "SYN")
         if damage == "truncated":
             with open(path, "r+b") as fh:
@@ -391,6 +391,96 @@ class TestRunCV:
         for sub in ("PTC_MM", "PTC_FM", "PTC_MR", "PTC_FR"):
             assert os.path.isfile(os.path.join(parent, sub, "result.json"))
             assert os.path.isfile(os.path.join(parent, sub, "manifest.json"))
+
+
+class TestOrderCache:
+    """One canonical search per graph per dataset: the first cold extraction
+    writes every graph's order to ``<name>_orders.gct``, and later ones, of
+    any labelling, ``w`` or ``k``, read it."""
+
+    RUNS = [("bc", 6, 4), ("canonical", 6, 4), ("bc", 5, 3)]
+
+    def test_each_graph_searched_once_across_extractions(self, syn_data, tmp_path, monkeypatch):
+        counts = count_calls(monkeypatch, labelling.canonical_order)
+        shared, logs = [], []
+        for lab, w, k in self.RUNS:
+            cfg = small_cfg(syn_data, tmp_path, labelling=lab, w=w, k=k,
+                            cache_dir=str(tmp_path / "shared"))
+            shared.append(tensorize_cached(cfg, log=logs.append)[0])
+        assert counts["canonical_order"] == 24
+        assert "searched 24 graphs" in logs[0]
+        assert all("orders from" in line and "SYN_orders.gct" in line for line in logs[1:])
+        for i, (lab, w, k) in enumerate(self.RUNS):
+            cfg = small_cfg(syn_data, tmp_path, labelling=lab, w=w, k=k,
+                            cache_dir=str(tmp_path / f"empty{i}"))
+            fresh = tensorize_cached(cfg, log=QUIET)[0]
+            assert shared[i].dtype == fresh.dtype and shared[i].tobytes() == fresh.tobytes()
+
+    @pytest.mark.parametrize("damage", [
+        "not_an_archive", "swapped_orders", "missing_member", "extra_member",
+        "other_version", "other_digest", "other_dtype", "wrong_length", "repeated_node",
+    ])
+    def test_unusable_orders_file_searched_and_rewritten(self, syn_data, tmp_path, monkeypatch,
+                                                         damage):
+        cfg = small_cfg(syn_data, tmp_path, w=6, k=4)
+        tensorize_cached(cfg, log=QUIET)
+        path = os.path.join(cfg.cache_dir, "SYN_orders.gct")
+        digest = dataset_digest(syn_data, "SYN")
+        sizes = [g.n for g in load_tu_dataset(syn_data, "SYN").graphs]
+        good = load_orders(path, digest, sizes)
+        digest_member = np.frombuffer(digest, np.uint8)
+        if damage == "not_an_archive":
+            with open(path, "wb") as fh:
+                np.save(fh, good.astype(np.uint16))
+        elif damage == "swapped_orders":
+            swap_first_orders(path)
+        elif damage in ("missing_member", "extra_member", "other_version", "other_dtype"):
+            members = dict(orders=good.astype(np.uint16), version=tensor_cache.VERSION,
+                           digest=digest_member)
+            if damage == "missing_member":
+                del members["version"]
+            elif damage == "extra_member":
+                members["grids"] = np.zeros((24, 6, 4), np.uint16)
+            elif damage == "other_version":
+                members["version"] = tensor_cache.VERSION - 1
+            else:
+                members["orders"] = good
+            with open(path, "wb") as fh:
+                np.savez(fh, **members)
+        elif damage == "other_digest":
+            save_orders(path, good, bytes(32))
+        elif damage == "wrong_length":
+            save_orders(path, good[:-1], digest)
+        else:
+            bad = good.copy()
+            bad[1] = bad[0]  # graph 0 lists one node twice and another not at all
+            save_orders(path, bad, digest)
+        counts = count_calls(monkeypatch, labelling.canonical_order)
+        canonical = dataclasses.replace(cfg, labelling="canonical")
+        log = []
+        grids = tensorize_cached(canonical, log=log.append)[0]
+        assert any(line.startswith(f"[tensorize] stale cache, rebuilding: {path}")
+                   for line in log)
+        assert counts["canonical_order"] == 24 and "searched 24 graphs" in log[-1]
+        fresh = tensorize_cached(dataclasses.replace(canonical, cache_dir=str(tmp_path / "empty")),
+                                 log=QUIET)[0]
+        assert grids.tobytes() == fresh.tobytes()
+        assert np.array_equal(load_orders(path, digest, sizes), good)
+
+    def test_force_searches_again(self, syn_data, tmp_path, monkeypatch):
+        cfg = small_cfg(syn_data, tmp_path, w=6, k=4)
+        tensorize_cached(cfg, log=QUIET)
+        path = os.path.join(cfg.cache_dir, "SYN_orders.gct")
+        with open(path, "wb") as fh:
+            fh.write(b"junk")
+        counts = count_calls(monkeypatch, labelling.canonical_order)
+        log = []
+        tensorize_cached(dataclasses.replace(cfg, labelling="canonical"), force=True,
+                         log=log.append)
+        assert counts["canonical_order"] == 24
+        assert len(log) == 1 and "searched 24 graphs" in log[0]  # the file was not read
+        sizes = [g.n for g in load_tu_dataset(syn_data, "SYN").graphs]
+        load_orders(path, dataset_digest(syn_data, "SYN"), sizes)
 
 
 class TestGridSearch:

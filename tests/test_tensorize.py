@@ -1,6 +1,5 @@
 import hashlib
 import os
-import sys
 
 import numpy as np
 import pytest
@@ -17,8 +16,9 @@ from graphcaps.tensorize import (
     tensorize_dataset,
 )
 from graphcaps.selftest import random_graph
-from helpers import (cycle_graph, disjoint_union, flip_grid_byte, path_graph, reference_grid, star_graph,
-                     synthetic_dataset_graphs, triangle, write_tu_files)
+from helpers import (count_calls, cycle_graph, disjoint_union, flip_grid_byte, path_graph,
+                     reference_grid, star_graph, synthetic_dataset_graphs, triangle,
+                     write_tu_files)
 
 from graphcaps.data import load_tu_dataset
 
@@ -151,17 +151,7 @@ class TestGraphToTensor:
 
     @pytest.mark.parametrize("ranking", ["bc", "canonical"])
     def test_canonical_search_runs_once_and_brandes_only_under_bc(self, monkeypatch, ranking):
-        # count calls from every graphcaps module that holds these functions
-        counts = {}
-        for fn in (labelling.canonical_order, labelling._brandes):
-            def counted(*args, _fn=fn, **kwargs):
-                counts[_fn.__name__] += 1
-                return _fn(*args, **kwargs)
-
-            counts[fn.__name__] = 0
-            for name, module in list(sys.modules.items()):
-                if name.startswith("graphcaps") and getattr(module, fn.__name__, None) is fn:
-                    monkeypatch.setattr(module, fn.__name__, counted)
+        counts = count_calls(monkeypatch, labelling.canonical_order, labelling._brandes)
         rng = np.random.default_rng(3)
         graphs = [random_graph(rng, 12, 0.3, num_labels=3) for _ in range(5)]
         ds = GraphDataset(graphs=graphs, num_classes=1, num_node_labels=3, name="ONCE")
@@ -209,12 +199,19 @@ class TestDatasetTensorization:
                   for i in range(12)]
         write_tu_files(tu_dir, "PAR", graphs)
         ds = load_tu_dataset(tu_dir, "PAR")
-        serial = tensorize_dataset(ds, w=6, k=4, jobs=1)
-        parallel = tensorize_dataset(ds, w=6, k=4, jobs=2)
+        serial, orders = tensorize_dataset(ds, w=6, k=4, jobs=1)
+        parallel, parallel_orders = tensorize_dataset(ds, w=6, k=4, jobs=2)
         assert serial.shape == (12, 6, 4)
         assert np.array_equal(serial, parallel)
         for i, g in enumerate(ds.graphs):
             assert np.array_equal(serial[i], graph_to_tensor(g, w=6, k=4, d=3))
+            assert np.array_equal(orders[i], labelling.canonical_order(g))
+            assert np.array_equal(parallel_orders[i], orders[i])
+        # given orders replace the search and give the same grids
+        for jobs in (1, 2):
+            given, same = tensorize_dataset(ds, w=6, k=4, jobs=jobs, orders=orders)
+            assert given.tobytes() == serial.tobytes()
+            assert all(np.array_equal(a, b) for a, b in zip(same, orders, strict=True))
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_rejected(self, jobs):
@@ -254,7 +251,7 @@ class TestBatchedExtraction:
                  "everything": sum(g.n for g in ds.graphs) ** 2}[budget]
         monkeypatch.setattr(labelling, "CELLS", cells)
         want = np.stack([reference_grid(g, w=7, k=5, d=4, labelling=ranking) for g in ds.graphs])
-        got = tensorize_dataset(ds, w=7, k=5, labelling=ranking, jobs=jobs)
+        got, _ = tensorize_dataset(ds, w=7, k=5, labelling=ranking, jobs=jobs)
         assert got.dtype == np.uint16
         assert np.array_equal(got, want)
 
