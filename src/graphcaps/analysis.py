@@ -8,25 +8,35 @@ momentum, adaptive gains and early exaggeration.  Benchmark-sized inputs
 (about a thousand points) are well within exact range.
 
 Its O(m^2) parts, the per-point bandwidth search, each descent step and the
-KL divergence, run over blocks of rows on ``jobs`` threads; numpy releases
-the interpreter lock inside its ufuncs and BLAS calls, so the threads share
-the m x m buffers.  Every row goes through the same float operations in the
-same order whatever block or thread it falls in: the Student-t kernel is
+KL divergence, run over blocks of rows on ``jobs`` processes: the caller and
+``jobs - 1`` workers forked once per pool (:class:`_RowPool`).  Processes, not
+threads: on the benchmark's m = 1000 P a descent step took 9.61 ms on one
+thread, 6.92 ms on two threads and 5.15 ms on two forked processes, because
+the per-row (1 x m) @ (m x 3) BLAS calls do not overlap across threads and
+every block's ufunc calls pass the interpreter lock back and forth.  The
+processes share memory by one rule: every array that a worker writes, or that
+the caller changes between runs, lives in anonymous shared memory
+(:func:`_shared`) allocated before the fork; read-only inputs made before the
+fork (the search's negated distances, the final P) are inherited; and a run
+sends a worker only the name of a private row function and its scalar
+arguments.  Every row goes through the same float operations in the
+same order whatever block or process it falls in: the Student-t kernel is
 summed from coordinate differences, its normaliser is a sum of per-row sums,
 and a descent step reduces each row of ``P * n`` and ``n * n`` against
-``[1, y0, y1]`` by its own stacked (1 x m) @ (m x 3) product, the calling
-thread combining the per-row results.  A step is one pass over the rows, and
+``[1, y0, y1]`` by its own stacked (1 x m) @ (m x 3) product, the caller
+combining the per-row results.  A step is one pass over the rows, and
 no m x m buffer holds the kernel: each block of kernel rows lives in a
 block-sized buffer.  The one whole-buffer call left is the input's Gram
 product ``x @ x.T`` in :func:`joint_probabilities` (a row-blocked product
 can round differently).  So the output is bitwise the same for every
-``jobs`` and every ``_ROW_BLOCK``.  Pool threads call only private helpers
-and write only into arrays that the caller allocated.
+``jobs`` and every ``_ROW_BLOCK``.  Workers call only private helpers.
 """
 
 from __future__ import annotations
 
 import csv
+import mmap
+import multiprocessing
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -71,43 +81,120 @@ _EARLY_EXAGGERATION = 12.0
 _SEARCH_STEPS = 100
 
 
-class _RowPool:
-    """Runs row-block work on ``jobs`` threads: ``run`` splits ``range(m)`` into
-    at most ``jobs`` runs of whole ``_ROW_BLOCK``-row blocks and calls
-    ``fn(*args, slot, lo, hi)`` once per run, run ``slot`` 0 in the calling
-    thread.  ``fn`` does each row's arithmetic alone, so what it writes
-    depends on neither ``jobs`` nor ``_ROW_BLOCK``; the caller combines rows
-    after ``run`` returns.  ``jobs=None`` means ``os.cpu_count()``; one job
-    starts no thread, and fewer is a ``ValueError``."""
+# Seconds a closing pool waits for a worker to exit before it kills it.
+_REAP_SECONDS = 1.0
 
-    def __init__(self, jobs: int | None):
+
+def _shared(shape) -> np.ndarray:
+    """A zeroed float64 array in anonymous shared memory: a process forked
+    after this call and its parent see each other's writes to it."""
+    count = int(np.prod(shape))
+    return np.frombuffer(mmap.mmap(-1, max(8 * count, 1)), np.float64, count).reshape(shape)
+
+
+class _RowPool:
+    """Runs row-block work on ``jobs`` processes: the caller and ``jobs - 1``
+    workers, forked when the pool is made, that inherit ``state``.
+
+    ``run(fn, *args)`` splits ``range(m)`` into at most ``jobs`` runs of whole
+    ``_ROW_BLOCK``-row blocks and calls ``fn(state, *args, lo, hi)`` once per
+    run, the first run in the caller.  A worker is sent only ``fn``'s name,
+    which must name a function of this module, and ``args``, which are
+    pickled; so every array of ``state`` that a worker writes, or that the
+    caller changes after the fork, must come from :func:`_shared`.  ``fn``
+    does each row's arithmetic alone, so what it writes depends on neither
+    ``jobs`` nor ``_ROW_BLOCK``; the caller combines rows after ``run``
+    returns.  A worker that raises or exits makes ``run`` raise a
+    ``RuntimeError`` naming ``fn``, after every other run has ended.
+
+    ``jobs=None`` means ``os.cpu_count()``; one job, a platform without
+    fork, or a caller that is itself a pool worker (which may not start
+    processes) runs everything in the caller and starts no process; fewer is
+    a ``ValueError``.  Leaving the ``with`` block reaps the workers."""
+
+    def __init__(self, state, m: int, jobs: int | None):
         if jobs is not None and jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = (os.cpu_count() or 1) if jobs is None else jobs
-        self._pool = None
-        if self.jobs > 1:
-            # imported here: it would add to every import of this module
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._pool = ThreadPoolExecutor(self.jobs - 1)
+        jobs = (os.cpu_count() or 1) if jobs is None else jobs
+        if ("fork" not in multiprocessing.get_all_start_methods()
+                or multiprocessing.current_process().daemon):
+            jobs = 1
+        step = -(-m // (jobs * _ROW_BLOCK)) * _ROW_BLOCK
+        self.runs = [(lo, min(lo + step, m)) for lo in range(0, m, step)]
+        self.state = state
+        self._workers = []  # (process, the caller's end of its pipe)
+        try:
+            for _ in self.runs[1:]:
+                ctx = multiprocessing.get_context("fork")
+                ours, theirs = ctx.Pipe()
+                callers = [ours, *(conn for _, conn in self._workers)]
+                proc = ctx.Process(target=_serve, args=(theirs, state, callers), daemon=True)
+                proc.start()
+                theirs.close()
+                self._workers.append((proc, ours))
+        except BaseException:
+            self.close()
+            raise
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
-        if self._pool is not None:
-            self._pool.shutdown()
+        self.close()
 
-    def run(self, fn, m: int, *args) -> None:
-        step = -(-m // (self.jobs * _ROW_BLOCK)) * _ROW_BLOCK
-        runs = [(lo, min(lo + step, m)) for lo in range(0, m, step)]
-        futures = [self._pool.submit(fn, *args, slot, lo, hi)
-                   for slot, (lo, hi) in enumerate(runs) if slot > 0]
+    def close(self) -> None:
+        """End the workers: each exits when its pipe closes, or is killed."""
+        for _, conn in self._workers:
+            conn.close()
+        for proc, _ in self._workers:
+            proc.join(_REAP_SECONDS)
+            if proc.exitcode is None:
+                proc.kill()
+                proc.join()
+        self._workers = []
+
+    def run(self, fn, *args) -> None:
+        sent, errors = [], []
+        for (_, conn), (lo, hi) in zip(self._workers, self.runs[1:]):
+            try:
+                conn.send((fn.__name__, args, lo, hi))
+            except OSError:
+                errors.append("the worker process has exited")
+            else:
+                sent.append(conn)
         try:
-            fn(*args, 0, *runs[0])
+            fn(self.state, *args, *self.runs[0])
         finally:
-            for future in futures:
-                future.result()
+            for conn in sent:
+                try:
+                    error = conn.recv()
+                except (EOFError, OSError):
+                    error = "the worker process exited"
+                if error is not None:
+                    errors.append(error)
+        if errors:
+            raise RuntimeError(f"{fn.__name__} failed in a worker process: {errors[0]}")
+
+
+def _serve(conn, state, callers) -> None:
+    """A forked worker's loop: for each ``(name, args, lo, hi)`` the caller
+    sends, call the row function ``name`` on ``state`` and answer None, or the
+    error; return once the caller closes its end of ``conn``.  ``callers``
+    are the caller's ends of this worker's pipe and of those forked before
+    it: the worker closes its copies, so that only the caller holds them."""
+    for other in callers:
+        other.close()
+    while True:
+        try:
+            name, args, lo, hi = conn.recv()
+        except EOFError:
+            return
+        try:
+            globals()[name](state, *args, lo, hi)
+        except Exception as exc:  # the caller raises it
+            conn.send(repr(exc))
+        else:
+            conn.send(None)
 
 
 def _blocks(lo: int, hi: int):
@@ -167,11 +254,25 @@ def _entropy_rows(neg, idx, beta, p, terms, pos):
     return p, np.negative(h, out=h)
 
 
-def _search_rows(neg, target, tol, P, betas, work, slot, lo, hi) -> None:
+class _Search:
+    """What the rows of :func:`perplexity_search` read and write: ``neg``,
+    read-only; ``P`` and ``betas``, the results, in shared memory; and the
+    block-sized buffers of :func:`_entropy_rows`, which each process writes
+    in its own copy after a fork."""
+
+    def __init__(self, neg: np.ndarray):
+        m, block = len(neg), min(_ROW_BLOCK, len(neg))
+        self.neg, self.P, self.betas = neg, _shared((m, m)), _shared(m)
+        self.work = (np.empty((block, m - 1)), np.zeros((block, m - 1)),
+                     np.empty((block, m - 1), bool))
+
+
+def _search_rows(s: _Search, target, tol, lo, hi) -> None:
     """Bisect the precisions of rows ``lo:hi``, a block of rows at a time; a
     row leaves its block once its entropy is within ``tol`` of ``target``."""
+    neg, P, betas = s.neg, s.P, s.betas
     m = len(neg)
-    p_buf, terms, pos = work[slot]
+    p_buf, terms, pos = s.work
     for a, b in _blocks(lo, hi):
         idx = np.arange(a, b)
         beta, lo_b, hi_b = np.ones(b - a), np.zeros(b - a), np.full(b - a, np.inf)
@@ -201,8 +302,8 @@ def perplexity_search(d2: np.ndarray, perplexity: float, tol: float = 1e-4,
     """Per-point binary search for the Gaussian precisions matching the
     target perplexity within ``tol`` on the entropy scale.
 
-    The rows are searched in vectorised blocks over ``jobs`` threads (None:
-    all cores); each row's result is the same for every ``jobs``.
+    The rows are searched in vectorised blocks over ``jobs`` processes
+    (None: all cores); each row's result is the same for every ``jobs``.
 
     Returns (conditional probability matrix with zero diagonal, betas).
     """
@@ -215,14 +316,10 @@ def perplexity_search(d2: np.ndarray, perplexity: float, tol: float = 1e-4,
             f"point {bad[0]} has zero distance to all others; "
             "t-SNE rejects zero-variance input"
         )
-    P = np.zeros((m, m))
-    betas = np.ones(m)
-    with _RowPool(jobs) as rows:
-        block = min(_ROW_BLOCK, m)
-        work = [(np.empty((block, m - 1)), np.zeros((block, m - 1)),
-                 np.empty((block, m - 1), bool)) for _ in range(rows.jobs)]
-        rows.run(_search_rows, m, neg, float(np.log(perplexity)), tol, P, betas, work)
-    return P, betas
+    s = _Search(neg)
+    with _RowPool(s, m, jobs) as rows:
+        rows.run(_search_rows, float(np.log(perplexity)), tol)
+    return s.P, s.betas
 
 
 def _check_perplexity(perplexity: float, m: int) -> None:
@@ -233,7 +330,7 @@ def _check_perplexity(perplexity: float, m: int) -> None:
 def joint_probabilities(points: np.ndarray, perplexity: float,
                         jobs: int | None = None) -> np.ndarray:
     """Symmetrized, normalized t-SNE joint distribution P (zero diagonal);
-    ``jobs`` threads search the precisions (see :func:`perplexity_search`)."""
+    ``jobs`` processes search the precisions (see :func:`perplexity_search`)."""
     m = len(points)
     _check_perplexity(perplexity, m)
     d2 = _pairwise_sq_dists(points, np.empty((m, m)), np.empty((m, m)))
@@ -243,12 +340,27 @@ def joint_probabilities(points: np.ndarray, perplexity: float,
     return np.maximum(P, 1e-300)
 
 
-def _slot_blocks(rows: _RowPool, m: int) -> list:
-    """Two block-sized m-column buffers per slot of ``rows``: row-local
-    intermediates stay in cache there instead of streaming through an m x m
-    buffer."""
-    return [(np.empty((min(_ROW_BLOCK, m), m)), np.empty((min(_ROW_BLOCK, m), m)))
-            for _ in range(rows.jobs)]
+class _Layout:
+    """What the rows of a descent step and of the KL divergence of one P read
+    and write.  ``P`` is read-only.  In shared memory: the layout, as ``yt``
+    = y.T (2 x m) and ``yext`` = [1, y0, y1] (m x 3), and the per-row results
+    ``totals`` (m), ``pn`` and ``nn`` (m x 3).  ``work`` holds two
+    block-sized m-column buffers, which each process writes in its own copy
+    after a fork: row-local intermediates stay in cache there instead of
+    streaming through an m x m buffer."""
+
+    def __init__(self, P: np.ndarray):
+        m, block = len(P), min(_ROW_BLOCK, len(P))
+        self.P = P
+        self.yt, self.yext = _shared((2, m)), _shared((m, 3))
+        self.yext[:, 0] = 1.0
+        self.totals, self.pn, self.nn = _shared(m), _shared((m, 3)), _shared((m, 3))
+        self.work = np.empty((block, m)), np.empty((block, m))
+
+    def put(self, y: np.ndarray) -> None:
+        """Make ``y`` (m x 2) the layout the rows read."""
+        self.yt[...] = y.T
+        self.yext[:, 1:] = y
 
 
 def _student_t_block(yt, a: int, b: int, n: np.ndarray, s: np.ndarray) -> None:
@@ -268,54 +380,54 @@ def _student_t_block(yt, a: int, b: int, n: np.ndarray, s: np.ndarray) -> None:
     n.reshape(-1)[a :: n.shape[1] + 1] = 0.0
 
 
-def _step_rows(P, yt, yext, totals, pn, nn, work, slot, lo, hi) -> None:
-    """For rows ``lo:hi`` of the kernel n of the layout ``yt`` (2 x m): the
-    row sums in ``totals``, and the rows of P * n and of n * n, each reduced
-    against the columns of ``yext`` = [1, y0, y1] (m x 3), in ``pn`` and
-    ``nn`` (m x 3).  Each row is its own (1 x m) @ (m x 3) product, which
-    rounds alike in every block; a 2-D block product need not."""
+def _step_rows(s: _Layout, lo, hi) -> None:
+    """For rows ``lo:hi`` of the kernel n of the layout: the row sums in
+    ``s.totals``, and the rows of P * n and of n * n, each reduced against
+    the columns of ``s.yext``, in ``s.pn`` and ``s.nn``.  Each row is its own
+    (1 x m) @ (m x 3) product, which rounds alike in every block; a 2-D block
+    product need not."""
     for a, b in _blocks(lo, hi):
-        n, t = (buf[: b - a] for buf in work[slot])
-        _student_t_block(yt, a, b, n, t)
-        n.sum(axis=1, out=totals[a:b])
-        np.matmul(np.multiply(P[a:b], n, out=t)[:, None, :], yext, out=pn[a:b, None])
-        np.matmul(np.square(n, out=n)[:, None, :], yext, out=nn[a:b, None])
+        n, t = (buf[: b - a] for buf in s.work)
+        _student_t_block(s.yt, a, b, n, t)
+        n.sum(axis=1, out=s.totals[a:b])
+        np.matmul(np.multiply(s.P[a:b], n, out=t)[:, None, :], s.yext, out=s.pn[a:b, None])
+        np.matmul(np.square(n, out=n)[:, None, :], s.yext, out=s.nn[a:b, None])
 
 
-def _kernel_sum_rows(yt, totals, work, slot, lo, hi) -> None:
-    """The sums of rows ``lo:hi`` of the Student-t kernel of ``yt`` in ``totals``."""
+def _kernel_sum_rows(s: _Layout, lo, hi) -> None:
+    """The sums of rows ``lo:hi`` of the Student-t kernel of the layout in
+    ``s.totals``."""
     for a, b in _blocks(lo, hi):
-        n, t = (buf[: b - a] for buf in work[slot])
-        _student_t_block(yt, a, b, n, t)
-        n.sum(axis=1, out=totals[a:b])
+        n, t = (buf[: b - a] for buf in s.work)
+        _student_t_block(s.yt, a, b, n, t)
+        n.sum(axis=1, out=s.totals[a:b])
 
 
-def _kl_rows(P, yt, z, row_kl, work, slot, lo, hi) -> None:
+def _kl_rows(s: _Layout, z, lo, hi) -> None:
     """Sums of the rows of P log(P / q), q = max(n / z, 1e-300) for the
-    Student-t kernel n of ``yt``, without the diagonal, in ``row_kl``; the
-    floor meets only the zero diagonal, whose term is then 0 log 1."""
+    Student-t kernel n of the layout, without the diagonal, in ``s.totals``;
+    the floor meets only the zero diagonal, whose term is then 0 log 1."""
     for a, b in _blocks(lo, hi):
-        n, t = (buf[: b - a] for buf in work[slot])
-        _student_t_block(yt, a, b, n, t)
-        pa = P[a:b]
+        n, t = (buf[: b - a] for buf in s.work)
+        _student_t_block(s.yt, a, b, n, t)
+        pa = s.P[a:b]
         np.maximum(np.divide(n, z, out=t), 1e-300, out=t)
         np.multiply(pa, np.log(np.divide(pa, t, out=t), out=t), out=t)
-        t.reshape(-1)[a :: len(P) + 1] = 0.0
-        t.sum(axis=1, out=row_kl[a:b])
+        t.reshape(-1)[a :: len(s.P) + 1] = 0.0
+        t.sum(axis=1, out=s.totals[a:b])
 
 
 def kl_divergence(P: np.ndarray, y: np.ndarray, rows: _RowPool | None = None) -> float:
     """KL(P || Q) of the layout ``y`` over the off-diagonal pairs, its rows
-    run on the caller's row pool ``rows`` (default: the calling thread).  The
-    kernel is computed twice, a block at a time: once for its sum z, once
-    for the terms."""
-    m = len(y)
-    rows = _RowPool(1) if rows is None else rows
-    yt, sums, work = np.ascontiguousarray(y.T), np.empty(m), _slot_blocks(rows, m)
-    rows.run(_kernel_sum_rows, m, yt, sums, work)
-    z = sums.sum()
-    rows.run(_kl_rows, m, P, yt, z, sums, work)  # z is read before sums is reused
-    return float(sums.sum())
+    run on ``rows``, the caller's row pool over the :class:`_Layout` of this
+    P (default: the calling process alone).  The kernel is computed twice, a
+    block at a time: once for its sum z, once for the terms."""
+    rows = _RowPool(_Layout(P), len(P), 1) if rows is None else rows
+    rows.state.put(y)
+    rows.run(_kernel_sum_rows)
+    z = rows.state.totals.sum()
+    rows.run(_kl_rows, z)  # z is read before the row sums are reused
+    return float(rows.state.totals.sum())
 
 
 @dataclass
@@ -342,7 +454,7 @@ def tsne(points: np.ndarray, perplexity: float, iters: int = 1000, seed: int = 0
     The learning rate is the size-scaled max(m / exaggeration / 4, 50), which
     stays stable from tens to thousands of points.  KL divergences
     are reported against the true (non-exaggerated) P, at the seeded initial
-    layout and at the final one.  ``jobs`` threads (None: all cores) share
+    layout and at the final one.  ``jobs`` processes (None: all cores) share
     the row work; the result is bitwise the same for every ``jobs``.
     """
     if exaggeration_iters is None:
@@ -359,16 +471,15 @@ def tsne(points: np.ndarray, perplexity: float, iters: int = 1000, seed: int = 0
 
     velocity = np.zeros_like(y)
     gains = np.ones_like(y)
-    totals, pn, nn, yext = np.empty(m), np.empty((m, 3)), np.empty((m, 3)), np.ones((m, 3))
-    with _RowPool(jobs) as rows:
+    s = _Layout(P)
+    with _RowPool(s, m, jobs) as rows:
         kl_initial = kl_divergence(P, y, rows)
-        work = _slot_blocks(rows, m)
         for it in range(iters):
             exaggeration = _EARLY_EXAGGERATION if it < exaggeration_iters else 1.0
-            yext[:, 1:] = y
-            rows.run(_step_rows, m, P, np.ascontiguousarray(y.T), yext, totals, pn, nn, work)
+            s.put(y)
+            rows.run(_step_rows)
             # sum_j (e p_ij - q_ij) n_ij [1, y_j] with q = n / z, z the kernel's sum
-            pq = exaggeration * pn - nn / totals.sum()
+            pq = exaggeration * s.pn - s.nn / s.totals.sum()
             grad = 4.0 * (pq[:, :1] * y - pq[:, 1:])
             momentum = 0.5 if it < momentum_switch else 0.8
             same_sign = np.sign(grad) == np.sign(velocity)

@@ -130,10 +130,10 @@ def cmd_embed(args) -> int:
     source = EmbeddingSource(args.source)
     args.model = "cnn" if source is EmbeddingSource.CNN_INNER else "capsules"
     cfg = config_from_args(args)
-    x, y, w, channels, ds = dataset_tensors(cfg)
+    x, y, w, channels, labels = dataset_tensors(cfg)
     model = None
     if source is not EmbeddingSource.RAW_TENSOR:
-        model = cfg.build_model(w, channels, ds.num_classes, cfg.seed)
+        model = cfg.build_model(w, channels, labels.num_classes, cfg.seed)
     _check_perplexity(args.perplexity, len(x))
     out_dir = cfg.run_dir("embed_", f"_{source.value}")
     write_manifest(out_dir, cfg, source=source.value, perplexity=args.perplexity,

@@ -105,6 +105,22 @@ class GraphDataset:
         return np.array([g.class_label for g in self.graphs], dtype=np.int64)
 
 
+@dataclass
+class TuLabels:
+    """What the graph-indicator, graph-label and node-label files of a TU
+    dataset say, without its edges: each graph's node count and 0-based
+    class, and the numbers of classes and of node labels.  A tensor cache hit
+    needs nothing more (see :func:`graphcaps.experiment.tensorize_cached`)."""
+
+    sizes: np.ndarray  # int64 node count of each graph
+    classes: np.ndarray  # int64 class of each graph
+    num_classes: int
+    num_node_labels: int
+
+    def __len__(self):
+        return len(self.sizes)
+
+
 def _read_text(path: str) -> str:
     if not os.path.isfile(path):
         raise FileNotFoundError(f"dataset file not found: {path}")
@@ -221,7 +237,59 @@ def load_tu_dataset(root: str, name: str) -> GraphDataset:
     malformed line is named as ``path:lineno``.
     """
     base = resolve_dataset_dir(root, name)
+    labels, node_graph, label_of = _read_labels(base, name)
     a_path = os.path.join(base, f"{name}_A.txt")
+    n_nodes, num_graphs, sizes = len(node_graph), len(labels), labels.sizes
+
+    # nodes grouped by graph, in file order within each graph; a node's
+    # local id is its place in its graph's group
+    by_graph = np.argsort(node_graph, kind="stable")
+    local_id = np.empty(n_nodes, dtype=np.int64)
+    local_id[by_graph] = np.arange(n_nodes) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+
+    uv, lineno, checks = _read_rows(a_path, 2)
+    u, v = uv[:, 0], uv[:, 1]
+    known = (1 <= u) & (u <= n_nodes) & (1 <= v) & (v <= n_nodes)
+    gu = node_graph[np.where(known, u - 1, 0)]
+    gv = node_graph[np.where(known, v - 1, 0)]
+    _raise_first(a_path, lineno, checks + [
+        (~known, lambda row: f"edge ({u[row]}, {v[row]}) references an unknown node"),
+        (gu != gv, lambda row: f"edge ({u[row]}, {v[row]}) crosses graphs {gu[row]} and {gv[row]}"),
+        (u == v, lambda row: f"self-loop on node {u[row]}"),
+    ])
+
+    # edges as (lower, higher) local ids, grouped by graph with one sort
+    lu, lv = local_id[u - 1], local_id[v - 1]
+    by_edge_graph = np.argsort(gu, kind="stable")
+    lo = np.minimum(lu, lv)[by_edge_graph].tolist()
+    hi = np.maximum(lu, lv)[by_edge_graph].tolist()
+    edge_end = np.cumsum(np.bincount(gu, minlength=num_graphs)).tolist()
+    node_end = np.cumsum(sizes).tolist()
+    node_labels = label_of[by_graph].tolist()
+    classes = labels.classes.tolist()
+
+    graphs = []
+    for i in range(num_graphs):
+        e0, n0 = (edge_end[i - 1], node_end[i - 1]) if i else (0, 0)
+        graphs.append(Graph(
+            n=node_end[i] - n0,
+            edges=frozenset(zip(lo[e0:edge_end[i]], hi[e0:edge_end[i]])),
+            node_labels=node_labels[n0:node_end[i]],
+            class_label=classes[i],
+        ))
+    return GraphDataset(
+        graphs=graphs,
+        num_classes=labels.num_classes,
+        num_node_labels=labels.num_node_labels,
+        name=name,
+    )
+
+
+def _read_labels(base: str, name: str) -> tuple:
+    """Parse and check the graph-indicator, graph-label and node-label files
+    of dataset ``name`` in the directory ``base``, as :func:`load_tu_dataset`
+    does.  Returns its :class:`TuLabels`, and each node's 0-based graph and
+    0-based label, in file order."""
     ind_path = os.path.join(base, f"{name}_graph_indicator.txt")
     gl_path = os.path.join(base, f"{name}_graph_labels.txt")
     nl_path = os.path.join(base, f"{name}_node_labels.txt")
@@ -254,49 +322,10 @@ def load_tu_dataset(root: str, name: str) -> GraphDataset:
     _raise_first(nl_path, lineno, checks)
     label_values, label_of = np.unique(raw_labels[:, 0], return_inverse=True)
 
-    # nodes grouped by graph, in file order within each graph; a node's
-    # local id is its place in its graph's group
-    sizes = np.bincount(node_graph, minlength=num_graphs)
-    by_graph = np.argsort(node_graph, kind="stable")
-    local_id = np.empty(n_nodes, dtype=np.int64)
-    local_id[by_graph] = np.arange(n_nodes) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-
-    uv, lineno, checks = _read_rows(a_path, 2)
-    u, v = uv[:, 0], uv[:, 1]
-    known = (1 <= u) & (u <= n_nodes) & (1 <= v) & (v <= n_nodes)
-    gu = node_graph[np.where(known, u - 1, 0)]
-    gv = node_graph[np.where(known, v - 1, 0)]
-    _raise_first(a_path, lineno, checks + [
-        (~known, lambda row: f"edge ({u[row]}, {v[row]}) references an unknown node"),
-        (gu != gv, lambda row: f"edge ({u[row]}, {v[row]}) crosses graphs {gu[row]} and {gv[row]}"),
-        (u == v, lambda row: f"self-loop on node {u[row]}"),
-    ])
-
-    # edges as (lower, higher) local ids, grouped by graph with one sort
-    lu, lv = local_id[u - 1], local_id[v - 1]
-    by_edge_graph = np.argsort(gu, kind="stable")
-    lo = np.minimum(lu, lv)[by_edge_graph].tolist()
-    hi = np.maximum(lu, lv)[by_edge_graph].tolist()
-    edge_end = np.cumsum(np.bincount(gu, minlength=num_graphs)).tolist()
-    node_end = np.cumsum(sizes).tolist()
-    labels = label_of[by_graph].tolist()
-    classes = class_of.tolist()
-
-    graphs = []
-    for i in range(num_graphs):
-        e0, n0 = (edge_end[i - 1], node_end[i - 1]) if i else (0, 0)
-        graphs.append(Graph(
-            n=node_end[i] - n0,
-            edges=frozenset(zip(lo[e0:edge_end[i]], hi[e0:edge_end[i]])),
-            node_labels=labels[n0:node_end[i]],
-            class_label=classes[i],
-        ))
-    return GraphDataset(
-        graphs=graphs,
-        num_classes=len(class_values),
-        num_node_labels=len(label_values),
-        name=name,
-    )
+    labels = TuLabels(sizes=np.bincount(node_graph, minlength=num_graphs),
+                      classes=class_of.astype(np.int64), num_classes=len(class_values),
+                      num_node_labels=len(label_values))
+    return labels, node_graph, label_of
 
 
 def permute_node_ids(g: Graph, seed) -> Graph:

@@ -28,7 +28,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__, tensor_cache
-from .data import dataset_checksums, dataset_digest, load_tu_dataset, one_hot
+from .data import (_read_labels, dataset_checksums, dataset_digest, load_tu_dataset, one_hot,
+                   resolve_dataset_dir)
 from .labelling import LABELLINGS
 from .models import (
     LOSS_MODES,
@@ -274,9 +275,11 @@ def tensorize_cached(cfg: ExperimentConfig, name: str | None = None, force: bool
                      log=print):
     """Load and tensorize one dataset through the tensor cache.
 
-    Returns (grids, y, w, dataset) with ``(n, w, k)`` label grids and the
-    dataset's class labels.  A warm cache is read unless ``force``; a cache
-    file :func:`load_tensors` cannot use is rebuilt.  A cold extraction takes
+    Returns (grids, y, w, labels) with ``(n, w, k)`` label grids, the
+    dataset's class labels and its :class:`graphcaps.data.TuLabels`.  A warm
+    cache is read unless ``force``; a cache hit reads only the dataset's label
+    files, and its edges are parsed and its graphs built only on a miss.  A
+    cache file :func:`load_tensors` cannot use is rebuilt.  A cold extraction takes
     the graphs' canonical orders from the dataset's orders file
     (``<cache_dir>/<name>_orders.gct``, shared by every labelling, ``w`` and
     ``k``) when :func:`load_orders` accepts it and not ``force``; otherwise it
@@ -292,32 +295,32 @@ def tensorize_cached(cfg: ExperimentConfig, name: str | None = None, force: bool
             raise ValueError(f"dataset {cfg.dataset} is {len(names)} datasets "
                              f"({', '.join(names)}); name one of them")
         name = names[0]
-    ds = load_tu_dataset(cfg.data_root, name)
-    d = ds.num_node_labels
-    w = cfg.w if cfg.w is not None else default_width(ds)
-    y = ds.class_labels()
+    labels = _read_labels(resolve_dataset_dir(cfg.data_root, name), name)[0]
+    d = labels.num_node_labels
+    w = cfg.w if cfg.w is not None else default_width(labels.sizes)
+    y = labels.classes
     digest = dataset_digest(cfg.data_root, name)
     cache_path = os.path.join(cfg.cache_dir, f"{name}_{cfg.labelling}_w{w}_k{cfg.k}.gct")
     if os.path.isfile(cache_path) and not force:
         try:
-            grids = load_tensors(cache_path, digest, (len(ds), w, cfg.k), d)
+            grids = load_tensors(cache_path, digest, (len(labels), w, cfg.k), d)
         except CacheError as exc:
             log(f"[tensorize] stale cache, rebuilding: {exc}")
         else:
             log(f"[tensorize] {name}: warm cache, {len(grids)} tensors, "
                 f"nothing to do: {cache_path}")
-            return grids, y, w, ds
+            return grids, y, w, labels
+    ds = load_tu_dataset(cfg.data_root, name)
     t0 = time.perf_counter()
     orders_path = os.path.join(cfg.cache_dir, f"{name}_orders.gct")
     orders = None
     if os.path.isfile(orders_path) and not force:
-        sizes = [g.n for g in ds.graphs]
         try:
-            flat = load_orders(orders_path, digest, sizes)
+            flat = load_orders(orders_path, digest, labels.sizes)
         except CacheError as exc:
             log(f"[tensorize] stale cache, rebuilding: {exc}")
         else:
-            orders = np.split(flat, np.cumsum(sizes)[:-1])
+            orders = np.split(flat, np.cumsum(labels.sizes)[:-1])
     grids, searched = tensorize_dataset(ds, w, cfg.k, cfg.labelling, cfg.jobs, orders)
     if orders is None:
         save_orders(orders_path, np.concatenate(searched), digest)
@@ -329,17 +332,18 @@ def tensorize_cached(cfg: ExperimentConfig, name: str | None = None, force: bool
         f"{padded_anchor_count(ds, w)} padded anchors, {source}, "
         f"{time.perf_counter() - t0:.1f}s -> {cache_path}"
     )
-    return grids, y, w, ds
+    return grids, y, w, labels
 
 
 def dataset_tensors(cfg: ExperimentConfig, name: str | None = None, log=print):
     """One dataset's one-hot tensors, through the tensor cache.
 
-    Returns (x, y, w, channels, dataset) with ``x`` a C-contiguous float32
-    ``(n, w, k, channels)`` array (see :func:`graphcaps.data.one_hot`).
+    Returns (x, y, w, channels, labels) with ``x`` a C-contiguous float32
+    ``(n, w, k, channels)`` array (see :func:`graphcaps.data.one_hot`) and
+    ``labels`` the dataset's :class:`graphcaps.data.TuLabels`.
     """
-    grids, y, w, ds = tensorize_cached(cfg, name, log=log)
-    return one_hot(grids, ds.num_node_labels), y, w, ds.num_node_labels + 1, ds
+    grids, y, w, labels = tensorize_cached(cfg, name, log=log)
+    return one_hot(grids, labels.num_node_labels), y, w, labels.num_node_labels + 1, labels
 
 
 def load_datasets(cfg: ExperimentConfig, log=print) -> dict:
@@ -350,11 +354,11 @@ def load_datasets(cfg: ExperimentConfig, log=print) -> dict:
     fails before any output exists."""
     data = {}
     for name in cfg.dataset_names():
-        x, y, w, _, ds = dataset_tensors(cfg, name, log=log)
+        x, y, w, _, labels = dataset_tensors(cfg, name, log=log)
         kfold_split(len(y), cfg.folds, cfg.seed, strata=y)
         if cfg.model == "capsules":
             primary_grid(w, cfg.k, cfg.capsnet_config())
-        data[name] = x, y, ds.num_classes
+        data[name] = x, y, labels.num_classes
     return data
 
 
@@ -379,8 +383,9 @@ def fold_seed(base_seed: int, fold: int) -> int:
     return (base_seed * 0x9E3779B1 + fold * 0x85EBCA77) % (1 << 32)
 
 
-def _run_fold(args):
-    cfg, x, y, num_classes, fold, test_idx = args
+def _run_fold(cfg, x, y, num_classes, task):
+    """Train and test fold ``task = (fold, test_idx)`` of ``(x, y)``."""
+    fold, test_idx = task
     seed = fold_seed(cfg.seed, fold)
     train_idx = np.setdiff1d(np.arange(len(x)), test_idx)
     _, w, _, channels = x.shape
@@ -450,12 +455,9 @@ def run_cv(cfg: ExperimentConfig, name: str, data: tuple, run_dir: str,
         if done:
             log(f"[run] resuming: folds {sorted(done)} already complete")
 
-    pending = [
-        (cfg, x, y, num_classes, f, folds[f])
-        for f in range(cfg.folds)
-        if f not in done
-    ]
-    for row in _fork_map(_run_fold, pending, cfg.jobs):
+    # a task is its fold; fold workers inherit the dataset at the fork
+    pending = [(f, folds[f]) for f in range(cfg.folds) if f not in done]
+    for row in _fork_map(_run_fold, pending, cfg.jobs, cfg, x, y, num_classes):
         done[row["fold"]] = row
         _persist_partial(partial, done)
         log(_fold_line(row))

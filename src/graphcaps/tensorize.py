@@ -86,9 +86,10 @@ def graph_to_tensor(
     return _grids((None, [g], None), w, k, d, labelling)[0][0]
 
 
-def default_width(ds: GraphDataset) -> int:
-    """w defaults to the rounded average graph size of the dataset."""
-    mean = float(np.mean([g.n for g in ds.graphs]))
+def default_width(sizes) -> int:
+    """w defaults to the rounded average graph size of a dataset whose graphs
+    have ``sizes`` nodes."""
+    mean = float(np.mean(sizes))
     return max(1, int(np.floor(mean + 0.5)))
 
 
@@ -108,28 +109,49 @@ def tensorize_dataset(
     Graphs go in chunks of consecutive graphs of at most
     :data:`graphcaps.labelling.CELLS` cells (``n*n`` per graph) and at most
     one worker's share; with ``jobs > 1`` the chunks run in worker processes,
-    and results come back in input order.  A grid depends on neither the
+    which inherit the graphs and orders and are sent each chunk's slice, and
+    results come back in input order.  A grid depends on neither the
     chunks, nor the workers, nor whether its order was searched or given."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    chunks = [(group.start, ds.graphs[group], None if orders is None else orders[group])
-              for group in lane_groups([g.n * g.n for g in ds.graphs], jobs)]
+    groups = list(lane_groups([g.n * g.n for g in ds.graphs], jobs))
     extract = functools.partial(_grids, w=w, k=k, d=ds.num_node_labels, labelling=labelling)
-    grids, found = zip(*_fork_map(extract, chunks, jobs))
+    grids, found = zip(*_fork_map(_chunk_grids, groups, jobs, extract, ds.graphs, orders))
     return np.concatenate(grids), [order for chunk in found for order in chunk]
 
 
-def _fork_map(fn, items, jobs: int):
-    """Yield ``fn(item)`` for each item in input order, from
+def _chunk_grids(extract, graphs, orders, group: slice) -> tuple:
+    """``extract`` of the chunk of ``graphs`` (and of their ``orders``, when
+    given) in the slice ``group``: a worker is sent only the slice."""
+    return extract((group.start, graphs[group], None if orders is None else orders[group]))
+
+
+def _fork_map(fn, items, jobs: int, *inherited):
+    """Yield ``fn(*inherited, item)`` for each item in input order, from
     ``min(jobs, len(items))`` forked workers when that is above 1 and fork
     exists, else serially.  Each item is one task: the caller's items are
-    the split of the work."""
+    the split of the work.  Only the items are pickled: the workers inherit
+    ``fn`` and ``inherited`` at the fork."""
     jobs = min(jobs, len(items))
     if jobs > 1 and "fork" in multiprocessing.get_all_start_methods():
-        with multiprocessing.get_context("fork").Pool(jobs) as pool:
-            yield from pool.imap(fn, items)
+        with multiprocessing.get_context("fork").Pool(jobs, _inherit, (fn, inherited)) as pool:
+            yield from pool.imap(_call_inherited, items)
     else:
-        yield from map(fn, items)
+        yield from (fn(*inherited, item) for item in items)
+
+
+# A _fork_map worker's (fn, inherited), set once in each worker process.
+_INHERITED = None
+
+
+def _inherit(fn, inherited) -> None:
+    global _INHERITED
+    _INHERITED = fn, inherited
+
+
+def _call_inherited(item):
+    fn, inherited = _INHERITED
+    return fn(*inherited, item)
 
 
 def padded_anchor_count(ds: GraphDataset, w: int) -> int:

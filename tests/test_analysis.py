@@ -1,5 +1,8 @@
+import functools
 import inspect
 import math
+import multiprocessing
+import os
 import threading
 
 import numpy as np
@@ -18,6 +21,7 @@ from graphcaps.analysis import (
     write_embeddings_csv,
 )
 from graphcaps.models import CapsNetConfig, build_capsnet, build_cnn
+from graphcaps.tensorize import _fork_map
 
 
 def two_blobs(n_per=10, dims=50, gap=5.0, seed=0):
@@ -351,15 +355,14 @@ class TestTsne:
         y = np.random.default_rng(2).normal(size=(m, 2))
         A, B, z = reference_sums(P, y)
         monkeypatch.setattr(analysis, "_ROW_BLOCK", block)
-        yext = np.column_stack([np.ones(m), y])
         for jobs in (1, 2, 3):
-            totals, pn, nn = np.empty(m), np.empty((m, 3)), np.empty((m, 3))
-            with analysis._RowPool(jobs) as rows:
-                rows.run(analysis._step_rows, m, P, np.ascontiguousarray(y.T), yext, totals,
-                         pn, nn, analysis._slot_blocks(rows, m))
-            assert pn.tobytes() == A.tobytes()
-            assert nn.tobytes() == B.tobytes()
-            assert totals.sum() == z
+            s = analysis._Layout(P)  # the outputs, in the pool's shared memory
+            s.put(y)
+            with analysis._RowPool(s, m, jobs) as rows:
+                rows.run(analysis._step_rows)
+            assert s.pn.tobytes() == A.tobytes()
+            assert s.nn.tobytes() == B.tobytes()
+            assert s.totals.sum() == z
 
     @pytest.mark.parametrize("offset", [1e6, 1e8])
     def test_kl_is_translation_invariant(self, offset):
@@ -373,30 +376,85 @@ class TestTsne:
 
     def test_public_functions_run_in_the_calling_thread(self, monkeypatch):
         # a tracer that wraps the public functions keeps one span stack, so
-        # pool threads may run private helpers only
-        caller = threading.current_thread()
-        calls, workers = [], set()
+        # pool workers may run private helpers only
+        caller = threading.current_thread(), os.getpid()
+        calls = []
+        points, _ = two_blobs(n_per=80, dims=5)
+        pids = analysis._shared(len(points))  # the pid that ran the rows from each first row
 
-        def recorded(name, fn, log):
+        def recorded(fn, log):
+            @functools.wraps(fn)  # workers look a row function up by its name
             def wrapper(*args, **kwargs):
-                log(name)
+                log(*args)
                 return fn(*args, **kwargs)
             return wrapper
 
         for name, fn in list(vars(analysis).items()):
             if inspect.isfunction(fn) and fn.__module__ == analysis.__name__ \
                     and not name.startswith("_"):
-                monkeypatch.setattr(analysis, name, recorded(
-                    name, fn, lambda n: calls.append((n, threading.current_thread()))))
+                monkeypatch.setattr(analysis, name, recorded(fn, lambda *_, name=name: calls.append(
+                    (name, (threading.current_thread(), os.getpid())))))
         monkeypatch.setattr(analysis, "_step_rows", recorded(
-            "_step_rows", analysis._step_rows,
-            lambda n: workers.add(threading.current_thread())))
-        points, _ = two_blobs(n_per=80, dims=5)
+            analysis._step_rows, lambda s, lo, hi: pids.__setitem__(lo, os.getpid())))
         analysis.tsne(points, perplexity=8.0, iters=3, jobs=2)
         assert {"tsne", "joint_probabilities", "perplexity_search", "kl_divergence"} <= {
             name for name, _ in calls}
-        assert all(thread is caller for _, thread in calls)
-        assert len(workers) == 2  # the pool did run rows in a second thread
+        assert all(where == caller for _, where in calls)
+        ran = set(pids[pids > 0].astype(int))
+        assert len(ran) == 2 and os.getpid() in ran  # a second process ran rows too
+
+    def test_worker_errors_raise_in_the_caller(self, monkeypatch):
+        points, _ = two_blobs(n_per=80, dims=5)
+        step = analysis._step_rows
+
+        def failing(s, lo, hi):
+            if lo > 0:  # only the worker's run
+                raise FloatingPointError("row trouble")
+            step(s, lo, hi)
+
+        def dying(s, lo, hi):
+            if lo > 0:
+                os._exit(3)
+            step(s, lo, hi)
+
+        for fn, why in ((failing, r"FloatingPointError\('row trouble'\)"),
+                        (dying, "the worker process exited")):
+            monkeypatch.setattr(analysis, "_step_rows", functools.wraps(step)(fn))
+            with pytest.raises(RuntimeError,
+                               match=f"^_step_rows failed in a worker process: {why}$"):
+                tsne(points, perplexity=8.0, iters=3, jobs=2)
+            assert multiprocessing.active_children() == []
+
+    def test_workers_exit_when_the_pool_closes(self):
+        with analysis._RowPool(None, 150, 3) as rows:
+            workers = [proc for proc, _ in rows._workers]
+        assert len(workers) == 2
+        assert [proc.exitcode for proc in workers] == [0, 0]  # ended, not killed
+        assert multiprocessing.active_children() == []
+
+    def test_pool_workers_run_their_rows_alone(self):
+        # a fork pool's workers are daemonic and may not start processes
+        points, _ = two_blobs(n_per=75, dims=5, gap=1.0, seed=150)
+        switches = dict(exaggeration_iters=10, momentum_switch=20)
+        want = reference_tsne(points, perplexity=8.0, iters=30, seed=1, **switches)
+        embed = functools.partial(tsne, points, 8.0, 30, jobs=2, **switches)
+        for res in _fork_map(embed, [1, 1], 2):
+            assert_same_bits(res, want)
+
+    @pytest.mark.parametrize("jobs, fork", [(1, True), (3, False)])
+    def test_serial_pool_starts_no_process(self, jobs, fork, monkeypatch):
+        def refused(*_args, **_kwargs):
+            raise AssertionError("a serial pool started a process or thread")
+
+        monkeypatch.setattr(os, "fork", refused)
+        monkeypatch.setattr(threading.Thread, "start", refused)
+        if not fork:
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        points, _ = two_blobs(n_per=75, dims=5, gap=1.0, seed=150)
+        switches = dict(exaggeration_iters=10, momentum_switch=20)
+        want = reference_tsne(points, perplexity=8.0, iters=30, seed=1, **switches)
+        assert_same_bits(tsne(points, perplexity=8.0, iters=30, seed=1, jobs=jobs, **switches),
+                         want)
 
     def test_two_blob_fixture(self):
         points, labels = two_blobs()

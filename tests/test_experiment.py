@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import json
 import os
+import pickle
 import subprocess
 import sys
 
@@ -137,6 +138,31 @@ class TestRunCV:
         a = open(os.path.join(serial.out_root, serial.run_id(), "folds.csv"), "rb").read()
         b = open(os.path.join(parallel.out_root, parallel.run_id(), "folds.csv"), "rb").read()
         assert a == b
+
+    def test_fold_task_size_does_not_grow_with_the_dataset(self, tmp_path, monkeypatch):
+        # a fold task is pickled to its worker; the dataset reaches the worker
+        # by the fork
+        class Sent(Exception):
+            pass
+
+        def record(fn, items, jobs, *inherited):
+            sent.append((items, inherited))
+            raise Sent
+
+        monkeypatch.setattr(experiment, "_fork_map", record)
+        sizes = []
+        y = np.arange(40) % 2
+        for w in (3, 60):
+            x = np.zeros((40, w, 10, 5), dtype=np.float32)
+            cfg = small_cfg(str(tmp_path), tmp_path, dataset="X", jobs=2)
+            sent = []
+            with pytest.raises(Sent):
+                run_cv(cfg, "X", (x, y, 2), str(tmp_path / f"w{w}"), log=QUIET)
+            ((items, inherited),) = sent
+            assert inherited[1] is x and inherited[2] is y
+            assert [fold for fold, _ in items] == [0, 1, 2, 3]
+            sizes.append([len(pickle.dumps(item)) for item in items])
+        assert sizes[0] == sizes[1] and max(sizes[1]) < 1000
 
     @pytest.mark.parametrize("jobs, installed", [(2, True), (2, False), (1, True)])
     def test_parallel_folds_cap_blas_threads(self, syn_data, tmp_path, monkeypatch, jobs,
@@ -323,6 +349,33 @@ class TestRunCV:
         lines.clear()
         dataset_tensors(cfg, log=lines.append)
         assert any("warm cache" in line for line in lines)
+
+    def test_warm_hit_reads_only_the_label_files(self, syn_data, tmp_path, monkeypatch):
+        cfg = small_cfg(syn_data, tmp_path)
+        cold, y_cold, w, _ = tensorize_cached(cfg, log=QUIET)
+        loads, load = [], experiment.load_tu_dataset
+        monkeypatch.setattr(experiment, "load_tu_dataset",
+                            lambda root, name: loads.append(name) or load(root, name))
+        log = []
+        warm, y, w_warm, labels = tensorize_cached(cfg, log=log.append)
+        assert loads == [] and "warm cache" in log[0]
+        assert warm.tobytes() == cold.tobytes() and w_warm == w
+        ds = load(syn_data, "SYN")
+        assert y.dtype == y_cold.dtype == np.int64 and np.array_equal(y, y_cold)
+        assert np.array_equal(y, ds.class_labels())
+        assert labels.sizes.tolist() == [g.n for g in ds.graphs]
+        assert (labels.num_classes, labels.num_node_labels) == (ds.num_classes,
+                                                                 ds.num_node_labels)
+        # a repeated edge line leaves the graphs as they are, but not the digest
+        path = os.path.join(syn_data, "SYN", "SYN_A.txt")
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines + lines[:1]) + "\n")
+        log.clear()
+        rebuilt, *_ = tensorize_cached(cfg, log=log.append)
+        assert loads == ["SYN"] and "stale cache" in log[0]
+        assert rebuilt.tobytes() == cold.tobytes()
 
     def test_seeds_share_one_cache_file_of_the_loaded_graphs(self, syn_data, tmp_path):
         cfg = small_cfg(syn_data, tmp_path, seed=1)

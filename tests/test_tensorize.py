@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from graphcaps import labelling
+from graphcaps import labelling, tensorize
 from graphcaps.data import PAD, Graph, GraphDataset, one_hot, permute_node_ids
 from graphcaps.labelling import betweenness_centrality, rank_nodes
 from graphcaps.tensor_cache import VERSION, CacheError, load_tensors, save_tensors
@@ -191,7 +191,7 @@ class TestDatasetTensorization:
         graphs = [path_graph(4), path_graph(5), triangle()]
         write_tu_files(tu_dir, "WIDTH", graphs)
         ds = load_tu_dataset(tu_dir, "WIDTH")
-        assert default_width(ds) == 4  # mean(4, 5, 3) = 4
+        assert default_width([g.n for g in ds.graphs]) == 4  # mean(4, 5, 3) = 4
         assert padded_anchor_count(ds, 4) == 1
 
     def test_parallel_extraction_matches_serial(self, tu_dir):
@@ -212,6 +212,22 @@ class TestDatasetTensorization:
             given, same = tensorize_dataset(ds, w=6, k=4, jobs=jobs, orders=orders)
             assert given.tobytes() == serial.tobytes()
             assert all(np.array_equal(a, b) for a, b in zip(same, orders, strict=True))
+
+    def test_chunk_tasks_carry_slices_not_graphs(self, tu_dir, monkeypatch):
+        # extraction workers inherit the graphs and orders at the fork
+        write_tu_files(tu_dir, "PAR", [random_graph(np.random.default_rng(i), 8, 0.4)
+                                       for i in range(12)])
+        ds = load_tu_dataset(tu_dir, "PAR")
+        sent, fork_map = [], tensorize._fork_map
+
+        def record(fn, items, *rest):
+            sent.extend(items)
+            return fork_map(fn, items, *rest)
+
+        monkeypatch.setattr(tensorize, "_fork_map", record)
+        _, orders = tensorize_dataset(ds, w=6, k=4, jobs=2)
+        tensorize_dataset(ds, w=6, k=4, jobs=2, orders=orders)
+        assert sent and all(isinstance(item, slice) for item in sent)
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_rejected(self, jobs):
