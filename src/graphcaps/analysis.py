@@ -9,8 +9,9 @@ momentum, adaptive gains and early exaggeration.  Benchmark-sized inputs
 
 Its O(m^2) parts, the per-point bandwidth search, each descent step and the
 KL divergence, run over blocks of rows on ``jobs`` processes: the caller and
-``jobs - 1`` workers forked once per pool (:class:`_RowPool`).  Processes, not
-threads: on the benchmark's m = 1000 P a descent step took 9.61 ms on one
+``jobs - 1`` workers of the package's one pool (:mod:`graphcaps._pool`),
+which fails the call, naming the row function, if a worker dies.  Processes,
+not threads: on the benchmark's m = 1000 P a descent step took 9.61 ms on one
 thread, 6.92 ms on two threads and 5.15 ms on two forked processes, because
 the per-row (1 x m) @ (m x 3) BLAS calls do not overlap across threads and
 every block's ufunc calls pass the interpreter lock back and forth.  The
@@ -18,7 +19,7 @@ processes share memory by one rule: every array that a worker writes, or that
 the caller changes between runs, lives in anonymous shared memory
 (:func:`_shared`) allocated before the fork; read-only inputs made before the
 fork (the search's negated distances, the final P) are inherited; and a run
-sends a worker only the name of a private row function and its scalar
+sends a worker only a private row function, by name, and its scalar
 arguments.  Every row goes through the same float operations in the
 same order whatever block or process it falls in: the Student-t kernel is
 summed from coordinate differences, its normaliser is a sum of per-row sums,
@@ -36,13 +37,12 @@ from __future__ import annotations
 
 import csv
 import mmap
-import multiprocessing
-import os
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from ._pool import RowWorkers
 from .models import CapsNet, PatchyCnn
 
 
@@ -81,120 +81,11 @@ _EARLY_EXAGGERATION = 12.0
 _SEARCH_STEPS = 100
 
 
-# Seconds a closing pool waits for a worker to exit before it kills it.
-_REAP_SECONDS = 1.0
-
-
 def _shared(shape) -> np.ndarray:
     """A zeroed float64 array in anonymous shared memory: a process forked
     after this call and its parent see each other's writes to it."""
     count = int(np.prod(shape))
     return np.frombuffer(mmap.mmap(-1, max(8 * count, 1)), np.float64, count).reshape(shape)
-
-
-class _RowPool:
-    """Runs row-block work on ``jobs`` processes: the caller and ``jobs - 1``
-    workers, forked when the pool is made, that inherit ``state``.
-
-    ``run(fn, *args)`` splits ``range(m)`` into at most ``jobs`` runs of whole
-    ``_ROW_BLOCK``-row blocks and calls ``fn(state, *args, lo, hi)`` once per
-    run, the first run in the caller.  A worker is sent only ``fn``'s name,
-    which must name a function of this module, and ``args``, which are
-    pickled; so every array of ``state`` that a worker writes, or that the
-    caller changes after the fork, must come from :func:`_shared`.  ``fn``
-    does each row's arithmetic alone, so what it writes depends on neither
-    ``jobs`` nor ``_ROW_BLOCK``; the caller combines rows after ``run``
-    returns.  A worker that raises or exits makes ``run`` raise a
-    ``RuntimeError`` naming ``fn``, after every other run has ended.
-
-    ``jobs=None`` means ``os.cpu_count()``; one job, a platform without
-    fork, or a caller that is itself a pool worker (which may not start
-    processes) runs everything in the caller and starts no process; fewer is
-    a ``ValueError``.  Leaving the ``with`` block reaps the workers."""
-
-    def __init__(self, state, m: int, jobs: int | None):
-        if jobs is not None and jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        jobs = (os.cpu_count() or 1) if jobs is None else jobs
-        if ("fork" not in multiprocessing.get_all_start_methods()
-                or multiprocessing.current_process().daemon):
-            jobs = 1
-        step = -(-m // (jobs * _ROW_BLOCK)) * _ROW_BLOCK
-        self.runs = [(lo, min(lo + step, m)) for lo in range(0, m, step)]
-        self.state = state
-        self._workers = []  # (process, the caller's end of its pipe)
-        try:
-            for _ in self.runs[1:]:
-                ctx = multiprocessing.get_context("fork")
-                ours, theirs = ctx.Pipe()
-                callers = [ours, *(conn for _, conn in self._workers)]
-                proc = ctx.Process(target=_serve, args=(theirs, state, callers), daemon=True)
-                proc.start()
-                theirs.close()
-                self._workers.append((proc, ours))
-        except BaseException:
-            self.close()
-            raise
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
-    def close(self) -> None:
-        """End the workers: each exits when its pipe closes, or is killed."""
-        for _, conn in self._workers:
-            conn.close()
-        for proc, _ in self._workers:
-            proc.join(_REAP_SECONDS)
-            if proc.exitcode is None:
-                proc.kill()
-                proc.join()
-        self._workers = []
-
-    def run(self, fn, *args) -> None:
-        sent, errors = [], []
-        for (_, conn), (lo, hi) in zip(self._workers, self.runs[1:]):
-            try:
-                conn.send((fn.__name__, args, lo, hi))
-            except OSError:
-                errors.append("the worker process has exited")
-            else:
-                sent.append(conn)
-        try:
-            fn(self.state, *args, *self.runs[0])
-        finally:
-            for conn in sent:
-                try:
-                    error = conn.recv()
-                except (EOFError, OSError):
-                    error = "the worker process exited"
-                if error is not None:
-                    errors.append(error)
-        if errors:
-            raise RuntimeError(f"{fn.__name__} failed in a worker process: {errors[0]}")
-
-
-def _serve(conn, state, callers) -> None:
-    """A forked worker's loop: for each ``(name, args, lo, hi)`` the caller
-    sends, call the row function ``name`` on ``state`` and answer None, or the
-    error; return once the caller closes its end of ``conn``.  ``callers``
-    are the caller's ends of this worker's pipe and of those forked before
-    it: the worker closes its copies, so that only the caller holds them."""
-    for other in callers:
-        other.close()
-    while True:
-        try:
-            name, args, lo, hi = conn.recv()
-        except EOFError:
-            return
-        try:
-            globals()[name](state, *args, lo, hi)
-        except Exception as exc:  # the caller raises it
-            conn.send(repr(exc))
-        else:
-            conn.send(None)
 
 
 def _blocks(lo: int, hi: int):
@@ -317,7 +208,7 @@ def perplexity_search(d2: np.ndarray, perplexity: float, tol: float = 1e-4,
             "t-SNE rejects zero-variance input"
         )
     s = _Search(neg)
-    with _RowPool(s, m, jobs) as rows:
+    with RowWorkers(s, m, jobs, _ROW_BLOCK) as rows:
         rows.run(_search_rows, float(np.log(perplexity)), tol)
     return s.P, s.betas
 
@@ -417,12 +308,12 @@ def _kl_rows(s: _Layout, z, lo, hi) -> None:
         t.sum(axis=1, out=s.totals[a:b])
 
 
-def kl_divergence(P: np.ndarray, y: np.ndarray, rows: _RowPool | None = None) -> float:
+def kl_divergence(P: np.ndarray, y: np.ndarray, rows: RowWorkers | None = None) -> float:
     """KL(P || Q) of the layout ``y`` over the off-diagonal pairs, its rows
     run on ``rows``, the caller's row pool over the :class:`_Layout` of this
     P (default: the calling process alone).  The kernel is computed twice, a
     block at a time: once for its sum z, once for the terms."""
-    rows = _RowPool(_Layout(P), len(P), 1) if rows is None else rows
+    rows = RowWorkers(_Layout(P), len(P), 1, _ROW_BLOCK) if rows is None else rows
     rows.state.put(y)
     rows.run(_kernel_sum_rows)
     z = rows.state.totals.sum()
@@ -472,7 +363,7 @@ def tsne(points: np.ndarray, perplexity: float, iters: int = 1000, seed: int = 0
     velocity = np.zeros_like(y)
     gains = np.ones_like(y)
     s = _Layout(P)
-    with _RowPool(s, m, jobs) as rows:
+    with RowWorkers(s, m, jobs, _ROW_BLOCK) as rows:
         kl_initial = kl_divergence(P, y, rows)
         for it in range(iters):
             exaggeration = _EARLY_EXAGGERATION if it < exaggeration_iters else 1.0

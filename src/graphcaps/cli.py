@@ -186,7 +186,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out-root", help="output directory root")
     p.add_argument("--cache-dir", help="tensor cache directory")
     p.add_argument("--jobs", type=int,
-                   help="parallel workers for folds/extraction and t-SNE threads, at least 1 "
+                   help="processes for folds, extraction and t-SNE, at least 1 "
                         "(default: available cores)")
 
 

@@ -28,6 +28,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__, tensor_cache
+from ._pool import fork_map, processes
 from .data import (_read_labels, dataset_checksums, dataset_digest, load_tu_dataset, one_hot,
                    resolve_dataset_dir)
 from .labelling import LABELLINGS
@@ -44,7 +45,7 @@ from .models import (
     train_model,
 )
 from .tensor_cache import CacheError, load_orders, load_tensors, save_orders, save_tensors
-from .tensorize import _fork_map, default_width, padded_anchor_count, tensorize_dataset
+from .tensorize import default_width, padded_anchor_count, tensorize_dataset
 
 try:
     from threadpoolctl import threadpool_limits
@@ -115,10 +116,7 @@ class ExperimentConfig:
             raise ValueError("routing_iters must be >= 1")
         if self.loss_mode not in LOSS_MODES:
             raise ValueError(f"unknown loss_mode {self.loss_mode!r}")
-        if self.jobs is None:
-            self.jobs = max(1, os.cpu_count() or 1)
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+        self.jobs = processes(self.jobs)
         if self.cache_dir is None:
             self.cache_dir = os.path.join(self.out_root, "cache")
 
@@ -384,17 +382,21 @@ def fold_seed(base_seed: int, fold: int) -> int:
 
 
 def _run_fold(cfg, x, y, num_classes, task):
-    """Train and test fold ``task = (fold, test_idx)`` of ``(x, y)``."""
+    """Train and test fold ``task = (fold, test_idx)`` of ``(x, y)``; errors name the fold."""
     fold, test_idx = task
     seed = fold_seed(cfg.seed, fold)
     train_idx = np.setdiff1d(np.arange(len(x)), test_idx)
     _, w, _, channels = x.shape
-    model = cfg.build_model(w, channels, num_classes, seed)
-    # parallel folds each get one BLAS thread, so they do not oversubscribe
-    capped = cfg.jobs > 1 and threadpool_limits is not None
-    with threadpool_limits(limits=1) if capped else contextlib.nullcontext():
-        tr = train_model(model, x[train_idx], y[train_idx], cfg.train_config(seed))
-        acc = evaluate_accuracy(model, x[test_idx], y[test_idx])
+    try:
+        model = cfg.build_model(w, channels, num_classes, seed)
+        # parallel folds each get one BLAS thread, so they do not oversubscribe
+        capped = cfg.jobs > 1 and threadpool_limits is not None
+        with threadpool_limits(limits=1) if capped else contextlib.nullcontext():
+            tr = train_model(model, x[train_idx], y[train_idx], cfg.train_config(seed))
+            acc = evaluate_accuracy(model, x[test_idx], y[test_idx])
+    except Exception as exc:
+        exc.args = (f"fold {fold}: {exc}",)
+        raise
     return {
         "fold": fold,
         "seed": seed,
@@ -457,7 +459,8 @@ def run_cv(cfg: ExperimentConfig, name: str, data: tuple, run_dir: str,
 
     # a task is its fold; fold workers inherit the dataset at the fork
     pending = [(f, folds[f]) for f in range(cfg.folds) if f not in done]
-    for row in _fork_map(_run_fold, pending, cfg.jobs, cfg, x, y, num_classes):
+    for row in fork_map(_run_fold, pending, cfg.jobs, cfg, x, y, num_classes,
+                        name=lambda task: f"fold {task[0]}"):
         done[row["fold"]] = row
         _persist_partial(partial, done)
         log(_fold_line(row))

@@ -14,16 +14,17 @@ whole chunk and builds every anchor's field in numpy passes over it, and
 :func:`graph_to_tensor` is a chunk of one.  A grid does not depend on the
 chunk it was computed in.  The canonical order depends only on the graph, so
 :func:`tensorize_dataset` takes the orders of an earlier extraction in place
-of the search, and returns the orders it used.
+of the search, and returns the orders it used.  Its chunks run on
+:func:`graphcaps._pool.fork_map`, and a dead worker names its chunk's graphs.
 """
 
 from __future__ import annotations
 
 import functools
-import multiprocessing
 
 import numpy as np
 
+from ._pool import fork_map, processes
 from .data import Graph, GraphDataset
 from .labelling import (CapacityError, canonical_order, check_labelling, lane_groups,
                         receptive_fields)
@@ -108,15 +109,14 @@ def tensorize_dataset(
 
     Graphs go in chunks of consecutive graphs of at most
     :data:`graphcaps.labelling.CELLS` cells (``n*n`` per graph) and at most
-    one worker's share; with ``jobs > 1`` the chunks run in worker processes,
-    which inherit the graphs and orders and are sent each chunk's slice, and
-    results come back in input order.  A grid depends on neither the
-    chunks, nor the workers, nor whether its order was searched or given."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    groups = list(lane_groups([g.n * g.n for g in ds.graphs], jobs))
+    one worker's share; with ``jobs > 1`` the chunks run in forked worker
+    processes, which inherit the graphs and orders and are sent each chunk's
+    slice, and results come back in input order.  A grid depends on neither
+    the chunks, nor the workers, nor whether its order was searched or given."""
+    groups = list(lane_groups([g.n * g.n for g in ds.graphs], processes(jobs)))
     extract = functools.partial(_grids, w=w, k=k, d=ds.num_node_labels, labelling=labelling)
-    grids, found = zip(*_fork_map(_chunk_grids, groups, jobs, extract, ds.graphs, orders))
+    grids, found = zip(*fork_map(_chunk_grids, groups, jobs, extract, ds.graphs, orders,
+                                 name=lambda group: f"graphs {group.start}-{group.stop - 1}"))
     return np.concatenate(grids), [order for chunk in found for order in chunk]
 
 
@@ -124,34 +124,6 @@ def _chunk_grids(extract, graphs, orders, group: slice) -> tuple:
     """``extract`` of the chunk of ``graphs`` (and of their ``orders``, when
     given) in the slice ``group``: a worker is sent only the slice."""
     return extract((group.start, graphs[group], None if orders is None else orders[group]))
-
-
-def _fork_map(fn, items, jobs: int, *inherited):
-    """Yield ``fn(*inherited, item)`` for each item in input order, from
-    ``min(jobs, len(items))`` forked workers when that is above 1 and fork
-    exists, else serially.  Each item is one task: the caller's items are
-    the split of the work.  Only the items are pickled: the workers inherit
-    ``fn`` and ``inherited`` at the fork."""
-    jobs = min(jobs, len(items))
-    if jobs > 1 and "fork" in multiprocessing.get_all_start_methods():
-        with multiprocessing.get_context("fork").Pool(jobs, _inherit, (fn, inherited)) as pool:
-            yield from pool.imap(_call_inherited, items)
-    else:
-        yield from (fn(*inherited, item) for item in items)
-
-
-# A _fork_map worker's (fn, inherited), set once in each worker process.
-_INHERITED = None
-
-
-def _inherit(fn, inherited) -> None:
-    global _INHERITED
-    _INHERITED = fn, inherited
-
-
-def _call_inherited(item):
-    fn, inherited = _INHERITED
-    return fn(*inherited, item)
 
 
 def padded_anchor_count(ds: GraphDataset, w: int) -> int:

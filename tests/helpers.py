@@ -1,14 +1,16 @@
 """Shared test fixtures: tiny graphs, TU-format file writers, a synthetic
-two-class benchmark, cache-file forgeries, kernel mutations, and the serial
-per-graph references that the batched extraction must match bit for bit.
-The random graph generator and the selftest oracles live in
-:mod:`graphcaps.selftest`."""
+two-class benchmark, cache-file forgeries, kernel mutations, a time limit for
+calls that could hang, and the serial per-graph references that the batched
+extraction must match bit for bit.  The random graph generator and the
+selftest oracles live in :mod:`graphcaps.selftest`."""
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import inspect
 import os
+import signal
 import struct
 import sys
 import textwrap
@@ -30,6 +32,7 @@ __all__ = [
     "write_v2_cache",
     "flip_grid_byte",
     "mutate",
+    "time_limit",
     "healthy_suite",
     "diamond_chain",
     "scalar_betweenness",
@@ -187,6 +190,23 @@ def mutate(monkeypatch, module, name: str, expression: str, mutant: str) -> None
     for mod_name, mod in list(sys.modules.items()):
         if mod_name.startswith("graphcaps") and getattr(mod, name, None) is original:
             monkeypatch.setattr(mod, name, scope[name])
+
+
+@contextlib.contextmanager
+def time_limit(seconds: int):
+    """Raise ``TimeoutError`` in the block once it has run ``seconds``, so a
+    call that would wait for ever fails its test instead.  SIGALRM reaches
+    the main thread only; forked children inherit no pending alarm."""
+    def expire(*_):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # Each selftest suite's (failures, detail) on the unmutated build, run once

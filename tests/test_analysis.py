@@ -8,7 +8,7 @@ import threading
 import numpy as np
 import pytest
 
-from graphcaps import analysis
+from graphcaps import _pool, analysis
 from graphcaps.analysis import (
     EmbeddingSource,
     cluster_distances,
@@ -21,7 +21,6 @@ from graphcaps.analysis import (
     write_embeddings_csv,
 )
 from graphcaps.models import CapsNetConfig, build_capsnet, build_cnn
-from graphcaps.tensorize import _fork_map
 
 
 def two_blobs(n_per=10, dims=50, gap=5.0, seed=0):
@@ -358,7 +357,7 @@ class TestTsne:
         for jobs in (1, 2, 3):
             s = analysis._Layout(P)  # the outputs, in the pool's shared memory
             s.put(y)
-            with analysis._RowPool(s, m, jobs) as rows:
+            with _pool.RowWorkers(s, m, jobs, block) as rows:
                 rows.run(analysis._step_rows)
             assert s.pn.tobytes() == A.tobytes()
             assert s.nn.tobytes() == B.tobytes()
@@ -417,17 +416,17 @@ class TestTsne:
                 os._exit(3)
             step(s, lo, hi)
 
-        for fn, why in ((failing, r"FloatingPointError\('row trouble'\)"),
-                        (dying, "the worker process exited")):
+        for fn, error, why in ((failing, FloatingPointError, "row trouble"),
+                               (dying, RuntimeError,
+                                "_step_rows: the worker process exited with code 3")):
             monkeypatch.setattr(analysis, "_step_rows", functools.wraps(step)(fn))
-            with pytest.raises(RuntimeError,
-                               match=f"^_step_rows failed in a worker process: {why}$"):
+            with pytest.raises(error, match=f"^{why}$"):
                 tsne(points, perplexity=8.0, iters=3, jobs=2)
             assert multiprocessing.active_children() == []
 
     def test_workers_exit_when_the_pool_closes(self):
-        with analysis._RowPool(None, 150, 3) as rows:
-            workers = [proc for proc, _ in rows._workers]
+        with _pool.RowWorkers(None, 150, 3, analysis._ROW_BLOCK) as rows:
+            workers = list(rows.procs.values())
         assert len(workers) == 2
         assert [proc.exitcode for proc in workers] == [0, 0]  # ended, not killed
         assert multiprocessing.active_children() == []
@@ -438,7 +437,7 @@ class TestTsne:
         switches = dict(exaggeration_iters=10, momentum_switch=20)
         want = reference_tsne(points, perplexity=8.0, iters=30, seed=1, **switches)
         embed = functools.partial(tsne, points, 8.0, 30, jobs=2, **switches)
-        for res in _fork_map(embed, [1, 1], 2):
+        for res in _pool.fork_map(embed, [1, 1], 2, name=str):
             assert_same_bits(res, want)
 
     @pytest.mark.parametrize("jobs, fork", [(1, True), (3, False)])

@@ -1,19 +1,22 @@
 import dataclasses
 import glob
 import json
+import multiprocessing
 import os
 import runpy
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
-from graphcaps import cli, experiment, labelling, selftest
+from graphcaps import cli, experiment, labelling, selftest, tensorize
 from graphcaps.cli import main, read_config_file
+from graphcaps.data import load_tu_dataset
 from graphcaps.experiment import PTC_SUBSETS, ExperimentConfig
 from helpers import (count_calls, cycle_graph, healthy_suite, mutate, path_graph,
-                     synthetic_dataset_graphs, triangle, write_tu_files)
+                     synthetic_dataset_graphs, time_limit, triangle, write_tu_files)
 
 
 @pytest.fixture()
@@ -237,6 +240,64 @@ class TestRunCommand:
             text = open(path).read()
             assert "outer_script" not in text and "--some-outer-flag" not in text
             assert json.loads(text)["resolved_config"]["data_root"] == syn_root
+
+
+class TestDeadWorkers:
+    """A worker that dies fails the command within seconds, naming what it
+    held, and leaves no child process behind."""
+
+    def test_dead_fold_worker_fails_the_run(self, syn_root, tmp_path, monkeypatch, capsys):
+        out_root = str(tmp_path / "results")
+        partial = os.path.join(out_root, "SYN_bc_capsules*", "folds_partial.json")
+        run_fold = experiment._run_fold
+
+        def kept():
+            for path in glob.glob(partial):
+                with open(path) as fh:
+                    return {row["fold"] for row in json.load(fh)}
+            return set()
+
+        def dying(cfg, x, y, num_classes, task):
+            if task[0] == 3:
+                # die once folds 0-2 are kept: fold 3 can be sent before they
+                # all come back, and results come back in fold order
+                deadline = time.monotonic() + 20
+                while kept() != {0, 1, 2} and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                os._exit(9)
+            return run_fold(cfg, x, y, num_classes, task)
+
+        monkeypatch.setattr(experiment, "_run_fold", dying)
+        with time_limit(20):
+            rc = main(["run", "--dataset", "SYN", "--data-root", syn_root, "--out-root", out_root,
+                       "--preset", "small", "--folds", "4", "--epochs", "1", "--jobs", "2"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: fold 3: the worker process exited with code 9\n"
+        assert multiprocessing.active_children() == []
+        assert kept() == {0, 1, 2}
+
+    def test_dead_chunk_worker_fails_the_extraction(self, syn_root, tmp_path, monkeypatch,
+                                                    capsys):
+        graphs = load_tu_dataset(syn_root, "SYN").graphs
+        *_, last = labelling.lane_groups([g.n * g.n for g in graphs], 2)
+        assert last.start > 0
+        chunk_grids = tensorize._chunk_grids
+
+        def dying(extract, graphs, orders, group):
+            if group == last:
+                os._exit(7)
+            return chunk_grids(extract, graphs, orders, group)
+
+        monkeypatch.setattr(tensorize, "_chunk_grids", dying)
+        out_root = str(tmp_path / "results")
+        with time_limit(20):
+            rc = main(["tensorize", "--dataset", "SYN", "--data-root", syn_root,
+                       "--out-root", out_root, "-w", "6", "-k", "4", "--jobs", "2"])
+        assert rc == 1
+        assert capsys.readouterr().err == (f"error: graphs {last.start}-{len(graphs) - 1}: "
+                                           "the worker process exited with code 7\n")
+        assert multiprocessing.active_children() == []
+        assert not glob.glob(os.path.join(out_root, "cache", "*.gct"))
 
 
 class TestSharedOrders:

@@ -26,6 +26,7 @@ from graphcaps.experiment import (
     variant_name,
 )
 from graphcaps.models import ConfigError
+from graphcaps.nn import TrainingError
 from graphcaps.tensor_cache import load_orders, save_orders, save_tensors
 from graphcaps.tensorize import tensorize_dataset
 from helpers import (count_calls, flip_grid_byte, swap_first_orders, synthetic_dataset_graphs,
@@ -139,17 +140,32 @@ class TestRunCV:
         b = open(os.path.join(parallel.out_root, parallel.run_id(), "folds.csv"), "rb").read()
         assert a == b
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_fold_errors_name_the_fold(self, syn_data, tmp_path, monkeypatch, jobs):
+        train = experiment.train_model
+
+        def failing(model, x, y, tc):
+            if tc.seed == experiment.fold_seed(1, 2):
+                raise TrainingError("non-finite loss nan at epoch 0, batch 1")
+            return train(model, x, y, tc)
+
+        monkeypatch.setattr(experiment, "train_model", failing)
+        cfg = small_cfg(syn_data, tmp_path, epochs=1, jobs=jobs)
+        why = "^fold 2: non-finite loss nan at epoch 0, batch 1$"
+        with pytest.raises(TrainingError, match=why):
+            run_one(cfg)
+
     def test_fold_task_size_does_not_grow_with_the_dataset(self, tmp_path, monkeypatch):
         # a fold task is pickled to its worker; the dataset reaches the worker
         # by the fork
         class Sent(Exception):
             pass
 
-        def record(fn, items, jobs, *inherited):
+        def record(fn, items, jobs, *inherited, name):
             sent.append((items, inherited))
             raise Sent
 
-        monkeypatch.setattr(experiment, "_fork_map", record)
+        monkeypatch.setattr(experiment, "fork_map", record)
         sizes = []
         y = np.arange(40) % 2
         for w in (3, 60):

@@ -218,13 +218,13 @@ class TestDatasetTensorization:
         write_tu_files(tu_dir, "PAR", [random_graph(np.random.default_rng(i), 8, 0.4)
                                        for i in range(12)])
         ds = load_tu_dataset(tu_dir, "PAR")
-        sent, fork_map = [], tensorize._fork_map
+        sent, fork_map = [], tensorize.fork_map
 
-        def record(fn, items, *rest):
+        def record(fn, items, *rest, **named):
             sent.extend(items)
-            return fork_map(fn, items, *rest)
+            return fork_map(fn, items, *rest, **named)
 
-        monkeypatch.setattr(tensorize, "_fork_map", record)
+        monkeypatch.setattr(tensorize, "fork_map", record)
         _, orders = tensorize_dataset(ds, w=6, k=4, jobs=2)
         tensorize_dataset(ds, w=6, k=4, jobs=2, orders=orders)
         assert sent and all(isinstance(item, slice) for item in sent)
