@@ -66,44 +66,50 @@ def _answer(conn, proc, what) -> tuple:
 
 def _serve(conn, call, callers) -> None:
     """A worker: answer tasks with ``(True, call(task))`` or ``(False, exception)``
-    until EOF, which comes once it has closed its copies of the caller's ends."""
+    until EOF, which comes once it has closed its copies of the caller's ends;
+    an answer that does not pickle goes as a ``RuntimeError`` of its repr."""
     for other in callers:
         other.close()
     with contextlib.suppress(EOFError, OSError):  # the caller has closed its end
         while True:
             task = conn.recv()
             try:
-                reply = True, call(task)
+                ok, value = True, call(task)
             except Exception as exc:  # the caller raises it
-                reply = False, exc
-            conn.send(reply)
+                ok, value = False, exc
+            try:
+                conn.send((ok, value))
+            except Exception as exc:  # it did not pickle (if the pipe is gone, this fails too)
+                conn.send((False, RuntimeError(repr(exc if ok else value))))
 
 
 def fork_map(fn, items: list, jobs: int, *inherited, name):
-    """Yield ``fn(*inherited, item)`` for each item in input order, from up
-    to ``processes(jobs)`` forked workers, which inherit ``fn`` and
-    ``inherited``: an item, pickled, goes to whichever is free first.  A
-    worker that dies raises a ``RuntimeError`` naming ``name(item)``."""
+    """Yield ``(i, fn(*inherited, items[i]))`` for each item as its result
+    comes back, from up to ``processes(jobs)`` forked workers, which inherit
+    ``fn`` and ``inherited``: an item, pickled, goes to whichever is free
+    first.  A worker that dies raises a ``RuntimeError`` naming
+    ``name(item)``, after every result that came back before it."""
     count = min(processes(jobs), len(items))
     if count < 2:
-        yield from (fn(*inherited, item) for item in items)
+        yield from ((i, fn(*inherited, item)) for i, item in enumerate(items))
         return
     from multiprocessing.connection import wait  # here: at the top it slows every import
     with _Workers(count, functools.partial(fn, *inherited)) as workers:
-        tasks, idle, held, done = iter(enumerate(items)), list(workers.procs), {}, {}
-        for nxt in range(len(items)):
-            while nxt not in done:
-                for conn, (i, item) in zip(idle, tasks):  # idle first: zip drops no task
-                    held[conn] = i
-                    with contextlib.suppress(OSError):  # a dead worker shows at its answer
-                        conn.send(item)
-                idle = wait(list(held))
-                for conn in idle:
-                    i = held.pop(conn)
-                    ok, done[i] = _answer(conn, workers.procs[conn], lambda: name(items[i]))
-                    if not ok:
-                        raise done[i]
-            yield done.pop(nxt)
+        tasks, idle, held = iter(enumerate(items)), list(workers.procs), {}
+        while True:
+            for conn, (i, item) in zip(idle, tasks):  # idle first: zip drops no task
+                held[conn] = i
+                with contextlib.suppress(OSError):  # a dead worker shows at its answer
+                    conn.send(item)
+            if not held:
+                return
+            idle = wait(list(held))
+            for conn in idle:
+                i = held.pop(conn)
+                ok, result = _answer(conn, workers.procs[conn], lambda: name(items[i]))
+                if not ok:
+                    raise result
+                yield i, result
 
 
 class RowWorkers(_Workers):

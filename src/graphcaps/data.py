@@ -5,16 +5,22 @@ edge lines with 1-based global node ids, ``<name>_graph_indicator.txt`` maps
 each node line to its graph id, and ``<name>_graph_labels.txt`` /
 ``<name>_node_labels.txt`` hold one integer per graph / node.  All indices are
 re-mapped to contiguous 0-based ranges at load time.
+
+A load reads the three label files into :class:`TuLabels`
+(:func:`read_labels`), which is all a tensor cache hit needs, and on a miss
+builds the edges on them into one :class:`Graphs` (:func:`load_tu_dataset`):
+a CSR of every graph's nodes, their labels, the graph offsets and the
+classes.  Extraction takes its chunks as slices of it.  A graph built by hand
+is a :class:`Graphs` of one graph (:func:`graph`).
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import operator
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,86 +38,91 @@ class DatasetFormatError(ValueError):
     """A dataset file exists but does not parse as TU-Dortmund format."""
 
 
-@dataclass
-class Graph:
-    """Undirected labelled graph with a class label.
+@dataclass(eq=False)
+class Graphs:
+    """Undirected labelled graphs as one CSR: a dataset, a chunk of one, or a
+    single graph, which is the case of one.
 
-    Edges are stored once per unordered pair as ``(u, v)`` with ``u < v``;
-    symmetry is implied.  ``node_labels`` are categorical ints in ``[0, d)``.
+    Graph ``i`` holds the nodes ``offsets[i]`` to ``offsets[i + 1] - 1`` and
+    has the class ``classes[i]``.  Node ``v`` has the label ``labels[v]``, a
+    categorical int, and the neighbours ``indices[indptr[v]:indptr[v + 1]]``,
+    ascending and all in its own graph.  An edge is listed once at each of
+    its two ends, and no node is its own neighbour.  Every array is int64.
     """
 
-    n: int
-    edges: frozenset
-    node_labels: tuple
-    class_label: int
-    _adj: list | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.n <= 0:
-            raise ValueError(f"graph must have at least one node, got n={self.n}")
-        given = self.edges if isinstance(self.edges, (set, frozenset)) else tuple(self.edges)
-        edges = frozenset(given)
-        lows, highs = zip(*edges) if edges else ((), ())
-        if not all(map(operator.lt, lows, highs)):
-            edges = frozenset((u, v) if u < v else (v, u) for u, v in edges)
-            lows, highs = zip(*edges)
-        if edges and (min(lows) < 0 or max(highs) >= self.n
-                      or not all(map(operator.lt, lows, highs))):
-            for u, v in given:  # name the first bad edge
-                if u == v:
-                    raise ValueError(f"self-loop on node {u}")
-                if not (0 <= u < self.n and 0 <= v < self.n):
-                    raise ValueError(f"edge ({u}, {v}) references a node outside [0, {self.n})")
-        self.edges = edges
-        self.node_labels = tuple(map(int, self.node_labels))
-        if len(self.node_labels) != self.n:
-            raise ValueError(
-                f"expected {self.n} node labels, got {len(self.node_labels)}"
-            )
-
-    def adjacency(self) -> list:
-        """Neighbour lists, each sorted ascending.  Built once, then cached."""
-        if self._adj is None:
-            adj = [[] for _ in range(self.n)]
-            for u, v in self.edges:
-                adj[u].append(v)
-                adj[v].append(u)
-            for lst in adj:
-                lst.sort()
-            self._adj = adj
-        return self._adj
-
-
-@dataclass
-class GraphDataset:
-    graphs: list
-    num_classes: int
-    num_node_labels: int
-    name: str
-
-    def __post_init__(self):
-        for g in self.graphs:
-            if not 0 <= g.class_label < self.num_classes:
-                raise ValueError(f"class label {g.class_label} outside [0, {self.num_classes})")
-            if g.node_labels and max(g.node_labels) >= self.num_node_labels:
-                raise ValueError(
-                    f"node label {max(g.node_labels)} outside [0, {self.num_node_labels})"
-                )
+    indptr: np.ndarray
+    indices: np.ndarray
+    labels: np.ndarray
+    offsets: np.ndarray
+    classes: np.ndarray
 
     def __len__(self):
-        return len(self.graphs)
+        return len(self.classes)
 
-    def class_labels(self) -> np.ndarray:
-        return np.array([g.class_label for g in self.graphs], dtype=np.int64)
+    @property
+    def sizes(self) -> np.ndarray:
+        """Each graph's node count."""
+        return np.diff(self.offsets)
+
+    def __getitem__(self, key) -> Graphs:
+        """Graph ``key``, or the graphs in the slice ``key`` (of step 1),
+        with their nodes counted from 0: a slice of each array, less the
+        first node's offset."""
+        span = range(len(self))[key]
+        first, stop = (span, span + 1) if isinstance(span, int) else (span.start, span.stop)
+        lo, hi = self.offsets[first], self.offsets[stop]
+        return Graphs(self.indptr[lo:hi + 1] - self.indptr[lo],
+                      self.indices[self.indptr[lo]:self.indptr[hi]] - lo, self.labels[lo:hi],
+                      self.offsets[first:stop + 1] - lo, self.classes[first:stop])
+
+    def edges(self) -> np.ndarray:
+        """The ``(m, 2)`` edges ``(u, v)`` with ``u < v``, in ascending order."""
+        u = np.repeat(np.arange(len(self.labels)), self.indptr[1:] - self.indptr[:-1])
+        keep = u < self.indices
+        return np.array([u[keep], self.indices[keep]]).T
+
+
+def _csr(n: int, u, v) -> tuple:
+    """``(indptr, indices)`` of the undirected graph on the nodes ``0`` to
+    ``n - 1`` whose edges join ``u[i]`` and ``v[i]``: each neighbour list
+    ascending, and an edge given more than once, in either direction, listed
+    once at each end.  Duplicates go by a sort and a mask: ``np.unique``
+    hashes int64 keys in recent numpy, which is many times slower on a large
+    dataset."""
+    pairs = np.sort(np.concatenate([u * n + v, v * n + u]))
+    pairs = pairs[np.concatenate([pairs[:1] >= 0, pairs[1:] != pairs[:-1]])]  # first, if any
+    return np.concatenate([[0], np.cumsum(np.bincount(pairs // n, minlength=n))]), pairs % n
+
+
+def graph(n: int, edges, labels, cls: int = 0) -> Graphs:
+    """The graph of ``n`` nodes labelled ``labels``, of class ``cls``, whose
+    undirected ``edges`` are ``(u, v)`` pairs in either order; a pair given
+    more than once is one edge."""
+    if n <= 0:
+        raise ValueError(f"graph must have at least one node, got n={n}")
+    u, v = np.array(list(edges), dtype=np.int64).reshape(-1, 2).T
+    bad = np.flatnonzero((u == v) | (np.minimum(u, v) < 0) | (np.maximum(u, v) >= n))
+    if bad.size:  # name the first bad edge
+        u, v = u[bad[0]], v[bad[0]]
+        raise ValueError(f"self-loop on node {u}" if u == v
+                         else f"edge ({u}, {v}) references a node outside [0, {n})")
+    labels = np.array(labels, dtype=np.int64)
+    if len(labels) != n:
+        raise ValueError(f"expected {n} node labels, got {len(labels)}")
+    return Graphs(*_csr(n, u, v), labels, np.array([0, n]), np.array([cls], dtype=np.int64))
 
 
 @dataclass
 class TuLabels:
     """What the graph-indicator, graph-label and node-label files of a TU
-    dataset say, without its edges: each graph's node count and 0-based
-    class, and the numbers of classes and of node labels.  A tensor cache hit
-    needs nothing more (see :func:`graphcaps.experiment.tensorize_cached`)."""
+    dataset say, without its edges: each node's graph and label, each
+    graph's node count and class, all 0-based, and the numbers of classes and
+    of node labels.  A tensor cache hit needs nothing more (see
+    :func:`graphcaps.experiment.tensorize_cached`), and a miss builds the
+    graphs on it (:func:`load_tu_dataset`)."""
 
+    node_graph: np.ndarray  # int64 graph of each node, in file order
+    node_labels: np.ndarray  # int64 label of each node, grouped by graph
     sizes: np.ndarray  # int64 node count of each graph
     classes: np.ndarray  # int64 class of each graph
     num_classes: int
@@ -228,24 +239,19 @@ def resolve_dataset_dir(root: str, name: str) -> str:
     return root
 
 
-def load_tu_dataset(root: str, name: str) -> GraphDataset:
-    """Load one benchmark dataset from TU-Dortmund flat files under ``root``.
+def load_tu_dataset(root: str, name: str, labels: TuLabels) -> Graphs:
+    """Load the graphs of one benchmark dataset from TU-Dortmund flat files
+    under ``root``, whose label files say ``labels`` (:func:`read_labels`).
 
-    Returns a :class:`GraphDataset` with 0-based contiguous node, label and
-    class indices; the edge list is deduplicated and symmetrized.  Each file
-    is parsed by :func:`_read_rows` and checked in whole-array operations; a
-    malformed line is named as ``path:lineno``.
+    Returns one :class:`Graphs`: the nodes grouped by graph, in file order
+    within each, with 0-based labels and classes, and the edges
+    deduplicated and symmetrized.  The edge file is parsed by
+    :func:`_read_rows` and checked in whole-array operations; a malformed
+    line is named as ``path:lineno``.
     """
-    base = resolve_dataset_dir(root, name)
-    labels, node_graph, label_of = _read_labels(base, name)
-    a_path = os.path.join(base, f"{name}_A.txt")
-    n_nodes, num_graphs, sizes = len(node_graph), len(labels), labels.sizes
-
-    # nodes grouped by graph, in file order within each graph; a node's
-    # local id is its place in its graph's group
-    by_graph = np.argsort(node_graph, kind="stable")
-    local_id = np.empty(n_nodes, dtype=np.int64)
-    local_id[by_graph] = np.arange(n_nodes) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    a_path = os.path.join(resolve_dataset_dir(root, name), f"{name}_A.txt")
+    node_graph = labels.node_graph
+    n_nodes = len(node_graph)
 
     uv, lineno, checks = _read_rows(a_path, 2)
     u, v = uv[:, 0], uv[:, 1]
@@ -258,38 +264,18 @@ def load_tu_dataset(root: str, name: str) -> GraphDataset:
         (u == v, lambda row: f"self-loop on node {u[row]}"),
     ])
 
-    # edges as (lower, higher) local ids, grouped by graph with one sort
-    lu, lv = local_id[u - 1], local_id[v - 1]
-    by_edge_graph = np.argsort(gu, kind="stable")
-    lo = np.minimum(lu, lv)[by_edge_graph].tolist()
-    hi = np.maximum(lu, lv)[by_edge_graph].tolist()
-    edge_end = np.cumsum(np.bincount(gu, minlength=num_graphs)).tolist()
-    node_end = np.cumsum(sizes).tolist()
-    node_labels = label_of[by_graph].tolist()
-    classes = labels.classes.tolist()
-
-    graphs = []
-    for i in range(num_graphs):
-        e0, n0 = (edge_end[i - 1], node_end[i - 1]) if i else (0, 0)
-        graphs.append(Graph(
-            n=node_end[i] - n0,
-            edges=frozenset(zip(lo[e0:edge_end[i]], hi[e0:edge_end[i]])),
-            node_labels=node_labels[n0:node_end[i]],
-            class_label=classes[i],
-        ))
-    return GraphDataset(
-        graphs=graphs,
-        num_classes=labels.num_classes,
-        num_node_labels=labels.num_node_labels,
-        name=name,
-    )
+    # a node's id is its place among the nodes grouped by graph
+    node_id = np.empty(n_nodes, dtype=np.int64)
+    node_id[np.argsort(node_graph, kind="stable")] = np.arange(n_nodes)
+    return Graphs(*_csr(n_nodes, node_id[u - 1], node_id[v - 1]), labels.node_labels,
+                  np.concatenate([[0], np.cumsum(labels.sizes)]), labels.classes)
 
 
-def _read_labels(base: str, name: str) -> tuple:
+def read_labels(root: str, name: str) -> TuLabels:
     """Parse and check the graph-indicator, graph-label and node-label files
-    of dataset ``name`` in the directory ``base``, as :func:`load_tu_dataset`
-    does.  Returns its :class:`TuLabels`, and each node's 0-based graph and
-    0-based label, in file order."""
+    of dataset ``name`` under ``root``, the first half of a load (see
+    :func:`load_tu_dataset`)."""
+    base = resolve_dataset_dir(root, name)
     ind_path = os.path.join(base, f"{name}_graph_indicator.txt")
     gl_path = os.path.join(base, f"{name}_graph_labels.txt")
     nl_path = os.path.join(base, f"{name}_node_labels.txt")
@@ -322,29 +308,26 @@ def _read_labels(base: str, name: str) -> tuple:
     _raise_first(nl_path, lineno, checks)
     label_values, label_of = np.unique(raw_labels[:, 0], return_inverse=True)
 
-    labels = TuLabels(sizes=np.bincount(node_graph, minlength=num_graphs),
-                      classes=class_of.astype(np.int64), num_classes=len(class_values),
-                      num_node_labels=len(label_values))
-    return labels, node_graph, label_of
+    return TuLabels(node_graph=node_graph,
+                    node_labels=label_of.astype(np.int64)[np.argsort(node_graph, kind="stable")],
+                    sizes=np.bincount(node_graph, minlength=num_graphs),
+                    classes=class_of.astype(np.int64), num_classes=len(class_values),
+                    num_node_labels=len(label_values))
 
 
-def permute_node_ids(g: Graph, seed) -> Graph:
-    """Return an isomorphic copy of ``g`` under a uniformly random node permutation.
+def permute_node_ids(g: Graphs, seed) -> Graphs:
+    """Return an isomorphic copy of the graph ``g`` under a uniformly random
+    node permutation.
 
     ``seed`` is anything ``numpy.random.default_rng`` takes: an int, a
     sequence of ints, or a Generator, which is used as it is.  The permutation
     maps old id ``v`` to new id ``perm[v]``; node labels move with their nodes
     and the class label is unchanged.
     """
-    perm = np.random.default_rng(seed).permutation(g.n)
-    new_labels = [0] * g.n
-    for v in range(g.n):
-        new_labels[perm[v]] = g.node_labels[v]
-    new_edges = frozenset(
-        (int(perm[u]), int(perm[v])) if perm[u] < perm[v] else (int(perm[v]), int(perm[u]))
-        for u, v in g.edges
-    )
-    return Graph(n=g.n, edges=new_edges, node_labels=tuple(new_labels), class_label=g.class_label)
+    perm = np.random.default_rng(seed).permutation(len(g.labels))
+    labels = np.empty_like(g.labels)
+    labels[perm] = g.labels
+    return graph(len(labels), perm[g.edges()], labels, g.classes[0])
 
 
 def one_hot(grids, d: int) -> np.ndarray:

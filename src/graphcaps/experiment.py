@@ -29,8 +29,7 @@ import numpy as np
 
 from . import __version__, tensor_cache
 from ._pool import fork_map, processes
-from .data import (_read_labels, dataset_checksums, dataset_digest, load_tu_dataset, one_hot,
-                   resolve_dataset_dir)
+from .data import dataset_checksums, dataset_digest, load_tu_dataset, one_hot, read_labels
 from .labelling import LABELLINGS
 from .models import (
     LOSS_MODES,
@@ -293,7 +292,7 @@ def tensorize_cached(cfg: ExperimentConfig, name: str | None = None, force: bool
             raise ValueError(f"dataset {cfg.dataset} is {len(names)} datasets "
                              f"({', '.join(names)}); name one of them")
         name = names[0]
-    labels = _read_labels(resolve_dataset_dir(cfg.data_root, name), name)[0]
+    labels = read_labels(cfg.data_root, name)
     d = labels.num_node_labels
     w = cfg.w if cfg.w is not None else default_width(labels.sizes)
     y = labels.classes
@@ -308,7 +307,7 @@ def tensorize_cached(cfg: ExperimentConfig, name: str | None = None, force: bool
             log(f"[tensorize] {name}: warm cache, {len(grids)} tensors, "
                 f"nothing to do: {cache_path}")
             return grids, y, w, labels
-    ds = load_tu_dataset(cfg.data_root, name)
+    ds = load_tu_dataset(cfg.data_root, name, labels)
     t0 = time.perf_counter()
     orders_path = os.path.join(cfg.cache_dir, f"{name}_orders.gct")
     orders = None
@@ -459,8 +458,8 @@ def run_cv(cfg: ExperimentConfig, name: str, data: tuple, run_dir: str,
 
     # a task is its fold; fold workers inherit the dataset at the fork
     pending = [(f, folds[f]) for f in range(cfg.folds) if f not in done]
-    for row in fork_map(_run_fold, pending, cfg.jobs, cfg, x, y, num_classes,
-                        name=lambda task: f"fold {task[0]}"):
+    for _, row in fork_map(_run_fold, pending, cfg.jobs, cfg, x, y, num_classes,
+                           name=lambda task: f"fold {task[0]}"):
         done[row["fold"]] = row
         _persist_partial(partial, done)
         log(_fold_line(row))

@@ -8,14 +8,16 @@ backtracking individualization-refinement with automorphism pruning.  Both
 return plain numpy arrays, are pure functions of the input graph and are
 deterministic, so rankings are reproducible bit-for-bit.
 
-The canonical search runs per graph.  Betweenness and receptive fields run
-for a chunk of graphs at once: :class:`_Union` joins them into one graph and
-:class:`_Bfs` runs a level-synchronous BFS from many of their sources
-together.  :func:`_brandes` accumulates every source's dependencies in the
-float order of the serial single-source loop, so a score has the same bits
-whichever chunk computed it, and :func:`_fields` reads each anchor's
-hop-closest nodes from a BFS of the anchors.  :func:`receptive_fields` is the
-chunk-level entry point of :mod:`graphcaps.tensorize`; :func:`rank_nodes` and
+Graphs come as :class:`graphcaps.data.Graphs`, one CSR.  The canonical
+search runs per graph, on Python lists cut from its neighbour slices.
+Betweenness and receptive fields run for a chunk of graphs at once:
+:class:`_Union` takes the chunk's CSR as one graph and :class:`_Bfs` runs a
+level-synchronous BFS from many of their sources together.  :func:`_brandes`
+accumulates every source's dependencies in the float order of the serial
+single-source loop, so a score has the same bits whichever chunk computed
+it, and :func:`_fields` reads each anchor's hop-closest nodes from a BFS of
+the anchors.  :func:`receptive_fields` is the chunk-level entry point of
+:mod:`graphcaps.tensorize`; :func:`rank_nodes` and
 :func:`betweenness_centrality` are chunks of one graph.
 """
 
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import PAD, Graph
+from .data import PAD, Graphs
 
 # Canonical labelling is exact but not NAUTY-fast; guard against inputs far
 # beyond benchmark scale.
@@ -45,31 +47,30 @@ class CapacityError(RuntimeError):
 
 
 class _Union:
-    """The graphs of one chunk as a single disjoint union.
+    """The graphs of one chunk, a :class:`graphcaps.data.Graphs`, as a single
+    graph whose adjacency is the chunk's CSR.
 
     Graph ``i`` holds the union nodes ``off[i]`` to ``off[i] + size[i] - 1``.
     With ``orders``, its node ``order[j]`` becomes union node ``off[i] + j``,
-    so that the chunk-level passes below scan each graph in that order;
-    ``ids`` maps each union node back to ``off[i]`` plus its node in the
-    input graph.  The adjacency is CSR, each neighbour list ascending, as
-    :meth:`graphcaps.data.Graph.adjacency` lists them.
+    so that the chunk-level passes below scan each graph in that order: the
+    CSR is renamed so and each neighbour list sorted ascending again.  ``ids``
+    maps each union node back to its node in the chunk.
     """
 
-    def __init__(self, graphs, orders=None):
-        self.size = np.array([g.n for g in graphs], dtype=np.int64)
-        self.off = np.cumsum(self.size) - self.size
+    def __init__(self, graphs: Graphs, orders=None):
+        self.size, self.off = graphs.sizes, graphs.offsets[:-1]
         self.graph = np.repeat(np.arange(len(graphs)), self.size)
-        total = int(self.size.sum())
-        self.ids = np.arange(total) if orders is None else (
-            np.concatenate(orders) + self.off[self.graph])
-        renamed = np.empty(total, dtype=np.int64)
-        renamed[self.ids] = np.arange(total)
-        edges = np.array([e for g in graphs for e in g.edges], dtype=np.int64).reshape(-1, 2)
-        edges = renamed[edges + np.repeat(self.off, [len(g.edges) for g in graphs])[:, None]]
-        src = np.concatenate([edges[:, 0], edges[:, 1]])
-        dst = np.concatenate([edges[:, 1], edges[:, 0]])
-        self.indices = dst[np.argsort(src * total + dst)]
-        self.indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=total))])
+        self.indptr, self.indices = graphs.indptr, graphs.indices
+        total = self.graph.size
+        self.ids = np.arange(total)
+        if orders is not None:
+            self.ids = np.concatenate(orders) + self.off[self.graph]
+            renamed = np.empty(total, dtype=np.int64)
+            renamed[self.ids] = np.arange(total)
+            row, nbr = self.neighbours(self.ids)
+            nbr = renamed[nbr]
+            self.indices = nbr[np.argsort(row * total + nbr)]
+            self.indptr = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=total))])
 
     def neighbours(self, nodes):
         """(i, u) for every neighbour u of every ``nodes[i]``, in that order."""
@@ -182,7 +183,7 @@ def _betweenness(union: _Union) -> np.ndarray:
     return bc / 2.0
 
 
-def betweenness_centrality(g: Graph) -> np.ndarray:
+def betweenness_centrality(g: Graphs) -> np.ndarray:
     """Unnormalized betweenness on an unweighted undirected graph.
 
     score[v] = number of unordered pairs {s, t} (s != v != t) whose shortest
@@ -190,7 +191,7 @@ def betweenness_centrality(g: Graph) -> np.ndarray:
     v.  Brandes' single-source accumulation, O(n*m) overall, run for every
     source at once (see :func:`_brandes`).
     """
-    return _betweenness(_Union([g]))
+    return _betweenness(_Union(g))
 
 
 # ---------------------------------------------------------------------------
@@ -290,26 +291,32 @@ def _collapse_twins(adj_sets, partition):
     return out, moved
 
 
-def _certificate(g: Graph, order):
-    """(adjacency bits, labels) of the reordered graph, as comparable bytes."""
-    n = g.n
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
+def _neighbour_lists(g: Graphs) -> list:
+    """Each node's neighbours in the graph ``g``, ascending, as Python lists
+    cut from its CSR: the per-node loops of the canonical search index
+    them."""
+    nbrs, ends = g.indices.tolist(), g.indptr.tolist()
+    return [nbrs[a:b] for a, b in zip(ends, ends[1:])]
+
+
+def _certificate(edges, labels, order):
+    """(adjacency bits, labels) of the graph with the ``(m, 2)`` array
+    ``edges`` and the label array ``labels``, reordered by ``order``, as
+    comparable bytes."""
+    n = len(order)
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(n)
+    i, j = np.sort(pos[edges], axis=1).T
     bits = np.zeros(n * (n - 1) // 2, dtype=np.uint8)
-    for u, v in g.edges:
-        i, j = pos[u], pos[v]
-        if i > j:
-            i, j = j, i
-        bits[i * (2 * n - i - 1) // 2 + (j - i - 1)] = 1
-    labels = bytes(bytearray(g.node_labels[v] % 256 for v in order)) + bytes(
-        bytearray((g.node_labels[v] >> 8) % 256 for v in order)
-    )
-    return np.packbits(bits).tobytes() + labels
+    bits[i * (2 * n - i - 1) // 2 + (j - i - 1)] = 1
+    labels = labels[order]
+    return (np.packbits(bits).tobytes() + (labels % 256).astype(np.uint8).tobytes()
+            + ((labels >> 8) % 256).astype(np.uint8).tobytes())
 
 
-def canonical_order(g: Graph) -> np.ndarray:
-    """A node ordering that depends only on the isomorphism class of ``g``:
+def canonical_order(g: Graphs) -> np.ndarray:
+    """A node ordering that depends only on the isomorphism class of the
+    graph ``g``:
     the int64 array of nodes, canonically first to last.
 
     Search: refine the label partition to an equitable one, collapse twin
@@ -329,16 +336,18 @@ def canonical_order(g: Graph) -> np.ndarray:
     smallest leaf of the full search.  The search raises
     :class:`CapacityError` after :data:`MAX_SEARCH_NODES` nodes.
     """
-    if g.n > MAX_CANONICAL_NODES:
+    n = len(g.labels)
+    if n > MAX_CANONICAL_NODES:
         raise CapacityError(
-            f"graph has {g.n} nodes; canonical labelling bound is {MAX_CANONICAL_NODES}"
+            f"graph has {n} nodes; canonical labelling bound is {MAX_CANONICAL_NODES}"
         )
-    adj = g.adjacency()
+    adj = _neighbour_lists(g)
     adj_sets = [set(nbrs) for nbrs in adj]
+    edges = g.edges()
 
     by_label = {}
-    for v in range(g.n):
-        by_label.setdefault(g.node_labels[v], []).append(v)
+    for v, label in enumerate(g.labels.tolist()):
+        by_label.setdefault(label, []).append(v)
     initial = [by_label[lab] for lab in sorted(by_label)]
 
     def stabilize(partition, moved=None):
@@ -358,7 +367,7 @@ def canonical_order(g: Graph) -> np.ndarray:
         nodes += 1
         if nodes > MAX_SEARCH_NODES:
             raise CapacityError(
-                f"canonical search of a {g.n}-node graph exceeded {MAX_SEARCH_NODES} nodes"
+                f"canonical search of a {n}-node graph exceeded {MAX_SEARCH_NODES} nodes"
             )
         partition = stabilize(partition, moved)
         target = next((i for i, c in enumerate(partition) if len(c) > 1), None)
@@ -366,11 +375,11 @@ def canonical_order(g: Graph) -> np.ndarray:
             frames.append(_Frame(partition, target))
         else:
             order = [cell[0] for cell in partition]
-            cert = _certificate(g, order)
+            cert = _certificate(edges, g.labels, order)
             path = [frame.chosen for frame in frames]
             for seen_cert, seen_order, seen_path in leaves:
                 if cert == seen_cert:
-                    gamma = [0] * g.n
+                    gamma = [0] * n
                     for u, v in zip(seen_order, order):
                         gamma[u] = v
                     automorphisms.append(gamma)
@@ -447,9 +456,9 @@ class _Frame:
                 + self.partition[target + 1 :]), [v]
 
 
-def canonical_certificate(g: Graph) -> bytes:
+def canonical_certificate(g: Graphs) -> bytes:
     """Certificate bytes of ``g``; equal iff two graphs are isomorphic."""
-    return _certificate(g, canonical_order(g).tolist())
+    return _certificate(g.edges(), g.labels, canonical_order(g).tolist())
 
 
 def check_labelling(labelling: str) -> None:
@@ -468,8 +477,8 @@ def _rank_chunk(union: _Union, labelling: str) -> np.ndarray:
     return np.lexsort((-_betweenness(union), union.graph))
 
 
-def rank_nodes(g: Graph, labelling: str) -> np.ndarray:
-    """The int64 node order under the labelling named ``labelling``, one of
+def rank_nodes(g: Graphs, labelling: str) -> np.ndarray:
+    """The int64 node order of the graph ``g`` under the labelling named ``labelling``, one of
     :data:`LABELLINGS`, most important first.
 
     ``canonical`` is the canonical order.  ``bc`` ranks by betweenness
@@ -480,7 +489,7 @@ def rank_nodes(g: Graph, labelling: str) -> np.ndarray:
     ids), whose node i is the canonical order's node i.
     """
     check_labelling(labelling)
-    union = _Union([g], [canonical_order(g)])
+    union = _Union(g, [canonical_order(g)])
     return union.ids[_rank_chunk(union, labelling)]
 
 

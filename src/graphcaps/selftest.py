@@ -15,12 +15,13 @@ import time
 import numpy as np
 
 from . import autodiff, nn
-from .data import Graph, permute_node_ids
+from .data import Graphs, graph, permute_node_ids
 from .labelling import (
     LABELLINGS,
     _certificate,
     _collapse_twins,
     _equitable,
+    _neighbour_lists,
     betweenness_centrality,
     canonical_certificate,
     canonical_order,
@@ -37,15 +38,15 @@ TINY = CapsNetConfig(conv_filters=6, primary_channels=2, primary_dim=4, primary_
 FOUR_NODE_CLASS_SIZES = sorted([1, 3, 6, 4, 3, 12, 12, 6, 12, 4, 1])
 
 
-def bruteforce_betweenness(g: Graph) -> np.ndarray:
+def bruteforce_betweenness(g: Graphs) -> np.ndarray:
     """Betweenness by explicit enumeration of every shortest path.
 
     For each unordered pair {s, t} all shortest paths are generated through
     the BFS predecessor DAG; node v accrues (paths through v) / (all paths).
     Exponential in the worst case, fine for n <= 8.
     """
-    adj = g.adjacency()
-    n = g.n
+    adj = _neighbour_lists(g)
+    n = len(g.labels)
     score = np.zeros(n)
 
     def bfs_dag(s):
@@ -82,7 +83,7 @@ def bruteforce_betweenness(g: Graph) -> np.ndarray:
     return score
 
 
-def reference_canonical_order(g: Graph) -> list:
+def reference_canonical_order(g: Graphs) -> list:
     """The order of the first leaf with the smallest certificate in the full
     search tree of :func:`~graphcaps.labelling.canonical_order`, which that
     function claims to return.  No automorphism pruning and no node budget, so
@@ -90,8 +91,9 @@ def reference_canonical_order(g: Graph) -> list:
     (``_equitable``), the twin collapse (``_collapse_twins``) and the
     certificate (``_certificate``) with the production search, so it checks
     the pruning and nothing else."""
-    adj = g.adjacency()
+    adj = _neighbour_lists(g)
     adj_sets = [set(nbrs) for nbrs in adj]
+    edges = g.edges()
     best = []
 
     def search(partition):
@@ -101,7 +103,7 @@ def reference_canonical_order(g: Graph) -> list:
         target = next((i for i, c in enumerate(partition) if len(c) > 1), None)
         if target is None:
             order = [cell[0] for cell in partition]
-            cert = _certificate(g, order)
+            cert = _certificate(edges, g.labels, order)
             if not best or cert < best[0]:
                 best[:] = cert, order
             return
@@ -110,12 +112,12 @@ def reference_canonical_order(g: Graph) -> list:
             search(partition[:target] + [[v], [u for u in cell if u != v]]
                    + partition[target + 1 :])
 
-    search([[v for v in range(g.n) if g.node_labels[v] == lab]
-            for lab in sorted(set(g.node_labels))])
+    labels = g.labels.tolist()
+    search([[v for v, label in enumerate(labels) if label == lab] for lab in sorted(set(labels))])
     return best[1]
 
 
-def random_graph(rng, n: int, p: float, num_labels: int = 1, connected: bool = False) -> Graph:
+def random_graph(rng, n: int, p: float, num_labels: int = 1, connected: bool = False) -> Graphs:
     """Erdos-Renyi graph; with ``connected`` a random spanning tree is added."""
     edges = set()
     if connected and n > 1:
@@ -128,21 +130,17 @@ def random_graph(rng, n: int, p: float, num_labels: int = 1, connected: bool = F
         for v in range(u + 1, n):
             if rng.random() < p:
                 edges.add((u, v))
-    labels = tuple(int(x) for x in rng.integers(0, num_labels, n))
-    return Graph(n=n, edges=frozenset(edges), node_labels=labels, class_label=0)
+    return graph(n, edges, rng.integers(0, num_labels, n))
 
 
-def disjoint_union(*graphs) -> Graph:
-    """The graphs side by side, node ids offset in the order given."""
-    edges, labels, offset = set(), [], 0
-    for g in graphs:
-        edges.update((u + offset, v + offset) for u, v in g.edges)
-        labels.extend(g.node_labels)
-        offset += g.n
-    return Graph(n=offset, edges=frozenset(edges), node_labels=tuple(labels), class_label=0)
+def disjoint_union(*graphs) -> Graphs:
+    """The graphs side by side as one graph, node ids offset in the order given."""
+    offsets = np.cumsum([0] + [len(g.labels) for g in graphs])
+    return graph(offsets[-1], np.concatenate([g.edges() + off for g, off in zip(graphs, offsets)]),
+                 np.concatenate([g.labels for g in graphs]))
 
 
-def cycle_union(lengths) -> Graph:
+def cycle_union(lengths) -> Graphs:
     """Disjoint cycles of the given lengths on consecutive node ids.  Every
     node has degree 2, so refinement cannot tell the cycles apart and only the
     search can."""
@@ -151,15 +149,14 @@ def cycle_union(lengths) -> Graph:
         ring = range(start, start + length)
         edges.update(zip(ring, [*ring[1:], ring[0]]))
         start += length
-    return Graph(n=start, edges=frozenset(edges), node_labels=(0,) * start, class_label=0)
+    return graph(start, edges, [0] * start)
 
 
 def all_simple_graphs(n: int):
     """Every labelled simple graph on n nodes (uniform node labels)."""
     pairs = list(itertools.combinations(range(n), 2))
     for bits in itertools.product((0, 1), repeat=len(pairs)):
-        edges = frozenset(p for p, b in zip(pairs, bits) if b)
-        yield Graph(n=n, edges=edges, node_labels=(0,) * n, class_label=0)
+        yield graph(n, [p for p, b in zip(pairs, bits) if b], [0] * n)
 
 
 def _suite_betweenness(rng) -> tuple:
@@ -185,8 +182,7 @@ def _suite_canonical(rng) -> tuple:
         ref = canonical_certificate(g)
         class_sizes[ref] = class_sizes.get(ref, 0) + 1
         for perm in itertools.permutations(range(4)):
-            edges = frozenset(tuple(sorted((perm[u], perm[v]))) for u, v in g.edges)
-            h = Graph(n=4, edges=edges, node_labels=g.node_labels, class_label=0)
+            h = graph(4, np.array(perm)[g.edges()], g.labels)
             failures += canonical_certificate(h) != ref
     failures += sorted(class_sizes.values()) != FOUR_NODE_CLASS_SIZES
     failures += len({canonical_certificate(g) for g in all_simple_graphs(5)}) != 34
@@ -201,7 +197,7 @@ def _suite_canonical(rng) -> tuple:
         part = random_graph(rng, int(rng.integers(1, 5)), float(rng.uniform(0.2, 0.9)),
                             num_labels=2)
         graphs = [
-            disjoint_union(*[part] * int(rng.integers(2, 8 // part.n + 1))),
+            disjoint_union(*[part] * int(rng.integers(2, 8 // len(part.labels) + 1))),
             cycle_union(rng.integers(3, 6, size=2).tolist()),
             random_graph(rng, int(rng.integers(2, 11)), float(rng.uniform(0.1, 0.9)),
                          num_labels=int(rng.integers(1, 3))),

@@ -8,14 +8,16 @@ and each member contributes its label (padding is stored as label ``d``).
 :func:`graphcaps.data.one_hot` expands grids to the ``w x k x (d+1)`` tensors
 the models take.
 
-Extraction works on chunks of graphs (:func:`_grids`): after each graph's
-canonical search, :func:`graphcaps.labelling.receptive_fields` ranks the
-whole chunk and builds every anchor's field in numpy passes over it, and
-:func:`graph_to_tensor` is a chunk of one.  A grid does not depend on the
-chunk it was computed in.  The canonical order depends only on the graph, so
-:func:`tensorize_dataset` takes the orders of an earlier extraction in place
-of the search, and returns the orders it used.  Its chunks run on
-:func:`graphcaps._pool.fork_map`, and a dead worker names its chunk's graphs.
+Extraction works on chunks of graphs (:func:`_grids`), each a slice of the
+dataset's CSR (:class:`graphcaps.data.Graphs`) and of its label array: after
+each graph's canonical search, :func:`graphcaps.labelling.receptive_fields`
+ranks the whole chunk and builds every anchor's field in numpy passes over
+it, and :func:`graph_to_tensor` is a chunk of one.  A grid does not depend
+on the chunk it was computed in.  The canonical order depends only on the
+graph, so :func:`tensorize_dataset` takes the orders of an earlier
+extraction in place of the search, and returns the orders it used.  Its
+chunks run on :func:`graphcaps._pool.fork_map`, and a dead worker names its
+chunk's graphs.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import functools
 import numpy as np
 
 from ._pool import fork_map, processes
-from .data import Graph, GraphDataset
+from .data import Graphs
 from .labelling import (CapacityError, canonical_order, check_labelling, lane_groups,
                         receptive_fields)
 
@@ -34,9 +36,9 @@ MAX_LABELS = np.iinfo(np.uint16).max
 
 
 def _grids(item, w: int, k: int, d: int, labelling: str) -> tuple:
-    """The ``(len(graphs), w, k)`` uint16 label grids of the graphs in ``item =
-    (first, graphs, orders)``, computed for the whole chunk at once, and the
-    graphs' canonical orders.  ``orders`` gives them, or is None to search
+    """The ``(len(graphs), w, k)`` uint16 label grids of the :class:`Graphs`
+    in ``item = (first, graphs, orders)``, computed for the whole chunk at
+    once, and the graphs' canonical orders.  ``orders`` gives them, or is None to search
     them; when ``first`` is not None a labelling :class:`CapacityError` names
     the graph's dataset index ``first + i``.
 
@@ -51,10 +53,9 @@ def _grids(item, w: int, k: int, d: int, labelling: str) -> tuple:
         raise ValueError("k must be >= 1")
     if d > MAX_LABELS:
         raise ValueError(f"{d} node labels exceed the grid limit of {MAX_LABELS}")
-    for g in graphs:
-        bad = [lab for lab in g.node_labels if not 0 <= lab < d]
-        if bad:
-            raise ValueError(f"node label {bad[0]} outside [0, {d})")
+    bad = graphs.labels[(graphs.labels < 0) | (graphs.labels >= d)]
+    if bad.size:
+        raise ValueError(f"node label {bad[0]} outside [0, {d})")
     if orders is None:
         orders = []
         for i, g in enumerate(graphs):
@@ -66,25 +67,25 @@ def _grids(item, w: int, k: int, d: int, labelling: str) -> tuple:
                 raise CapacityError(f"graph {first + i}: {exc}") from exc
     graph, slot, fields = receptive_fields(graphs, orders, labelling, w, k)
     # PAD (-1) indexes the appended last entry, the padding label d
-    label_of = np.array([lab for g in graphs for lab in g.node_labels] + [d], dtype=np.uint16)
+    label_of = np.append(graphs.labels, d).astype(np.uint16)
     out = np.full((len(graphs), w, k), d, dtype=np.uint16)
     out[graph, slot] = label_of[fields]
     return out, orders
 
 
 def graph_to_tensor(
-    g: Graph,
+    g: Graphs,
     w: int,
     k: int,
     d: int,
     labelling: str = "bc",
 ) -> np.ndarray:
-    """Full extraction for one graph: node order under ``labelling`` (one of
+    """Full extraction for the graph ``g``: node order under ``labelling`` (one of
     :data:`graphcaps.labelling.LABELLINGS`), anchor sequence, receptive
     fields ordered by that same order, member labels.  Returns a ``(w, k)``
     uint16 label grid in which padding is stored as ``d``.  A chunk of one
     graph (see :func:`_grids`)."""
-    return _grids((None, [g], None), w, k, d, labelling)[0][0]
+    return _grids((None, g, None), w, k, d, labelling)[0][0]
 
 
 def default_width(sizes) -> int:
@@ -95,7 +96,7 @@ def default_width(sizes) -> int:
 
 
 def tensorize_dataset(
-    ds: GraphDataset,
+    ds: Graphs,
     w: int,
     k: int = 10,
     labelling: str = "bc",
@@ -105,18 +106,22 @@ def tensorize_dataset(
     """``(grids, orders)``: the ``(n, w, k)`` label grids of every graph in
     dataset order, and the list of every graph's canonical order.  Given
     ``orders`` (such a list, from any earlier extraction of these graphs),
-    no graph is searched.
+    no graph is searched.  Node labels are ``0`` to ``d - 1``, with ``d``
+    one past the largest, as a loaded dataset numbers them.
 
     Graphs go in chunks of consecutive graphs of at most
     :data:`graphcaps.labelling.CELLS` cells (``n*n`` per graph) and at most
     one worker's share; with ``jobs > 1`` the chunks run in forked worker
     processes, which inherit the graphs and orders and are sent each chunk's
-    slice, and results come back in input order.  A grid depends on neither
-    the chunks, nor the workers, nor whether its order was searched or given."""
-    groups = list(lane_groups([g.n * g.n for g in ds.graphs], processes(jobs)))
-    extract = functools.partial(_grids, w=w, k=k, d=ds.num_node_labels, labelling=labelling)
-    grids, found = zip(*fork_map(_chunk_grids, groups, jobs, extract, ds.graphs, orders,
-                                 name=lambda group: f"graphs {group.start}-{group.stop - 1}"))
+    slice, and each chunk's results go back to its place.  A grid depends on
+    neither the chunks, nor the workers, nor whether its order was searched
+    or given."""
+    groups = list(lane_groups(ds.sizes ** 2, processes(jobs)))
+    extract = functools.partial(_grids, w=w, k=k, d=int(ds.labels.max()) + 1,
+                                labelling=labelling)
+    chunks = dict(fork_map(_chunk_grids, groups, jobs, extract, ds, orders,
+                           name=lambda group: f"graphs {group.start}-{group.stop - 1}"))
+    grids, found = zip(*(chunks[i] for i in range(len(groups))))
     return np.concatenate(grids), [order for chunk in found for order in chunk]
 
 
@@ -126,6 +131,6 @@ def _chunk_grids(extract, graphs, orders, group: slice) -> tuple:
     return extract((group.start, graphs[group], None if orders is None else orders[group]))
 
 
-def padded_anchor_count(ds: GraphDataset, w: int) -> int:
+def padded_anchor_count(ds: Graphs, w: int) -> int:
     """How many PAD anchors tensorization will introduce at width w."""
-    return sum(max(0, w - g.n) for g in ds.graphs)
+    return int(np.maximum(w - ds.sizes, 0).sum())

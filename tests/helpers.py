@@ -17,8 +17,8 @@ import textwrap
 
 import numpy as np
 
-from graphcaps.data import Graph
-from graphcaps.labelling import canonical_order
+from graphcaps.data import Graphs, graph, load_tu_dataset, read_labels
+from graphcaps.labelling import _neighbour_lists, canonical_order
 from graphcaps.selftest import disjoint_union, run_suite
 
 __all__ = [
@@ -27,6 +27,8 @@ __all__ = [
     "star_graph",
     "cycle_graph",
     "disjoint_union",
+    "join",
+    "load",
     "write_tu_files",
     "synthetic_dataset_graphs",
     "write_v2_cache",
@@ -40,26 +42,41 @@ __all__ = [
 ]
 
 
-def triangle(labels=(0, 0, 0), cls=0) -> Graph:
-    return Graph(n=3, edges=frozenset({(0, 1), (1, 2), (0, 2)}), node_labels=labels,
-                 class_label=cls)
+def triangle(labels=(0, 0, 0), cls=0) -> Graphs:
+    return graph(3, [(0, 1), (1, 2), (0, 2)], labels, cls)
 
 
-def path_graph(n: int, labels=None, cls=0) -> Graph:
-    labels = tuple([0] * n) if labels is None else labels
-    return Graph(n=n, edges=frozenset((i, i + 1) for i in range(n - 1)),
-                 node_labels=labels, class_label=cls)
+def path_graph(n: int, labels=None, cls=0) -> Graphs:
+    return graph(n, [(i, i + 1) for i in range(n - 1)], [0] * n if labels is None else labels,
+                 cls)
 
 
-def star_graph(leaves: int, cls=0) -> Graph:
-    return Graph(n=leaves + 1, edges=frozenset((0, i) for i in range(1, leaves + 1)),
-                 node_labels=tuple([0] * (leaves + 1)), class_label=cls)
+def star_graph(leaves: int, cls=0) -> Graphs:
+    return graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)], [0] * (leaves + 1), cls)
 
 
-def cycle_graph(n: int, cls=0) -> Graph:
-    edges = {(i, (i + 1) % n) for i in range(n)}
-    return Graph(n=n, edges=frozenset(tuple(sorted(e)) for e in edges),
-                 node_labels=tuple([0] * n), class_label=cls)
+def cycle_graph(n: int, cls=0) -> Graphs:
+    return graph(n, [(i, (i + 1) % n) for i in range(n)], [0] * n, cls)
+
+
+def join(graphs) -> Graphs:
+    """The :class:`Graphs` of ``graphs`` side by side, in the order given:
+    each one's arrays concatenated, its node ids and CSR entries offset by
+    those of the graphs before it."""
+    nodes = np.cumsum([0] + [len(g.labels) for g in graphs])
+    entries = np.cumsum([0] + [len(g.indices) for g in graphs])
+    return Graphs(
+        np.concatenate([g.indptr[:-1] + e for g, e in zip(graphs, entries)] + [entries[-1:]]),
+        np.concatenate([g.indices + n for g, n in zip(graphs, nodes)]),
+        np.concatenate([g.labels for g in graphs]),
+        np.concatenate([g.offsets[:-1] + n for g, n in zip(graphs, nodes)] + [nodes[-1:]]),
+        np.concatenate([g.classes for g in graphs]),
+    )
+
+
+def load(root: str, name: str) -> Graphs:
+    """The graphs of dataset ``name`` under ``root``, loaded on its label files."""
+    return load_tu_dataset(root, name, read_labels(root, name))
 
 
 def write_tu_files(root: str, name: str, graphs) -> str:
@@ -67,21 +84,21 @@ def write_tu_files(root: str, name: str, graphs) -> str:
     ``root/name/``.  Edges are emitted in both directions, 1-based."""
     base = os.path.join(root, name)
     os.makedirs(base, exist_ok=True)
-    offsets = np.cumsum([0] + [g.n for g in graphs])
+    offsets = np.cumsum([0] + [len(g.labels) for g in graphs])
     with open(os.path.join(base, f"{name}_A.txt"), "w") as fh:
         for gi, g in enumerate(graphs):
             off = offsets[gi]
-            for u, v in sorted(g.edges):
+            for u, v in g.edges().tolist():
                 fh.write(f"{off + u + 1}, {off + v + 1}\n")
                 fh.write(f"{off + v + 1}, {off + u + 1}\n")
     with open(os.path.join(base, f"{name}_graph_indicator.txt"), "w") as fh:
         for gi, g in enumerate(graphs):
-            fh.writelines(f"{gi + 1}\n" for _ in range(g.n))
+            fh.writelines(f"{gi + 1}\n" for _ in range(len(g.labels)))
     with open(os.path.join(base, f"{name}_graph_labels.txt"), "w") as fh:
-        fh.writelines(f"{g.class_label}\n" for g in graphs)
+        fh.writelines(f"{g.classes[0]}\n" for g in graphs)
     with open(os.path.join(base, f"{name}_node_labels.txt"), "w") as fh:
         for g in graphs:
-            fh.writelines(f"{lab}\n" for lab in g.node_labels)
+            fh.writelines(f"{lab}\n" for lab in g.labels.tolist())
     return base
 
 
@@ -111,10 +128,7 @@ def synthetic_dataset_graphs(num_graphs: int = 60, seed: int = 0, num_labels: in
                 parent = int(rng.integers(0, max(1, j // 2)))
                 edges.add((min(parent, j), max(parent, j)))
             labels = [(2 if j % 2 else 1) % num_labels for j in range(n)]
-        graphs.append(
-            Graph(n=n, edges=frozenset(tuple(sorted(e)) for e in edges),
-                  node_labels=tuple(labels), class_label=cls)
-        )
+        graphs.append(graph(n, edges, labels, cls))
     return graphs
 
 
@@ -215,7 +229,7 @@ def time_limit(seconds: int):
 healthy_suite = functools.lru_cache(maxsize=None)(run_suite)
 
 
-def diamond_chain(diamonds: int) -> Graph:
+def diamond_chain(diamonds: int) -> Graphs:
     """``diamonds`` 4-cycles joined end to end at opposite corners: 2**diamonds
     shortest paths join the two ends."""
     edges = set()
@@ -223,15 +237,15 @@ def diamond_chain(diamonds: int) -> Graph:
         a = 3 * i
         edges.update({(a, a + 1), (a, a + 2), (a + 1, a + 3), (a + 2, a + 3)})
     n = 3 * diamonds + 1
-    return Graph(n=n, edges=frozenset(edges), node_labels=(0,) * n, class_label=0)
+    return graph(n, edges, [0] * n)
 
 
-def scalar_betweenness(g: Graph) -> np.ndarray:
+def scalar_betweenness(g: Graphs) -> np.ndarray:
     """Unnormalized betweenness by Brandes' single-source accumulation
     (Brandes 2001), one source at a time in Python ints and floats: the serial
     reference whose float order the batched passes keep."""
-    adj = g.adjacency()
-    n = g.n
+    adj = _neighbour_lists(g)
+    n = len(g.labels)
     bc = [0.0] * n
     for s in range(n):
         dist = [-1] * n
@@ -263,7 +277,7 @@ def scalar_betweenness(g: Graph) -> np.ndarray:
     return np.array(bc) / 2.0
 
 
-def reference_grid(g: Graph, w: int, k: int, d: int, labelling: str) -> np.ndarray:
+def reference_grid(g: Graphs, w: int, k: int, d: int, labelling: str) -> np.ndarray:
     """The ``(w, k)`` label grid of ``g`` by serial per-graph steps: the
     canonical order; under ``bc`` a stable sort by :func:`scalar_betweenness`
     of the canonically relabelled graph, descending; then for each of the
@@ -272,11 +286,10 @@ def reference_grid(g: Graph, w: int, k: int, d: int, labelling: str) -> np.ndarr
     order = canonical_order(g).tolist()
     if labelling == "bc":
         pos = {v: i for i, v in enumerate(order)}
-        h = Graph(n=g.n, edges=frozenset(tuple(sorted((pos[u], pos[v]))) for u, v in g.edges),
-                  node_labels=(0,) * g.n, class_label=0)
+        h = graph(len(order), [(pos[u], pos[v]) for u, v in g.edges().tolist()], [0] * len(order))
         order = [order[i] for i in np.argsort(-scalar_betweenness(h), kind="stable")]
     place = {v: i for i, v in enumerate(order)}
-    adj = g.adjacency()
+    adj = _neighbour_lists(g)
     grid = np.full((w, k), d, dtype=np.uint16)
     for row, anchor in enumerate(order[:w]):
         seen, ring, found = {anchor}, [anchor], [(0, place[anchor], anchor)]
@@ -292,5 +305,5 @@ def reference_grid(g: Graph, w: int, k: int, d: int, labelling: str) -> np.ndarr
             found += [(hop, place[u], u) for u in nxt]
             ring = nxt
         members = [u for *_, u in sorted(found)[:k]]
-        grid[row, :len(members)] = [g.node_labels[u] for u in members]
+        grid[row, :len(members)] = g.labels[members]
     return grid

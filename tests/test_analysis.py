@@ -437,7 +437,7 @@ class TestTsne:
         switches = dict(exaggeration_iters=10, momentum_switch=20)
         want = reference_tsne(points, perplexity=8.0, iters=30, seed=1, **switches)
         embed = functools.partial(tsne, points, 8.0, 30, jobs=2, **switches)
-        for res in _pool.fork_map(embed, [1, 1], 2, name=str):
+        for _, res in _pool.fork_map(embed, [1, 1], 2, name=str):
             assert_same_bits(res, want)
 
     @pytest.mark.parametrize("jobs, fork", [(1, True), (3, False)])

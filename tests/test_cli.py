@@ -11,9 +11,9 @@ import time
 import numpy as np
 import pytest
 
-from graphcaps import cli, experiment, labelling, selftest, tensorize
+from graphcaps import cli, data, experiment, labelling, selftest, tensorize
 from graphcaps.cli import main, read_config_file
-from graphcaps.data import load_tu_dataset
+from graphcaps.data import read_labels
 from graphcaps.experiment import PTC_SUBSETS, ExperimentConfig
 from helpers import (count_calls, cycle_graph, healthy_suite, mutate, path_graph,
                      synthetic_dataset_graphs, time_limit, triangle, write_tu_files)
@@ -246,23 +246,24 @@ class TestDeadWorkers:
     """A worker that dies fails the command within seconds, naming what it
     held, and leaves no child process behind."""
 
+    @staticmethod
+    def kept(out_root) -> set:
+        """The folds in the run's folds_partial.json."""
+        for path in glob.glob(os.path.join(out_root, "SYN_bc_capsules*", "folds_partial.json")):
+            with open(path) as fh:
+                return {row["fold"] for row in json.load(fh)}
+        return set()
+
     def test_dead_fold_worker_fails_the_run(self, syn_root, tmp_path, monkeypatch, capsys):
         out_root = str(tmp_path / "results")
-        partial = os.path.join(out_root, "SYN_bc_capsules*", "folds_partial.json")
         run_fold = experiment._run_fold
-
-        def kept():
-            for path in glob.glob(partial):
-                with open(path) as fh:
-                    return {row["fold"] for row in json.load(fh)}
-            return set()
 
         def dying(cfg, x, y, num_classes, task):
             if task[0] == 3:
                 # die once folds 0-2 are kept: fold 3 can be sent before they
-                # all come back, and results come back in fold order
+                # all come back
                 deadline = time.monotonic() + 20
-                while kept() != {0, 1, 2} and time.monotonic() < deadline:
+                while self.kept(out_root) != {0, 1, 2} and time.monotonic() < deadline:
                     time.sleep(0.01)
                 os._exit(9)
             return run_fold(cfg, x, y, num_classes, task)
@@ -274,12 +275,35 @@ class TestDeadWorkers:
         assert rc == 1
         assert capsys.readouterr().err == "error: fold 3: the worker process exited with code 9\n"
         assert multiprocessing.active_children() == []
-        assert kept() == {0, 1, 2}
+        assert self.kept(out_root) == {0, 1, 2}
+
+    def test_dead_fold_worker_keeps_every_fold_that_finished(self, syn_root, tmp_path,
+                                                             monkeypatch, capsys):
+        # fold 1 holds one worker; the other runs folds 0 and 2, then dies on
+        # fold 3 while fold 1 is still running
+        out_root = str(tmp_path / "results")
+        run_fold = experiment._run_fold
+
+        def dying(cfg, x, y, num_classes, task):
+            if task[0] == 1:
+                time.sleep(60)  # killed when the failed run reaps its workers
+            if task[0] == 3:
+                os._exit(9)
+            return run_fold(cfg, x, y, num_classes, task)
+
+        monkeypatch.setattr(experiment, "_run_fold", dying)
+        with time_limit(20):
+            rc = main(["run", "--dataset", "SYN", "--data-root", syn_root, "--out-root", out_root,
+                       "--preset", "small", "--folds", "4", "--epochs", "1", "--jobs", "2"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: fold 3: the worker process exited with code 9\n"
+        assert multiprocessing.active_children() == []
+        assert self.kept(out_root) == {0, 2}
 
     def test_dead_chunk_worker_fails_the_extraction(self, syn_root, tmp_path, monkeypatch,
                                                     capsys):
-        graphs = load_tu_dataset(syn_root, "SYN").graphs
-        *_, last = labelling.lane_groups([g.n * g.n for g in graphs], 2)
+        sizes = read_labels(syn_root, "SYN").sizes
+        *_, last = labelling.lane_groups(sizes ** 2, 2)
         assert last.start > 0
         chunk_grids = tensorize._chunk_grids
 
@@ -294,7 +318,7 @@ class TestDeadWorkers:
             rc = main(["tensorize", "--dataset", "SYN", "--data-root", syn_root,
                        "--out-root", out_root, "-w", "6", "-k", "4", "--jobs", "2"])
         assert rc == 1
-        assert capsys.readouterr().err == (f"error: graphs {last.start}-{len(graphs) - 1}: "
+        assert capsys.readouterr().err == (f"error: graphs {last.start}-{len(sizes) - 1}: "
                                            "the worker process exited with code 7\n")
         assert multiprocessing.active_children() == []
         assert not glob.glob(os.path.join(out_root, "cache", "*.gct"))
@@ -336,13 +360,23 @@ class TestOneLoadPerCommand:
     ], ids=["run", "run-repeats", "run-PTC", "grid", "grid-PTC"])
     def test_each_dataset_loads_once(self, syn_root, ptc_root, tmp_path, monkeypatch, argv):
         loaded, load = [], experiment.load_tu_dataset
-        monkeypatch.setattr(experiment, "load_tu_dataset",
-                            lambda root, name: loaded.append(name) or load(root, name))
+        monkeypatch.setattr(experiment, "load_tu_dataset", lambda root, name, labels: (
+            loaded.append(name) or load(root, name, labels)))
         command, *flags = argv
         assert main([command, "--dataset", "SYN", "--data-root", syn_root, "--out-root",
                      str(tmp_path / "results"), "--folds", "2", "--epochs", "1", "--jobs", "1",
                      *flags]) == 0
         assert sorted(loaded) == sorted(PTC_SUBSETS if "PTC" in flags else ["SYN"])
+
+    def test_cold_tensorize_parses_each_file_once(self, syn_root, tmp_path, monkeypatch):
+        # the label files a miss reads first are the ones its graphs are built on
+        parsed, read_rows = [], data._read_rows
+        monkeypatch.setattr(data, "_read_rows", lambda path, width: (
+            parsed.append(os.path.basename(path)) or read_rows(path, width)))
+        assert main(["tensorize", "--dataset", "SYN", "--data-root", syn_root, "--out-root",
+                     str(tmp_path / "results"), "-w", "6", "-k", "4"]) == 0
+        assert sorted(parsed) == [f"SYN_{suffix}.txt" for suffix in
+                                  ("A", "graph_indicator", "graph_labels", "node_labels")]
 
 
 class TestGridCommand:

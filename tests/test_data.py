@@ -1,3 +1,4 @@
+import glob
 import importlib
 import os
 from collections import Counter
@@ -13,19 +14,27 @@ from graphcaps.data import (
     _read_lines,
     _read_rows,
     _read_text,
-    Graph,
+    Graphs,
+    graph,
     load_tu_dataset,
     one_hot,
     permute_node_ids,
+    read_labels,
 )
 from graphcaps.selftest import random_graph
-from helpers import synthetic_dataset_graphs, triangle, write_tu_files
+from helpers import load, synthetic_dataset_graphs, triangle, write_tu_files
 
 from conftest import benchmark_data_root
 
 
-def degree_multiset(g: Graph):
-    return sorted(len(nbrs) for nbrs in g.adjacency())
+def degree_multiset(g: Graphs):
+    return sorted(np.diff(g.indptr).tolist())
+
+
+def described(ds: Graphs) -> list:
+    """Each graph of ``ds`` as (node count, edges, labels, class) lists."""
+    return [(len(g.labels), g.edges().tolist(), g.labels.tolist(), int(g.classes[0]))
+            for g in ds]
 
 
 def reading(rows) -> tuple:
@@ -44,59 +53,109 @@ def write_raw(path: str, text: str) -> str:
 
 class TestGraphType:
     def test_edges_normalized_and_deduped(self):
-        g = Graph(n=3, edges=frozenset({(1, 0), (0, 1), (2, 1)}), node_labels=(0, 0, 0),
-                  class_label=0)
-        assert g.edges == frozenset({(0, 1), (1, 2)})
+        g = graph(3, [(1, 0), (0, 1), (2, 1)], (0, 0, 0))
+        assert g.edges().tolist() == [[0, 1], [1, 2]]
+        assert (g.indptr.tolist(), g.indices.tolist()) == ([0, 1, 3, 4], [1, 0, 2, 1])
 
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError, match="self-loop"):
-            Graph(n=2, edges=frozenset({(0, 0)}), node_labels=(0, 0), class_label=0)
+            graph(2, [(0, 0)], (0, 0))
 
     def test_out_of_range_edge_rejected(self):
         with pytest.raises(ValueError, match="outside"):
-            Graph(n=2, edges=frozenset({(0, 5)}), node_labels=(0, 0), class_label=0)
+            graph(2, [(0, 5)], (0, 0))
 
     def test_label_length_mismatch(self):
         with pytest.raises(ValueError, match="node labels"):
-            Graph(n=3, edges=frozenset(), node_labels=(0,), class_label=0)
+            graph(3, [], (0,))
 
     def test_zero_nodes_rejected(self):
         with pytest.raises(ValueError, match="at least one node"):
-            Graph(n=0, edges=frozenset(), node_labels=(), class_label=0)
+            graph(0, [], ())
+
+
+def test_no_module_holds_graphs_as_python_sets():
+    # a dataset is one CSR from the load to every chunk: no per-graph set of
+    # edge tuples, and no cached adjacency lists beside it
+    for path in glob.glob(os.path.join(os.path.dirname(data.__file__), "*.py")):
+        with open(path) as fh:
+            source = fh.read()
+        assert "frozenset(" not in source and ".adjacency(" not in source, path
 
 
 class TestLoader:
     def test_single_triangle_dataset(self, tu_dir):
         write_tu_files(tu_dir, "TRI", [triangle()])
-        ds = load_tu_dataset(tu_dir, "TRI")
+        labels = read_labels(tu_dir, "TRI")
+        ds = load_tu_dataset(tu_dir, "TRI", labels)
         assert len(ds) == 1
-        assert ds.num_classes == 1
-        assert ds.num_node_labels == 1
-        g = ds.graphs[0]
-        assert g.n == 3
-        assert len(g.edges) == 3
+        assert labels.num_classes == 1
+        assert labels.num_node_labels == 1
+        g = ds[0]
+        assert len(g.labels) == 3
+        assert len(g.edges()) == 3
 
     def test_roundtrip_preserves_structure(self, tu_dir):
         graphs = synthetic_dataset_graphs(num_graphs=20, seed=3)
         write_tu_files(tu_dir, "SYN", graphs)
-        ds = load_tu_dataset(tu_dir, "SYN")
+        ds = load(tu_dir, "SYN")
         assert len(ds) == 20
-        for orig, loaded in zip(graphs, ds.graphs):
-            assert loaded.n == orig.n
+        for orig, loaded in zip(graphs, ds):
+            assert len(loaded.labels) == len(orig.labels)
             assert degree_multiset(loaded) == degree_multiset(orig)
-            assert Counter(loaded.node_labels) == Counter(orig.node_labels)
-            assert loaded.class_label == orig.class_label
+            assert Counter(loaded.labels.tolist()) == Counter(orig.labels.tolist())
+            assert loaded.classes.tolist() == orig.classes.tolist()
+
+    def test_dataset_is_one_csr(self, tu_dir):
+        # the graphs side by side, each edge once at each end, each row ascending
+        graphs = synthetic_dataset_graphs(num_graphs=8, seed=3)
+        write_tu_files(tu_dir, "SYN", graphs)
+        ds = load(tu_dir, "SYN")
+        sizes = [len(g.labels) for g in graphs]
+        assert ds.offsets.tolist() == np.cumsum([0] + sizes).tolist()
+        assert ds.sizes.tolist() == sizes
+        assert described(ds) == described(graphs)
+        rows = np.split(ds.indices, ds.indptr[1:-1])
+        assert all(np.all(np.diff(row) > 0) for row in rows)
+        assert ds.indptr[-1] == 2 * sum(len(g.edges()) for g in graphs)
+
+    def test_repeated_edge_lines_change_nothing(self, tu_dir):
+        graphs = synthetic_dataset_graphs(num_graphs=6, seed=8)
+        base = write_tu_files(tu_dir, "REP", graphs)
+        plain = load(tu_dir, "REP")
+        path = os.path.join(base, "REP_A.txt")
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines + lines[::3]) + "\n")
+        repeated = load(tu_dir, "REP")
+        assert repeated.indptr.tolist() == plain.indptr.tolist()
+        assert repeated.indices.tolist() == plain.indices.tolist()
+
+    def test_nodes_grouped_by_graph_in_file_order(self, tu_dir):
+        # graph 1's nodes come first in the files, and interleave with graph 0's
+        base = write_tu_files(tu_dir, "MIX", [triangle(labels=(0, 1, 2)), triangle()])
+        for suffix, text in [("graph_indicator", "2\n1\n2\n1\n1\n2\n"),
+                             ("node_labels", "0\n3\n0\n4\n5\n0\n"),
+                             ("A", "1, 3\n3, 6\n6, 1\n2, 4\n4, 5\n")]:
+            with open(os.path.join(base, f"MIX_{suffix}.txt"), "w") as fh:
+                fh.write(text)
+        ds = load(tu_dir, "MIX")
+        # file nodes 2, 4, 5 are graph 0's nodes 0-2, and 1, 3, 6 graph 1's
+        assert ds.labels.tolist() == [1, 2, 3, 0, 0, 0]
+        assert ds.edges().tolist() == [[0, 1], [1, 2], [3, 4], [3, 5], [4, 5]]
 
     def test_indices_remapped_contiguously(self, tu_dir):
         # original labels -1/+1 and node labels 3/7 must become 0-based
-        g0 = Graph(n=2, edges=frozenset({(0, 1)}), node_labels=(3, 7), class_label=-1)
-        g1 = Graph(n=2, edges=frozenset({(0, 1)}), node_labels=(7, 7), class_label=1)
+        g0 = graph(2, [(0, 1)], (3, 7), cls=-1)
+        g1 = graph(2, [(0, 1)], (7, 7), cls=1)
         write_tu_files(tu_dir, "REMAP", [g0, g1])
-        ds = load_tu_dataset(tu_dir, "REMAP")
-        assert ds.num_classes == 2
-        assert ds.num_node_labels == 2
-        assert [g.class_label for g in ds.graphs] == [0, 1]
-        assert [g.node_labels for g in ds.graphs] == [(0, 1), (1, 1)]
+        labels = read_labels(tu_dir, "REMAP")
+        ds = load_tu_dataset(tu_dir, "REMAP", labels)
+        assert labels.num_classes == 2
+        assert labels.num_node_labels == 2
+        assert ds.classes.tolist() == [0, 1]
+        assert [g.labels.tolist() for g in ds] == [[0, 1], [1, 1]]
 
     def test_missing_file_names_it(self, tu_dir):
         write_tu_files(tu_dir, "BROKEN", [triangle()])
@@ -104,7 +163,7 @@ class TestLoader:
 
         os.remove(os.path.join(tu_dir, "BROKEN", "BROKEN_node_labels.txt"))
         with pytest.raises(FileNotFoundError, match="BROKEN_node_labels.txt"):
-            load_tu_dataset(tu_dir, "BROKEN")
+            load(tu_dir, "BROKEN")
 
     def test_unknown_node_reports_line(self, tu_dir):
         base = write_tu_files(tu_dir, "BADEDGE", [triangle()])
@@ -113,7 +172,7 @@ class TestLoader:
         with open(os.path.join(base, "BADEDGE_A.txt"), "a") as fh:
             fh.write("1, 99\n")
         with pytest.raises(DatasetFormatError, match=r"BADEDGE_A.txt:7"):
-            load_tu_dataset(tu_dir, "BADEDGE")
+            load(tu_dir, "BADEDGE")
 
     def test_zero_node_graph_rejected(self, tu_dir):
         base = write_tu_files(tu_dir, "GAP", [triangle(), triangle()])
@@ -125,7 +184,7 @@ class TestLoader:
         with open(os.path.join(base, "GAP_graph_labels.txt"), "w") as fh:
             fh.write("0\n0\n0\n")
         with pytest.raises(DatasetFormatError, match="zero nodes"):
-            load_tu_dataset(tu_dir, "GAP")
+            load(tu_dir, "GAP")
 
     def test_cross_graph_edge_rejected(self, tu_dir):
         base = write_tu_files(tu_dir, "XGRAPH", [triangle(), triangle()])
@@ -134,7 +193,7 @@ class TestLoader:
         with open(os.path.join(base, "XGRAPH_A.txt"), "a") as fh:
             fh.write("1, 4\n")
         with pytest.raises(DatasetFormatError, match="crosses graphs"):
-            load_tu_dataset(tu_dir, "XGRAPH")
+            load(tu_dir, "XGRAPH")
 
     @staticmethod
     def _error(tu_dir, suffix, text, append=False, graphs=2):
@@ -145,7 +204,7 @@ class TestLoader:
         with open(path, "a" if append else "w") as fh:
             fh.write(text)
         with pytest.raises(DatasetFormatError) as exc:
-            load_tu_dataset(tu_dir, "BAD")
+            load(tu_dir, "BAD")
         return str(exc.value), path
 
     @pytest.mark.parametrize("suffix, text, where", [
@@ -180,7 +239,7 @@ class TestLoader:
         # digit, which int() reads, sends one file through the line-by-line
         # reader
         graphs = synthetic_dataset_graphs(num_graphs=12, seed=4)
-        plain = load_tu_dataset(tu_dir, os.path.basename(write_tu_files(tu_dir, "LF", graphs)))
+        plain = load(tu_dir, os.path.basename(write_tu_files(tu_dir, "LF", graphs)))
         base = write_tu_files(tu_dir, "CRLF", graphs)
         for fname in os.listdir(base):
             path = os.path.join(base, fname)
@@ -194,10 +253,9 @@ class TestLoader:
             read_lines.append(text)
             return _read_lines(text, width)
         monkeypatch.setattr(data, "_read_lines", spy)
-        other = load_tu_dataset(tu_dir, "CRLF")
+        other = load(tu_dir, "CRLF")
         assert len(read_lines) == 1 and read_lines[0].startswith("\n\u0661")
-        assert [(g.n, g.edges, g.node_labels, g.class_label) for g in other.graphs] == [
-            (g.n, g.edges, g.node_labels, g.class_label) for g in plain.graphs]
+        assert described(other) == described(plain)
 
     def test_tu_layout_takes_numpy_reader(self, tu_dir, monkeypatch):
         # the layout of the test and benchmark writers never needs the
@@ -211,8 +269,8 @@ class TestLoader:
         def refuse(*_args):
             raise AssertionError("line-by-line reader called")
         monkeypatch.setattr(data, "_read_lines", refuse)
-        assert len(load_tu_dataset(tu_dir, "HELPER")) == 12
-        assert len(load_tu_dataset(tu_dir, "MUTAG")) == 188
+        assert len(load(tu_dir, "HELPER")) == 12
+        assert len(load(tu_dir, "MUTAG")) == 188
 
     @settings(max_examples=300)
     @given(st.integers(1, 2), st.lists(st.tuples(
@@ -282,15 +340,15 @@ class TestLoader:
 
 class TestPermutation:
     def test_single_node_unchanged(self):
-        g = Graph(n=1, edges=frozenset(), node_labels=(0,), class_label=1)
-        assert permute_node_ids(g, 123) == g
+        g = graph(1, [], (0,), cls=1)
+        assert described(permute_node_ids(g, 123)) == described(g) == [(1, [], [0], 1)]
 
     def test_triangle_stays_triangle(self):
         g = triangle(labels=(0, 1, 2))
         h = permute_node_ids(g, 7)
         assert degree_multiset(h) == [2, 2, 2]
-        assert Counter(h.node_labels) == Counter(g.node_labels)
-        assert h.class_label == g.class_label
+        assert Counter(h.labels.tolist()) == Counter(g.labels.tolist())
+        assert h.classes.tolist() == g.classes.tolist()
 
     def test_invariants_over_random_graphs(self):
         rng = np.random.default_rng(11)
@@ -299,20 +357,20 @@ class TestPermutation:
             g = random_graph(rng, n, float(rng.uniform(0, 1)), num_labels=4)
             h = permute_node_ids(g, int(rng.integers(0, 2**31)))
             assert degree_multiset(h) == degree_multiset(g)
-            assert Counter(h.node_labels) == Counter(g.node_labels)
-            assert h.class_label == g.class_label
+            assert Counter(h.labels.tolist()) == Counter(g.labels.tolist())
+            assert h.classes.tolist() == g.classes.tolist()
 
     def test_permuted_dataset_roundtrips_through_files(self, tu_dir):
         graphs = synthetic_dataset_graphs(num_graphs=12, seed=5)
         write_tu_files(tu_dir, "ORIG", graphs)
-        original = load_tu_dataset(tu_dir, "ORIG")
-        permuted = [permute_node_ids(g, [9, i]) for i, g in enumerate(original.graphs)]
+        original = load(tu_dir, "ORIG")
+        permuted = [permute_node_ids(g, [9, i]) for i, g in enumerate(original)]
         write_tu_files(tu_dir, "PERM", permuted)
-        reloaded = load_tu_dataset(tu_dir, "PERM")
-        for a, b in zip(original.graphs, reloaded.graphs):
+        reloaded = load(tu_dir, "PERM")
+        for a, b in zip(original, reloaded):
             assert degree_multiset(a) == degree_multiset(b)
-            assert Counter(a.node_labels) == Counter(b.node_labels)
-            assert a.class_label == b.class_label
+            assert Counter(a.labels.tolist()) == Counter(b.labels.tolist())
+            assert a.classes.tolist() == b.classes.tolist()
 
 
 class TestOneHot:
@@ -344,17 +402,19 @@ class TestOneHot:
                            "set GRAPHCAPS_DATA to run")
 class TestRealBenchmarks:
     def test_mutag_statistics(self):
-        ds = load_tu_dataset(benchmark_data_root(), "MUTAG")
-        sizes = [g.n for g in ds.graphs]
+        labels = read_labels(benchmark_data_root(), "MUTAG")
+        ds = load_tu_dataset(benchmark_data_root(), "MUTAG", labels)
+        sizes = ds.sizes
         assert len(ds) == 188
-        assert ds.num_classes == 2
-        assert ds.num_node_labels == 7
+        assert labels.num_classes == 2
+        assert labels.num_node_labels == 7
         assert max(sizes) == 28
         assert round(np.mean(sizes)) == 18
-        assert abs(np.bincount(ds.class_labels()).max() / len(ds) - 0.6649) < 0.001
+        assert abs(np.bincount(ds.classes).max() / len(ds) - 0.6649) < 0.001
 
     def test_proteins_statistics(self):
-        ds = load_tu_dataset(benchmark_data_root(), "PROTEINS")
+        labels = read_labels(benchmark_data_root(), "PROTEINS")
+        ds = load_tu_dataset(benchmark_data_root(), "PROTEINS", labels)
         assert len(ds) == 1113
-        assert ds.num_classes == 2
-        assert ds.num_node_labels == 3
+        assert labels.num_classes == 2
+        assert labels.num_node_labels == 3

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from graphcaps import experiment, labelling, tensor_cache
-from graphcaps.data import dataset_digest, load_tu_dataset
+from graphcaps.data import dataset_digest, read_labels
 from graphcaps.experiment import (
     ExperimentConfig,
     ExperimentResult,
@@ -29,7 +29,7 @@ from graphcaps.models import ConfigError
 from graphcaps.nn import TrainingError
 from graphcaps.tensor_cache import load_orders, save_orders, save_tensors
 from graphcaps.tensorize import tensorize_dataset
-from helpers import (count_calls, flip_grid_byte, swap_first_orders, synthetic_dataset_graphs,
+from helpers import (count_calls, flip_grid_byte, load, swap_first_orders, synthetic_dataset_graphs,
                      write_tu_files, write_v2_cache)
 
 QUIET = staticmethod(lambda *a, **k: None)
@@ -369,19 +369,19 @@ class TestRunCV:
     def test_warm_hit_reads_only_the_label_files(self, syn_data, tmp_path, monkeypatch):
         cfg = small_cfg(syn_data, tmp_path)
         cold, y_cold, w, _ = tensorize_cached(cfg, log=QUIET)
-        loads, load = [], experiment.load_tu_dataset
-        monkeypatch.setattr(experiment, "load_tu_dataset",
-                            lambda root, name: loads.append(name) or load(root, name))
+        loads, load_tu_dataset = [], experiment.load_tu_dataset
+        monkeypatch.setattr(experiment, "load_tu_dataset", lambda root, name, labels: (
+            loads.append(name) or load_tu_dataset(root, name, labels)))
         log = []
         warm, y, w_warm, labels = tensorize_cached(cfg, log=log.append)
         assert loads == [] and "warm cache" in log[0]
         assert warm.tobytes() == cold.tobytes() and w_warm == w
         ds = load(syn_data, "SYN")
         assert y.dtype == y_cold.dtype == np.int64 and np.array_equal(y, y_cold)
-        assert np.array_equal(y, ds.class_labels())
-        assert labels.sizes.tolist() == [g.n for g in ds.graphs]
-        assert (labels.num_classes, labels.num_node_labels) == (ds.num_classes,
-                                                                 ds.num_node_labels)
+        assert np.array_equal(y, ds.classes)
+        assert labels.sizes.tolist() == ds.sizes.tolist()
+        assert (labels.num_classes, labels.num_node_labels) == (len(np.unique(ds.classes)),
+                                                                 int(ds.labels.max()) + 1)
         # a repeated edge line leaves the graphs as they are, but not the digest
         path = os.path.join(syn_data, "SYN", "SYN_A.txt")
         with open(path) as fh:
@@ -400,7 +400,7 @@ class TestRunCV:
         grids, *_ = tensorize_cached(dataclasses.replace(cfg, seed=2), log=log.append)
         assert any("warm cache" in line for line in log)
         assert sorted(os.listdir(cfg.cache_dir)) == [f"SYN_bc_w{w}_k10.gct", "SYN_orders.gct"]
-        direct, _ = tensorize_dataset(load_tu_dataset(syn_data, "SYN"), w=w, k=10, labelling="bc")
+        direct, _ = tensorize_dataset(load(syn_data, "SYN"), w=w, k=10, labelling="bc")
         assert np.array_equal(first, direct) and np.array_equal(grids, direct)
 
     def test_edited_dataset_invalidates_cache(self, syn_data, tmp_path):
@@ -495,7 +495,7 @@ class TestOrderCache:
         tensorize_cached(cfg, log=QUIET)
         path = os.path.join(cfg.cache_dir, "SYN_orders.gct")
         digest = dataset_digest(syn_data, "SYN")
-        sizes = [g.n for g in load_tu_dataset(syn_data, "SYN").graphs]
+        sizes = read_labels(syn_data, "SYN").sizes
         good = load_orders(path, digest, sizes)
         digest_member = np.frombuffer(digest, np.uint8)
         if damage == "not_an_archive":
@@ -548,7 +548,7 @@ class TestOrderCache:
                          log=log.append)
         assert counts["canonical_order"] == 24
         assert len(log) == 1 and "searched 24 graphs" in log[0]  # the file was not read
-        sizes = [g.n for g in load_tu_dataset(syn_data, "SYN").graphs]
+        sizes = read_labels(syn_data, "SYN").sizes
         load_orders(path, dataset_digest(syn_data, "SYN"), sizes)
 
 

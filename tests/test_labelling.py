@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from graphcaps import labelling
-from graphcaps.data import Graph, permute_node_ids
+from graphcaps.data import Graphs, graph, permute_node_ids
 from graphcaps.labelling import (
     MAX_CANONICAL_NODES,
     CapacityError,
@@ -25,19 +25,17 @@ from graphcaps.selftest import (
     bruteforce_betweenness,
     random_graph,
 )
-from helpers import (cycle_graph, diamond_chain, disjoint_union, path_graph, scalar_betweenness,
-                     star_graph, triangle)
+from helpers import (cycle_graph, diamond_chain, disjoint_union, join, path_graph,
+                     scalar_betweenness, star_graph, triangle)
 
 
-def labelled_molecule_with_fragments(copies: int) -> Graph:
+def labelled_molecule_with_fragments(copies: int) -> Graphs:
     """A nitrobenzene (C 0, N 1, O 2) beside ``copies`` identical acetate
     fragments."""
     ring = [(i, (i + 1) % 6) for i in range(6)]
     nitro = [(0, 6), (6, 7), (6, 8)]
-    benzene = Graph(n=9, edges=frozenset(ring + nitro), node_labels=(0,) * 6 + (1, 2, 2),
-                    class_label=0)
-    acetate = Graph(n=4, edges=frozenset({(0, 1), (1, 2), (1, 3)}), node_labels=(0, 0, 2, 2),
-                    class_label=0)
+    benzene = graph(9, ring + nitro, (0,) * 6 + (1, 2, 2))
+    acetate = graph(4, [(0, 1), (1, 2), (1, 3)], (0, 0, 2, 2))
     return disjoint_union(benzene, *[acetate] * copies)
 
 
@@ -82,7 +80,7 @@ class TestBetweenness:
             assert np.allclose(got, want, atol=1e-9, rtol=0.0)
 
     def test_disconnected_graphs_allowed(self):
-        g = Graph(n=4, edges=frozenset({(0, 1)}), node_labels=(0,) * 4, class_label=0)
+        g = graph(4, [(0, 1)], (0,) * 4)
         assert betweenness_centrality(g).tolist() == [0.0, 0.0, 0.0, 0.0]
 
 
@@ -92,8 +90,7 @@ class TestBatchedBrandes:
     @staticmethod
     def graphs():
         rng = np.random.default_rng(8)
-        out = [Graph(n=1, edges=frozenset(), node_labels=(0,), class_label=0),
-               Graph(n=5, edges=frozenset(), node_labels=(0,) * 5, class_label=0),
+        out = [graph(1, [], (0,)), graph(5, [], (0,) * 5),
                disjoint_union(cycle_graph(5), path_graph(4), star_graph(3))]
         for _ in range(120):
             out.append(random_graph(rng, int(rng.integers(1, 25)), float(rng.uniform(0.0, 0.8)),
@@ -107,17 +104,17 @@ class TestBatchedBrandes:
     def test_path_counts_past_2_63(self):
         # 2**64 shortest paths join the ends of 64 diamonds in a row
         g = diamond_chain(64)
-        union = labelling._Union([g])
-        assert labelling._Bfs(union, np.array([0])).sigma[g.n - 1] == 2**64
+        union = labelling._Union(g)
+        assert labelling._Bfs(union, np.array([0])).sigma[len(g.labels) - 1] == 2**64
         assert betweenness_centrality(g).tobytes() == scalar_betweenness(g).tobytes()
 
     @pytest.mark.parametrize("budget", ["1-cell", "7-graphs", "everything"])
     def test_same_bits_for_every_budget(self, monkeypatch, budget):
         graphs = self.graphs()
-        cells = {"1-cell": 1, "7-graphs": 7 * max(g.n for g in graphs) ** 2,
-                 "everything": sum(g.n for g in graphs) ** 2}[budget]
+        cells = {"1-cell": 1, "7-graphs": 7 * max(len(g.labels) for g in graphs) ** 2,
+                 "everything": sum(len(g.labels) for g in graphs) ** 2}[budget]
         monkeypatch.setattr(labelling, "CELLS", cells)
-        scores = labelling._betweenness(labelling._Union(graphs))
+        scores = labelling._betweenness(labelling._Union(join(graphs)))
         want = np.concatenate([scalar_betweenness(g) for g in graphs])
         assert scores.tobytes() == want.tobytes()
 
@@ -127,7 +124,7 @@ class TestBatchedBrandes:
         n = 2000
         edges = {(int(rng.integers(0, v)), v) for v in range(1, n)}
         edges |= {(u, v) for u, v in rng.integers(0, n, (n // 10, 2)).tolist() if u < v}
-        g = Graph(n=n, edges=frozenset(edges), node_labels=(0,) * n, class_label=0)
+        g = graph(n, edges, (0,) * n)
         tracemalloc.start()
         try:
             betweenness_centrality(g)
@@ -135,6 +132,21 @@ class TestBatchedBrandes:
         finally:
             tracemalloc.stop()
         assert peak < 200 * labelling.CELLS < n * n * 8 / 2
+
+
+class TestUnion:
+    def test_renamed_chunk_is_each_graph_permuted_by_hand(self):
+        # with orders, node order[j] of each graph becomes its node j, and
+        # every renamed neighbour list is ascending again
+        rng = np.random.default_rng(12)
+        graphs = [random_graph(rng, int(rng.integers(1, 12)), 0.5) for _ in range(6)]
+        orders = [rng.permutation(len(g.labels)) for g in graphs]
+        union = labelling._Union(join(graphs), orders)
+        by_hand = join([graph(len(order), np.argsort(order)[g.edges()], g.labels[order])
+                        for g, order in zip(graphs, orders)])
+        assert union.indptr.tolist() == by_hand.indptr.tolist()
+        assert union.indices.tolist() == by_hand.indices.tolist()
+        assert union.ids.tolist() == (np.concatenate(orders) + union.off[union.graph]).tolist()
 
 
 class TestLaneGroups:
@@ -159,7 +171,7 @@ class TestLaneGroups:
 
 class TestCanonicalOrder:
     def test_single_node_identity(self):
-        g = Graph(n=1, edges=frozenset(), node_labels=(0,), class_label=0)
+        g = graph(1, [], (0,))
         assert canonical_order(g).tolist() == [0]
 
     def test_relabelled_graphs_share_certificate(self):
@@ -189,19 +201,14 @@ class TestCanonicalOrder:
     def test_degenerate_symmetric_graphs_are_fast(self):
         # edgeless and complete graphs have factorial automorphism groups;
         # the twin-cell collapse must keep them linear (i.e. finish at all)
-        empty = Graph(n=30, edges=frozenset(), node_labels=(0,) * 30, class_label=0)
+        empty = graph(30, [], (0,) * 30)
         assert len(canonical_order(empty)) == 30
-        complete = Graph(
-            n=12,
-            edges=frozenset((u, v) for u in range(12) for v in range(u + 1, 12)),
-            node_labels=(0,) * 12,
-            class_label=0,
-        )
+        complete = graph(12, [(u, v) for u in range(12) for v in range(u + 1, 12)], (0,) * 12)
         assert len(canonical_order(complete)) == 12
 
     def test_capacity_bound(self):
         n = MAX_CANONICAL_NODES + 1
-        g = Graph(n=n, edges=frozenset(), node_labels=(0,) * n, class_label=0)
+        g = graph(n, [], (0,) * n)
         with pytest.raises(CapacityError, match="bound"):
             canonical_order(g)
 
@@ -212,8 +219,8 @@ class TestCanonicalOrder:
 
         def to_nx(g):
             h = nx.Graph()
-            h.add_nodes_from((v, {"label": lab}) for v, lab in enumerate(g.node_labels))
-            h.add_edges_from(g.edges)
+            h.add_nodes_from((v, {"label": lab}) for v, lab in enumerate(g.labels.tolist()))
+            h.add_edges_from(g.edges().tolist())
             return h
 
         rng = np.random.default_rng(17)
@@ -227,9 +234,9 @@ class TestCanonicalOrder:
             h = permute_node_ids(g, [17, trial])
             if trial % 3:
                 # toggle one node pair
-                u, v = sorted(int(x) for x in rng.choice(h.n, size=2, replace=False))
-                h = Graph(n=h.n, edges=h.edges ^ {(u, v)}, node_labels=h.node_labels,
-                          class_label=0)
+                u, v = sorted(int(x) for x in rng.choice(len(h.labels), size=2, replace=False))
+                edges = {tuple(e) for e in h.edges().tolist()} ^ {(u, v)}
+                h = graph(len(h.labels), edges, h.labels)
             same = nx.is_isomorphic(to_nx(g), to_nx(h),
                                     node_match=lambda a, b: a["label"] == b["label"])
             assert (canonical_certificate(g) == canonical_certificate(h)) == same, trial
@@ -264,8 +271,7 @@ class TestBoundedSearch:
         for shape in ("MUTAG", "NCI1"):
             for seed in (1, 2, 3):
                 for labels, edges, _ in synth.generate(shape, seed)[0]:
-                    canonical_order(Graph(n=len(labels), edges=frozenset(edges),
-                                          node_labels=tuple(labels), class_label=0))
+                    canonical_order(graph(len(labels), edges, labels))
 
 
 class TestRankNodes:
@@ -286,18 +292,11 @@ class TestRankNodes:
     def test_triangle_canonical_consistent_across_relabellings(self):
         g = triangle(labels=(0, 1, 2))
         base = rank_nodes(g, "canonical")
-        base_labels = [g.node_labels[v] for v in base]
+        base_labels = g.labels[base].tolist()
         for perm in itertools.permutations(range(3)):
-            h = Graph(
-                n=3,
-                edges=frozenset(
-                    tuple(sorted((perm[u], perm[v]))) for u, v in g.edges
-                ),
-                node_labels=tuple(g.node_labels[perm.index(i)] for i in range(3)),
-                class_label=0,
-            )
+            h = graph(3, np.array(perm)[g.edges()], g.labels[np.argsort(perm)])
             order = rank_nodes(h, "canonical")
-            assert [h.node_labels[v] for v in order] == base_labels
+            assert h.labels[order].tolist() == base_labels
 
     def test_bc_scores_match_plain_brandes(self):
         rng = np.random.default_rng(9)
@@ -305,10 +304,10 @@ class TestRankNodes:
             g = random_graph(rng, int(rng.integers(2, 12)), float(rng.uniform(0.1, 0.9)),
                              num_labels=2)
             order = rank_nodes(g, "bc")
-            assert sorted(order.tolist()) == list(range(g.n))
+            assert sorted(order.tolist()) == list(range(len(g.labels)))
             # plain Brandes scores do not increase along the order
             ordered = betweenness_centrality(g)[order]
-            assert all(ordered[i] >= ordered[i + 1] - 1e-9 for i in range(g.n - 1))
+            assert all(ordered[i] >= ordered[i + 1] - 1e-9 for i in range(len(g.labels) - 1))
 
     def test_unknown_labelling_rejected(self):
         # nauty is only a command-line alias of canonical

@@ -1,5 +1,6 @@
 """The one worker pool: graphcaps._pool's map over items, the guard that no
-other module starts a process, and the pool's mutation table."""
+other module starts a process, and the committed mutation table: the pool's
+mutations and those of the loader, the chunk union and the warm cache hit."""
 
 import glob
 import multiprocessing
@@ -8,6 +9,7 @@ import re
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -34,11 +36,14 @@ def _pid_after(seconds):
     return os.getpid()
 
 
-def test_items_go_to_whichever_worker_is_free_and_come_back_in_order():
-    # one slow item holds one worker while the other takes every fast one
+def test_items_go_to_whichever_worker_is_free_and_come_back_as_they_finish():
+    # one slow item holds one worker while the other takes every fast one,
+    # and each comes back with its index as soon as it is done
     with time_limit(20):
-        pids = list(_pool.fork_map(_pid_after, [0.5, 0, 0, 0, 0], 2, name=str))
-    assert len(set(pids)) == 2 and len(set(pids[1:])) == 1
+        got = list(_pool.fork_map(_pid_after, [0.5, 0, 0, 0, 0], 2, name=str))
+    assert [i for i, _ in got] == [1, 2, 3, 4, 0]
+    pids = dict(got)
+    assert pids[0] != pids[1] and {pids[i] for i in range(1, 5)} == {pids[1]}
     assert multiprocessing.active_children() == []
 
 
@@ -55,12 +60,31 @@ def test_a_dead_worker_fails_the_map_naming_its_item():
         for result in _pool.fork_map(_exit_on_two, [0, 1, 2, 3], 2, 10,
                                      name=lambda item: f"item {item}"):
             got.append(result)
-    assert got in ([], [10], [10, 11])
+    # item 2 is sent once item 0 or 1 is back; item 3 may finish before it dies
+    assert got and len(set(got)) == len(got) and set(got) <= {(0, 10), (1, 11), (3, 13)}
+    assert multiprocessing.active_children() == []
+
+
+def _unpicklable(item):
+    if item == 1:
+        raise ValueError(threading.Lock())
+    return threading.Lock() if item == 3 else item
+
+
+@pytest.mark.parametrize("items, error", [
+    ([0, 1, 2], r"ValueError\(<unlocked _thread\.lock object"),
+    ([0, 3, 2], r"TypeError\(\"cannot pickle '_thread\.lock' object\"\)"),
+], ids=["error", "result"])
+def test_an_answer_that_does_not_pickle_still_says_what_it_was(items, error):
+    # the worker sends the repr of its error, or of the pickling error, and lives on
+    with time_limit(20), pytest.raises(RuntimeError, match="^" + error):
+        list(_pool.fork_map(_unpicklable, items, 2, name=str))
     assert multiprocessing.active_children() == []
 
 
 TSNE = "tests/test_analysis.py::TestTsne::"
 CHUNKS = "tests/test_tensorize.py::TestDatasetTensorization::"
+LOADER = "tests/test_data.py::TestLoader::"
 BITS = TSNE + "test_same_bits_for_every_jobs[150]"
 ROW_ERRORS = TSNE + "test_worker_errors_raise_in_the_caller"
 
@@ -78,7 +102,7 @@ MUTATIONS = {
         "_shared(m), np.zeros((m, 3)), _shared((m, 3))", [BITS],
     ),
     "worker-answers-none-on-an-error": (
-        "_pool", "_serve", "reply = False, exc", "reply = True, None",
+        "_pool", "_serve", "ok, value = False, exc", "ok, value = True, None",
         [ROW_ERRORS, CHUNKS + "test_capacity_error_names_the_graph[2]"],
     ),
     "no-fork-check": (
@@ -93,7 +117,7 @@ MUTATIONS = {
     "chunks-sent-with-their-graphs": (
         "tensorize", "tensorize_dataset", "_chunk_grids, groups,",
         "lambda e, gs, o, item: _chunk_grids(e, item[1], o, item[0]), "
-        "[(g, ds.graphs) for g in groups],",
+        "[(g, ds) for g in groups],",
         [CHUNKS + "test_chunk_tasks_carry_slices_not_graphs"],
     ),
     # in the map, a dead worker's item finishes; in a row run, its run succeeds
@@ -102,9 +126,31 @@ MUTATIONS = {
         ["tests/test_pool.py::test_a_dead_worker_fails_the_map_naming_its_item",
          "tests/test_cli.py::TestDeadWorkers", ROW_ERRORS],
     ),
+    "unpicklable-answer-kills-the-worker": (
+        "_pool", "_serve", "conn.send((False, RuntimeError(repr(exc if ok else value))))",
+        "raise", ["tests/test_pool.py::test_an_answer_that_does_not_pickle_still_says_what_it_was"],
+    ),
+    "warm-hit-also-loads-the-edges": (
+        "experiment", "tensorize_cached", '"nothing to do: {cache_path}")',
+        '"nothing to do: {cache_path}"); load_tu_dataset(cfg.data_root, name, labels)',
+        ["tests/test_experiment.py::TestRunCV::test_warm_hit_reads_only_the_label_files"],
+    ),
+    "union-renamed-without-sorting-its-rows": (
+        "labelling", "_Union", "nbr[np.argsort(row * total + nbr)]", "nbr",
+        ["tests/test_labelling.py::TestUnion::test_renamed_chunk_is_each_graph_permuted_by_hand"],
+    ),
+    "loader-keeps-repeated-edges": (
+        "data", "_csr", "pairs[1:] != pairs[:-1]", "pairs[1:] >= 0",
+        [LOADER + "test_repeated_edge_lines_change_nothing", LOADER + "test_dataset_is_one_csr"],
+    ),
+    "graph-accepts-a-self-loop": (
+        "data", "graph", "(u == v) | ", "",
+        ["tests/test_data.py::TestGraphType::test_self_loop_rejected"],
+    ),
 }
 
 
+@pytest.mark.mutations
 @pytest.mark.parametrize("mutation", MUTATIONS)
 def test_pool_mutation_is_killed(mutation):
     # each mutant runs its tests in a fresh interpreter, bounded in time: a

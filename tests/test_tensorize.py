@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from graphcaps import labelling, tensorize
-from graphcaps.data import PAD, Graph, GraphDataset, one_hot, permute_node_ids
+from graphcaps.data import PAD, Graphs, graph, one_hot, permute_node_ids
 from graphcaps.labelling import betweenness_centrality, rank_nodes
 from graphcaps.tensor_cache import VERSION, CacheError, load_tensors, save_tensors
 from graphcaps.labelling import _Bfs, _fields, _Union
@@ -16,23 +16,21 @@ from graphcaps.tensorize import (
     tensorize_dataset,
 )
 from graphcaps.selftest import random_graph
-from helpers import (count_calls, cycle_graph, disjoint_union, flip_grid_byte, path_graph,
-                     reference_grid, star_graph, synthetic_dataset_graphs, triangle,
+from helpers import (count_calls, cycle_graph, disjoint_union, flip_grid_byte, join, load,
+                     path_graph, reference_grid, star_graph, synthetic_dataset_graphs, triangle,
                      write_tu_files)
 
-from graphcaps.data import load_tu_dataset
 
-
-def fields(g: Graph, anchors, place, k: int) -> list:
+def fields(g: Graphs, anchors, place, k: int) -> list:
     """The receptive fields of ``anchors`` in ``g`` from the batched field
     pass, where ``place[v]`` is node v's position in the ranked order."""
-    union = _Union([g])
+    union = _Union(g)
     out = np.full((len(anchors), k), PAD)
     _fields(union, _Bfs(union, np.array(anchors), reach=k), np.asarray(place), out)
     return out.tolist()
 
 
-def place_of(g: Graph, labelling: str) -> np.ndarray:
+def place_of(g: Graphs, labelling: str) -> np.ndarray:
     """Each node's position in the ranked order."""
     return np.argsort(rank_nodes(g, labelling))
 
@@ -48,14 +46,14 @@ class TestNodeSequence:
     def test_large_graph_truncates_to_top_ranked(self):
         rng = np.random.default_rng(0)
         g = random_graph(rng, 28, 0.2, connected=True)
-        g = Graph(n=g.n, edges=g.edges, node_labels=tuple(range(g.n)), class_label=0)
+        g = graph(28, g.edges(), range(28))
         grid = graph_to_tensor(g, w=18, k=1, d=28, labelling="bc")
         assert grid[:, 0].tolist() == rank_nodes(g, "bc")[:18].tolist()
 
 
 class TestNeighbourhoodAssembly:
     def test_isolated_node(self):
-        g = Graph(n=3, edges=frozenset({(1, 2)}), node_labels=(0, 0, 0), class_label=0)
+        g = graph(3, [(1, 2)], (0, 0, 0))
         assert fields(g, [0], np.arange(3), k=4) == [[0, PAD, PAD, PAD]]
 
     def test_star_ring_overshoot(self):
@@ -84,21 +82,19 @@ class TestNormalization:
 
     def test_rings_ordered_by_place(self):
         # hop first, then place: node 3 outranks node 1 but is a hop further
-        g = Graph(n=4, edges=frozenset({(0, 2), (1, 2), (0, 3)}), node_labels=(0,) * 4,
-                  class_label=0)
+        g = graph(4, [(0, 2), (1, 2), (0, 3)], (0,) * 4)
         assert fields(g, [2], [2, 1, 3, 0], k=3) == [[2, 1, 0]]
 
     def test_star_selection_consistent_across_relabellings(self):
         # leaves are interchangeable: whichever two survive the k-cut, the
         # label content of the field must be identical for every relabelling
-        g = Graph(n=5, edges=frozenset({(0, 1), (0, 2), (0, 3), (0, 4)}),
-                  node_labels=(1, 0, 0, 2, 2), class_label=0)
+        g = graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)], (1, 0, 0, 2, 2))
         ref = None
         for seed in range(8):
             h = permute_node_ids(g, seed)
-            anchor = [v for v in range(5) if len(h.adjacency()[v]) == 4][0]
+            anchor = int(np.flatnonzero(np.diff(h.indptr) == 4)[0])
             [field] = fields(h, [anchor], place_of(h, "canonical"), k=3)
-            labels = tuple(h.node_labels[m] for m in field)
+            labels = tuple(h.labels[field].tolist())
             if ref is None:
                 ref = labels
             assert labels == ref
@@ -131,7 +127,7 @@ class TestGraphToTensor:
     def test_unknown_labelling_rejected_before_the_search(self, monkeypatch):
         # the search would raise CapacityError on the 4-cycle
         monkeypatch.setattr(labelling, "MAX_SEARCH_NODES", 1)
-        ds = GraphDataset(graphs=[cycle_graph(4)], num_classes=1, num_node_labels=1, name="BAD")
+        ds = join([cycle_graph(4)])
         for extract in (lambda: rank_nodes(cycle_graph(4), "nauty"),
                         lambda: tensorize_dataset(ds, w=3, k=2, labelling="nauty")):
             with pytest.raises(ValueError, match="'nauty'"):
@@ -154,7 +150,7 @@ class TestGraphToTensor:
         counts = count_calls(monkeypatch, labelling.canonical_order, labelling._brandes)
         rng = np.random.default_rng(3)
         graphs = [random_graph(rng, 12, 0.3, num_labels=3) for _ in range(5)]
-        ds = GraphDataset(graphs=graphs, num_classes=1, num_node_labels=3, name="ONCE")
+        ds = join(graphs)
         tensorize_dataset(ds, w=8, k=4, labelling=ranking)
         # one chunk: one search per graph, and one Brandes pass for all of them
         assert counts == {"canonical_order": 5, "_brandes": int(ranking == "bc")}
@@ -164,8 +160,7 @@ class TestGraphToTensor:
         # carries one pendant leaf and node 3 two.  Betweenness: hub 11,
         # node 3 9, node 2 5, node 1 0, so the hub's hop-1 ring comes out
         # 3, 2, 1, where the canonical order, label-major, gives 1, 2, 3.
-        g = Graph(n=7, edges=frozenset({(0, 1), (0, 2), (0, 3), (2, 4), (3, 5), (3, 6)}),
-                  node_labels=(0, 1, 2, 3, 0, 0, 0), class_label=0)
+        g = graph(7, [(0, 1), (0, 2), (0, 3), (2, 4), (3, 5), (3, 6)], (0, 1, 2, 3, 0, 0, 0))
         assert betweenness_centrality(g).tolist() == [11.0, 0.0, 5.0, 9.0, 0.0, 0.0, 0.0]
         for seed in range(4):
             h = permute_node_ids(g, seed)
@@ -190,20 +185,20 @@ class TestDatasetTensorization:
     def test_default_width_is_rounded_average(self, tu_dir):
         graphs = [path_graph(4), path_graph(5), triangle()]
         write_tu_files(tu_dir, "WIDTH", graphs)
-        ds = load_tu_dataset(tu_dir, "WIDTH")
-        assert default_width([g.n for g in ds.graphs]) == 4  # mean(4, 5, 3) = 4
+        ds = load(tu_dir, "WIDTH")
+        assert default_width(ds.sizes) == 4  # mean(4, 5, 3) = 4
         assert padded_anchor_count(ds, 4) == 1
 
     def test_parallel_extraction_matches_serial(self, tu_dir):
         graphs = [random_graph(np.random.default_rng(i), 8, 0.4, num_labels=3)
                   for i in range(12)]
         write_tu_files(tu_dir, "PAR", graphs)
-        ds = load_tu_dataset(tu_dir, "PAR")
+        ds = load(tu_dir, "PAR")
         serial, orders = tensorize_dataset(ds, w=6, k=4, jobs=1)
         parallel, parallel_orders = tensorize_dataset(ds, w=6, k=4, jobs=2)
         assert serial.shape == (12, 6, 4)
         assert np.array_equal(serial, parallel)
-        for i, g in enumerate(ds.graphs):
+        for i, g in enumerate(ds):
             assert np.array_equal(serial[i], graph_to_tensor(g, w=6, k=4, d=3))
             assert np.array_equal(orders[i], labelling.canonical_order(g))
             assert np.array_equal(parallel_orders[i], orders[i])
@@ -217,7 +212,7 @@ class TestDatasetTensorization:
         # extraction workers inherit the graphs and orders at the fork
         write_tu_files(tu_dir, "PAR", [random_graph(np.random.default_rng(i), 8, 0.4)
                                        for i in range(12)])
-        ds = load_tu_dataset(tu_dir, "PAR")
+        ds = load(tu_dir, "PAR")
         sent, fork_map = [], tensorize.fork_map
 
         def record(fn, items, *rest, **named):
@@ -231,7 +226,7 @@ class TestDatasetTensorization:
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_rejected(self, jobs):
-        ds = GraphDataset(graphs=[triangle()], num_classes=1, num_node_labels=1, name="TRI")
+        ds = join([triangle()])
         with pytest.raises(ValueError, match=f"^jobs must be >= 1, got {jobs}$"):
             tensorize_dataset(ds, w=3, k=2, jobs=jobs)
 
@@ -241,7 +236,7 @@ class TestDatasetTensorization:
         # cell), not the 4-cycle
         monkeypatch.setattr(labelling, "MAX_SEARCH_NODES", 1)
         graphs = [path_graph(3, labels=(0, 1, 2)), triangle(), cycle_graph(4), triangle()]
-        ds = GraphDataset(graphs=graphs, num_classes=1, num_node_labels=3, name="CAP")
+        ds = join(graphs)
         with pytest.raises(labelling.CapacityError, match=r"^graph 2: canonical search"):
             tensorize_dataset(ds, w=3, k=2, jobs=jobs)
 
@@ -250,23 +245,23 @@ class TestBatchedExtraction:
     """Grids from the chunk-level passes equal the serial per-graph reference
     bit for bit, whatever the chunk budget and the number of workers."""
 
-    def dataset(self) -> GraphDataset:
+    def dataset(self) -> Graphs:
         rng = np.random.default_rng(11)
         graphs = [random_graph(rng, int(rng.integers(1, 25)), float(rng.uniform(0.0, 0.7)),
                                num_labels=4) for _ in range(40)]
         graphs += [disjoint_union(triangle(labels=(0, 1, 2)), path_graph(3)),
-                   Graph(n=4, edges=frozenset(), node_labels=(3, 2, 1, 0), class_label=0)]
-        return GraphDataset(graphs=graphs, num_classes=1, num_node_labels=4, name="REF")
+                   graph(4, [], (3, 2, 1, 0))]
+        return join(graphs)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("budget", ["1-cell", "7-graphs", "everything"])
     @pytest.mark.parametrize("ranking", ["bc", "canonical"])
     def test_grids_match_the_serial_reference(self, monkeypatch, ranking, budget, jobs):
         ds = self.dataset()
-        cells = {"1-cell": 1, "7-graphs": 7 * max(g.n for g in ds.graphs) ** 2,
-                 "everything": sum(g.n for g in ds.graphs) ** 2}[budget]
+        cells = {"1-cell": 1, "7-graphs": 7 * int(ds.sizes.max()) ** 2,
+                 "everything": int(ds.sizes.sum()) ** 2}[budget]
         monkeypatch.setattr(labelling, "CELLS", cells)
-        want = np.stack([reference_grid(g, w=7, k=5, d=4, labelling=ranking) for g in ds.graphs])
+        want = np.stack([reference_grid(g, w=7, k=5, d=4, labelling=ranking) for g in ds])
         got, _ = tensorize_dataset(ds, w=7, k=5, labelling=ranking, jobs=jobs)
         assert got.dtype == np.uint16
         assert np.array_equal(got, want)
