@@ -57,8 +57,9 @@ def extract_embeddings(model, tensors: np.ndarray, source: EmbeddingSource) -> n
 
     ``raw`` flattens the input tensors (no model needed) to float64; ``cnn``
     reads the dense inner layer of the CNN baseline; ``caps`` reads the
-    flattened primary-capsule vectors before any routing.  A model reads the
-    tensors at its parameters' dtype, so a float32 model runs in float32.
+    flattened primary-capsule vectors before any routing.  A model casts each
+    chunk of the tensors to its parameters' dtype, so a float32 model runs in
+    float32.
     """
     source = EmbeddingSource(source)
     if source is EmbeddingSource.RAW_TENSOR:
@@ -67,7 +68,7 @@ def extract_embeddings(model, tensors: np.ndarray, source: EmbeddingSource) -> n
         raise ValueError(f"source 'cnn' needs the CNN baseline, got {type(model).__name__}")
     if source is EmbeddingSource.PRIMARY_CAPS and not isinstance(model, CapsNet):
         raise ValueError(f"source 'caps' needs the capsule model, got {type(model).__name__}")
-    return model.inner_features(np.asarray(tensors, dtype=model.params["conv1_w"].data.dtype))
+    return model.inner_features(tensors)
 
 
 # Rows per block of the row-parallel work: a block of rows stays in cache
@@ -220,11 +221,13 @@ def _check_perplexity(perplexity: float, m: int) -> None:
 
 def joint_probabilities(points: np.ndarray, perplexity: float,
                         jobs: int | None = None) -> np.ndarray:
-    """Symmetrized, normalized t-SNE joint distribution P (zero diagonal);
-    ``jobs`` processes search the precisions (see :func:`perplexity_search`)."""
+    """Symmetrized, normalized t-SNE joint distribution P (zero diagonal) of
+    the rows of ``points``, taken in float64 only for their distances, so
+    that copy is freed before the search; ``jobs`` processes search the
+    precisions (see :func:`perplexity_search`)."""
     m = len(points)
     _check_perplexity(perplexity, m)
-    d2 = _pairwise_sq_dists(points, np.empty((m, m)), np.empty((m, m)))
+    d2 = _pairwise_sq_dists(np.asarray(points, np.float64), np.empty((m, m)), np.empty((m, m)))
     cond, _ = perplexity_search(d2, perplexity, jobs=jobs)
     del d2
     P = (cond + cond.T) / (2.0 * m)
@@ -352,10 +355,8 @@ def tsne(points: np.ndarray, perplexity: float, iters: int = 1000, seed: int = 0
         exaggeration_iters = min(250, iters // 2)
     if momentum_switch is None:
         momentum_switch = min(250, iters // 2)
-    points = np.asarray(points, dtype=np.float64)
     P = joint_probabilities(points, perplexity, jobs=jobs)
-    m = len(points)
-    del points  # the float64 input is not needed once P exists
+    m = len(P)
     learning_rate = max(m / _EARLY_EXAGGERATION / 4.0, 50.0)
     rng = np.random.default_rng([seed, 0x74736E65])
     y = rng.normal(0.0, 1e-4, (m, 2))

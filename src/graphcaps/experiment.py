@@ -335,9 +335,10 @@ def tensorize_cached(cfg: ExperimentConfig, name: str | None = None, force: bool
 def dataset_tensors(cfg: ExperimentConfig, name: str | None = None, log=print):
     """One dataset's one-hot tensors, through the tensor cache.
 
-    Returns (x, y, w, channels, labels) with ``x`` a C-contiguous float32
-    ``(n, w, k, channels)`` array (see :func:`graphcaps.data.one_hot`) and
-    ``labels`` the dataset's :class:`graphcaps.data.TuLabels`.
+    Returns (x, y, w, channels, labels) with ``x`` a C-contiguous uint8
+    ``(n, w, k, channels)`` array (see :func:`graphcaps.data.one_hot`), which
+    the models cast a batch at a time, and ``labels`` the dataset's
+    :class:`graphcaps.data.TuLabels`.
     """
     grids, y, w, labels = tensorize_cached(cfg, name, log=log)
     return one_hot(grids, labels.num_node_labels), y, w, labels.num_node_labels + 1, labels

@@ -5,9 +5,9 @@ Both keep one contract (:class:`_Classifier`): input is a batch of
 ``(w, k, d+1)`` tensors, and only a batch, checked in one place at every entry
 point; any other shape, one unbatched tensor included, raises ``ValueError``.
 Inference runs in chunks without a tape and skips the capsule decoder.
-Parameters are :data:`graphcaps.data.FLOAT` (float32), the one-hot tensors'
-dtype, so training and inference run in float32; everything created inside a
-step takes the dtype of the arrays it combines with.
+Parameters are :data:`FLOAT` (float32), and each batch or inference chunk is
+cast to their dtype as it enters, so uint8 one-hot tensors run in float32;
+everything created inside a step takes the dtype of the arrays it combines with.
 """
 
 from __future__ import annotations
@@ -19,7 +19,10 @@ import numpy as np
 
 from . import nn
 from .autodiff import Tensor, conv2d, caps_predict, no_grad
-from .data import FLOAT
+
+# The dtype of the model parameters, and so of every step: exact for one-hot
+# input, and half the bytes and BLAS time of float64.
+FLOAT = np.float32
 
 
 class ConfigError(ValueError):
@@ -96,20 +99,26 @@ class _Classifier:
         self.params = {name: Tensor(arr.astype(FLOAT), requires_grad=True)
                        for name, arr in draws.items()}
 
-    def _batch(self, x) -> Tensor:
-        """``x`` as a ``(B, w, k, channels)`` Tensor in its own dtype."""
-        x = Tensor._lift(x)
-        if x.data.shape[1:] != (self.w, self.k, self.channels):
+    def _checked(self, x) -> np.ndarray:
+        """``x``, a Tensor or an array, as the array of a ``(B, w, k, channels)`` batch."""
+        x = x.data if isinstance(x, Tensor) else np.asarray(x)
+        if x.shape[1:] != (self.w, self.k, self.channels):
             raise ValueError(
-                f"input shape {x.data.shape[1:]} != ({self.w}, {self.k}, {self.channels})"
+                f"input shape {x.shape[1:]} != ({self.w}, {self.k}, {self.channels})"
             )
         return x
 
+    def _batch(self, x) -> Tensor:
+        """The batch ``x`` as a Tensor at the parameters' dtype: the one cast of
+        a model's input, so uint8 one-hot tensors run in float32."""
+        return Tensor(self._checked(x).astype(self.params["conv1_w"].data.dtype, copy=False))
+
     def _infer(self, x, fn) -> np.ndarray:
-        """``fn`` of each chunk of the batch ``x``, without a tape, concatenated."""
-        x = self._batch(x).data
+        """``fn`` of each chunk of the batch ``x``, without a tape, concatenated;
+        only one chunk at a time is cast to the parameters' dtype."""
+        x = self._checked(x)
         with no_grad():
-            return np.concatenate([fn(Tensor(x[lo : lo + self._chunk]))
+            return np.concatenate([fn(self._batch(x[lo : lo + self._chunk]))
                                    for lo in range(0, len(x), self._chunk)])
 
 

@@ -5,8 +5,8 @@ of the order :func:`graphcaps.labelling.rank_nodes` returns for the run's
 labelling are the anchors, each anchor gathers its ``k`` hop-closest
 neighbours into a receptive field ordered by (hop, place in that same order),
 and each member contributes its label (padding is stored as label ``d``).
-:func:`graphcaps.data.one_hot` expands grids to the ``w x k x (d+1)`` tensors
-the models take.
+:func:`graphcaps.data.one_hot` expands grids to the uint8 ``w x k x (d+1)``
+tensors the models take, each batch cast to their float32 parameter dtype.
 
 Extraction works on chunks of graphs (:func:`_grids`), each a slice of the
 dataset's CSR (:class:`graphcaps.data.Graphs`) and of its label array: after

@@ -192,15 +192,21 @@ def count_calls(monkeypatch, *fns) -> dict:
 
 
 def mutate(monkeypatch, module, name: str, expression: str, mutant: str) -> None:
-    """Break the function ``module.name`` by rewriting the one occurrence of
+    """Break the function ``module.name``, or the method ``module.Class.attr``
+    when ``name`` is ``"Class.attr"``, by rewriting the one occurrence of
     ``expression`` in its source to ``mutant``.  The rewrite is compiled
-    against the module's own globals and patched into every graphcaps module
-    that holds the function, since some callers import it by name."""
-    original = getattr(module, name)
+    against the module's own globals.  A method is patched on its class; a
+    function into every graphcaps module that holds it, since some callers
+    import it by name."""
+    owner, _, attr = name.rpartition(".")
+    original = getattr(getattr(module, owner) if owner else module, attr)
     source = textwrap.dedent(inspect.getsource(original))
     assert source.count(expression) == 1, f"{expression!r} is not one expression of {name}"
     scope = {}
     exec(compile(source.replace(expression, mutant), module.__file__, "exec"), vars(module), scope)
+    if owner:
+        monkeypatch.setattr(getattr(module, owner), attr, scope[attr])
+        return
     for mod_name, mod in list(sys.modules.items()):
         if mod_name.startswith("graphcaps") and getattr(mod, name, None) is original:
             monkeypatch.setattr(mod, name, scope[name])

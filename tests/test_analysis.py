@@ -72,9 +72,11 @@ class TestExtractEmbeddings:
                             decoder_hidden=(8, 12))
         model = build_capsnet(8, 5, 4, 2, cfg, seed=0) if source == "caps" else build_cnn(
             8, 5, 4, 2, seed=0)
+        # the input boundary casts: the layers see the parameters' dtype
+        layer = "_primary_capsules" if source == "caps" else "_features"
         seen = []
-        inner_features = model.inner_features
-        model.inner_features = lambda x: seen.append(x.dtype) or inner_features(x)
+        features = getattr(model, layer)
+        setattr(model, layer, lambda xb: seen.append(xb.data.dtype) or features(xb))
         points = extract_embeddings(model, self.x, source)  # self.x is float64
         assert seen == [np.float32] and points.dtype == np.float32
 

@@ -393,7 +393,7 @@ class TestOneHot:
     def test_rows_sum_to_one(self, labels, d):
         out = one_hot(np.array(labels, dtype=np.uint16), d)
         assert out.shape == (len(labels), d + 1)
-        assert out.dtype == np.float32 and out.flags.c_contiguous
+        assert out.dtype == np.uint8 and out.flags.c_contiguous
         assert np.array_equal(out.sum(axis=1), np.ones(len(labels)))
 
 

@@ -366,6 +366,17 @@ class TestRunCV:
         dataset_tensors(cfg, log=lines.append)
         assert any("warm cache" in line for line in lines)
 
+    def test_dataset_tensors_are_uint8_one_hot(self, syn_data, tmp_path):
+        # a byte a cell, a quarter of float32: the models cast a batch at a time
+        cfg = small_cfg(syn_data, tmp_path)
+        grids, *_ = tensorize_cached(cfg, log=QUIET)
+        x, y, w, channels, labels = dataset_tensors(cfg, log=QUIET)
+        assert x.dtype == np.uint8 and x.flags.c_contiguous
+        assert channels == labels.num_node_labels + 1
+        assert x.nbytes == len(y) * w * cfg.k * channels
+        assert (np.count_nonzero(x, axis=-1) == 1).all() and x.max() == 1
+        assert np.array_equal(x.argmax(axis=-1), grids)
+
     def test_warm_hit_reads_only_the_label_files(self, syn_data, tmp_path, monkeypatch):
         cfg = small_cfg(syn_data, tmp_path)
         cold, y_cold, w, _ = tensorize_cached(cfg, log=QUIET)

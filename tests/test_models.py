@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -289,9 +290,17 @@ DTYPE_MODELS = {
 }
 
 
+# Both models at the toy geometry (w=6, k=4, 4 channels), the CNN with dropout.
+UINT8_MODELS = {
+    "capsnet": lambda: build_capsnet(6, 4, 4, 2, TOY_CFG, seed=19),
+    "cnn": lambda: build_cnn(6, 4, 4, 2, seed=19),
+}
+
+
 class TestDtype:
-    """The dtype follows the data: one-hot input and the models' parameters
-    are float32, so a whole training step is; float64 data stays float64."""
+    """The dtype follows the parameters: the input boundary casts each batch
+    to their dtype, so float32 parameters make a whole training step float32
+    whatever the input's dtype, and float64 parameters a float64 one."""
 
     def _step(self, model, x, monkeypatch):
         """One training step; returns (loss, dtypes of every op output, Adam state)."""
@@ -311,8 +320,17 @@ class TestDtype:
 
     @pytest.mark.parametrize("name", sorted(DTYPE_MODELS))
     def test_float32_step(self, name, monkeypatch):
+        self._check_float32_step(name, np.float32, monkeypatch)
+
+    # one_hot's uint8, and float64 input, which a Tensor would keep as it is
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+    @pytest.mark.parametrize("name", sorted(DTYPE_MODELS))
+    def test_other_inputs_make_a_float32_step(self, name, dtype, monkeypatch):
+        self._check_float32_step(name, dtype, monkeypatch)
+
+    def _check_float32_step(self, name, dtype, monkeypatch):
         model = DTYPE_MODELS[name]()
-        x = one_hot(np.random.default_rng(16).integers(0, 4, (4, 4, 3)), 3)
+        x = one_hot(np.random.default_rng(16).integers(0, 4, (4, 4, 3)), 3).astype(dtype)
         loss, made, state = self._step(model, x, monkeypatch)
         assert loss.data.dtype == np.float32
         assert made == {np.dtype(np.float32)}
@@ -359,3 +377,39 @@ class TestDtype:
         for name in finals[0]:
             assert finals[0][name].dtype == np.float32
             assert np.array_equal(finals[0][name], finals[1][name])
+
+    @pytest.mark.parametrize("build", UINT8_MODELS.values(), ids=UINT8_MODELS.keys())
+    def test_uint8_one_hot_trains_as_its_float32_copy(self, build):
+        x, y = toy_fixture()
+        x = x.astype(np.uint8)
+        runs = []
+        for xs in (x, x.astype(np.float32)):
+            model = build()
+            train_model(model, xs, y, TrainConfig(epochs=3, batch_size=10, seed=19))
+            runs.append(({n: p.data for n, p in model.params.items()}, model.predict(xs),
+                         model.inner_features(xs)))
+        (params, pred, features), (params32, pred32, features32) = runs
+        for name in params:
+            assert params[name].tobytes() == params32[name].tobytes(), name
+        assert np.array_equal(pred, pred32) and features.tobytes() == features32.tobytes()
+
+
+class TestInferenceMemory:
+    @pytest.mark.parametrize("build", UINT8_MODELS.values(), ids=UINT8_MODELS.keys())
+    def test_predict_casts_one_chunk_at_a_time(self, build):
+        model = build()
+        x = np.eye(4, dtype=np.uint8)[np.random.default_rng(20).integers(0, 4, (1000, 6, 4))]
+        chunk = x[: model._chunk]
+        model.predict(chunk)  # allocations made once per process stay out of the peaks
+
+        def traced_peak(xs):
+            tracemalloc.start()
+            try:
+                model.predict(xs)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # 1000 graphs hold what one chunk holds, plus less than one chunk's float32 copy
+        one, whole = traced_peak(chunk), traced_peak(x)
+        assert whole - one < chunk.size * np.dtype(np.float32).itemsize, (one, whole)

@@ -1,6 +1,7 @@
 """The one worker pool: graphcaps._pool's map over items, the guard that no
 other module starts a process, and the committed mutation table: the pool's
-mutations and those of the loader, the chunk union and the warm cache hit."""
+mutations and those of the loader, the chunk union, the warm cache hit, the
+one-hot dtype and the models' input cast."""
 
 import glob
 import multiprocessing
@@ -146,6 +147,15 @@ MUTATIONS = {
     "graph-accepts-a-self-loop": (
         "data", "graph", "(u == v) | ", "",
         ["tests/test_data.py::TestGraphType::test_self_loop_rejected"],
+    ),
+    "one-hot-back-to-float32": (
+        "data", "one_hot", "np.uint8", "np.float32",
+        ["tests/test_experiment.py::TestRunCV::test_dataset_tensors_are_uint8_one_hot"],
+    ),
+    # _infer casts each chunk through _batch
+    "input-not-cast-to-the-parameter-dtype": (
+        "models", "_Classifier._batch", '.astype(self.params["conv1_w"].data.dtype, copy=False)',
+        "", ["tests/test_models.py::TestDtype::test_uint8_one_hot_trains_as_its_float32_copy"],
     ),
 }
 
