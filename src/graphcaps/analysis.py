@@ -27,10 +27,11 @@ and a descent step reduces each row of ``P * n`` and ``n * n`` against
 ``[1, y0, y1]`` by its own stacked (1 x m) @ (m x 3) product, the caller
 combining the per-row results.  A step is one pass over the rows, and
 no m x m buffer holds the kernel: each block of kernel rows lives in a
-block-sized buffer.  The one whole-buffer call left is the input's Gram
-product ``x @ x.T`` in :func:`joint_probabilities` (a row-blocked product
-can round differently).  So the output is bitwise the same for every
-``jobs`` and every ``_ROW_BLOCK``.  Workers call only private helpers.
+block-sized buffer.  The input's Gram product ``x @ x.T`` in
+:func:`joint_probabilities` is summed over exact column chunks for integer
+input and is one call for float input (a blocked float product can round
+differently).  So the output is bitwise the same for every ``jobs`` and every
+``_ROW_BLOCK``.  Workers call only private helpers.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ class EmbeddingSource(str, Enum):
 def extract_embeddings(model, tensors: np.ndarray, source: EmbeddingSource) -> np.ndarray:
     """Per-graph ``(m, D)`` feature vectors from the requested layer.
 
-    ``raw`` flattens the input tensors (no model needed) to float64; ``cnn``
+    ``raw`` flattens the input tensors (no model needed); ``cnn``
     reads the dense inner layer of the CNN baseline; ``caps`` reads the
     flattened primary-capsule vectors before any routing.  A model casts each
     chunk of the tensors to its parameters' dtype, so a float32 model runs in
@@ -63,7 +64,7 @@ def extract_embeddings(model, tensors: np.ndarray, source: EmbeddingSource) -> n
     """
     source = EmbeddingSource(source)
     if source is EmbeddingSource.RAW_TENSOR:
-        return np.array(tensors, dtype=np.float64).reshape(len(tensors), -1)
+        return np.asarray(tensors).reshape(len(tensors), -1)
     if source is EmbeddingSource.CNN_INNER and not isinstance(model, PatchyCnn):
         raise ValueError(f"source 'cnn' needs the CNN baseline, got {type(model).__name__}")
     if source is EmbeddingSource.PRIMARY_CAPS and not isinstance(model, CapsNet):
@@ -105,14 +106,42 @@ def _sq_norms(x: np.ndarray) -> np.ndarray:
     return sq
 
 
+def _sums_exactly(dtype: np.dtype, dims: int) -> bool:
+    """Whether every partial sum of a dot product of two ``dims``-vectors of
+    ``dtype`` is an integer exact in float64: a bool or integer type of b
+    bits has ``|v| < 2^b``, so its sums stay below ``4^b * dims <= 2^53``."""
+    return dtype.kind in "biu" and 4 ** (8 * dtype.itemsize) * dims <= 1 << 53
+
+
 def _pairwise_sq_dists(x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Squared distances ``sq_i + sq_j - 2 G_ij`` between the rows of ``x``,
-    zero diagonal, clipped at 0, computed in the m x m buffer ``out`` with the
-    buffer ``scratch``."""
-    # One Gram call: a row-blocked product can round differently (OpenBLAS
-    # picks its kernels by shape), and these bits decide the layout.
-    np.matmul(x, x.T, out=out)
-    sq = _sq_norms(x)
+    """Squared distances ``sq_i + sq_j - 2 G_ij`` between the rows of the
+    (m x D) ``x``, zero diagonal, clipped at 0, computed in the m x m buffer
+    ``out`` with the buffer ``scratch``.
+
+    Integer or bool input with ``max|x|^2 * D < 2^53`` (see
+    :func:`_sums_exactly`: 8-bit types at any D that fits in memory, 16-bit
+    ones up to D = 2^21) is kept as it is.  Its Gram product
+    ``G = x @ x.T`` is summed over chunks of m columns, each cast to float64
+    alone (the size of one m x m buffer), the first written to ``out`` and
+    each later one added through ``scratch``: every partial sum is an integer
+    exact in float64, so G has the bits of one call on a float64 copy of
+    ``x``, without that copy, and its diagonal holds the exact squared norms
+    (a uint8 ``x * x`` would wrap).  Other input is taken in float64 and G
+    is one call (one chunk of D columns): a blocked float product can round
+    differently (OpenBLAS picks its kernels by shape), and these bits decide
+    the layout."""
+    m, dims = x.shape
+    exact = _sums_exactly(x.dtype, dims)
+    if exact:
+        width = m
+    else:
+        x, width = np.asarray(x, np.float64), max(dims, 1)
+    for f in range(0, max(dims, 1), width):  # an m x 0 x makes one chunk, of zeros
+        chunk = np.asarray(x[:, f : f + width], np.float64)
+        np.matmul(chunk, chunk.T, out=scratch if f else out)
+        if f:
+            np.add(out, scratch, out=out)
+    sq = out.diagonal().copy() if exact else _sq_norms(x)
     for a, b in _blocks(0, len(x)):
         d, s = out[a:b], scratch[a:b]
         np.multiply(d, 2.0, out=d)
@@ -222,12 +251,13 @@ def _check_perplexity(perplexity: float, m: int) -> None:
 def joint_probabilities(points: np.ndarray, perplexity: float,
                         jobs: int | None = None) -> np.ndarray:
     """Symmetrized, normalized t-SNE joint distribution P (zero diagonal) of
-    the rows of ``points``, taken in float64 only for their distances, so
-    that copy is freed before the search; ``jobs`` processes search the
-    precisions (see :func:`perplexity_search`)."""
+    the rows of ``points``.  Integer points are read as they are; other
+    points are taken in float64 only for their distances, so that copy is
+    freed before the search (see :func:`_pairwise_sq_dists`).  ``jobs``
+    processes search the precisions (see :func:`perplexity_search`)."""
     m = len(points)
     _check_perplexity(perplexity, m)
-    d2 = _pairwise_sq_dists(np.asarray(points, np.float64), np.empty((m, m)), np.empty((m, m)))
+    d2 = _pairwise_sq_dists(np.asarray(points), np.empty((m, m)), np.empty((m, m)))
     cond, _ = perplexity_search(d2, perplexity, jobs=jobs)
     del d2
     P = (cond + cond.T) / (2.0 * m)

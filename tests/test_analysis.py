@@ -4,6 +4,7 @@ import math
 import multiprocessing
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,9 +44,11 @@ class TestExtractEmbeddings:
                     self.x[b, i, j, idx[b, i, j]] = 1.0
 
     def test_raw_flattens(self):
-        points = extract_embeddings(None, self.x, "raw")
-        assert points.shape == (6, 8 * 5 * 4)
-        assert np.array_equal(points[1], self.x[1].ravel())
+        for x in (self.x, self.x.astype(np.uint8)):
+            points = extract_embeddings(None, x, "raw")
+            assert points.shape == (6, 8 * 5 * 4) and points.dtype == x.dtype
+            assert np.array_equal(points[1], self.x[1].ravel())
+            assert np.shares_memory(points, x)  # a view: no copy of the dataset
 
     def test_primary_caps_dimensionality(self):
         cfg = CapsNetConfig(conv_filters=8, primary_channels=2, primary_dim=4,
@@ -194,6 +197,45 @@ class TestPerplexitySearch:
         assert np.allclose(P, P.T, atol=1e-12)
         assert P.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(P >= 0.0)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("kind", ["one-hot", "uint8", "uint16", "bool", "int32"])
+    def test_integer_points_give_the_bits_of_their_float64_copy(self, kind, jobs):
+        # 100 columns of 30 points: three chunks of 30 columns and a ragged 10
+        rng = np.random.default_rng(4)
+        m, dims = 30, 100
+        if kind == "one-hot":
+            x = np.eye(4, dtype=np.uint8)[rng.integers(0, 4, (m, dims // 4))].reshape(m, dims)
+        elif kind == "bool":
+            x = rng.random((m, dims)) < 0.3
+        else:  # uint8 reaches 255, whose square wraps in a uint8 product
+            top = {"uint8": 255, "uint16": 65535, "int32": 2**31 - 1}[kind]
+            x = rng.integers(0, top, (m, dims), endpoint=True).astype(kind)
+            x[0, 0] = top
+        want = joint_probabilities(x.astype(np.float64), perplexity=8.0, jobs=jobs)
+        assert joint_probabilities(x, perplexity=8.0, jobs=jobs).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype, dims, exact", [
+        (np.bool_, 2**37, True), (np.uint8, 2**37, True), (np.uint8, 2**37 + 1, False),
+        (np.int16, 2**21, True), (np.uint16, 2**21 + 1, False), (np.int32, 1, False),
+        (np.float32, 1, False),
+    ])
+    def test_exact_chunks_only_where_every_partial_sum_fits(self, dtype, dims, exact):
+        assert analysis._sums_exactly(np.dtype(dtype), dims) is exact
+
+    def test_integer_points_are_not_copied_to_float64(self):
+        # D far above m: a float64 copy of the input (6.4 MB) dwarfs the
+        # m x m buffers (12.8 kB each)
+        m, dims = 40, 20000
+        x = (np.random.default_rng(3).random((m, dims)) < 0.2).astype(np.uint8)
+        joint_probabilities(x[:, :50], perplexity=8.0, jobs=1)  # one-time allocations
+        tracemalloc.start()
+        try:
+            joint_probabilities(x, perplexity=8.0, jobs=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * m * dims + 8 * (8 * m * m), peak
 
     def test_perplexity_bounds(self):
         points, _ = two_blobs(n_per=3)

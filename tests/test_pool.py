@@ -88,6 +88,8 @@ CHUNKS = "tests/test_tensorize.py::TestDatasetTensorization::"
 LOADER = "tests/test_data.py::TestLoader::"
 BITS = TSNE + "test_same_bits_for_every_jobs[150]"
 ROW_ERRORS = TSNE + "test_worker_errors_raise_in_the_caller"
+INTEGER_BITS = ("tests/test_analysis.py::TestPerplexitySearch::"
+                "test_integer_points_give_the_bits_of_their_float64_copy")
 
 # name: (module, function, expression, mutant, the tests that must all fail)
 MUTATIONS = {
@@ -156,6 +158,19 @@ MUTATIONS = {
     "input-not-cast-to-the-parameter-dtype": (
         "models", "_Classifier._batch", '.astype(self.params["conv1_w"].data.dtype, copy=False)',
         "", ["tests/test_models.py::TestDtype::test_uint8_one_hot_trains_as_its_float32_copy"],
+    ),
+    "gram-chunks-overwrite": (
+        "analysis", "_pairwise_sq_dists", "np.add(out, scratch, out=out)",
+        "np.copyto(out, scratch)", [INTEGER_BITS + "[uint8-1]", INTEGER_BITS + "[one-hot-2]"],
+    ),
+    "integer-sq-norms-multiplied-in-uint8": (
+        "analysis", "_pairwise_sq_dists", "out.diagonal().copy() if exact else _sq_norms(x)",
+        "_sq_norms(x)", [INTEGER_BITS + "[uint8-1]"],
+    ),
+    "integer-input-cast-whole": (
+        "analysis", "joint_probabilities", "np.asarray(points)", "np.asarray(points, np.float64)",
+        ["tests/test_analysis.py::TestPerplexitySearch::"
+         "test_integer_points_are_not_copied_to_float64"],
     ),
 }
 
