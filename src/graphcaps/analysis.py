@@ -28,10 +28,13 @@ and a descent step reduces each row of ``P * n`` and ``n * n`` against
 combining the per-row results.  A step is one pass over the rows, and
 no m x m buffer holds the kernel: each block of kernel rows lives in a
 block-sized buffer.  The input's Gram product ``x @ x.T`` in
-:func:`joint_probabilities` is summed over exact column chunks for integer
-input and is one call for float input (a blocked float product can round
-differently).  So the output is bitwise the same for every ``jobs`` and every
-``_ROW_BLOCK``.  Workers call only private helpers.
+:func:`joint_probabilities` is one call for float input (a blocked float
+product can round differently).  Integer input skips its columns of zeros
+and is summed over chunks of the rest, in float32 where the data's
+``max|x|^2 * D' < 2^24`` and in float64 where its type's
+``max|x|^2 * D < 2^53``: every partial sum is then an exact integer.  So the
+output is bitwise the same for every ``jobs`` and every ``_ROW_BLOCK``.
+Workers call only private helpers.
 """
 
 from __future__ import annotations
@@ -113,35 +116,58 @@ def _sums_exactly(dtype: np.dtype, dims: int) -> bool:
     return dtype.kind in "biu" and 4 ** (8 * dtype.itemsize) * dims <= 1 << 53
 
 
+def _float32_sums_exactly(top: int, dims: int) -> bool:
+    """Whether every partial sum of a dot product of two integer
+    ``dims``-vectors whose entries lie in ``[-top, top]`` is exact in
+    float32: their magnitudes stay within ``top^2 * dims < 2^24``."""
+    return top * top * dims < 1 << 24
+
+
 def _pairwise_sq_dists(x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Squared distances ``sq_i + sq_j - 2 G_ij`` between the rows of the
     (m x D) ``x``, zero diagonal, clipped at 0, computed in the m x m buffer
     ``out`` with the buffer ``scratch``.
 
-    Integer or bool input with ``max|x|^2 * D < 2^53`` (see
-    :func:`_sums_exactly`: 8-bit types at any D that fits in memory, 16-bit
-    ones up to D = 2^21) is kept as it is.  Its Gram product
-    ``G = x @ x.T`` is summed over chunks of m columns, each cast to float64
-    alone (the size of one m x m buffer), the first written to ``out`` and
-    each later one added through ``scratch``: every partial sum is an integer
-    exact in float64, so G has the bits of one call on a float64 copy of
-    ``x``, without that copy, and its diagonal holds the exact squared norms
-    (a uint8 ``x * x`` would wrap).  Other input is taken in float64 and G
-    is one call (one chunk of D columns): a blocked float product can round
-    differently (OpenBLAS picks its kernels by shape), and these bits decide
-    the layout."""
+    Integer or bool input whose type bounds ``max|x|^2 * D`` below ``2^53``
+    (see :func:`_sums_exactly`: 8-bit types at any D that fits in memory,
+    16-bit ones up to D = 2^21) is kept as it is.  One scan of it finds the
+    D' columns that are nonzero in some row and the largest ``|x|``; a column
+    of zeros adds an exact 0 to every dot product, so it is skipped.  The
+    Gram product ``G = x @ x.T`` is summed over chunks of m occupied columns,
+    each gathered and cast alone.  The chunks are float32 when the data's
+    ``max|x|^2 * D' < 2^24`` (see :func:`_float32_sums_exactly`; one-hot
+    input at any D' below 2^24), summed in the two float32 m x m halves of
+    ``scratch`` and cast into ``out`` once; otherwise they are float64, the
+    first written to ``out`` and each later one added through ``scratch``.
+    Either way every partial sum is an integer exact in its type, so G has
+    the bits of one call on a float64 copy of ``x``, without that copy, and
+    its diagonal holds the exact squared norms (a uint8 ``x * x`` would
+    wrap).  Other input is taken in float64 and G is one call: a blocked
+    float product can round differently (OpenBLAS picks its kernels by
+    shape), and these bits decide the layout."""
     m, dims = x.shape
-    exact = _sums_exactly(x.dtype, dims)
-    if exact:
-        width = m
+    if _sums_exactly(x.dtype, dims):
+        top = x.max(axis=0)  # each column's largest |x|, for bool and unsigned types
+        if x.dtype.kind == "i":
+            top = np.maximum(top, np.negative(x.min(axis=0), dtype=np.int64))
+        cols = np.flatnonzero(top)
+        if _float32_sums_exactly(int(top.max(initial=0)), len(cols)):
+            acc, part = scratch.reshape(-1).view(np.float32).reshape(2, m, m)
+        else:
+            acc, part = out, scratch
+        for f in range(0, max(len(cols), 1), m):  # no occupied column makes one chunk, of zeros
+            chunk = x[:, cols[f : f + m]].astype(acc.dtype)
+            np.matmul(chunk, chunk.T, out=part if f else acc)
+            del chunk  # before the next is made: one chunk at a time
+            if f:
+                np.add(acc, part, out=acc)
+        if acc is not out:
+            out[...] = acc
+        sq = out.diagonal().copy()
     else:
-        x, width = np.asarray(x, np.float64), max(dims, 1)
-    for f in range(0, max(dims, 1), width):  # an m x 0 x makes one chunk, of zeros
-        chunk = np.asarray(x[:, f : f + width], np.float64)
-        np.matmul(chunk, chunk.T, out=scratch if f else out)
-        if f:
-            np.add(out, scratch, out=out)
-    sq = out.diagonal().copy() if exact else _sq_norms(x)
+        x = np.asarray(x, np.float64)
+        np.matmul(x, x.T, out=out)
+        sq = _sq_norms(x)
     for a, b in _blocks(0, len(x)):
         d, s = out[a:b], scratch[a:b]
         np.multiply(d, 2.0, out=d)

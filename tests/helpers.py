@@ -193,19 +193,21 @@ def count_calls(monkeypatch, *fns) -> dict:
 
 def mutate(monkeypatch, module, name: str, expression: str, mutant: str) -> None:
     """Break the function ``module.name``, or the method ``module.Class.attr``
-    when ``name`` is ``"Class.attr"``, by rewriting the one occurrence of
+    when ``name`` is ``"Class.attr"`` (or of a class the module imports,
+    ``"zipfile.ZipExtFile.attr"``), by rewriting the one occurrence of
     ``expression`` in its source to ``mutant``.  The rewrite is compiled
-    against the module's own globals.  A method is patched on its class; a
-    function into every graphcaps module that holds it, since some callers
-    import it by name."""
+    against the globals of the module that defines it.  A method is patched
+    on its class; a function into every graphcaps module that holds it,
+    since some callers import it by name."""
     owner, _, attr = name.rpartition(".")
-    original = getattr(getattr(module, owner) if owner else module, attr)
+    owner = functools.reduce(getattr, owner.split("."), module) if owner else None
+    original = getattr(owner or module, attr)
     source = textwrap.dedent(inspect.getsource(original))
     assert source.count(expression) == 1, f"{expression!r} is not one expression of {name}"
-    scope = {}
-    exec(compile(source.replace(expression, mutant), module.__file__, "exec"), vars(module), scope)
+    home, scope = sys.modules[original.__module__], {}
+    exec(compile(source.replace(expression, mutant), home.__file__, "exec"), vars(home), scope)
     if owner:
-        monkeypatch.setattr(getattr(module, owner), attr, scope[attr])
+        monkeypatch.setattr(owner, attr, scope[attr])
         return
     for mod_name, mod in list(sys.modules.items()):
         if mod_name.startswith("graphcaps") and getattr(mod, name, None) is original:

@@ -199,15 +199,29 @@ class TestPerplexitySearch:
         assert np.all(P >= 0.0)
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    @pytest.mark.parametrize("kind", ["one-hot", "uint8", "uint16", "bool", "int32"])
+    @pytest.mark.parametrize("kind", ["one-hot", "uint8", "uint16", "bool", "int32",
+                                      "empty-columns", "lone-column", "uint8-255-rows",
+                                      "int16-negative"])
     def test_integer_points_give_the_bits_of_their_float64_copy(self, kind, jobs):
         # 100 columns of 30 points: three chunks of 30 columns and a ragged 10
         rng = np.random.default_rng(4)
         m, dims = 30, 100
-        if kind == "one-hot":
+        if kind in ("one-hot", "empty-columns", "lone-column"):
             x = np.eye(4, dtype=np.uint8)[rng.integers(0, 4, (m, dims // 4))].reshape(m, dims)
+            if kind == "empty-columns":  # some in every chunk, and a chunk's worth in a row
+                x[:, 5::9] = x[:, 30:65] = 0
+            elif kind == "lone-column":  # channel 3 is empty but in one row, not the first
+                x[:, 3::4] = 0
+                x[17, 43] = 1
         elif kind == "bool":
             x = rng.random((m, dims)) < 0.3
+        elif kind == "uint8-255-rows":
+            # 600 columns: the sums with the rows of 255 pass 2^24, which
+            # float32 chunks would round
+            x = rng.integers(0, 255, (m, 600), endpoint=True).astype(np.uint8)
+            x[:4] = 255
+        elif kind == "int16-negative":  # |x| up to 4096 where max(x) is at most 0
+            x = rng.integers(-4096, 0, (m, dims), endpoint=True).astype(np.int16)
         else:  # uint8 reaches 255, whose square wraps in a uint8 product
             top = {"uint8": 255, "uint16": 65535, "int32": 2**31 - 1}[kind]
             x = rng.integers(0, top, (m, dims), endpoint=True).astype(kind)
@@ -222,6 +236,30 @@ class TestPerplexitySearch:
     ])
     def test_exact_chunks_only_where_every_partial_sum_fits(self, dtype, dims, exact):
         assert analysis._sums_exactly(np.dtype(dtype), dims) is exact
+
+    @pytest.mark.parametrize("top, dims, exact", [
+        (1, 2**24 - 1, True), (1, 2**24, False), (3, (2**24 - 1) // 9, True), (2**12, 1, False),
+        (255, 258, True), (255, 259, False),
+    ])
+    def test_float32_chunks_only_where_every_partial_sum_fits(self, top, dims, exact):
+        assert analysis._float32_sums_exactly(top, dims) is exact
+
+    def test_integer_gram_sums_in_the_scratch_buffer(self):
+        # the float32 sums live in the bytes of scratch: what is allocated is
+        # one chunk, gathered and cast, where a float64 chunk took 8 m^2
+        # bytes (m large enough that numpy's 64 kB ufunc buffer stays below)
+        m = 128
+        x = (np.random.default_rng(5).random((m, 400)) < 0.1).astype(np.uint8)
+        out, scratch = np.empty((m, m)), np.empty((m, m))
+        analysis._pairwise_sq_dists(x[:, :10], out, scratch)  # one-time allocations
+        tracemalloc.start()
+        try:
+            analysis._pairwise_sq_dists(x, out, scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * m * m, peak
+        assert out.tobytes() == sq_dists(x.astype(np.float64)).tobytes()
 
     def test_integer_points_are_not_copied_to_float64(self):
         # D far above m: a float64 copy of the input (6.4 MB) dwarfs the

@@ -1,7 +1,8 @@
 """The one worker pool: graphcaps._pool's map over items, the guard that no
 other module starts a process, and the committed mutation table: the pool's
 mutations and those of the loader, the chunk union, the warm cache hit, the
-one-hot dtype and the models' input cast."""
+orders file's refusals, the one-hot dtype, the models' input cast, the
+t-SNE step sums and the Gram product."""
 
 import glob
 import multiprocessing
@@ -90,6 +91,8 @@ BITS = TSNE + "test_same_bits_for_every_jobs[150]"
 ROW_ERRORS = TSNE + "test_worker_errors_raise_in_the_caller"
 INTEGER_BITS = ("tests/test_analysis.py::TestPerplexitySearch::"
                 "test_integer_points_give_the_bits_of_their_float64_copy")
+ORDERS = ("tests/test_experiment.py::TestOrderCache::"
+          "test_unusable_orders_file_searched_and_rewritten")
 
 # name: (module, function, expression, mutant, the tests that must all fail)
 MUTATIONS = {
@@ -159,13 +162,75 @@ MUTATIONS = {
         "models", "_Classifier._batch", '.astype(self.params["conv1_w"].data.dtype, copy=False)',
         "", ["tests/test_models.py::TestDtype::test_uint8_one_hot_trains_as_its_float32_copy"],
     ),
+    # each refusal of a damaged orders file, removed or weakened
+    "orders-file-not-an-archive-read": (
+        "tensor_cache", "_load", "not zipfile.is_zipfile(fh)", "False",
+        [ORDERS + "[not_an_archive]"],
+    ),
+    "orders-file-crc-unchecked": (
+        "tensor_cache", "zipfile.ZipExtFile._update_crc",
+        "self._eof and self._running_crc != self._expected_crc", "False",
+        [ORDERS + "[swapped_orders]"],
+    ),
+    "orders-file-missing-member-read": (
+        "tensor_cache", "_load", "sorted(members) != expected", "False",
+        [ORDERS + "[missing_member]"],
+    ),
+    "orders-file-members-a-superset": (
+        "tensor_cache", "_load", "sorted(members) != expected",
+        "not set(expected) <= set(members)", [ORDERS + "[extra_member]"],
+    ),
+    "orders-file-other-version-read": (
+        "tensor_cache", "_load", 'not np.array_equal(members["version"], VERSION)', "False",
+        [ORDERS + "[other_version]"],
+    ),
+    "orders-file-other-digest-read": (
+        "tensor_cache", "_load", 'members["digest"].tobytes() != digest', "False",
+        [ORDERS + "[other_digest]"],
+    ),
+    "orders-file-other-dtype-read": (
+        "tensor_cache", "load_orders", "orders.dtype != np.uint16 or ", "",
+        [ORDERS + "[other_dtype]"],
+    ),
+    "orders-file-wrong-length-read": (
+        "tensor_cache", "load_orders", " or orders.shape != (total,)", "",
+        [ORDERS + "[wrong_length]"],
+    ),
+    "orders-file-repeated-node-read": (
+        "tensor_cache", "load_orders", "if bad.size:", "if False:", [ORDERS + "[repeated_node]"],
+    ),
+    "step-sums-a-2d-block-product": (
+        "analysis", "_step_rows", "[:, None, :], s.yext, out=s.pn[a:b, None]",
+        ", s.yext, out=s.pn[a:b]", [TSNE + "test_step_sums_equal_whole_matrix_sums[7]"],
+    ),
     "gram-chunks-overwrite": (
-        "analysis", "_pairwise_sq_dists", "np.add(out, scratch, out=out)",
-        "np.copyto(out, scratch)", [INTEGER_BITS + "[uint8-1]", INTEGER_BITS + "[one-hot-2]"],
+        "analysis", "_pairwise_sq_dists", "np.add(acc, part, out=acc)", "np.copyto(acc, part)",
+        [INTEGER_BITS + "[uint8-1]", INTEGER_BITS + "[one-hot-2]",
+         INTEGER_BITS + "[uint8-255-rows-1]"],
     ),
     "integer-sq-norms-multiplied-in-uint8": (
-        "analysis", "_pairwise_sq_dists", "out.diagonal().copy() if exact else _sq_norms(x)",
-        "_sq_norms(x)", [INTEGER_BITS + "[uint8-1]"],
+        "analysis", "_pairwise_sq_dists", "out.diagonal().copy()", "_sq_norms(x)",
+        [INTEGER_BITS + "[uint8-1]"],
+    ),
+    "gram-float32-past-its-bound": (
+        "analysis", "_pairwise_sq_dists",
+        "_float32_sums_exactly(int(top.max(initial=0)), len(cols))", "True",
+        [INTEGER_BITS + "[uint8-255-rows-1]"],
+    ),
+    "gram-drops-an-occupied-column": (
+        "analysis", "_pairwise_sq_dists", "x.max(axis=0)", "x[0]",
+        [INTEGER_BITS + "[lone-column-1]"],
+    ),
+    "gram-signed-magnitude-from-the-max": (
+        "analysis", "_pairwise_sq_dists",
+        "np.maximum(top, np.negative(x.min(axis=0), dtype=np.int64))", "top",
+        [INTEGER_BITS + "[int16-negative-1]"],
+    ),
+    "gram-float32-buffers-allocated": (
+        "analysis", "_pairwise_sq_dists", "scratch.reshape(-1).view(np.float32).reshape(2, m, m)",
+        "np.empty((2, m, m), np.float32)",
+        ["tests/test_analysis.py::TestPerplexitySearch::"
+         "test_integer_gram_sums_in_the_scratch_buffer"],
     ),
     "integer-input-cast-whole": (
         "analysis", "joint_probabilities", "np.asarray(points)", "np.asarray(points, np.float64)",
