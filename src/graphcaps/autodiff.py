@@ -4,8 +4,9 @@ Just enough ops for the models in this project: elementwise arithmetic,
 matmul, valid-padding 2-D convolution, reductions, the capsule
 prediction contraction, the capsule squash, and routing-by-agreement as one
 op (:func:`routing`, whose backward replays the stored rounds).  Arrays are
-row-major numpy; convolution gathers its patches once so the heavy lifting
-stays in BLAS.
+row-major numpy; convolution gathers its patches with one strided-window
+copy, so the heavy lifting stays in BLAS, and gathers them again in the
+backward rather than keeping them on the tape.
 
 The dtype follows the data: a :class:`Tensor` keeps the floating dtype of
 the array it wraps, so float32 inputs and parameters train in float32, and
@@ -15,10 +16,14 @@ graph.  :func:`grad_check` runs in float64.
 
 Gradients are accumulated over a taped graph; ``Tensor.backward()`` walks the
 tape in reverse topological order and releases each intermediate node's rule,
-parents and gradient once its rule has run, so a step's tape is freed as it is
-consumed and a graph can be walked only once.  Leaves keep their gradients.
-Ops performed inside :func:`no_grad` (or on tensors that do not require
-gradients) record nothing.
+parents and gradient once its rule has run, and lets go of the node, so a
+step's tape is freed as it is consumed and a graph can be walked only once.
+Leaves keep their gradients unless a callback consumes them: a leaf is
+reached only after every rule that feeds its gradient, so
+``backward(on_leaf)`` hands each one over as soon as its gradient is final,
+and an optimizer can update it and drop the gradient there.  Ops performed
+inside :func:`no_grad` (or on tensors that do not require gradients) record
+nothing.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 _GRAD_ENABLED = True
 
@@ -286,7 +292,10 @@ class Tensor:
 
     # -- tape -----------------------------------------------------------------
 
-    def backward(self):
+    def backward(self, on_leaf=None):
+        """Fill the gradients of this scalar's graph.  ``on_leaf(leaf)``, if
+        given, is called for each leaf that requires a gradient as soon as
+        that gradient is final, and may consume it."""
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar output")
         topo = []
@@ -305,10 +314,13 @@ class Tensor:
                 if id(p) not in visited:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        while topo:  # popped, so that a node whose rule has run can be freed
+            node = topo.pop()
             if node._backward is not None:
                 node._backward(node.grad)
                 node.grad, node._backward, node._parents = None, _released, ()
+            elif on_leaf is not None and node.requires_grad:
+                on_leaf(node)
 
 
 # ---------------------------------------------------------------------------
@@ -316,12 +328,28 @@ class Tensor:
 # ---------------------------------------------------------------------------
 
 
-def conv2d(x, kernels, bias, stride=(1, 1)):
-    """Valid-padding cross-correlation.
+def _patches(x: np.ndarray, fh: int, fw: int, sh: int, sw: int, dtype) -> np.ndarray:
+    """The ``(B*Ho*Wo, fh*fw*Cin)`` im2col matrix of the ``(B, H, W, Cin)``
+    array ``x`` in ``dtype``: one copy of a strided ``(B, Ho, Wo, fh, fw*Cin)``
+    window view, and no copy where the windows tile ``x`` in order."""
+    x = np.ascontiguousarray(x)
+    B, H, W, Cin = x.shape
+    Ho, Wo = (H - fh) // sh + 1, (W - fw) // sw + 1
+    s0, s1, s2, s3 = x.strides
+    windows = as_strided(x, (B, Ho, Wo, fh, fw * Cin), (s0, sh * s1, sw * s2, s1, s3),
+                         writeable=False)
+    return np.asarray(windows, dtype=dtype, order="C").reshape(B * Ho * Wo, fh * fw * Cin)
+
+
+def conv2d(x, kernels, bias, stride=(1, 1), relu=False):
+    """Valid-padding cross-correlation, followed by a ReLU if ``relu``.
 
     x: (B, H, W, Cin); kernels: (fh, fw, Cin, Cout); bias: (Cout,).
     Output: (B, Ho, Wo, Cout) with Ho = (H - fh)//sh + 1, Wo = (W - fw)//sw + 1.
-    Patches are gathered once (im2col) so both directions are single GEMMs.
+    The patches are gathered (im2col) so each direction is one GEMM, and
+    gathered again in the backward for the kernel gradient rather than held
+    until then.  The fused ReLU masks the gradient by the op's own output,
+    which is positive exactly where its input was.
     """
     x = Tensor._lift(x)
     kernels = Tensor._lift(kernels)
@@ -346,17 +374,24 @@ def conv2d(x, kernels, bias, stride=(1, 1)):
         raise ValueError(f"bias shape {b.data.shape} != ({Cout},)")
 
     # the patches take the promoted dtype, so the GEMM and the bias add run in it
-    cols = np.empty((B, Ho, Wo, fh, fw, Cin), dtype=np.result_type(x.data, kernels.data, b.data))
-    for p in range(fh):
-        for q in range(fw):
-            cols[:, :, :, p, q, :] = x.data[:, p : p + sh * Ho : sh, q : q + sw * Wo : sw, :]
-    cols = cols.reshape(B * Ho * Wo, fh * fw * Cin)
+    dtype = np.result_type(x.data, kernels.data, b.data)
     k2d = kernels.data.reshape(fh * fw * Cin, Cout)
+    cols = _patches(x.data, fh, fw, sh, sw, dtype)
     out_data = (cols @ k2d).reshape(B, Ho, Wo, Cout)
     out_data += b.data
+    if relu:  # one pass; NaN stays NaN, and -0.0 maps to a zero of either sign
+        np.maximum(out_data, 0, out=out_data)
 
     def backward(g):
+        if relu:  # g is this node's own gradient buffer: mask it in place
+            g *= out_data > 0
         g2d = g.reshape(-1, Cout)
+        if b.requires_grad:
+            b._accumulate_owned(g2d.sum(axis=0))
+        # the patches are freed before dcols is made
+        if kernels.requires_grad:
+            dk = _patches(x.data, fh, fw, sh, sw, dtype).T @ g2d
+            kernels._accumulate_owned(dk.reshape(fh, fw, Cin, Cout))
         if x.requires_grad:
             dcols = (g2d @ k2d.T).reshape(B, Ho, Wo, fh, fw, Cin)
             dx = np.zeros_like(x.data, dtype=dcols.dtype)
@@ -364,10 +399,6 @@ def conv2d(x, kernels, bias, stride=(1, 1)):
                 for q in range(fw):
                     dx[:, p : p + sh * Ho : sh, q : q + sw * Wo : sw, :] += dcols[:, :, :, p, q, :]
             x._accumulate_owned(dx)
-        if kernels.requires_grad:
-            kernels._accumulate_owned((cols.T @ g2d).reshape(fh, fw, Cin, Cout))
-        if b.requires_grad:
-            b._accumulate_owned(g2d.sum(axis=0))
 
     return Tensor._make(out_data, (x, kernels, b), backward)
 

@@ -4,14 +4,24 @@ baseline (:data:`MODELS`), plus a deterministic mini-batch training loop.
 Both keep one contract (:class:`_Classifier`): input is a batch of
 ``(w, k, d+1)`` tensors, and only a batch, checked in one place at every entry
 point; any other shape, one unbatched tensor included, raises ``ValueError``.
-Inference runs in chunks without a tape and skips the capsule decoder.
-Parameters are :data:`FLOAT` (float32), and each batch or inference chunk is
-cast to their dtype as it enters, so uint8 one-hot tensors run in float32;
-everything created inside a step takes the dtype of the arrays it combines with.
+Inference runs in chunks without a tape and skips the capsule decoder.  A
+chunk holds as many graphs as fit their convolution patches in
+:data:`CHUNK_BYTES`, and at most :data:`MAX_CHUNK`, whatever the model's
+size, so a ``predict`` call holds less than a training step at the
+benchmark shapes.
+Parameters are :data:`FLOAT` (float32), drawn a block of rows at a time from
+their seeded generator, and each batch or inference chunk is cast to their
+dtype as it enters, so uint8 one-hot tensors run in float32; everything
+created inside a step takes the dtype of the arrays it combines with.
+
+Training applies Adam to each parameter from inside the backward walk, as
+soon as its gradient is final (:func:`train_model`), with the bits of a
+whole-step :func:`graphcaps.nn.adam_step`.
 """
 
 from __future__ import annotations
 
+import ctypes
 import time
 from dataclasses import dataclass, field
 
@@ -23,6 +33,60 @@ from .autodiff import Tensor, conv2d, caps_predict, no_grad
 # The dtype of the model parameters, and so of every step: exact for one-hot
 # input, and half the bytes and BLAS time of float64.
 FLOAT = np.float32
+
+# Bytes of convolution patches an inference chunk may gather, and the most
+# graphs it may hold: a paper-preset MUTAG-shaped chunk holds 27 graphs and
+# gathers about half of what a training batch of 50 does.  The capsule
+# network gave the same bits at every chunk of 4 to 256 graphs tried at the
+# MUTAG and NCI1 shapes; the CNN's last bits may differ, and its chunk is
+# MAX_CHUNK at those shapes.
+CHUNK_BYTES, MAX_CHUNK = 6 << 20, 256
+
+# glibc's mallopt, where the C library has one.
+try:
+    _MALLOPT = ctypes.CDLL(None).mallopt
+except (AttributeError, OSError, TypeError):
+    _MALLOPT = None
+# mallopt's parameters: free heap kept at the top, and the size from which an
+# allocation gets its own mapping (32 MiB, the most glibc accepts)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_freed_pages() -> None:
+    """Have the C allocator keep freed memory for reuse: arrays under 32 MiB
+    come from the heap, and the heap is not given back to the system.  A
+    training step frees its buffers as its backward walks and makes the same
+    ones again the next step; by default glibc gives many of them back and
+    faults them in again, about 1600 page faults and 2-3 ms of system time in
+    a 13 ms small-preset MUTAG-shaped step.  The peak resident size stays
+    what a step holds, and the process keeps it until it exits."""
+    if _MALLOPT is not None:
+        _MALLOPT(_M_TRIM_THRESHOLD, 1 << 30)
+        _MALLOPT(_M_MMAP_THRESHOLD, 32 << 20)
+
+
+# float64 values per block of drawn initial weights: each block is cast to
+# FLOAT as it is drawn, so no whole float64 copy of a parameter is made.
+_DRAW_BLOCK = 1 << 17
+
+
+def _normal(rng, std: float, shape: tuple) -> np.ndarray:
+    """``rng.normal(0, std, shape).astype(FLOAT)`` drawn a block of rows at a
+    time: the generator yields the same values in blocks as at once."""
+    out = np.empty(shape, FLOAT)
+    rows = out.reshape(shape[0], -1)
+    step = max(1, _DRAW_BLOCK // rows.shape[1])
+    for lo in range(0, len(rows), step):
+        block = rows[lo : lo + step]
+        block[...] = rng.normal(0.0, std, block.shape)
+    return out
+
+
+def _patch_bytes(h: int, w: int, fh: int, fw: int, cin: int, stride) -> int:
+    """Bytes of the :data:`FLOAT` patches one graph's ``h x w x cin`` map
+    gathers for an ``fh x fw`` convolution of stride ``(sh, sw)``."""
+    sh, sw = stride
+    return ((h - fh) // sh + 1) * ((w - fw) // sw + 1) * fh * fw * cin * FLOAT().itemsize
 
 
 class ConfigError(ValueError):
@@ -90,14 +154,16 @@ class _Classifier:
     """The contract :class:`CapsNet` and :class:`PatchyCnn` share: the input
     boundary, the parameter dict and chunked inference."""
 
-    _chunk = 256  # graphs per inference chunk: bounds what a predict call holds
-
-    def __init__(self, w: int, k: int, channels: int, num_classes: int, cfg, draws: dict):
-        """``draws``, the seeded float64 initial weights, become :data:`FLOAT` leaves."""
+    def __init__(self, w: int, k: int, channels: int, num_classes: int, cfg, draws: dict,
+                 patch_bytes: int):
+        """``draws``, the seeded :data:`FLOAT` initial weights, become leaves;
+        ``patch_bytes``, what one graph's convolutions gather, sizes the
+        inference chunk."""
         self.w, self.k, self.channels, self.num_classes = w, k, channels, num_classes
         self.cfg = cfg
-        self.params = {name: Tensor(arr.astype(FLOAT), requires_grad=True)
-                       for name, arr in draws.items()}
+        self.params = {name: Tensor(arr, requires_grad=True) for name, arr in draws.items()}
+        # graphs per inference chunk: bounds what a predict call holds
+        self._chunk = min(MAX_CHUNK, max(1, CHUNK_BYTES // patch_bytes))
 
     def _checked(self, x) -> np.ndarray:
         """``x``, a Tensor or an array, as the array of a ``(B, w, k, channels)`` batch."""
@@ -135,28 +201,31 @@ class CapsNet(_Classifier):
         rng = np.random.default_rng([seed, 0x6361])
         p = {}
         ck, cs = cfg.conv_kernel, cfg.conv_filters
-        p["conv1_w"] = rng.normal(0.0, np.sqrt(2.0 / (ck * ck * channels)), (ck, ck, channels, cs))
-        p["conv1_b"] = np.zeros(cs)
+        p["conv1_w"] = _normal(rng, np.sqrt(2.0 / (ck * ck * channels)), (ck, ck, channels, cs))
+        p["conv1_b"] = np.zeros(cs, FLOAT)
         pk = cfg.primary_kernel
         pc_out = cfg.primary_channels * cfg.primary_dim
-        p["conv2_w"] = rng.normal(0.0, np.sqrt(2.0 / (pk * pk * cs)), (pk, pk, cs, pc_out))
-        p["conv2_b"] = np.zeros(pc_out)
+        p["conv2_w"] = _normal(rng, np.sqrt(2.0 / (pk * pk * cs)), (pk, pk, cs, pc_out))
+        p["conv2_b"] = np.zeros(pc_out, FLOAT)
         # scale so routed pre-squash sums start near unit norm regardless of
         # how many primary capsules feed each class capsule
         caps_std = 2.0 / np.sqrt(self.n_primary * cfg.primary_dim)
-        p["caps_w"] = rng.normal(
-            0.0, caps_std, (self.n_primary, num_classes, cfg.primary_dim, cfg.caps_dim)
+        p["caps_w"] = _normal(
+            rng, caps_std, (self.n_primary, num_classes, cfg.primary_dim, cfg.caps_dim)
         )
         widths = [num_classes * cfg.caps_dim, *cfg.decoder_hidden, self.recon_dim]
         for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:]), start=1):
             scale = np.sqrt(2.0 / fan_in) if i < len(widths) - 1 else np.sqrt(1.0 / fan_in)
-            p[f"dec{i}_w"] = rng.normal(0.0, scale, (fan_in, fan_out))
-            p[f"dec{i}_b"] = np.zeros(fan_out)
-        super().__init__(w, k, channels, num_classes, cfg, p)
+            p[f"dec{i}_w"] = _normal(rng, scale, (fan_in, fan_out))
+            p[f"dec{i}_b"] = np.zeros(fan_out, FLOAT)
+        h1, w1 = ((n - ck) // cfg.conv_stride + 1 for n in (w, k))
+        patches = (_patch_bytes(w, k, ck, ck, channels, (cfg.conv_stride,) * 2)
+                   + _patch_bytes(h1, w1, pk, pk, cs, (cfg.primary_stride,) * 2))
+        super().__init__(w, k, channels, num_classes, cfg, p, patches)
 
     def _primary_capsules(self, x: Tensor) -> Tensor:
         cfg, p = self.cfg, self.params
-        h = conv2d(x, p["conv1_w"], p["conv1_b"], stride=cfg.conv_stride).relu()
+        h = conv2d(x, p["conv1_w"], p["conv1_b"], stride=cfg.conv_stride, relu=True)
         h = conv2d(h, p["conv2_w"], p["conv2_b"], stride=cfg.primary_stride)
         return nn.squash(h.reshape(h.data.shape[0], self.n_primary, cfg.primary_dim))
 
@@ -229,28 +298,31 @@ class PatchyCnn(_Classifier):
 
         rng = np.random.default_rng([seed, 0x636E])
         p = {}
-        p["conv1_w"] = rng.normal(
-            0.0, np.sqrt(2.0 / (k * channels)), (k, 1, channels, cfg.conv1_filters)
+        p["conv1_w"] = _normal(
+            rng, np.sqrt(2.0 / (k * channels)), (k, 1, channels, cfg.conv1_filters)
         )
-        p["conv1_b"] = np.zeros(cfg.conv1_filters)
-        p["conv2_w"] = rng.normal(
-            0.0,
+        p["conv1_b"] = np.zeros(cfg.conv1_filters, FLOAT)
+        p["conv2_w"] = _normal(
+            rng,
             np.sqrt(2.0 / (conv2_kernel * cfg.conv1_filters)),
             (conv2_kernel, 1, cfg.conv1_filters, cfg.conv2_filters),
         )
-        p["conv2_b"] = np.zeros(cfg.conv2_filters)
-        p["dense_w"] = rng.normal(0.0, np.sqrt(2.0 / self.flat_dim), (self.flat_dim, cfg.dense_width))
-        p["dense_b"] = np.zeros(cfg.dense_width)
-        p["out_w"] = rng.normal(0.0, np.sqrt(1.0 / cfg.dense_width), (cfg.dense_width, num_classes))
-        p["out_b"] = np.zeros(num_classes)
-        super().__init__(w, k, channels, num_classes, cfg, p)
+        p["conv2_b"] = np.zeros(cfg.conv2_filters, FLOAT)
+        p["dense_w"] = _normal(rng, np.sqrt(2.0 / self.flat_dim), (self.flat_dim, cfg.dense_width))
+        p["dense_b"] = np.zeros(cfg.dense_width, FLOAT)
+        p["out_w"] = _normal(rng, np.sqrt(1.0 / cfg.dense_width), (cfg.dense_width, num_classes))
+        p["out_b"] = np.zeros(num_classes, FLOAT)
+        # conv1's windows tile the strip in order, so its patches are the
+        # strip itself and only conv2 gathers a copy
+        patches = _patch_bytes(w, 1, conv2_kernel, 1, cfg.conv1_filters, (1, 1))
+        super().__init__(w, k, channels, num_classes, cfg, p, patches)
 
     def _features(self, x: Tensor, train: bool = False, rng=None):
         p = self.params
         B = x.data.shape[0]
         strip = x.reshape(B, self.w * self.k, 1, self.channels)
-        h = conv2d(strip, p["conv1_w"], p["conv1_b"], stride=(self.k, 1)).relu()
-        h = conv2d(h, p["conv2_w"], p["conv2_b"], stride=(1, 1)).relu()
+        h = conv2d(strip, p["conv1_w"], p["conv1_b"], stride=(self.k, 1), relu=True)
+        h = conv2d(h, p["conv2_w"], p["conv2_b"], stride=(1, 1), relu=True)
         h = h.reshape(B, self.flat_dim)
         h = (h @ p["dense_w"] + p["dense_b"]).relu()
         if train and self.cfg.dropout > 0.0:
@@ -306,15 +378,25 @@ class TrainResult:
 def train_model(model, x: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> TrainResult:
     """Seeded mini-batch training with Adam.  Deterministic given the seed:
     the per-epoch shuffle, dropout masks and initialization all derive from
-    seeded generators, so two runs produce identical parameters."""
+    seeded generators, so two runs produce identical parameters.
+
+    Each parameter is updated by :func:`graphcaps.nn.adam_update` from the
+    backward walk as soon as its gradient is final, and the gradient is
+    dropped there; a parameter the loss does not reach is updated with a zero
+    gradient after the walk.  The parameters come out bit for bit as a whole
+    backward followed by :func:`graphcaps.nn.adam_step` leaves them.  A
+    non-finite loss or gradient raises :class:`graphcaps.nn.TrainingError`
+    naming the epoch and the batch."""
     y = np.asarray(y, dtype=int)
     counts = np.bincount(y, minlength=model.num_classes)
     if counts.min() == 0:
         missing = int(np.argmin(counts))
         raise ValueError(f"training split has no sample of class {missing}")
 
+    _keep_freed_pages()
     rng = np.random.default_rng([cfg.seed, 0x7261])
     state = nn.AdamState(base_lr=cfg.base_lr, decay=cfg.lr_decay)
+    names = {id(p): name for name, p in model.params.items()}
     result = TrainResult()
     start = time.perf_counter()
     n = len(x)
@@ -329,11 +411,21 @@ def train_model(model, x: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> TrainR
                 raise nn.TrainingError(
                     f"non-finite loss {total} at epoch {epoch}, batch {batches}"
                 )
-            loss.backward()
-            grads = {name: p.grad for name, p in model.params.items()}
-            nn.adam_step(model.params, grads, state, epoch)
-            for p in model.params.values():
-                p.zero_grad()
+            lr = state.effective_lr(epoch)
+            state.t += 1
+            pending = dict(model.params)  # the parameters not updated yet this step
+
+            def update(leaf):
+                name = names[id(leaf)]
+                nn.adam_update(name, pending.pop(name), leaf.grad, state, lr)
+                leaf.grad = None
+
+            try:
+                loss.backward(on_leaf=update)
+                for name, p in pending.items():
+                    nn.adam_update(name, p, None, state, lr)
+            except nn.TrainingError as exc:
+                raise nn.TrainingError(f"{exc} at epoch {epoch}, batch {batches}") from None
             epoch_tot += total
             epoch_margin += parts["margin"]
             epoch_mse += parts["mse"]

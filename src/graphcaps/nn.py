@@ -7,6 +7,12 @@ classification losses take a batch only: (B, n_in, n_out, d) predictions and
 (B, C) scores.  The arrays these functions create (routing logits, loss
 targets) take the dtype of their input, so a float32 model trains in float32
 throughout.
+
+Adam updates one parameter at a time (:func:`adam_update`).
+:func:`adam_step` applies that update to every parameter of a dict of
+gradients; training applies it to each parameter inside the backward walk,
+as soon as that parameter's gradient is final, so the gradients of a step
+never all exist at once.  Both give the same bits.
 """
 
 from __future__ import annotations
@@ -157,48 +163,58 @@ def _adam_slices(p: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray):
 
 
 def adam_step(params: dict, grads: dict, state: AdamState, epoch: int) -> AdamState:
-    """One bias-corrected Adam update with :data:`ADAM_BETA1`,
-    :data:`ADAM_BETA2` and :data:`ADAM_EPS`, in place on ``params`` and the
-    moments, a cache-sized slice at a time through two slice-sized scratch
-    arrays.  Every element goes through the same operations in the same order
-    as in a whole-parameter update, so the result does not depend on the
-    slicing.
-
-    The moments are kept in each parameter's dtype; a gradient of a wider
-    dtype is accepted and rounded into them.
+    """One bias-corrected Adam update of every parameter in ``params`` by
+    :func:`adam_update`, in place on ``params`` and the moments; a parameter
+    missing from ``grads`` is updated with a zero gradient.
 
     The step size decays exponentially with the epoch index and is floored at
-    :data:`LR_FLOOR`.  Raises :class:`TrainingError` naming the parameter if
-    any gradient is non-finite, and ``ValueError`` naming it if its gradient
-    has another shape or the parameter is not C-contiguous (every model
-    parameter is), before any slice of that parameter changes.
+    :data:`LR_FLOOR`.
     """
     lr = state.effective_lr(epoch)
     state.t += 1
+    for name, p in params.items():
+        adam_update(name, p, grads.get(name), state, lr)
+    return state
+
+
+def adam_update(name: str, p: Tensor, g, state: AdamState, lr: float) -> None:
+    """Adam's update, with :data:`ADAM_BETA1`, :data:`ADAM_BETA2` and
+    :data:`ADAM_EPS`, of the parameter ``p`` named ``name`` by its gradient
+    ``g`` (None: zero), at the step count ``state.t`` and the step size
+    ``lr``, in place on ``p`` and its moments.  It runs a cache-sized slice at
+    a time through two slice-sized scratch arrays; every element goes through
+    the same operations in the same order as in a whole-parameter update, so
+    the result does not depend on the slicing.
+
+    The moments are kept in the parameter's dtype; a gradient of a wider
+    dtype is accepted and rounded into them.
+
+    Raises :class:`TrainingError` naming the parameter if any of its gradient
+    is non-finite, and ``ValueError`` naming it if its gradient has another
+    shape or the parameter is not C-contiguous (every model parameter is),
+    before any slice of it changes.
+    """
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(p.data)
-        if not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient for parameter {name!r}")
-        if g.shape != p.data.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter {name!r} {p.data.shape}")
-        if not p.data.flags.c_contiguous:
-            raise ValueError(f"parameter {name!r} is not C-contiguous")
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), in this order, in place
-        for ps, m, v, gs, step, denom in _adam_slices(p.data, state.m[name], state.v[name], g):
-            m *= b1
-            m += np.multiply(gs, 1.0 - b1, out=step)
-            v *= b2
-            v += np.multiply(np.multiply(gs, gs, out=step), 1.0 - b2, out=step)
-            np.sqrt(np.divide(v, bc2, out=denom), out=denom)
-            denom += ADAM_EPS
-            np.multiply(np.divide(m, bc1, out=step), lr, out=step)
-            ps -= np.divide(step, denom, out=step)
-    return state
+    if g is None:
+        g = np.zeros_like(p.data)
+    if not np.all(np.isfinite(g)):
+        raise TrainingError(f"non-finite gradient for parameter {name!r}")
+    if g.shape != p.data.shape:
+        raise ValueError(f"gradient shape {g.shape} != parameter {name!r} {p.data.shape}")
+    if not p.data.flags.c_contiguous:
+        raise ValueError(f"parameter {name!r} is not C-contiguous")
+    if name not in state.m:
+        state.m[name] = np.zeros_like(p.data)
+        state.v[name] = np.zeros_like(p.data)
+    # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), in this order, in place
+    for ps, m, v, gs, step, denom in _adam_slices(p.data, state.m[name], state.v[name], g):
+        m *= b1
+        m += np.multiply(gs, 1.0 - b1, out=step)
+        v *= b2
+        v += np.multiply(np.multiply(gs, gs, out=step), 1.0 - b2, out=step)
+        np.sqrt(np.divide(v, bc2, out=denom), out=denom)
+        denom += ADAM_EPS
+        np.multiply(np.divide(m, bc1, out=step), lr, out=step)
+        ps -= np.divide(step, denom, out=step)

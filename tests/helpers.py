@@ -1,8 +1,9 @@
 """Shared test fixtures: tiny graphs, TU-format file writers, a synthetic
 two-class benchmark, cache-file forgeries, kernel mutations, a time limit for
-calls that could hang, and the serial per-graph references that the batched
-extraction must match bit for bit.  The random graph generator and the
-selftest oracles live in :mod:`graphcaps.selftest`."""
+calls that could hang, the traced memory peak of a call, a NaN gradient
+injected into one training step, and the serial per-graph references that
+the batched extraction must match bit for bit.  The random graph generator
+and the selftest oracles live in :mod:`graphcaps.selftest`."""
 
 from __future__ import annotations
 
@@ -14,9 +15,11 @@ import signal
 import struct
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 
+from graphcaps.autodiff import Tensor
 from graphcaps.data import Graphs, graph, load_tu_dataset, read_labels
 from graphcaps.labelling import _neighbour_lists, canonical_order
 from graphcaps.selftest import disjoint_union, run_suite
@@ -35,6 +38,8 @@ __all__ = [
     "flip_grid_byte",
     "mutate",
     "time_limit",
+    "traced_peak",
+    "poison_gradient",
     "healthy_suite",
     "diamond_chain",
     "scalar_betweenness",
@@ -229,6 +234,38 @@ def time_limit(seconds: int):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def traced_peak(fn) -> int:
+    """The peak bytes that ``tracemalloc`` traces while ``fn()`` runs (numpy
+    reports its array buffers to it).  Allocations a first call makes once
+    per process, such as BLAS buffers, count; call ``fn`` once before to keep
+    them out."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def poison_gradient(model, name: str, at_call: int) -> None:
+    """Make the ``at_call``-th call (from 0) of ``model.loss_batch`` return
+    its loss plus a zero whose backward adds NaN to the gradient of the
+    parameter ``name``: the loss stays finite, and only that gradient is not."""
+    loss_batch, calls = model.loss_batch, []
+
+    def poisoned(x, y, rng=None):
+        loss, parts = loss_batch(x, y, rng=rng)
+        calls.append(None)
+        if len(calls) - 1 == at_call:
+            p = model.params[name]
+            nan = np.full(p.data.shape, np.nan, p.data.dtype)
+            loss = loss + Tensor._make(np.zeros((), loss.data.dtype), (p,),
+                                       lambda g: p._accumulate(nan))
+        return loss, parts
+
+    model.loss_batch = poisoned
 
 
 # Each selftest suite's (failures, detail) on the unmutated build, run once

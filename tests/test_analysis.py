@@ -4,7 +4,6 @@ import math
 import multiprocessing
 import os
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +21,7 @@ from graphcaps.analysis import (
     write_embeddings_csv,
 )
 from graphcaps.models import CapsNetConfig, build_capsnet, build_cnn
+from helpers import traced_peak
 
 
 def two_blobs(n_per=10, dims=50, gap=5.0, seed=0):
@@ -252,12 +252,7 @@ class TestPerplexitySearch:
         x = (np.random.default_rng(5).random((m, 400)) < 0.1).astype(np.uint8)
         out, scratch = np.empty((m, m)), np.empty((m, m))
         analysis._pairwise_sq_dists(x[:, :10], out, scratch)  # one-time allocations
-        tracemalloc.start()
-        try:
-            analysis._pairwise_sq_dists(x, out, scratch)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: analysis._pairwise_sq_dists(x, out, scratch))
         assert peak < 8 * m * m, peak
         assert out.tobytes() == sq_dists(x.astype(np.float64)).tobytes()
 
@@ -267,12 +262,7 @@ class TestPerplexitySearch:
         m, dims = 40, 20000
         x = (np.random.default_rng(3).random((m, dims)) < 0.2).astype(np.uint8)
         joint_probabilities(x[:, :50], perplexity=8.0, jobs=1)  # one-time allocations
-        tracemalloc.start()
-        try:
-            joint_probabilities(x, perplexity=8.0, jobs=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: joint_probabilities(x, perplexity=8.0, jobs=1))
         assert peak < 8 * m * dims + 8 * (8 * m * m), peak
 
     def test_perplexity_bounds(self):

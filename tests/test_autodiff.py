@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from graphcaps import autodiff
 from graphcaps.autodiff import (
     Tensor,
     caps_predict,
@@ -56,6 +57,43 @@ class TestConv2d:
         got = conv2d(x, k, b, stride=stride).data
         want = naive_conv2d(x, k, b, stride)
         assert np.allclose(got, want, atol=1e-12, rtol=0.0)
+
+    @pytest.mark.parametrize("stride", [(1, 1), (2, 2), (2, 1), (3, 1)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_patches_are_the_slice_gather(self, stride, dtype):
+        # the window copy against the per-offset slice copies it replaced
+        sh, sw = stride
+        x = np.random.default_rng(2).normal(size=(2, 7, 6, 3)).astype(np.float32)
+        fh, fw = 3, 2
+        Ho, Wo = (7 - fh) // sh + 1, (6 - fw) // sw + 1
+        want = np.empty((2, Ho, Wo, fh, fw, 3), dtype)
+        for p in range(fh):
+            for q in range(fw):
+                want[:, :, :, p, q, :] = x[:, p : p + sh * Ho : sh, q : q + sw * Wo : sw, :]
+        got = autodiff._patches(x, fh, fw, sh, sw, dtype)
+        assert got.dtype == dtype and got.tobytes() == want.tobytes()
+        # a non-contiguous input gives the same patches
+        xt = np.ascontiguousarray(x.transpose(0, 2, 1, 3)).transpose(0, 2, 1, 3)
+        assert autodiff._patches(xt, fh, fw, sh, sw, dtype).tobytes() == want.tobytes()
+
+    def test_tiling_windows_are_the_input_itself(self):
+        # kernel == stride over the rows of a one-column strip: no copy
+        x = np.random.default_rng(3).normal(size=(2, 12, 1, 5))
+        cols = autodiff._patches(x, 4, 1, 4, 1, x.dtype)
+        assert np.shares_memory(cols, x) and cols.shape == (6, 20)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fused_relu_matches_the_relu_op(self, dtype):
+        rng = np.random.default_rng(4)
+        point = [rng.normal(size=(2, 6, 5, 3)), rng.normal(size=(3, 2, 3, 4)), rng.normal(size=4)]
+        runs = []
+        for fused in (True, False):
+            x, k, b = (Tensor(a.astype(dtype), requires_grad=True) for a in point)
+            out = conv2d(x, k, b, stride=(2, 1), relu=fused)
+            out = out if fused else out.relu()
+            ((out * out).sum()).backward()
+            runs.append([out.data.tobytes()] + [t.grad.tobytes() for t in (x, k, b)])
+        assert runs[0] == runs[1]
 
     def test_geometry_errors(self):
         with pytest.raises(ValueError, match="channels"):
@@ -130,6 +168,25 @@ class TestElementwiseAndShapes:
         with pytest.raises(ValueError, match="scalar"):
             (x * 2.0).backward()
 
+    def test_leaf_callback_sees_final_gradients(self):
+        # x feeds two ops, w one; each leaf is handed over once, after every
+        # rule that feeds it, and may take its gradient
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        w = Tensor(np.array([3.0, -1.0]), requires_grad=True)
+        c = Tensor(np.array([5.0, 5.0]))  # needs no gradient: not handed over
+        seen = []
+
+        def take(leaf):
+            seen.append((leaf, leaf.grad.copy()))
+            leaf.grad = None
+
+        ((x * w).sum() + (x * x * c).sum()).backward(on_leaf=take)
+        assert [leaf for leaf, _ in seen] in ([x, w], [w, x])
+        grads = {id(leaf): g for leaf, g in seen}
+        assert np.array_equal(grads[id(x)], w.data + 10.0 * x.data)
+        assert np.array_equal(grads[id(w)], x.data)
+        assert x.grad is None and w.grad is None
+
     def test_backward_releases_the_tape(self):
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
         h = x * 3.0
@@ -167,7 +224,7 @@ class TestGradCheck:
 
     @pytest.mark.parametrize(
         "name",
-        ["matmul", "conv", "caps_predict", "routing", "sigmoid"],
+        ["matmul", "conv", "conv_relu", "caps_predict", "routing", "sigmoid"],
     )
     def test_every_op_differentiates(self, name):
         rng = np.random.default_rng(5)
@@ -186,6 +243,12 @@ class TestGradCheck:
                 [rng.normal(size=(2, 4, 3, 5))],
             ),
             "sigmoid": (lambda a: (a.sigmoid() ** 3).sum(), [rng.normal(size=(4,))]),
+            # drawn last, so the other cases keep their points
+            "conv_relu": (
+                # sigmoid passes a gradient at 0, so only the mask stops it there
+                lambda x, k, b: conv2d(x, k, b, stride=(2, 1), relu=True).sigmoid().sum(),
+                [rng.normal(size=(2, 5, 4, 2)), rng.normal(size=(3, 2, 2, 3)), rng.normal(size=3)],
+            ),
         }
         f, point = cases[name]
         assert grad_check(f, point) < 1e-6

@@ -29,8 +29,8 @@ from graphcaps.models import ConfigError
 from graphcaps.nn import TrainingError
 from graphcaps.tensor_cache import load_orders, save_orders, save_tensors
 from graphcaps.tensorize import tensorize_dataset
-from helpers import (count_calls, flip_grid_byte, load, swap_first_orders, synthetic_dataset_graphs,
-                     write_tu_files, write_v2_cache)
+from helpers import (count_calls, flip_grid_byte, load, poison_gradient, swap_first_orders,
+                     synthetic_dataset_graphs, write_tu_files, write_v2_cache)
 
 QUIET = staticmethod(lambda *a, **k: None)
 
@@ -152,6 +152,21 @@ class TestRunCV:
         monkeypatch.setattr(experiment, "train_model", failing)
         cfg = small_cfg(syn_data, tmp_path, epochs=1, jobs=jobs)
         why = "^fold 2: non-finite loss nan at epoch 0, batch 1$"
+        with pytest.raises(TrainingError, match=why):
+            run_one(cfg)
+
+    def test_nonfinite_gradient_names_the_fold_epoch_and_batch(self, syn_data, tmp_path,
+                                                                 monkeypatch):
+        train = experiment.train_model
+
+        def poisoned(model, x, y, tc):
+            if tc.seed == experiment.fold_seed(1, 2):
+                poison_gradient(model, "dec3_w", at_call=1)
+            return train(model, x, y, tc)
+
+        monkeypatch.setattr(experiment, "train_model", poisoned)
+        cfg = small_cfg(syn_data, tmp_path, epochs=2, jobs=1)  # one batch per epoch
+        why = "^fold 2: non-finite gradient for parameter 'dec3_w' at epoch 1, batch 0$"
         with pytest.raises(TrainingError, match=why):
             run_one(cfg)
 

@@ -2,7 +2,6 @@ import importlib
 import itertools
 import os
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +25,7 @@ from graphcaps.selftest import (
     random_graph,
 )
 from helpers import (cycle_graph, diamond_chain, disjoint_union, join, path_graph,
-                     scalar_betweenness, star_graph, triangle)
+                     scalar_betweenness, star_graph, traced_peak, triangle)
 
 
 def labelled_molecule_with_fragments(copies: int) -> Graphs:
@@ -125,12 +124,7 @@ class TestBatchedBrandes:
         edges = {(int(rng.integers(0, v)), v) for v in range(1, n)}
         edges |= {(u, v) for u, v in rng.integers(0, n, (n // 10, 2)).tolist() if u < v}
         g = graph(n, edges, (0,) * n)
-        tracemalloc.start()
-        try:
-            betweenness_centrality(g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: betweenness_centrality(g))
         assert peak < 200 * labelling.CELLS < n * n * 8 / 2
 
 

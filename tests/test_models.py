@@ -1,12 +1,13 @@
-import tracemalloc
+import resource
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from graphcaps import nn
+from graphcaps import models, nn
 from graphcaps.autodiff import Tensor, grad_check, routing
 from graphcaps.data import one_hot
+from graphcaps.experiment import PRESETS
 from graphcaps.models import (
     CapsNet,
     CapsNetConfig,
@@ -20,6 +21,7 @@ from graphcaps.models import (
     train_model,
 )
 from graphcaps.selftest import TINY
+from helpers import poison_gradient, traced_peak
 
 
 def onehot_batch(rng, n, w, k, channels):
@@ -175,6 +177,13 @@ class TestInputContract:
         assert len(set(pred.tolist())) == 2
 
 
+# Both models at the toy geometry (w=6, k=4, 4 channels), the CNN with dropout.
+UINT8_MODELS = {
+    "capsnet": lambda: build_capsnet(6, 4, 4, 2, TOY_CFG, seed=19),
+    "cnn": lambda: build_cnn(6, 4, 4, 2, seed=19),
+}
+
+
 class TestTraining:
     def test_toy_fixture_reaches_full_accuracy(self):
         x, y = toy_fixture()
@@ -198,6 +207,39 @@ class TestTraining:
             finals.append({n: p.data.copy() for n, p in model.params.items()})
         for name in finals[0]:
             assert np.array_equal(finals[0][name], finals[1][name])
+
+    @pytest.mark.parametrize("build", UINT8_MODELS.values(), ids=UINT8_MODELS.keys())
+    def test_leaf_updates_match_backward_then_adam_step(self, build):
+        # the reference: the whole backward, then one adam_step over every
+        # gradient, with train_model's shuffle and dropout draws
+        x, y = toy_fixture()
+        cfg = TrainConfig(epochs=3, batch_size=8, lr_decay=0.3, seed=23)
+        model, reference = build(), build()
+        train_model(model, x, y, cfg)
+        rng = np.random.default_rng([cfg.seed, 0x7261])
+        state = nn.AdamState(base_lr=cfg.base_lr, decay=cfg.lr_decay)
+        for epoch in range(cfg.epochs):
+            perm = rng.permutation(len(x))
+            for lo in range(0, len(x), cfg.batch_size):
+                idx = perm[lo : lo + cfg.batch_size]
+                loss, _ = reference.loss_batch(x[idx], y[idx], rng=rng)
+                loss.backward()
+                nn.adam_step(reference.params, {n: p.grad for n, p in reference.params.items()},
+                             state, epoch)
+                for p in reference.params.values():
+                    p.zero_grad()
+        for name, p in model.params.items():
+            assert p.data.tobytes() == reference.params[name].data.tobytes(), name
+            assert p.grad is None, name  # each update consumed its gradient
+
+    def test_nonfinite_gradient_names_epoch_and_batch(self):
+        x, y = toy_fixture()
+        model = build_capsnet(6, 4, 4, 2, TOY_CFG, seed=24)
+        poison_gradient(model, "dec3_w", at_call=3)  # two batches per epoch
+        with pytest.raises(nn.TrainingError,
+                           match=r"^non-finite gradient for parameter 'dec3_w' at epoch 1, "
+                                 r"batch 1$"):
+            train_model(model, x, y, TrainConfig(epochs=3, batch_size=10, seed=24))
 
     def test_missing_class_rejected(self):
         x, _ = toy_fixture()
@@ -287,13 +329,6 @@ DTYPE_MODELS = {
                                          seed=14),
     "cnn-dropout": lambda: PatchyCnn(4, 3, 4, 2, CnnConfig(
         conv1_filters=4, conv2_filters=3, conv2_kernel=3, dense_width=8, dropout=0.5), seed=14),
-}
-
-
-# Both models at the toy geometry (w=6, k=4, 4 channels), the CNN with dropout.
-UINT8_MODELS = {
-    "capsnet": lambda: build_capsnet(6, 4, 4, 2, TOY_CFG, seed=19),
-    "cnn": lambda: build_cnn(6, 4, 4, 2, seed=19),
 }
 
 
@@ -402,14 +437,99 @@ class TestInferenceMemory:
         chunk = x[: model._chunk]
         model.predict(chunk)  # allocations made once per process stay out of the peaks
 
-        def traced_peak(xs):
-            tracemalloc.start()
-            try:
-                model.predict(xs)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
         # 1000 graphs hold what one chunk holds, plus less than one chunk's float32 copy
-        one, whole = traced_peak(chunk), traced_peak(x)
+        one, whole = traced_peak(lambda: model.predict(chunk)), traced_peak(lambda: model.predict(x))
         assert whole - one < chunk.size * np.dtype(np.float32).itemsize, (one, whole)
+
+    @pytest.mark.parametrize("shape", [(18, 10, 8), (30, 10, 38)], ids=["MUTAG", "NCI1"])
+    @pytest.mark.parametrize("preset", ["paper", "small"])
+    def test_capsule_outputs_do_not_depend_on_the_chunk(self, preset, shape):
+        w, k, c = shape
+        model = build_capsnet(w, k, c, 2, CapsNetConfig(**PRESETS[preset]["capsnet"]), seed=25)
+        x = np.eye(c, dtype=np.uint8)[np.random.default_rng(26).integers(0, c, (80, w, k))]
+        assert model._chunk < len(x)
+        runs = []
+        for chunk in (model._chunk, 256):
+            model._chunk = chunk
+            runs.append((model.predict(x).tobytes(), model.inner_features(x).tobytes()))
+        assert runs[0] == runs[1]
+
+    def test_cnn_chunk_stays_at_the_cap(self):
+        # the CNN's last bits depend on the chunk size; at the benchmark
+        # shapes its patches per graph keep the chunk at MAX_CHUNK
+        for w, c in ((18, 8), (30, 38)):
+            assert build_cnn(w, 10, c, 2)._chunk == models.MAX_CHUNK
+
+
+# MUTAG-shaped uint8 one-hot graphs (w 18, k 10, 8 channels) and two classes.
+MUTAG_X = np.eye(8, dtype=np.uint8)[np.random.default_rng(21).integers(0, 8, (188, 18, 10))]
+MUTAG_Y = np.arange(188) % 2
+
+
+class TestMemoryBounds:
+    """Traced peaks of a capsule network at the MUTAG shape.  Each bound sits
+    between the peak of the code it guards and that of its predecessor, which
+    kept every conv patch matrix and the pre-ReLU map on the tape, held every
+    gradient until one whole Adam step, drew the weights in float64, and
+    predicted up to 256 graphs at once; the comments give both, measured with
+    numpy 2.4 (MB = 1e6 bytes)."""
+
+    @staticmethod
+    def _model(preset):
+        return build_capsnet(18, 10, 8, 2, CapsNetConfig(**PRESETS[preset]["capsnet"]), seed=1)
+
+    def test_paper_build_draws_float32_rows(self):
+        # 12.2 MB, for 10.7 MB of float32 parameters; 33.6 MB drawn whole in float64
+        self._model("paper")
+        assert traced_peak(lambda: self._model("paper")) < 15e6
+
+    # one epoch of 188 graphs at batch 50, the Adam moments included:
+    # paper 59.1 MB (97.7 MB before), small 12.8 MB (24.0 MB); keeping the
+    # patches on the tape alone gives 70.6 MB and 17.1 MB
+    @pytest.mark.parametrize("preset, bound", [("paper", 64e6), ("small", 15e6)],
+                             ids=["paper", "small"])
+    def test_epoch_holds_only_what_the_backward_reads(self, preset, bound):
+        model = self._model(preset)
+        model.predict(MUTAG_X[:5])
+        peak = traced_peak(lambda: train_model(model, MUTAG_X, MUTAG_Y,
+                                               TrainConfig(epochs=1, batch_size=50)))
+        assert peak < bound, peak
+
+    def test_steps_fault_in_no_freed_pages(self):
+        # what a step frees stays with the allocator for the next step; with
+        # glibc's defaults these 8 steps fault in about 12800 pages
+        if models._MALLOPT is None:
+            pytest.skip("the C library has no mallopt")
+        model = self._model("small")
+        train_model(model, MUTAG_X, MUTAG_Y, TrainConfig(epochs=1, batch_size=50))
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        train_model(model, MUTAG_X, MUTAG_Y, TrainConfig(epochs=2, batch_size=50))
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < 800, faults
+
+    # 188 graphs: paper 9.5 MB in chunks of 27 (66.2 MB at once), small
+    # 6.8 MB in chunks of 73 (17.4 MB at once)
+    @pytest.mark.parametrize("preset, bound", [("paper", 16e6), ("small", 10e6)],
+                             ids=["paper", "small"])
+    def test_predict_holds_one_chunk_of_patches(self, preset, bound):
+        model = self._model(preset)
+        model.predict(MUTAG_X[:5])
+        peak = traced_peak(lambda: model.predict(MUTAG_X))
+        assert peak < bound, peak
+
+
+class TestInitialWeights:
+    @pytest.mark.parametrize("shape", [(1000, 777), (3, 3, 8, 256), (5,), (2, 70000)])
+    def test_row_blocks_draw_the_values_of_one_draw(self, shape):
+        want = np.random.default_rng(27).normal(0.0, 0.3, shape).astype(np.float32)
+        got = models._normal(np.random.default_rng(27), 0.3, shape)
+        assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("build", [lambda: build_capsnet(8, 5, 4, 2, TOY_CFG, seed=28),
+                                       lambda: build_cnn(8, 5, 4, 2, seed=28)],
+                             ids=["capsnet", "cnn"])
+    def test_parameters_do_not_depend_on_the_block(self, build, monkeypatch):
+        whole = {n: p.data.tobytes() for n, p in build().params.items()}
+        monkeypatch.setattr(models, "_DRAW_BLOCK", 1)  # one row per block
+        for name, p in build().params.items():
+            assert p.data.dtype == np.float32 and p.data.tobytes() == whole[name], name

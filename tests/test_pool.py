@@ -1,8 +1,10 @@
 """The one worker pool: graphcaps._pool's map over items, the guard that no
 other module starts a process, and the committed mutation table: the pool's
-mutations and those of the loader, the chunk union, the warm cache hit, the
-orders file's refusals, the one-hot dtype, the models' input cast, the
-t-SNE step sums and the Gram product."""
+mutations and those of the loader and its line reader, the `jobs` check, the
+chunk union, the warm cache hit, the orders file's refusals, the one-hot
+dtype, the models' input cast, the t-SNE step sums, the Gram product, the
+convolution's patches and fused ReLU, the leaf Adam updates, the kept pages
+and the inference chunk; and the known survivors, each expected to survive."""
 
 import glob
 import multiprocessing
@@ -93,6 +95,8 @@ INTEGER_BITS = ("tests/test_analysis.py::TestPerplexitySearch::"
                 "test_integer_points_give_the_bits_of_their_float64_copy")
 ORDERS = ("tests/test_experiment.py::TestOrderCache::"
           "test_unusable_orders_file_searched_and_rewritten")
+BOUNDS = "tests/test_models.py::TestMemoryBounds::"
+LEAF_BITS = "tests/test_models.py::TestTraining::test_leaf_updates_match_backward_then_adam_step"
 
 # name: (module, function, expression, mutant, the tests that must all fail)
 MUTATIONS = {
@@ -237,15 +241,102 @@ MUTATIONS = {
         ["tests/test_analysis.py::TestPerplexitySearch::"
          "test_integer_points_are_not_copied_to_float64"],
     ),
+    # the loader's six (line numbers, blank lines, column and character
+    # checks, the "u, v" delimiter, the loadtxt path), the line reader's two
+    # and the jobs clamp, each as the current reader states it
+    "loader-line-numbers-off-by-one": (
+        "data", "_read_lines", "kept[row] + 1", "kept[row]", [LOADER + "test_first_bad_line_wins"],
+    ),
+    "loader-counts-blank-lines": (
+        "data", "_read_lines", "if line.strip()]", "]",
+        [LOADER + "test_line_endings_and_signs_load_the_same", LOADER + "test_plain_layout_bounds"],
+    ),
+    "loader-no-column-check": (
+        "data", "_read_lines", "len(row) != width or ", "", [LOADER + "test_plain_layout_bounds"],
+    ),
+    "loader-no-character-check": (
+        "data", "_loadtxt_rows", "if text.translate(_PLAIN):", "if False:",
+        [LOADER + "test_plain_layout_bounds"],
+    ),
+    "loader-whitespace-delimits-u-v-lines": (
+        "data", "_loadtxt_rows", 'delimiter="," if width == 2 else None', "delimiter=None",
+        [LOADER + "test_tu_layout_takes_numpy_reader", LOADER + "test_plain_layout_bounds"],
+    ),
+    "loader-never-takes-loadtxt": (
+        "data", "_read_rows", "values = _loadtxt_rows(path, text, width)", "values = None",
+        [LOADER + "test_tu_layout_takes_numpy_reader",
+         LOADER + "test_line_endings_and_signs_load_the_same"],
+    ),
+    "line-reader-keeps-empty-fields": (
+        "data", "_read_lines", " or not all(row)", "", [LOADER + "test_plain_layout_bounds"],
+    ),
+    "line-reader-reads-commas-as-spaces": (
+        "data", "_read_lines", '[f.strip() for f in lines[i].split(",")] if "," in lines[i]',
+        'lines[i].replace(",", " ").split() if "," in lines[i]',
+        [LOADER + "test_plain_layout_bounds"],
+    ),
+    "jobs-below-one-clamped": (
+        "_pool", "processes",
+        'if jobs is not None and jobs < 1:\n        raise ValueError(f"jobs must be >= 1, got {jobs}")',
+        "if jobs is not None:\n        jobs = max(1, jobs)",
+        [TSNE + "test_jobs_below_one_rejected",
+         CHUNKS + "test_jobs_below_one_rejected",
+         "tests/test_experiment.py::TestExperimentConfig::test_bad_training_setting_rejected[jobs-0]"],
+    ),
+    # the patches rebuilt in the backward, the fused ReLU's mask, each leaf
+    # updated once, freed pages kept, and the inference chunk sized by its
+    # patches
+    "conv2d-keeps-its-patches": (
+        "autodiff", "conv2d", "_patches(x.data, fh, fw, sh, sw, dtype).T", "cols.T",
+        [BOUNDS + "test_epoch_holds_only_what_the_backward_reads"],
+    ),
+    "fused-relu-backward-drops-its-mask": (
+        "autodiff", "conv2d", "g *= out_data > 0", "g = g",
+        ["tests/test_autodiff.py::TestGradCheck::test_every_op_differentiates[conv_relu]",
+         "tests/test_models.py::TestCnnBaseline::test_gradient_check"],
+    ),
+    "leaf-update-skipped-for-one-parameter": (
+        "models", "train_model", "nn.adam_update(name, pending.pop(name), leaf.grad, state, lr)",
+        "pending.pop(name) if name == 'conv1_b' else "
+        "nn.adam_update(name, pending.pop(name), leaf.grad, state, lr)",
+        [LEAF_BITS],
+    ),
+    "leaf-update-applied-twice-to-one-parameter": (
+        "models", "train_model", "pending.pop(name)",
+        "(pending[name] if name == 'conv1_b' else pending.pop(name))", [LEAF_BITS],
+    ),
+    "freed-pages-given-back": (
+        "models", "train_model", "_keep_freed_pages()", "None",
+        [BOUNDS + "test_steps_fault_in_no_freed_pages"],
+    ),
+    "inference-chunk-back-to-256": (
+        "models", "_Classifier.__init__", "min(MAX_CHUNK, max(1, CHUNK_BYTES // patch_bytes))",
+        "256", [BOUNDS + "test_predict_holds_one_chunk_of_patches"],
+    ),
+}
+
+# Known survivors: mutants that no test kills yet, listed so the gap stays
+# visible.  Each row is expected to survive; a test that kills it makes the
+# row fail, and the row then moves to MUTATIONS.
+SURVIVORS = {
+    # every automorphism may merge orbits; no graph found so far makes the
+    # search return another order (see CHANGES.md, the pruning's FOUND line)
+    "frame-fixes-every-automorphism": (
+        "labelling", "_Frame.fixes",
+        "return all(self.cell_of[w] == i for w, i in zip(gamma, self.cell_of))", "return True",
+        ["tests/test_labelling.py::TestCanonicalOrder"],
+    ),
 }
 
 
 @pytest.mark.mutations
-@pytest.mark.parametrize("mutation", MUTATIONS)
+@pytest.mark.parametrize("mutation", [*MUTATIONS, *(
+    pytest.param(name, marks=pytest.mark.xfail(strict=True, reason="a known survivor"))
+    for name in SURVIVORS)])
 def test_pool_mutation_is_killed(mutation):
     # each mutant runs its tests in a fresh interpreter, bounded in time: a
     # mutant that hangs them counts as killed
-    module, function, expression, mutant, tests = MUTATIONS[mutation]
+    module, function, expression, mutant, tests = {**MUTATIONS, **SURVIVORS}[mutation]
     code = (f"import sys, pytest, helpers, graphcaps.{module} as module; "
             f"helpers.mutate(pytest.MonkeyPatch(), module, {function!r}, {expression!r}, "
             f"{mutant!r}); sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', *{tests!r}]))")
