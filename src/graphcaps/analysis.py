@@ -274,6 +274,11 @@ def _check_perplexity(perplexity: float, m: int) -> None:
         raise ValueError(f"perplexity must lie in (1, {m}), got {perplexity}")
 
 
+def _check_iters(iters: int) -> None:
+    if iters < 1:
+        raise ValueError(f"iters must be >= 1, got {iters}")
+
+
 def joint_probabilities(points: np.ndarray, perplexity: float,
                         jobs: int | None = None) -> np.ndarray:
     """Symmetrized, normalized t-SNE joint distribution P (zero diagonal) of
@@ -407,6 +412,7 @@ def tsne(points: np.ndarray, perplexity: float, iters: int = 1000, seed: int = 0
     layout and at the final one.  ``jobs`` processes (None: all cores) share
     the row work; the result is bitwise the same for every ``jobs``.
     """
+    _check_iters(iters)
     if exaggeration_iters is None:
         exaggeration_iters = min(250, iters // 2)
     if momentum_switch is None:

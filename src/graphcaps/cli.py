@@ -1,5 +1,13 @@
 """graphcaps command line: tensorize, run, grid, embed, report, selftest.
 
+``run`` takes comma lists for ``--labelling`` and ``--model``, e.g. the
+paper's ablation ``--labelling bc,canonical --model capsules,cnn``: it loads
+each (dataset, labelling) once, runs each labelling, then each model, then each
+of ``--repeats`` seeds, and writes one report over exactly those runs to
+``<out_root>/report`` when it makes more than one.  ``tensorize`` takes the
+same ``--labelling`` list, and ``embed`` a comma list for ``--source``, whose
+sources share one load of the tensors.  ``grid`` takes one value of each.
+
 Configuration precedence is CLI flags > config file > the defaults of
 :class:`~graphcaps.experiment.ExperimentConfig`, the one place a run setting
 has a default.  Each run, PTC parent, grid and embedding directory gets a
@@ -18,8 +26,10 @@ import sys
 from . import __version__
 from .experiment import (
     ExperimentConfig,
+    ExperimentResult,
     _cell_text,
     dataset_tensors,
+    emit_report,
     grid_search,
     load_datasets,
     run_experiment,
@@ -46,13 +56,14 @@ def read_config_file(path: str) -> dict:
     return out
 
 
-def config_from_args(args) -> ExperimentConfig:
-    """The run the parsed flags describe.  Each flag that was given sets the
-    ExperimentConfig field of its name (``--lr`` sets ``base_lr``, and
-    ``nauty`` is ``canonical``); every other field keeps its default, except
-    that ``$GRAPHCAPS_DATA`` stands in for a missing ``--data-root``."""
+def config_from_args(args, **values) -> ExperimentConfig:
+    """The run the parsed flags describe, with ``values`` in place of theirs.
+    Each flag that was given sets the ExperimentConfig field of its name
+    (``--lr`` sets ``base_lr``, and ``nauty`` is ``canonical``); every other
+    field keeps its default, except that ``$GRAPHCAPS_DATA`` stands in for a
+    missing ``--data-root``."""
     given = {("base_lr" if key == "lr" else key): value
-             for key, value in vars(args).items() if value is not None}
+             for key, value in {**vars(args), **values}.items() if value is not None}
     if os.environ.get("GRAPHCAPS_DATA"):
         given.setdefault("data_root", os.environ["GRAPHCAPS_DATA"])
     if given.get("labelling") == "nauty":
@@ -61,41 +72,56 @@ def config_from_args(args) -> ExperimentConfig:
                                for f in dataclasses.fields(ExperimentConfig) if f.name in given})
 
 
+def _run_configs(args) -> list:
+    """The runs the flags describe, in order: each ``--labelling``, then each
+    ``--model``, then ``--repeats`` consecutive seeds from the configured one.
+    A list flag that was not given stands for its one default."""
+    repeats = getattr(args, "repeats", 1)
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    configs = []
+    for labelling in args.labelling or [None]:
+        for model in getattr(args, "model", None) or [None]:
+            base = config_from_args(args, labelling=labelling, model=model)
+            configs += [dataclasses.replace(base, seed=base.seed + rep) for rep in range(repeats)]
+    return configs
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 
 def cmd_tensorize(args) -> int:
-    cfg = config_from_args(args)
-    for name in cfg.dataset_names():
-        tensorize_cached(cfg, name, force=args.force)
+    for cfg in _run_configs(args):
+        for name in cfg.dataset_names():
+            tensorize_cached(cfg, name, force=args.force)
     return 0
 
 
-def run_configs(args) -> list:
-    """The runs ``graphcaps run`` makes: one per repeat, with consecutive seeds
-    from the configured one."""
-    if args.repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {args.repeats}")
-    base = config_from_args(args)
-    return [dataclasses.replace(base, seed=base.seed + rep) for rep in range(args.repeats)]
-
-
 def cmd_run(args) -> int:
-    configs = run_configs(args)
-    data = load_datasets(configs[0])  # the repeats differ only in the seed
+    configs = _run_configs(args)
+    # one load per labelling, all before the first run writes; a capsule
+    # config, where there is one, also checks the geometry the CNN does not need
+    data = {}
+    for cfg in sorted(configs, key=lambda cfg: cfg.model != "capsules"):
+        if cfg.labelling not in data:
+            data[cfg.labelling] = load_datasets(cfg)
     results = []
-    for cfg in configs:
-        result = run_experiment(cfg, data)
+    for i, cfg in enumerate(configs, start=1):
+        result = run_experiment(cfg, data[cfg.labelling])
         results.append(result)
         print(
             f"[run] {result.variant} on {result.dataset}: {_cell_text([result])} "
             f"(train {result.train_seconds_mean:.1f} ± {result.train_seconds_std:.1f} s/fold)"
         )
         print(f"[run] outputs in {cfg.run_dir()}")
+        if args.repeats > 1 and i % args.repeats == 0:
+            print(f"[run] mean over {args.repeats} repetitions: "
+                  f"{_cell_text(results[-args.repeats:])}")
     if len(configs) > 1:
-        print(f"[run] mean over {len(configs)} repetitions: {_cell_text(results)}")
+        out = emit_report(results, os.path.join(configs[0].out_root, "report"))
+        print(f"[run] report over {len(results)} runs -> {out}")
     return 0
 
 
@@ -118,6 +144,7 @@ def cmd_grid(args) -> int:
 def cmd_embed(args) -> int:
     from .analysis import (
         EmbeddingSource,
+        _check_iters,
         _check_perplexity,
         cluster_distances,
         extract_embeddings,
@@ -127,39 +154,42 @@ def cmd_embed(args) -> int:
     )
     from .models import train_model
 
-    source = EmbeddingSource(args.source)
-    args.model = "cnn" if source is EmbeddingSource.CNN_INNER else "capsules"
-    cfg = config_from_args(args)
-    x, y, w, channels, labels = dataset_tensors(cfg)
-    model = None
-    if source is not EmbeddingSource.RAW_TENSOR:
-        model = cfg.build_model(w, channels, labels.num_classes, cfg.seed)
+    _check_iters(args.iters)
+    runs = []
+    for source in map(EmbeddingSource, args.source):
+        model = "cnn" if source is EmbeddingSource.CNN_INNER else "capsules"
+        runs.append((source, config_from_args(args, model=model)))
+    # the tensors depend on no model, so one load serves every source; every
+    # check runs before the first source writes
+    x, y, w, channels, labels = dataset_tensors(runs[0][1])
+    models = [None if source is EmbeddingSource.RAW_TENSOR
+              else cfg.build_model(w, channels, labels.num_classes, cfg.seed)
+              for source, cfg in runs]
     _check_perplexity(args.perplexity, len(x))
-    out_dir = cfg.run_dir("embed_", f"_{source.value}")
-    write_manifest(out_dir, cfg, source=source.value, perplexity=args.perplexity,
-                   iters=args.iters)
 
-    if model is not None:
-        print(f"[embed] training {cfg.model} on the full dataset ({cfg.epochs} epochs)")
-        train_model(model, x, y, cfg.train_config(cfg.seed))
+    for (source, cfg), model in zip(runs, models):
+        out_dir = cfg.run_dir("embed_", f"_{source.value}")
+        write_manifest(out_dir, cfg, source=source.value, perplexity=args.perplexity,
+                       iters=args.iters)
+        if model is not None:
+            print(f"[embed] training {cfg.model} on the full dataset ({cfg.epochs} epochs)")
+            train_model(model, x, y, cfg.train_config(cfg.seed))
 
-    points = extract_embeddings(model, x, source)
-    print(f"[embed] {points.shape[0]} x {points.shape[1]} features from {source.value}")
-    res = tsne(points, perplexity=args.perplexity, iters=args.iters, seed=cfg.seed,
-               jobs=cfg.jobs)
-    dist = cluster_distances(res.coords, y)
-    write_embeddings_csv(os.path.join(out_dir, "embeddings.csv"), res.coords, y)
-    write_distances_csv(os.path.join(out_dir, "distances.csv"), source, dist)
-    print(
-        f"[embed] KL {res.kl_initial:.4f} -> {res.kl_final:.4f}; "
-        f"intra {dist.intra_pooled:.2f}, inter {dist.inter:.2f}; outputs in {out_dir}"
-    )
+        points = extract_embeddings(model, x, source)
+        print(f"[embed] {points.shape[0]} x {points.shape[1]} features from {source.value}")
+        res = tsne(points, perplexity=args.perplexity, iters=args.iters, seed=cfg.seed,
+                   jobs=cfg.jobs)
+        dist = cluster_distances(res.coords, y)
+        write_embeddings_csv(os.path.join(out_dir, "embeddings.csv"), res.coords, y)
+        write_distances_csv(os.path.join(out_dir, "distances.csv"), source, dist)
+        print(
+            f"[embed] KL {res.kl_initial:.4f} -> {res.kl_final:.4f}; "
+            f"intra {dist.intra_pooled:.2f}, inter {dist.inter:.2f}; outputs in {out_dir}"
+        )
     return 0
 
 
 def cmd_report(args) -> int:
-    from .experiment import ExperimentResult, emit_report
-
     results = []
     for run_dir in args.runs:
         path = os.path.join(run_dir, "result.json")
@@ -178,6 +208,26 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _add_list(p: argparse.ArgumentParser, flag: str, choices, help: str, required=False,
+              **aliases) -> None:
+    """Add ``flag``, read as a list from a comma list of distinct ``choices``,
+    each alias read as the value it stands for."""
+    names = [*choices, *aliases]
+
+    def parse(text: str) -> list:
+        values = [aliases.get(value, value) for value in text.split(",")]
+        for value in values:
+            if value not in choices:
+                raise argparse.ArgumentTypeError(
+                    f"invalid choice: {value!r} (choose from {', '.join(names)})")
+        if len(set(values)) < len(values):
+            raise argparse.ArgumentTypeError(f"{text!r} names a value twice")
+        return values
+
+    p.add_argument(flag, type=parse, required=required, metavar="{%s}" % ",".join(names),
+                   help=f"a comma list of {help}")
+
+
 # Run-setting flags declare no default of their own: config_from_args leaves
 # a flag that was not given to the ExperimentConfig default.
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -190,16 +240,25 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                         "(default: available cores)")
 
 
-def _add_tensor_opts(p: argparse.ArgumentParser) -> None:
+# With ``lists``, --labelling and --model take comma lists (see _run_configs);
+# grid and embed take one value of each.
+def _add_tensor_opts(p: argparse.ArgumentParser, lists: bool) -> None:
     p.add_argument("--dataset", required=True, help="dataset id, e.g. MUTAG or PTC")
-    p.add_argument("--labelling", choices=[*LABELLINGS, "nauty"],
-                   help="node ranking procedure (nauty is an alias for canonical)")
+    if lists:
+        _add_list(p, "--labelling", LABELLINGS,
+                  "node ranking procedures (nauty is an alias for canonical)", nauty="canonical")
+    else:
+        p.add_argument("--labelling", choices=[*LABELLINGS, "nauty"],
+                       help="node ranking procedure (nauty is an alias for canonical)")
     p.add_argument("-w", type=int, help="anchors per graph (default: avg size)")
     p.add_argument("-k", type=int, help="receptive field size")
 
 
-def _add_cv_opts(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", choices=list(MODELS))
+def _add_cv_opts(p: argparse.ArgumentParser, lists: bool) -> None:
+    if lists:
+        _add_list(p, "--model", list(MODELS), "classifiers")
+    else:
+        p.add_argument("--model", choices=list(MODELS))
     p.add_argument("--folds", type=int)
 
 
@@ -227,14 +286,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tensorize", help="extract and cache graph tensors")
     _add_common(p)
-    _add_tensor_opts(p)
+    _add_tensor_opts(p, lists=True)
     p.add_argument("--force", action="store_true", help="overwrite a warm cache")
     p.set_defaults(func=cmd_tensorize)
 
-    p = sub.add_parser("run", help="k-fold cross-validation of one model")
+    p = sub.add_parser("run", help="k-fold cross-validation of each labelling and model")
     _add_common(p)
-    _add_tensor_opts(p)
-    _add_cv_opts(p)
+    _add_tensor_opts(p, lists=True)
+    _add_cv_opts(p, lists=True)
     _add_train_opts(p)
     p.add_argument("--repeats", type=int, default=1,
                    help="repeat the full CV with consecutive seeds, at least 1")
@@ -242,8 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grid", help="exhaustive hyper-parameter grid search")
     _add_common(p)
-    _add_tensor_opts(p)
-    _add_cv_opts(p)
+    _add_tensor_opts(p, lists=False)
+    _add_cv_opts(p, lists=False)
     _add_train_opts(p)
     p.add_argument("--epochs-grid", default="100,150,200")
     p.add_argument("--lr-grid", default="0.0005,0.001,0.005")
@@ -252,9 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("embed", help="t-SNE embedding of a representation layer")
     _add_common(p)
-    _add_tensor_opts(p)
+    _add_tensor_opts(p, lists=False)
     _add_train_opts(p)
-    p.add_argument("--source", choices=["raw", "cnn", "caps"], required=True)
+    _add_list(p, "--source", ["raw", "cnn", "caps"], "representation layers", required=True)
     p.add_argument("--perplexity", type=float, default=10.0)
     p.add_argument("--iters", type=int, default=500)
     p.set_defaults(func=cmd_embed)

@@ -18,6 +18,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import os
 import subprocess
 import time
@@ -111,6 +112,12 @@ class ExperimentConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if not (math.isfinite(self.base_lr) and self.base_lr > 0):
+            raise ValueError(f"base_lr must be finite and > 0, got {self.base_lr}")
+        for name in ("lr_decay", "lam", "alpha"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if self.routing_iters < 1:
             raise ValueError("routing_iters must be >= 1")
         if self.loss_mode not in LOSS_MODES:

@@ -272,6 +272,13 @@ class TestPerplexitySearch:
         with pytest.raises(ValueError, match="perplexity"):
             joint_probabilities(points, perplexity=6.0)
 
+    @pytest.mark.parametrize("iters", [0, -5])
+    def test_iters_below_one_rejected(self, iters):
+        # no step would leave the random initial layout as the embedding
+        points, _ = two_blobs(n_per=3)
+        with pytest.raises(ValueError, match=f"iters must be >= 1, got {iters}"):
+            tsne(points, perplexity=3.0, iters=iters)
+
     def test_zero_variance_rejected(self):
         points = np.ones((8, 4))
         with pytest.raises(ValueError, match="zero-variance"):

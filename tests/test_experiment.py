@@ -483,9 +483,10 @@ class TestRunCV:
         assert len(res.fold_accuracies) == 12  # 4 sub-datasets x 3 folds
         parent = os.path.join(cfg.out_root, cfg.run_id())
         assert os.path.isfile(os.path.join(parent, "manifest.json"))
+        assert "PTC" in open(os.path.join(parent, "report.csv")).readline()
         for sub in ("PTC_MM", "PTC_FM", "PTC_MR", "PTC_FR"):
-            assert os.path.isfile(os.path.join(parent, sub, "result.json"))
-            assert os.path.isfile(os.path.join(parent, sub, "manifest.json"))
+            for name in ("result.json", "manifest.json", "folds.csv"):
+                assert os.path.isfile(os.path.join(parent, sub, name))
 
 
 class TestOrderCache:

@@ -309,6 +309,11 @@ MUTATIONS = {
         "models", "train_model", "_keep_freed_pages()", "None",
         [BOUNDS + "test_steps_fault_in_no_freed_pages"],
     ),
+    # stale state: every labelling of one command trains on the first one's tensors
+    "first-labellings-tensors-for-every-labelling": (
+        "cli", "cmd_run", "data[cfg.labelling])", "data[configs[0].labelling])",
+        ["tests/test_cli.py::TestLists::test_ablation_matches_single_value_runs"],
+    ),
     "inference-chunk-back-to-256": (
         "models", "_Classifier.__init__", "min(MAX_CHUNK, max(1, CHUNK_BYTES // patch_bytes))",
         "256", [BOUNDS + "test_predict_holds_one_chunk_of_patches"],
