@@ -18,12 +18,17 @@ Gradients are accumulated over a taped graph; ``Tensor.backward()`` walks the
 tape in reverse topological order and releases each intermediate node's rule,
 parents and gradient once its rule has run, and lets go of the node, so a
 step's tape is freed as it is consumed and a graph can be walked only once.
-Leaves keep their gradients unless a callback consumes them: a leaf is
-reached only after every rule that feeds its gradient, so
+Leaves keep their gradients unless a callback consumes them: the walk
+reaches each leaf right after the last rule that feeds its gradient, so
 ``backward(on_leaf)`` hands each one over as soon as its gradient is final,
-and an optimizer can update it and drop the gradient there.  Ops performed
-inside :func:`no_grad` (or on tensors that do not require gradients) record
-nothing.
+and an optimizer can update it and drop the gradient there.  A step thus
+holds, besides the tape's forward outputs, only the gradients that a rule
+still to run reads or adds to: a weight's gradient does not outlive its
+layer's rule, :func:`conv2d`'s backward frees its regathered patches before
+it makes the input gradient, and :func:`caps_predict` copies no
+prediction-sized array.  Ops
+performed inside :func:`no_grad` (or on tensors that do not require
+gradients) record nothing.
 """
 
 from __future__ import annotations
@@ -295,7 +300,14 @@ class Tensor:
     def backward(self, on_leaf=None):
         """Fill the gradients of this scalar's graph.  ``on_leaf(leaf)``, if
         given, is called for each leaf that requires a gradient as soon as
-        that gradient is final, and may consume it."""
+        that gradient is final, and may consume it.
+
+        The walk is a depth-first post-order from this node, run in reverse.
+        Each node's leaf parents are pushed under its other parents, so the
+        rules run in the order they would with the parents pushed as listed,
+        and each leaf comes right after the last rule that feeds it: a
+        weight is handed over straight after its layer's rule, not at the
+        end of the walk."""
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar output")
         topo = []
@@ -310,9 +322,12 @@ class Tensor:
                 continue
             visited.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in visited:
-                    stack.append((p, False))
+            # leaves go under the other parents, so the walk reaches each
+            # leaf right after the last rule that feeds it
+            for leaves in (True, False):
+                for p in node._parents:
+                    if (p._backward is None) is leaves and id(p) not in visited:
+                        stack.append((p, False))
         self.grad = np.ones_like(self.data)
         while topo:  # popped, so that a node whose rule has run can be freed
             node = topo.pop()
@@ -346,10 +361,13 @@ def conv2d(x, kernels, bias, stride=(1, 1), relu=False):
 
     x: (B, H, W, Cin); kernels: (fh, fw, Cin, Cout); bias: (Cout,).
     Output: (B, Ho, Wo, Cout) with Ho = (H - fh)//sh + 1, Wo = (W - fw)//sw + 1.
-    The patches are gathered (im2col) so each direction is one GEMM, and
-    gathered again in the backward for the kernel gradient rather than held
-    until then.  The fused ReLU masks the gradient by the op's own output,
-    which is positive exactly where its input was.
+    The patches are gathered (im2col) so the forward is one GEMM, and
+    gathered again in the backward for the kernel gradient, one GEMM too,
+    rather than held until then.  The input gradient is added into ``dx`` one
+    kernel tap at a time, a ``(B, Ho, Wo, Cin)`` GEMM each, so no
+    patch-sized gradient exists; the regathered patches are freed before it
+    starts.  The fused ReLU masks the gradient by the op's own output, which
+    is positive exactly where its input was.
     """
     x = Tensor._lift(x)
     kernels = Tensor._lift(kernels)
@@ -388,16 +406,18 @@ def conv2d(x, kernels, bias, stride=(1, 1), relu=False):
         g2d = g.reshape(-1, Cout)
         if b.requires_grad:
             b._accumulate_owned(g2d.sum(axis=0))
-        # the patches are freed before dcols is made
+        # the patches are freed before the input gradient is made
         if kernels.requires_grad:
             dk = _patches(x.data, fh, fw, sh, sw, dtype).T @ g2d
             kernels._accumulate_owned(dk.reshape(fh, fw, Cin, Cout))
-        if x.requires_grad:
-            dcols = (g2d @ k2d.T).reshape(B, Ho, Wo, fh, fw, Cin)
-            dx = np.zeros_like(x.data, dtype=dcols.dtype)
+        if x.requires_grad:  # one tap at a time, into dx
+            dx_dtype = np.result_type(g2d, kernels.data)
+            dx = np.zeros_like(x.data, dtype=dx_dtype)
+            tap = np.empty((B, Ho, Wo, Cin), dtype=dx_dtype)
             for p in range(fh):
                 for q in range(fw):
-                    dx[:, p : p + sh * Ho : sh, q : q + sw * Wo : sw, :] += dcols[:, :, :, p, q, :]
+                    np.matmul(g2d, kernels.data[p, q].T, out=tap.reshape(-1, Cin))
+                    dx[:, p : p + sh * Ho : sh, q : q + sw * Wo : sw, :] += tap
             x._accumulate_owned(dx)
 
     return Tensor._make(out_data, (x, kernels, b), backward)
@@ -408,7 +428,9 @@ def caps_predict(u, weights):
 
     u: (B, n_in, d_in); weights: (n_in, n_out, d_in, d_out).
     Output predictions: (B, n_in, n_out, d_out).  Expressed as one batched
-    GEMM over the n_in axis.
+    GEMM over the n_in axis, which reads ``u`` and writes the output through
+    transposed views; the backward reads the output gradient as such a view
+    too, so only the weights are copied into the GEMM's layout.
     """
     u = Tensor._lift(u)
     weights = Tensor._lift(weights)
@@ -422,11 +444,12 @@ def caps_predict(u, weights):
     w_flat = np.ascontiguousarray(
         weights.data.transpose(0, 2, 1, 3).reshape(n_in, d_in, n_out * d_out)
     )
-    u_t = np.ascontiguousarray(u.data.transpose(1, 0, 2))
-    out_data = (u_t @ w_flat).reshape(n_in, B, n_out, d_out).transpose(1, 0, 2, 3)
+    u_t = u.data.transpose(1, 0, 2)
+    out_data = np.empty((B, n_in, n_out, d_out), dtype=np.result_type(u.data, w_flat))
+    np.matmul(u_t, w_flat, out=out_data.reshape(B, n_in, n_out * d_out).transpose(1, 0, 2))
 
     def backward(g):
-        g_t = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(n_in, B, n_out * d_out)
+        g_t = g.reshape(B, n_in, n_out * d_out).transpose(1, 0, 2)
         if u.requires_grad:
             du = (g_t @ w_flat.transpose(0, 2, 1)).transpose(1, 0, 2)
             u._accumulate_owned(du)
@@ -436,7 +459,7 @@ def caps_predict(u, weights):
                 dw_flat.reshape(n_in, d_in, n_out, d_out).transpose(0, 2, 1, 3)
             )
 
-    return Tensor._make(np.ascontiguousarray(out_data), (u, weights), backward)
+    return Tensor._make(out_data, (u, weights), backward)
 
 
 def _squash(v: np.ndarray):

@@ -4,9 +4,12 @@
 paper's ablation ``--labelling bc,canonical --model capsules,cnn``: it loads
 each (dataset, labelling) once, runs each labelling, then each model, then each
 of ``--repeats`` seeds, and writes one report over exactly those runs to
-``<out_root>/report`` when it makes more than one.  ``tensorize`` takes the
-same ``--labelling`` list, and ``embed`` a comma list for ``--source``, whose
-sources share one load of the tensors.  ``grid`` takes one value of each.
+``<out_root>/report_<10 hex digits of a sha256 over their run ids>`` when it
+makes more than one, so no other command's report is replaced.
+``tensorize`` takes the same ``--labelling`` list, searches each graph once
+even with ``--force``, and ``embed`` takes a comma list for ``--source``,
+whose sources share one load of the tensors.  ``grid`` takes one value of
+each.
 
 Configuration precedence is CLI flags > config file > the defaults of
 :class:`~graphcaps.experiment.ExperimentConfig`, the one place a run setting
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import os
 import sys
@@ -93,9 +97,14 @@ def _run_configs(args) -> list:
 
 
 def cmd_tensorize(args) -> int:
+    # --force rebuilds every labelling's grids, but only the first labelling
+    # searches; the later ones read the orders file it rewrote
+    searched = set()
     for cfg in _run_configs(args):
         for name in cfg.dataset_names():
-            tensorize_cached(cfg, name, force=args.force)
+            tensorize_cached(cfg, name, force=args.force,
+                             search=args.force and name not in searched)
+            searched.add(name)
     return 0
 
 
@@ -119,8 +128,10 @@ def cmd_run(args) -> int:
         if args.repeats > 1 and i % args.repeats == 0:
             print(f"[run] mean over {args.repeats} repetitions: "
                   f"{_cell_text(results[-args.repeats:])}")
-    if len(configs) > 1:
-        out = emit_report(results, os.path.join(configs[0].out_root, "report"))
+    if len(configs) > 1:  # named after its runs, so no other command's report is replaced
+        runs = hashlib.sha256("\n".join(cfg.run_id() for cfg in configs).encode("utf-8"))
+        out = emit_report(results, os.path.join(configs[0].out_root,
+                                                f"report_{runs.hexdigest()[:10]}"))
         print(f"[run] report over {len(results)} runs -> {out}")
     return 0
 

@@ -112,9 +112,8 @@ class ExperimentConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if not (math.isfinite(self.base_lr) and self.base_lr > 0):
-            raise ValueError(f"base_lr must be finite and > 0, got {self.base_lr}")
-        for name in ("lr_decay", "lam", "alpha"):
+        self.train_config(self.seed)  # checks base_lr and lr_decay
+        for name in ("lam", "alpha"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
@@ -276,7 +275,7 @@ def kfold_split(n_samples: int, folds: int, seed: int, strata) -> list:
 
 
 def tensorize_cached(cfg: ExperimentConfig, name: str | None = None, force: bool = False,
-                     log=print):
+                     log=print, search: bool | None = None):
     """Load and tensorize one dataset through the tensor cache.
 
     Returns (grids, y, w, labels) with ``(n, w, k)`` label grids, the
@@ -286,8 +285,10 @@ def tensorize_cached(cfg: ExperimentConfig, name: str | None = None, force: bool
     cache file :func:`load_tensors` cannot use is rebuilt.  A cold extraction takes
     the graphs' canonical orders from the dataset's orders file
     (``<cache_dir>/<name>_orders.gct``, shared by every labelling, ``w`` and
-    ``k``) when :func:`load_orders` accepts it and not ``force``; otherwise it
-    searches every graph and writes that file.  The graphs are
+    ``k``) when :func:`load_orders` accepts it and not ``search``, which
+    defaults to ``force``; otherwise it searches every graph and writes that
+    file.  A command that rebuilds several labellings passes ``search`` for
+    the first only, so it searches each graph once.  The graphs are
     tensorized as loaded: a graph's tensor depends only on its isomorphism
     class (the ``tensor-invariance`` selftest checks this), so no seed enters
     the tensors or the cache file name.  ``name`` defaults to ``cfg.dataset``,
@@ -318,7 +319,7 @@ def tensorize_cached(cfg: ExperimentConfig, name: str | None = None, force: bool
     t0 = time.perf_counter()
     orders_path = os.path.join(cfg.cache_dir, f"{name}_orders.gct")
     orders = None
-    if os.path.isfile(orders_path) and not force:
+    if os.path.isfile(orders_path) and not (force if search is None else search):
         try:
             flat = load_orders(orders_path, digest, labels.sizes)
         except CacheError as exc:

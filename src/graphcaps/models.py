@@ -22,6 +22,7 @@ whole-step :func:`graphcaps.nn.adam_step`.
 from __future__ import annotations
 
 import ctypes
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -363,6 +364,13 @@ class TrainConfig:
     base_lr: float = 1e-3
     lr_decay: float = 0.0
     seed: int = 0
+
+    def __post_init__(self):
+        # a NaN rate would train to NaN weights, and a negative one at the floor
+        if not (math.isfinite(self.base_lr) and self.base_lr > 0):
+            raise ValueError(f"base_lr must be finite and > 0, got {self.base_lr}")
+        if not (math.isfinite(self.lr_decay) and self.lr_decay >= 0):
+            raise ValueError(f"lr_decay must be finite and >= 0, got {self.lr_decay}")
 
 
 @dataclass

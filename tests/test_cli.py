@@ -3,6 +3,7 @@ import glob
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import time
@@ -65,6 +66,22 @@ class TestTensorizeCommand:
         assert "tensors" in out and "searched 16 graphs" in out and "stale" not in out
         assert main(base + ["--labelling", "canonical"]) == 0
         assert "orders from" in capsys.readouterr().out  # --force rewrote the orders file
+
+    def test_force_searches_each_graph_once_per_command(self, syn_root, tmp_path, capsys,
+                                                        monkeypatch):
+        out_root = str(tmp_path / "results")
+        base = ["tensorize", "--dataset", "SYN", "--data-root", syn_root, "--out-root", out_root,
+                "--labelling", "bc,canonical", "-w", "6", "-k", "4", "--jobs", "1"]
+        assert main(base) == 0
+        capsys.readouterr()
+        counts = count_calls(monkeypatch, labelling.canonical_order)
+        assert main(base + ["--force"]) == 0
+        # both labellings' grids are rebuilt; the canonical one reads the
+        # orders the BC one wrote
+        assert counts["canonical_order"] == 16
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 2 and all("cold cache" in line for line in out)
+        assert "searched 16 graphs" in out[0] and "orders from" in out[1]
 
     def test_unknown_dataset_fails_cleanly(self, tmp_path):
         result = run_cli(["tensorize", "--dataset", "NOPE",
@@ -147,7 +164,8 @@ class TestRunCommand:
         result = json.load(open(os.path.join(run_dir, "result.json")))
         assert manifest["version"] == result["version"]
         assert manifest["version"].startswith("graphcaps ")
-        assert "report" not in os.listdir(out_root)  # one run needs no combined report
+        # one run needs no combined report
+        assert not glob.glob(os.path.join(out_root, "report*"))
 
     def test_cnn_model(self, syn_root, tmp_path, capsys):
         rc = main(["run", "--dataset", "SYN", "--data-root", syn_root,
@@ -373,23 +391,34 @@ class TestLists:
                 (got,) = glob.glob(str(ablation / f"MUTAG_{lab}_{model}_*" / "folds.csv"))
                 assert open(got, "rb").read() == open(want, "rb").read()
 
-    def test_report_holds_the_runs_of_its_command(self, mutag_root, tmp_path):
+    def test_report_holds_the_runs_of_its_command(self, mutag_root, tmp_path, capsys):
         out_root = tmp_path / "ablation"
         ablation = ["--labelling", "bc,canonical", "--model", "capsules,cnn"]
-        self.run(mutag_root, out_root, *ablation, "--seed", "1")
-        self.run(mutag_root, out_root, *ablation, "--seed", "5", "--repeats", "2")
+        reports = []
+        for flags in (["--seed", "1"], ["--seed", "5", "--repeats", "2"]):
+            self.run(mutag_root, out_root, *ablation, *flags)
+            (line,) = [line for line in capsys.readouterr().out.splitlines()
+                       if line.startswith("[run] report over")]
+            reports.append(os.path.dirname(line.rpartition(" -> ")[2]))
         assert len(glob.glob(str(out_root / "MUTAG_*" / "result.json"))) == 12
-        # report.txt has one timing line per run of the second command, and
-        # report.csv one row per variant: the mean of its seed-5 and seed-6 runs
-        timing = [line for line in open(out_root / "report" / "report.txt") if "s/fold" in line]
-        assert len(timing) == 8
+        # each command has a report of its own, named after its runs
+        assert sorted(glob.glob(str(out_root / "report_*"))) == sorted(reports)
+        assert all(re.fullmatch(r"report_[0-9a-f]{10}", os.path.basename(r)) for r in reports)
+        # report.txt has one timing line per run of its command, and the
+        # second report.csv one row per variant: the mean of its seed-5 and
+        # seed-6 runs
+        for report, runs in zip(reports, (4, 8)):
+            timing = [line for line in open(os.path.join(report, "report.txt"))
+                      if "s/fold" in line]
+            assert len(timing) == runs
+        assert "(n=" not in open(os.path.join(reports[0], "report.csv")).read()
         repeats = {}
         for seed in (5, 6):
             for path in glob.glob(str(out_root / f"MUTAG_*_s{seed}_*" / "result.json")):
                 result = json.load(open(path))
                 repeats.setdefault(result["variant"], []).append(result["mean_accuracy"])
         assert sorted(len(means) for means in repeats.values()) == [2, 2, 2, 2]
-        rows = open(out_root / "report" / "report.csv").read().splitlines()[1:]
+        rows = open(os.path.join(reports[1], "report.csv")).read().splitlines()[1:]
         assert sorted(rows) == sorted(
             f"{variant},{100 * np.mean(means):.1f} ± {100 * np.std(means):.2f} (n=2)"
             for variant, means in repeats.items())

@@ -1,3 +1,4 @@
+import re
 import resource
 from dataclasses import replace
 
@@ -241,6 +242,20 @@ class TestTraining:
                                  r"batch 1$"):
             train_model(model, x, y, TrainConfig(epochs=3, batch_size=10, seed=24))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("base_lr", float("nan"), "base_lr must be finite and > 0, got nan"),
+        ("base_lr", 0.0, "base_lr must be finite and > 0, got 0.0"),
+        ("base_lr", -1.0, "base_lr must be finite and > 0, got -1.0"),
+        ("lr_decay", float("nan"), "lr_decay must be finite and >= 0, got nan"),
+        ("lr_decay", float("inf"), "lr_decay must be finite and >= 0, got inf"),
+        ("lr_decay", -0.5, "lr_decay must be finite and >= 0, got -0.5"),
+    ])
+    def test_bad_schedule_rejected(self, field, value, message):
+        # a one-batch epoch at a NaN rate would end with NaN weights before
+        # the loss check of the next batch could see them
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TrainConfig(epochs=1, batch_size=50, **{field: value})
+
     def test_missing_class_rejected(self):
         x, _ = toy_fixture()
         model = build_capsnet(6, 4, 4, 2, TOY_CFG, seed=8)
@@ -470,9 +485,10 @@ class TestMemoryBounds:
     """Traced peaks of a capsule network at the MUTAG shape.  Each bound sits
     between the peak of the code it guards and that of its predecessor, which
     kept every conv patch matrix and the pre-ReLU map on the tape, held every
-    gradient until one whole Adam step, drew the weights in float64, and
-    predicted up to 256 graphs at once; the comments give both, measured with
-    numpy 2.4 (MB = 1e6 bytes)."""
+    gradient until one whole Adam step, reached the weight leaves last in the
+    backward walk, drew the weights in float64, and predicted up to 256
+    graphs at once; the comments give both, measured with numpy 2.4 (MB = 1e6
+    bytes)."""
 
     @staticmethod
     def _model(preset):
@@ -484,9 +500,12 @@ class TestMemoryBounds:
         assert traced_peak(lambda: self._model("paper")) < 15e6
 
     # one epoch of 188 graphs at batch 50, the Adam moments included:
-    # paper 59.1 MB (97.7 MB before), small 12.8 MB (24.0 MB); keeping the
-    # patches on the tape alone gives 70.6 MB and 17.1 MB
-    @pytest.mark.parametrize("preset, bound", [("paper", 64e6), ("small", 15e6)],
+    # paper 46.8 MB, small 11.0 MB.  Reaching each weight leaf after the rules
+    # below it holds its gradient through them: 52.5 MB and 11.6 MB; keeping
+    # the patches on the tape gives 58.3 MB and 15.3 MB; and the walk of
+    # before, with a patch-sized input gradient in conv2d and copies in
+    # caps_predict, 59.1 MB and 12.8 MB (97.7 MB and 24.0 MB before that)
+    @pytest.mark.parametrize("preset, bound", [("paper", 50e6), ("small", 13e6)],
                              ids=["paper", "small"])
     def test_epoch_holds_only_what_the_backward_reads(self, preset, bound):
         model = self._model(preset)

@@ -3,8 +3,10 @@ other module starts a process, and the committed mutation table: the pool's
 mutations and those of the loader and its line reader, the `jobs` check, the
 chunk union, the warm cache hit, the orders file's refusals, the one-hot
 dtype, the models' input cast, the t-SNE step sums, the Gram product, the
-convolution's patches and fused ReLU, the leaf Adam updates, the kept pages
-and the inference chunk; and the known survivors, each expected to survive."""
+convolution's patches and fused ReLU, the leaf Adam updates and the walk
+that reaches each leaf after its last rule, caps_predict's gradient read in
+place, the kept pages and the inference chunk; and the known survivors, each
+expected to survive."""
 
 import glob
 import multiprocessing
@@ -284,8 +286,9 @@ MUTATIONS = {
          "tests/test_experiment.py::TestExperimentConfig::test_bad_training_setting_rejected[jobs-0]"],
     ),
     # the patches rebuilt in the backward, the fused ReLU's mask, each leaf
-    # updated once, freed pages kept, and the inference chunk sized by its
-    # patches
+    # updated once and reached right after its last rule, caps_predict's
+    # gradient read in place, freed pages kept, and the inference chunk
+    # sized by its patches
     "conv2d-keeps-its-patches": (
         "autodiff", "conv2d", "_patches(x.data, fh, fw, sh, sw, dtype).T", "cols.T",
         [BOUNDS + "test_epoch_holds_only_what_the_backward_reads"],
@@ -304,6 +307,18 @@ MUTATIONS = {
     "leaf-update-applied-twice-to-one-parameter": (
         "models", "train_model", "pending.pop(name)",
         "(pending[name] if name == 'conv1_b' else pending.pop(name))", [LEAF_BITS],
+    ),
+    "leaves-reached-after-the-rules-below-them": (
+        "autodiff", "Tensor.backward", "(True, False)", "(False, True)",
+        [BOUNDS + "test_epoch_holds_only_what_the_backward_reads[paper]",
+         "tests/test_autodiff.py::TestElementwiseAndShapes::"
+         "test_each_leaf_is_handed_over_right_after_its_last_rule"],
+    ),
+    "caps-predict-copies-its-gradient": (
+        "autodiff", "caps_predict", "g.reshape(B, n_in, n_out * d_out).transpose(1, 0, 2)",
+        "np.ascontiguousarray(g.reshape(B, n_in, n_out * d_out).transpose(1, 0, 2))",
+        ["tests/test_autodiff.py::TestCapsPredict::"
+         "test_forward_and_backward_copy_no_prediction_sized_array"],
     ),
     "freed-pages-given-back": (
         "models", "train_model", "_keep_freed_pages()", "None",
