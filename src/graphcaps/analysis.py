@@ -1,5 +1,6 @@
-"""Representation analysis: embedding extraction, exact t-SNE, cluster
-distances.
+"""Representation analysis: exact t-SNE and cluster distances of per-graph
+feature vectors (the caller reads them from a layer; see ``graphcaps
+embed``).
 
 The t-SNE here is the exact O(m^2) formulation: per-point Gaussian bandwidths
 found by binary search on the conditional-distribution entropy, symmetrized
@@ -27,14 +28,14 @@ and a descent step reduces each row of ``P * n`` and ``n * n`` against
 ``[1, y0, y1]`` by its own stacked (1 x m) @ (m x 3) product, the caller
 combining the per-row results.  A step is one pass over the rows, and
 no m x m buffer holds the kernel: each block of kernel rows lives in a
-block-sized buffer.  The input's Gram product ``x @ x.T`` in
-:func:`joint_probabilities` is one call for float input (a blocked float
-product can round differently).  Integer input skips its columns of zeros
-and is summed over chunks of the rest, in float32 where the data's
-``max|x|^2 * D' < 2^24`` and in float64 where its type's
-``max|x|^2 * D < 2^53``: every partial sum is then an exact integer.  So the
-output is bitwise the same for every ``jobs`` and every ``_ROW_BLOCK``.
-Workers call only private helpers.
+block-sized buffer.  The KL divergence takes its normaliser from the same
+row pass.  The input's Gram product ``x @ x.T`` in :func:`joint_probabilities`
+follows one of two rules: integer input whose ``max|x|^2 * D' < 2^24``, D'
+being its occupied columns, skips its columns of zeros and is summed over
+float32 chunks of the rest, every partial sum an exact integer; all other
+input is one float64 call (a blocked float product can round differently).
+So the output is bitwise the same for every ``jobs`` and every
+``_ROW_BLOCK``.  Workers call only private helpers.
 """
 
 from __future__ import annotations
@@ -42,37 +43,10 @@ from __future__ import annotations
 import csv
 import mmap
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from ._pool import RowWorkers
-from .models import CapsNet, PatchyCnn
-
-
-class EmbeddingSource(str, Enum):
-    RAW_TENSOR = "raw"
-    CNN_INNER = "cnn"
-    PRIMARY_CAPS = "caps"
-
-
-def extract_embeddings(model, tensors: np.ndarray, source: EmbeddingSource) -> np.ndarray:
-    """Per-graph ``(m, D)`` feature vectors from the requested layer.
-
-    ``raw`` flattens the input tensors (no model needed); ``cnn``
-    reads the dense inner layer of the CNN baseline; ``caps`` reads the
-    flattened primary-capsule vectors before any routing.  A model casts each
-    chunk of the tensors to its parameters' dtype, so a float32 model runs in
-    float32.
-    """
-    source = EmbeddingSource(source)
-    if source is EmbeddingSource.RAW_TENSOR:
-        return np.asarray(tensors).reshape(len(tensors), -1)
-    if source is EmbeddingSource.CNN_INNER and not isinstance(model, PatchyCnn):
-        raise ValueError(f"source 'cnn' needs the CNN baseline, got {type(model).__name__}")
-    if source is EmbeddingSource.PRIMARY_CAPS and not isinstance(model, CapsNet):
-        raise ValueError(f"source 'caps' needs the capsule model, got {type(model).__name__}")
-    return model.inner_features(tensors)
 
 
 # Rows per block of the row-parallel work: a block of rows stays in cache
@@ -109,14 +83,7 @@ def _sq_norms(x: np.ndarray) -> np.ndarray:
     return sq
 
 
-def _sums_exactly(dtype: np.dtype, dims: int) -> bool:
-    """Whether every partial sum of a dot product of two ``dims``-vectors of
-    ``dtype`` is an integer exact in float64: a bool or integer type of b
-    bits has ``|v| < 2^b``, so its sums stay below ``4^b * dims <= 2^53``."""
-    return dtype.kind in "biu" and 4 ** (8 * dtype.itemsize) * dims <= 1 << 53
-
-
-def _float32_sums_exactly(top: int, dims: int) -> bool:
+def _float32_sums_exactly(top: float, dims: int) -> bool:
     """Whether every partial sum of a dot product of two integer
     ``dims``-vectors whose entries lie in ``[-top, top]`` is exact in
     float32: their magnitudes stay within ``top^2 * dims < 2^24``."""
@@ -128,41 +95,38 @@ def _pairwise_sq_dists(x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> n
     (m x D) ``x``, zero diagonal, clipped at 0, computed in the m x m buffer
     ``out`` with the buffer ``scratch``.
 
-    Integer or bool input whose type bounds ``max|x|^2 * D`` below ``2^53``
-    (see :func:`_sums_exactly`: 8-bit types at any D that fits in memory,
-    16-bit ones up to D = 2^21) is kept as it is.  One scan of it finds the
-    D' columns that are nonzero in some row and the largest ``|x|``; a column
-    of zeros adds an exact 0 to every dot product, so it is skipped.  The
-    Gram product ``G = x @ x.T`` is summed over chunks of m occupied columns,
-    each gathered and cast alone.  The chunks are float32 when the data's
-    ``max|x|^2 * D' < 2^24`` (see :func:`_float32_sums_exactly`; one-hot
-    input at any D' below 2^24), summed in the two float32 m x m halves of
-    ``scratch`` and cast into ``out`` once; otherwise they are float64, the
-    first written to ``out`` and each later one added through ``scratch``.
-    Either way every partial sum is an integer exact in its type, so G has
-    the bits of one call on a float64 copy of ``x``, without that copy, and
-    its diagonal holds the exact squared norms (a uint8 ``x * x`` would
-    wrap).  Other input is taken in float64 and G is one call: a blocked
-    float product can round differently (OpenBLAS picks its kernels by
-    shape), and these bits decide the layout."""
-    m, dims = x.shape
-    if _sums_exactly(x.dtype, dims):
-        top = x.max(axis=0)  # each column's largest |x|, for bool and unsigned types
+    The Gram product ``G = x @ x.T`` follows one of two rules.  Integer or
+    bool input is kept as it is, and one scan of it finds each column's
+    largest ``|x|``, in float64 so that no integer width wraps.  A column of
+    zeros adds an exact 0 to every dot product, so only the D' occupied
+    columns count.  Where ``max|x|^2 * D' < 2^24`` (see
+    :func:`_float32_sums_exactly`; one-hot input of any integer type at any
+    D' below 2^24), G is summed over float32 chunks of m occupied columns,
+    each gathered and cast alone, in the two float32 m x m halves of
+    ``scratch``, and cast into ``out`` once.  Every partial sum is then an
+    integer exact in float32, so G has the bits of one call on a float64
+    copy of ``x``, without that copy, and its diagonal holds the exact
+    squared norms (a uint8 ``x * x`` would wrap).  All other input is taken
+    in float64 and G is one call: a blocked float product can round
+    differently (OpenBLAS picks its kernels by shape), and these bits decide
+    the layout."""
+    m = len(x)
+    exact = x.dtype.kind in "biu"
+    if exact:
+        top = x.max(axis=0).astype(np.float64)
         if x.dtype.kind == "i":
-            top = np.maximum(top, np.negative(x.min(axis=0), dtype=np.int64))
+            np.maximum(top, -x.min(axis=0).astype(np.float64), out=top)
         cols = np.flatnonzero(top)
-        if _float32_sums_exactly(int(top.max(initial=0)), len(cols)):
-            acc, part = scratch.reshape(-1).view(np.float32).reshape(2, m, m)
-        else:
-            acc, part = out, scratch
+        exact = _float32_sums_exactly(top.max(initial=0), len(cols))
+    if exact:
+        acc, part = scratch.reshape(-1).view(np.float32).reshape(2, m, m)
         for f in range(0, max(len(cols), 1), m):  # no occupied column makes one chunk, of zeros
-            chunk = x[:, cols[f : f + m]].astype(acc.dtype)
+            chunk = x[:, cols[f : f + m]].astype(np.float32)
             np.matmul(chunk, chunk.T, out=part if f else acc)
             del chunk  # before the next is made: one chunk at a time
             if f:
                 np.add(acc, part, out=acc)
-        if acc is not out:
-            out[...] = acc
+        out[...] = acc
         sq = out.diagonal().copy()
     else:
         x = np.asarray(x, np.float64)
@@ -282,9 +246,10 @@ def _check_iters(iters: int) -> None:
 def joint_probabilities(points: np.ndarray, perplexity: float,
                         jobs: int | None = None) -> np.ndarray:
     """Symmetrized, normalized t-SNE joint distribution P (zero diagonal) of
-    the rows of ``points``.  Integer points are read as they are; other
-    points are taken in float64 only for their distances, so that copy is
-    freed before the search (see :func:`_pairwise_sq_dists`).  ``jobs``
+    the rows of ``points``.  Integer points whose Gram product sums exactly
+    in float32 are read as they are; other points are taken in float64 only
+    for their distances, so that copy is freed before the search (see
+    :func:`_pairwise_sq_dists`).  ``jobs``
     processes search the precisions (see :func:`perplexity_search`)."""
     m = len(points)
     _check_perplexity(perplexity, m)
@@ -349,15 +314,6 @@ def _step_rows(s: _Layout, lo, hi) -> None:
         np.matmul(np.square(n, out=n)[:, None, :], s.yext, out=s.nn[a:b, None])
 
 
-def _kernel_sum_rows(s: _Layout, lo, hi) -> None:
-    """The sums of rows ``lo:hi`` of the Student-t kernel of the layout in
-    ``s.totals``."""
-    for a, b in _blocks(lo, hi):
-        n, t = (buf[: b - a] for buf in s.work)
-        _student_t_block(s.yt, a, b, n, t)
-        n.sum(axis=1, out=s.totals[a:b])
-
-
 def _kl_rows(s: _Layout, z, lo, hi) -> None:
     """Sums of the rows of P log(P / q), q = max(n / z, 1e-300) for the
     Student-t kernel n of the layout, without the diagonal, in ``s.totals``;
@@ -376,10 +332,11 @@ def kl_divergence(P: np.ndarray, y: np.ndarray, rows: RowWorkers | None = None) 
     """KL(P || Q) of the layout ``y`` over the off-diagonal pairs, its rows
     run on ``rows``, the caller's row pool over the :class:`_Layout` of this
     P (default: the calling process alone).  The kernel is computed twice, a
-    block at a time: once for its sum z, once for the terms."""
+    block at a time: once for its sum z, by a descent step's row pass
+    (:func:`_step_rows`), once for the terms."""
     rows = RowWorkers(_Layout(P), len(P), 1, _ROW_BLOCK) if rows is None else rows
     rows.state.put(y)
-    rows.run(_kernel_sum_rows)
+    rows.run(_step_rows)
     z = rows.state.totals.sum()
     rows.run(_kl_rows, z)  # z is read before the row sums are reused
     return float(rows.state.totals.sum())
@@ -491,11 +448,11 @@ def write_embeddings_csv(path: str, coords: np.ndarray, labels) -> None:
             writer.writerow([i, int(c), f"{x:.8f}", f"{y:.8f}"])
 
 
-def write_distances_csv(path: str, source: EmbeddingSource, dist: ClusterDistances) -> None:
+def write_distances_csv(path: str, source: str, dist: ClusterDistances) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["source", "measure", "class", "value"])
         for c, val in sorted(dist.intra.items()):
-            writer.writerow([source.value, "intra", c, f"{val:.6f}"])
-        writer.writerow([source.value, "intra_pooled", "", f"{dist.intra_pooled:.6f}"])
-        writer.writerow([source.value, "inter", "", f"{dist.inter:.6f}"])
+            writer.writerow([source, "intra", c, f"{val:.6f}"])
+        writer.writerow([source, "intra_pooled", "", f"{dist.intra_pooled:.6f}"])
+        writer.writerow([source, "inter", "", f"{dist.inter:.6f}"])

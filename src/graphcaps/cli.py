@@ -152,13 +152,17 @@ def cmd_grid(args) -> int:
     return 0
 
 
+# Each `embed --source` and the model it trains: `raw` trains none and reads
+# the input tensors, `cnn` reads the CNN's dense inner layer and `caps` the
+# flattened primary capsules, before any routing.
+EMBED_SOURCES = {"raw": None, "cnn": "cnn", "caps": "capsules"}
+
+
 def cmd_embed(args) -> int:
     from .analysis import (
-        EmbeddingSource,
         _check_iters,
         _check_perplexity,
         cluster_distances,
-        extract_embeddings,
         tsne,
         write_distances_csv,
         write_embeddings_csv,
@@ -166,28 +170,26 @@ def cmd_embed(args) -> int:
     from .models import train_model
 
     _check_iters(args.iters)
-    runs = []
-    for source in map(EmbeddingSource, args.source):
-        model = "cnn" if source is EmbeddingSource.CNN_INNER else "capsules"
-        runs.append((source, config_from_args(args, model=model)))
+    runs = [(source, config_from_args(args, model=EMBED_SOURCES[source]))
+            for source in args.source]
     # the tensors depend on no model, so one load serves every source; every
     # check runs before the first source writes
     x, y, w, channels, labels = dataset_tensors(runs[0][1])
-    models = [None if source is EmbeddingSource.RAW_TENSOR
-              else cfg.build_model(w, channels, labels.num_classes, cfg.seed)
-              for source, cfg in runs]
+    models = [cfg.build_model(w, channels, labels.num_classes, cfg.seed)
+              if EMBED_SOURCES[source] else None for source, cfg in runs]
     _check_perplexity(args.perplexity, len(x))
 
     for (source, cfg), model in zip(runs, models):
-        out_dir = cfg.run_dir("embed_", f"_{source.value}")
-        write_manifest(out_dir, cfg, source=source.value, perplexity=args.perplexity,
+        out_dir = cfg.run_dir("embed_", f"_{source}")
+        write_manifest(out_dir, cfg, source=source, perplexity=args.perplexity,
                        iters=args.iters)
-        if model is not None:
+        if model is None:
+            points = x.reshape(len(x), -1)  # a view of the uint8 tensors: no copy
+        else:
             print(f"[embed] training {cfg.model} on the full dataset ({cfg.epochs} epochs)")
             train_model(model, x, y, cfg.train_config(cfg.seed))
-
-        points = extract_embeddings(model, x, source)
-        print(f"[embed] {points.shape[0]} x {points.shape[1]} features from {source.value}")
+            points = model.inner_features(x)
+        print(f"[embed] {points.shape[0]} x {points.shape[1]} features from {source}")
         res = tsne(points, perplexity=args.perplexity, iters=args.iters, seed=cfg.seed,
                    jobs=cfg.jobs)
         dist = cluster_distances(res.coords, y)
@@ -222,11 +224,12 @@ def cmd_report(args) -> int:
 def _add_list(p: argparse.ArgumentParser, flag: str, choices, help: str, required=False,
               **aliases) -> None:
     """Add ``flag``, read as a list from a comma list of distinct ``choices``,
-    each alias read as the value it stands for."""
+    each stripped of surrounding spaces and each alias read as the value it
+    stands for."""
     names = [*choices, *aliases]
 
     def parse(text: str) -> list:
-        values = [aliases.get(value, value) for value in text.split(",")]
+        values = [aliases.get(value, value) for value in map(str.strip, text.split(","))]
         for value in values:
             if value not in choices:
                 raise argparse.ArgumentTypeError(
@@ -324,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_tensor_opts(p, lists=False)
     _add_train_opts(p)
-    _add_list(p, "--source", ["raw", "cnn", "caps"], "representation layers", required=True)
+    _add_list(p, "--source", list(EMBED_SOURCES), "representation layers", required=True)
     p.add_argument("--perplexity", type=float, default=10.0)
     p.add_argument("--iters", type=int, default=500)
     p.set_defaults(func=cmd_embed)

@@ -355,13 +355,19 @@ def dataset_tensors(cfg: ExperimentConfig, name: str | None = None, log=print):
 def load_datasets(cfg: ExperimentConfig, log=print) -> dict:
     """Every dataset the config reads, as ``{name: (x, y, num_classes)}``:
     the one load of a command.  Each dataset goes through
-    :func:`dataset_tensors` once, and its fold count and capsule geometry (the
-    CNN takes any) are checked, so a dataset that fails to load or to fit
-    fails before any output exists."""
+    :func:`dataset_tensors` once, and its fold count, the classes of every
+    fold's training split and its capsule geometry (the CNN takes any) are
+    checked, so a dataset that fails to load or to fit fails before any
+    output exists."""
     data = {}
     for name in cfg.dataset_names():
         x, y, w, _, labels = dataset_tensors(cfg, name, log=log)
-        kfold_split(len(y), cfg.folds, cfg.seed, strata=y)
+        counts = np.bincount(y, minlength=labels.num_classes)
+        for fold, test_idx in enumerate(kfold_split(len(y), cfg.folds, cfg.seed, strata=y)):
+            missing = np.flatnonzero(counts == np.bincount(y[test_idx], minlength=len(counts)))
+            if len(missing):  # the message train_model would give in that fold
+                raise ValueError(f"fold {fold}: training split has no sample of class "
+                                 f"{missing[0]}")
         if cfg.model == "capsules":
             primary_grid(w, cfg.k, cfg.capsnet_config())
         data[name] = x, y, labels.num_classes
@@ -599,8 +605,9 @@ def grid_search(cfg: ExperimentConfig, grid: dict, log=print):
 def _repeat_groups(results: list) -> dict:
     """The results of each (variant, dataset) cell, in input order.  The runs
     of one cell must be repeats: configs equal but for the seed and the
-    :data:`UNHASHED` fields.  Raises ValueError naming the first field in
-    which two configs of one cell differ."""
+    :data:`UNHASHED` fields, and seeds distinct.  Raises ValueError naming
+    the first field in which two configs of one cell differ, or the cell's
+    first seed given twice."""
     groups = {}
     for r in results:
         groups.setdefault((r.variant, r.dataset), []).append(r)
@@ -614,6 +621,11 @@ def _repeat_groups(results: list) -> dict:
                         f"({first.get(key)!r} vs {other.config.get(key)!r}); "
                         "report them separately"
                     )
+        seeds = [r.config.get("seed") for r in runs]
+        for i, seed in enumerate(seeds):
+            if seed in seeds[:i]:  # a run given twice, not a repeat
+                raise ValueError(f"{variant} / {dataset}: seed {seed} is given twice; "
+                                 "report each run once")
     return groups
 
 

@@ -37,10 +37,13 @@ FLOAT = np.float32
 
 # Bytes of convolution patches an inference chunk may gather, and the most
 # graphs it may hold: a paper-preset MUTAG-shaped chunk holds 27 graphs and
-# gathers about half of what a training batch of 50 does.  The capsule
-# network gave the same bits at every chunk of 4 to 256 graphs tried at the
-# MUTAG and NCI1 shapes; the CNN's last bits may differ, and its chunk is
-# MAX_CHUNK at those shapes.
+# gathers about half of what a training batch of 50 does.  ``predict`` kept
+# its bits at every chunk size tried; ``inner_features`` did not, since a
+# GEMM over another number of rows can round otherwise.  On a synthetic
+# MUTAG shape (188 graphs, 18 x 10 x 8, small preset, OpenBLAS at 1 thread)
+# the capsules' features moved at chunks 1, 11 and 17 against their 73, and
+# the CNN's at every chunk from 1 to 93 against its 256 (README,
+# Determinism).
 CHUNK_BYTES, MAX_CHUNK = 6 << 20, 256
 
 # glibc's mallopt, where the C library has one.

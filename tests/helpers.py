@@ -37,6 +37,7 @@ __all__ = [
     "write_v2_cache",
     "flip_grid_byte",
     "mutate",
+    "mutation_target",
     "time_limit",
     "traced_peak",
     "poison_gradient",
@@ -196,18 +197,24 @@ def count_calls(monkeypatch, *fns) -> dict:
     return counts
 
 
-def mutate(monkeypatch, module, name: str, expression: str, mutant: str) -> None:
-    """Break the function ``module.name``, or the method ``module.Class.attr``
-    when ``name`` is ``"Class.attr"`` (or of a class the module imports,
-    ``"zipfile.ZipExtFile.attr"``), by rewriting the one occurrence of
-    ``expression`` in its source to ``mutant``.  The rewrite is compiled
-    against the globals of the module that defines it.  A method is patched
-    on its class; a function into every graphcaps module that holds it,
-    since some callers import it by name."""
+def mutation_target(module, name: str) -> tuple:
+    """``(owner, attr, original, source)`` of the function ``module.name``, or
+    of the method ``module.Class.attr`` when ``name`` is ``"Class.attr"`` (or
+    of a class the module imports, ``"zipfile.ZipExtFile.attr"``); ``owner``
+    is None for a function, and ``source`` is dedented."""
     owner, _, attr = name.rpartition(".")
     owner = functools.reduce(getattr, owner.split("."), module) if owner else None
     original = getattr(owner or module, attr)
-    source = textwrap.dedent(inspect.getsource(original))
+    return owner, attr, original, textwrap.dedent(inspect.getsource(original))
+
+
+def mutate(monkeypatch, module, name: str, expression: str, mutant: str) -> None:
+    """Break the target of :func:`mutation_target` by rewriting the one
+    occurrence of ``expression`` in its source to ``mutant``.  The rewrite is
+    compiled against the globals of the module that defines it.  A method is
+    patched on its class; a function into every graphcaps module that holds
+    it, since some callers import it by name."""
+    owner, attr, original, source = mutation_target(module, name)
     assert source.count(expression) == 1, f"{expression!r} is not one expression of {name}"
     home, scope = sys.modules[original.__module__], {}
     exec(compile(source.replace(expression, mutant), home.__file__, "exec"), vars(home), scope)

@@ -10,9 +10,7 @@ import pytest
 
 from graphcaps import _pool, analysis
 from graphcaps.analysis import (
-    EmbeddingSource,
     cluster_distances,
-    extract_embeddings,
     joint_probabilities,
     kl_divergence,
     perplexity_search,
@@ -33,7 +31,16 @@ def two_blobs(n_per=10, dims=50, gap=5.0, seed=0):
     return points, labels
 
 
-class TestExtractEmbeddings:
+def small_capsnet():
+    cfg = CapsNetConfig(conv_filters=8, primary_channels=2, primary_dim=4, primary_kernel=2,
+                        primary_stride=1, caps_dim=6, decoder_hidden=(8, 12))
+    return build_capsnet(8, 5, 4, 2, cfg, seed=0)
+
+
+class TestInnerFeatures:
+    """The layers `graphcaps embed --source cnn|caps` reads (`raw` is the
+    flattened input: see test_cli's TestEmbedAndReport)."""
+
     def setup_method(self):
         rng = np.random.default_rng(1)
         self.x = np.zeros((6, 8, 5, 4))
@@ -43,52 +50,32 @@ class TestExtractEmbeddings:
                 for j in range(5):
                     self.x[b, i, j, idx[b, i, j]] = 1.0
 
-    def test_raw_flattens(self):
-        for x in (self.x, self.x.astype(np.uint8)):
-            points = extract_embeddings(None, x, "raw")
-            assert points.shape == (6, 8 * 5 * 4) and points.dtype == x.dtype
-            assert np.array_equal(points[1], self.x[1].ravel())
-            assert np.shares_memory(points, x)  # a view: no copy of the dataset
-
     def test_primary_caps_dimensionality(self):
-        cfg = CapsNetConfig(conv_filters=8, primary_channels=2, primary_dim=4,
-                            primary_kernel=2, primary_stride=1, caps_dim=6,
-                            decoder_hidden=(8, 12))
-        model = build_capsnet(8, 5, 4, 2, cfg, seed=0)
-        points = extract_embeddings(model, self.x, "caps")
-        assert points.shape == (6, model.n_primary * cfg.primary_dim)
+        model = small_capsnet()
+        points = model.inner_features(self.x)
+        assert points.shape == (6, model.n_primary * model.cfg.primary_dim)
 
     def test_cnn_inner_dimensionality(self):
         model = build_cnn(8, 5, 4, 2, seed=0)
-        points = extract_embeddings(model, self.x, "cnn")
+        points = model.inner_features(self.x)
         assert points.shape == (6, 128)
 
     def test_identical_inputs_identical_rows(self):
         pair = np.concatenate([self.x[:1], self.x[:1]])
-        points = extract_embeddings(None, pair, "raw")
-        assert np.array_equal(points[0], points[1])
+        for model in (small_capsnet(), build_cnn(8, 5, 4, 2, seed=0)):
+            points = model.inner_features(pair)
+            assert np.array_equal(points[0], points[1])
 
     @pytest.mark.parametrize("source", ["caps", "cnn"])
     def test_model_reads_inputs_at_its_parameter_dtype(self, source):
-        cfg = CapsNetConfig(conv_filters=8, primary_channels=2, primary_dim=4,
-                            primary_kernel=2, primary_stride=1, caps_dim=6,
-                            decoder_hidden=(8, 12))
-        model = build_capsnet(8, 5, 4, 2, cfg, seed=0) if source == "caps" else build_cnn(
-            8, 5, 4, 2, seed=0)
+        model = small_capsnet() if source == "caps" else build_cnn(8, 5, 4, 2, seed=0)
         # the input boundary casts: the layers see the parameters' dtype
         layer = "_primary_capsules" if source == "caps" else "_features"
         seen = []
         features = getattr(model, layer)
         setattr(model, layer, lambda xb: seen.append(xb.data.dtype) or features(xb))
-        points = extract_embeddings(model, self.x, source)  # self.x is float64
+        points = model.inner_features(self.x)  # self.x is float64
         assert seen == [np.float32] and points.dtype == np.float32
-
-    def test_source_model_mismatch(self):
-        model = build_cnn(8, 5, 4, 2, seed=0)
-        with pytest.raises(ValueError, match="capsule model"):
-            extract_embeddings(model, self.x, "caps")
-        with pytest.raises(ValueError, match="CNN baseline"):
-            extract_embeddings(None, self.x, "cnn")
 
 
 def oracle_entropy_and_probs(row, beta):
@@ -201,18 +188,26 @@ class TestPerplexitySearch:
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("kind", ["one-hot", "uint8", "uint16", "bool", "int32",
                                       "empty-columns", "lone-column", "uint8-255-rows",
-                                      "int16-negative"])
+                                      "int16-negative", "int8-min", "int64-one-hot"])
     def test_integer_points_give_the_bits_of_their_float64_copy(self, kind, jobs):
         # 100 columns of 30 points: three chunks of 30 columns and a ragged 10
         rng = np.random.default_rng(4)
         m, dims = 30, 100
-        if kind in ("one-hot", "empty-columns", "lone-column"):
+        if kind in ("one-hot", "empty-columns", "lone-column", "int64-one-hot"):
             x = np.eye(4, dtype=np.uint8)[rng.integers(0, 4, (m, dims // 4))].reshape(m, dims)
             if kind == "empty-columns":  # some in every chunk, and a chunk's worth in a row
                 x[:, 5::9] = x[:, 30:65] = 0
             elif kind == "lone-column":  # channel 3 is empty but in one row, not the first
                 x[:, 3::4] = 0
                 x[17, 43] = 1
+            elif kind == "int64-one-hot":
+                x = x.astype(np.int64)
+        elif kind == "int8-min":
+            # a column of -128 and 0, whose int8 negation wraps to -128: its
+            # magnitude must be taken wider, or the column reads as empty
+            x = rng.integers(-3, 3, (m, dims), endpoint=True).astype(np.int8)
+            x[:, 7] = np.where(rng.random(m) < 0.5, -128, 0)
+            x[1, 7] = -128
         elif kind == "bool":
             x = rng.random((m, dims)) < 0.3
         elif kind == "uint8-255-rows":
@@ -228,14 +223,6 @@ class TestPerplexitySearch:
             x[0, 0] = top
         want = joint_probabilities(x.astype(np.float64), perplexity=8.0, jobs=jobs)
         assert joint_probabilities(x, perplexity=8.0, jobs=jobs).tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("dtype, dims, exact", [
-        (np.bool_, 2**37, True), (np.uint8, 2**37, True), (np.uint8, 2**37 + 1, False),
-        (np.int16, 2**21, True), (np.uint16, 2**21 + 1, False), (np.int32, 1, False),
-        (np.float32, 1, False),
-    ])
-    def test_exact_chunks_only_where_every_partial_sum_fits(self, dtype, dims, exact):
-        assert analysis._sums_exactly(np.dtype(dtype), dims) is exact
 
     @pytest.mark.parametrize("top, dims, exact", [
         (1, 2**24 - 1, True), (1, 2**24, False), (3, (2**24 - 1) // 9, True), (2**12, 1, False),
@@ -256,14 +243,15 @@ class TestPerplexitySearch:
         assert peak < 8 * m * m, peak
         assert out.tobytes() == sq_dists(x.astype(np.float64)).tobytes()
 
-    def test_integer_points_are_not_copied_to_float64(self):
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    def test_integer_points_are_not_copied_to_float64(self, dtype):
         # D far above m: a float64 copy of the input (6.4 MB) dwarfs the
-        # m x m buffers (12.8 kB each)
+        # m x m buffers (12.8 kB each), and an int64 input is as large as it
         m, dims = 40, 20000
-        x = (np.random.default_rng(3).random((m, dims)) < 0.2).astype(np.uint8)
+        x = (np.random.default_rng(3).random((m, dims)) < 0.2).astype(dtype)
         joint_probabilities(x[:, :50], perplexity=8.0, jobs=1)  # one-time allocations
         peak = traced_peak(lambda: joint_probabilities(x, perplexity=8.0, jobs=1))
-        assert peak < 8 * m * dims + 8 * (8 * m * m), peak
+        assert peak < 8 * m * dims, peak
 
     def test_perplexity_bounds(self):
         points, _ = two_blobs(n_per=3)
@@ -613,6 +601,7 @@ class TestCsvOutputs:
         assert len(lines) == 11
         dist = cluster_distances(res.coords, labels)
         dist_path = str(tmp_path / "distances.csv")
-        write_distances_csv(dist_path, EmbeddingSource.RAW_TENSOR, dist)
+        write_distances_csv(dist_path, "raw", dist)
         text = open(dist_path).read()
         assert "intra_pooled" in text and "inter" in text
+        assert all(line.startswith("raw,") for line in text.splitlines()[1:])

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from graphcaps import cli, data, experiment, labelling, selftest, tensorize
+from graphcaps import analysis, cli, data, experiment, labelling, selftest, tensorize
 from graphcaps.cli import main, read_config_file
 from graphcaps.data import read_labels
 from graphcaps.experiment import PTC_SUBSETS, ExperimentConfig
@@ -245,6 +245,24 @@ class TestRunCommand:
         assert error in capsys.readouterr().err
         assert not out_root.exists()
 
+    def test_fold_missing_a_class_in_training_fails_before_output(self, tu_dir, tmp_path,
+                                                                   capsys):
+        # classes of 20 and 1: the fold that tests the lone graph trains on one class
+        write_tu_files(tu_dir, "SYN", synthetic_dataset_graphs(num_graphs=21, seed=1))
+        with open(os.path.join(tu_dir, "SYN", "SYN_graph_labels.txt"), "w") as fh:
+            fh.writelines(["0\n"] * 20 + ["1\n"])
+        y = read_labels(tu_dir, "SYN").classes
+        out_root = tmp_path / "results"
+        with pytest.warns(UserWarning, match="class 1 has 1 samples for 2 folds"):
+            (fold,) = [f for f, test in enumerate(experiment.kfold_split(21, 2, 1, strata=y))
+                       if 20 in test]
+            assert main(["run", "--dataset", "SYN", "--data-root", tu_dir, "--out-root",
+                         str(out_root), "--cache-dir", str(tmp_path / "cache"), "--folds", "2",
+                         "--epochs", "1", "--seed", "1", "--jobs", "1"]) == 1
+        assert (capsys.readouterr().err
+                == f"error: fold {fold}: training split has no sample of class 1\n")
+        assert not out_root.exists()
+
     def test_repeats_prints_mean(self, syn_root, tmp_path, capsys):
         rc = main(["run", "--dataset", "SYN", "--data-root", syn_root,
                    "--out-root", str(tmp_path / "results"), "--folds", "3",
@@ -428,6 +446,7 @@ class TestLists:
         (["run", "--labelling", "canonical,nauty"],
          "argument --labelling: 'canonical,nauty' names a value twice"),
         (["run", "--model", "capsules,"], "argument --model: invalid choice: ''"),
+        (["run", "--model", "capsules, "], "argument --model: invalid choice: ''"),
         (["tensorize", "--labelling", "bc,bc"],
          "argument --labelling: 'bc,bc' names a value twice"),
         (["embed", "--source", "raw,bogus"], "argument --source: invalid choice: 'bogus'"),
@@ -572,6 +591,15 @@ class TestConfigFile:
         runs = sorted(d.split("_")[1:3] for d in os.listdir(out_root) if d.startswith("SYN_"))
         assert runs == [["bc", "capsules"], ["bc", "cnn"]]
 
+    def test_spaces_after_commas_in_a_list(self, syn_root, tmp_path):
+        cfg = tmp_path / "tensorize.cfg"
+        cfg.write_text(f"data_root = {syn_root}\nlabelling = bc, canonical\n")
+        out_root = tmp_path / "results"
+        assert main(["--config", str(cfg), "tensorize", "--dataset", "SYN", "--out-root",
+                     str(out_root), "-w", "5"]) == 0
+        cached = sorted(os.listdir(out_root / "cache"))
+        assert [name.split("_")[1] for name in cached] == ["bc", "canonical", "orders.gct"]
+
     @pytest.mark.parametrize("value, rebuilt", [("true", True), ("false", False)])
     def test_true_gives_a_switch(self, syn_root, tmp_path, capsys, value, rebuilt):
         cfg = tmp_path / "tensorize.cfg"
@@ -626,6 +654,22 @@ class TestEmbedAndReport:
         assert os.path.isfile(os.path.join(out_dir, "embeddings.csv"))
         assert os.path.isfile(os.path.join(out_dir, "distances.csv"))
         assert "KL" in capsys.readouterr().out
+
+    def test_embed_raw_hands_tsne_a_view_of_the_tensors(self, syn_root, tmp_path, monkeypatch):
+        loaded, seen = [], []
+        load, tsne = experiment.dataset_tensors, analysis.tsne
+        monkeypatch.setattr(cli, "dataset_tensors",
+                            lambda *args, **kw: loaded.append(load(*args, **kw)) or loaded[-1])
+        monkeypatch.setattr(analysis, "tsne",
+                            lambda points, **kw: seen.append(points) or tsne(points, **kw))
+        assert main(["embed", "--dataset", "SYN", "--data-root", syn_root, "--out-root",
+                     str(tmp_path / "results"), "--source", "raw", "--perplexity", "4",
+                     "--iters", "20", "--jobs", "1"]) == 0
+        ((x, *_),), (points,) = loaded, seen
+        # the flattened uint8 one-hot tensors themselves: no copy of the dataset
+        assert x.dtype == points.dtype == np.uint8 and np.shares_memory(points, x)
+        assert points.shape == (len(x), x[0].size)
+        assert np.array_equal(points[1], x[1].ravel())
 
     @pytest.mark.parametrize("iters", [100, 150, 200, 250])
     def test_embed_kl_falls_at_small_iters(self, syn_root, tmp_path, capsys, iters):

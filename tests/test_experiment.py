@@ -638,6 +638,13 @@ class TestReport:
             emit_report([self._run(0.85), self._run(0.55, seed=2, epochs=61)],
                         str(tmp_path / "rep"))
 
+    @pytest.mark.parametrize("seeds", [(1, 1), (1, 2, 1)], ids=["A-A", "A-B-A"])
+    def test_a_run_given_twice_rejected(self, tmp_path, seeds):
+        # one run twice is not two repeats: (n=2) would count it twice in the mean
+        with pytest.raises(ValueError, match=r"^BC \+ Capsules / MUTAG: seed 1 is given twice"):
+            emit_report([self._run(0.85, seed=seed) for seed in seeds], str(tmp_path / "rep"))
+        assert not (tmp_path / "rep").exists()
+
     def test_mixed_code_versions_warn(self, tmp_path):
         out = str(tmp_path / "rep")
         with pytest.warns(UserWarning, match="2 code versions"):

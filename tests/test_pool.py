@@ -2,13 +2,16 @@
 other module starts a process, and the committed mutation table: the pool's
 mutations and those of the loader and its line reader, the `jobs` check, the
 chunk union, the warm cache hit, the orders file's refusals, the one-hot
-dtype, the models' input cast, the t-SNE step sums, the Gram product, the
-convolution's patches and fused ReLU, the leaf Adam updates and the walk
-that reaches each leaf after its last rule, caps_predict's gradient read in
-place, the kept pages and the inference chunk; and the known survivors, each
-expected to survive."""
+dtype, the models' input cast, the t-SNE step sums, the KL normaliser, the
+Gram product, the raw embedding's view, the convolution's patches and fused
+ReLU, the leaf Adam updates and the walk that reaches each leaf after its
+last rule, caps_predict's gradient read in place, the kept pages and the
+inference chunk; and the known survivors, each expected to survive.  Every
+row of this table and of test_selftest's must name one expression of its
+target."""
 
 import glob
+import importlib
 import multiprocessing
 import os
 import re
@@ -22,7 +25,8 @@ import pytest
 
 import graphcaps
 from graphcaps import _pool
-from helpers import time_limit
+from helpers import mutation_target, time_limit
+from test_selftest import MUTATIONS as SELFTEST_MUTATIONS
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -211,17 +215,15 @@ MUTATIONS = {
     ),
     "gram-chunks-overwrite": (
         "analysis", "_pairwise_sq_dists", "np.add(acc, part, out=acc)", "np.copyto(acc, part)",
-        [INTEGER_BITS + "[uint8-1]", INTEGER_BITS + "[one-hot-2]",
-         INTEGER_BITS + "[uint8-255-rows-1]"],
+        [INTEGER_BITS + "[uint8-1]", INTEGER_BITS + "[one-hot-2]"],
     ),
     "integer-sq-norms-multiplied-in-uint8": (
         "analysis", "_pairwise_sq_dists", "out.diagonal().copy()", "_sq_norms(x)",
         [INTEGER_BITS + "[uint8-1]"],
     ),
     "gram-float32-past-its-bound": (
-        "analysis", "_pairwise_sq_dists",
-        "_float32_sums_exactly(int(top.max(initial=0)), len(cols))", "True",
-        [INTEGER_BITS + "[uint8-255-rows-1]"],
+        "analysis", "_pairwise_sq_dists", "_float32_sums_exactly(top.max(initial=0), len(cols))",
+        "True", [INTEGER_BITS + "[uint8-255-rows-1]"],
     ),
     "gram-drops-an-occupied-column": (
         "analysis", "_pairwise_sq_dists", "x.max(axis=0)", "x[0]",
@@ -229,8 +231,13 @@ MUTATIONS = {
     ),
     "gram-signed-magnitude-from-the-max": (
         "analysis", "_pairwise_sq_dists",
-        "np.maximum(top, np.negative(x.min(axis=0), dtype=np.int64))", "top",
+        "np.maximum(top, -x.min(axis=0).astype(np.float64), out=top)", "top",
         [INTEGER_BITS + "[int16-negative-1]"],
+    ),
+    # an int8 column of -128 and 0 negates to -128 and reads as empty
+    "gram-magnitude-in-the-input-type": (
+        "analysis", "_pairwise_sq_dists", "-x.min(axis=0).astype(np.float64)", "-x.min(axis=0)",
+        [INTEGER_BITS + "[int8-min-1]"],
     ),
     "gram-float32-buffers-allocated": (
         "analysis", "_pairwise_sq_dists", "scratch.reshape(-1).view(np.float32).reshape(2, m, m)",
@@ -242,6 +249,15 @@ MUTATIONS = {
         "analysis", "joint_probabilities", "np.asarray(points)", "np.asarray(points, np.float64)",
         ["tests/test_analysis.py::TestPerplexitySearch::"
          "test_integer_points_are_not_copied_to_float64"],
+    ),
+    # the KL divergence reads the row sums of whatever pass ran last
+    "kl-normaliser-not-recomputed": (
+        "analysis", "kl_divergence", "rows.run(_step_rows)", "None",
+        [TSNE + "test_coords_bitwise_equal_to_allocating_loop", BITS],
+    ),
+    "raw-embedding-copied": (
+        "cli", "cmd_embed", "x.reshape(len(x), -1)", "x.reshape(len(x), -1).copy()",
+        ["tests/test_cli.py::TestEmbedAndReport::test_embed_raw_hands_tsne_a_view_of_the_tensors"],
     ),
     # the loader's six (line numbers, blank lines, column and character
     # checks, the "u, v" delimiter, the loadtxt path), the line reader's two
@@ -347,6 +363,24 @@ SURVIVORS = {
         ["tests/test_labelling.py::TestCanonicalOrder"],
     ),
 }
+
+
+# every row of both mutation tables, as (module, function, expression)
+ROWS = {
+    **{name: (importlib.import_module(f"graphcaps.{module}"), function, expression)
+       for name, (module, function, expression, *_) in {**MUTATIONS, **SURVIVORS}.items()},
+    **{f"selftest:{name}": (module, function, expression)
+       for name, (_, module, function, expression, _) in SELFTEST_MUTATIONS.items()},
+}
+
+
+@pytest.mark.parametrize("row", ROWS)
+def test_mutation_row_names_one_expression_of_its_target(row):
+    # not marked mutations: a row that a change left stale fails tier-1, not
+    # only the mutation step, through the lookup helpers.mutate makes
+    module, function, expression = ROWS[row]
+    source = mutation_target(module, function)[3]
+    assert source.count(expression) == 1, f"{expression!r} is not one expression of {function}"
 
 
 @pytest.mark.mutations
